@@ -38,18 +38,18 @@ func (p *switchList) Set(v string) error {
 	return nil
 }
 
-func parseSwitch(spec string) (packet.Addr, transport.RPCAgent, error) {
+func parseSwitch(spec string) (packet.Addr, *transport.WireAgent, error) {
 	parts := strings.SplitN(spec, "=", 2)
 	if len(parts) != 2 {
-		return 0, transport.RPCAgent{}, fmt.Errorf("bad switch spec %q (want virtual=host:port)", spec)
+		return 0, nil, fmt.Errorf("bad switch spec %q (want virtual=host:port)", spec)
 	}
 	va, err := packet.ParseAddr(parts[0])
 	if err != nil {
-		return 0, transport.RPCAgent{}, err
+		return 0, nil, err
 	}
 	agent, err := transport.DialAgent(parts[1])
 	if err != nil {
-		return 0, transport.RPCAgent{}, err
+		return 0, nil, err
 	}
 	return va, agent, nil
 }
@@ -79,7 +79,7 @@ func main() {
 	// The agent registry is mutable at runtime: the add-switch admin verb
 	// registers new switches while the controller is live.
 	var agentMu sync.RWMutex
-	agents := map[packet.Addr]transport.RPCAgent{}
+	agents := map[packet.Addr]*transport.WireAgent{}
 	var memberAddrs, spareAddrs []packet.Addr
 	for _, spec := range members {
 		va, ag, err := parseSwitch(spec)
@@ -105,7 +105,7 @@ func main() {
 		log.Fatalf("netchain-controller: %v", err)
 	}
 	cfg := controller.DefaultConfig()
-	cfg.SyncPerItem = 0 // real RPC takes real time
+	cfg.SyncPerItem = 0 // the real agent channel takes real time
 	ctl, err := controller.New(cfg, r, controller.WallClock{},
 		func(a packet.Addr) (controller.Agent, bool) {
 			agentMu.RLock()

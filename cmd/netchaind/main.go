@@ -1,6 +1,7 @@
 // Command netchaind runs one NetChain software switch: the dataplane
-// behind a UDP socket plus the control-plane agent behind a net/rpc TCP
-// socket (the paper's per-switch agent, §7).
+// behind a UDP socket plus the control-plane agent behind a TCP socket
+// (the paper's per-switch agent, §7; the -rpc flag keeps its name, the
+// protocol is transport's framed binary agent channel).
 //
 // The address book maps virtual NetChain addresses to real endpoints;
 // every node of a deployment must share the same book.

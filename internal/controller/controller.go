@@ -7,9 +7,10 @@
 //
 // The controller is substrate-agnostic: switch access goes through the
 // Agent interface (the simulator binds it to core.Switch directly; the
-// real deployment binds it to net/rpc clients, mirroring the paper's
-// Python controller speaking xmlrpc to switch agents), and time goes
-// through the Scheduler interface (simulated or wall-clock).
+// real deployment binds it to transport.WireAgent, a framed binary channel
+// standing in for the paper's Python controller speaking xmlrpc to switch
+// agents), and time goes through the Scheduler interface (simulated or
+// wall-clock).
 package controller
 
 import (
@@ -25,16 +26,22 @@ import (
 )
 
 // Agent is the control-plane view of one switch (the paper's per-switch
-// agent driving the ASIC through the compiler-generated API, §7).
+// agent driving the ASIC through the compiler-generated API, §7). State
+// access is batch-first: a verb is one round trip on the wire however many
+// keys it names, so a group's state copy costs the same few round trips at
+// 1 key and at 10 000. The batch verbs attempt every element and return
+// the first failure.
 type Agent interface {
-	InstallKey(k kv.Key) error
-	RemoveKey(k kv.Key) error
+	InstallKeys(keys []kv.Key) error
+	RemoveKeys(keys []kv.Key) error
 	SetSession(group uint16, session uint32) error
 	FreezeWrites(group uint16, frozen bool) error
 	InstallRule(dst packet.Addr, group int, r core.Rule) error
 	RemoveRule(dst packet.Addr, group int) error
-	ReadItem(k kv.Key) (core.Item, error)
-	WriteItem(it core.Item) error
+	// ReadItems dumps the records of keys: the items found, in the order
+	// asked, and the keys the switch holds no slot for.
+	ReadItems(keys []kv.Key) (items []core.Item, missing []kv.Key, err error)
+	WriteItems(items []core.Item) error
 	// Keys lists every key the switch currently holds a slot for —
 	// readmission wipes a returning switch's residual state with it.
 	Keys() ([]kv.Key, error)
@@ -44,8 +51,8 @@ type Agent interface {
 // use (simulation and tests).
 type LocalAgent struct{ Switch *core.Switch }
 
-func (a LocalAgent) InstallKey(k kv.Key) error { return a.Switch.InstallKey(k) }
-func (a LocalAgent) RemoveKey(k kv.Key) error  { return a.Switch.RemoveKey(k) }
+func (a LocalAgent) InstallKeys(keys []kv.Key) error { return a.Switch.InstallKeys(keys) }
+func (a LocalAgent) RemoveKeys(keys []kv.Key) error  { return a.Switch.RemoveKeys(keys) }
 func (a LocalAgent) SetSession(g uint16, s uint32) error {
 	a.Switch.SetSession(g, s)
 	return nil
@@ -62,9 +69,12 @@ func (a LocalAgent) RemoveRule(dst packet.Addr, g int) error {
 	a.Switch.RemoveRule(dst, g)
 	return nil
 }
-func (a LocalAgent) ReadItem(k kv.Key) (core.Item, error) { return a.Switch.ReadItem(k) }
-func (a LocalAgent) WriteItem(it core.Item) error         { return a.Switch.WriteItem(it) }
-func (a LocalAgent) Keys() ([]kv.Key, error)              { return a.Switch.Keys(), nil }
+func (a LocalAgent) ReadItems(keys []kv.Key) ([]core.Item, []kv.Key, error) {
+	items, missing := a.Switch.ReadItems(keys)
+	return items, missing, nil
+}
+func (a LocalAgent) WriteItems(items []core.Item) error { return a.Switch.WriteItems(items) }
+func (a LocalAgent) Keys() ([]kv.Key, error)            { return a.Switch.Keys(), nil }
 
 // Scheduler abstracts time so the controller's multi-step procedures can
 // run under simulated or wall-clock time.
@@ -241,27 +251,28 @@ func (c *Controller) Insert(k kv.Key) (Route, error) {
 		// group activates.
 		return Route{}, fmt.Errorf("controller: group %d is mid-migration, retry insert", g)
 	}
+	// Single-element batches: one lean round trip per chain hop.
+	batch := []kv.Key{k}
 	installed := make([]Agent, 0, len(ch.Hops))
+	rollback := func() {
+		for _, a := range installed {
+			_ = a.RemoveKeys(batch) // best effort: the insert already failed
+		}
+	}
 	for _, hop := range ch.Hops {
 		a, ok := c.agent(hop)
 		if !ok {
-			c.rollback(installed, k)
+			rollback()
 			return Route{}, fmt.Errorf("controller: no agent for %v", hop)
 		}
-		if err := a.InstallKey(k); err != nil {
-			c.rollback(installed, k)
-			return Route{}, fmt.Errorf("controller: install %v on %v: %w", k, hop, err)
+		if err := a.InstallKeys(batch); err != nil {
+			rollback()
+			return Route{}, fmt.Errorf("controller: insert on %v: %w", hop, err)
 		}
 		installed = append(installed, a)
 	}
 	c.keys[g] = append(c.keys[g], k)
 	return c.routeLocked(g), nil
-}
-
-func (c *Controller) rollback(agents []Agent, k kv.Key) {
-	for _, a := range agents {
-		_ = a.RemoveKey(k)
-	}
 }
 
 // GC removes a deleted key's slots from its chain (Delete garbage
@@ -277,11 +288,7 @@ func (c *Controller) GC(k kv.Key) error {
 		c.droppedKeys[k] = true
 		delete(c.moved, k)
 	}
-	for _, hop := range c.chains[g].Hops {
-		if a, ok := c.agent(hop); ok {
-			_ = a.RemoveKey(k)
-		}
-	}
+	c.removeKeys(c.chains[g].Hops, []kv.Key{k})
 	keys := c.keys[g]
 	for i, kk := range keys {
 		if kk == k {
@@ -290,6 +297,20 @@ func (c *Controller) GC(k kv.Key) error {
 		}
 	}
 	return nil
+}
+
+// removeKeys frees keys' slots on every reachable switch of hops, one
+// batch per switch. Best effort: a switch that never held a key, or is
+// unreachable, has nothing left to collect.
+func (c *Controller) removeKeys(hops []packet.Addr, keys []kv.Key) {
+	if len(keys) == 0 {
+		return
+	}
+	for _, h := range hops {
+		if a, ok := c.agent(h); ok {
+			_ = a.RemoveKeys(keys)
+		}
+	}
 }
 
 // KeyCount returns the number of live keys tracked per group (diagnostics).
@@ -322,12 +343,10 @@ func (c *Controller) HandleFailure(failedSw packet.Addr, done func()) error {
 
 	// Degrade chains and bump sessions where the head changed (§5.2: the
 	// new head's writes must dominate the dead head's in-flight writes).
-	type sessionUpdate struct {
-		head  packet.Addr
-		group ring.GroupID
-		sess  uint32
-	}
-	var updates []sessionUpdate
+	// The promoted head learns its session BEFORE the degraded chain is
+	// published: a head that Route already names but that still stamps with
+	// its old session has its writes dropped as stale by the replicas, and
+	// its duplicate ring replays the stale stamp for every retransmission.
 	for g, ch := range c.chains {
 		if !ch.Contains(failedSw) {
 			continue
@@ -338,22 +357,18 @@ func (c *Controller) HandleFailure(failedSw packet.Addr, done func()) error {
 				hops = append(hops, h)
 			}
 		}
-		wasHead := ch.Head() == failedSw
-		c.chains[g] = ring.Chain{Group: g, Hops: hops}
-		if wasHead && len(hops) > 0 {
+		if ch.Head() == failedSw && len(hops) > 0 {
 			c.sessions[g]++
-			updates = append(updates, sessionUpdate{hops[0], g, c.sessions[g]})
+			if a, ok := c.agent(hops[0]); ok {
+				_ = a.SetSession(uint16(g), c.sessions[g])
+			}
 		}
+		c.chains[g] = ring.Chain{Group: g, Hops: hops}
 	}
 	neighbors := c.neighbors(failedSw)
 	c.mu.Unlock()
 
 	c.sched.After(c.cfg.RuleDelay, func() {
-		for _, u := range updates {
-			if a, ok := c.agent(u.head); ok {
-				_ = a.SetSession(uint16(u.group), u.sess)
-			}
-		}
 		for _, nb := range neighbors {
 			if a, ok := c.agent(nb); ok {
 				_ = a.InstallRule(failedSw, core.WildcardGroup, core.Rule{Action: core.ActNextHop})
@@ -375,6 +390,10 @@ func (c *Controller) HandleFailure(failedSw packet.Addr, done func()) error {
 // bumps the session where the head changed, flips the serving chain, and
 // reprograms routing.
 
+// maxDrainPolls bounds how long a migration waits for in-flight writes to
+// drain before it copies anyway (the pre-barrier behaviour).
+const maxDrainPolls = 8
+
 // migration is one virtual group's two-phase reconfiguration.
 type migration struct {
 	group ring.GroupID
@@ -395,6 +414,13 @@ type migration struct {
 	// stopWait models phase 1's duration: rule/freeze installation plus
 	// the state sync performed inside the window.
 	stopWait time.Duration
+	// drained, when set, reports whether the writes stamped before the
+	// stop took hold have reached every replica. The engine polls it after
+	// stopWait, one RuleDelay apart and at most maxDrainPolls times, before
+	// it syncs: the stop window's length is a guess about the network, and
+	// a stamped write still in flight when the reference is read would be
+	// acknowledged by the old tail yet missing on the replacement.
+	drained func() bool
 	// sync copies state inside the stop window.
 	sync func()
 	// sessionFloor raises the group's session before the bump so writes
@@ -452,50 +478,58 @@ func (c *Controller) migrateNext(n int, build func(i int) *migration, i int, don
 		c.migrateNext(n, build, i+1, done)
 		return
 	}
+	syncAndFlip := func() {
+		if m.sync != nil {
+			m.sync()
+		}
+		// Activation. Switches that failed while this group's stop window
+		// ran are filtered here, at flip time — installing them would
+		// overwrite the degradation a concurrent HandleFailure applied and
+		// route clients at a dead hop.
+		c.mu.Lock()
+		next := c.liveChainLocked(m.next)
+		headIsNew := len(next.Hops) > 0 && !m.old.Contains(next.Head())
+		if c.sessions[m.group] < m.sessionFloor {
+			c.sessions[m.group] = m.sessionFloor
+		}
+		if headIsNew || m.bumpSession {
+			c.sessions[m.group]++
+			// The head learns its session before the chain that names it
+			// is published (see HandleFailure).
+			if len(next.Hops) > 0 {
+				if a, ok := c.agent(next.Head()); ok {
+					_ = a.SetSession(uint16(m.group), c.sessions[m.group])
+				}
+			}
+		}
+		c.chains[m.group] = next
+		if m.flip != nil {
+			m.flip()
+		}
+		c.mu.Unlock()
+		if m.activate != nil {
+			m.activate()
+		}
+		c.sched.After(c.cfg.RuleDelay, func() {
+			if cb := c.OnGroupRecovered; cb != nil {
+				cb(m.group)
+			}
+			c.migrateNext(n, build, i+1, done)
+		})
+	}
+	var awaitDrain func(polls int)
+	awaitDrain = func(polls int) {
+		if m.drained != nil && polls < maxDrainPolls && !m.drained() {
+			c.sched.After(c.cfg.RuleDelay, func() { awaitDrain(polls + 1) })
+			return
+		}
+		syncAndFlip()
+	}
 	phase1 := func() {
 		if m.stop != nil {
 			m.stop()
 		}
-		c.sched.After(m.stopWait, func() {
-			if m.sync != nil {
-				m.sync()
-			}
-			// Phase 2: activation. Switches that failed while this group's
-			// stop window ran are filtered here, at flip time — installing
-			// them would overwrite the degradation a concurrent
-			// HandleFailure applied and route clients at a dead hop.
-			c.mu.Lock()
-			next := c.liveChainLocked(m.next)
-			headIsNew := len(next.Hops) > 0 && !m.old.Contains(next.Head())
-			if c.sessions[m.group] < m.sessionFloor {
-				c.sessions[m.group] = m.sessionFloor
-			}
-			var sess uint32
-			needSession := headIsNew || m.bumpSession
-			if needSession {
-				c.sessions[m.group]++
-				sess = c.sessions[m.group]
-			}
-			c.chains[m.group] = next
-			if m.flip != nil {
-				m.flip()
-			}
-			c.mu.Unlock()
-			if needSession && len(next.Hops) > 0 {
-				if a, ok := c.agent(next.Head()); ok {
-					_ = a.SetSession(uint16(m.group), sess)
-				}
-			}
-			if m.activate != nil {
-				m.activate()
-			}
-			c.sched.After(c.cfg.RuleDelay, func() {
-				if cb := c.OnGroupRecovered; cb != nil {
-					cb(m.group)
-				}
-				c.migrateNext(n, build, i+1, done)
-			})
-		})
+		c.sched.After(m.stopWait, func() { awaitDrain(0) })
 	}
 	if m.preSync != nil {
 		c.sched.After(m.preWait, func() {
@@ -587,10 +621,11 @@ func (c *Controller) buildRecoverMigration(failedSw packet.Addr,
 		}
 	}
 	m := &migration{
-		group: g,
-		old:   degraded,
-		next:  newChain,
-		sync:  doSync,
+		group:   g,
+		old:     degraded,
+		next:    newChain,
+		sync:    doSync,
+		drained: func() bool { return c.chainAgrees(g, degraded) },
 		stop: func() {
 			for _, nb := range neighbors {
 				if a, ok := c.agent(nb); ok {
@@ -651,28 +686,91 @@ func (c *Controller) buildRecoverMigration(failedSw packet.Addr,
 }
 
 // copyGroup copies every item of group g from ref to dst (the actual data
-// movement behind the modelled sync duration).
+// movement behind the modelled sync duration): one bulk read on the
+// reference, one bulk write on the replacement, whatever the key count.
 func (c *Controller) copyGroup(g ring.GroupID, ref, dst packet.Addr) {
+	if src, ok := c.agent(ref); ok {
+		c.copyItems(src, c.groupKeys(g), []packet.Addr{dst})
+	}
+}
+
+// groupKeys snapshots the keys tracked for group g.
+func (c *Controller) groupKeys(g ring.GroupID) []kv.Key {
 	c.mu.Lock()
-	keys := append([]kv.Key(nil), c.keys[g]...)
-	c.mu.Unlock()
-	src, ok := c.agent(ref)
-	if !ok {
+	defer c.mu.Unlock()
+	return append([]kv.Key(nil), c.keys[g]...)
+}
+
+// copyItems reads keys from src and installs what it finds on every
+// reachable switch of dsts. Keys src cannot produce (mid-insert, src
+// unreachable, or no src at all: nil) still get their slots so chain
+// writes land.
+func (c *Controller) copyItems(src Agent, keys []kv.Key, dsts []packet.Addr) {
+	if len(keys) == 0 {
 		return
 	}
-	to, ok := c.agent(dst)
-	if !ok {
-		return
+	var items []core.Item
+	missing := keys
+	if src != nil {
+		if found, absent, err := src.ReadItems(keys); err == nil {
+			items, missing = found, absent
+		}
 	}
-	for _, k := range keys {
-		it, err := src.ReadItem(k)
-		if err != nil {
-			// Key may be mid-insert; install the slot so chain writes land.
-			_ = to.InstallKey(k)
+	for _, h := range dsts {
+		to, ok := c.agent(h)
+		if !ok {
 			continue
 		}
-		_ = to.WriteItem(it)
+		if len(missing) > 0 {
+			_ = to.InstallKeys(missing) // a slot already there is as good
+		}
+		if len(items) > 0 {
+			_ = to.WriteItems(items)
+		}
 	}
+}
+
+// chainAgrees reports whether the first and the last member of ch hold
+// the same version of every key of group g — the drain barrier of failure
+// recovery: a write the head stamped that has not reached the tail yet
+// shows as a version gap. A member that cannot be read counts as agreeing
+// (the copy then proceeds as it did before the barrier existed).
+func (c *Controller) chainAgrees(g ring.GroupID, ch ring.Chain) bool {
+	if len(ch.Hops) < 2 {
+		return true
+	}
+	keys := c.groupKeys(g)
+	if len(keys) == 0 {
+		return true
+	}
+	head, ok := c.agent(ch.Head())
+	if !ok {
+		return true
+	}
+	tail, ok := c.agent(ch.Tail())
+	if !ok {
+		return true
+	}
+	// Tail first: a write that lands between the two reads then shows at
+	// the head only, a gap, instead of hiding behind a stale head read.
+	atTail, _, err := tail.ReadItems(keys)
+	if err != nil {
+		return true
+	}
+	atHead, _, err := head.ReadItems(keys)
+	if err != nil {
+		return true
+	}
+	tailVer := make(map[kv.Key]kv.Version, len(atTail))
+	for _, it := range atTail {
+		tailVer[it.Key] = it.Version
+	}
+	for _, it := range atHead {
+		if v, ok := tailVer[it.Key]; ok && v != it.Version {
+			return false
+		}
+	}
+	return true
 }
 
 // additions lists switches present in next but not in cur, chain order.

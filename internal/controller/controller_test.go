@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"netchain/internal/core"
 	"netchain/internal/event"
 	"netchain/internal/kv"
 	"netchain/internal/netsim"
@@ -243,6 +244,27 @@ func TestFailoverHeadBumpsSession(t *testing.T) {
 	}
 }
 
+// TestPromotedHeadHoldsSessionBeforeRouteNamesIt: the instant HandleFailure
+// returns, clients can resolve the degraded route, so the promoted head must
+// already stamp with the bumped session — not one rule delay later.
+func TestPromotedHeadHoldsSessionBeforeRouteNamesIt(t *testing.T) {
+	f := newFixture(t, DefaultConfig(), 8)
+	k := f.keyWithChain(t, [3]int{1, 0, 2}) // S1 is head
+	f.ctl.Insert(k)
+	g := f.ring.GroupForKey(k)
+	s0, s1 := f.tb.Switches[0], f.tb.Switches[1]
+	f.tb.Net.FailSwitch(s1)
+	f.ctl.HandleFailure(s1, nil)
+	// No simulated time has passed: the neighbor rules are still pending.
+	if rt := f.ctl.Route(k); rt.Hops[0] != s0 {
+		t.Fatalf("degraded route = %v, want head %v", rt.Hops, s0)
+	}
+	newHead, _ := f.tb.Net.Switch(s0)
+	if got, want := newHead.Session(uint16(g)), f.ctl.Session(g); got != want || want != 1 {
+		t.Fatalf("route names a head stamping session %d while the group is at %d", got, want)
+	}
+}
+
 func TestRecoveryRestoresChainAndData(t *testing.T) {
 	f := newFixture(t, DefaultConfig(), 8)
 	// Insert a handful of keys across all groups.
@@ -394,5 +416,68 @@ func TestSessionMonotonicAcrossFailoverAndRecovery(t *testing.T) {
 	sw3, _ := f.tb.Net.Switch(s3)
 	if sw3.Session(uint16(g)) != 2 {
 		t.Fatal("recovered head lacks bumped session")
+	}
+}
+
+// TestRecoveryDrainsInFlightWrite holds a write the degraded head already
+// stamped on the link to the tail while recovery freezes the group, and
+// delivers it 2.5 rule delays after the stop window would have closed. The
+// replacement copies from the tail, so without the drain barrier it would
+// be synced one version short of a write the old chain goes on to
+// acknowledge.
+func TestRecoveryDrainsInFlightWrite(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SyncPerItem = 0 // the stop window is exactly one rule delay
+	f := newFixture(t, cfg, 8)
+	k := f.keyWithChain(t, [3]int{0, 1, 2}) // S2 is the tail that fails
+	if _, err := f.ctl.Insert(k); err != nil {
+		t.Fatal(err)
+	}
+	g := uint16(f.ring.GroupForKey(k))
+	if rep, ok := f.write(t, 0, k, "v1"); !ok || rep.Status != kv.StatusOK {
+		t.Fatalf("setup write: %+v ok=%v", rep, ok)
+	}
+	s2, s3 := f.tb.Switches[2], f.tb.Switches[3]
+	f.tb.Net.FailSwitch(s2)
+	f.ctl.HandleFailure(s2, nil)
+	f.sim.Run()
+
+	rt := f.ctl.Route(k)
+	if len(rt.Hops) != 2 {
+		t.Fatalf("degraded route = %v", rt.Hops)
+	}
+	head, _ := f.tb.Net.Switch(rt.Hops[0])
+	tail, _ := f.tb.Net.Switch(rt.Hops[1])
+	fr, err := query.NewWrite(f.ep(0), 9999, query.Route{Group: rt.Group, Hops: rt.Hops}, k, kv.Value("v2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, _ := head.ProcessLocal(fr); d != core.Forward || fr.IP.Dst != rt.Hops[1] {
+		t.Fatalf("head did not forward the stamped write to the tail: %v, dst %v", d, fr.IP.Dst)
+	}
+	stamped, _ := head.ReadItem(k)
+
+	if err := f.ctl.Recover(s2, []packet.Addr{s3}, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Groups recover one at a time; the held frame lands relative to this
+	// group's freeze.
+	f.sim.Ticker(event.Duration(cfg.RuleDelay/8), func() bool {
+		if !head.WriteFrozen(g) {
+			return true
+		}
+		f.sim.After(event.Duration(cfg.RuleDelay*7/2), func() { tail.ProcessLocal(fr) })
+		return false
+	})
+	f.sim.Run()
+
+	repl, _ := f.tb.Net.Switch(s3)
+	got, err := repl.ReadItem(k)
+	if err != nil {
+		t.Fatalf("replacement holds no slot for the key: %v", err)
+	}
+	if string(got.Value) != "v2" || got.Version != stamped.Version {
+		t.Fatalf("replacement synced %q %v, want the in-flight write %q %v",
+			got.Value, got.Version, "v2", stamped.Version)
 	}
 }

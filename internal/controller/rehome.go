@@ -139,11 +139,9 @@ func (c *Controller) buildRehomeMigration(g ring.GroupID) *migration {
 				}
 			}
 			c.sched.After(c.cfg.RuleDelay, func() {
+				c.removeKeys(leavers, groupKeys)
 				for _, h := range leavers {
 					if a, ok := c.agent(h); ok {
-						for _, k := range groupKeys {
-							_ = a.RemoveKey(k)
-						}
 						_ = a.FreezeWrites(uint16(g), false)
 					}
 				}

@@ -146,10 +146,8 @@ func (c *Controller) Resize(add, remove []packet.Addr, done func()) (ring.Diff, 
 	// switch, bypassing its data plane forever).
 	for _, sw := range readmitted {
 		if a, ok := c.agent(sw); ok {
-			if ks, err := a.Keys(); err == nil {
-				for _, k := range ks {
-					_ = a.RemoveKey(k)
-				}
+			if ks, err := a.Keys(); err == nil && len(ks) > 0 {
+				_ = a.RemoveKeys(ks)
 			}
 		}
 		for _, nb := range c.neighbors(sw) {
@@ -257,6 +255,7 @@ func (c *Controller) buildResizeMigration(g ring.GroupID, moves []keyMove) *migr
 		}
 	}
 
+	donors := movesByDonor(moves)
 	syncItems := items*len(adds) + len(moves)*len(newChain.Hops)
 	syncDur := time.Duration(syncItems) * c.cfg.SyncPerItem
 
@@ -282,12 +281,7 @@ func (c *Controller) buildResizeMigration(g ring.GroupID, moves []keyMove) *migr
 					c.copyGroup(g, ref, add)
 				}
 			}
-			// Keys absorbed from donor groups come from the donor tail —
-			// the replica guaranteed to hold only committed writes — to
-			// every member of the new chain.
-			for _, mv := range moves {
-				c.copyKey(mv.key, donorChains[mv.from], newChain)
-			}
+			c.copyMoves(donors, donorChains, newChain)
 		},
 		flip: func() {
 			// Key-ownership bookkeeping, under c.mu: the absorbed keys now
@@ -298,16 +292,13 @@ func (c *Controller) buildResizeMigration(g ring.GroupID, moves []keyMove) *migr
 			// chain, the flip scrubs every dropped key of this group off
 			// the chain it is about to serve from.
 			delete(c.migratingGroups, g)
+			var scrub []kv.Key
 			for k := range c.droppedKeys {
-				if c.ring.GroupForKey(k) != g {
-					continue
-				}
-				for _, h := range newChain.Hops {
-					if a, ok := c.agent(h); ok {
-						_ = a.RemoveKey(k)
-					}
+				if c.ring.GroupForKey(k) == g {
+					scrub = append(scrub, k)
 				}
 			}
+			c.removeKeys(newChain.Hops, scrub)
 			for _, mv := range moves {
 				if c.droppedKeys[mv.key] {
 					continue
@@ -349,22 +340,10 @@ func (c *Controller) buildResizeMigration(g ring.GroupID, moves []keyMove) *migr
 			// leavers unfreeze — from then on a stale-routed write fails
 			// with NotFound instead of silently committing.
 			c.sched.After(c.cfg.RuleDelay, func() {
-				for _, mv := range moves {
-					for _, h := range donorChains[mv.from].Hops {
-						if !newChain.Contains(h) {
-							if a, ok := c.agent(h); ok {
-								_ = a.RemoveKey(mv.key)
-							}
-						}
-					}
+				for _, dm := range donors {
+					c.removeKeys(additions(newChain, donorChains[dm.from]), dm.keys)
 				}
-				for _, h := range leavers {
-					if a, ok := c.agent(h); ok {
-						for _, k := range groupKeys {
-							_ = a.RemoveKey(k)
-						}
-					}
-				}
+				c.removeKeys(leavers, groupKeys)
 				for _, ft := range freezes {
 					if ft.group == g && newChain.Contains(ft.sw) {
 						continue // already lifted at activation
@@ -379,37 +358,53 @@ func (c *Controller) buildResizeMigration(g ring.GroupID, moves []keyMove) *migr
 	return m
 }
 
-// copyKey replicates one key's record from the donor chain's tail onto
+// donorMoves is the keys one donor group hands to an absorbing group.
+type donorMoves struct {
+	from ring.GroupID
+	keys []kv.Key
+}
+
+// movesByDonor groups a migration's key moves per donor group, donors in
+// order of first appearance (moves are key-sorted, so the order is
+// deterministic), so each donor/destination pair costs one batch.
+func movesByDonor(moves []keyMove) []donorMoves {
+	var out []donorMoves
+	idx := make(map[ring.GroupID]int)
+	for _, mv := range moves {
+		i, ok := idx[mv.from]
+		if !ok {
+			i = len(out)
+			idx[mv.from] = i
+			out = append(out, donorMoves{from: mv.from})
+		}
+		out[i].keys = append(out[i].keys, mv.key)
+	}
+	return out
+}
+
+// copyMoves replicates the keys a group absorbs from each donor chain's
+// tail — the replica guaranteed to hold only committed writes — onto
 // every member of the destination chain, allocating slots as needed. Keys
 // the client GC'd since the resize started are not copied — the deletion
-// wins over the move.
-func (c *Controller) copyKey(k kv.Key, donor, dst ring.Chain) {
-	c.mu.Lock()
-	dropped := c.droppedKeys[k]
-	c.mu.Unlock()
-	if dropped {
-		return
-	}
-	var it core.Item
-	haveItem := false
-	if len(donor.Hops) > 0 {
-		if src, ok := c.agent(donor.Tail()); ok {
-			if item, err := src.ReadItem(k); err == nil {
-				it, haveItem = item, true
+// wins over the move. A donor that cannot be read (key mid-insert, chain
+// fully failed) still gets its keys' slots installed so post-migration
+// writes land.
+func (c *Controller) copyMoves(donors []donorMoves, donorChains map[ring.GroupID]ring.Chain, dst ring.Chain) {
+	for _, dm := range donors {
+		c.mu.Lock()
+		keys := make([]kv.Key, 0, len(dm.keys))
+		for _, k := range dm.keys {
+			if !c.droppedKeys[k] {
+				keys = append(keys, k)
 			}
 		}
-	}
-	for _, h := range dst.Hops {
-		a, ok := c.agent(h)
-		if !ok {
-			continue
+		c.mu.Unlock()
+		var src Agent // stays nil when the donor has no reachable tail
+		if donor := donorChains[dm.from]; len(donor.Hops) > 0 {
+			if a, ok := c.agent(donor.Tail()); ok {
+				src = a
+			}
 		}
-		if !haveItem {
-			// Donor unreadable (key mid-insert or chain fully failed):
-			// install the slot so post-migration writes land.
-			_ = a.InstallKey(k)
-			continue
-		}
-		_ = a.WriteItem(it)
+		c.copyItems(src, keys, dst.Hops)
 	}
 }

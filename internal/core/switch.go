@@ -845,12 +845,43 @@ func (s *Switch) InstallKey(k kv.Key) error {
 	return err
 }
 
+// InstallKeys is InstallKey over a batch: every key is attempted and the
+// first failure is returned, so one already-present key does not keep the
+// rest of a state copy from getting their slots.
+func (s *Switch) InstallKeys(keys []kv.Key) error {
+	var first error
+	for _, k := range keys {
+		if err := s.InstallKey(k); err != nil && first == nil {
+			first = fmt.Errorf("install %v: %w", k, err)
+		}
+	}
+	return first
+}
+
 // RemoveKey frees k's slot (Delete garbage collection, §4.1). It holds
 // every group shard lock so no in-flight write can commit to the slot
 // after it returns to the free list.
 func (s *Switch) RemoveKey(k kv.Key) error {
 	s.lockAll()
 	defer s.unlockAll()
+	return s.removeKeyLocked(k)
+}
+
+// RemoveKeys is RemoveKey over a batch under one lockAll: every key is
+// attempted and the first failure is returned.
+func (s *Switch) RemoveKeys(keys []kv.Key) error {
+	s.lockAll()
+	defer s.unlockAll()
+	var first error
+	for _, k := range keys {
+		if err := s.removeKeyLocked(k); err != nil && first == nil {
+			first = fmt.Errorf("remove %v: %w", k, err)
+		}
+	}
+	return first
+}
+
+func (s *Switch) removeKeyLocked(k kv.Key) error {
 	for i := range s.shards {
 		delete(s.shards[i].lastWrite, k)
 	}
@@ -925,6 +956,23 @@ func (s *Switch) ReadItem(k kv.Key) (Item, error) {
 	return Item{Key: k, Value: val, Version: ver, Tombstone: !live}, nil
 }
 
+// ReadItems dumps the records of keys for state sync: the items found, in
+// the order asked, and the keys that hold no slot here. Like ReadItem it
+// takes no lock — each item is its own consistent snapshot, and the group
+// being copied is write-frozen by the caller.
+func (s *Switch) ReadItems(keys []kv.Key) (items []Item, missing []kv.Key) {
+	items = make([]Item, 0, len(keys))
+	for _, k := range keys {
+		it, err := s.ReadItem(k)
+		if err != nil {
+			missing = append(missing, k)
+			continue
+		}
+		items = append(items, it)
+	}
+	return items, missing
+}
+
 // WriteItem installs one record during state sync, allocating the slot if
 // needed. Unlike dataplane writes it copies the version verbatim and only
 // moves forward: an item older than the stored version is ignored so a
@@ -934,6 +982,25 @@ func (s *Switch) ReadItem(k kv.Key) (Item, error) {
 func (s *Switch) WriteItem(it Item) error {
 	s.lockAll()
 	defer s.unlockAll()
+	return s.writeItemLocked(it)
+}
+
+// WriteItems is WriteItem over a batch under one lockAll (a group's state
+// copy stops the dataplane once, not once per key): every item is
+// attempted and the first failure is returned.
+func (s *Switch) WriteItems(items []Item) error {
+	s.lockAll()
+	defer s.unlockAll()
+	var first error
+	for _, it := range items {
+		if err := s.writeItemLocked(it); err != nil && first == nil {
+			first = fmt.Errorf("write %v: %w", it.Key, err)
+		}
+	}
+	return first
+}
+
+func (s *Switch) writeItemLocked(it Item) error {
 	loc, ok := s.pipe.Lookup(it.Key)
 	if !ok {
 		var err error

@@ -237,6 +237,7 @@ func newRealCluster(o RealChaosOpts) (*realCluster, error) {
 		if err != nil {
 			return nil, err
 		}
+		rc.stops = append(rc.stops, agent.Close)
 		rc.agents[addr] = agent
 	}
 

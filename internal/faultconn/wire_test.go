@@ -334,3 +334,85 @@ func TestMonitorResilientToGrayAndBurst(t *testing.T) {
 		t.Fatalf("survivor evicted alongside the real failure (verdict %v)", v)
 	}
 }
+
+// TestWrapStreamAgentCalls pins what the nemesis does to the controller's
+// agent channel: a call to a fail-stopped switch fails fast and works
+// again once the switch is restored, a call to a gray switch is slow by
+// the injected stall, and neither keeps calls to another switch's agent
+// from going through.
+func TestWrapStreamAgentCalls(t *testing.T) {
+	inj := faultconn.New(3)
+	t.Cleanup(inj.Stop)
+	dial := func(i byte) (packet.Addr, *transport.WireAgent, *core.Switch) {
+		addr := packet.AddrFrom4(10, 0, 0, i)
+		sw, err := core.NewSwitch(addr, swsim.Config{Stages: 8, SlotBytes: 16, SlotsPerStage: 64, PPS: 1e9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep, stop, err := transport.ServeAgent(sw, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { stop() })
+		a, err := transport.DialAgentWrapped(ep.String(), inj.WrapStream(addr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { a.Close() })
+		return addr, a, sw
+	}
+	addrA, a, swA := dial(1)
+	addrB, b, _ := dial(2)
+	call := func(ag *transport.WireAgent, session uint32) (time.Duration, error) {
+		t0 := time.Now()
+		err := ag.SetSession(1, session)
+		return time.Since(t0), err
+	}
+	if _, err := call(a, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := call(b, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	inj.FailStop(addrA)
+	if took, err := call(a, 2); err == nil || took > time.Second {
+		t.Fatalf("call to a fail-stopped switch: err %v after %v", err, took)
+	}
+	if swA.Session(1) != 1 {
+		t.Fatal("a refused call reached the switch")
+	}
+	if _, err := call(b, 2); err != nil {
+		t.Fatalf("healthy agent wedged by a dead peer: %v", err)
+	}
+	inj.Restore(addrA)
+	if _, err := call(a, 3); err != nil || swA.Session(1) != 3 {
+		t.Fatalf("restored switch unreachable: %v (session %d)", err, swA.Session(1))
+	}
+
+	const stall = 60 * time.Millisecond
+	inj.SetGray(addrB, netsim.Gray{ExtraDelay: event.Time(stall)})
+	slow := make(chan time.Duration, 1)
+	go func() {
+		took, err := call(b, 3)
+		if err != nil {
+			t.Errorf("call to a gray switch: %v", err)
+		}
+		slow <- took
+	}()
+	if _, err := call(a, 4); err != nil {
+		t.Fatalf("healthy agent wedged by a gray peer: %v", err)
+	}
+	select {
+	case took := <-slow:
+		t.Fatalf("gray call (%v) finished before a healthy one issued after it", took)
+	default:
+	}
+	if took := <-slow; took < stall {
+		t.Fatalf("gray call took %v, want at least the %v stall", took, stall)
+	}
+	inj.ClearGray(addrB)
+	if took, err := call(b, 4); err != nil || took >= stall {
+		t.Fatalf("healed switch still slow: %v, %v", took, err)
+	}
+}

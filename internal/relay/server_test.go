@@ -72,9 +72,8 @@ func TestUnicastFanOutSequencesAndDedupes(t *testing.T) {
 	}
 	defer sub.Close()
 	waitFor(t, func() bool { return srv.Stats().Subscribers == 1 }, "lease registration")
-	if sub.Acked() == 0 {
-		t.Fatal("subscribe must be acked")
-	}
+	// The server registers the lease before its ack crosses the socket.
+	waitFor(t, func() bool { return sub.Acked() != 0 }, "subscribe ack")
 
 	tail := newFakeTail(t, srv.IngestEndpoint())
 	k := kv.KeyFromString("cfg")

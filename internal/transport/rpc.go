@@ -7,172 +7,14 @@ import (
 	"time"
 
 	"netchain/internal/controller"
-	"netchain/internal/core"
 	"netchain/internal/health"
 	"netchain/internal/kv"
 	"netchain/internal/packet"
 	"netchain/internal/query"
 )
 
-// AgentService exposes a switch's control-plane API over net/rpc — the
-// per-switch agent of §7 (the paper used a Python process speaking Thrift
-// to the ASIC and xmlrpc to the controller).
-type AgentService struct {
-	sw *core.Switch
-}
-
-// RuleArgs carries an InstallRule/RemoveRule request.
-type RuleArgs struct {
-	Dst    packet.Addr
-	Group  int
-	Rule   core.Rule
-	Remove bool
-}
-
-// SessionArgs carries a SetSession request.
-type SessionArgs struct {
-	Group   uint16
-	Session uint32
-}
-
-// ItemArgs carries a key or item for state access.
-type ItemArgs struct {
-	Key  kv.Key
-	Item core.Item
-}
-
-// None is an empty reply.
+// None is an empty RPC argument or reply.
 type None struct{}
-
-// InstallKey allocates a slot (Insert step, §4.1).
-func (a *AgentService) InstallKey(k kv.Key, _ *None) error { return a.sw.InstallKey(k) }
-
-// RemoveKey frees a slot (Delete GC, §4.1).
-func (a *AgentService) RemoveKey(k kv.Key, _ *None) error { return a.sw.RemoveKey(k) }
-
-// SetSession installs a head session number (§5.2).
-func (a *AgentService) SetSession(args SessionArgs, _ *None) error {
-	a.sw.SetSession(args.Group, args.Session)
-	return nil
-}
-
-// FreezeArgs carries a FreezeWrites request.
-type FreezeArgs struct {
-	Group  uint16
-	Frozen bool
-}
-
-// FreezeWrites installs or lifts a group's serve-while-migrating guard
-// (phase 1 of a planned resize migration).
-func (a *AgentService) FreezeWrites(args FreezeArgs, _ *None) error {
-	a.sw.SetWriteFreeze(args.Group, args.Frozen)
-	return nil
-}
-
-// Rule installs or removes a neighbor rule (Algorithms 2 and 3).
-func (a *AgentService) Rule(args RuleArgs, _ *None) error {
-	if args.Remove {
-		a.sw.RemoveRule(args.Dst, args.Group)
-	} else {
-		a.sw.InstallRule(args.Dst, args.Group, args.Rule)
-	}
-	return nil
-}
-
-// ReadItem dumps one record (recovery state sync).
-func (a *AgentService) ReadItem(k kv.Key, out *core.Item) error {
-	it, err := a.sw.ReadItem(k)
-	if err != nil {
-		return err
-	}
-	*out = it
-	return nil
-}
-
-// WriteItem installs one record (recovery state sync).
-func (a *AgentService) WriteItem(it core.Item, _ *None) error { return a.sw.WriteItem(it) }
-
-// Keys lists every key the switch holds a slot for (readmission wipe).
-func (a *AgentService) Keys(_ None, out *[]kv.Key) error {
-	*out = a.sw.Keys()
-	return nil
-}
-
-// ServeAgent starts the RPC server for a switch on bind and returns the
-// listener address.
-func ServeAgent(sw *core.Switch, bind string) (net.Addr, func() error, error) {
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Agent", &AgentService{sw: sw}); err != nil {
-		return nil, nil, err
-	}
-	ln, err := net.Listen("tcp", bind)
-	if err != nil {
-		return nil, nil, err
-	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeConn(conn)
-		}
-	}()
-	return ln.Addr(), ln.Close, nil
-}
-
-// RPCAgent adapts an rpc.Client to the controller.Agent interface.
-type RPCAgent struct{ C *rpc.Client }
-
-var _ controller.Agent = RPCAgent{}
-
-func (a RPCAgent) InstallKey(k kv.Key) error { return a.C.Call("Agent.InstallKey", k, &None{}) }
-func (a RPCAgent) RemoveKey(k kv.Key) error  { return a.C.Call("Agent.RemoveKey", k, &None{}) }
-func (a RPCAgent) SetSession(g uint16, s uint32) error {
-	return a.C.Call("Agent.SetSession", SessionArgs{Group: g, Session: s}, &None{})
-}
-func (a RPCAgent) FreezeWrites(g uint16, frozen bool) error {
-	return a.C.Call("Agent.FreezeWrites", FreezeArgs{Group: g, Frozen: frozen}, &None{})
-}
-func (a RPCAgent) InstallRule(dst packet.Addr, g int, r core.Rule) error {
-	return a.C.Call("Agent.Rule", RuleArgs{Dst: dst, Group: g, Rule: r}, &None{})
-}
-func (a RPCAgent) RemoveRule(dst packet.Addr, g int) error {
-	return a.C.Call("Agent.Rule", RuleArgs{Dst: dst, Group: g, Remove: true}, &None{})
-}
-func (a RPCAgent) ReadItem(k kv.Key) (core.Item, error) {
-	var it core.Item
-	err := a.C.Call("Agent.ReadItem", k, &it)
-	return it, err
-}
-func (a RPCAgent) WriteItem(it core.Item) error {
-	return a.C.Call("Agent.WriteItem", it, &None{})
-}
-func (a RPCAgent) Keys() ([]kv.Key, error) {
-	var out []kv.Key
-	err := a.C.Call("Agent.Keys", None{}, &out)
-	return out, err
-}
-
-// DialAgent connects to a switch agent.
-func DialAgent(addr string) (RPCAgent, error) {
-	return DialAgentWrapped(addr, nil)
-}
-
-// DialAgentWrapped is DialAgent with a connection filter — the wire
-// nemesis wraps the stream so fail-stop and gray degradation reach the
-// controller's RPC path too (a dead switch's agent stops answering, a
-// gray one answers slowly).
-func DialAgentWrapped(addr string, wrap func(net.Conn) net.Conn) (RPCAgent, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return RPCAgent{}, fmt.Errorf("transport: dial agent %s: %w", addr, err)
-	}
-	if wrap != nil {
-		conn = wrap(conn)
-	}
-	return RPCAgent{C: rpc.NewClient(conn)}, nil
-}
 
 // ControllerService exposes the controller's client-facing API over
 // net/rpc: route lookup, key insertion (§3's agent ↔ controller path),

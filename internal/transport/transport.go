@@ -1,8 +1,9 @@
 // Package transport deploys NetChain on a real network: each switch is a
 // Go process (or goroutine) running the same core.Switch dataplane behind
-// a UDP socket, the controller drives switch agents over net/rpc (the
-// paper's Python controller spoke xmlrpc to per-switch agents, §7), and
-// clients issue queries over UDP with timeout-based retries (§4.3).
+// a UDP socket, the controller drives switch agents over a framed binary
+// channel (agentwire.go; the paper's Python controller spoke xmlrpc to
+// per-switch agents, §7), and clients issue queries over UDP with
+// timeout-based retries (§4.3).
 //
 // NetChain addresses (the virtual 10.x.y.z identifiers that appear in
 // packet headers and chain lists) are mapped to real UDP endpoints by an

@@ -34,7 +34,7 @@ func pipeCfg() swsim.Config {
 func newDeployment(t *testing.T) *deployment {
 	t.Helper()
 	d := &deployment{book: NewAddressBook(), nodes: map[packet.Addr]*SwitchNode{}}
-	agents := map[packet.Addr]RPCAgent{}
+	agents := map[packet.Addr]*WireAgent{}
 	for i := 0; i < 4; i++ {
 		d.addrs[i] = packet.AddrFrom4(10, 0, 0, byte(i+1))
 		sw, err := core.NewSwitch(d.addrs[i], pipeCfg())
@@ -57,6 +57,7 @@ func newDeployment(t *testing.T) *deployment {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { agent.Close() })
 		agents[d.addrs[i]] = agent
 	}
 

@@ -7,8 +7,9 @@
 // Two substrates run the same protocol code:
 //
 //   - a real deployment: switch dataplanes behind UDP sockets, a
-//     controller speaking net/rpc to per-switch agents, clients with
-//     timeout-based retries — see StartLocalCluster;
+//     controller driving per-switch agents over a framed binary TCP
+//     channel (one batch verb per round trip), clients with timeout-based
+//     retries — see StartLocalCluster;
 //   - a deterministic discrete-event simulation of the paper's testbed
 //     (four switches, four servers) used by the evaluation harness — see
 //     NewSimCluster and the bench suite, which regenerates every table
@@ -95,7 +96,7 @@ type ClusterConfig struct {
 	// Faults, when set, threads the wire nemesis through every socket the
 	// cluster opens: switch ingest workers, the relay's ingest and control
 	// sockets, client sockets, watch subscriptions, and the controller's
-	// agent RPC streams. nil is the production configuration.
+	// agent streams. nil is the production configuration.
 	Faults *faultconn.Injector
 }
 
@@ -116,7 +117,9 @@ func (c *ClusterConfig) defaults() {
 
 // Cluster is a real NetChain deployment on loopback: every switch is a
 // dataplane goroutine behind its own UDP socket, and the controller drives
-// them through net/rpc agents exactly as a multi-process deployment would.
+// them through wire agents (transport.ServeAgent / transport.WireAgent over
+// loopback TCP) exactly as a multi-process deployment would. Close stops
+// every goroutine and closes every descriptor the cluster opened.
 type Cluster struct {
 	cfg      ClusterConfig
 	book     *transport.AddressBook
@@ -129,7 +132,7 @@ type Cluster struct {
 	// controller resolves agents from its own goroutines.
 	mu     sync.RWMutex
 	nodes  []*transport.SwitchNode
-	agents map[packet.Addr]transport.RPCAgent
+	agents map[packet.Addr]*transport.WireAgent
 	stops  []func() error
 }
 
@@ -143,7 +146,7 @@ func StartLocalCluster(cfg ClusterConfig) (*Cluster, error) {
 	cl := &Cluster{
 		cfg:    cfg,
 		book:   transport.NewAddressBook(),
-		agents: make(map[packet.Addr]transport.RPCAgent),
+		agents: make(map[packet.Addr]*transport.WireAgent),
 	}
 	// The push-watch relay tier boots first so every switch node can point
 	// its event sink at it from birth. Unicast-lease fan-out: loopback has
@@ -254,7 +257,7 @@ func (c *Cluster) bootSwitch() (packet.Addr, error) {
 	c.nodes = append(c.nodes, node)
 	c.stops = append(c.stops, node.Close)
 
-	rpcAddr, stop, err := transport.ServeAgent(sw, "127.0.0.1:0")
+	agentAddr, stop, err := transport.ServeAgent(sw, "127.0.0.1:0")
 	if err != nil {
 		return 0, err
 	}
@@ -263,10 +266,13 @@ func (c *Cluster) bootSwitch() (packet.Addr, error) {
 	if c.cfg.Faults != nil {
 		wrap = c.cfg.Faults.WrapStream(addr)
 	}
-	agent, err := transport.DialAgentWrapped(rpcAddr.String(), wrap)
+	agent, err := transport.DialAgentWrapped(agentAddr.String(), wrap)
 	if err != nil {
 		return 0, err
 	}
+	// Stops run in reverse: the controller's end hangs up first, so the
+	// agent's stop finds its connection already finished.
+	c.stops = append(c.stops, agent.Close)
 	c.agents[addr] = agent
 	return addr, nil
 }

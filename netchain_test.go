@@ -2,6 +2,8 @@ package netchain
 
 import (
 	"fmt"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -194,5 +196,138 @@ func TestSimClusterCAS(t *testing.T) {
 	ok, stored, err := c.CAS(lk, 0, LockValue(6, nil))
 	if err != nil || ok || LockOwner(stored) != 5 {
 		t.Fatalf("CAS steal: ok=%v stored=%d err=%v", ok, LockOwner(stored), err)
+	}
+}
+
+// TestLocalClusterPromotedHeadStampsFreshSession fails a group's head
+// under a running writer. The group's session has already advanced (one
+// earlier fail/recover cycle), so a promoted head still stamping with the
+// session it last heard has every such write dropped as stale by its
+// replicas and replays that stamp for each retransmission: the call burns
+// all its attempts. The controller must hand the new head its session
+// before any route names it.
+func TestLocalClusterPromotedHeadStampsFreshSession(t *testing.T) {
+	cl, err := StartLocalCluster(ClusterConfig{
+		Switches: 5, ClientTimeout: 10 * time.Millisecond, ClientRetries: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	c, err := cl.NewClient(4) // a gateway no chain ever includes
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	k := KeyFromString("session/k")
+	if err := cl.Insert(k); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(k, Value("v0")); err != nil {
+		t.Fatal(err)
+	}
+	head := -1
+	for i := 0; i < 3; i++ {
+		if cl.SwitchAddr(i) == cl.Controller().Route(k).Hops[0] {
+			head = i
+		}
+	}
+	if head < 0 {
+		t.Fatalf("head %v is not a ring member", cl.Controller().Route(k).Hops[0])
+	}
+	// Cycle one: the replacement takes over the head position and the
+	// group's session moves past what the old mid ever stamped with.
+	if err := cl.FailSwitch(head); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Recover(head, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := cl.Controller().Route(k).Hops[0]; got != cl.SwitchAddr(3) {
+		t.Fatalf("head after recovery = %v, want the replacement %v", got, cl.SwitchAddr(3))
+	}
+
+	stop := make(chan struct{})
+	writeErr := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				writeErr <- nil
+				return
+			default:
+			}
+			if _, err := c.Write(k, Value(fmt.Sprintf("w%d", i))); err != nil {
+				writeErr <- fmt.Errorf("write %d: %w", i, err)
+				return
+			}
+		}
+	}()
+	time.Sleep(5 * time.Millisecond)
+	if err := cl.FailSwitch(3); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(30 * time.Millisecond)
+	close(stop)
+	if err := <-writeErr; err != nil {
+		t.Fatal(err)
+	}
+	if st := c.TransportStats(); st.Timeouts != 0 {
+		t.Fatalf("%d writes exhausted every attempt across the head change (stats %+v)", st.Timeouts, st)
+	}
+}
+
+// TestLocalClusterCloseReleasesEverything boots and closes a cluster five
+// times in one process (the benchmark does exactly that) and requires the
+// goroutine and descriptor counts back where they started: the controller's
+// agent connections and the agents' accepted ends used to outlive Close.
+func TestLocalClusterCloseReleasesEverything(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd on this platform: %v", err)
+		}
+		return len(ents)
+	}
+	cycle := func() {
+		cl, err := StartLocalCluster(ClusterConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := cl.NewClient(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := KeyFromString("leak/k")
+		if err := cl.Insert(k); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Write(k, Value("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Earlier tests' goroutines may still be winding down, which can only
+	// lower the counts: the bound is one-sided.
+	cycle() // warm lazily-started runtime helpers before the baseline
+	settle := func() (int, int) {
+		time.Sleep(20 * time.Millisecond)
+		return runtime.NumGoroutine(), fds()
+	}
+	g0, f0 := settle()
+	for i := 0; i < 5; i++ {
+		cycle()
+	}
+	g1, f1 := settle()
+	for wait := 0; wait < 50 && (g1 > g0 || f1 > f0); wait++ {
+		g1, f1 = settle()
+	}
+	if g1 > g0 || f1 > f0 {
+		t.Fatalf("five boot/close cycles: goroutines %d -> %d, descriptors %d -> %d", g0, g1, f0, f1)
 	}
 }

@@ -4,8 +4,10 @@
 // neighbor failover rule table of Algorithm 2 (§5.1).
 //
 // The same Switch type runs inside the discrete-event simulator and behind
-// a real UDP socket: both substrates feed it *packet.Frame values and
-// dispatch on the returned Disposition.
+// a real UDP socket: both substrates hand every arriving *packet.Frame to
+// Handle — the whole per-frame driver (local processing or transit, TTL,
+// neighbor rules, the commit point) — and act on the Verdict it returns;
+// neither substrate carries protocol logic of its own.
 //
 // Concurrency model (mirroring the paper's hardware split): reads are
 // served straight out of the register arrays with no coordination — the
@@ -42,6 +44,18 @@ const (
 	// Drop: discard the frame (stale write, unmatched rule action, or a
 	// recovery-phase stop rule).
 	Drop
+)
+
+// Verdict is Handle's answer for one frame: forward it, or why it was
+// dropped (the reasons are what the simulator's drop counters tell apart).
+type Verdict uint8
+
+const (
+	VerdictForward   Verdict = iota // send toward the (possibly rewritten) IP destination
+	VerdictStale                    // an ordered chain write older than the stored version (Fig. 5 fix)
+	VerdictRuleDrop                 // a recovery stop rule (ActDrop) matched
+	VerdictRouteDrop                // TTL expired, or addressed here on a port nothing listens on
+	VerdictLocalDrop                // any other dataplane discard (a reply addressed to a switch)
 )
 
 // RuleAction is the action half of a neighbor rule (Algorithm 2 / §5.2).
@@ -363,10 +377,68 @@ func (s *Switch) ItemCount() int { return s.pipe.ItemCount() }
 // frame has been rewritten in place: either retargeted at the next chain
 // hop or turned into a reply to the client.
 func (s *Switch) ProcessLocal(f *packet.Frame) (Disposition, int) {
+	v, passes := s.local(f)
+	if v != VerdictForward {
+		return Drop, passes
+	}
+	return Forward, passes
+}
+
+func (s *Switch) local(f *packet.Frame) (Verdict, int) {
 	if f.NC.Traced {
 		return s.processLocalTraced(f)
 	}
 	return s.processLocal(f)
+}
+
+// Handle runs the per-frame driver both substrates share: a NetChain query
+// addressed to this switch is processed locally, anything else transits;
+// the TTL is spent; then the neighbor rules apply — and because a rule may
+// retarget the frame at this very switch (the "N overlaps with S0" case of
+// §5.1) the frame loops back through local processing, each ActNextHop
+// consuming a chain hop so the loop terminates. On VerdictForward the frame
+// has been rewritten in place and leaves toward f.IP.Dst.
+//
+// commit marks the chain-tail commit point of the push-watch pipeline: the
+// frame's original opcode when this hop just turned a write-family query
+// into an OK reply (replayed duplicates re-ack here too; subscribers
+// suppress them by version), else an op for which IsMutation is false.
+func (s *Switch) Handle(f *packet.Frame) (_ Verdict, commit kv.Op) {
+	origOp := f.NC.Op
+	if f.IP.Dst != s.addr {
+		s.Transit(f)
+	} else if v := s.deliver(f); v != VerdictForward {
+		return v, 0
+	}
+	if f.IP.TTL == 0 {
+		return VerdictRouteDrop, 0
+	}
+	f.IP.TTL--
+	for hop := 0; hop <= packet.MaxChainHops; hop++ {
+		if s.ApplyEgressRules(f) == Drop {
+			return VerdictRuleDrop, 0
+		}
+		if f.IP.Dst != s.addr {
+			break
+		}
+		if v := s.deliver(f); v != VerdictForward {
+			return v, 0
+		}
+	}
+	if f.NC.Op == kv.OpReply && f.NC.Status == kv.StatusOK && origOp.IsMutation() {
+		commit = origOp
+	}
+	return VerdictForward, commit
+}
+
+// deliver runs local processing on a frame addressed to this switch; only
+// the NetChain port has an application behind it.
+func (s *Switch) deliver(f *packet.Frame) Verdict {
+	if f.UDP.DstPort != packet.Port {
+		return VerdictRouteDrop
+	}
+	v, _ := s.local(f)
+	return v
 }
 
 // processLocalTraced wraps the dataplane with in-band telemetry stamping:
@@ -375,7 +447,7 @@ func (s *Switch) ProcessLocal(f *packet.Frame) (Disposition, int) {
 // pattern of stamping metadata onto a packet the switch already forwards.
 // Ingress defaults to the transport's receive stamp when one exists, so
 // the record covers socket/dispatch queueing, not just register time.
-func (s *Switch) processLocalTraced(f *packet.Frame) (Disposition, int) {
+func (s *Switch) processLocalTraced(f *packet.Frame) (Verdict, int) {
 	origOp := f.NC.Op
 	freshWrite := f.NC.Seq == 0 && f.NC.Session == 0
 	ingress := f.TraceIngress
@@ -405,7 +477,7 @@ func (s *Switch) processLocalTraced(f *packet.Frame) (Disposition, int) {
 	return d, passes
 }
 
-func (s *Switch) processLocal(f *packet.Frame) (Disposition, int) {
+func (s *Switch) processLocal(f *packet.Frame) (Verdict, int) {
 	st := s.stats.at(f)
 	st.processed.Add(1)
 	passes := s.cfg.PassesFor(len(f.NC.Value))
@@ -419,11 +491,11 @@ func (s *Switch) processLocal(f *packet.Frame) (Disposition, int) {
 		return s.processWrite(f, st), passes
 	case kv.OpReply:
 		// A reply addressed to a switch is a routing anomaly; drop.
-		return Drop, passes
+		return VerdictLocalDrop, passes
 	default:
 		f.ToReply(kv.StatusBadRequest)
 		st.replies.Add(1)
-		return Forward, passes
+		return VerdictForward, passes
 	}
 }
 
@@ -433,13 +505,13 @@ func (s *Switch) processLocal(f *packet.Frame) (Disposition, int) {
 // path is lock-free and allocation-free: match lookup on the immutable
 // table, seqlock value snapshot into the frame's own buffer, atomic
 // counters — a read never waits behind a write.
-func (s *Switch) processRead(f *packet.Frame, st *counterStripe) Disposition {
+func (s *Switch) processRead(f *packet.Frame, st *counterStripe) Verdict {
 	loc, ok := s.pipe.Lookup(f.NC.Key)
 	if !ok {
 		st.notFound.Add(1)
 		f.ToReply(kv.StatusNotFound)
 		st.replies.Add(1)
-		return Forward
+		return VerdictForward
 	}
 	// ReadLatestFor rechecks the slot's tenant inside the seqlock window:
 	// if key GC raced us and the slot was reused, this is a clean miss,
@@ -449,14 +521,14 @@ func (s *Switch) processRead(f *packet.Frame, st *counterStripe) Disposition {
 		st.notFound.Add(1)
 		f.ToReply(kv.StatusNotFound)
 		st.replies.Add(1)
-		return Forward
+		return VerdictForward
 	}
 	st.reads.Add(1)
 	f.NC.Value = val
 	f.NC.SetVersion(ver)
 	f.ToReply(kv.StatusOK)
 	st.replies.Add(1)
-	return Forward
+	return VerdictForward
 }
 
 // processWrite handles write, delete and CAS (Algorithm 1 lines 5–13 plus
@@ -468,7 +540,7 @@ func (s *Switch) processRead(f *packet.Frame, st *counterStripe) Disposition {
 // The group's shard lock is taken before the match lookup: key GC
 // (RemoveKey) holds every shard lock while it frees the slot, so a
 // looked-up slot stays valid for this whole critical section.
-func (s *Switch) processWrite(f *packet.Frame, st *counterStripe) Disposition {
+func (s *Switch) processWrite(f *packet.Frame, st *counterStripe) Verdict {
 	nc := &f.NC
 	sh := s.shard(nc.Group)
 	sh.mu.Lock()
@@ -479,7 +551,7 @@ func (s *Switch) processWrite(f *packet.Frame, st *counterStripe) Disposition {
 		st.notFound.Add(1)
 		f.ToReply(kv.StatusNotFound)
 		st.replies.Add(1)
-		return Forward
+		return VerdictForward
 	}
 
 	if nc.Version().IsZero() {
@@ -520,11 +592,11 @@ func (s *Switch) processWrite(f *packet.Frame, st *counterStripe) Disposition {
 				nc.Value = tag.storedVal
 				f.ToReply(kv.StatusCASFail)
 				st.replies.Add(1)
-				return Forward
+				return VerdictForward
 			case tagRefused:
 				f.ToReply(kv.StatusUnavailable)
 				st.replies.Add(1)
-				return Forward
+				return VerdictForward
 			}
 			if tag.ver == s.pipe.Version(loc) && s.sameEffect(loc, nc) {
 				// Still the latest write: replay the original stamp down
@@ -556,11 +628,11 @@ func (s *Switch) processWrite(f *packet.Frame, st *counterStripe) Disposition {
 			}
 			if next, ok := nc.PopChain(); ok {
 				f.Retarget(next)
-				return Forward
+				return VerdictForward
 			}
 			f.ToReply(kv.StatusOK)
 			st.replies.Add(1)
-			return Forward
+			return VerdictForward
 		}
 		if sh.frozen[nc.Group] > 0 {
 			st.writesFrozen.Add(1)
@@ -572,7 +644,7 @@ func (s *Switch) processWrite(f *packet.Frame, st *counterStripe) Disposition {
 			})
 			f.ToReply(kv.StatusUnavailable)
 			st.replies.Add(1)
-			return Forward
+			return VerdictForward
 		}
 		if nc.Op == kv.OpCAS {
 			newVal, stored, ok := s.casApplies(loc, nc.Value)
@@ -590,7 +662,7 @@ func (s *Switch) processWrite(f *packet.Frame, st *counterStripe) Disposition {
 				nc.Value = stored
 				f.ToReply(kv.StatusCASFail)
 				st.replies.Add(1)
-				return Forward
+				return VerdictForward
 			}
 			// Forward only the new value; downstream replicas apply it as
 			// an ordered write.
@@ -621,18 +693,18 @@ func (s *Switch) processWrite(f *packet.Frame, st *counterStripe) Disposition {
 			st.writesReplayed.Add(1)
 		default:
 			st.writesStale.Add(1)
-			return Drop
+			return VerdictStale
 		}
 	}
 
 	if next, ok := nc.PopChain(); ok {
 		f.Retarget(next)
-		return Forward
+		return VerdictForward
 	}
 	// Tail: reply to the client.
 	f.ToReply(kv.StatusOK)
 	st.replies.Add(1)
-	return Forward
+	return VerdictForward
 }
 
 // pushTag records an adjudication in the key's duplicate-detection ring.

@@ -2,20 +2,17 @@ package experiments
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
 	"netchain/internal/controller"
 	"netchain/internal/core"
 	"netchain/internal/event"
-	"netchain/internal/health"
 	"netchain/internal/kv"
-	"netchain/internal/lincheck"
 	"netchain/internal/netsim"
 	"netchain/internal/packet"
+	"netchain/internal/query"
 	"netchain/internal/simclient"
 )
 
@@ -26,7 +23,10 @@ import (
 // and (in the full schedule) a fail-stop failover plus recovery. The
 // recorded history is validated with internal/lincheck, and the whole
 // run is deterministic: two runs of the same seed produce identical
-// histories, counters and verdicts (the Fingerprint pins this).
+// histories, counters and verdicts (the Fingerprint pins this). The
+// workload — keys, op mix, lock bookkeeping, history recorder — is chaosLoad
+// (chaosload.go), shared with the wire run; this file keeps the simulator's
+// own: the deployment, scripted or autopilot repair, the fingerprint.
 //
 // This is the evaluation the paper doesn't have: Figs. 9(d)/10/11 cover
 // uniform loss and clean fail-stop, but the protocol's safety rests on
@@ -94,16 +94,19 @@ type chaosTargets struct {
 	cutHost      packet.Addr // the host the host-cut isolates from gray
 }
 
+// testbedTargets assigns the four-switch testbed's historical roles: the
+// half-open partition cuts S1→S2, S2 (a tail) grays out, S1 fail-stops, S3
+// is the recovery spare, and the host-cut isolates cutHost from S2.
+func testbedTargets(sws []packet.Addr, cutHost packet.Addr) chaosTargets {
+	return chaosTargets{linkA: sws[1], linkB: sws[2], gray: sws[2], fail: sws[1], spare: sws[3], cutHost: cutHost}
+}
+
 // chaosTargetsFor derives the fault coordinates: the testbed's historical
 // roles verbatim (so ring fingerprints are unchanged), or group 0's chain
 // on a fabric.
 func chaosTargetsFor(d *Deployment) (chaosTargets, error) {
 	if d.TB != nil {
-		return chaosTargets{
-			linkA: d.TB.Switches[1], linkB: d.TB.Switches[2],
-			gray: d.TB.Switches[2], fail: d.TB.Switches[1],
-			spare: d.TB.Switches[3], cutHost: d.TB.Hosts[1],
-		}, nil
+		return testbedTargets(d.TB.Switches[:], d.TB.Hosts[1]), nil
 	}
 	rt := d.Ctl.GroupRoute(0)
 	if len(rt.Hops) < 3 {
@@ -131,43 +134,21 @@ func chaosTargetsFor(d *Deployment) (chaosTargets, error) {
 
 // ChaosResult reports the scenario outcome.
 type ChaosResult struct {
-	Schedule string
+	ChaosReport
 	Topology string // substrate the run used (ring|spine-leaf:SxL|fattree:k)
-	Lin      lincheck.Result
-	// History is the recorded operation log — dumped as a CI artifact
-	// when the check fails, so a failing (schedule, seed) reproduces
-	// locally.
-	History []lincheck.Op
-
-	Ops      int    // operations in the recorded history
-	Unknowns int    // ops whose outcome the client never learned
-	Timeouts uint64 // ops that exhausted retries
 
 	Net      netsim.Stats // fabric counters, incl. nemesis tallies
 	Replayed uint64       // duplicate writes the dataplane replayed idempotently
 
 	// FailoverDone/RecoveryDone are zero for schedules without fail-stop.
 	FailoverDone, RecoveryDone time.Duration
-	HistoryEnd                 time.Duration
 
-	// Autopilot-mode observations (zero-valued when Autopilot is off).
+	// Autopilot reports a hands-free run: the report's repairs are its.
 	Autopilot bool
-	// FailStopInjected reports whether the schedule kills a switch (so
-	// callers can tell a legitimate eviction from a false one).
-	FailStopInjected bool
-	Repairs          []controller.RepairEvent
-	Health           []health.SwitchHealth
-	DetectLatency    time.Duration // fault injection → first repair verdict acted on
-	RepairLatency    time.Duration // verdict → repair complete
-	Failovers        int           // fail-stop evictions the autopilot executed
-	Demotions        int           // gray demotions the autopilot executed
-	ChainsRepaired   bool          // failover schedules: every chain fully re-replicated, dead switch gone
 
 	// Fingerprint digests the full history and counters; equal seeds must
 	// produce equal fingerprints (the determinism acceptance check).
 	Fingerprint string
-
-	NemesisLog []string
 }
 
 // chaosScenario pairs a schedule builder with its documentation.
@@ -180,6 +161,16 @@ type chaosScenario struct {
 	// the reference point MTTR detection latency is measured from. Zero
 	// when the schedule has nothing for the autopilot to repair.
 	faultAt event.Time
+}
+
+// schedule materializes the fault timeline; failStop adds the victim's
+// fail-stop as a step, for runs where only the autopilot can notice it.
+func (sc chaosScenario) schedule(tg chaosTargets, failStop bool) netsim.Schedule {
+	s := sc.build(tg)
+	if sc.failover && failStop {
+		s = append(s, netsim.Step{Name: "fail-stop", At: sc.faultAt, Fault: netsim.FailStop{Addr: tg.fail}})
+	}
+	return s
 }
 
 func usec(n int) event.Time { return event.Duration(time.Duration(n) * time.Microsecond) }
@@ -264,6 +255,16 @@ func chaosScenarios() map[string]chaosScenario {
 	}
 }
 
+// chaosScenarioNamed resolves a schedule name.
+func chaosScenarioNamed(name string) (chaosScenario, error) {
+	sc, ok := chaosScenarios()[name]
+	if !ok {
+		return sc, fmt.Errorf("experiments: unknown chaos schedule %q (have %v)",
+			name, ChaosScheduleNames())
+	}
+	return sc, nil
+}
+
 // ChaosScheduleNames lists the named nemesis schedules, sorted.
 func ChaosScheduleNames() []string {
 	m := chaosScenarios()
@@ -285,10 +286,9 @@ func ChaosScheduleDoc(name string) string { return chaosScenarios()[name].doc }
 // link/gray fault timeline — callers wanting the fail-stop inject it
 // themselves.
 func BuildSchedule(d *Deployment, name string) (netsim.Schedule, error) {
-	sc, ok := chaosScenarios()[name]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown chaos schedule %q (have %v)",
-			name, ChaosScheduleNames())
+	sc, err := chaosScenarioNamed(name)
+	if err != nil {
+		return nil, err
 	}
 	tg, err := chaosTargetsFor(d)
 	if err != nil {
@@ -314,24 +314,16 @@ func chaosController(d *Deployment) (*controller.Controller, error) {
 		}, d.Net.SwitchNeighbors)
 }
 
-func chaosOwnerBytes(owner uint64) []byte {
-	b := make([]byte, 8)
-	binary.BigEndian.PutUint64(b, owner)
-	return b
-}
-
 // RunChaos executes the scenario and checks the history for
 // linearizability. It returns an error for harness failures (the cluster
 // broke); a non-linearizable history is reported in Result.Lin, not as an
 // error, so callers can dump the history.
 func RunChaos(o ChaosOpts) (*ChaosResult, error) {
 	o.defaults()
-	sc, ok := chaosScenarios()[o.Schedule]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown chaos schedule %q (have %v)",
-			o.Schedule, ChaosScheduleNames())
+	sc, err := chaosScenarioNamed(o.Schedule)
+	if err != nil {
+		return nil, err
 	}
-
 	topo, err := netsim.ParseTopology(o.Topology)
 	if err != nil {
 		return nil, err
@@ -361,50 +353,36 @@ func RunChaos(o ChaosOpts) (*ChaosResult, error) {
 		return nil, err
 	}
 
-	// Preload: o.Registers register keys plus two contended locks.
-	names := make([]string, 0, o.Registers+2)
-	for i := 0; i < o.Registers; i++ {
-		names = append(names, fmt.Sprintf("k%d", i))
-	}
-	locks := []string{"lockA", "lockB"}
-	names = append(names, locks...)
-	initial := map[string]string{}
-	for _, name := range names {
-		k := kv.KeyFromString(name)
-		val := []byte("init-" + name)
-		if name == locks[0] || name == locks[1] {
-			val = chaosOwnerBytes(0)
-		}
+	// Preload: slots through the controller, values straight into every
+	// chain member's registers.
+	load := newChaosLoad(o.Registers, o.OpsPerClient)
+	err = load.preload(func(k kv.Key, val kv.Value) error {
 		rt, err := d.Ctl.Insert(k)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, hop := range rt.Hops {
 			sw, ok := d.Net.Switch(hop)
 			if !ok {
-				return nil, fmt.Errorf("experiments: no switch %v", hop)
+				return fmt.Errorf("experiments: no switch %v", hop)
 			}
 			if err := sw.WriteItem(core.Item{Key: k, Value: val, Version: kv.Version{Seq: 1}}); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		initial[name] = string(val)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	res := &ChaosResult{Schedule: o.Schedule, Topology: topo.String(), FailStopInjected: sc.failover}
-	var history []lincheck.Op
+	res := &ChaosResult{Topology: topo.String(), Autopilot: o.Autopilot}
+	res.Schedule, res.FailStopInjected = o.Schedule, sc.failover
 
 	cfg := simclient.DefaultConfig()
 	cfg.MaxRetries = 400 // ride through fault windows instead of timing out
-	cfg.AssumeUniqueOwners = true
-
-	var harnessErr error
-	fail := func(err error) {
-		if harnessErr == nil {
-			harnessErr = err
-		}
-	}
-
+	now := func() int64 { return int64(d.Sim.Now()) }
+	think := func(fn func()) { d.Sim.After(event.Duration(o.Pause), fn) }
 	var clients []*simclient.Client
 	for c := 0; c < o.Clients; c++ {
 		client, err := d.Muxes[c].NewClient(cfg, d.Directory())
@@ -412,150 +390,26 @@ func RunChaos(o ChaosOpts) (*ChaosResult, error) {
 			return nil, err
 		}
 		clients = append(clients, client)
-		cid := c
-		rng := rand.New(rand.NewSource(o.Seed*1000 + int64(c)))
-		holding := map[string]bool{}
-		owner := uint64(cid + 1)
-
-		// record folds a completed operation into the history; it returns
-		// whether a CAS was observed to apply (for lock bookkeeping).
-		record := func(op lincheck.Op, res simclient.Result, invoke event.Time) bool {
-			op.Client = cid
-			op.Invoke = int64(invoke)
-			op.Return = int64(d.Sim.Now())
-			if res.Err == kv.ErrTimeout {
-				op.Return = lincheck.Infinity
-				op.Unknown = true
-				history = append(history, op)
-				return false
-			}
-			switch res.Status {
-			case kv.StatusOK:
-				if op.Kind == lincheck.Read {
-					op.Found = true
-					op.Output = string(res.Value)
-				}
-				if res.AssumedApplied {
-					// CAS ownership inferred, not acked: the client owns
-					// the lock, but whether THIS op or an earlier one of
-					// its acquires put the owner there is unknowable —
-					// the checker decides.
-					op.Unknown = true
-					history = append(history, op)
-					return true
-				}
-				op.OK = true
-			case kv.StatusNotFound:
-				if op.Kind != lincheck.Read {
-					return false // refused before taking effect
-				}
-				op.Found = false
-			case kv.StatusCASFail:
-				if op.Expect != 0 {
-					// A failed release: the stored owner is no longer us,
-					// which (owners being unique) means our release DID
-					// apply and this reply belongs to a duplicate or
-					// retry — but when it applied is unknowable from
-					// here. Record the outcome as unknown; the checker
-					// places it or discards it.
-					op.Unknown = true
-					history = append(history, op)
-					return false
-				}
-				op.OK = false
-				op.Output = string(res.Value)
-			case kv.StatusUnavailable:
-				// Refused by a migration freeze or a dead chain:
-				// constrains nothing.
-				return false
-			default:
-				fail(fmt.Errorf("client %d: unexpected status %v", cid, res.Status))
-				return false
-			}
-			history = append(history, op)
-			return op.Kind == lincheck.CAS && op.OK
+		cc := load.client(o.Seed, c)
+		issue := func(call query.Call, done func(query.Outcome, error)) {
+			client.Do(call, func(res simclient.Result) { done(res.Outcome()) })
 		}
-
-		var step func(n int)
-		step = func(n int) {
-			if n >= o.OpsPerClient {
-				return
-			}
-			next := func(simclient.Result) {}
-			invoke := d.Sim.Now()
-			schedule := func(res simclient.Result) {
-				next(res)
-				d.Sim.After(event.Duration(o.Pause), func() { step(n + 1) })
-			}
-			switch r := rng.Float64(); {
-			case r < 0.5: // read a random register
-				name := names[rng.Intn(o.Registers)]
-				next = func(res simclient.Result) {
-					record(lincheck.Op{Kind: lincheck.Read, Key: name}, res, invoke)
-				}
-				client.Read(kv.KeyFromString(name), schedule)
-			case r < 0.88: // write a random register
-				name := names[rng.Intn(o.Registers)]
-				val := fmt.Sprintf("c%d-n%d", cid, n)
-				next = func(res simclient.Result) {
-					record(lincheck.Op{Kind: lincheck.Write, Key: name, Input: val}, res, invoke)
-				}
-				client.Write(kv.KeyFromString(name), kv.Value(val), schedule)
-			default: // fight over a lock with CAS
-				lk := locks[rng.Intn(len(locks))]
-				expect, newOwner := uint64(0), owner
-				if holding[lk] {
-					expect, newOwner = owner, 0
-				}
-				input := string(chaosOwnerBytes(newOwner))
-				next = func(res simclient.Result) {
-					applied := record(lincheck.Op{
-						Kind: lincheck.CAS, Key: lk, Expect: expect, Input: input,
-					}, res, invoke)
-					switch {
-					case applied:
-						// Acquire (incl. assumed ownership) or release.
-						holding[lk] = expect == 0
-					case res.Err == nil && res.Status == kv.StatusCASFail && expect != 0:
-						// Failed or ambiguous release: the stored owner
-						// is not us anymore either way.
-						holding[lk] = false
-					}
-					// Timeouts and freeze bounces leave holding as-is: a
-					// bounced release took no effect (still ours), and a
-					// wrong guess self-corrects — an acquire while we
-					// secretly own the lock resolves through the assumed
-					// path above.
-				}
-				client.CAS(kv.KeyFromString(lk), expect, kv.Value(input), schedule)
-			}
-		}
-		d.Sim.After(event.Time(c)*1000, func() { step(0) })
+		d.Sim.After(event.Time(c)*1000, func() { cc.drive(issue, now, think) })
 	}
 
 	// The nemesis — in autopilot mode the fail-stop itself becomes a
 	// schedule step, with nobody left to call the controller by hand.
-	schedule := sc.build(tg)
-	if sc.failover && o.Autopilot {
-		schedule = append(schedule, netsim.Step{
-			Name: "fail-stop", At: sc.faultAt,
-			Fault: netsim.FailStop{Addr: tg.fail},
-		})
-	}
-	nm := netsim.RunSchedule(d.Net, schedule)
+	nm := netsim.RunSchedule(d.Net, sc.schedule(tg, o.Autopilot))
 
 	var harness *AutopilotHarness
 	if o.Autopilot {
-		res.Autopilot = true
-		h, err := StartAutopilot(d, AutopilotOpts{})
-		if err != nil {
+		if harness, err = StartAutopilot(d, AutopilotOpts{}); err != nil {
 			return nil, err
 		}
-		harness = h
-		h.RecordMilestones(&res.FailoverDone, &res.RecoveryDone)
+		harness.RecordMilestones(&res.FailoverDone, &res.RecoveryDone)
 		// The harness schedules recurring beacons; stop it at a horizon
 		// well past the workload and every repair so Run() drains.
-		d.Sim.At(chaosAutopilotHorizon, h.Stop)
+		d.Sim.At(chaosAutopilotHorizon, harness.Stop)
 	}
 
 	// Fail-stop churn for the full schedule under manual operation: S1
@@ -565,28 +419,28 @@ func RunChaos(o ChaosOpts) (*ChaosResult, error) {
 		s1, s3 := tg.fail, tg.spare
 		d.Sim.At(msec(22), func() {
 			if err := d.Net.FailSwitch(s1); err != nil {
-				fail(err)
+				load.fail(err)
 				return
 			}
 			if err := d.Ctl.HandleFailure(s1, func() {
 				res.FailoverDone = time.Duration(d.Sim.Now())
 			}); err != nil {
-				fail(fmt.Errorf("failover: %w", err))
+				load.fail(fmt.Errorf("failover: %w", err))
 			}
 		})
 		d.Sim.At(msec(28), func() {
 			if err := d.Ctl.Recover(s1, []packet.Addr{s3}, func() {
 				res.RecoveryDone = time.Duration(d.Sim.Now())
 			}); err != nil {
-				fail(fmt.Errorf("recover: %w", err))
+				load.fail(fmt.Errorf("recover: %w", err))
 			}
 		})
 	}
 
 	d.Sim.Run()
 
-	if harnessErr != nil {
-		return nil, harnessErr
+	if err := load.check(&res.ChaosReport); err != nil {
+		return nil, err
 	}
 	if err := nm.Err(); err != nil {
 		return nil, err
@@ -608,60 +462,9 @@ func RunChaos(o ChaosOpts) (*ChaosResult, error) {
 	if harness != nil {
 		res.Repairs = harness.Pilot.History()
 		res.Health = harness.Det.Snapshot(time.Duration(d.Sim.Now()))
-		var demoteDone time.Duration
-		var firstDemote time.Duration
-		for _, ev := range res.Repairs {
-			switch ev.Action {
-			case controller.ActionFailover:
-				res.Failovers++
-			case controller.ActionDemote:
-				res.Demotions++
-				if firstDemote == 0 {
-					firstDemote = ev.At
-				}
-			case controller.ActionDemoteDone:
-				if demoteDone == 0 {
-					demoteDone = ev.At
-				}
-			}
-		}
-		// MTTR milestones relative to the schedule's repairable fault.
-		fault := time.Duration(sc.faultAt)
-		switch {
-		case sc.failover && res.FailoverDone > 0:
-			res.DetectLatency = res.FailoverDone - fault
-			res.RepairLatency = res.RecoveryDone - res.FailoverDone
-		case !sc.failover && fault > 0 && firstDemote > 0:
-			res.DetectLatency = firstDemote - fault
-			if demoteDone > 0 {
-				res.RepairLatency = demoteDone - firstDemote
-			}
-		}
-		if sc.failover {
-			res.ChainsRepaired = true
-			dead := tg.fail
-			for _, rt := range d.Ctl.Routes() {
-				if len(rt.Hops) != 3 {
-					res.ChainsRepaired = false
-				}
-				for _, hop := range rt.Hops {
-					if hop == dead {
-						res.ChainsRepaired = false
-					}
-				}
-			}
-		}
+		res.tallyRepairs(sc, tg.fail, time.Duration(sc.faultAt), d.Ctl)
 	}
 
-	res.Ops = len(history)
-	for _, op := range history {
-		if op.Unknown {
-			res.Unknowns++
-		}
-		if op.Return != lincheck.Infinity && time.Duration(op.Return) > res.HistoryEnd {
-			res.HistoryEnd = time.Duration(op.Return)
-		}
-	}
 	for _, c := range clients {
 		res.Timeouts += c.Timeouts
 	}
@@ -672,15 +475,11 @@ func RunChaos(o ChaosOpts) (*ChaosResult, error) {
 		}
 	}
 	res.NemesisLog = nm.Log
-	res.History = history
-	res.Lin = lincheck.Check(history, initial)
 
 	// Fingerprint: the determinism pin. Everything observable goes in —
 	// including what the autopilot did and when.
 	h := sha256.New()
-	for _, op := range history {
-		fmt.Fprint(h, formatOp(op))
-	}
+	res.writeHistory(h)
 	fmt.Fprintf(h, "net=%+v replayed=%d lin=%v ops=%d\n", res.Net, res.Replayed, res.Lin.OK, res.Lin.OpsChecked)
 	for _, ev := range res.Repairs {
 		fmt.Fprintf(h, "repair %v\n", ev)
@@ -691,51 +490,22 @@ func RunChaos(o ChaosOpts) (*ChaosResult, error) {
 
 // Format renders the result for benchrunner output.
 func (r *ChaosResult) Format() string {
-	s := fmt.Sprintf("chaos [%s] on %s\n%s\n", r.Schedule, r.Topology, ChaosScheduleDoc(r.Schedule))
-	for _, l := range r.NemesisLog {
-		s += "  " + l + "\n"
-	}
-	s += fmt.Sprintf("history: %d ops (%d unknown, %d timeouts), ended t=%v\n",
+	body := fmt.Sprintf("history: %d ops (%d unknown, %d timeouts), ended t=%v\n",
 		r.Ops, r.Unknowns, r.Timeouts, r.HistoryEnd)
 	if r.FailoverDone > 0 {
-		s += fmt.Sprintf("failover done t=%v; recovery done t=%v\n", r.FailoverDone, r.RecoveryDone)
+		body += fmt.Sprintf("failover done t=%v; recovery done t=%v\n", r.FailoverDone, r.RecoveryDone)
 	}
-	if r.Autopilot {
-		s += fmt.Sprintf("autopilot: %d failovers, %d demotions; detection %v, repair %v; chains repaired: %v\n",
-			r.Failovers, r.Demotions, r.DetectLatency, r.RepairLatency, r.ChainsRepaired)
-		for _, ev := range r.Repairs {
-			s += "  " + ev.String() + "\n"
-		}
-	}
-	s += fmt.Sprintf("nemesis: %d chaos drops, %d dup copies, %d reordered, %d partition drops, "+
+	body += fmt.Sprintf("nemesis: %d chaos drops, %d dup copies, %d reordered, %d partition drops, "+
 		"%d gray drops; dataplane replayed %d duplicate writes\n",
 		r.Net.ChaosDrops, r.Net.DupCopies, r.Net.Reordered, r.Net.PartitionDrops,
 		r.Net.GrayDrops, r.Replayed)
-	if r.Lin.OK {
-		s += fmt.Sprintf("linearizable: YES (%d ops checked)\n", r.Lin.OpsChecked)
-	} else {
-		s += fmt.Sprintf("linearizable: NO — key %s: %s\n", r.Lin.Key, r.Lin.Reason)
-	}
-	s += fmt.Sprintf("fingerprint: %s\n", r.Fingerprint)
-	return s
+	return r.format(fmt.Sprintf("chaos [%s] on %s", r.Schedule, r.Topology), body, r.Autopilot) +
+		fmt.Sprintf("fingerprint: %s\n", r.Fingerprint)
 }
 
 // DumpHistory renders the recorded history one operation per line — the
 // artifact a failing chaos run uploads so (schedule, seed) reproduces
 // locally.
 func (r *ChaosResult) DumpHistory() string {
-	s := fmt.Sprintf("# chaos schedule=%s ops=%d lin=%v\n", r.Schedule, r.Ops, r.Lin.OK)
-	for _, op := range r.History {
-		s += formatOp(op)
-	}
-	return s
-}
-
-// formatOp renders one history operation — shared by the fingerprint and
-// the failure dump so the uploaded artifact always matches the hash that
-// flagged the run.
-func formatOp(op lincheck.Op) string {
-	return fmt.Sprintf("c%d %v %s in=%q out=%q ok=%v found=%v unk=%v @%d..%d\n",
-		op.Client, op.Kind, op.Key, op.Input, op.Output, op.OK, op.Found,
-		op.Unknown, op.Invoke, op.Return)
+	return r.dump(fmt.Sprintf("# chaos schedule=%s", r.Schedule))
 }

@@ -3,6 +3,10 @@
 // 10(a)(b), 11. Each experiment returns structured rows that the
 // benchrunner binary and the root bench suite print alongside the paper's
 // published values (EXPERIMENTS.md records the comparison).
+//
+// The nemesis-driven chaos run exists once as a workload (chaosload.go: op
+// mix, lock bookkeeping, lincheck recorder, report tail) and twice as a
+// harness: chaos.go drives it on the simulator, realchaos.go on live UDP.
 package experiments
 
 import (

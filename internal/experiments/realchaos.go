@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -13,8 +12,6 @@ import (
 	"netchain/internal/faultconn"
 	"netchain/internal/health"
 	"netchain/internal/kv"
-	"netchain/internal/lincheck"
-	"netchain/internal/netsim"
 	"netchain/internal/packet"
 	"netchain/internal/query"
 	"netchain/internal/relay"
@@ -29,11 +26,12 @@ import (
 // simulator. Real sockets, real goroutine scheduling, real wall-clock
 // timeouts — and the faults are injected at the syscall boundary by
 // internal/faultconn, driven by the identical netsim.Schedule values the
-// sim consumes. Concurrent clients run the same read/write/CAS-lock mix,
-// the recorded history is checked with internal/lincheck, a push-watch
-// subscriber converges through the fault-injected relay, and (because
-// there is no scripted operator on a real wire) the φ-accrual monitor
-// plus autopilot do every repair hands-free.
+// sim consumes. Concurrent clients run the very same workload (chaosLoad,
+// chaosload.go: one op mix, one lock bookkeeping, one lincheck recorder
+// for both substrates), a push-watch subscriber converges through the
+// fault-injected relay, and (because there is no scripted operator on a
+// real wire) the φ-accrual monitor plus autopilot do every repair
+// hands-free.
 //
 // What the sim run cannot give us — and this one does — is evidence that
 // the protocol's invariants survive the parts the simulator idealizes:
@@ -91,16 +89,12 @@ func (o *RealChaosOpts) defaults() {
 
 // RealChaosResult reports a wire chaos run.
 type RealChaosResult struct {
-	Schedule string
-	Seed     int64
-	Lin      lincheck.Result
-	History  []lincheck.Op
-
-	Ops      int    // operations in the recorded history
-	Unknowns int    // ops whose outcome the client never learned
-	Timeouts uint64 // ops that exhausted retries
-	Sent     uint64 // datagrams clients handed to their sockets (incl. retries)
-	Retries  uint64 // retransmitted attempts across clients
+	// Wire runs are always hands-free: the report's repairs are all the
+	// autopilot's.
+	ChaosReport
+	Seed    int64
+	Sent    uint64 // datagrams clients handed to their sockets (incl. retries)
+	Retries uint64 // retransmitted attempts across clients
 
 	Inj faultconn.Stats // what the wire nemesis did
 
@@ -118,18 +112,6 @@ type RealChaosResult struct {
 	WatchEvents    uint64
 	WatchStats     watch.SubStats
 	WatchConverged bool
-
-	// Autopilot observations. Wire runs are always hands-free.
-	FailStopInjected bool
-	Repairs          []controller.RepairEvent
-	Health           []health.SwitchHealth
-	Failovers        int
-	Demotions        int
-	FalseEvictions   int // failovers of switches the schedule never killed
-	DetectLatency    time.Duration
-	ChainsRepaired   bool
-
-	NemesisLog []string
 }
 
 // realCluster is the live-UDP deployment: three chain members plus one
@@ -138,23 +120,16 @@ type RealChaosResult struct {
 // monitor, and an autopilot — every socket threaded through one
 // faultconn.Injector.
 type realCluster struct {
-	inj  *faultconn.Injector
-	book *transport.AddressBook
-
-	sws    []packet.Addr // members [0..2], spare [3]
-	nodes  []*transport.SwitchNode
-	agents map[packet.Addr]controller.Agent
-
-	ringV *ring.Ring
-	ctl   *controller.Controller
-	rs    *relay.Server
+	inj *faultconn.Injector
+	sws []packet.Addr // members [0..2], spare [3]
+	ctl *controller.Controller
+	rs  *relay.Server
 
 	det   *health.Detector
 	mon   *health.Monitor
 	pilot *controller.Autopilot
 
-	tcs []*transport.Client
-	ops []*transport.Ops
+	ops []*transport.Ops // one per client
 
 	stops []func() error
 }
@@ -167,25 +142,15 @@ func (rc *realCluster) Close() {
 }
 
 func (rc *realCluster) route(k kv.Key) (query.Route, error) {
-	rt := rc.ctl.Route(k)
-	if len(rt.Hops) == 0 {
-		return query.Route{}, fmt.Errorf("experiments: no chain for key %v", k)
-	}
+	rt := rc.ctl.Route(k) // an empty chain surfaces as kv.ErrUnavailable when the frame is built
 	return query.Route{Group: rt.Group, Hops: rt.Hops}, nil
 }
 
-// realChaosMonitorAddr is the monitor's virtual address — outside the
-// switch and host ranges so fault targeting never aliases it.
-var realChaosMonitorAddr = packet.AddrFrom4(10, 255, 0, 1)
-
 func newRealCluster(o RealChaosOpts) (*realCluster, error) {
-	rc := &realCluster{
-		inj: faultconn.New(o.Seed,
-			faultconn.WithTimeScale(o.TimeScale),
-		),
-		book:   transport.NewAddressBook(),
-		agents: make(map[packet.Addr]controller.Agent),
-	}
+	rc := &realCluster{inj: faultconn.New(o.Seed, faultconn.WithTimeScale(o.TimeScale))}
+	book := transport.NewAddressBook()
+	agents := make(map[packet.Addr]controller.Agent)
+	var nodes []*transport.SwitchNode
 	ok := false
 	defer func() {
 		if !ok {
@@ -213,7 +178,7 @@ func newRealCluster(o RealChaosOpts) (*realCluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		node, err := transport.NewSwitchNode(sw, rc.book, "127.0.0.1:0",
+		node, err := transport.NewSwitchNode(sw, book, "127.0.0.1:0",
 			transport.WithFaultPipe(rc.inj.Pipe(addr)))
 		if err != nil {
 			return nil, err
@@ -221,7 +186,7 @@ func newRealCluster(o RealChaosOpts) (*realCluster, error) {
 		node.SetEventSink(relayAddr, rs.IngestEndpoint())
 		rc.inj.RegisterEndpoint(addr, node.Endpoint())
 		rc.sws = append(rc.sws, addr)
-		rc.nodes = append(rc.nodes, node)
+		nodes = append(nodes, node)
 		rc.stops = append(rc.stops, node.Close)
 
 		rpcAddr, stopAgent, err := transport.ServeAgent(sw, "127.0.0.1:0")
@@ -238,20 +203,19 @@ func newRealCluster(o RealChaosOpts) (*realCluster, error) {
 			return nil, err
 		}
 		rc.stops = append(rc.stops, agent.Close)
-		rc.agents[addr] = agent
+		agents[addr] = agent
 	}
 
-	members := rc.sws[:3]
-	rc.ringV, err = ring.New(ring.Config{VNodesPerSwitch: 8, Replicas: 3, Seed: 0x6e63}, members)
+	ringV, err := ring.New(ring.Config{VNodesPerSwitch: 8, Replicas: 3, Seed: 0x6e63}, rc.sws[:3])
 	if err != nil {
 		return nil, err
 	}
 	ccfg := controller.DefaultConfig()
 	ccfg.RuleDelay = time.Millisecond
 	ccfg.SyncPerItem = 0
-	rc.ctl, err = controller.New(ccfg, rc.ringV, controller.WallClock{},
+	rc.ctl, err = controller.New(ccfg, ringV, controller.WallClock{},
 		func(a packet.Addr) (controller.Agent, bool) {
-			ag, found := rc.agents[a]
+			ag, found := agents[a]
 			return ag, found
 		},
 		func(failed packet.Addr) []packet.Addr {
@@ -269,8 +233,10 @@ func newRealCluster(o RealChaosOpts) (*realCluster, error) {
 
 	// Health plane: the monitor's socket runs through the nemesis too
 	// (its probes can be delayed and its intake degraded), heartbeats
-	// resolve the monitor's virtual address through the shared book.
-	mv := realChaosMonitorAddr
+	// resolve the monitor's virtual address through the shared book. That
+	// address sits outside the switch and host ranges so fault targeting
+	// never aliases it.
+	mv := packet.AddrFrom4(10, 255, 0, 1)
 	rc.det = health.NewDetector(health.Defaults(o.Heartbeat))
 	rc.mon, err = health.NewMonitor("127.0.0.1:0", mv, rc.det,
 		health.WithMonitorFaults(rc.inj.Pipe(mv)))
@@ -279,13 +245,13 @@ func newRealCluster(o RealChaosOpts) (*realCluster, error) {
 	}
 	rc.stops = append(rc.stops, rc.mon.Close)
 	rc.inj.RegisterEndpoint(mv, rc.mon.Endpoint())
-	rc.book.Set(mv, rc.mon.Endpoint())
+	book.Set(mv, rc.mon.Endpoint())
 	for _, a := range rc.sws {
 		rc.det.Track(a, rc.mon.Now())
 		rc.mon.Watch(a)
 	}
 	rc.mon.StartProbes(2*o.Heartbeat, 8*o.Heartbeat)
-	for _, n := range rc.nodes {
+	for _, n := range nodes {
 		if err := n.StartHeartbeats(mv, o.Heartbeat); err != nil {
 			return nil, err
 		}
@@ -306,7 +272,7 @@ func newRealCluster(o RealChaosOpts) (*realCluster, error) {
 		if i%2 == 1 {
 			gw = rc.sws[2]
 		}
-		tc, err := transport.NewClient(rc.book, transport.ClientConfig{
+		tc, err := transport.NewClient(book, transport.ClientConfig{
 			Addr:    caddr,
 			Gateway: gw,
 			Bind:    "127.0.0.1:0",
@@ -318,44 +284,23 @@ func newRealCluster(o RealChaosOpts) (*realCluster, error) {
 			return nil, err
 		}
 		rc.inj.RegisterEndpoint(caddr, tc.LocalEndpoint())
-		rc.tcs = append(rc.tcs, tc)
 		rc.ops = append(rc.ops, &transport.Ops{Client: tc, Dir: rc.route})
-		stop := tc.Close
-		rc.stops = append(rc.stops, func() error { stop(); return nil })
+		rc.stops = append(rc.stops, tc.Close)
 	}
 	ok = true
 	return rc, nil
 }
 
-// realChaosTargets maps the schedule's fault roles onto the wire
-// topology, mirroring the sim testbed's historical assignment: the
-// half-open partition cuts S1→S2, S2 (a tail) grays out, S1 fail-stops,
-// S3 is the recovery spare, and the host-cut isolates client 1. The
-// switch addressing is fixed (10.0.0.1–4), so the mapping is a pure
-// function of the options — RealChaosFingerprint relies on that.
+// realChaosTargets maps the schedule's fault roles onto the wire topology
+// with the sim testbed's assignment (testbedTargets); the host-cut isolates
+// client 1. The switch addressing is fixed (10.0.0.1–4), so the mapping is
+// a pure function of the options — RealChaosFingerprint relies on that.
 func realChaosTargets(sws []packet.Addr, clients int) chaosTargets {
 	cut := packet.AddrFrom4(10, 1, 0, 1)
 	if clients > 1 {
 		cut = packet.AddrFrom4(10, 1, 0, 2)
 	}
-	return chaosTargets{
-		linkA: sws[1], linkB: sws[2],
-		gray: sws[2], fail: sws[1],
-		spare: sws[3], cutHost: cut,
-	}
-}
-
-// realChaosSchedule materializes the named scenario onto the wire
-// topology, including the fail-stop step failover schedules add.
-func realChaosSchedule(sc chaosScenario, tg chaosTargets) netsim.Schedule {
-	schedule := sc.build(tg)
-	if sc.failover {
-		schedule = append(schedule, netsim.Step{
-			Name: "fail-stop", At: sc.faultAt,
-			Fault: netsim.FailStop{Addr: tg.fail},
-		})
-	}
-	return schedule
+	return testbedTargets(sws, cut)
 }
 
 // RealChaosFingerprint digests the fault decision stream a wire run with
@@ -363,17 +308,16 @@ func realChaosSchedule(sc chaosScenario, tg chaosTargets) netsim.Schedule {
 // to verify the "same seed ⇒ same chaos" reproducibility contract.
 func RealChaosFingerprint(o RealChaosOpts) (string, error) {
 	o.defaults()
-	sc, ok := chaosScenarios()[o.Schedule]
-	if !ok {
-		return "", fmt.Errorf("experiments: unknown chaos schedule %q (have %v)",
-			o.Schedule, ChaosScheduleNames())
+	sc, err := chaosScenarioNamed(o.Schedule)
+	if err != nil {
+		return "", err
 	}
 	sws := make([]packet.Addr, 4)
 	for i := range sws {
 		sws[i] = packet.AddrFrom4(10, 0, 0, byte(i+1))
 	}
 	tg := realChaosTargets(sws, o.Clients)
-	return faultconn.Fingerprint(o.Seed, realChaosSchedule(sc, tg)), nil
+	return faultconn.Fingerprint(o.Seed, sc.schedule(tg, true)), nil
 }
 
 // RunRealChaos executes one wire chaos run. Harness failures (the cluster
@@ -382,10 +326,9 @@ func RealChaosFingerprint(o RealChaosOpts) (string, error) {
 // the history artifact.
 func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 	o.defaults()
-	sc, ok := chaosScenarios()[o.Schedule]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown chaos schedule %q (have %v)",
-			o.Schedule, ChaosScheduleNames())
+	sc, err := chaosScenarioNamed(o.Schedule)
+	if err != nil {
+		return nil, err
 	}
 	rc, err := newRealCluster(o)
 	if err != nil {
@@ -393,41 +336,28 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 	}
 	defer rc.Close()
 
-	// Preload: register keys plus two contended locks, inserted through
-	// the controller (slots land on every chain member via the RPC
-	// agents) and seeded through a real client.
-	names := make([]string, 0, o.Registers+2)
-	for i := 0; i < o.Registers; i++ {
-		names = append(names, fmt.Sprintf("k%d", i))
-	}
-	locks := []string{"lockA", "lockB"}
-	names = append(names, locks...)
-	initial := map[string]string{}
-	for _, name := range names {
-		k := kv.KeyFromString(name)
-		val := []byte("init-" + name)
-		if name == locks[0] || name == locks[1] {
-			val = chaosOwnerBytes(0)
-		}
+	// Preload: slots through the controller (they land on every chain
+	// member via the wire agents), values through a real client.
+	load := newChaosLoad(o.Registers, o.OpsPerClient)
+	err = load.preload(func(k kv.Key, val kv.Value) error {
 		if _, err := rc.ctl.Insert(k); err != nil {
-			return nil, err
+			return err
 		}
-		if _, err := rc.ops[0].Write(k, val); err != nil {
-			return nil, fmt.Errorf("seed %q: %w", name, err)
-		}
-		initial[name] = string(val)
+		_, err := rc.ops[0].Write(k, val)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	res := &RealChaosResult{
-		Schedule: o.Schedule, Seed: o.Seed,
-		FailStopInjected: sc.failover,
-	}
+	res := &RealChaosResult{Seed: o.Seed}
+	res.Schedule, res.FailStopInjected = o.Schedule, sc.failover
 
 	// Push-watch subscriber through the fault-injected relay: the first
 	// few registers, resynced on stream gaps by linearizable re-reads.
 	watchKeys := make([]kv.Key, 0, 4)
 	for i := 0; i < o.Registers && i < 4; i++ {
-		watchKeys = append(watchKeys, kv.KeyFromString(names[i]))
+		watchKeys = append(watchKeys, kv.KeyFromString(load.names[i]))
 	}
 	sub := watch.NewSub(watchKeys, func(k kv.Key) uint16 { return rc.ctl.Route(k).Group }, 256)
 	sig := make(chan struct{}, 1)
@@ -490,7 +420,7 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 	// step for failover schedules — on the wire there is no scripted
 	// operator, so the autopilot must notice and repair it.
 	tg := realChaosTargets(rc.sws, o.Clients)
-	schedule := realChaosSchedule(sc, tg)
+	schedule := sc.schedule(tg, true)
 	res.FaultFingerprint = faultconn.Fingerprint(o.Seed, schedule)
 
 	rc.pilot.Start()
@@ -503,128 +433,18 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 		return nil, err
 	}
 
-	var histMu sync.Mutex
-	var history []lincheck.Op
-	var harnessErr error
-	fail := func(err error) {
-		histMu.Lock()
-		if harnessErr == nil {
-			harnessErr = err
-		}
-		histMu.Unlock()
-	}
 	start := time.Now()
-
+	now := func() int64 { return int64(time.Since(start)) }
 	var wg sync.WaitGroup
 	for c := 0; c < o.Clients; c++ {
 		wg.Add(1)
 		go func(cid int) {
 			defer wg.Done()
-			ops := rc.ops[cid]
-			rng := rand.New(rand.NewSource(o.Seed*1000 + int64(cid)))
-			holding := map[string]bool{}
-			owner := uint64(cid + 1)
-
-			// record folds one completed operation into the history; it
-			// returns whether a CAS was observed to apply. The mapping
-			// mirrors the sim's record() over transport.Ops error
-			// semantics: timeouts are Unknown with an open return window,
-			// ambiguous lock releases are Unknown, unavailability (a
-			// migration freeze, a dead chain) constrains nothing.
-			record := func(op lincheck.Op, opErr error, invoke time.Duration) bool {
-				op.Client = cid
-				op.Invoke = int64(invoke)
-				op.Return = int64(time.Since(start))
-				if errors.Is(opErr, kv.ErrTimeout) {
-					op.Return = lincheck.Infinity
-					op.Unknown = true
-					histMu.Lock()
-					history = append(history, op)
-					histMu.Unlock()
-					return false
-				}
-				if errors.Is(opErr, kv.ErrUnavailable) {
-					return false
-				}
-				if opErr != nil && !(op.Kind == lincheck.Read && errors.Is(opErr, kv.ErrNotFound)) {
-					fail(fmt.Errorf("client %d: %v %s: %w", cid, op.Kind, op.Key, opErr))
-					return false
-				}
-				histMu.Lock()
-				history = append(history, op)
-				histMu.Unlock()
-				return op.Kind == lincheck.CAS && op.OK
-			}
-
-			for n := 0; n < o.OpsPerClient; n++ {
-				invoke := time.Since(start)
-				switch r := rng.Float64(); {
-				case r < 0.5: // read a random register
-					name := names[rng.Intn(o.Registers)]
-					v, _, rerr := ops.Read(kv.KeyFromString(name))
-					op := lincheck.Op{Kind: lincheck.Read, Key: name}
-					if rerr == nil {
-						op.OK, op.Found, op.Output = true, true, string(v)
-					}
-					record(op, rerr, invoke)
-				case r < 0.88: // write a random register
-					name := names[rng.Intn(o.Registers)]
-					val := fmt.Sprintf("c%d-n%d", cid, n)
-					_, werr := ops.Write(kv.KeyFromString(name), kv.Value(val))
-					op := lincheck.Op{Kind: lincheck.Write, Key: name, Input: val}
-					op.OK = werr == nil
-					record(op, werr, invoke)
-				default: // fight over a lock with CAS
-					lk := locks[rng.Intn(len(locks))]
-					expect, newOwner := uint64(0), owner
-					if holding[lk] {
-						expect, newOwner = owner, 0
-					}
-					input := string(chaosOwnerBytes(newOwner))
-					swapped, stored, cerr := ops.CAS(kv.KeyFromString(lk), expect, kv.Value(input))
-					op := lincheck.Op{Kind: lincheck.CAS, Key: lk, Expect: expect, Input: input}
-					assumed := false
-					switch {
-					case cerr == nil && swapped:
-						op.OK = true
-					case cerr == nil && expect != 0:
-						// Failed release: owners are unique, so the stored
-						// owner no longer being us means our release DID
-						// apply — via this op or an earlier duplicate;
-						// unknowable from here. The checker decides.
-						op.Unknown = true
-					case cerr == nil && string(stored) == string(chaosOwnerBytes(owner)):
-						// Assumed ownership, the wire analogue of the sim
-						// client's AssumeUniqueOwners: an acquire applied but
-						// its reply was lost, and by the time a retransmit got
-						// through the switch's duplicate-adjudication ring had
-						// evicted the pinned verdict (it is depth-4 per class),
-						// so the retry bounced off our own owner id. We hold
-						// the lock; which attempt took it is unknowable — the
-						// checker places the op.
-						op.Unknown = true
-						assumed = true
-					case cerr == nil:
-						op.Output = string(stored)
-					}
-					applied := record(op, cerr, invoke) || assumed
-					switch {
-					case applied:
-						holding[lk] = expect == 0
-					case cerr == nil && !swapped && expect != 0:
-						holding[lk] = false
-					}
-				}
-				time.Sleep(o.Pause)
-			}
+			load.client(o.Seed, cid).loop(rc.ops[cid].Do, now, func() { time.Sleep(o.Pause) })
 		}(c)
 	}
 	wg.Wait()
-
-	histMu.Lock()
-	err = harnessErr
-	histMu.Unlock()
-	if err != nil {
+	if err := load.check(&res.ChaosReport); err != nil {
 		return nil, err
 	}
 
@@ -688,98 +508,40 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 	res.WatchEvents = watchEvents
 	res.WatchStats = sub.Stats()
 
-	// Autopilot bookkeeping.
 	res.Repairs = rc.pilot.History()
 	res.Health = rc.det.Snapshot(rc.mon.Now())
-	faultMon := schedStart + time.Duration(float64(sc.faultAt)*o.TimeScale)
-	for _, ev := range res.Repairs {
-		switch ev.Action {
-		case controller.ActionFailover:
-			res.Failovers++
-			if !sc.failover || ev.Switch != tg.fail {
-				res.FalseEvictions++
-			} else if res.DetectLatency == 0 {
-				res.DetectLatency = ev.At - faultMon
-			}
-		case controller.ActionDemote:
-			res.Demotions++
-		}
-	}
-	if sc.failover {
-		res.ChainsRepaired = true
-		for _, rt := range rc.ctl.Routes() {
-			if len(rt.Hops) != 3 {
-				res.ChainsRepaired = false
-			}
-			for _, hop := range rt.Hops {
-				if hop == tg.fail {
-					res.ChainsRepaired = false
-				}
-			}
-		}
-	}
+	res.tallyRepairs(sc, tg.fail, schedStart+time.Duration(float64(sc.faultAt)*o.TimeScale), rc.ctl)
 
-	res.Ops = len(history)
-	for _, op := range history {
-		if op.Unknown {
-			res.Unknowns++
-		}
-	}
-	for _, tc := range rc.tcs {
-		st := tc.Stats()
+	for _, ops := range rc.ops {
+		st := ops.Client.Stats()
 		res.Timeouts += st.Timeouts
 		res.Sent += st.Sent
 		res.Retries += st.Retries
 	}
 	res.Inj = rc.inj.Stats()
 	res.NemesisLog = rc.inj.Log()
-	res.History = history
-	res.Lin = lincheck.Check(history, initial)
 
 	h := sha256.New()
-	for _, op := range history {
-		fmt.Fprint(h, formatOp(op))
-	}
+	res.writeHistory(h)
 	res.HistoryDigest = fmt.Sprintf("%x", h.Sum(nil))[:16]
 	return res, nil
 }
 
 // Format renders the result for benchrunner output.
 func (r *RealChaosResult) Format() string {
-	s := fmt.Sprintf("realchaos [%s] seed=%d on live UDP\n%s\n", r.Schedule, r.Seed, ChaosScheduleDoc(r.Schedule))
-	for _, l := range r.NemesisLog {
-		s += "  " + l + "\n"
-	}
-	s += fmt.Sprintf("history: %d ops (%d unknown, %d timeouts); %d datagrams sent, %d retries\n",
+	body := fmt.Sprintf("history: %d ops (%d unknown, %d timeouts); %d datagrams sent, %d retries\n",
 		r.Ops, r.Unknowns, r.Timeouts, r.Sent, r.Retries)
-	s += fmt.Sprintf("nemesis: %d chaos drops, %d burst drops, %d partition drops, %d gray drops, "+
+	body += fmt.Sprintf("nemesis: %d chaos drops, %d burst drops, %d partition drops, %d gray drops, "+
 		"%d fail drops, %d delayed, %d dups, %d reordered, %d gray stalls\n",
 		r.Inj.ChaosDrops, r.Inj.BurstDrops, r.Inj.PartitionDrops, r.Inj.GrayDrops,
 		r.Inj.FailDrops, r.Inj.Delayed, r.Inj.DupCopies, r.Inj.Reordered, r.Inj.GrayStalls)
-	s += fmt.Sprintf("watch: %d events, converged: %v (stats %+v)\n", r.WatchEvents, r.WatchConverged, r.WatchStats)
-	s += fmt.Sprintf("autopilot: %d failovers, %d demotions, %d false evictions", r.Failovers, r.Demotions, r.FalseEvictions)
-	if r.FailStopInjected {
-		s += fmt.Sprintf("; detection %v, chains repaired: %v", r.DetectLatency, r.ChainsRepaired)
-	}
-	s += "\n"
-	for _, ev := range r.Repairs {
-		s += "  " + ev.String() + "\n"
-	}
-	if r.Lin.OK {
-		s += fmt.Sprintf("linearizable: YES (%d ops checked)\n", r.Lin.OpsChecked)
-	} else {
-		s += fmt.Sprintf("linearizable: NO — key %s: %s\n", r.Lin.Key, r.Lin.Reason)
-	}
-	s += fmt.Sprintf("fault fingerprint: %s  history digest: %s\n", r.FaultFingerprint, r.HistoryDigest)
-	return s
+	body += fmt.Sprintf("watch: %d events, converged: %v (stats %+v)\n", r.WatchEvents, r.WatchConverged, r.WatchStats)
+	return r.format(fmt.Sprintf("realchaos [%s] seed=%d on live UDP", r.Schedule, r.Seed), body, true) +
+		fmt.Sprintf("fault fingerprint: %s  history digest: %s\n", r.FaultFingerprint, r.HistoryDigest)
 }
 
 // DumpHistory renders the recorded history one operation per line — the
 // artifact a failing run uploads so (schedule, seed) reproduces locally.
 func (r *RealChaosResult) DumpHistory() string {
-	s := fmt.Sprintf("# realchaos schedule=%s seed=%d ops=%d lin=%v\n", r.Schedule, r.Seed, r.Ops, r.Lin.OK)
-	for _, op := range r.History {
-		s += formatOp(op)
-	}
-	return s
+	return r.dump(fmt.Sprintf("# realchaos schedule=%s seed=%d", r.Schedule, r.Seed))
 }

@@ -26,24 +26,19 @@ type Payload struct {
 	Retries uint64
 	// DecodeErrs counts datagrams whose bytes the switch could not decode
 	// — torn or corrupt frames observed at the socket, the wire-corruption
-	// signal the dataplane counters can never see (v2 field).
+	// signal the dataplane counters can never see.
 	DecodeErrs uint64
 	// RcvBuf is the kernel's effective SO_RCVBUF for the switch's socket,
 	// in bytes; 0 when unknown. A value below the transport's request means
-	// the host clamped it and ingest may drop under bursts (v2 field).
+	// the host clamped it and ingest may drop under bursts.
 	RcvBuf uint32
 }
 
-// Wire sizes: v1 is version(1) queue(4) drops(8) processed(8) retries(8);
-// v2 appends decodeErrs(8) rcvBuf(4).
-const (
-	payloadLenV1 = 29
-	payloadLen   = payloadLenV1 + 12
-)
+// payloadLen is the wire size: version(1) queue(4) drops(8) processed(8)
+// retries(8) decodeErrs(8) rcvBuf(4).
+const payloadLen = 41
 
-// payloadVersion guards the encoding. Decoding still accepts v1 payloads
-// (the appended fields read as zero), so mixed-version clusters degrade
-// gracefully during rollouts.
+// payloadVersion guards the encoding; every emitter in the tree writes it.
 const payloadVersion = 2
 
 // Encode appends the wire form of p to buf.
@@ -57,33 +52,25 @@ func (p Payload) Encode(buf []byte) []byte {
 	return binary.BigEndian.AppendUint32(buf, p.RcvBuf)
 }
 
-// DecodePayload parses a heartbeat value field (current or v1 legacy).
+// DecodePayload parses a heartbeat value field.
 func DecodePayload(b []byte) (Payload, error) {
 	if len(b) < 1 {
 		return Payload{}, fmt.Errorf("health: payload truncated: %d bytes", len(b))
 	}
-	want := payloadLen
-	switch b[0] {
-	case 1:
-		want = payloadLenV1
-	case payloadVersion:
-	default:
+	if b[0] != payloadVersion {
 		return Payload{}, fmt.Errorf("health: unsupported payload version %d", b[0])
 	}
-	if len(b) < want {
+	if len(b) < payloadLen {
 		return Payload{}, fmt.Errorf("health: payload truncated: %d bytes", len(b))
 	}
-	p := Payload{
-		Queue:     binary.BigEndian.Uint32(b[1:5]),
-		Drops:     binary.BigEndian.Uint64(b[5:13]),
-		Processed: binary.BigEndian.Uint64(b[13:21]),
-		Retries:   binary.BigEndian.Uint64(b[21:29]),
-	}
-	if b[0] == payloadVersion {
-		p.DecodeErrs = binary.BigEndian.Uint64(b[29:37])
-		p.RcvBuf = binary.BigEndian.Uint32(b[37:41])
-	}
-	return p, nil
+	return Payload{
+		Queue:      binary.BigEndian.Uint32(b[1:5]),
+		Drops:      binary.BigEndian.Uint64(b[5:13]),
+		Processed:  binary.BigEndian.Uint64(b[13:21]),
+		Retries:    binary.BigEndian.Uint64(b[21:29]),
+		DecodeErrs: binary.BigEndian.Uint64(b[29:37]),
+		RcvBuf:     binary.BigEndian.Uint32(b[37:41]),
+	}, nil
 }
 
 // ProbeKey is the reserved key health probes read. It is never inserted,

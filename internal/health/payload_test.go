@@ -1,7 +1,7 @@
 package health
 
 import (
-	"encoding/binary"
+	"strings"
 	"testing"
 )
 
@@ -29,38 +29,18 @@ func TestPayloadV2RoundTrip(t *testing.T) {
 	}
 }
 
-// TestPayloadDecodesV1 guards rollout compatibility: a v1 payload from an
-// older switch still decodes, with the v2 fields reading zero.
-func TestPayloadDecodesV1(t *testing.T) {
-	p := Payload{Queue: 3, Drops: 10, Processed: 99, Retries: 5}
-	// Hand-encode the 29-byte v1 form.
-	wire := []byte{1}
-	wire = binary.BigEndian.AppendUint32(wire, p.Queue)
-	wire = binary.BigEndian.AppendUint64(wire, p.Drops)
-	wire = binary.BigEndian.AppendUint64(wire, p.Processed)
-	wire = binary.BigEndian.AppendUint64(wire, p.Retries)
-	if len(wire) != payloadLenV1 {
-		t.Fatalf("v1 payload is %d bytes, want %d", len(wire), payloadLenV1)
-	}
-	got, err := DecodePayload(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != p {
-		t.Fatalf("v1 decode drifted: %+v != %+v", got, p)
-	}
-	if got.DecodeErrs != 0 || got.RcvBuf != 0 {
-		t.Fatalf("v1 payload grew v2 fields: %+v", got)
-	}
-}
-
 // TestPayloadRejectsGarbage: truncated and unknown-version payloads error
-// instead of decoding nonsense.
+// instead of decoding nonsense — including the retired version 1, which no
+// emitter writes any more.
 func TestPayloadRejectsGarbage(t *testing.T) {
 	full := Payload{Queue: 1}.Encode(nil)
-	for _, b := range [][]byte{nil, {}, full[:5], full[:payloadLenV1], {99, 0, 0, 0, 0}} {
+	v1 := append([]byte{1}, full[1:29]...) // the 29-byte v1 form
+	for _, b := range [][]byte{nil, {}, full[:5], full[:payloadLen-1], {99, 0, 0, 0, 0}, v1} {
 		if _, err := DecodePayload(b); err == nil {
 			t.Errorf("decoded %d-byte payload (version %v) without error", len(b), b)
 		}
+	}
+	if _, err := DecodePayload(v1); err == nil || !strings.Contains(err.Error(), "unsupported payload version 1") {
+		t.Errorf("version 1 payload: %v, want an unsupported-version error", err)
 	}
 }

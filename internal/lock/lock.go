@@ -36,39 +36,23 @@ type NetChainLocks struct {
 	Client *simclient.Client
 }
 
-// Acquire CASes 0 → owner. A CASFail whose stored owner is already us
-// counts as success: our earlier reply was lost and the retry must be
-// benign (§4.3).
+// Acquire CASes 0 → owner and Release CASes owner → 0. Either counts as
+// done when the stored owner is already the one proposed — the earlier
+// reply was lost and the retry must be benign (§4.3); that rule lives in
+// query.Outcome.Landed, shared with the wire client.
 func (l NetChainLocks) Acquire(lock kv.Key, owner uint64, done func(bool, error)) {
-	l.Client.CAS(lock, 0, query.OwnerValue(owner, nil), func(res simclient.Result) {
-		switch {
-		case res.Err != nil:
-			done(false, res.Err)
-		case res.Status == kv.StatusOK:
-			done(true, nil)
-		case res.Status == kv.StatusCASFail && query.Owner(res.Value) == owner:
-			done(true, nil)
-		default:
-			done(false, nil)
-		}
-	})
+	l.Client.Do(query.Acquire(lock, owner), landed(done))
 }
 
-// Release CASes owner → 0; a CASFail with stored owner 0 means a retried
-// release already landed.
 func (l NetChainLocks) Release(lock kv.Key, owner uint64, done func(bool, error)) {
-	l.Client.CAS(lock, owner, query.OwnerValue(0, nil), func(res simclient.Result) {
-		switch {
-		case res.Err != nil:
-			done(false, res.Err)
-		case res.Status == kv.StatusOK:
-			done(true, nil)
-		case res.Status == kv.StatusCASFail && query.Owner(res.Value) == 0:
-			done(true, nil)
-		default:
-			done(false, nil)
-		}
-	})
+	l.Client.Do(query.Release(lock, owner), landed(done))
+}
+
+func landed(done func(bool, error)) func(simclient.Result) {
+	return func(res simclient.Result) {
+		out, err := res.Outcome()
+		done(out.Landed, err)
+	}
 }
 
 // ZabLocks implements Service over the baseline cluster's ephemeral-node

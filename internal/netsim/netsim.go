@@ -879,68 +879,26 @@ func (n *Network) process(nd *node, f *packet.Frame) {
 		return
 	}
 
-	// Switch node.
-	origOp := f.NC.Op
-	if f.IP.Dst == nd.addr && f.UDP.DstPort == packet.Port {
-		if !n.processLocal(nd, f) {
-			return
-		}
-	} else if f.IP.Dst == nd.addr {
-		// Non-NetChain traffic addressed to a switch: no application.
+	// Switch node: the dataplane runs the whole per-frame protocol; the
+	// simulator only accounts for why a frame stopped here.
+	v, commit := nd.sw.Handle(f)
+	switch v {
+	case core.VerdictStale:
+		n.stats.StaleDrops++
+	case core.VerdictRuleDrop:
+		n.stats.RuleDrops++
+	case core.VerdictRouteDrop:
 		n.stats.RouteDrops++
-		return
-	} else {
-		nd.sw.Transit(f)
 	}
-
-	// TTL check before leaving.
-	if f.IP.TTL == 0 {
-		n.stats.RouteDrops++
+	if v != core.VerdictForward {
 		return
 	}
-	f.IP.TTL--
-
-	// Egress rules may retarget the frame at this very switch (the paper's
-	// "if N overlaps with S0 (S2)" case, §5.1): loop it back through local
-	// processing. Each NextHop rule consumes a chain hop, so this
-	// terminates.
-	for hop := 0; hop < packet.MaxChainHops+1; hop++ {
-		if d := nd.sw.ApplyEgressRules(f); d == core.Drop {
-			n.stats.RuleDrops++
-			return
-		}
-		if f.IP.Dst != nd.addr {
-			break
-		}
-		if f.UDP.DstPort != packet.Port {
-			n.stats.RouteDrops++
-			return
-		}
-		if !n.processLocal(nd, f) {
-			return
-		}
-	}
-	// Chain-tail commit point (push watches): this switch just turned a
-	// mutation into an OK reply. The hook publishes an event frame toward
-	// the relay before the reply leaves.
-	if n.commitHook != nil && f.NC.Op == kv.OpReply && f.NC.Status == kv.StatusOK && origOp.IsMutation() {
-		n.commitHook(nd.addr, f, origOp)
+	// Chain-tail commit point (push watches): the hook publishes an event
+	// frame toward the relay before the reply leaves.
+	if n.commitHook != nil && commit.IsMutation() {
+		n.commitHook(nd.addr, f, commit)
 	}
 	n.forward(nd, f)
-}
-
-// processLocal runs the dataplane on a frame addressed to this switch and
-// reports whether the frame continues.
-func (n *Network) processLocal(nd *node, f *packet.Frame) bool {
-	pre := nd.sw.Stats().WritesStale
-	d, _ := nd.sw.ProcessLocal(f)
-	if d == core.Drop {
-		if nd.sw.Stats().WritesStale > pre {
-			n.stats.StaleDrops++
-		}
-		return false
-	}
-	return true
 }
 
 // LossRateSet updates a switch's injected loss rate (Fig. 9(d) sweeps).

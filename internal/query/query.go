@@ -1,8 +1,12 @@
-// Package query builds client-side NetChain frames from routes: the agent
-// logic of §3 that translates API calls into the custom packet format.
-// Write-family queries target the chain head and carry the remaining hops
-// in order; reads target the tail and carry the reverse list, which is
-// consumed only by failover rules (§4.2).
+// Package query is the client half of the protocol, free of any substrate:
+// the agent logic of §3 that translates API calls into the custom packet
+// format and reads the replies back. A Call names one operation. Its Frame
+// method builds the query for a route: write-family queries target the
+// chain head and carry the remaining hops in order; reads target the tail
+// and carry the reverse list, consumed only by failover rules (§4.2). Its
+// Outcome method interprets the reply: status to error, the CAS verdict,
+// and the §8.5 "the stored owner is me" rule that keeps lock retries
+// benign. internal/simclient and transport.Ops both go through it.
 package query
 
 import (
@@ -102,6 +106,79 @@ func newHeadQuery(ep Endpoint, qid uint64, rt Route, key kv.Key, op kv.Op, value
 		return nil, err
 	}
 	return packet.NewQueryInto(f, ep.Addr, rt.Hops[0], ep.Port, nc), nil
+}
+
+// Call is one client operation, independent of route, query id and
+// substrate.
+type Call struct {
+	Op     kv.Op // OpRead, OpWrite, OpDelete or OpCAS
+	Key    kv.Key
+	Value  kv.Value // write: the value; CAS: the new value, owner field first
+	Expect uint64   // CAS: the owner the stored value must carry
+}
+
+// Acquire is the §8.5 try-lock: swap the lock's owner from 0 to owner.
+func Acquire(lock kv.Key, owner uint64) Call {
+	return Call{Op: kv.OpCAS, Key: lock, Value: OwnerValue(owner, nil)}
+}
+
+// Release frees a lock held by owner: swap the owner back to 0.
+func Release(lock kv.Key, owner uint64) Call {
+	return Call{Op: kv.OpCAS, Key: lock, Expect: owner, Value: OwnerValue(0, nil)}
+}
+
+// Frame builds the call's query for one attempt along rt.
+func (c Call) Frame(ep Endpoint, qid uint64, rt Route) (*packet.Frame, error) {
+	switch c.Op {
+	case kv.OpRead:
+		return NewRead(ep, qid, rt, c.Key)
+	case kv.OpWrite:
+		return NewWrite(ep, qid, rt, c.Key, c.Value)
+	case kv.OpDelete:
+		return NewDelete(ep, qid, rt, c.Key)
+	case kv.OpCAS:
+		return NewCAS(ep, qid, rt, c.Key, c.Expect, c.Value)
+	}
+	return nil, fmt.Errorf("query: %v is not a client operation", c.Op)
+}
+
+// Outcome is a reply read through the call that produced it.
+type Outcome struct {
+	// Value is the value read, or for a CAS the value stored after it: the
+	// new value when it swapped, the one it lost against when it did not.
+	Value   kv.Value
+	Version kv.Version
+	// Swapped reports that a CAS applied.
+	Swapped bool
+	// Landed reports that the stored owner is the one a CAS proposed: it
+	// swapped, or it failed against a value already carrying that owner —
+	// the retry of a swap whose reply was lost, which must stay benign
+	// (§4.3). It is what Acquire and Release callers want to know.
+	Landed bool
+	// Assumed is Landed without Swapped for a non-zero proposed owner.
+	// Owner ids being unique per client, the client does hold the lock, but
+	// which of its acquires took it is unknowable (a duplicate's CASFail can
+	// overtake the original's OK; the head's verdict ring is finite).
+	// History recorders must treat the call's effect as unknown.
+	Assumed bool
+}
+
+// Outcome interprets rep as the answer to c. A lost CAS is a verdict, not
+// an error; every other failure status comes back as its kv sentinel.
+func (c Call) Outcome(rep Reply) (Outcome, error) {
+	out := Outcome{Value: rep.Value, Version: rep.Version}
+	switch {
+	case rep.Status == kv.StatusOK:
+		out.Swapped = c.Op == kv.OpCAS
+		out.Landed = out.Swapped
+	case rep.Status == kv.StatusCASFail && c.Op == kv.OpCAS:
+		proposed := Owner(c.Value)
+		out.Landed = Owner(rep.Value) == proposed
+		out.Assumed = out.Landed && proposed != 0
+	default:
+		return Outcome{}, rep.Status.Err()
+	}
+	return out, nil
 }
 
 // Reply summarizes a response frame for the client API.

@@ -184,3 +184,94 @@ func TestOversizedValueRejected(t *testing.T) {
 		t.Fatalf("err = %v, want too large", err)
 	}
 }
+
+// TestCallFrameRoundTripsThroughWire: every client operation builds through
+// Call.Frame, and what it builds survives the wire codec with the op, key,
+// value (CAS: expected owner then new value), target and chain intact.
+func TestCallFrameRoundTripsThroughWire(t *testing.T) {
+	k := kv.KeyFromString("k")
+	head, tail := rt.Hops[0], rt.Hops[2]
+	cases := []struct {
+		call  Call
+		dst   packet.Addr
+		value []byte
+	}{
+		{Call{Op: kv.OpRead, Key: k}, tail, nil},
+		{Call{Op: kv.OpWrite, Key: k, Value: kv.Value("v")}, head, []byte("v")},
+		{Call{Op: kv.OpDelete, Key: k}, head, nil},
+		{Call{Op: kv.OpCAS, Key: k, Expect: 7, Value: OwnerValue(9, []byte("p"))}, head,
+			append(OwnerValue(7, nil), OwnerValue(9, []byte("p"))...)},
+		{Acquire(k, 9), head, append(OwnerValue(0, nil), OwnerValue(9, nil)...)},
+		{Release(k, 9), head, append(OwnerValue(9, nil), OwnerValue(0, nil)...)},
+	}
+	for _, tc := range cases {
+		fr, err := tc.call.Frame(ep, 11, rt)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.call.Op, err)
+		}
+		buf, err := fr.Serialize(nil)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.call.Op, err)
+		}
+		var back packet.Frame
+		if err := back.Decode(buf); err != nil {
+			t.Fatalf("%v: %v", tc.call.Op, err)
+		}
+		if back.NC.Op != tc.call.Op || back.NC.Key != k || back.NC.QueryID != 11 ||
+			back.IP.Dst != tc.dst || len(back.NC.Chain) != 2 || !bytes.Equal(back.NC.Value, tc.value) {
+			t.Errorf("%v: decoded %v to %v value %x", tc.call.Op, &back.NC, back.IP.Dst, back.NC.Value)
+		}
+	}
+	if _, err := (Call{Op: kv.OpSync, Key: k}).Frame(ep, 1, rt); err == nil {
+		t.Error("a non-client op built a frame")
+	}
+}
+
+// TestCallOutcome pins how a reply is read: status to error, the CAS
+// verdict, and the "stored owner is the one I proposed" rule.
+func TestCallOutcome(t *testing.T) {
+	k := kv.KeyFromString("lock")
+	ver := kv.Version{Session: 1, Seq: 4}
+	mine, theirs, free := OwnerValue(9, nil), OwnerValue(5, nil), OwnerValue(0, nil)
+	cases := []struct {
+		name string
+		call Call
+		rep  Reply
+		want Outcome
+		err  error
+	}{
+		{"read ok", Call{Op: kv.OpRead, Key: k},
+			Reply{Status: kv.StatusOK, Value: kv.Value("v"), Version: ver},
+			Outcome{Value: kv.Value("v"), Version: ver}, nil},
+		{"read of a missing key", Call{Op: kv.OpRead, Key: k},
+			Reply{Status: kv.StatusNotFound}, Outcome{}, kv.ErrNotFound},
+		{"write refused by a freeze", Call{Op: kv.OpWrite, Key: k, Value: kv.Value("v")},
+			Reply{Status: kv.StatusUnavailable}, Outcome{}, kv.ErrUnavailable},
+		{"acquire swapped", Acquire(k, 9),
+			Reply{Status: kv.StatusOK, Value: mine, Version: ver},
+			Outcome{Value: mine, Version: ver, Swapped: true, Landed: true}, nil},
+		{"acquire lost to a foreign owner", Acquire(k, 9),
+			Reply{Status: kv.StatusCASFail, Value: theirs},
+			Outcome{Value: theirs}, nil},
+		{"acquire lost to its own owner", Acquire(k, 9),
+			Reply{Status: kv.StatusCASFail, Value: mine},
+			Outcome{Value: mine, Landed: true, Assumed: true}, nil},
+		{"release finds the lock free", Release(k, 9),
+			Reply{Status: kv.StatusCASFail, Value: free},
+			Outcome{Value: free, Landed: true}, nil},
+		{"release finds a foreign owner", Release(k, 9),
+			Reply{Status: kv.StatusCASFail, Value: theirs},
+			Outcome{Value: theirs}, nil},
+		{"cas on a dead chain", Acquire(k, 9),
+			Reply{Status: kv.StatusUnavailable}, Outcome{}, kv.ErrUnavailable},
+		{"cas-fail status on a write is an error", Call{Op: kv.OpWrite, Key: k},
+			Reply{Status: kv.StatusCASFail}, Outcome{}, kv.ErrCASFail},
+	}
+	for _, tc := range cases {
+		got, err := tc.call.Outcome(tc.rep)
+		if err != tc.err || !bytes.Equal(got.Value, tc.want.Value) || got.Version != tc.want.Version ||
+			got.Swapped != tc.want.Swapped || got.Landed != tc.want.Landed || got.Assumed != tc.want.Assumed {
+			t.Errorf("%s: got %+v, %v; want %+v, %v", tc.name, got, err, tc.want, tc.err)
+		}
+	}
+}

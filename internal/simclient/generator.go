@@ -116,20 +116,8 @@ func (g *Generator) sendOne() {
 	}
 	op, key, value := g.next(g.seq)
 	g.seq++
-	rt := g.dir(key)
 	qid := g.seq // 1-based, unique per arrival
-	var f *packet.Frame
-	var err error
-	switch op {
-	case kv.OpRead:
-		f, err = query.NewRead(g.ep, qid, rt, key)
-	case kv.OpWrite:
-		f, err = query.NewWrite(g.ep, qid, rt, key, value)
-	case kv.OpDelete:
-		f, err = query.NewDelete(g.ep, qid, rt, key)
-	default:
-		return
-	}
+	f, err := query.Call{Op: op, Key: key, Value: value}.Frame(g.ep, qid, g.dir(key))
 	if err != nil {
 		return
 	}

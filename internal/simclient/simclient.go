@@ -1,8 +1,10 @@
 // Package simclient models NetChain client agents inside the simulator
-// (§3): it translates API calls into NetChain frames, tracks outstanding
-// queries, retries on timeout (the §4.3 answer to UDP loss), and applies
-// the DPDK host cost model — a fixed per-side stack delay and a bounded
-// per-server query rate (the paper's 20.5 MQPS / 9.7 µs client envelope).
+// (§3): it tracks outstanding queries, retries on timeout (the §4.3 answer
+// to UDP loss), and applies the DPDK host cost model — a fixed per-side
+// stack delay and a bounded per-server query rate (the paper's 20.5 MQPS /
+// 9.7 µs client envelope). What a query looks like and what its reply
+// means is not decided here: frames are built and replies read through
+// query.Call, the same code the wire client runs.
 //
 // Several logical clients can share one simulated host through a Mux that
 // demultiplexes replies by UDP destination port, mirroring how the paper
@@ -10,7 +12,6 @@
 package simclient
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"netchain/internal/event"
@@ -79,16 +80,6 @@ type Config struct {
 	// Window caps a generator's outstanding queries, mirroring the real
 	// transport's in-flight window. 0 leaves the open loop unbounded.
 	Window int
-	// AssumeUniqueOwners enables CAS self-recognition (§8.5's ownership
-	// trick): when a CAS that proposes a non-zero owner fails but the
-	// stored value's owner field equals the proposed owner, the client's
-	// own swap must already have applied — no other client writes this
-	// owner ID — so the reply is reported as StatusOK. This is what makes
-	// lock acquisition idempotent under retries AND under network
-	// duplication, where the duplicate's CASFail reply can race ahead of
-	// the original's OK reply. Only enable when owner IDs are unique per
-	// client (the lock protocol's invariant).
-	AssumeUniqueOwners bool
 }
 
 // DefaultConfig mirrors the paper's client: 2 µs per stack traversal,
@@ -109,20 +100,22 @@ type Result struct {
 	Latency event.Time
 	Err     error
 	Retries int
-	// AssumedApplied marks a CAS whose StatusOK was inferred by the
-	// AssumeUniqueOwners rule rather than acked by the chain: the stored
-	// owner equals the proposed owner, so the CLIENT owns the lock — but
-	// whether THIS operation or one of the client's earlier CAS ops put
-	// the owner there is unknowable. History recorders must treat such
-	// an operation's effect as unknown.
-	AssumedApplied bool
+
+	call query.Call // what was asked; Outcome reads the reply through it
+}
+
+// Outcome reads the result the way every NetChain client does: the
+// transport error when the query never resolved, else the reply through
+// the call that produced it (query.Call.Outcome, Assumed included).
+func (r Result) Outcome() (query.Outcome, error) {
+	if r.Err != nil {
+		return query.Outcome{}, r.Err
+	}
+	return r.call.Outcome(query.Reply{Status: r.Status, Value: r.Value, Version: r.Version})
 }
 
 type pending struct {
-	op      kv.Op
-	key     kv.Key
-	value   kv.Value
-	expect  uint64
+	call    query.Call
 	start   event.Time
 	retries int
 	done    func(Result)
@@ -168,54 +161,41 @@ func (m *Mux) NewClient(cfg Config, dir Directory) (*Client, error) {
 // Endpoint returns the client's address/port identity.
 func (c *Client) Endpoint() query.Endpoint { return c.ep }
 
+// Do issues a tracked call.
+func (c *Client) Do(call query.Call, done func(Result)) {
+	c.next++
+	qid := c.next
+	p := &pending{call: call, start: c.mux.sim.Now(), done: done}
+	c.out[qid] = p
+	c.send(qid, p)
+}
+
 // Read issues a tracked read.
 func (c *Client) Read(k kv.Key, done func(Result)) {
-	c.issue(&pending{op: kv.OpRead, key: k, done: done})
+	c.Do(query.Call{Op: kv.OpRead, Key: k}, done)
 }
 
 // Write issues a tracked write.
 func (c *Client) Write(k kv.Key, v kv.Value, done func(Result)) {
-	c.issue(&pending{op: kv.OpWrite, key: k, value: v, done: done})
+	c.Do(query.Call{Op: kv.OpWrite, Key: k, Value: v}, done)
 }
 
 // Delete issues a tracked tombstone write.
 func (c *Client) Delete(k kv.Key, done func(Result)) {
-	c.issue(&pending{op: kv.OpDelete, key: k, done: done})
+	c.Do(query.Call{Op: kv.OpDelete, Key: k}, done)
 }
 
 // CAS issues a tracked compare-and-swap (§8.5 locks): newValue replaces
 // the stored value iff its owner field equals expect.
 func (c *Client) CAS(k kv.Key, expect uint64, newValue kv.Value, done func(Result)) {
-	c.issue(&pending{op: kv.OpCAS, key: k, value: newValue, expect: expect, done: done})
-}
-
-func (c *Client) issue(p *pending) {
-	c.next++
-	qid := c.next
-	p.start = c.mux.sim.Now()
-	c.out[qid] = p
-	c.send(qid, p)
+	c.Do(query.Call{Op: kv.OpCAS, Key: k, Expect: expect, Value: newValue}, done)
 }
 
 func (c *Client) send(qid uint64, p *pending) {
-	rt := c.dir(p.key)
-	var f *packet.Frame
-	var err error
-	switch p.op {
-	case kv.OpRead:
-		f, err = query.NewRead(c.ep, qid, rt, p.key)
-	case kv.OpWrite:
-		f, err = query.NewWrite(c.ep, qid, rt, p.key, p.value)
-	case kv.OpDelete:
-		f, err = query.NewDelete(c.ep, qid, rt, p.key)
-	case kv.OpCAS:
-		f, err = query.NewCAS(c.ep, qid, rt, p.key, p.expect, p.value)
-	default:
-		err = fmt.Errorf("simclient: unsupported op %v", p.op)
-	}
+	f, err := p.call.Frame(c.ep, qid, c.dir(p.call.Key))
 	if err != nil {
 		delete(c.out, qid)
-		p.done(Result{Err: err, Latency: c.mux.sim.Now() - p.start})
+		p.done(Result{Err: err, Latency: c.mux.sim.Now() - p.start, call: p.call})
 		return
 	}
 	p.timer++
@@ -233,7 +213,7 @@ func (c *Client) timeout(qid uint64, gen uint64) {
 	if p.retries >= c.cfg.MaxRetries {
 		delete(c.out, qid)
 		c.Timeouts++
-		p.done(Result{Err: kv.ErrTimeout, Latency: c.mux.sim.Now() - p.start, Retries: p.retries})
+		p.done(Result{Err: kv.ErrTimeout, Latency: c.mux.sim.Now() - p.start, Retries: p.retries, call: p.call})
 		return
 	}
 	p.retries++
@@ -250,43 +230,20 @@ func (c *Client) recv(f *packet.Frame) {
 		return // duplicate reply after retry
 	}
 	delete(c.out, rep.QueryID)
-	status := rep.Status
-	assumed := false
-	if status == kv.StatusCASFail && p.op == kv.OpCAS && c.cfg.AssumeUniqueOwners {
-		// The stored owner IS the owner this CAS proposed: the client
-		// owns the lock — either this swap applied and the CASFail
-		// belongs to a duplicate/retry that lost the race, or a previous
-		// swap by this client still holds. Report success for the
-		// application (ownership is a fact) but flag it as assumed (see
-		// Result.AssumedApplied).
-		if prop := ownerOf(p.value); prop != 0 && prop != p.expect && ownerOf(rep.Value) == prop {
-			status = kv.StatusOK
-			assumed = true
-		}
-	}
 	// RX stack delay before the application sees it.
 	c.mux.sim.After(c.cfg.HostDelay, func() {
 		lat := c.mux.sim.Now() - p.start
 		c.Latency.Observe(float64(lat))
-		c.Completed[status]++
+		c.Completed[rep.Status]++
 		p.done(Result{
-			Status:         status,
-			Value:          rep.Value,
-			Version:        rep.Version,
-			Latency:        lat,
-			Retries:        p.retries,
-			AssumedApplied: assumed,
+			Status:  rep.Status,
+			Value:   rep.Value,
+			Version: rep.Version,
+			Latency: lat,
+			Retries: p.retries,
+			call:    p.call,
 		})
 	})
-}
-
-// ownerOf extracts the 8-byte big-endian owner field of a stored value (0
-// when absent) — the field the dataplane's CAS compares (§8.5).
-func ownerOf(v kv.Value) uint64 {
-	if len(v) < 8 {
-		return 0
-	}
-	return binary.BigEndian.Uint64(v[:8])
 }
 
 // Outstanding returns the number of in-flight tracked queries.

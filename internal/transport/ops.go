@@ -12,174 +12,112 @@ import (
 // controller's RPC service; static for fixed deployments).
 type Directory func(k kv.Key) (query.Route, error)
 
-// Ops binds a Client to a Directory, providing the blocking key-value API
-// the NetChain agent exposes to applications (§3).
+// Ops binds a Client to a Directory, providing the key-value API the
+// NetChain agent exposes to applications (§3). Every method is a thin
+// wrapper over Do/DoAsync: query.Call builds the frames and reads the
+// replies, exactly as it does for the simulator's clients.
 type Ops struct {
 	Client *Client
 	Dir    Directory
 }
 
-func (o *Ops) endpoint() query.Endpoint {
-	a, p := o.Client.Endpoint()
-	return query.Endpoint{Addr: a, Port: p}
+// DoAsync issues one pipelined call. done runs on the client's receive or
+// timer goroutine and must not block; use the client's Window for
+// backpressure.
+func (o *Ops) DoAsync(c query.Call, done func(query.Outcome, error)) {
+	if o.Dir == nil {
+		done(query.Outcome{}, fmt.Errorf("transport: no directory configured"))
+		return
+	}
+	o.Client.Submit(func(qid uint64) (*packet.Frame, error) {
+		rt, err := o.Dir(c.Key) // fresh per attempt: retries pick up new chains
+		if err != nil {
+			return nil, err
+		}
+		a, p := o.Client.Endpoint()
+		return c.Frame(query.Endpoint{Addr: a, Port: p}, qid, rt)
+	}, func(f *packet.Frame, err error) {
+		if err != nil {
+			done(query.Outcome{}, err)
+			return
+		}
+		// f aliases the receive buffer; ParseReply clones the value out.
+		rep, err := query.ParseReply(f)
+		if err != nil {
+			done(query.Outcome{}, err)
+			return
+		}
+		done(c.Outcome(rep))
+	})
+}
+
+// Do issues one call and blocks until it resolves.
+func (o *Ops) Do(c query.Call) (query.Outcome, error) {
+	type result struct {
+		out query.Outcome
+		err error
+	}
+	ch := make(chan result, 1)
+	o.DoAsync(c, func(out query.Outcome, err error) { ch <- result{out, err} })
+	r := <-ch
+	return r.out, r.err
 }
 
 // Read returns the value and version of key k.
 func (o *Ops) Read(k kv.Key) (kv.Value, kv.Version, error) {
-	rep, err := o.roundTrip(k, func(ep query.Endpoint, qid uint64, rt query.Route) (*packet.Frame, error) {
-		return query.NewRead(ep, qid, rt, k)
-	})
-	if err != nil {
-		return nil, kv.Version{}, err
-	}
-	return rep.Value, rep.Version, rep.Status.Err()
+	out, err := o.Do(query.Call{Op: kv.OpRead, Key: k})
+	return out.Value, out.Version, err
 }
 
 // Write stores value under key k.
 func (o *Ops) Write(k kv.Key, v kv.Value) (kv.Version, error) {
-	rep, err := o.roundTrip(k, func(ep query.Endpoint, qid uint64, rt query.Route) (*packet.Frame, error) {
-		return query.NewWrite(ep, qid, rt, k, v)
-	})
-	if err != nil {
-		return kv.Version{}, err
-	}
-	return rep.Version, rep.Status.Err()
+	out, err := o.Do(query.Call{Op: kv.OpWrite, Key: k, Value: v})
+	return out.Version, err
 }
 
 // Delete tombstones key k (the controller garbage-collects later, §4.1).
 func (o *Ops) Delete(k kv.Key) error {
-	rep, err := o.roundTrip(k, func(ep query.Endpoint, qid uint64, rt query.Route) (*packet.Frame, error) {
-		return query.NewDelete(ep, qid, rt, k)
-	})
-	if err != nil {
-		return err
-	}
-	return rep.Status.Err()
+	_, err := o.Do(query.Call{Op: kv.OpDelete, Key: k})
+	return err
 }
 
 // CAS applies newValue iff the stored owner equals expect; it returns the
 // stored value on failure so lock retries stay benign (§8.5, §4.3).
 func (o *Ops) CAS(k kv.Key, expect uint64, newValue kv.Value) (swapped bool, stored kv.Value, err error) {
-	rep, err := o.roundTrip(k, func(ep query.Endpoint, qid uint64, rt query.Route) (*packet.Frame, error) {
-		return query.NewCAS(ep, qid, rt, k, expect, newValue)
-	})
-	if err != nil {
-		return false, nil, err
-	}
-	switch rep.Status {
-	case kv.StatusOK:
-		return true, rep.Value, nil
-	case kv.StatusCASFail:
-		return false, rep.Value, nil
-	default:
-		return false, nil, rep.Status.Err()
-	}
+	out, err := o.Do(query.Call{Op: kv.OpCAS, Key: k, Expect: expect, Value: newValue})
+	return out.Swapped, out.Value, err
 }
 
 // Acquire takes an exclusive lock for owner; ok reports success. A lost
 // reply followed by a retry that sees our own ownership counts as success.
 func (o *Ops) Acquire(lock kv.Key, owner uint64) (bool, error) {
-	swapped, stored, err := o.CAS(lock, 0, query.OwnerValue(owner, nil))
-	if err != nil {
-		return false, err
-	}
-	return swapped || query.Owner(stored) == owner, nil
+	out, err := o.Do(query.Acquire(lock, owner))
+	return out.Landed, err
 }
 
 // Release returns the lock held by owner.
 func (o *Ops) Release(lock kv.Key, owner uint64) (bool, error) {
-	swapped, stored, err := o.CAS(lock, owner, query.OwnerValue(0, nil))
-	if err != nil {
-		return false, err
-	}
-	return swapped || query.Owner(stored) == 0, nil
+	out, err := o.Do(query.Release(lock, owner))
+	return out.Landed, err
 }
 
-func (o *Ops) roundTrip(k kv.Key,
-	build func(ep query.Endpoint, qid uint64, rt query.Route) (*packet.Frame, error)) (query.Reply, error) {
-	type result struct {
-		rep query.Reply
-		err error
-	}
-	ch := make(chan result, 1)
-	o.submit(k, build, func(rep query.Reply, err error) { ch <- result{rep, err} })
-	r := <-ch
-	return r.rep, r.err
-}
-
-// ReadAsync issues a pipelined read. done runs on the client's receive
-// goroutine and must not block; use the client's Window for backpressure.
+// ReadAsync issues a pipelined read; see DoAsync for the contract.
 func (o *Ops) ReadAsync(k kv.Key, done func(kv.Value, kv.Version, error)) {
-	o.submit(k, func(ep query.Endpoint, qid uint64, rt query.Route) (*packet.Frame, error) {
-		return query.NewRead(ep, qid, rt, k)
-	}, func(rep query.Reply, err error) {
-		if err == nil {
-			err = rep.Status.Err()
-		}
-		if err != nil {
-			done(nil, kv.Version{}, err)
-			return
-		}
-		done(rep.Value, rep.Version, nil)
+	o.DoAsync(query.Call{Op: kv.OpRead, Key: k}, func(out query.Outcome, err error) {
+		done(out.Value, out.Version, err)
 	})
 }
 
 // WriteAsync issues a pipelined write; done receives the committed version.
 func (o *Ops) WriteAsync(k kv.Key, v kv.Value, done func(kv.Version, error)) {
-	o.submit(k, func(ep query.Endpoint, qid uint64, rt query.Route) (*packet.Frame, error) {
-		return query.NewWrite(ep, qid, rt, k, v)
-	}, func(rep query.Reply, err error) {
-		if err == nil {
-			err = rep.Status.Err()
-		}
-		if err != nil {
-			done(kv.Version{}, err)
-			return
-		}
-		done(rep.Version, nil)
+	o.DoAsync(query.Call{Op: kv.OpWrite, Key: k, Value: v}, func(out query.Outcome, err error) {
+		done(out.Version, err)
 	})
 }
 
 // CASAsync issues a pipelined compare-and-swap; see CAS for the contract.
 func (o *Ops) CASAsync(k kv.Key, expect uint64, newValue kv.Value,
 	done func(swapped bool, stored kv.Value, err error)) {
-	o.submit(k, func(ep query.Endpoint, qid uint64, rt query.Route) (*packet.Frame, error) {
-		return query.NewCAS(ep, qid, rt, k, expect, newValue)
-	}, func(rep query.Reply, err error) {
-		if err != nil {
-			done(false, nil, err)
-			return
-		}
-		switch rep.Status {
-		case kv.StatusOK:
-			done(true, rep.Value, nil)
-		case kv.StatusCASFail:
-			done(false, rep.Value, nil)
-		default:
-			done(false, nil, rep.Status.Err())
-		}
-	})
-}
-
-func (o *Ops) submit(k kv.Key,
-	build func(ep query.Endpoint, qid uint64, rt query.Route) (*packet.Frame, error),
-	done func(query.Reply, error)) {
-	if o.Dir == nil {
-		done(query.Reply{}, fmt.Errorf("transport: no directory configured"))
-		return
-	}
-	o.Client.Submit(func(qid uint64) (*packet.Frame, error) {
-		rt, err := o.Dir(k) // fresh per attempt: retries pick up new chains
-		if err != nil {
-			return nil, err
-		}
-		return build(o.endpoint(), qid, rt)
-	}, func(f *packet.Frame, err error) {
-		if err != nil {
-			done(query.Reply{}, err)
-			return
-		}
-		// f aliases the receive buffer; ParseReply clones the value out.
-		done(query.ParseReply(f))
-	})
+	o.DoAsync(query.Call{Op: kv.OpCAS, Key: k, Expect: expect, Value: newValue},
+		func(out query.Outcome, err error) { done(out.Swapped, out.Value, err) })
 }

@@ -588,13 +588,20 @@ func (n *SwitchNode) StartHeartbeats(monitor packet.Addr, every time.Duration) e
 // ingestLoop owns one socket: it drains whole datagram batches per
 // syscall into its ring, decodes every frame batched inside each
 // datagram, and splits the work — mutating ops detach into pooled frames
-// and shard onto workers by key hash (per-key FIFO through one worker),
-// while reads, replies and transit frames are processed inline, zero-copy
-// off the ring (the seqlock snapshot, not arrival order, linearizes
-// reads — and a client only issues a read-after-write once the write's
-// tail ack arrived, by which point the value is committed). Inline output
-// leaves through this socket's own batched sender, so a read's whole
-// lifetime is two amortized syscalls and no channel hops.
+// and shard onto workers by key hash, while reads, replies and transit
+// frames are processed inline, zero-copy off the ring (the seqlock
+// snapshot, not arrival order, linearizes reads — and a client only issues
+// a read-after-write once the write's tail ack arrived, by which point the
+// value is committed). Inline output leaves through this socket's own
+// batched sender, so a read's whole lifetime is two amortized syscalls and
+// no channel hops.
+//
+// The pool exists for stamp→egress order per key across sockets: one
+// worker per key stamps and queues for egress in one step. Inline on the
+// ingest goroutines, two clients' writes to a key can be stamped n, n+1 and
+// reach the next hop as n+1, n — the replica stale-drops n and its client
+// waits out a retry (978 of 80 000 writes with 4 sockets, none with the
+// pool; TestCrossSocketWritesKeepStampOrder).
 //
 // Only a closed socket ends the loop; any other read error — an ICMP
 // refusal surfacing from a dead client, a transient ENOBUFS — is counted
@@ -729,49 +736,19 @@ func (n *SwitchNode) sendLoop() {
 	}
 }
 
-// handle runs the dataplane on a frame, looping through local processing
-// when egress rules retarget the frame at this very switch (the "N
-// overlaps with S0" case of §5.1). Output frames are serialized and
-// passed to emit while the frame's value may still alias dataplane
-// storage, matching the pre-pipeline ordering.
+// handle runs the dataplane's per-frame driver (core.Switch.Handle) on a
+// frame and puts what it forwards on the wire. Output frames are
+// serialized and passed to emit while the frame's value may still alias
+// dataplane storage, matching the pre-pipeline ordering.
 func (n *SwitchNode) handle(f *packet.Frame, emit func(outFrame)) {
-	origOp := f.NC.Op
-	if f.IP.Dst == n.sw.Addr() && f.UDP.DstPort == packet.Port {
-		if d, _ := n.sw.ProcessLocal(f); d == core.Drop {
-			return
-		}
-	} else if f.IP.Dst != n.sw.Addr() {
-		n.sw.Transit(f)
-	} else {
+	v, commit := n.sw.Handle(f)
+	if v != core.VerdictForward {
 		return
 	}
-	if f.IP.TTL == 0 {
-		return
-	}
-	f.IP.TTL--
-	for hop := 0; hop < packet.MaxChainHops+1; hop++ {
-		if d := n.sw.ApplyEgressRules(f); d == core.Drop {
-			return
-		}
-		if f.IP.Dst != n.sw.Addr() {
-			break
-		}
-		if f.UDP.DstPort != packet.Port {
-			return
-		}
-		if d, _ := n.sw.ProcessLocal(f); d == core.Drop {
-			return
-		}
-	}
-	// Commit point of the push-watch pipeline: this node just turned a
-	// write-family query into an OK reply, i.e. it acted as the chain
-	// tail for an applied mutation. Publish one event frame toward the
-	// relay sink on the same batched egress the reply takes. Replayed
-	// duplicates re-ack here too; the relay and subscribers suppress them
-	// by version.
-	if sink := n.evtSink.Load(); sink != nil && f.NC.Op == kv.OpReply &&
-		f.NC.Status == kv.StatusOK && origOp.IsMutation() {
-		n.emitEvent(f, origOp, sink, emit)
+	// Commit point of the push-watch pipeline: publish one event frame
+	// toward the relay sink on the same batched egress the reply takes.
+	if sink := n.evtSink.Load(); sink != nil && commit.IsMutation() {
+		n.emitEvent(f, commit, sink, emit)
 	}
 	ep, ok := n.book.Get(f.IP.Dst)
 	if !ok {
@@ -1426,7 +1403,7 @@ func (cl *call) expire() {
 	}
 	if cl.attempt >= c.retries {
 		c.timeouts.Add(1)
-		c.finish(cl, nil, errTimeout)
+		c.finish(cl, nil, kv.ErrTimeout)
 		return
 	}
 	cl.attempt++
@@ -1435,8 +1412,6 @@ func (cl *call) expire() {
 		c.finish(cl, nil, err)
 	}
 }
-
-var errTimeout = errors.New("transport: query timed out")
 
 // Endpoint returns the client identity used in frames.
 func (c *Client) Endpoint() (packet.Addr, uint16) { return c.addr, c.port }

@@ -11,6 +11,7 @@ import (
 	"netchain/internal/kv"
 	"netchain/internal/netsim"
 	"netchain/internal/packet"
+	"netchain/internal/query"
 	"netchain/internal/simclient"
 )
 
@@ -342,64 +343,43 @@ func (s *SimCluster) NewClient(h int) (*SimClient, error) {
 	return &SimClient{s: s, c: c, mux: s.d.Muxes[h]}, nil
 }
 
-func (sc *SimClient) run(issue func(done func(simclient.Result))) (simclient.Result, error) {
+// do issues one call and steps the simulator until the reply (or timeout)
+// resolves it, rather than draining the simulator (see runUntil). Left-over
+// retry timers are generation-guarded no-ops; they fire during later calls
+// or RunFor. The result is read exactly as the wire client's Ops reads it.
+func (sc *SimClient) do(call query.Call) (query.Outcome, error) {
 	var res simclient.Result
 	got := false
-	issue(func(r simclient.Result) { res = r; got = true })
-	// Step until the query resolves rather than draining the simulator
-	// (see runUntil). Left-over retry timers are generation-guarded
-	// no-ops; they fire during later calls or RunFor.
+	sc.c.Do(call, func(r simclient.Result) { res = r; got = true })
 	sc.s.runUntil(func() bool { return got })
 	if !got {
-		return res, ErrTimeout
+		return query.Outcome{}, ErrTimeout
 	}
-	if res.Err != nil {
-		return res, res.Err
-	}
-	return res, nil
+	return res.Outcome()
 }
 
 // Read returns the value and version of k.
 func (sc *SimClient) Read(k Key) (Value, Version, error) {
-	res, err := sc.run(func(done func(simclient.Result)) { sc.c.Read(k, done) })
-	if err != nil {
-		return nil, Version{}, err
-	}
-	return res.Value, res.Version, res.Status.Err()
+	out, err := sc.do(query.Call{Op: kv.OpRead, Key: k})
+	return out.Value, out.Version, err
 }
 
 // Write stores v under k.
 func (sc *SimClient) Write(k Key, v Value) (Version, error) {
-	res, err := sc.run(func(done func(simclient.Result)) { sc.c.Write(k, v, done) })
-	if err != nil {
-		return Version{}, err
-	}
-	return res.Version, res.Status.Err()
+	out, err := sc.do(query.Call{Op: kv.OpWrite, Key: k, Value: v})
+	return out.Version, err
 }
 
 // Delete tombstones k.
 func (sc *SimClient) Delete(k Key) error {
-	res, err := sc.run(func(done func(simclient.Result)) { sc.c.Delete(k, done) })
-	if err != nil {
-		return err
-	}
-	return res.Status.Err()
+	_, err := sc.do(query.Call{Op: kv.OpDelete, Key: k})
+	return err
 }
 
 // CAS swaps iff the stored owner equals expect.
 func (sc *SimClient) CAS(k Key, expect uint64, newValue Value) (bool, Value, error) {
-	res, err := sc.run(func(done func(simclient.Result)) { sc.c.CAS(k, expect, newValue, done) })
-	if err != nil {
-		return false, nil, err
-	}
-	switch res.Status {
-	case kv.StatusOK:
-		return true, res.Value, nil
-	case kv.StatusCASFail:
-		return false, res.Value, nil
-	default:
-		return false, nil, res.Status.Err()
-	}
+	out, err := sc.do(query.Call{Op: kv.OpCAS, Key: k, Expect: expect, Value: newValue})
+	return out.Swapped, out.Value, err
 }
 
 // Latency returns the observed query latency distribution summary — with

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"netchain/internal/event"
 	"netchain/internal/kv"
 	"netchain/internal/packet"
@@ -50,7 +51,7 @@ func ChainMessagesPerWrite() (float64, error) {
 	d.TB.Net.Inject(d.TB.Hosts[0], f)
 	d.Sim.RunFor(event.Duration(1e9))
 	if got != 1 {
-		return 0, kv.ErrTimeout
+		return 0, fmt.Errorf("experiments: write produced %d replies, want 1", got)
 	}
 	// Protocol messages = chain length + 1 (§2.2): client→S0, S0→S1,
 	// S1→S2, S2→client.

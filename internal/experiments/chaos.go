@@ -392,7 +392,12 @@ func RunChaos(o ChaosOpts) (*ChaosResult, error) {
 		clients = append(clients, client)
 		cc := load.client(o.Seed, c)
 		issue := func(call query.Call, done func(query.Outcome, error)) {
-			client.Do(call, func(res simclient.Result) { done(res.Outcome()) })
+			load.issued()
+			client.Do(call, func(res simclient.Result) {
+				out, err := res.Outcome()
+				load.returned(err)
+				done(out, err)
+			})
 		}
 		d.Sim.After(event.Time(c)*1000, func() { cc.drive(issue, now, think) })
 	}
@@ -465,8 +470,14 @@ func RunChaos(o ChaosOpts) (*ChaosResult, error) {
 		res.tallyRepairs(sc, tg.fail, time.Duration(sc.faultAt), d.Ctl)
 	}
 
+	var cores []query.Stats
+	inFlight := 0
 	for _, c := range clients {
-		res.Timeouts += c.Timeouts
+		cores = append(cores, c.Stats())
+		inFlight += c.Outstanding()
+	}
+	if err := load.reconcile(&res.ChaosReport, inFlight, cores); err != nil {
+		return nil, err
 	}
 	res.Net = d.Net.Stats()
 	for _, sa := range d.SwitchAddrs() {
@@ -490,8 +501,7 @@ func RunChaos(o ChaosOpts) (*ChaosResult, error) {
 
 // Format renders the result for benchrunner output.
 func (r *ChaosResult) Format() string {
-	body := fmt.Sprintf("history: %d ops (%d unknown, %d timeouts), ended t=%v\n",
-		r.Ops, r.Unknowns, r.Timeouts, r.HistoryEnd)
+	body := fmt.Sprintf("history: %d ops (%d unknown), ended t=%v\n%s", r.Ops, r.Unknowns, r.HistoryEnd, r.clientLine())
 	if r.FailoverDone > 0 {
 		body += fmt.Sprintf("failover done t=%v; recovery done t=%v\n", r.FailoverDone, r.RecoveryDone)
 	}

@@ -46,7 +46,7 @@ func TestChaosFullNemesisLinearizable(t *testing.T) {
 		t.Error("dataplane never replayed a duplicate write — dedup guard unexercised")
 	}
 	t.Logf("ops=%d unknowns=%d timeouts=%d replayed=%d net=%+v",
-		res.Ops, res.Unknowns, res.Timeouts, res.Replayed, res.Net)
+		res.Ops, res.Unknowns, res.Client.Timeouts, res.Replayed, res.Net)
 
 	// Determinism: identical seed, identical everything.
 	again, err := RunChaos(opts)
@@ -90,7 +90,7 @@ func TestChaosSchedulesLinearizable(t *testing.T) {
 			if res.Ops < 300 {
 				t.Fatalf("history too thin: %d ops", res.Ops)
 			}
-			t.Logf("ops=%d unknowns=%d timeouts=%d net=%+v", res.Ops, res.Unknowns, res.Timeouts, res.Net)
+			t.Logf("ops=%d unknowns=%d timeouts=%d net=%+v", res.Ops, res.Unknowns, res.Client.Timeouts, res.Net)
 		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"netchain/internal/controller"
@@ -16,6 +17,7 @@ import (
 	"netchain/internal/lincheck"
 	"netchain/internal/packet"
 	"netchain/internal/query"
+	"netchain/internal/transport"
 )
 
 // chaosLoad is the one workload both chaos harnesses run: register keys plus
@@ -34,6 +36,12 @@ type chaosLoad struct {
 	mu      sync.Mutex // wire clients record concurrently
 	history []lincheck.Op
 	err     error // first harness failure
+
+	// The workload's own ledger of the calls it handed to clients, kept apart
+	// from the clients' counters so reconcile can hold one against the other.
+	// Timed-out calls are deliberately not tallied here: that count is the
+	// retry core's to get right.
+	submitted, acked, closed atomic.Uint64
 }
 
 func newChaosLoad(registers, opsPerClient int) *chaosLoad {
@@ -67,6 +75,52 @@ func (l *chaosLoad) fail(err error) {
 	if l.err == nil {
 		l.err = err
 	}
+}
+
+func (l *chaosLoad) issued() { l.submitted.Add(1) }
+
+func (l *chaosLoad) returned(err error) {
+	switch {
+	case errors.Is(err, kv.ErrTimeout):
+	case errors.Is(err, transport.ErrClosed):
+		l.closed.Add(1)
+	default:
+		l.acked.Add(1) // a reply arrived, whatever its status said
+	}
+}
+
+// counted wraps a blocking client entry so its calls pass through the ledger.
+func (l *chaosLoad) counted(do func(query.Call) (query.Outcome, error)) func(query.Call) (query.Outcome, error) {
+	return func(c query.Call) (query.Outcome, error) {
+		l.issued()
+		out, err := do(c)
+		l.returned(err)
+		return out, err
+	}
+}
+
+// reconcile closes the client-side books once the run is over (ROADMAP
+// 5(b)): every call the workload submitted was acknowledged, timed out,
+// failed by Close or is still in flight, and every attempt the clients sent
+// is a first send or a counted retry. clients are the retry cores' counters,
+// summed into r.Client.
+func (l *chaosLoad) reconcile(r *ChaosReport, inFlight int, clients []query.Stats) error {
+	for _, st := range clients {
+		r.Client.Sent += st.Sent
+		r.Client.Retries += st.Retries
+		r.Client.Timeouts += st.Timeouts
+		r.Client.Late += st.Late
+	}
+	sub, ack, closed := l.submitted.Load(), l.acked.Load(), l.closed.Load()
+	if sub != ack+r.Client.Timeouts+closed+uint64(inFlight) {
+		return fmt.Errorf("experiments: client calls not conserved: submitted %d != acked %d + timed out %d + closed %d + in flight %d",
+			sub, ack, r.Client.Timeouts, closed, inFlight)
+	}
+	if r.Client.Sent != sub+r.Client.Retries {
+		return fmt.Errorf("experiments: client sends not conserved: sent %d != submitted %d + retries %d",
+			r.Client.Sent, sub, r.Client.Retries)
+	}
+	return nil
 }
 
 // chaosClient is one client's op stream and lock bookkeeping.
@@ -212,7 +266,7 @@ type ChaosReport struct {
 	Ops        int           // operations in the recorded history
 	Unknowns   int           // ops whose outcome the client never learned
 	HistoryEnd time.Duration // the last response in the history
-	Timeouts   uint64        // ops that exhausted retries
+	Client     query.Stats   // the clients' retry cores, summed: sent, retries, timeouts, late replies
 
 	// FailStopInjected reports whether the schedule kills a switch (so
 	// callers can tell a legitimate eviction from a false one).
@@ -256,6 +310,12 @@ func (r *ChaosReport) writeHistory(w io.Writer) {
 			op.Client, op.Kind, op.Key, op.Input, op.Output, op.OK, op.Found,
 			op.Unknown, op.Invoke, op.Return)
 	}
+}
+
+// clientLine renders the clients' retry-core counters.
+func (r *ChaosReport) clientLine() string {
+	return fmt.Sprintf("clients: %d attempts sent, %d retries, %d timeouts, %d late replies\n",
+		r.Client.Sent, r.Client.Retries, r.Client.Timeouts, r.Client.Late)
 }
 
 // dump is the failure artifact: header, tally, then the history.

@@ -92,9 +92,7 @@ type RealChaosResult struct {
 	// Wire runs are always hands-free: the report's repairs are all the
 	// autopilot's.
 	ChaosReport
-	Seed    int64
-	Sent    uint64 // datagrams clients handed to their sockets (incl. retries)
-	Retries uint64 // retransmitted attempts across clients
+	Seed int64
 
 	Inj faultconn.Stats // what the wire nemesis did
 
@@ -339,11 +337,14 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 	// Preload: slots through the controller (they land on every chain
 	// member via the wire agents), values through a real client.
 	load := newChaosLoad(o.Registers, o.OpsPerClient)
+	// Client 0 also carries the preload and the watcher's resync reads; they
+	// pass through the workload's ledger like every other call.
+	do0 := load.counted(rc.ops[0].Do)
 	err = load.preload(func(k kv.Key, val kv.Value) error {
 		if _, err := rc.ctl.Insert(k); err != nil {
 			return err
 		}
-		_, err := rc.ops[0].Write(k, val)
+		_, err := do0(query.Call{Op: kv.OpWrite, Key: k, Value: val})
 		return err
 	})
 	if err != nil {
@@ -388,12 +389,12 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 	}()
 	readDirty := func() {
 		for _, k := range sub.TakeDirty() {
-			v, ver, rerr := rc.ops[0].Read(k)
+			out, rerr := do0(query.Call{Op: kv.OpRead, Key: k})
 			switch {
 			case rerr == nil:
-				sub.ApplyRead(k, true, v, ver)
+				sub.ApplyRead(k, true, out.Value, out.Version)
 			case errors.Is(rerr, kv.ErrNotFound):
-				sub.ApplyRead(k, false, nil, ver)
+				sub.ApplyRead(k, false, nil, out.Version)
 			default:
 				sub.MarkDirty(k)
 			}
@@ -440,7 +441,7 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 		wg.Add(1)
 		go func(cid int) {
 			defer wg.Done()
-			load.client(o.Seed, cid).loop(rc.ops[cid].Do, now, func() { time.Sleep(o.Pause) })
+			load.client(o.Seed, cid).loop(load.counted(rc.ops[cid].Do), now, func() { time.Sleep(o.Pause) })
 		}(c)
 	}
 	wg.Wait()
@@ -483,7 +484,8 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 	time.Sleep(50 * time.Millisecond)
 	res.WatchConverged = true
 	for _, k := range watchKeys {
-		_, ver, rerr := rc.ops[0].Read(k)
+		out, rerr := do0(query.Call{Op: kv.OpRead, Key: k})
+		ver := out.Version
 		if rerr != nil {
 			res.WatchConverged = false
 			continue
@@ -512,11 +514,14 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 	res.Health = rc.det.Snapshot(rc.mon.Now())
 	res.tallyRepairs(sc, tg.fail, schedStart+time.Duration(float64(sc.faultAt)*o.TimeScale), rc.ctl)
 
+	var cores []query.Stats
+	inFlight := 0
 	for _, ops := range rc.ops {
-		st := ops.Client.Stats()
-		res.Timeouts += st.Timeouts
-		res.Sent += st.Sent
-		res.Retries += st.Retries
+		cores = append(cores, ops.Client.Stats().Stats)
+		inFlight += ops.Client.InFlight()
+	}
+	if err := load.reconcile(&res.ChaosReport, inFlight, cores); err != nil {
+		return nil, err
 	}
 	res.Inj = rc.inj.Stats()
 	res.NemesisLog = rc.inj.Log()
@@ -529,8 +534,7 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 
 // Format renders the result for benchrunner output.
 func (r *RealChaosResult) Format() string {
-	body := fmt.Sprintf("history: %d ops (%d unknown, %d timeouts); %d datagrams sent, %d retries\n",
-		r.Ops, r.Unknowns, r.Timeouts, r.Sent, r.Retries)
+	body := fmt.Sprintf("history: %d ops (%d unknown)\n%s", r.Ops, r.Unknowns, r.clientLine())
 	body += fmt.Sprintf("nemesis: %d chaos drops, %d burst drops, %d partition drops, %d gray drops, "+
 		"%d fail drops, %d delayed, %d dups, %d reordered, %d gray stalls\n",
 		r.Inj.ChaosDrops, r.Inj.BurstDrops, r.Inj.PartitionDrops, r.Inj.GrayDrops,

@@ -6,7 +6,10 @@
 // and carry the reverse list, consumed only by failover rules (§4.2). Its
 // Outcome method interprets the reply: status to error, the CAS verdict,
 // and the §8.5 "the stored owner is me" rule that keeps lock retries
-// benign. internal/simclient and transport.Ops both go through it.
+// benign. Pending (pending.go) is the engine under both: the table of calls
+// in flight, their query ids, retransmission with backoff and give-up, fed
+// time by its driver. internal/simclient and transport's Client and Ops all
+// go through this package.
 package query
 
 import (

@@ -10,11 +10,6 @@ import (
 	"netchain/internal/stats"
 )
 
-// purgeEvery bounds how many sends may pass between sweeps of the
-// outstanding table when the window is unbounded, so entries for lost
-// packets cannot accumulate without bound.
-const purgeEvery = 4096
-
 // Generator is an open-loop traffic source: arrivals fire at a fixed rate
 // without waiting for replies — the DPDK client servers of §8.1 that pump
 // 20.5 MQPS regardless of outcomes (lost queries are simply retried as new
@@ -34,9 +29,11 @@ type Generator struct {
 	nextAt   float64
 	seq      uint64
 
-	window  int
-	timeout event.Time
-	out     map[uint64]event.Time // qid -> send time of outstanding queries
+	window int
+	// out is the retry core with zero retries: an open-loop source sheds a
+	// lost query when it ages out rather than retransmitting it (§4.3
+	// retries show up as fresh arrivals).
+	out *query.Pending[struct{}]
 
 	// Results.
 	Sent       uint64
@@ -51,25 +48,18 @@ type Generator struct {
 // next produces the n-th query.
 func (m *Mux) NewGenerator(cfg Config, dir Directory,
 	next func(n uint64) (kv.Op, kv.Key, kv.Value)) *Generator {
-	port := m.nextPort
-	m.nextPort++
-	timeout := cfg.Timeout
-	if timeout == 0 {
-		timeout = DefaultConfig().Timeout
-	}
 	g := &Generator{
 		mux:       m,
 		dir:       dir,
 		next:      next,
-		ep:        query.Endpoint{Addr: m.addr, Port: port},
 		window:    cfg.Window,
-		timeout:   timeout,
-		out:       make(map[uint64]event.Time),
+		out:       query.NewPending[struct{}](time.Duration(cfg.Timeout), 0, 0), // no retries: the jitter seed is never drawn from
 		Done:      make(map[kv.Status]uint64),
 		Latency:   stats.NewLatencyHistogram(),
 		hostDelay: cfg.HostDelay,
 	}
-	m.sinks[port] = g.recv
+	g.ep.Addr = m.addr
+	g.ep.Port, _ = m.Sink(g.recv)
 	return g
 }
 
@@ -87,10 +77,6 @@ func (g *Generator) Start(rate float64) {
 // Stop halts the send loop; in-flight replies still count.
 func (g *Generator) Stop() { g.running = false }
 
-// Outstanding returns the number of queries awaiting a reply (lost ones
-// age out after the timeout).
-func (g *Generator) Outstanding() int { return len(g.out) }
-
 func (g *Generator) pump() {
 	if !g.running {
 		return
@@ -105,37 +91,34 @@ func (g *Generator) pump() {
 }
 
 func (g *Generator) sendOne() {
-	if g.window > 0 && len(g.out) >= g.window {
-		g.expire()
-		if len(g.out) >= g.window {
+	// The table is aged lazily, only where a stale entry would matter: when
+	// it makes the window look full, and every few thousand sends when
+	// nothing bounds the window, so lost packets cannot pile up forever.
+	// Until then a slow reply still counts — rate-scaled runs serialize a
+	// packet for longer than the timeout.
+	now := time.Duration(g.mux.sim.Now())
+	if g.window > 0 && g.out.InFlight() >= g.window {
+		g.out.OnTick(now)
+		if g.out.InFlight() >= g.window {
 			g.Suppressed++
 			return
 		}
-	} else if g.window == 0 && g.seq%purgeEvery == purgeEvery-1 {
-		g.expire()
+	} else if g.window == 0 && g.seq%4096 == 4095 {
+		g.out.OnTick(now)
 	}
 	op, key, value := g.next(g.seq)
 	g.seq++
-	qid := g.seq // 1-based, unique per arrival
-	f, err := query.Call{Op: op, Key: key, Value: value}.Frame(g.ep, qid, g.dir(key))
+	qid, err := g.out.Submit(struct{}{}, now)
 	if err != nil {
 		return
 	}
-	g.Sent++
-	g.out[qid] = g.mux.sim.Now()
-	g.mux.net.Inject(g.mux.addr, f)
-}
-
-// expire frees window slots held by queries whose packets were lost: an
-// open-loop source sheds them rather than retrying (§4.3 retries show up
-// as fresh arrivals).
-func (g *Generator) expire() {
-	now := g.mux.sim.Now()
-	for qid, start := range g.out {
-		if now-start >= g.timeout {
-			delete(g.out, qid)
-		}
+	f, err := query.Call{Op: op, Key: key, Value: value}.Frame(g.ep, qid, g.dir(key))
+	if err != nil {
+		g.out.Cancel(qid)
+		return
 	}
+	g.Sent++
+	g.mux.net.Inject(g.mux.addr, f)
 }
 
 func (g *Generator) recv(f *packet.Frame) {
@@ -144,19 +127,18 @@ func (g *Generator) recv(f *packet.Frame) {
 		return
 	}
 	// Only the first reply to a query counts: under network duplication
-	// (or a reply racing an aged-out retry) later copies would otherwise
+	// (or a reply racing an aged-out entry) later copies would otherwise
 	// inflate delivered throughput.
-	start, ok := g.out[rep.QueryID]
+	e, ok := g.out.OnReply(rep.QueryID)
 	if !ok {
 		return
 	}
-	delete(g.out, rep.QueryID)
-	now := g.mux.sim.Now()
+	now := time.Duration(g.mux.sim.Now())
 	g.Done[rep.Status]++
 	// Charge both host stack traversals analytically.
-	g.Latency.Observe(float64(now - start + 2*g.hostDelay))
+	g.Latency.Observe(float64(event.Duration(now-e.Submitted) + 2*g.hostDelay))
 	if g.Series != nil {
-		g.Series.Add(time.Duration(now), 1)
+		g.Series.Add(now, 1)
 	}
 }
 

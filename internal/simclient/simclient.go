@@ -1,10 +1,11 @@
 // Package simclient models NetChain client agents inside the simulator
-// (§3): it tracks outstanding queries, retries on timeout (the §4.3 answer
-// to UDP loss), and applies the DPDK host cost model — a fixed per-side
-// stack delay and a bounded per-server query rate (the paper's 20.5 MQPS /
-// 9.7 µs client envelope). What a query looks like and what its reply
-// means is not decided here: frames are built and replies read through
-// query.Call, the same code the wire client runs.
+// (§3): it applies the DPDK host cost model — a fixed per-side stack delay
+// and a bounded per-server query rate (the paper's 20.5 MQPS / 9.7 µs
+// client envelope) — and drives the protocol's client half on event.Sim's
+// clock. None of that half is decided here: frames are built and replies
+// read through query.Call, and outstanding queries, retries on timeout (the
+// §4.3 answer to UDP loss) and give-up are query.Pending — the same code
+// the wire client runs.
 //
 // Several logical clients can share one simulated host through a Mux that
 // demultiplexes replies by UDP destination port, mirroring how the paper
@@ -13,6 +14,7 @@ package simclient
 
 import (
 	"fmt"
+	"time"
 
 	"netchain/internal/event"
 	"netchain/internal/kv"
@@ -72,10 +74,10 @@ type Config struct {
 	// HostDelay is charged once on send and once on receive (the DPDK
 	// stack share of the 9.7 µs end-to-end latency).
 	HostDelay event.Time
-	// Timeout is how long a tracked query waits before retry (client-side
-	// retries, §4.3); generators use it to age out lost queries.
+	// Timeout is how long a tracked query's first attempt waits; retries
+	// back off from it (§4.3). Generators use it to age out lost queries.
 	Timeout event.Time
-	// MaxRetries bounds retransmissions before reporting ErrTimeout.
+	// MaxRetries bounds retransmissions before reporting kv.ErrTimeout.
 	MaxRetries int
 	// Window caps a generator's outstanding queries, mirroring the real
 	// transport's in-flight window. 0 leaves the open loop unbounded.
@@ -83,7 +85,7 @@ type Config struct {
 }
 
 // DefaultConfig mirrors the paper's client: 2 µs per stack traversal,
-// 1 ms retry timer.
+// 1 ms before the first retry.
 func DefaultConfig() Config {
 	return Config{
 		HostDelay:  event.Duration(2000),
@@ -94,12 +96,10 @@ func DefaultConfig() Config {
 
 // Result is the outcome of one tracked query.
 type Result struct {
-	Status  kv.Status
-	Value   kv.Value
-	Version kv.Version
-	Latency event.Time
-	Err     error
-	Retries int
+	query.Reply // Status, Value and Version; zero when Err is set
+	Latency     event.Time
+	Err         error
+	Retries     int
 
 	call query.Call // what was asked; Outcome reads the reply through it
 }
@@ -111,31 +111,28 @@ func (r Result) Outcome() (query.Outcome, error) {
 	if r.Err != nil {
 		return query.Outcome{}, r.Err
 	}
-	return r.call.Outcome(query.Reply{Status: r.Status, Value: r.Value, Version: r.Version})
+	return r.call.Outcome(r.Reply)
 }
 
-type pending struct {
-	call    query.Call
-	start   event.Time
-	retries int
-	done    func(Result)
-	timer   uint64 // generation counter to cancel stale timeouts
+// tracked is what a Client keeps per call in the retry core.
+type tracked struct {
+	call query.Call
+	done func(Result)
 }
 
-// Client is one logical NetChain client.
+// Client is one logical NetChain client. Pending calls, query ids, retry
+// pacing and give-up live in query.Pending, the engine the wire client
+// runs too; this type only feeds it the simulator's clock.
 type Client struct {
-	mux  *Mux
-	cfg  Config
-	dir  Directory
-	ep   query.Endpoint
-	next uint64
-	out  map[uint64]*pending
+	mux      *Mux
+	cfg      Config
+	dir      Directory
+	ep       query.Endpoint
+	calls    *query.Pending[tracked]
+	scanning bool // the scan event is scheduled
 
 	// Latency records tracked-query round trips.
 	Latency *stats.Histogram
-	// Completed counts per-status outcomes.
-	Completed map[kv.Status]uint64
-	Timeouts  uint64
 }
 
 // NewClient binds a client to the mux with a fresh port.
@@ -143,31 +140,31 @@ func (m *Mux) NewClient(cfg Config, dir Directory) (*Client, error) {
 	if dir == nil {
 		return nil, fmt.Errorf("simclient: nil directory")
 	}
-	port := m.nextPort
-	m.nextPort++
 	c := &Client{
-		mux:       m,
-		cfg:       cfg,
-		dir:       dir,
-		ep:        query.Endpoint{Addr: m.addr, Port: port},
-		out:       make(map[uint64]*pending),
-		Latency:   stats.NewLatencyHistogram(),
-		Completed: make(map[kv.Status]uint64),
+		mux:     m,
+		cfg:     cfg,
+		dir:     dir,
+		Latency: stats.NewLatencyHistogram(),
 	}
-	m.sinks[port] = c.recv
+	c.ep.Addr = m.addr
+	c.ep.Port, _ = m.Sink(c.recv)
+	// Seeding jitter from the endpoint keeps runs reproducible and clients apart.
+	seed := int64(c.ep.Addr)<<16 | int64(c.ep.Port)
+	c.calls = query.NewPending[tracked](time.Duration(cfg.Timeout), cfg.MaxRetries, seed)
 	return c, nil
 }
 
-// Endpoint returns the client's address/port identity.
-func (c *Client) Endpoint() query.Endpoint { return c.ep }
+func (c *Client) now() time.Duration { return time.Duration(c.mux.sim.Now()) }
 
 // Do issues a tracked call.
 func (c *Client) Do(call query.Call, done func(Result)) {
-	c.next++
-	qid := c.next
-	p := &pending{call: call, start: c.mux.sim.Now(), done: done}
-	c.out[qid] = p
-	c.send(qid, p)
+	qid, err := c.calls.Submit(tracked{call: call, done: done}, c.now())
+	if err != nil {
+		done(Result{Err: err, call: call})
+		return
+	}
+	c.send(qid, call)
+	c.armScan()
 }
 
 // Read issues a tracked read.
@@ -191,33 +188,45 @@ func (c *Client) CAS(k kv.Key, expect uint64, newValue kv.Value, done func(Resul
 	c.Do(query.Call{Op: kv.OpCAS, Key: k, Expect: expect, Value: newValue}, done)
 }
 
-func (c *Client) send(qid uint64, p *pending) {
-	f, err := p.call.Frame(c.ep, qid, c.dir(p.call.Key))
+// send transmits one attempt of a registered call along the route of the
+// moment, so retries pick up new chains.
+func (c *Client) send(qid uint64, call query.Call) {
+	f, err := call.Frame(c.ep, qid, c.dir(call.Key))
 	if err != nil {
-		delete(c.out, qid)
-		p.done(Result{Err: err, Latency: c.mux.sim.Now() - p.start, call: p.call})
+		if e, ok := c.calls.Cancel(qid); ok {
+			c.finish(e, Result{Err: err})
+		}
 		return
 	}
-	p.timer++
-	gen := p.timer
 	// TX stack delay, then on the wire.
 	c.mux.sim.After(c.cfg.HostDelay, func() { c.mux.net.Inject(c.mux.addr, f) })
-	c.mux.sim.After(c.cfg.HostDelay+c.cfg.Timeout, func() { c.timeout(qid, gen) })
 }
 
-func (c *Client) timeout(qid uint64, gen uint64) {
-	p, ok := c.out[qid]
-	if !ok || p.timer != gen {
-		return // reply already arrived, or a newer retransmission owns the timer
-	}
-	if p.retries >= c.cfg.MaxRetries {
-		delete(c.out, qid)
-		c.Timeouts++
-		p.done(Result{Err: kv.ErrTimeout, Latency: c.mux.sim.Now() - p.start, Retries: p.retries, call: p.call})
+// armScan schedules the one event that ticks the retry core for every
+// pending call. It re-arms itself only while some remain, so Sim.Run still
+// drains.
+func (c *Client) armScan() {
+	if c.scanning || c.calls.InFlight() == 0 {
 		return
 	}
-	p.retries++
-	c.send(qid, p)
+	c.scanning = true
+	c.mux.sim.After(event.Duration(c.calls.ScanEvery()), func() {
+		for _, d := range c.calls.OnTick(c.now()) {
+			if d.Err != nil {
+				c.finish(d.Entry, Result{Err: d.Err})
+			} else {
+				c.send(d.QID, d.Call.call)
+			}
+		}
+		c.scanning = false
+		c.armScan()
+	})
+}
+
+// finish completes a call the caller has just taken out of the retry core.
+func (c *Client) finish(e query.Entry[tracked], r Result) {
+	r.Latency, r.Retries, r.call = event.Duration(c.now()-e.Submitted), e.Retries, e.Call.call
+	e.Call.done(r)
 }
 
 func (c *Client) recv(f *packet.Frame) {
@@ -225,26 +234,20 @@ func (c *Client) recv(f *packet.Frame) {
 	if err != nil {
 		return
 	}
-	p, ok := c.out[rep.QueryID]
+	e, ok := c.calls.OnReply(rep.QueryID)
 	if !ok {
-		return // duplicate reply after retry
+		return // late or duplicate: the core counted it
 	}
-	delete(c.out, rep.QueryID)
 	// RX stack delay before the application sees it.
 	c.mux.sim.After(c.cfg.HostDelay, func() {
-		lat := c.mux.sim.Now() - p.start
-		c.Latency.Observe(float64(lat))
-		c.Completed[rep.Status]++
-		p.done(Result{
-			Status:  rep.Status,
-			Value:   rep.Value,
-			Version: rep.Version,
-			Latency: lat,
-			Retries: p.retries,
-			call:    p.call,
-		})
+		c.Latency.Observe(float64(c.now() - e.Submitted))
+		c.finish(e, Result{Reply: rep})
 	})
 }
 
 // Outstanding returns the number of in-flight tracked queries.
-func (c *Client) Outstanding() int { return len(c.out) }
+func (c *Client) Outstanding() int { return c.calls.InFlight() }
+
+// Stats returns the retry core's counters: the same four the wire client
+// reports.
+func (c *Client) Stats() query.Stats { return c.calls.Stats() }

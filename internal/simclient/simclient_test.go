@@ -1,6 +1,7 @@
 package simclient
 
 import (
+	"errors"
 	"testing"
 
 	"netchain/internal/controller"
@@ -208,11 +209,11 @@ func TestClientTimeoutExhaustion(t *testing.T) {
 	var res Result
 	c.Write(k, kv.Value("x"), func(rr Result) { res = rr })
 	r.sim.Run()
-	if res.Err != kv.ErrTimeout {
+	if !errors.Is(res.Err, kv.ErrTimeout) {
 		t.Fatalf("err = %v, want timeout", res.Err)
 	}
-	if res.Retries != 2 || c.Timeouts != 1 {
-		t.Fatalf("retries=%d timeouts=%d", res.Retries, c.Timeouts)
+	if st := c.Stats(); res.Retries != 2 || st != (query.Stats{Sent: 3, Retries: 2, Timeouts: 1}) {
+		t.Fatalf("retries=%d stats=%+v", res.Retries, st)
 	}
 }
 

@@ -2,8 +2,9 @@
 // Go process (or goroutine) running the same core.Switch dataplane behind
 // a UDP socket, the controller drives switch agents over a framed binary
 // channel (agentwire.go; the paper's Python controller spoke xmlrpc to
-// per-switch agents, §7), and clients issue queries over UDP with
-// timeout-based retries (§4.3).
+// per-switch agents, §7), and clients (client.go) issue queries over UDP,
+// retried on timeout (§4.3) by query.Pending, the engine the simulator's
+// clients run too.
 //
 // NetChain addresses (the virtual 10.x.y.z identifiers that appear in
 // packet headers and chain lists) are mapped to real UDP endpoints by an
@@ -18,10 +19,8 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"log"
-	"math/rand"
 	"net"
 	"runtime"
 	"sync"
@@ -35,7 +34,6 @@ import (
 	"netchain/internal/query"
 	"netchain/internal/stats"
 	"netchain/internal/telemetry"
-	"netchain/internal/trace"
 )
 
 // AddressBook maps virtual NetChain addresses to real UDP endpoints.
@@ -787,636 +785,3 @@ func (n *SwitchNode) emitEvent(f *packet.Frame, origOp kv.Op, sink *eventSink, e
 	emit(outFrame{buf: bp, ep: sink.ep})
 	n.evtPublished.Add(1)
 }
-
-// ErrClosed is returned by client operations after Close.
-var ErrClosed = errors.New("transport: client closed")
-
-// pendingShards is the number of independent locks over the in-flight
-// table; a power of two so qid&(pendingShards-1) picks a shard. Sequential
-// QueryIDs stripe round-robin, so concurrent submitters and the receive
-// loop rarely contend on the same lock.
-const pendingShards = 16
-
-type pendingShard struct {
-	mu sync.Mutex
-	m  map[uint64]*call
-}
-
-// call is one logical request. It survives retries — every attempt reuses
-// the call's QueryID so the switch's duplicate-adjudication ring recognizes
-// a retransmit and replays the pinned verdict instead of re-applying the
-// op (see send) — and it holds exactly one window slot from
-// Submit until its callback fires. Ownership discipline: whoever removes
-// the call's entry from its pending shard (reply, timeout scan, or Close)
-// is the one that finishes it, so each call completes exactly once.
-//
-// Timeouts are not per-call runtime timers: at line rate, arming and
-// stopping a timer per query costs two timer-heap operations and an
-// allocation on the hot path. Instead each attempt records a coarse
-// deadline and one scanner goroutine per client sweeps the pending shards
-// every timeout/4 — a few hundred map entries every few milliseconds
-// instead of hundreds of thousands of timer ops per second. Retransmit
-// precision degrades by at most a quarter of the timeout, which is noise
-// against the timeout itself.
-type call struct {
-	c        *Client
-	build    func(qid uint64) (*packet.Frame, error)
-	done     func(*packet.Frame, error)
-	qid      uint64
-	attempt  int
-	deadline time.Duration // on the client's monotonic since-start timeline
-
-	// In-band telemetry state for sampled calls (zero when untraced):
-	// submit→firstSend is client queueing, firstSend→lastSend is time
-	// burned on lost attempts (retry/backoff share), lastSend→receive is
-	// the window the reply's hop records decompose.
-	traced      bool
-	submitNs    int64
-	firstSendNs int64
-	lastSendNs  int64
-}
-
-// ClientStats counts transport-level events since the client started.
-type ClientStats struct {
-	Sent         uint64 // datagrams handed to the socket (including retries)
-	Retries      uint64 // retransmitted attempts
-	Timeouts     uint64 // calls that exhausted every attempt
-	Late         uint64 // replies matching no pending query (late or duplicate)
-	ReadErrors   uint64 // transient socket read errors survived
-	DecodeErrors uint64 // datagrams with undecodable reply bytes
-	Traces       uint64 // sampled traced replies recorded
-}
-
-// Client is a pipelined NetChain client over real UDP: up to Window
-// queries ride the wire at once, each matched to its caller by QueryID and
-// guarded by its own retransmission timer (§4.3). Safe for concurrent use;
-// Submit applies backpressure when the window is full.
-type Client struct {
-	book    *AddressBook
-	conn    *net.UDPConn
-	addr    packet.Addr
-	port    uint16
-	gateway packet.Addr
-
-	timeout time.Duration
-	retries int
-	window  chan struct{} // in-flight slots; nil = unlimited
-	start   time.Time     // the deadline timeline's zero
-
-	backoffFactor float64
-	backoffCap    time.Duration
-	backoffJitter float64
-	backoffRng    *rand.Rand // owned by the timeout goroutine (expire→send)
-
-	fault FaultPipe // wire nemesis hook (nil = healthy)
-
-	nextQID atomic.Uint64
-	shards  [pendingShards]pendingShard
-
-	sendCh   chan outFrame
-	sendDone chan struct{}
-
-	sent       atomic.Uint64
-	retried    atomic.Uint64
-	timeouts   atomic.Uint64
-	late       atomic.Uint64
-	readErrs   atomic.Uint64
-	decodeErrs atomic.Uint64
-	traces     atomic.Uint64
-
-	// In-band telemetry sampling: every traceEvery-th Submit is traced
-	// (0 = tracing off). tracer receives the reconstructed per-hop
-	// breakdowns.
-	traceEvery uint64
-	traceTick  atomic.Uint64
-	tracer     *trace.Collector
-
-	closed atomic.Bool
-	done   chan struct{}
-
-	// newReader builds the receive loop's reader; tests inject transient
-	// read errors through it. nil means newBatchReader.
-	newReader func(*net.UDPConn, *recvRing) batchReader
-}
-
-// ClientConfig tunes the client.
-type ClientConfig struct {
-	// Addr is the client's virtual NetChain address (must be unique).
-	Addr packet.Addr
-	// Gateway is the switch the client sends through (its ToR).
-	Gateway packet.Addr
-	// Bind is the local UDP bind address ("127.0.0.1:0" for tests).
-	Bind string
-	// Timeout per attempt (client-side retries, §4.3). Default 50 ms.
-	Timeout time.Duration
-	// Retries before giving up. Default 5.
-	Retries int
-	// Window caps in-flight queries; Submit blocks while the pipe is full.
-	// 0 leaves admission uncapped (each blocking call still has exactly one
-	// outstanding query, so serial callers behave as before).
-	Window int
-
-	// Retry pacing. The first attempt waits Timeout; each retry multiplies
-	// the interval by BackoffFactor (default 2) up to BackoffCap (default
-	// 4×Timeout), with a ±BackoffJitter fraction of randomization (default
-	// 0.2, retries only) so clients that timed out together don't
-	// retransmit in lockstep. During a partition the window's worth of
-	// retries therefore decays to a bounded probe rate instead of
-	// retransmitting at full tilt every Timeout. BackoffFactor 1 restores
-	// the fixed-interval behavior; BackoffJitter < 0 disables jitter.
-	BackoffFactor float64
-	BackoffCap    time.Duration
-	BackoffJitter float64
-
-	// TraceSampleRate samples queries for in-band telemetry: a rate r
-	// traces roughly one query in 1/r (the sampler is deterministic
-	// counter-based, so r=0.001 traces exactly every 1000th Submit).
-	// 0 selects the default 1/1024; negative disables tracing. Traced
-	// queries carry the packet trace extension, every hop appends its
-	// record, and the reply's breakdown lands in Tracer.
-	TraceSampleRate float64
-	// Tracer aggregates sampled traces (per-stage histograms, coverage,
-	// retry share). nil disables tracing regardless of TraceSampleRate.
-	Tracer *trace.Collector
-
-	// Faults, when set, routes every datagram the client sends or
-	// receives through the wire nemesis (see FaultPipe).
-	Faults FaultPipe
-
-	// testReader, when set (in-package tests only), replaces the receive
-	// loop's reader so transient socket errors can be injected.
-	testReader func(*net.UDPConn, *recvRing) batchReader
-}
-
-// NewClient binds a socket and registers the client's virtual address.
-func NewClient(book *AddressBook, cfg ClientConfig) (*Client, error) {
-	if cfg.Addr.IsZero() {
-		return nil, fmt.Errorf("transport: client needs a virtual address")
-	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = 50 * time.Millisecond
-	}
-	if cfg.Retries == 0 {
-		cfg.Retries = 5
-	}
-	if cfg.BackoffFactor == 0 {
-		cfg.BackoffFactor = 2
-	}
-	if cfg.BackoffCap == 0 {
-		cfg.BackoffCap = 4 * cfg.Timeout
-	}
-	if cfg.BackoffCap < cfg.Timeout {
-		cfg.BackoffCap = cfg.Timeout
-	}
-	if cfg.BackoffJitter == 0 {
-		cfg.BackoffJitter = 0.2
-	}
-	if cfg.BackoffJitter < 0 {
-		cfg.BackoffJitter = 0
-	}
-	laddr, err := net.ResolveUDPAddr("udp", cfg.Bind)
-	if err != nil {
-		return nil, err
-	}
-	conn, err := net.ListenUDP("udp", laddr)
-	if err != nil {
-		return nil, err
-	}
-	c := &Client{
-		book:     book,
-		conn:     conn,
-		addr:     cfg.Addr,
-		port:     uint16(conn.LocalAddr().(*net.UDPAddr).Port),
-		gateway:  cfg.Gateway,
-		timeout:  cfg.Timeout,
-		retries:  cfg.Retries,
-		start:    time.Now(),
-		sendCh:   make(chan outFrame, switchQueueDepth),
-		sendDone: make(chan struct{}),
-		done:     make(chan struct{}),
-
-		backoffFactor: cfg.BackoffFactor,
-		backoffCap:    cfg.BackoffCap,
-		backoffJitter: cfg.BackoffJitter,
-		backoffRng:    rand.New(rand.NewSource(time.Now().UnixNano() ^ int64(cfg.Addr))),
-		fault:         cfg.Faults,
-
-		newReader: cfg.testReader,
-	}
-	if cfg.Tracer != nil && cfg.TraceSampleRate >= 0 {
-		rate := cfg.TraceSampleRate
-		if rate == 0 {
-			rate = 1.0 / 1024
-		}
-		if rate > 1 {
-			rate = 1
-		}
-		c.traceEvery = uint64(1 / rate)
-		if c.traceEvery == 0 {
-			c.traceEvery = 1
-		}
-		c.tracer = cfg.Tracer
-	}
-	if c.newReader == nil {
-		c.newReader = newBatchReader
-	}
-	if cfg.Window > 0 {
-		c.window = make(chan struct{}, cfg.Window)
-	}
-	for i := range c.shards {
-		c.shards[i].m = make(map[uint64]*call)
-	}
-	book.Set(cfg.Addr, conn.LocalAddr().(*net.UDPAddr))
-	go c.serve()
-	go c.sendLoop()
-	go c.timeoutLoop()
-	return c, nil
-}
-
-// Close shuts the client down and fails every pending call with ErrClosed.
-func (c *Client) Close() error {
-	if !c.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	err := c.conn.Close()
-	<-c.done
-	<-c.sendDone
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		calls := make([]*call, 0, len(sh.m))
-		for qid, cl := range sh.m {
-			delete(sh.m, qid)
-			calls = append(calls, cl)
-		}
-		sh.mu.Unlock()
-		for _, cl := range calls {
-			c.finish(cl, nil, ErrClosed)
-		}
-	}
-	return err
-}
-
-// Stats returns a snapshot of the transport counters.
-func (c *Client) Stats() ClientStats {
-	return ClientStats{
-		Sent:         c.sent.Load(),
-		Retries:      c.retried.Load(),
-		Timeouts:     c.timeouts.Load(),
-		Late:         c.late.Load(),
-		ReadErrors:   c.readErrs.Load(),
-		DecodeErrors: c.decodeErrs.Load(),
-		Traces:       c.traces.Load(),
-	}
-}
-
-// RegisterMetrics exports the client's transport counters under the
-// canonical telemetry series names.
-func (c *Client) RegisterMetrics(reg *telemetry.Registry) {
-	reg.Collect(func(emit func(telemetry.Sample)) {
-		counter := func(name string, v uint64) {
-			emit(telemetry.Sample{Name: name, Kind: telemetry.KindCounter, Value: float64(v)})
-		}
-		s := c.Stats()
-		counter(telemetry.ClientSent, s.Sent)
-		counter(telemetry.ClientRetries, s.Retries)
-		counter(telemetry.ClientTimeouts, s.Timeouts)
-		counter(telemetry.ClientLate, s.Late)
-		counter(telemetry.ClientReadErrors, s.ReadErrors)
-		counter(telemetry.ClientDecodeErrors, s.DecodeErrors)
-		counter(telemetry.ClientTraces, s.Traces)
-	})
-}
-
-// InFlight returns the number of queries currently awaiting a reply.
-func (c *Client) InFlight() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-func (c *Client) shard(qid uint64) *pendingShard {
-	return &c.shards[qid&(pendingShards-1)]
-}
-
-// serve is the client's receive loop: one batched read drains a burst of
-// reply datagrams, and every frame batched inside each datagram is
-// delivered. Only a closed socket ends the loop — a transient error (an
-// ICMP port-unreachable surfacing after a switch died mid-failover, say)
-// is counted and survived, where exiting would silently strand every
-// in-flight and future query until its timer fired.
-func (c *Client) serve() {
-	defer close(c.done)
-	ring := newRecvRing(defaultRecvBatch)
-	rd := c.newReader(c.conn, ring)
-	var f packet.Frame
-	for {
-		k, err := rd.ReadBatch(ring)
-		if err != nil {
-			if isClosedErr(err) {
-				return
-			}
-			c.readErrs.Add(1)
-			time.Sleep(20 * time.Microsecond) // don't spin on an error storm
-			continue
-		}
-		for i := 0; i < k; i++ {
-			if c.fault != nil && !c.fault.Ingress(ring.bufs[i][:ring.sizes[i]]) {
-				continue
-			}
-			if _, derr := packet.DecodeBatch(&f, ring.bufs[i][:ring.sizes[i]], c.deliver); derr != nil {
-				// Frames before the corruption were already delivered;
-				// whatever the torn tail carried will retry on its timer.
-				c.decodeErrs.Add(1)
-			}
-		}
-	}
-}
-
-// deliver routes one decoded reply to its pending call. f aliases the
-// receive buffer and is handed to the callback synchronously — the
-// callback copies what it keeps (ParseReply clones the value), so the
-// reply crosses the hot path without an intermediate frame copy.
-func (c *Client) deliver(f *packet.Frame) {
-	qid := f.NC.QueryID
-	sh := c.shard(qid)
-	sh.mu.Lock()
-	cl, ok := sh.m[qid]
-	if ok {
-		delete(sh.m, qid)
-	}
-	sh.mu.Unlock()
-	if !ok {
-		// Duplicate delivery, or a reply to an attempt already abandoned
-		// by the timeout scan: the qid is spent, so it cannot match
-		// anything.
-		c.late.Add(1)
-		return
-	}
-	c.finish(cl, f, nil)
-}
-
-// sendLoop drains the client's outbound queue, folding each queued burst
-// into one batched send syscall (frames for the same gateway coalesce into
-// single datagrams along the way).
-func (c *Client) sendLoop() {
-	defer close(c.sendDone)
-	eg := newEgressBatch(newBatchSender(c.conn))
-	if c.fault != nil {
-		eg.withFault(c.fault, rawSender(c.conn))
-	}
-	for {
-		select {
-		case o := <-c.sendCh:
-			eg.add(o)
-		drain:
-			for {
-				select {
-				case o2 := <-c.sendCh:
-					eg.add(o2)
-				default:
-					break drain
-				}
-			}
-			eg.flush()
-		case <-c.done:
-			return
-		}
-	}
-}
-
-// Submit issues one request asynchronously: build is called with the
-// call's QueryID (fresh on the first attempt, then reused on every retry
-// so the dataplane's duplicate adjudication recognizes retransmits;
-// build itself still runs per attempt, so retries pick up new chains),
-// and done fires exactly once with the reply frame or an error. The reply frame is
-// valid only for the duration of the callback — it aliases the receive
-// buffer, so the callback must copy anything it keeps. done runs on the
-// receive or timer goroutine and must not block; Submit itself blocks
-// only while the in-flight window is full.
-func (c *Client) Submit(build func(qid uint64) (*packet.Frame, error), done func(*packet.Frame, error)) {
-	if c.closed.Load() {
-		done(nil, ErrClosed)
-		return
-	}
-	// Telemetry sampling decides before the window wait so a traced call's
-	// queueing span covers admission backpressure too.
-	traced := c.traceEvery > 0 && c.traceTick.Add(1)%c.traceEvery == 0
-	var submitNs int64
-	if traced {
-		submitNs = time.Now().UnixNano()
-	}
-	if c.window != nil {
-		// Fast path: a free slot needs no select machinery. Only a full
-		// window falls back to blocking (racing shutdown).
-		select {
-		case c.window <- struct{}{}:
-		default:
-			select {
-			case c.window <- struct{}{}:
-			case <-c.done:
-				done(nil, ErrClosed)
-				return
-			}
-		}
-	}
-	cl := callPool.Get().(*call)
-	cl.c, cl.build, cl.done, cl.attempt = c, build, done, 0
-	cl.traced, cl.submitNs = traced, submitNs
-	if err := cl.send(); err != nil {
-		c.finish(cl, nil, err)
-	}
-}
-
-// callPool recycles call structs: one per op at line rate is pure GC
-// pressure. A call re-enters the pool after its done callback returns —
-// with deadline-scan timeouts there is no detached timer callback that
-// could touch a recycled call.
-var callPool = sync.Pool{New: func() any { return new(call) }}
-
-// finish releases the call's window slot, delivers its outcome, and
-// recycles the call (no one holds a reference once done returns). Traced
-// replies are reconstructed into the collector first — the hop records
-// alias the receive buffer, which is only valid during this delivery.
-func (c *Client) finish(cl *call, f *packet.Frame, err error) {
-	if cl.traced && err == nil && f != nil && c.tracer != nil && f.NC.Traced {
-		var hopBuf [packet.MaxTraceHops]packet.TraceHop
-		hops := f.NC.TraceHops(hopBuf[:0])
-		recvNs := time.Now().UnixNano()
-		c.tracer.Record(hops, cl.lastSendNs, recvNs,
-			cl.firstSendNs-cl.submitNs, cl.lastSendNs-cl.firstSendNs, cl.attempt)
-		c.traces.Add(1)
-	}
-	if c.window != nil {
-		<-c.window
-	}
-	done := cl.done
-	*cl = call{}
-	callPool.Put(cl)
-	done(f, err)
-}
-
-// send transmits one attempt: register with a fresh deadline, then write.
-// Registration happens before the datagram leaves so the reply can never
-// race past its table entry.
-//
-// Every attempt of a call carries the SAME QueryID. The switch adjudicates
-// write/CAS duplicates by (src, port, qid, op, value hash) — a retransmit
-// that presented a fresh qid would look like a brand-new operation, get
-// stamped with a fresh version, and could re-apply after a competing write
-// to the same key, resurrecting an already-overwritten value (observable
-// as a non-linearizable history under a slow gray tail). Reusing the qid
-// makes the dataplane replay the pinned verdict instead, and it means a
-// late reply to an abandoned attempt answers the retry's table entry —
-// harmless, since any adjudicated reply to this identity is valid. The
-// simulator's client retries the same way.
-func (cl *call) send() error {
-	c := cl.c
-	qid := cl.qid
-	if qid == 0 {
-		qid = c.nextQID.Add(1)
-	}
-	f, err := cl.build(qid)
-	if err != nil {
-		return err
-	}
-	if cl.traced {
-		f.EnableTrace() // sampled: serialize with the telemetry extension
-		now := time.Now().UnixNano()
-		cl.lastSendNs = now
-		if cl.attempt == 0 {
-			cl.firstSendNs = now
-		}
-	}
-	gw, ok := c.book.Get(c.gateway)
-	if !ok {
-		packet.PutFrame(f)
-		return fmt.Errorf("transport: no endpoint for gateway %v", c.gateway)
-	}
-	bp := packet.GetBuf()
-	out, err := f.Serialize((*bp)[:0])
-	if err != nil {
-		packet.PutBuf(bp)
-		packet.PutFrame(f)
-		return err
-	}
-	*bp = out
-
-	packet.PutFrame(f)
-
-	sh := c.shard(qid)
-	sh.mu.Lock()
-	if c.closed.Load() {
-		sh.mu.Unlock()
-		packet.PutBuf(bp)
-		return ErrClosed
-	}
-	cl.qid = qid
-	cl.deadline = time.Since(c.start) + c.retryDelay(cl.attempt)
-	sh.m[qid] = cl
-	sh.mu.Unlock()
-
-	// Hand the datagram to the send stage; past this point a lost write
-	// surfaces as a timeout, exactly like a drop on the wire.
-	select {
-	case c.sendCh <- outFrame{buf: bp, ep: gw}:
-		c.sent.Add(1)
-	case <-c.done:
-		packet.PutBuf(bp)
-	}
-	return nil
-}
-
-// retryDelay returns attempt's wait-for-reply interval: Timeout for the
-// first send, then exponential growth by backoffFactor capped at
-// backoffCap, randomized ±backoffJitter. Attempt 0 never touches the
-// rng — Submit calls send concurrently; retries run only on the timeout
-// goroutine, which owns backoffRng.
-func (c *Client) retryDelay(attempt int) time.Duration {
-	if attempt == 0 {
-		return c.timeout
-	}
-	d := float64(c.timeout)
-	cap := float64(c.backoffCap)
-	for i := 0; i < attempt && d < cap; i++ {
-		d *= c.backoffFactor
-	}
-	if d > cap {
-		d = cap
-	}
-	if c.backoffJitter > 0 {
-		d *= 1 + c.backoffJitter*(2*c.backoffRng.Float64()-1)
-	}
-	return time.Duration(d)
-}
-
-// timeoutLoop sweeps the pending shards every quarter-timeout, expiring
-// attempts whose deadline passed. The sweep removes each expired call from
-// its shard before acting on it, so it owns the call exactly as a reply
-// would — a reply that lands mid-sweep either wins the map entry first or
-// counts as late, never both.
-func (c *Client) timeoutLoop() {
-	every := c.timeout / 4
-	if every < time.Millisecond {
-		every = time.Millisecond
-	}
-	tick := time.NewTicker(every)
-	defer tick.Stop()
-	var expired []*call
-	for {
-		select {
-		case <-c.done:
-			return
-		case <-tick.C:
-		}
-		now := time.Since(c.start)
-		expired = expired[:0]
-		for i := range c.shards {
-			sh := &c.shards[i]
-			sh.mu.Lock()
-			for qid, cl := range sh.m {
-				if cl.deadline <= now {
-					delete(sh.m, qid)
-					expired = append(expired, cl)
-				}
-			}
-			sh.mu.Unlock()
-		}
-		for _, cl := range expired {
-			cl.expire()
-		}
-	}
-}
-
-// expire handles one attempt whose deadline passed (the timeout sweep has
-// already removed it from its shard): retransmit or give up.
-func (cl *call) expire() {
-	c := cl.c
-	if c.closed.Load() {
-		c.finish(cl, nil, ErrClosed) // cancelled by Close, not a wire timeout
-		return
-	}
-	if cl.attempt >= c.retries {
-		c.timeouts.Add(1)
-		c.finish(cl, nil, kv.ErrTimeout)
-		return
-	}
-	cl.attempt++
-	c.retried.Add(1)
-	if err := cl.send(); err != nil {
-		c.finish(cl, nil, err)
-	}
-}
-
-// Endpoint returns the client identity used in frames.
-func (c *Client) Endpoint() (packet.Addr, uint16) { return c.addr, c.port }
-
-// LocalEndpoint returns the client's UDP socket address — the wire
-// nemesis registers it so directed link faults can target switch→client
-// traffic.
-func (c *Client) LocalEndpoint() *net.UDPAddr { return c.conn.LocalAddr().(*net.UDPAddr) }

@@ -255,3 +255,40 @@ func TestSubCloseIdempotent(t *testing.T) {
 		t.Fatal("channel must be closed")
 	}
 }
+
+// ApplyRead drives the same version-ordered transitions as the event
+// stream: a resync read fires at most one event, and only when it moves
+// the key's state forward.
+func TestSubApplyReadLifecycle(t *testing.T) {
+	k := kv.KeyFromUint64(4)
+	s := NewSub([]kv.Key{k}, groupMod4, 16)
+	defer s.Close()
+	steps := []struct {
+		name    string
+		present bool
+		val     string
+		seq     uint64
+		want    []EventType
+	}{
+		{"absent key: nothing yet", false, "", 0, nil},
+		{"first sight", true, "v1", 1, []EventType{Created}},
+		{"same version re-read", true, "v1", 1, nil},
+		{"version advanced", true, "v2", 2, []EventType{Updated}},
+		{"regressed version never fires", true, "old", 1, nil},
+		{"read finds it gone", false, "", 0, []EventType{Deleted}},
+		{"still gone", false, "", 0, nil},
+		{"reappearance", true, "v3", 3, []EventType{Created}},
+	}
+	for _, st := range steps {
+		s.ApplyRead(k, st.present, kv.Value(st.val), kv.Version{Seq: st.seq})
+		got := drain(s.Events())
+		if len(got) != len(st.want) {
+			t.Fatalf("%s: events = %+v, want %v", st.name, got, st.want)
+		}
+		for i, e := range got {
+			if e.Type != st.want[i] || (st.present && (string(e.Value) != st.val || e.Version.Seq != st.seq)) {
+				t.Fatalf("%s: event = %+v, want %v %q seq %d", st.name, e, st.want[i], st.val, st.seq)
+			}
+		}
+	}
+}

@@ -10,8 +10,8 @@
 // over multicast groups keyed by virtual group. This package is the
 // subscriber half: Sub is the substrate-neutral subscription state machine
 // (version-exact dedup, stream-gap detection, versioned-read resync), fed
-// by the real transport's watch socket, the simulator's multicast
-// delivery, or a plain poller.
+// by the real transport's watch socket or the simulator's multicast
+// delivery.
 //
 // The protocol's monotonic (session, seq) pairs make change detection
 // exact: no false positives from value re-writes of identical bytes, and
@@ -19,10 +19,6 @@
 // the version order or surfaced as a stream-sequence hole that triggers a
 // linearizable read — so subscribers always converge to the store's state,
 // even when nemesis faults eat events.
-//
-// Watcher remains as the deprecated poll-only driver (it feeds the same
-// Sub engine from periodic reads) for callers migrating from the old
-// client-side polling API.
 package watch
 
 import (
@@ -30,13 +26,6 @@ import (
 
 	"netchain/internal/kv"
 )
-
-// Reader is the versioned read capability used for initial fetches, gap
-// resyncs and poll fallback — satisfied by the real client
-// (transport.Ops), the simulation client and test fakes.
-type Reader interface {
-	Read(k kv.Key) (kv.Value, kv.Version, error)
-}
 
 // EventType classifies a change.
 type EventType uint8

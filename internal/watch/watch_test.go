@@ -1,255 +1,6 @@
 package watch
 
-import (
-	"sync"
-	"testing"
-	"time"
-
-	"netchain/internal/kv"
-)
-
-// fakeKV is an in-memory Reader with controllable versions.
-type fakeKV struct {
-	mu   sync.Mutex
-	vals map[kv.Key]kv.Value
-	vers map[kv.Key]kv.Version
-}
-
-func newFake() *fakeKV {
-	return &fakeKV{vals: map[kv.Key]kv.Value{}, vers: map[kv.Key]kv.Version{}}
-}
-
-func (f *fakeKV) Read(k kv.Key) (kv.Value, kv.Version, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	v, ok := f.vals[k]
-	if !ok {
-		return nil, kv.Version{}, kv.ErrNotFound
-	}
-	return v.Clone(), f.vers[k], nil
-}
-
-func (f *fakeKV) put(k kv.Key, v string, seq uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.vals[k] = kv.Value(v)
-	f.vers[k] = kv.Version{Seq: seq}
-}
-
-func (f *fakeKV) del(k kv.Key) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.vals, k)
-	delete(f.vers, k)
-}
-
-func expectEvent(t *testing.T, ch <-chan Event, typ EventType) Event {
-	t.Helper()
-	select {
-	case ev, ok := <-ch:
-		if !ok {
-			t.Fatal("channel closed")
-		}
-		if ev.Type != typ {
-			t.Fatalf("event = %v, want %v", ev.Type, typ)
-		}
-		return ev
-	case <-time.After(2 * time.Second):
-		t.Fatalf("no %v event", typ)
-	}
-	return Event{}
-}
-
-func expectNoEvent(t *testing.T, ch <-chan Event) {
-	t.Helper()
-	select {
-	case ev := <-ch:
-		t.Fatalf("unexpected event %v", ev)
-	default:
-	}
-}
-
-func TestCreateUpdateDeleteLifecycle(t *testing.T) {
-	f := newFake()
-	w, err := New(f, time.Hour) // drive via Poll for determinism
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Stop()
-	k := kv.KeyFromString("cfg")
-	ch, cancel, err := w.Watch(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
-
-	w.Poll()
-	expectNoEvent(t, ch) // absent key: nothing yet
-
-	f.put(k, "v1", 1)
-	w.Poll()
-	ev := expectEvent(t, ch, Created)
-	if string(ev.Value) != "v1" || ev.Version.Seq != 1 {
-		t.Fatalf("created = %+v", ev)
-	}
-
-	w.Poll()
-	expectNoEvent(t, ch) // unchanged: deduped by version
-
-	f.put(k, "v2", 2)
-	w.Poll()
-	ev = expectEvent(t, ch, Updated)
-	if string(ev.Value) != "v2" || ev.Version.Seq != 2 {
-		t.Fatalf("updated = %+v", ev)
-	}
-
-	f.del(k)
-	w.Poll()
-	expectEvent(t, ch, Deleted)
-
-	f.put(k, "v3", 3)
-	w.Poll()
-	expectEvent(t, ch, Created) // reappearance
-}
-
-func TestStaleVersionsDoNotFire(t *testing.T) {
-	f := newFake()
-	w, _ := New(f, time.Hour)
-	defer w.Stop()
-	k := kv.KeyFromString("k")
-	ch, cancel, _ := w.Watch(k)
-	defer cancel()
-
-	f.put(k, "v5", 5)
-	w.Poll()
-	expectEvent(t, ch, Created)
-
-	// A regressed version (would indicate a consistency violation) must
-	// not produce an Updated event.
-	f.put(k, "old", 3)
-	w.Poll()
-	expectNoEvent(t, ch)
-}
-
-func TestMultipleSubscribers(t *testing.T) {
-	f := newFake()
-	w, _ := New(f, time.Hour)
-	defer w.Stop()
-	k := kv.KeyFromString("k")
-	ch1, cancel1, _ := w.Watch(k)
-	ch2, cancel2, _ := w.Watch(k)
-	defer cancel2()
-
-	f.put(k, "v", 1)
-	w.Poll()
-	expectEvent(t, ch1, Created)
-	expectEvent(t, ch2, Created)
-
-	cancel1()
-	if _, ok := <-ch1; ok {
-		t.Fatal("cancelled channel must close")
-	}
-	f.put(k, "v2", 2)
-	w.Poll()
-	expectEvent(t, ch2, Updated)
-}
-
-func TestCancelIsIdempotentAndCleansUp(t *testing.T) {
-	f := newFake()
-	w, _ := New(f, time.Hour)
-	defer w.Stop()
-	k := kv.KeyFromString("k")
-	_, cancel, _ := w.Watch(k)
-	cancel()
-	cancel() // second cancel is a no-op
-	// Re-watching after full cleanup works.
-	ch, cancel2, err := w.Watch(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel2()
-	f.put(k, "v", 1)
-	w.Poll()
-	expectEvent(t, ch, Created)
-}
-
-func TestSlowSubscriberCoalesces(t *testing.T) {
-	f := newFake()
-	w, _ := New(f, time.Hour)
-	defer w.Stop()
-	k := kv.KeyFromString("k")
-	ch, cancel, _ := w.Watch(k)
-	defer cancel()
-
-	// Overflow the 16-slot buffer; the watcher must not block.
-	for i := uint64(1); i <= 40; i++ {
-		f.put(k, "v", i)
-		w.Poll()
-	}
-	drained := 0
-	for {
-		select {
-		case <-ch:
-			drained++
-			continue
-		default:
-		}
-		break
-	}
-	if drained == 0 || drained > 16 {
-		t.Fatalf("drained %d events, want 1..16 (coalesced)", drained)
-	}
-}
-
-func TestStopClosesSubscribers(t *testing.T) {
-	f := newFake()
-	w, _ := New(f, time.Millisecond)
-	k := kv.KeyFromString("k")
-	ch, _, _ := w.Watch(k)
-	w.Stop()
-	w.Stop() // idempotent
-	if _, ok := <-ch; ok {
-		t.Fatal("stop must close subscriber channels")
-	}
-	if _, _, err := w.Watch(k); err == nil {
-		t.Fatal("watch after stop must fail")
-	}
-}
-
-func TestBackgroundPolling(t *testing.T) {
-	f := newFake()
-	w, err := New(f, 2*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Stop()
-	k := kv.KeyFromString("bg")
-	ch, cancel, _ := w.Watch(k)
-	defer cancel()
-	f.put(k, "v", 1)
-	expectEventWait(t, ch, Created)
-}
-
-func expectEventWait(t *testing.T, ch <-chan Event, typ EventType) {
-	t.Helper()
-	select {
-	case ev := <-ch:
-		if ev.Type != typ {
-			t.Fatalf("event = %v, want %v", ev.Type, typ)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatalf("no %v event from background poller", typ)
-	}
-}
-
-func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, time.Second); err == nil {
-		t.Fatal("nil reader must be rejected")
-	}
-	if _, err := New(newFake(), 0); err == nil {
-		t.Fatal("zero interval must be rejected")
-	}
-}
+import "testing"
 
 func TestEventTypeString(t *testing.T) {
 	if Created.String() != "created" || Updated.String() != "updated" || Deleted.String() != "deleted" {

@@ -344,9 +344,10 @@ func (s *SimCluster) NewClient(h int) (*SimClient, error) {
 }
 
 // do issues one call and steps the simulator until the reply (or timeout)
-// resolves it, rather than draining the simulator (see runUntil). Left-over
-// retry timers are generation-guarded no-ops; they fire during later calls
-// or RunFor. The result is read exactly as the wire client's Ops reads it.
+// resolves it, rather than draining the simulator (see runUntil). The
+// client's one retry-scan event may outlive the call; it finds nothing
+// pending during a later call or RunFor and does not reschedule itself.
+// The result is read exactly as the wire client's Ops reads it.
 func (sc *SimClient) do(call query.Call) (query.Outcome, error) {
 	var res simclient.Result
 	got := false

@@ -30,10 +30,9 @@ const (
 type WatchOption func(*watchOpts)
 
 type watchOpts struct {
-	buffer       int
-	resync       time.Duration // dirty-key read retry / gap-resync cadence
-	antiEntropy  time.Duration // full re-read sweep period; 0 disables
-	pollInterval time.Duration // poll fallback cadence; 0 disables fallback
+	buffer      int
+	resync      time.Duration // dirty-key read retry / gap-resync cadence
+	antiEntropy time.Duration // full re-read sweep period; 0 disables
 }
 
 func buildWatchOpts(opts []WatchOption) watchOpts {
@@ -68,13 +67,6 @@ func WithAntiEntropy(d time.Duration) WatchOption {
 	return func(o *watchOpts) { o.antiEntropy = d }
 }
 
-// WithPollFallback lets Watch degrade to version-polling every d when the
-// cluster has no reachable relay tier, instead of failing. Without this
-// option Watch returns an error in that case.
-func WithPollFallback(d time.Duration) WatchOption {
-	return func(o *watchOpts) { o.pollInterval = d }
-}
-
 // Watch subscribes to server-push notifications for keys. Events arrive
 // on the returned channel until ctx is cancelled (the channel then
 // closes). Delivery semantics:
@@ -88,8 +80,7 @@ func WithPollFallback(d time.Duration) WatchOption {
 //     staleness window of a lost final event — the stream converges to
 //     the store's state under loss, duplication and reordering.
 //
-// The push path costs zero reads while the stream is healthy; compare
-// the deprecated NewWatcher, which polls every key forever.
+// The push path costs zero reads while the stream is healthy.
 func (cl *Client) Watch(ctx context.Context, keys []Key, opts ...WatchOption) (<-chan WatchEvent, error) {
 	o := buildWatchOpts(opts)
 	if len(keys) == 0 {
@@ -106,43 +97,30 @@ func (cl *Client) Watch(ctx context.Context, keys []Key, opts ...WatchOption) (<
 			}
 		}
 	}
-	var conn *relay.Conn
 	cl.cluster.mu.RLock()
 	rs := cl.cluster.relaySrv
 	cl.cluster.mu.RUnlock()
-	if rs != nil {
-		var subOpts []relay.SubOption
-		if ttl := cl.cluster.cfg.RelayLeaseTTL; ttl > 0 {
-			subOpts = append(subOpts, relay.WithRenewEvery(ttl/3))
-		}
-		if inj := cl.cluster.cfg.Faults; inj != nil {
-			claddr, _ := cl.client.Endpoint()
-			subOpts = append(subOpts, relay.WithSubFaults(inj.Pipe(claddr)))
-		}
-		c, err := relay.Subscribe(rs.Mode(), rs.ControlEndpoint(), sub.Groups(), deliver, subOpts...)
-		if err != nil && o.pollInterval == 0 {
-			sub.Close()
-			return nil, err
-		}
-		conn = c
-	} else if o.pollInterval == 0 {
-		return nil, fmt.Errorf("netchain: cluster has no relay tier (use WithPollFallback to watch anyway)")
+	var subOpts []relay.SubOption
+	if ttl := cl.cluster.cfg.RelayLeaseTTL; ttl > 0 {
+		subOpts = append(subOpts, relay.WithRenewEvery(ttl/3))
 	}
-	resync, antiEntropy := o.resync, o.antiEntropy
-	if conn == nil {
-		// Poll fallback: no event stream, so every interval is a full sweep.
-		resync, antiEntropy = o.pollInterval, o.pollInterval
+	if inj := cl.cluster.cfg.Faults; inj != nil {
+		claddr, _ := cl.client.Endpoint()
+		subOpts = append(subOpts, relay.WithSubFaults(inj.Pipe(claddr)))
 	}
-	go cl.watchLoop(ctx, sub, conn, sig, resync, antiEntropy)
+	conn, err := relay.Subscribe(rs.Mode(), rs.ControlEndpoint(), sub.Groups(), deliver, subOpts...)
+	if err != nil {
+		sub.Close()
+		return nil, err
+	}
+	go cl.watchLoop(ctx, sub, conn, sig, o.resync, o.antiEntropy)
 	return sub.Events(), nil
 }
 
 func (cl *Client) watchLoop(ctx context.Context, sub *watch.Sub, conn *relay.Conn,
 	sig <-chan struct{}, resync, antiEntropy time.Duration) {
 	defer sub.Close()
-	if conn != nil {
-		defer conn.Close()
-	}
+	defer conn.Close()
 	readDirty := func() {
 		for _, k := range sub.TakeDirty() {
 			v, ver, err := cl.ops.Read(k)
@@ -179,10 +157,6 @@ func (cl *Client) watchLoop(ctx context.Context, sub *watch.Sub, conn *relay.Con
 		}
 	}
 }
-
-// WatchStats reports a sim watch stream's engine counters (tests and
-// experiments; the real API exposes them per-cluster via relay stats).
-type WatchStats = watch.SubStats
 
 // Watch subscribes to server-push notifications for keys on the
 // simulated cluster — same contract as Client.Watch. The sim relay tier
@@ -302,20 +276,4 @@ func (w *simWatch) armTimer(iv event.Time, fn func()) {
 		fn()
 		w.armTimer(iv, fn)
 	})
-}
-
-// Watcher polls keys and notifies subscribers of version changes.
-//
-// Deprecated: Watcher predates the push-watch relay tier and re-reads
-// every key each interval forever. Use Client.Watch, which costs zero
-// reads while the event stream is healthy. Watcher remains as a thin
-// compatibility shim over the same delivery engine.
-type Watcher = watch.Watcher
-
-// NewWatcher starts a watcher polling through this client at the given
-// interval. Stop it when done.
-//
-// Deprecated: use Client.Watch.
-func (cl *Client) NewWatcher(interval time.Duration) (*Watcher, error) {
-	return watch.New(cl.ops, interval)
 }

@@ -129,156 +129,3 @@ func TestPushWatchSurvivesFailover(t *testing.T) {
 		t.Fatal("push stream went silent across failover")
 	}
 }
-
-// TestPushWatchPollFallback: with no relay tier reachable, WithPollFallback
-// degrades the same API to version polling instead of failing.
-func TestPushWatchPollFallback(t *testing.T) {
-	cl, err := StartLocalCluster(ClusterConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	writer, _ := cl.NewClient(0)
-	defer writer.Close()
-
-	k := KeyFromString("push/poll")
-	cl.Insert(k)
-
-	// Simulate a missing relay tier.
-	saved := cl.relaySrv
-	cl.relaySrv = nil
-	defer func() { cl.relaySrv = saved }()
-
-	if _, err := writer.Watch(context.Background(), []Key{k}); err == nil {
-		t.Fatal("Watch without relay and without fallback should fail")
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ch, err := writer.Watch(ctx, []Key{k}, WithPollFallback(2*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := writer.Write(k, Value("v1")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ev := <-ch:
-		if string(ev.Value) != "v1" {
-			t.Fatalf("event = %+v", ev)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("poll fallback never delivered")
-	}
-}
-
-func TestWatcherOnRealCluster(t *testing.T) {
-	cl, err := StartLocalCluster(ClusterConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	writer, _ := cl.NewClient(0)
-	defer writer.Close()
-	observer, _ := cl.NewClient(1)
-	defer observer.Close()
-
-	k := KeyFromString("watched/cfg")
-	if err := cl.Insert(k); err != nil {
-		t.Fatal(err)
-	}
-
-	w, err := observer.NewWatcher(2 * time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Stop()
-	ch, cancel, err := w.Watch(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
-
-	expect := func(typ WatchEvent, want string) WatchEvent {
-		t.Helper()
-		select {
-		case ev := <-ch:
-			return ev
-		case <-time.After(5 * time.Second):
-			t.Fatalf("no event (wanted %s)", want)
-		}
-		return WatchEvent{}
-	}
-
-	if _, err := writer.Write(k, Value("v1")); err != nil {
-		t.Fatal(err)
-	}
-	ev := expect(WatchEvent{}, "created")
-	if ev.Type != WatchCreated || string(ev.Value) != "v1" {
-		t.Fatalf("event = %+v", ev)
-	}
-
-	if _, err := writer.Write(k, Value("v2")); err != nil {
-		t.Fatal(err)
-	}
-	ev = expect(WatchEvent{}, "updated")
-	if ev.Type != WatchUpdated || string(ev.Value) != "v2" || ev.Version.Seq != 2 {
-		t.Fatalf("event = %+v", ev)
-	}
-
-	if err := writer.Delete(k); err != nil {
-		t.Fatal(err)
-	}
-	ev = expect(WatchEvent{}, "deleted")
-	if ev.Type != WatchDeleted {
-		t.Fatalf("event = %+v", ev)
-	}
-}
-
-// TestWatcherSurvivesFailover: a watch keeps delivering through a switch
-// failure — the coordination-service behaviour applications rely on.
-func TestWatcherSurvivesFailover(t *testing.T) {
-	cl, err := StartLocalCluster(ClusterConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	writer, _ := cl.NewClient(0)
-	defer writer.Close()
-
-	k := KeyFromString("watched/ha")
-	cl.Insert(k)
-	if _, err := writer.Write(k, Value("v1")); err != nil {
-		t.Fatal(err)
-	}
-
-	w, err := writer.NewWatcher(2 * time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Stop()
-	ch, cancel, _ := w.Watch(k)
-	defer cancel()
-
-	// Drain the initial Created event.
-	select {
-	case <-ch:
-	case <-time.After(5 * time.Second):
-		t.Fatal("no initial event")
-	}
-
-	if err := cl.FailSwitch(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := writer.Write(k, Value("post-failover")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ev := <-ch:
-		if ev.Type != WatchUpdated || string(ev.Value) != "post-failover" {
-			t.Fatalf("event = %+v", ev)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("watch went silent across failover")
-	}
-}

@@ -14,9 +14,11 @@
 package controller
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"netchain/internal/core"
@@ -147,6 +149,9 @@ type Controller struct {
 	// to the group still serving them: the route a client gets stays on the
 	// donor chain until the receiving group's migration flips.
 	moved map[kv.Key]ring.GroupID
+	// agentErrors counts best-effort agent calls that failed (see bestEffort).
+	agentErrors atomic.Uint64
+
 	// resizing guards against overlapping long-running reconfigurations.
 	resizing bool
 	// migratingGroups marks groups whose resize migration has not flipped
@@ -220,9 +225,11 @@ func (c *Controller) GroupRoute(g ring.GroupID) Route {
 	return c.routeLocked(g)
 }
 
+// routeLocked hands out the published chain itself: a chain in c.chains is
+// never mutated, only replaced by a fresh slice (New, HandleFailure, the
+// adopt path and the flip), and no caller writes into Hops.
 func (c *Controller) routeLocked(g ring.GroupID) Route {
-	ch := c.chains[g]
-	return Route{Group: uint16(g), Hops: append([]packet.Addr(nil), ch.Hops...)}
+	return Route{Group: uint16(g), Hops: c.chains[g].Hops}
 }
 
 // Routes snapshots every group's route (client agent refresh).
@@ -251,25 +258,22 @@ func (c *Controller) Insert(k kv.Key) (Route, error) {
 		// group activates.
 		return Route{}, fmt.Errorf("controller: group %d is mid-migration, retry insert", g)
 	}
-	// Single-element batches: one lean round trip per chain hop.
+	// Tail first, and rolled back in the opposite direction: a switch that
+	// holds the slot always has every successor holding it, so a write
+	// racing the insert is answered NotFound by the first hop that lacks
+	// the slot before anything was applied upstream of it. Single-element
+	// batches: one lean round trip per chain hop.
 	batch := []kv.Key{k}
-	installed := make([]Agent, 0, len(ch.Hops))
-	rollback := func() {
-		for _, a := range installed {
-			_ = a.RemoveKeys(batch) // best effort: the insert already failed
+	for i := len(ch.Hops) - 1; i >= 0; i-- {
+		a, ok := c.agent(ch.Hops[i])
+		err := errors.New("no agent")
+		if ok {
+			err = a.InstallKeys(batch)
 		}
-	}
-	for _, hop := range ch.Hops {
-		a, ok := c.agent(hop)
-		if !ok {
-			rollback()
-			return Route{}, fmt.Errorf("controller: no agent for %v", hop)
+		if err != nil {
+			c.removeKeys(ch.Hops[i+1:], batch)
+			return Route{}, fmt.Errorf("controller: insert on %v: %w", ch.Hops[i], err)
 		}
-		if err := a.InstallKeys(batch); err != nil {
-			rollback()
-			return Route{}, fmt.Errorf("controller: insert on %v: %w", hop, err)
-		}
-		installed = append(installed, a)
 	}
 	c.keys[g] = append(c.keys[g], k)
 	return c.routeLocked(g), nil
@@ -299,8 +303,8 @@ func (c *Controller) GC(k kv.Key) error {
 	return nil
 }
 
-// removeKeys frees keys' slots on every reachable switch of hops, one
-// batch per switch. Best effort: a switch that never held a key, or is
+// removeKeys frees keys' slots on every reachable switch of hops in order,
+// one batch per switch. Best effort: a switch that never held a key, or is
 // unreachable, has nothing left to collect.
 func (c *Controller) removeKeys(hops []packet.Addr, keys []kv.Key) {
 	if len(keys) == 0 {
@@ -308,10 +312,23 @@ func (c *Controller) removeKeys(hops []packet.Addr, keys []kv.Key) {
 	}
 	for _, h := range hops {
 		if a, ok := c.agent(h); ok {
-			_ = a.RemoveKeys(keys)
+			c.bestEffort(a.RemoveKeys(keys))
 		}
 	}
 }
+
+// bestEffort accounts for an agent call a reconfiguration does not stop
+// for: the procedure carries on either way (the next step, or the next
+// migration, repairs what a lost call left behind), but a failure is
+// counted rather than dropped.
+func (c *Controller) bestEffort(err error) {
+	if err != nil {
+		c.agentErrors.Add(1)
+	}
+}
+
+// AgentErrors returns how many best-effort agent calls have failed.
+func (c *Controller) AgentErrors() uint64 { return c.agentErrors.Load() }
 
 // KeyCount returns the number of live keys tracked per group (diagnostics).
 func (c *Controller) KeyCount(g ring.GroupID) int {
@@ -360,7 +377,7 @@ func (c *Controller) HandleFailure(failedSw packet.Addr, done func()) error {
 		if ch.Head() == failedSw && len(hops) > 0 {
 			c.sessions[g]++
 			if a, ok := c.agent(hops[0]); ok {
-				_ = a.SetSession(uint16(g), c.sessions[g])
+				c.bestEffort(a.SetSession(uint16(g), c.sessions[g]))
 			}
 		}
 		c.chains[g] = ring.Chain{Group: g, Hops: hops}
@@ -371,7 +388,7 @@ func (c *Controller) HandleFailure(failedSw packet.Addr, done func()) error {
 	c.sched.After(c.cfg.RuleDelay, func() {
 		for _, nb := range neighbors {
 			if a, ok := c.agent(nb); ok {
-				_ = a.InstallRule(failedSw, core.WildcardGroup, core.Rule{Action: core.ActNextHop})
+				c.bestEffort(a.InstallRule(failedSw, core.WildcardGroup, core.Rule{Action: core.ActNextHop}))
 			}
 		}
 		if done != nil {
@@ -382,61 +399,54 @@ func (c *Controller) HandleFailure(failedSw packet.Addr, done func()) error {
 }
 
 // ---------------------------------------------------------------------------
-// Migration engine: the two-phase atomic group switch of Algorithm 3,
-// factored out so failure recovery and planned resize share it. A migration
-// processes one virtual group at a time (§5.2: only 1/groups of the key
-// space loses write availability at any instant): phase 1 stops fresh
-// writes for the group and syncs state inside the stop window; phase 2
-// bumps the session where the head changed, flips the serving chain, and
-// reprograms routing.
+// Migration engine: the per-virtual-group stop, sync and atomic switch of
+// Algorithm 3, shared by failure recovery, planned resize, rehome and
+// demote/restore. A migration processes one virtual group at a time (§5.2:
+// only 1/groups of the key space loses write availability at any instant)
+// and every kind goes through the same stop window:
+//
+//	freeze → drain → copy → flip → hold → collect → thaw
+//
+// The planners only say what changes (chains, donor moves, bookkeeping);
+// migrateNext owns when writes stop and when they may resume.
 
 // maxDrainPolls bounds how long a migration waits for in-flight writes to
 // drain before it copies anyway (the pre-barrier behaviour).
 const maxDrainPolls = 8
 
-// migration is one virtual group's two-phase reconfiguration.
+// migration is one virtual group's reconfiguration, as plain data.
 type migration struct {
 	group ring.GroupID
 	old   ring.Chain // chain serving the group when the migration starts
-	next  ring.Chain // chain after activation
+	next  ring.Chain // chain after the flip
 
-	// adoptOnly short-circuits both phases: the new chain is a subset of
-	// the serving one (no data movement, no stop window needed).
+	// adoptOnly skips the window: the new chain is a subset or a same-head
+	// reorder of the serving one (no data movement, no stop needed).
 	adoptOnly bool
 
-	// preSync, when set, bulk-copies state for preWait *before* the stop
-	// window so only the delta is copied inside it (Algorithm 3 Step 1).
-	preSync func()
-	preWait time.Duration
-	// stop installs the phase-1 write stop: neighbor drop rules for
-	// failure recovery, head write-freezes for planned resize.
-	stop func()
-	// stopWait models phase 1's duration: rule/freeze installation plus
-	// the state sync performed inside the window.
-	stopWait time.Duration
-	// drained, when set, reports whether the writes stamped before the
-	// stop took hold have reached every replica. The engine polls it after
-	// stopWait, one RuleDelay apart and at most maxDrainPolls times, before
-	// it syncs: the stop window's length is a guess about the network, and
-	// a stamped write still in flight when the reference is read would be
-	// acknowledged by the old tail yet missing on the replacement.
-	drained func() bool
-	// sync copies state inside the stop window.
-	sync func()
+	// donors lists the keys the group absorbs from other groups in a
+	// resize, each with the chain still serving them: frozen, drained and
+	// collected together with old.
+	donors []donorMoves
 	// sessionFloor raises the group's session before the bump so writes
-	// stamped after activation dominate versions imported from donor
-	// groups (their sessions advanced independently).
+	// stamped after the flip dominate versions imported from donor groups
+	// (their sessions advanced independently).
 	sessionFloor uint32
 	// bumpSession forces a session bump even when the head is unchanged
 	// (a group that absorbs keys needs its future writes to dominate the
 	// donors' stamps).
 	bumpSession bool
-	// flip runs under c.mu at activation, right after the serving chain is
-	// swapped — key-ownership bookkeeping for resize moves.
+	// preSync bulk-copies state *before* the stop window so only the delta
+	// is copied inside it (Algorithm 3 Step 1).
+	preSync bool
+	// failed and neighbors are set by failure recovery: traffic still
+	// addressed to the failed switch is dropped at its neighbors for the
+	// window and redirected to the replacement from the flip on.
+	failed    packet.Addr
+	neighbors []packet.Addr
+	// flip runs under c.mu right after the serving chain is swapped —
+	// key-ownership bookkeeping for resize moves.
 	flip func()
-	// activate reprograms routing after the flip: redirect rules for
-	// failure recovery, unfreezes and donor-slot GC for resize.
-	activate func()
 }
 
 // liveChainLocked filters switches marked failed out of a planned chain
@@ -478,27 +488,47 @@ func (c *Controller) migrateNext(n int, build func(i int) *migration, i int, don
 		c.migrateNext(n, build, i+1, done)
 		return
 	}
-	syncAndFlip := func() {
-		if m.sync != nil {
-			m.sync()
+	adds := additions(m.old, m.next)
+	moved := 0
+	for _, d := range m.donors {
+		moved += len(d.keys)
+	}
+	// The modelled cost of the state copy: the group's items onto every
+	// joining member, the absorbed keys onto the whole new chain.
+	syncDur := time.Duration(c.KeyCount(m.group)*len(adds)+moved*len(m.next.Hops)) * c.cfg.SyncPerItem
+	copyState := func() {
+		// Members joining the chain receive the group's current keys from
+		// a reference replica (§5.2 "Handling special cases").
+		for _, add := range adds {
+			if ref, ok := referenceSwitch(m.next, add, m.old); ok {
+				c.copyGroup(m.group, ref, add)
+			}
 		}
-		// Activation. Switches that failed while this group's stop window
-		// ran are filtered here, at flip time — installing them would
-		// overwrite the degradation a concurrent HandleFailure applied and
-		// route clients at a dead hop.
+		c.copyMoves(m.donors, m.next)
+	}
+	copyAndFlip := func() {
+		copyState()
+		// Switches that failed while this group's stop window ran are
+		// filtered here, at flip time — installing them would overwrite the
+		// degradation a concurrent HandleFailure applied and route clients
+		// at a dead hop.
 		c.mu.Lock()
 		next := c.liveChainLocked(m.next)
-		headIsNew := len(next.Hops) > 0 && !m.old.Contains(next.Head())
+		// Only the serving head is ever told the group's session, so any
+		// other switch taking over as head — a joining one or a replica
+		// moving up — needs a bump of its own.
+		serving := c.chains[m.group]
+		headChanged := len(next.Hops) > 0 && (len(serving.Hops) == 0 || serving.Head() != next.Head())
 		if c.sessions[m.group] < m.sessionFloor {
 			c.sessions[m.group] = m.sessionFloor
 		}
-		if headIsNew || m.bumpSession {
+		if headChanged || m.bumpSession {
 			c.sessions[m.group]++
 			// The head learns its session before the chain that names it
 			// is published (see HandleFailure).
 			if len(next.Hops) > 0 {
 				if a, ok := c.agent(next.Head()); ok {
-					_ = a.SetSession(uint16(m.group), c.sessions[m.group])
+					c.bestEffort(a.SetSession(uint16(m.group), c.sessions[m.group]))
 				}
 			}
 		}
@@ -507,38 +537,111 @@ func (c *Controller) migrateNext(n int, build func(i int) *migration, i int, don
 			m.flip()
 		}
 		c.mu.Unlock()
-		if m.activate != nil {
-			m.activate()
+		if len(adds) > 0 {
+			// Traffic still addressed to the failed switch follows the
+			// replacement that took its chain position.
+			c.neighborRules(m, core.Rule{Action: core.ActRedirect, To: adds[0]})
 		}
+		// Every freeze outlives the flip by one rule delay: a write that
+		// resolved the old route just before the flip may still be in
+		// flight, and a member that thawed at the flip would stamp it and
+		// have it acknowledged on a chain the state copy has already left —
+		// an acknowledged write the new chain's tail would never see.
+		// Reads that resolved the old route drain off the wire in the same
+		// delay, so only then are the slots the new chain no longer needs
+		// collected (exact placement: a key lives on its chain's switches
+		// and nowhere else — removing a slot under an in-flight read would
+		// turn an existing key into a spurious NotFound), and only once
+		// they are gone does anything thaw: from then on a stale-routed
+		// write fails with NotFound instead of silently committing.
 		c.sched.After(c.cfg.RuleDelay, func() {
+			for _, d := range m.donors {
+				c.removeKeys(additions(m.next, d.chain), d.keys)
+			}
+			if leavers := additions(m.next, m.old); len(leavers) > 0 {
+				c.removeKeys(leavers, c.groupKeys(m.group))
+			}
+			c.setFreeze(m, false)
 			if cb := c.OnGroupRecovered; cb != nil {
 				cb(m.group)
 			}
 			c.migrateNext(n, build, i+1, done)
 		})
 	}
+	// The stop window's length is a guess about the network: a write
+	// stamped before the freeze and still in flight when the copy reads
+	// its reference would be acknowledged by the old tail yet missing on
+	// the new chain. So after the window the engine polls the drain
+	// barrier, one rule delay apart, before it copies.
 	var awaitDrain func(polls int)
 	awaitDrain = func(polls int) {
-		if m.drained != nil && polls < maxDrainPolls && !m.drained() {
+		if polls < maxDrainPolls && !c.drained(m) {
 			c.sched.After(c.cfg.RuleDelay, func() { awaitDrain(polls + 1) })
 			return
 		}
-		syncAndFlip()
+		copyAndFlip()
 	}
-	phase1 := func() {
-		if m.stop != nil {
-			m.stop()
-		}
-		c.sched.After(m.stopWait, func() { awaitDrain(0) })
+	stop := func(window time.Duration) {
+		c.neighborRules(m, core.Rule{Action: core.ActDrop})
+		c.setFreeze(m, true)
+		c.sched.After(c.cfg.RuleDelay+window, func() { awaitDrain(0) })
 	}
-	if m.preSync != nil {
-		c.sched.After(m.preWait, func() {
-			m.preSync()
-			phase1()
+	if m.preSync {
+		// Bulk copy while the old chain keeps serving; only the delta is
+		// copied inside the stop window.
+		c.sched.After(syncDur, func() {
+			copyState()
+			stop(c.cfg.PreSyncDelta)
 		})
 	} else {
-		phase1()
+		stop(syncDur)
 	}
+}
+
+// setFreeze installs or lifts the write freeze of the window: every member
+// of the serving chain and of every donor chain, for its group (behind
+// failover rules any member a stale route lists first can act as head).
+// Frozen members bounce fresh writes with StatusUnavailable while ordered
+// chain writes keep draining and reads — and every other group — keep
+// serving.
+func (c *Controller) setFreeze(m *migration, frozen bool) {
+	set := func(g ring.GroupID, ch ring.Chain) {
+		for _, h := range ch.Hops {
+			if a, ok := c.agent(h); ok {
+				c.bestEffort(a.FreezeWrites(uint16(g), frozen))
+			}
+		}
+	}
+	set(m.group, m.old)
+	for _, d := range m.donors {
+		set(d.from, d.chain)
+	}
+}
+
+// neighborRules programs r for the migrating group on every neighbor of
+// the switch a recovery replaces; a no-op for planned migrations, which
+// have no dead address for a rule to match.
+func (c *Controller) neighborRules(m *migration, r core.Rule) {
+	for _, nb := range m.neighbors {
+		if a, ok := c.agent(nb); ok {
+			c.bestEffort(a.InstallRule(m.failed, int(m.group), r))
+		}
+	}
+}
+
+// drained is the drain barrier: the writes stamped before the freeze took
+// hold have reached every replica of the serving chain and of every donor
+// chain.
+func (c *Controller) drained(m *migration) bool {
+	if !c.chainAgrees(m.old, c.groupKeys(m.group)) {
+		return false
+	}
+	for _, d := range m.donors {
+		if !c.chainAgrees(d.chain, d.keys) {
+			return false
+		}
+	}
+	return true
 }
 
 // ---------------------------------------------------------------------------
@@ -547,7 +650,7 @@ func (c *Controller) migrateNext(n int, build func(i int) *migration, i int, don
 // Recover reassigns the failed switch's virtual nodes round-robin over the
 // pool of live replacement switches (§5.2 spreads them "to multiple
 // switches rather than a single switch"), then restores each affected
-// group's chain to full strength with the two-phase atomic switch. done
+// group's chain to full strength through the migration engine. done
 // (optional) fires after the last group. Pool switches outside the ring
 // membership are admitted without virtual nodes of their own (the
 // testbed's spare S3).
@@ -590,99 +693,31 @@ func (c *Controller) Recover(failedSw packet.Addr, pool []packet.Addr, done func
 	return nil
 }
 
-// buildRecoverMigration plans one group's recovery migration: the stop is
-// a per-group drop rule on the failed switch's neighbors, the activation a
-// redirect rule pointing stale traffic at the replacement (Algorithm 3).
+// buildRecoverMigration plans one group's recovery: the degraded chain
+// regains the replacement that took the failed switch's ring position.
+// The drop rules it asks for only stop traffic still addressed to the dead
+// switch; after fast failover the degraded chain serves under its own
+// addresses, which is why recovery needs the engine's freeze like every
+// planned migration.
 func (c *Controller) buildRecoverMigration(failedSw packet.Addr,
 	neighbors []packet.Addr, g ring.GroupID) *migration {
 	c.mu.Lock()
 	newChain, err := c.ring.ChainForGroup(g)
+	degraded := c.chains[g]
+	c.mu.Unlock()
 	if err != nil {
-		c.mu.Unlock()
 		return nil
 	}
-	degraded := c.chains[g]
-	adds := additions(degraded, newChain)
-	items := len(c.keys[g])
-	c.mu.Unlock()
-
-	if len(adds) == 0 {
-		// Chain unchanged (replacement coincides with existing members);
-		// just adopt the new chain.
-		return &migration{group: g, old: degraded, next: newChain, adoptOnly: true}
+	return &migration{
+		group: g,
+		old:   degraded,
+		next:  newChain,
+		// Replacement coincides with existing members: just adopt.
+		adoptOnly: len(additions(degraded, newChain)) == 0,
+		preSync:   c.cfg.PreSync,
+		failed:    failedSw,
+		neighbors: neighbors,
 	}
-
-	syncDur := time.Duration(items*len(adds)) * c.cfg.SyncPerItem
-	doSync := func() {
-		for _, add := range adds {
-			if ref, ok := referenceSwitch(newChain, add, degraded); ok {
-				c.copyGroup(g, ref, add)
-			}
-		}
-	}
-	m := &migration{
-		group:   g,
-		old:     degraded,
-		next:    newChain,
-		sync:    doSync,
-		drained: func() bool { return c.chainAgrees(g, degraded) },
-		stop: func() {
-			for _, nb := range neighbors {
-				if a, ok := c.agent(nb); ok {
-					_ = a.InstallRule(failedSw, int(g), core.Rule{Action: core.ActDrop})
-				}
-			}
-			// The drop rules only stop traffic still addressed to the
-			// dead switch; after fast failover the degraded chain serves
-			// under its own addresses and would keep stamping fresh
-			// writes THROUGH the copy window — a write in flight down
-			// the degraded chain when the reference replica is read
-			// misses the copy and is lost the moment the replacement
-			// becomes tail. Freeze every degraded member for the window
-			// (the same serve-while-migrating guard the planned resize
-			// uses — behind failover rules, any member a stale route
-			// lists first can act as head); the stopWait drain then lets
-			// stamped writes reach the reference before doSync reads it.
-			for _, h := range degraded.Hops {
-				if a, ok := c.agent(h); ok {
-					_ = a.FreezeWrites(uint16(g), true)
-				}
-			}
-		},
-		activate: func() {
-			// The freeze outlives activation by one rule delay: a write
-			// that resolved the degraded route just before the flip may
-			// still be in flight, and an old member that unfroze at the
-			// flip would stamp and ack it on a chain the state copy has
-			// already left — an acknowledged write the freshly-synced
-			// replacement (often the new tail) would never see.
-			c.sched.After(c.cfg.RuleDelay, func() {
-				for _, h := range degraded.Hops {
-					if a, ok := c.agent(h); ok {
-						_ = a.FreezeWrites(uint16(g), false)
-					}
-				}
-			})
-			// Traffic still addressed to the failed switch follows the
-			// replacement that took its chain position.
-			for _, nb := range neighbors {
-				if a, ok := c.agent(nb); ok {
-					_ = a.InstallRule(failedSw, int(g),
-						core.Rule{Action: core.ActRedirect, To: adds[0]})
-				}
-			}
-		},
-	}
-	if c.cfg.PreSync {
-		// Step 1 (optimization): bulk copy while the degraded chain keeps
-		// serving; only the delta is copied inside the stop window.
-		m.preSync = doSync
-		m.preWait = syncDur
-		m.stopWait = c.cfg.RuleDelay + c.cfg.PreSyncDelta
-	} else {
-		m.stopWait = c.cfg.RuleDelay + syncDur
-	}
-	return m
 }
 
 // copyGroup copies every item of group g from ref to dst (the actual data
@@ -722,52 +757,53 @@ func (c *Controller) copyItems(src Agent, keys []kv.Key, dsts []packet.Addr) {
 			continue
 		}
 		if len(missing) > 0 {
-			_ = to.InstallKeys(missing) // a slot already there is as good
+			c.bestEffort(to.InstallKeys(missing)) // a slot already there is as good
 		}
 		if len(items) > 0 {
-			_ = to.WriteItems(items)
+			c.bestEffort(to.WriteItems(items))
 		}
 	}
 }
 
-// chainAgrees reports whether the first and the last member of ch hold
-// the same version of every key of group g — the drain barrier of failure
-// recovery: a write the head stamped that has not reached the tail yet
-// shows as a version gap. A member that cannot be read counts as agreeing
-// (the copy then proceeds as it did before the barrier existed).
-func (c *Controller) chainAgrees(g ring.GroupID, ch ring.Chain) bool {
-	if len(ch.Hops) < 2 {
+// chainAgrees reports whether every member of ch holds the same version of
+// every key in keys — the drain barrier: a write the head stamped that has
+// not reached every replica yet shows as a version gap. Head against tail
+// is not enough: a write routed on an earlier order of the same members
+// (before a demotion) can be held by both and still be on its way to the
+// member between them. A member that has been failed over since, or that
+// cannot be read, counts as agreeing: nothing will reach it any more (the
+// copy then proceeds as it did before the barrier existed).
+func (c *Controller) chainAgrees(ch ring.Chain, keys []kv.Key) bool {
+	c.mu.Lock()
+	ch = c.liveChainLocked(ch)
+	c.mu.Unlock()
+	if len(ch.Hops) < 2 || len(keys) == 0 {
 		return true
 	}
-	keys := c.groupKeys(g)
-	if len(keys) == 0 {
-		return true
-	}
-	head, ok := c.agent(ch.Head())
-	if !ok {
-		return true
-	}
-	tail, ok := c.agent(ch.Tail())
-	if !ok {
-		return true
-	}
-	// Tail first: a write that lands between the two reads then shows at
-	// the head only, a gap, instead of hiding behind a stale head read.
-	atTail, _, err := tail.ReadItems(keys)
-	if err != nil {
-		return true
-	}
-	atHead, _, err := head.ReadItems(keys)
-	if err != nil {
-		return true
-	}
-	tailVer := make(map[kv.Key]kv.Version, len(atTail))
-	for _, it := range atTail {
-		tailVer[it.Key] = it.Version
-	}
-	for _, it := range atHead {
-		if v, ok := tailVer[it.Key]; ok && v != it.Version {
-			return false
+	// Tail first: a write that lands between two reads then shows at the
+	// upstream member only, a gap, instead of hiding behind a stale
+	// upstream read.
+	var want map[kv.Key]kv.Version
+	for i := len(ch.Hops) - 1; i >= 0; i-- {
+		a, ok := c.agent(ch.Hops[i])
+		if !ok {
+			continue
+		}
+		items, _, err := a.ReadItems(keys)
+		if err != nil {
+			continue
+		}
+		if want == nil {
+			want = make(map[kv.Key]kv.Version, len(items))
+			for _, it := range items {
+				want[it.Key] = it.Version
+			}
+			continue
+		}
+		for _, it := range items {
+			if v, ok := want[it.Key]; ok && v != it.Version {
+				return false
+			}
 		}
 	}
 	return true

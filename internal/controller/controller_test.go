@@ -24,6 +24,10 @@ type fixture struct {
 
 	replies map[uint64]query.Reply
 	nextQID uint64
+
+	// wrap, when set, interposes on every agent the controller resolves
+	// (stub agents that fail or observe one call).
+	wrap func(packet.Addr, Agent) Agent
 }
 
 func newFixture(t *testing.T, cfg Config, vnodes int) *fixture {
@@ -38,18 +42,21 @@ func newFixture(t *testing.T, cfg Config, vnodes int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := &fixture{sim: sim, tb: tb, ring: r, replies: map[uint64]query.Reply{}}
 	agent := func(a packet.Addr) (Agent, bool) {
 		sw, ok := tb.Net.Switch(a)
 		if !ok {
 			return nil, false
 		}
+		if f.wrap != nil {
+			return f.wrap(a, LocalAgent{Switch: sw}), true
+		}
 		return LocalAgent{Switch: sw}, true
 	}
-	ctl, err := New(cfg, r, SimScheduler{Sim: sim}, agent, tb.Net.SwitchNeighbors)
+	f.ctl, err = New(cfg, r, SimScheduler{Sim: sim}, agent, tb.Net.SwitchNeighbors)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &fixture{sim: sim, tb: tb, ring: r, ctl: ctl, replies: map[uint64]query.Reply{}}
 	for _, h := range tb.Hosts {
 		h := h
 		tb.Net.HostRecv(h, func(fr *packet.Frame) {

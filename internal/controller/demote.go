@@ -17,13 +17,16 @@ import (
 // full state re-sync and, for a switch that is merely degraded, trade a
 // latency problem for an availability one.
 //
-// Reordering a serving chain is only safe behind the same two-phase guard
-// the resize migrations use: freeze fresh writes on every serving member,
-// wait one rule delay so in-flight ordered writes drain to all replicas
-// (after which every member holds an identical committed prefix), then
-// flip the chain and unfreeze. Without the drain, a write acked by the
-// old tail but not yet applied at the new one would be invisible to the
-// first post-flip read — a stale read.
+// Reordering a serving chain is only safe behind the migration engine's
+// stop window: freeze fresh writes on every serving member, wait until the
+// in-flight ordered writes have drained to all replicas (every member then
+// holds an identical committed prefix), flip the chain, hold the freeze one
+// more rule delay, thaw. Without the drain, a write acked by the old tail
+// but not yet applied at the new one would be invisible to the first
+// post-flip read — a stale read; without the hold, a stale-routed read at
+// the old tail could observe a post-flip write that a later read at the
+// new tail has not seen yet. No data moves and the member set is unchanged,
+// so the window copies nothing and bumps no session.
 
 // Demote moves sw out of the tail position of every virtual group it
 // currently serves as tail (chains of at least 3 hops, so the head never
@@ -109,49 +112,9 @@ func (c *Controller) reorderChains(sw packet.Addr,
 		if !ok {
 			return nil
 		}
-		return c.buildReorderMigration(g, old, next)
-	}, func() {
-		c.mu.Lock()
-		c.resizing = false
-		c.mu.Unlock()
-		if done != nil {
-			done()
-		}
-	})
+		return &migration{group: g, old: old, next: next}
+	}, func() { c.endResize(nil, done) })
 	return len(affected), nil
-}
-
-// buildReorderMigration plans one group's order-only migration: freeze
-// fresh writes on every serving member (any of them may act as head
-// behind failover rules), let the in-flight ordered writes drain for one
-// rule delay, flip, unfreeze. No data moves and the member set is
-// unchanged, so there is no sync step and no session bump — the drain
-// guarantees every member holds the same committed prefix at the flip.
-func (c *Controller) buildReorderMigration(g ring.GroupID, old, next ring.Chain) *migration {
-	freeze := func(frozen bool) {
-		for _, h := range old.Hops {
-			if a, ok := c.agent(h); ok {
-				_ = a.FreezeWrites(uint16(g), frozen)
-			}
-		}
-	}
-	return &migration{
-		group:    g,
-		old:      old,
-		next:     next,
-		stopWait: c.cfg.RuleDelay,
-		stop:     func() { freeze(true) },
-		activate: func() {
-			// Writes stay frozen for one more rule delay after the
-			// flip: reads already in flight toward the pre-flip tail
-			// (including nemesis-duplicated stragglers) must drain
-			// before any post-flip write can apply, or a stale-routed
-			// read at the old tail could observe a write that a
-			// later read at the new tail has not seen yet — the same
-			// reasoning behind the resize's delayed donor-slot GC.
-			c.sched.After(c.cfg.RuleDelay, func() { freeze(false) })
-		},
-	}
 }
 
 // chWithGroup stamps the map key's group id onto a chain value (serving

@@ -3,7 +3,6 @@ package controller
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"netchain/internal/core"
 	"netchain/internal/kv"
@@ -13,13 +12,9 @@ import (
 
 // Planned elastic reconfiguration (scale-out / scale-in): the controller
 // recomputes virtual-group placement through ring.Resize, then runs the
-// shared migration engine over every affected group — copy state from a
-// reference replica, bump the group's session, atomically flip the route.
-// Unlike failure recovery there is no dead switch for neighbor rules to
-// match, so phase 1's write stop is the dataplane's serve-while-migrating
-// guard (core.Switch.SetWriteFreeze): fresh writes for the migrating group
-// bounce with StatusUnavailable while reads — and every other group — keep
-// serving.
+// shared migration engine over every affected group. This file plans —
+// which groups, which chains, which keys change groups — and keeps the
+// key-ownership books; the stop window is the engine's (migrateNext).
 
 // keyMove records one key changing virtual groups across a resize (its ring
 // segment was split by a new virtual node or merged into its successor by a
@@ -147,14 +142,14 @@ func (c *Controller) Resize(add, remove []packet.Addr, done func()) (ring.Diff, 
 	for _, sw := range readmitted {
 		if a, ok := c.agent(sw); ok {
 			if ks, err := a.Keys(); err == nil && len(ks) > 0 {
-				_ = a.RemoveKeys(ks)
+				c.bestEffort(a.RemoveKeys(ks))
 			}
 		}
 		for _, nb := range c.neighbors(sw) {
 			if a, ok := c.agent(nb); ok {
-				_ = a.RemoveRule(sw, core.WildcardGroup)
+				c.bestEffort(a.RemoveRule(sw, core.WildcardGroup))
 				for _, g := range existingGroups {
-					_ = a.RemoveRule(sw, int(g))
+					c.bestEffort(a.RemoveRule(sw, int(g)))
 				}
 			}
 		}
@@ -163,22 +158,26 @@ func (c *Controller) Resize(add, remove []packet.Addr, done func()) (ring.Diff, 
 	c.runMigrations(len(affected), func(i int) *migration {
 		g := affected[i]
 		return c.buildResizeMigration(g, movedInto[g])
-	}, func() {
-		c.mu.Lock()
-		for _, g := range retired {
-			delete(c.chains, g)
-			delete(c.keys, g)
-			delete(c.sessions, g)
-		}
-		c.resizing = false
-		c.migratingGroups = make(map[ring.GroupID]bool)
-		c.droppedKeys = make(map[kv.Key]bool)
-		c.mu.Unlock()
-		if done != nil {
-			done()
-		}
-	})
+	}, func() { c.endResize(retired, done) })
 	return diff, nil
+}
+
+// endResize dismantles the retired groups and releases the latch a resize,
+// rehome or reorder took, with the books GC kept while it was held.
+func (c *Controller) endResize(retired []ring.GroupID, done func()) {
+	c.mu.Lock()
+	for _, g := range retired {
+		delete(c.chains, g)
+		delete(c.keys, g)
+		delete(c.sessions, g)
+	}
+	c.resizing = false
+	c.migratingGroups = make(map[ring.GroupID]bool)
+	c.droppedKeys = make(map[kv.Key]bool)
+	c.mu.Unlock()
+	if done != nil {
+		done()
+	}
 }
 
 // Resizing reports whether a planned reconfiguration is in flight.
@@ -188,9 +187,9 @@ func (c *Controller) Resizing() bool {
 	return c.resizing
 }
 
-// buildResizeMigration plans one group's resize migration: freeze fresh
-// writes on the serving chain (and on donor chains while their keys copy),
-// sync state, flip, unfreeze, GC the donors' orphaned slots.
+// buildResizeMigration plans one group's move onto its ring chain, with
+// the keys it absorbs from donor groups (none for a rehome, where no key
+// changes groups).
 func (c *Controller) buildResizeMigration(g ring.GroupID, moves []keyMove) *migration {
 	c.mu.Lock()
 	newChain, err := c.ring.ChainForGroup(g)
@@ -198,170 +197,76 @@ func (c *Controller) buildResizeMigration(g ring.GroupID, moves []keyMove) *migr
 		c.mu.Unlock()
 		return nil
 	}
-	newChain = c.liveChainLocked(newChain)
-	old := c.chains[g] // zero-valued for groups born in this resize
-	adds := additions(old, newChain)
-	leavers := additions(newChain, old) // serving members not in the new chain
-	groupKeys := append([]kv.Key(nil), c.keys[g]...)
-	items := len(groupKeys)
+	m := &migration{
+		group:       g,
+		old:         c.chains[g], // zero-valued for groups born in this resize
+		next:        c.liveChainLocked(newChain),
+		donors:      movesByDonor(moves),
+		bumpSession: len(moves) > 0,
+	}
 	// Donor serving chains and session floor: the receiving group's next
 	// session must dominate every version stamped under a donor's session,
 	// or replicas would reject post-migration writes as stale.
-	donorChains := make(map[ring.GroupID]ring.Chain, len(moves))
-	var sessionFloor uint32
-	for _, mv := range moves {
-		donorChains[mv.from] = c.chains[mv.from]
-		if s := c.sessions[mv.from]; s > sessionFloor {
-			sessionFloor = s
+	for i := range m.donors {
+		d := &m.donors[i]
+		d.chain = c.chains[d.from]
+		if s := c.sessions[d.from]; s > m.sessionFloor {
+			m.sessionFloor = s
 		}
 	}
 	c.mu.Unlock()
 
-	if len(adds) == 0 && len(moves) == 0 {
-		if old.Equal(newChain) {
+	if len(moves) == 0 && len(additions(m.old, m.next)) == 0 {
+		if m.old.Equal(m.next) {
 			return nil
 		}
-		if len(leavers) == 0 && len(old.Hops) > 0 && len(newChain.Hops) > 0 &&
-			old.Head() == newChain.Head() {
-			// Pure reorder of the serving members: no data to move, no
-			// head change — adopt.
-			return &migration{group: g, old: old, next: newChain, adoptOnly: true}
+		// Pure reorder of the serving members: no data to move, no head
+		// change — adopt. A changed head, or members leaving without
+		// replacement, run the window (session bump / leaver collection)
+		// with an empty copy set.
+		m.adoptOnly = len(additions(m.next, m.old)) == 0 && len(m.old.Hops) > 0 &&
+			len(m.next.Hops) > 0 && m.old.Head() == m.next.Head()
+	}
+	m.flip = func() {
+		// Key-ownership bookkeeping, under c.mu: the absorbed keys now
+		// belong to g and route through its (just-flipped) chain, and
+		// the group accepts inserts again. Keys GC'd mid-resize stay
+		// deleted — and because a GC under wall-clock time can slip in
+		// between the copy's drop check and the item landing on the new
+		// chain, the flip scrubs every dropped key of this group off
+		// the chain it is about to serve from.
+		delete(c.migratingGroups, g)
+		var scrub []kv.Key
+		for k := range c.droppedKeys {
+			if c.ring.GroupForKey(k) == g {
+				scrub = append(scrub, k)
+			}
 		}
-		// Head changed or members left without replacement: run the phases
-		// (session bump / leaver GC) with an empty copy set.
-	}
-
-	// Freeze set: every serving member of the group (any of them may act
-	// as head behind failover rules) plus every donor chain member.
-	type freezeTarget struct {
-		sw    packet.Addr
-		group ring.GroupID
-	}
-	var freezes []freezeTarget
-	seen := make(map[freezeTarget]bool)
-	addFreeze := func(sw packet.Addr, fg ring.GroupID) {
-		ft := freezeTarget{sw, fg}
-		if !seen[ft] {
-			seen[ft] = true
-			freezes = append(freezes, ft)
+		c.removeKeys(m.next.Hops, scrub)
+		for _, mv := range moves {
+			if c.droppedKeys[mv.key] {
+				continue
+			}
+			ks := c.keys[mv.from]
+			for i, k := range ks {
+				if k == mv.key {
+					c.keys[mv.from] = append(ks[:i], ks[i+1:]...)
+					break
+				}
+			}
+			c.keys[g] = append(c.keys[g], mv.key)
+			delete(c.moved, mv.key)
 		}
-	}
-	for _, h := range old.Hops {
-		addFreeze(h, g)
-	}
-	for dg, ch := range donorChains {
-		for _, h := range ch.Hops {
-			addFreeze(h, dg)
-		}
-	}
-
-	donors := movesByDonor(moves)
-	syncItems := items*len(adds) + len(moves)*len(newChain.Hops)
-	syncDur := time.Duration(syncItems) * c.cfg.SyncPerItem
-
-	m := &migration{
-		group:        g,
-		old:          old,
-		next:         newChain,
-		stopWait:     c.cfg.RuleDelay + syncDur,
-		sessionFloor: sessionFloor,
-		bumpSession:  len(moves) > 0,
-		stop: func() {
-			for _, ft := range freezes {
-				if a, ok := c.agent(ft.sw); ok {
-					_ = a.FreezeWrites(uint16(ft.group), true)
-				}
-			}
-		},
-		sync: func() {
-			// Members joining the chain receive the group's current keys
-			// from a reference replica (§5.2 "Handling special cases").
-			for _, add := range adds {
-				if ref, ok := referenceSwitch(newChain, add, old); ok {
-					c.copyGroup(g, ref, add)
-				}
-			}
-			c.copyMoves(donors, donorChains, newChain)
-		},
-		flip: func() {
-			// Key-ownership bookkeeping, under c.mu: the absorbed keys now
-			// belong to g and route through its (just-flipped) chain, and
-			// the group accepts inserts again. Keys GC'd mid-resize stay
-			// deleted — and because a GC under wall-clock time can slip in
-			// between copyKey's drop check and the item landing on the new
-			// chain, the flip scrubs every dropped key of this group off
-			// the chain it is about to serve from.
-			delete(c.migratingGroups, g)
-			var scrub []kv.Key
-			for k := range c.droppedKeys {
-				if c.ring.GroupForKey(k) == g {
-					scrub = append(scrub, k)
-				}
-			}
-			c.removeKeys(newChain.Hops, scrub)
-			for _, mv := range moves {
-				if c.droppedKeys[mv.key] {
-					continue
-				}
-				ks := c.keys[mv.from]
-				for i, k := range ks {
-					if k == mv.key {
-						c.keys[mv.from] = append(ks[:i], ks[i+1:]...)
-						break
-					}
-				}
-				c.keys[g] = append(c.keys[g], mv.key)
-				delete(c.moved, mv.key)
-			}
-		},
-		activate: func() {
-			// Unfreeze only the members now serving the group: a write that
-			// is still in flight toward a donor head or a leaver must keep
-			// bouncing (StatusUnavailable → client retries on the fresh
-			// route) — an unfrozen old head with a live slot would stamp
-			// and ack the write on a chain the copy already left behind, an
-			// acknowledged lost update.
-			for _, ft := range freezes {
-				if ft.group == g && newChain.Contains(ft.sw) {
-					if a, ok := c.agent(ft.sw); ok {
-						_ = a.FreezeWrites(uint16(ft.group), false)
-					}
-				}
-			}
-			// GC absorbed keys' slots from donor members that are not part
-			// of the new chain, and the group's own keys from members that
-			// left it (exact placement: a key lives on its chain's switches
-			// and nowhere else — this is also what lets a drained switch be
-			// powered off empty). The removal waits out one rule delay so
-			// reads that resolved their route to the donor/leaver chain
-			// just before the flip drain off the wire first; removing the
-			// slot under them would turn an existing key into a spurious
-			// NotFound. Only once the slots are gone do the donors and
-			// leavers unfreeze — from then on a stale-routed write fails
-			// with NotFound instead of silently committing.
-			c.sched.After(c.cfg.RuleDelay, func() {
-				for _, dm := range donors {
-					c.removeKeys(additions(newChain, donorChains[dm.from]), dm.keys)
-				}
-				c.removeKeys(leavers, groupKeys)
-				for _, ft := range freezes {
-					if ft.group == g && newChain.Contains(ft.sw) {
-						continue // already lifted at activation
-					}
-					if a, ok := c.agent(ft.sw); ok {
-						_ = a.FreezeWrites(uint16(ft.group), false)
-					}
-				}
-			})
-		},
 	}
 	return m
 }
 
-// donorMoves is the keys one donor group hands to an absorbing group.
+// donorMoves is the keys one donor group hands to an absorbing group, and
+// the chain serving them until the absorbing group flips.
 type donorMoves struct {
-	from ring.GroupID
-	keys []kv.Key
+	from  ring.GroupID
+	chain ring.Chain
+	keys  []kv.Key
 }
 
 // movesByDonor groups a migration's key moves per donor group, donors in
@@ -389,7 +294,7 @@ func movesByDonor(moves []keyMove) []donorMoves {
 // wins over the move. A donor that cannot be read (key mid-insert, chain
 // fully failed) still gets its keys' slots installed so post-migration
 // writes land.
-func (c *Controller) copyMoves(donors []donorMoves, donorChains map[ring.GroupID]ring.Chain, dst ring.Chain) {
+func (c *Controller) copyMoves(donors []donorMoves, dst ring.Chain) {
 	for _, dm := range donors {
 		c.mu.Lock()
 		keys := make([]kv.Key, 0, len(dm.keys))
@@ -400,8 +305,8 @@ func (c *Controller) copyMoves(donors []donorMoves, donorChains map[ring.GroupID
 		}
 		c.mu.Unlock()
 		var src Agent // stays nil when the donor has no reachable tail
-		if donor := donorChains[dm.from]; len(donor.Hops) > 0 {
-			if a, ok := c.agent(donor.Tail()); ok {
+		if len(dm.chain.Hops) > 0 {
+			if a, ok := c.agent(dm.chain.Tail()); ok {
 				src = a
 			}
 		}

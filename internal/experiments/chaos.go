@@ -318,7 +318,13 @@ func chaosController(d *Deployment) (*controller.Controller, error) {
 // linearizability. It returns an error for harness failures (the cluster
 // broke); a non-linearizable history is reported in Result.Lin, not as an
 // error, so callers can dump the history.
-func RunChaos(o ChaosOpts) (*ChaosResult, error) {
+func RunChaos(o ChaosOpts) (*ChaosResult, error) { return runChaos(o, nil) }
+
+// runChaos is RunChaos with a script: when set, it is called once the
+// workload and the nemesis are armed and before the clock starts, to
+// schedule a test's own controller actions (a planned resize) on d.Sim;
+// fail aborts the run.
+func runChaos(o ChaosOpts, script func(d *Deployment, fail func(error))) (*ChaosResult, error) {
 	o.defaults()
 	sc, err := chaosScenarioNamed(o.Schedule)
 	if err != nil {
@@ -442,6 +448,9 @@ func RunChaos(o ChaosOpts) (*ChaosResult, error) {
 		})
 	}
 
+	if script != nil {
+		script(d, load.fail)
+	}
 	d.Sim.Run()
 
 	if err := load.check(&res.ChaosReport); err != nil {

@@ -63,8 +63,9 @@ const (
 	MonitorSuspects      = "netchain_monitor_suspects"
 
 	// Controller / autopilot.
-	ControllerSwitches = "netchain_controller_switches"
-	ControllerRepairs  = "netchain_controller_repairs_total"
+	ControllerSwitches    = "netchain_controller_switches"
+	ControllerRepairs     = "netchain_controller_repairs_total"
+	ControllerAgentErrors = "netchain_controller_agent_errors_total"
 )
 
 // RequiredNodeSeries is the minimum series set a healthy netchaind must

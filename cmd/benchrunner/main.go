@@ -19,7 +19,6 @@ import (
 	"strings"
 	"time"
 
-	"netchain/internal/benchjson"
 	"netchain/internal/experiments"
 	"netchain/internal/mc"
 )
@@ -28,26 +27,18 @@ func main() { os.Exit(realMain()) }
 
 // realMain carries the exit code back through a normal return so the
 // deferred profile writers (-cpuprofile/-memprofile) flush even when an
-// experiment fails or the perf gate trips — the run where a profile is
-// most wanted.
+// experiment fails — the run where a profile is most wanted.
 func realMain() (code int) {
-	exp := flag.String("exp", "all", "experiment: table1|fig9a|fig9b|fig9c|fig9d|fig9e|fig9f|fig10a|fig10b|fig11|resize|pipeline|tla|bench|udpbench|read-scaling|hot-key|value-sweep|trace|mttr|watch|chaos|realchaos|placement|all")
+	exp := flag.String("exp", "all", "experiment: table1|fig9a|fig9b|fig9c|fig9d|fig9e|fig9f|fig10a|fig10b|fig11|resize|pipeline|tla|trace|watch|chaos|realchaos|placement|all")
 	full := flag.Bool("full", false, "use longer windows / full parameter sweeps")
 	windows := flag.String("windows", "1,4,16,64", "outstanding-window sweep for -exp pipeline (comma-separated)")
 	window := flag.Int("window", 0, "client outstanding-query window for the fig9 experiments (0 = unbounded open loop)")
-	jsonPath := flag.String("json", "", "write machine-readable -exp bench results to this file (BENCH.json)")
-	baseline := flag.String("baseline", "", "compare -exp bench results against this baseline file; exit 1 on regression")
-	compare := flag.String("compare", "", "with -baseline: also write a benchstat-style old-vs-new table to this file")
-	gate := flag.Float64("gate", 0.20, "regression tolerance for -baseline (0.20 = 20%)")
-	seed := flag.Int64("seed", 1, "deterministic seed for -exp chaos and -exp bench")
+	seed := flag.Int64("seed", 1, "deterministic seed for -exp chaos, realchaos and placement")
 	schedule := flag.String("schedule", "full-nemesis", "nemesis schedule for -exp chaos ('all' runs every schedule)")
 	autopilot := flag.Bool("autopilot", false, "run -exp chaos hands-free: faults are injected by the nemesis and repaired by the φ-accrual autopilot, never by manual controller calls")
 	topology := flag.String("topology", "ring", "substrate for -exp chaos: ring (the Fig. 8 testbed), spine-leaf:SxL, or fattree:k")
-	archive := flag.String("archive", "", "with -json: also archive the gated run as BENCH_<n>.json under this directory (perf trajectory across PRs)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
-	flag.IntVar(&udpSockets, "udp-sockets", 0, "SO_REUSEPORT ingest sockets for the real-UDP scenarios (0 = auto)")
-	flag.IntVar(&udpBatch, "udp-batch", 0, "datagrams per ingest syscall for the real-UDP scenarios (0 = 32)")
 	flag.Parse()
 
 	if *cpuprofile != "" {
@@ -94,9 +85,9 @@ func realMain() (code int) {
 		}
 		fmt.Printf("[%s took %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
-	// runOnly registers an experiment reachable only by name: the
-	// standalone real-UDP scenario views are already executed (and gated)
-	// inside "bench", so "all" must not run the same socket benches again.
+	// runOnly registers an experiment reachable only by name: these run on
+	// the wall clock (live sockets, worker pools), so "all" (the quick sim
+	// sweep) must not pay for them.
 	runOnly := func(name string, fn func() error) {
 		if *exp == name {
 			run(name, fn)
@@ -163,53 +154,12 @@ func realMain() (code int) {
 		}
 		return nil
 	})
-	run("bench", func() error { return runBench(*seed, *jsonPath, *baseline, *compare, *archive, *gate) })
-	runOnly("mttr", func() error {
-		_, rows, err := experiments.MTTRBench(*seed)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatMTTR(rows))
-		return nil
-	})
 	runOnly("watch", func() error {
 		results, err := experiments.WatchScale(watchOpts(*full))
 		if err != nil {
 			return err
 		}
 		fmt.Print(experiments.FormatWatchScale(results))
-		return nil
-	})
-	runOnly("udpbench", func() error {
-		results, err := experiments.UDPBench(udpOpts(*full))
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatUDPBench(results))
-		return nil
-	})
-	runOnly("read-scaling", func() error {
-		results, err := experiments.ReadScaling(udpOpts(*full))
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatUDPBench(results))
-		return nil
-	})
-	runOnly("hot-key", func() error {
-		results, err := experiments.HotKey(udpOpts(*full))
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatUDPBench(results))
-		return nil
-	})
-	runOnly("value-sweep", func() error {
-		results, err := experiments.ValueSweep(udpOpts(*full))
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatUDPBench(results))
 		return nil
 	})
 	runOnly("trace", func() error {
@@ -221,8 +171,6 @@ func realMain() (code int) {
 		return nil
 	})
 	run("chaos", func() error { return runChaos(*schedule, *seed, *autopilot, *topology) })
-	// Reachable only by name: the wire twin boots live sockets and runs
-	// on the wall clock, so "all" (the quick sim sweep) must not pay it.
 	runOnly("realchaos", func() error { return runRealChaos(*schedule, *seed) })
 	run("placement", func() error {
 		r, err := experiments.RunPlacementScaling(experiments.PlacementOpts{Seed: *seed})
@@ -301,20 +249,6 @@ func runFig10(vgroups int, full bool) error {
 	return nil
 }
 
-// udpSockets/udpBatch carry the -udp-sockets/-udp-batch flags into every
-// real-UDP scenario construction site.
-var udpSockets, udpBatch int
-
-// udpOpts sizes the real-UDP scenarios: quick points for CI, longer
-// windows under -full.
-func udpOpts(full bool) experiments.UDPBenchOpts {
-	o := experiments.UDPBenchOpts{Sockets: udpSockets, Batch: udpBatch}
-	if full {
-		o.Duration = 2 * time.Second
-	}
-	return o
-}
-
 // traceOpts sizes the latency-breakdown experiment: quick windows for
 // CI, longer measurement and more A/B windows under -full.
 func traceOpts(full bool) experiments.TraceBenchOpts {
@@ -334,95 +268,6 @@ func watchOpts(full bool) experiments.WatchScaleOpts {
 		o.Events = 8192
 	}
 	return o
-}
-
-// runBench executes the CI perf-gate scenarios — the deterministic
-// simulated trio, the wall-clock real-UDP scenarios (read-scaling,
-// hot-key, value-sweep), the watch-scale fan-out sweep (push-watch
-// delivery at 10⁴/10⁵ subscribers), and the MTTR/availability scenarios
-// (autopilot detection + repair latency under every nemesis schedule) —
-// optionally
-// writing the machine-readable artifact, an old-vs-new comparison table,
-// an archived BENCH_<n>.json snapshot, and enforcing the regression gate
-// against a committed baseline.
-func runBench(seed int64, jsonPath, baselinePath, comparePath, archiveDir string, gate float64) error {
-	results, err := experiments.BenchSmoke(experiments.BenchOpts{Seed: seed})
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiments.FormatBench(results))
-	udp, err := experiments.UDPBench(udpOpts(false))
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiments.FormatUDPBench(udp))
-	results = append(results, udp...)
-	mttr, rows, err := experiments.MTTRBench(seed)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiments.FormatMTTR(rows))
-	results = append(results, mttr...)
-	placed, err := experiments.RunPlacementScaling(experiments.PlacementOpts{Seed: seed})
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiments.FormatPlacement(placed))
-	results = append(results, experiments.PlacementBenchRows(placed)...)
-	ws, err := experiments.WatchScale(watchOpts(false))
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiments.FormatWatchScale(ws))
-	results = append(results, ws...)
-	tr, err := experiments.TraceBench(traceOpts(false))
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiments.FormatTraceBench(tr))
-	results = append(results, tr...)
-	cur := benchjson.File{
-		Note: fmt.Sprintf("benchrunner -exp bench -seed %d; simulated-time scenarios are "+
-			"deterministic across machines; scenarios carrying a tol field are real-UDP "+
-			"wall-clock numbers (machine-dependent, gated loosely)", seed),
-		Results: results,
-	}
-	if jsonPath != "" {
-		if err := benchjson.Write(jsonPath, cur); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
-	if archiveDir != "" {
-		path, err := benchjson.Archive(archiveDir, cur)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("archived %s\n", path)
-	}
-	if baselinePath != "" {
-		base, err := benchjson.Load(baselinePath)
-		if err != nil {
-			return err
-		}
-		table := benchjson.FormatComparison(base, cur)
-		fmt.Print(table)
-		if comparePath != "" {
-			if err := os.WriteFile(comparePath, []byte(table), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", comparePath)
-		}
-		violations := benchjson.Compare(base, cur, gate)
-		if len(violations) > 0 {
-			for _, v := range violations {
-				fmt.Fprintf(os.Stderr, "PERF REGRESSION: %s\n", v)
-			}
-			return fmt.Errorf("%d perf regression(s) vs %s", len(violations), baselinePath)
-		}
-		fmt.Printf("perf gate vs %s: PASS (base tolerance %.0f%%)\n", baselinePath, 100*gate)
-	}
-	return nil
 }
 
 // runChaos executes nemesis schedules and fails on a non-linearizable

@@ -105,6 +105,52 @@ func TestAutopilotGrayTailNoEviction(t *testing.T) {
 	t.Logf("gray-tail: detect=%v repair=%v repairs=%d", res.DetectLatency, res.RepairLatency, len(res.Repairs))
 }
 
+// TestAutopilotMTTRBounds pins the self-healing loop's numbers at seed 1:
+// detection latency, detection + repair (MTTR) and goodput — completed
+// ops per second of simulated time — under every schedule. Everything is
+// simulated time, so the values are exact today; the bounds leave 20 %.
+func TestAutopilotMTTRBounds(t *testing.T) {
+	ms := time.Millisecond
+	bounds := map[string]struct {
+		detect, mttr time.Duration // upper bounds; zero = the schedule must repair nothing
+		goodput      float64       // today's ops/s
+	}{
+		"asym-partition": {goodput: 6968},
+		"full-nemesis":   {detect: 3 * ms, mttr: 32400 * time.Microsecond, goodput: 6140}, // today 2.5 / 27 ms
+		"gray-tail":      {detect: 4800 * time.Microsecond, mttr: 12 * ms, goodput: 6919}, // today 4 / 10 ms
+		"reorder-dup":    {goodput: 7234},
+	}
+	for _, name := range ChaosScheduleNames() {
+		want, ok := bounds[name]
+		if !ok {
+			t.Fatalf("schedule %s has no MTTR bound", name)
+		}
+		t.Run(name, func(t *testing.T) {
+			res, err := RunChaos(ChaosOpts{Schedule: name, Seed: 1, Autopilot: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Lin.OK {
+				t.Fatalf("not linearizable (key %s): %s", res.Lin.Key, res.Lin.Reason)
+			}
+			mttr := res.DetectLatency + res.RepairLatency
+			if want.mttr == 0 {
+				if mttr != 0 || res.Failovers+res.Demotions != 0 {
+					t.Fatalf("repaired a schedule with nothing to repair: detect=%v repair=%v evict=%d demote=%d",
+						res.DetectLatency, res.RepairLatency, res.Failovers, res.Demotions)
+				}
+			} else if res.DetectLatency <= 0 || res.DetectLatency > want.detect || mttr > want.mttr {
+				t.Fatalf("detect=%v (want ≤ %v), detect+repair=%v (want ≤ %v)",
+					res.DetectLatency, want.detect, mttr, want.mttr)
+			}
+			goodput := float64(res.Ops-res.Unknowns) / res.HistoryEnd.Seconds()
+			if goodput < 0.8*want.goodput {
+				t.Fatalf("goodput %.0f ops/s, want ≥ %.0f (80 %% of %.0f)", goodput, 0.8*want.goodput, want.goodput)
+			}
+		})
+	}
+}
+
 // TestAutopilotDeterminism: an autopilot run is part of the determinism
 // contract — same seed, same history, same repair timeline, same
 // fingerprint.
@@ -142,11 +188,9 @@ func TestAutopilotFlappingLinkBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := chaosController(d)
-	if err != nil {
+	if err := chaosController(d); err != nil {
 		t.Fatal(err)
 	}
-	d.Ctl = ctl
 	budget := 3
 	h, err := StartAutopilot(d, AutopilotOpts{
 		Pilot: &controller.AutopilotConfig{

@@ -300,18 +300,11 @@ func BuildSchedule(d *Deployment, name string) (netsim.Schedule, error) {
 // chaosController builds the fast-timing controller the chaos scenarios
 // (and the autopilot tests) run against: 1 ms rule programming, free
 // state sync — failure-window behavior without hour-long simulations.
-func chaosController(d *Deployment) (*controller.Controller, error) {
+func chaosController(d *Deployment) error {
 	ccfg := controller.DefaultConfig()
 	ccfg.RuleDelay = time.Millisecond
 	ccfg.SyncPerItem = 0
-	return controller.New(ccfg, d.Ring, controller.SimScheduler{Sim: d.Sim},
-		func(a packet.Addr) (controller.Agent, bool) {
-			sw, ok := d.Net.Switch(a)
-			if !ok {
-				return nil, false
-			}
-			return controller.LocalAgent{Switch: sw}, true
-		}, d.Net.SwitchNeighbors)
+	return d.NewController(ccfg)
 }
 
 // RunChaos executes the scenario and checks the history for
@@ -349,11 +342,9 @@ func runChaos(o ChaosOpts, script func(d *Deployment, fail func(error))) (*Chaos
 	if err != nil {
 		return nil, err
 	}
-	ctl, err := chaosController(d)
-	if err != nil {
+	if err := chaosController(d); err != nil {
 		return nil, err
 	}
-	d.Ctl = ctl
 	tg, err := chaosTargetsFor(d)
 	if err != nil {
 		return nil, err

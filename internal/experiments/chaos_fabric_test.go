@@ -132,11 +132,9 @@ func TestFabricCongestionRehome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := chaosController(d)
-	if err != nil {
+	if err := chaosController(d); err != nil {
 		t.Fatal(err)
 	}
-	d.Ctl = ctl
 
 	congested := d.Ctl.GroupRoute(0).Hops[2] // group 0's tail leaf
 	hb := 500 * time.Microsecond

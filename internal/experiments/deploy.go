@@ -91,6 +91,26 @@ func (d *Deployment) Topology() string {
 	return "ring"
 }
 
+// NewController replaces d.Ctl with a controller configured by ccfg over
+// the deployment's ring, simulated clock and switches. Both constructors
+// call it with the default config; experiments that need other timing
+// call it again before they load the store.
+func (d *Deployment) NewController(ccfg controller.Config) error {
+	ctl, err := controller.New(ccfg, d.Ring, controller.SimScheduler{Sim: d.Sim},
+		func(a packet.Addr) (controller.Agent, bool) {
+			sw, ok := d.Net.Switch(a)
+			if !ok {
+				return nil, false
+			}
+			return controller.LocalAgent{Switch: sw}, true
+		}, d.Net.SwitchNeighbors)
+	if err != nil {
+		return err
+	}
+	d.Ctl = ctl
+	return nil
+}
+
 // NewDeployment builds the standard testbed deployment. scale divides all
 // rates (see netsim.Profile); vnodes is virtual nodes per switch.
 func NewDeployment(scale float64, vnodes int, seed int64) (*Deployment, error) {
@@ -105,19 +125,10 @@ func NewDeployment(scale float64, vnodes int, seed int64) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	agent := func(a packet.Addr) (controller.Agent, bool) {
-		sw, ok := tb.Net.Switch(a)
-		if !ok {
-			return nil, false
-		}
-		return controller.LocalAgent{Switch: sw}, true
-	}
-	ctl, err := controller.New(controller.DefaultConfig(), r,
-		controller.SimScheduler{Sim: sim}, agent, tb.Net.SwitchNeighbors)
-	if err != nil {
+	d := &Deployment{Sim: sim, Net: tb.Net, TB: tb, Ring: r, Profile: prof}
+	if err := d.NewController(controller.DefaultConfig()); err != nil {
 		return nil, err
 	}
-	d := &Deployment{Sim: sim, Net: tb.Net, TB: tb, Ring: r, Ctl: ctl, Profile: prof}
 	for _, h := range tb.Hosts {
 		mux, err := simclient.NewMux(sim, tb.Net, h)
 		if err != nil {

@@ -117,19 +117,9 @@ func NewFabricDeployment(o FabricOpts) (*Deployment, error) {
 			o.Placement)
 	}
 
-	agent := func(a packet.Addr) (controller.Agent, bool) {
-		sw, ok := fb.Net.Switch(a)
-		if !ok {
-			return nil, false
-		}
-		return controller.LocalAgent{Switch: sw}, true
-	}
-	ctl, err := controller.New(controller.DefaultConfig(), r,
-		controller.SimScheduler{Sim: sim}, agent, fb.Net.SwitchNeighbors)
-	if err != nil {
+	if err := d.NewController(controller.DefaultConfig()); err != nil {
 		return nil, err
 	}
-	d.Ctl = ctl
 	for _, h := range fb.Hosts {
 		mux, err := simclient.NewMux(sim, fb.Net, h)
 		if err != nil {

@@ -118,18 +118,9 @@ func Fig10(o Fig10Opts) (*Fig10Result, error) {
 	ccfg := controller.DefaultConfig()
 	ccfg.SyncPerItem = o.SyncPerItem
 	ccfg.PreSync = o.PreSync
-	ctl, err := controller.New(ccfg, d.Ring, controller.SimScheduler{Sim: d.Sim},
-		func(a packet.Addr) (controller.Agent, bool) {
-			sw, ok := d.TB.Net.Switch(a)
-			if !ok {
-				return nil, false
-			}
-			return controller.LocalAgent{Switch: sw}, true
-		}, d.TB.Net.SwitchNeighbors)
-	if err != nil {
+	if err := d.NewController(ccfg); err != nil {
 		return nil, err
 	}
-	d.Ctl = ctl
 
 	s0, s1, s2, s3 := d.TB.Switches[0], d.TB.Switches[1], d.TB.Switches[2], d.TB.Switches[3]
 

@@ -158,99 +158,63 @@ func zkRun(clients int, writeRatio float64, window time.Duration, lossRate float
 	return qps, readLat, writeLat, nil
 }
 
-// Fig9a: throughput vs value size — NetChain flat at the client budget,
-// orders above the baseline (§8.1).
-func Fig9a(o ThroughputOpts) (*Figure, error) {
+// fig9Sweep fills f with the Fig. 9(a)–(c) series: for every x value,
+// apply sets the swept field on a copy of o, then NetChain(k) runs with
+// 1–4 client servers (plus NetChain(max) at 4) and the baseline once.
+func fig9Sweep(f *Figure, o ThroughputOpts, xs []float64, apply func(o *ThroughputOpts, x float64)) (*Figure, error) {
 	o.defaults()
-	f := &Figure{
-		ID: "fig9a", Title: "Throughput vs value size",
-		XLabel: "value(B)", YLabel: "QPS",
-		PaperNote: "NetChain(4)=82 MQPS flat 0–128 B; ZooKeeper≈0.14 MQPS flat",
-	}
-	for _, size := range []int{0, 32, 64, 96, 128} {
-		for servers := 1; servers <= 4; servers++ {
-			qps, maxQPS, err := netchainThroughput(withValue(o, size), servers, 0)
-			if err != nil {
-				return nil, err
-			}
-			f.Add(fmt.Sprintf("NetChain(%d)", servers), float64(size), qps)
-			if servers == 4 {
-				f.Add("NetChain(max)", float64(size), maxQPS)
-			}
-		}
-		qps, _, _, err := zkRun(o.ZKClients, o.WriteRatio, o.ZKWindow, 0, o.Seed)
-		if err != nil {
-			return nil, err
-		}
-		f.Add("ZooKeeper", float64(size), qps)
-	}
-	return f, nil
-}
-
-func withValue(o ThroughputOpts, size int) ThroughputOpts {
-	o.ValueSize = size
-	return o
-}
-
-// Fig9b: throughput vs store size — flat for both systems (§8.1).
-func Fig9b(o ThroughputOpts) (*Figure, error) {
-	o.defaults()
-	f := &Figure{
-		ID: "fig9b", Title: "Throughput vs store size",
-		XLabel: "store", YLabel: "QPS",
-		PaperNote: "both systems flat 0–100K items; NetChain(4)=82 MQPS",
-	}
-	for _, store := range []int{1000, 20000, 40000} {
+	for _, x := range xs {
 		oo := o
-		oo.StoreSize = store
+		apply(&oo, x)
 		for servers := 1; servers <= 4; servers++ {
 			qps, maxQPS, err := netchainThroughput(oo, servers, 0)
 			if err != nil {
 				return nil, err
 			}
-			f.Add(fmt.Sprintf("NetChain(%d)", servers), float64(store), qps)
+			f.Add(fmt.Sprintf("NetChain(%d)", servers), x, qps)
 			if servers == 4 {
-				f.Add("NetChain(max)", float64(store), maxQPS)
+				f.Add("NetChain(max)", x, maxQPS)
 			}
 		}
-		qps, _, _, err := zkRun(o.ZKClients, o.WriteRatio, o.ZKWindow, 0, o.Seed)
+		qps, _, _, err := zkRun(oo.ZKClients, oo.WriteRatio, oo.ZKWindow, 0, oo.Seed)
 		if err != nil {
 			return nil, err
 		}
-		f.Add("ZooKeeper", float64(store), qps)
+		f.Add("ZooKeeper", x, qps)
 	}
 	return f, nil
+}
+
+// Fig9a: throughput vs value size — NetChain flat at the client budget,
+// orders above the baseline (§8.1).
+func Fig9a(o ThroughputOpts) (*Figure, error) {
+	return fig9Sweep(&Figure{
+		ID: "fig9a", Title: "Throughput vs value size",
+		XLabel: "value(B)", YLabel: "QPS",
+		PaperNote: "NetChain(4)=82 MQPS flat 0–128 B; ZooKeeper≈0.14 MQPS flat",
+	}, o, []float64{0, 32, 64, 96, 128},
+		func(o *ThroughputOpts, x float64) { o.ValueSize = int(x) })
+}
+
+// Fig9b: throughput vs store size — flat for both systems (§8.1).
+func Fig9b(o ThroughputOpts) (*Figure, error) {
+	return fig9Sweep(&Figure{
+		ID: "fig9b", Title: "Throughput vs store size",
+		XLabel: "store", YLabel: "QPS",
+		PaperNote: "both systems flat 0–100K items; NetChain(4)=82 MQPS",
+	}, o, []float64{1000, 20000, 40000},
+		func(o *ThroughputOpts, x float64) { o.StoreSize = int(x) })
 }
 
 // Fig9c: throughput vs write ratio — NetChain flat; the baseline collapses
 // from 230 KQPS read-only to 27 KQPS write-only (§8.1).
 func Fig9c(o ThroughputOpts) (*Figure, error) {
-	o.defaults()
-	f := &Figure{
+	return fig9Sweep(&Figure{
 		ID: "fig9c", Title: "Throughput vs write ratio",
 		XLabel: "write%", YLabel: "QPS",
 		PaperNote: "NetChain(4) flat 82 MQPS; ZooKeeper 230K→140K@1%→27K@100%",
-	}
-	for _, ratio := range []float64{0, 0.01, 0.25, 0.5, 0.75, 1.0} {
-		oo := o
-		oo.WriteRatio = ratio
-		for servers := 1; servers <= 4; servers++ {
-			qps, maxQPS, err := netchainThroughput(oo, servers, 0)
-			if err != nil {
-				return nil, err
-			}
-			f.Add(fmt.Sprintf("NetChain(%d)", servers), ratio*100, qps)
-			if servers == 4 {
-				f.Add("NetChain(max)", ratio*100, maxQPS)
-			}
-		}
-		qps, _, _, err := zkRun(o.ZKClients, ratio, o.ZKWindow, 0, o.Seed)
-		if err != nil {
-			return nil, err
-		}
-		f.Add("ZooKeeper", ratio*100, qps)
-	}
-	return f, nil
+	}, o, []float64{0, 1, 25, 50, 75, 100},
+		func(o *ThroughputOpts, x float64) { o.WriteRatio = x / 100 })
 }
 
 // Fig9d: throughput vs packet loss rate — NetChain's UDP retries degrade

@@ -6,6 +6,16 @@ import (
 	"strings"
 )
 
+// Row is one line of a wall-clock experiment table (-exp watch, -exp
+// trace): a named scenario with a rate (or a count, see the producer) and
+// a latency median and tail.
+type Row struct {
+	Scenario  string
+	OpsPerSec float64
+	P50us     float64
+	P99us     float64
+}
+
 // Point is one measurement in a figure: series name, x value, y value.
 type Point struct {
 	Series string

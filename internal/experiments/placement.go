@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"netchain/internal/benchjson"
 	"netchain/internal/event"
 	"netchain/internal/netsim"
 	"netchain/internal/packet"
@@ -171,32 +170,4 @@ func FormatPlacement(r *PlacementResult) string {
 		s += fmt.Sprintf("gain[%s] = %.2fx (bottleneck-aware over round-robin)\n", topo, g)
 	}
 	return s
-}
-
-// PlacementBenchRows converts the sweep into perf-gate rows: one
-// throughput row per arm plus a gain row per topology whose "ops/s" is
-// the bottleneck/roundrobin ratio — gating the ratio keeps the scale-free
-// claim honest even if absolute throughput legitimately shifts.
-func PlacementBenchRows(r *PlacementResult) []benchjson.Result {
-	var out []benchjson.Result
-	for _, a := range r.Arms {
-		out = append(out, benchjson.Result{
-			Scenario:  fmt.Sprintf("placement/%s/%s", a.Topology, a.Placement),
-			OpsPerSec: a.OpsPerSec,
-			Tol:       0.3,
-		})
-	}
-	for _, a := range r.Arms {
-		if a.Placement != "bottleneck" {
-			continue
-		}
-		if g, ok := r.Gain[a.Topology]; ok {
-			out = append(out, benchjson.Result{
-				Scenario:  fmt.Sprintf("placement/%s/gain", a.Topology),
-				OpsPerSec: g,
-				Tol:       0.25,
-			})
-		}
-	}
-	return out
 }

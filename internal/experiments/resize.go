@@ -8,7 +8,6 @@ import (
 	"netchain/internal/controller"
 	"netchain/internal/event"
 	"netchain/internal/kv"
-	"netchain/internal/packet"
 	"netchain/internal/ring"
 	"netchain/internal/simclient"
 	"netchain/internal/stats"
@@ -105,18 +104,9 @@ func RunResize(o ResizeOpts) (*ResizeResult, error) {
 	}
 	ccfg := controller.DefaultConfig()
 	ccfg.SyncPerItem = o.SyncPerItem
-	ctl, err := controller.New(ccfg, d.Ring, controller.SimScheduler{Sim: d.Sim},
-		func(a packet.Addr) (controller.Agent, bool) {
-			sw, ok := d.TB.Net.Switch(a)
-			if !ok {
-				return nil, false
-			}
-			return controller.LocalAgent{Switch: sw}, true
-		}, d.TB.Net.SwitchNeighbors)
-	if err != nil {
+	if err := d.NewController(ccfg); err != nil {
 		return nil, err
 	}
-	d.Ctl = ctl
 
 	keys, err := d.LoadStore(o.StoreSize, 64)
 	if err != nil {

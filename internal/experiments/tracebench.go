@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"time"
 
-	"netchain/internal/benchjson"
 	"netchain/internal/core"
 	"netchain/internal/kv"
 	"netchain/internal/packet"
@@ -26,10 +28,9 @@ import (
 //   - Attribution must telescope: on a no-fault schedule the hop-sum
 //     (stage processing + wire gaps) accounts for the measured
 //     end-to-end latency within 10% (everything shares one host clock).
-//   - Telemetry must be ~free when off: an A/B measurement of the
-//     single-switch read scenario with tracing disabled vs. sampled at
-//     the default 1/1024 proves the untraced fast path didn't pay for
-//     the feature.
+//   - Telemetry must be ~free when off: an A/B measurement of pure reads
+//     on the same chain with tracing disabled vs. sampled at the default
+//     1/1024 proves the untraced fast path didn't pay for the feature.
 
 // TraceBenchOpts tunes the latency-breakdown experiment.
 type TraceBenchOpts struct {
@@ -79,7 +80,9 @@ type traceCluster struct {
 	ops   []*transport.Ops
 }
 
-func newTraceCluster(o TraceBenchOpts, col *trace.Collector) (*traceCluster, error) {
+// newTraceCluster boots the chain with every client tracing into col at
+// sampleRate (0 = the client default, 1/1024); a nil col is tracing off.
+func newTraceCluster(o TraceBenchOpts, col *trace.Collector, sampleRate float64) (*traceCluster, error) {
 	c := &traceCluster{book: transport.NewAddressBook(), rts: map[kv.Key]query.Route{}}
 	var addrs []packet.Addr
 	for i := 0; i < 3; i++ {
@@ -114,7 +117,7 @@ func newTraceCluster(o TraceBenchOpts, col *trace.Collector) (*traceCluster, err
 			Timeout:         250 * time.Millisecond,
 			Retries:         8,
 			Tracer:          col,
-			TraceSampleRate: o.SampleRate,
+			TraceSampleRate: sampleRate,
 		})
 		if err != nil {
 			c.Close()
@@ -165,31 +168,77 @@ func (c *traceCluster) Close() {
 	}
 }
 
+// drive runs every client at full pipeline depth until the deadline with
+// the given write ratio over uniformly chosen keys (issued via the async
+// API so the window keeps the pipe full) and returns the delivered
+// ops/sec. It fails if more than a tenth of the ops did.
+func (c *traceCluster) drive(d time.Duration, writeRatio float64) (opsPerSec float64, err error) {
+	var done, failed atomic.Uint64
+	var wg sync.WaitGroup
+	start := time.Now()
+	deadline := start.Add(d)
+	writeVal := make(kv.Value, 64)
+	for i := range writeVal {
+		writeVal[i] = byte(i * 5)
+	}
+	for ci, ops := range c.ops {
+		wg.Add(1)
+		go func(ci int, ops *transport.Ops) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(ci) + 1))
+			var inner sync.WaitGroup
+			record := func(err error) {
+				if err != nil {
+					failed.Add(1)
+				} else {
+					done.Add(1)
+				}
+				inner.Done()
+			}
+			onWrite := func(_ kv.Version, err error) { record(err) }
+			onRead := func(_ kv.Value, _ kv.Version, err error) { record(err) }
+			for time.Now().Before(deadline) {
+				k := c.keys[rng.Intn(len(c.keys))]
+				inner.Add(1)
+				if rng.Float64() < writeRatio {
+					ops.WriteAsync(k, writeVal, onWrite)
+				} else {
+					ops.ReadAsync(k, onRead)
+				}
+			}
+			inner.Wait()
+		}(ci, ops)
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	if f, n := failed.Load(), done.Load(); n == 0 || f > n/10 {
+		return 0, fmt.Errorf("trace: %d of %d ops failed", f, f+n)
+	}
+	return float64(done.Load()) / elapsed.Seconds(), nil
+}
+
 // traceRow encodes one per-hop percentile row: the sample count rides in
-// OpsPerSec (a floor gate on sampling health), the percentiles in µs.
-func traceRow(scenario string, h *stats.Histogram) benchjson.Result {
-	return benchjson.Result{
+// OpsPerSec, the percentiles in µs.
+func traceRow(scenario string, h *stats.Histogram) Row {
+	return Row{
 		Scenario:  scenario,
 		OpsPerSec: float64(h.Count()),
 		P50us:     h.P50() / 1e3,
 		P99us:     h.P99() / 1e3,
-		Tol:       UDPBenchTolerance,
-		TolP99:    UDPBenchTolP99,
 	}
 }
 
-// TraceBench runs the latency-breakdown experiment and returns its
-// BENCH.json rows.
-func TraceBench(o TraceBenchOpts) ([]benchjson.Result, error) {
+// TraceBench runs the latency-breakdown experiment and returns its rows.
+func TraceBench(o TraceBenchOpts) ([]Row, error) {
 	o.defaults()
 
 	// Phase 1: per-hop breakdown on the 3-switch chain.
 	col := trace.NewCollector()
-	c, err := newTraceCluster(o, col)
+	c, err := newTraceCluster(o, col, o.SampleRate)
 	if err != nil {
 		return nil, err
 	}
-	qps, _, err := driveOps(c.ops, c.keys, o.Duration, o.WriteRatio, 0, 64)
+	_, err = c.drive(o.Duration, o.WriteRatio)
 	c.Close()
 	if err != nil {
 		return nil, fmt.Errorf("trace breakdown: %w", err)
@@ -208,7 +257,7 @@ func TraceBench(o TraceBenchOpts) ([]benchjson.Result, error) {
 		return nil, fmt.Errorf("trace breakdown: hop-sum covers %.1f%% of end-to-end latency (want 90-110%%)", 100*cov)
 	}
 
-	results := []benchjson.Result{
+	results := []Row{
 		traceRow("trace-hop-head", col.StageHist(packet.StageHead)),
 		traceRow("trace-hop-mid", col.StageHist(packet.StageMid)),
 		traceRow("trace-hop-tail", col.StageHist(packet.StageTail)),
@@ -216,48 +265,38 @@ func TraceBench(o TraceBenchOpts) ([]benchjson.Result, error) {
 		traceRow("trace-wire-transit", col.Wire),
 		traceRow("trace-client-queue", col.Queue),
 		traceRow("trace-e2e", col.Total),
-		{Scenario: "trace-coverage-pct", OpsPerSec: 100 * cov, Tol: 0.15},
-		{Scenario: "trace-retry-share", OpsPerSec: col.RetryShare(), Optional: true},
+		{Scenario: "trace-coverage-pct", OpsPerSec: 100 * cov},
+		{Scenario: "trace-retry-share", OpsPerSec: col.RetryShare()},
 	}
-	_ = qps
 
-	// Phase 2: A/B overhead of the telemetry branch on the single-switch
-	// read scenario — tracing off vs. the default 1/1024 sampling.
-	// Alternating fresh clusters per window keeps thermal/scheduler drift
-	// from loading one arm; the medians damp the rest.
-	overhead, base, traced, err := traceOverhead(o)
+	// Phase 2: A/B overhead of the telemetry branch on pure reads —
+	// tracing off vs. the default 1/1024 sampling.
+	overhead, base, err := traceOverhead(o)
 	if err != nil {
 		return nil, err
 	}
-	results = append(results, benchjson.Result{
+	results = append(results, Row{
 		Scenario:  "trace-overhead-pct",
-		OpsPerSec: base / 1e3, // untraced KQPS, floor-gated like the other UDP rows
+		OpsPerSec: base / 1e3, // untraced KQPS
 		P99us:     overhead * 100,
-		Tol:       UDPBenchTolerance,
-		TolP99:    4.0,
 	})
-	_ = traced
 	return results, nil
 }
 
 // traceOverhead measures the throughput cost of the (almost always
-// untaken) telemetry branch: median read throughput with no tracer vs.
-// with the default 1/1024 sampling, on the same single-switch scenario
-// udp-read-throughput gates. Returns the relative slowdown (negative
-// clamped to 0) and both medians.
-func traceOverhead(o TraceBenchOpts) (overhead, baseQPS, tracedQPS float64, err error) {
-	uo := UDPBenchOpts{Duration: o.Duration, Clients: o.Clients, Window: o.Window}
-	uo.defaults()
-	to := uo
-	to.Tracer = trace.NewCollector() // client default: 1/1024
-	baseCl, err := newUDPCluster(uo)
+// untaken) telemetry branch: best-window read throughput with no tracer
+// vs. with the default 1/1024 sampling, each arm on its own chain.
+// Returns the relative slowdown (negative clamped to 0) and the untraced
+// arm's throughput.
+func traceOverhead(o TraceBenchOpts) (overhead, baseQPS float64, err error) {
+	baseCl, err := newTraceCluster(o, nil, 0)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	defer baseCl.Close()
-	tracedCl, err := newUDPCluster(to)
+	tracedCl, err := newTraceCluster(o, trace.NewCollector(), 0) // client default: 1/1024
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	defer tracedCl.Close()
 	// Both clusters live the whole measurement and the windows alternate,
@@ -266,16 +305,17 @@ func traceOverhead(o TraceBenchOpts) (overhead, baseQPS, tracedQPS float64, err 
 	// A true branch cost reproduces across window sets, so the hard bound
 	// below only fires after a second set confirms it — one set can lose an
 	// arm to a co-tenant burst on a shared runner.
+	var tracedQPS float64
 	for attempt := 0; attempt < 2; attempt++ {
 		var bases, traceds []float64
 		for i := 0; i <= o.ABWindows; i++ {
-			b, _, err := baseCl.drive(uo.Duration, 0, 0, 64)
+			b, err := baseCl.drive(o.Duration, 0)
 			if err != nil {
-				return 0, 0, 0, fmt.Errorf("trace overhead (untraced window %d): %w", i, err)
+				return 0, 0, fmt.Errorf("trace overhead (untraced window %d): %w", i, err)
 			}
-			tr, _, err := tracedCl.drive(uo.Duration, 0, 0, 64)
+			tr, err := tracedCl.drive(o.Duration, 0)
 			if err != nil {
-				return 0, 0, 0, fmt.Errorf("trace overhead (traced window %d): %w", i, err)
+				return 0, 0, fmt.Errorf("trace overhead (traced window %d): %w", i, err)
 			}
 			if i == 0 {
 				continue
@@ -294,10 +334,10 @@ func traceOverhead(o TraceBenchOpts) (overhead, baseQPS, tracedQPS float64, err 
 		// noisy CI runners, but a double-digit cost means the untraced fast
 		// path grew real work and must fail the experiment.
 		if overhead <= 0.15 {
-			return overhead, baseQPS, tracedQPS, nil
+			return overhead, baseQPS, nil
 		}
 	}
-	return 0, 0, 0, fmt.Errorf("telemetry overhead %.1f%% on the read path (untraced %.0f qps, traced %.0f qps)",
+	return 0, 0, fmt.Errorf("telemetry overhead %.1f%% on the read path (untraced %.0f qps, traced %.0f qps)",
 		100*overhead, baseQPS, tracedQPS)
 }
 
@@ -312,7 +352,7 @@ func maxOf(v []float64) float64 {
 }
 
 // FormatTraceBench renders the latency-breakdown rows.
-func FormatTraceBench(results []benchjson.Result) string {
+func FormatTraceBench(results []Row) string {
 	s := fmt.Sprintf("%-22s %12s %10s %10s\n", "trace (real UDP)", "samples", "p50 µs", "p99 µs")
 	for _, r := range results {
 		switch r.Scenario {

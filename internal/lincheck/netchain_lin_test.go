@@ -45,18 +45,9 @@ func TestLinearizableThroughResizeAndFailover(t *testing.T) {
 	ccfg := controller.DefaultConfig()
 	ccfg.RuleDelay = time.Millisecond
 	ccfg.SyncPerItem = 0
-	ctl, err := controller.New(ccfg, d.Ring, controller.SimScheduler{Sim: d.Sim},
-		func(a packet.Addr) (controller.Agent, bool) {
-			sw, ok := d.TB.Net.Switch(a)
-			if !ok {
-				return nil, false
-			}
-			return controller.LocalAgent{Switch: sw}, true
-		}, d.TB.Net.SwitchNeighbors)
-	if err != nil {
+	if err := d.NewController(ccfg); err != nil {
 		t.Fatal(err)
 	}
-	d.Ctl = ctl
 
 	// Preload: eight register keys plus one lock, all at version (0,1).
 	names := []string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7", "lock"}

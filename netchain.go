@@ -456,9 +456,15 @@ type Client struct {
 	cluster *Cluster
 }
 
-// NewClient attaches a client through the given switch (its "ToR").
+// NewClient attaches a client through the given switch (its "ToR"). Client
+// addresses are 10.1.0.1–10.1.0.255 and never reused, so a cluster hands
+// out at most 255 of them.
 func (c *Cluster) NewClient(gateway int) (*Client, error) {
 	c.mu.Lock()
+	if c.nextCl == 255 {
+		c.mu.Unlock()
+		return nil, fmt.Errorf("netchain: all 255 client addresses are in use")
+	}
 	c.nextCl++
 	claddr := packet.AddrFrom4(10, 1, 0, c.nextCl)
 	c.mu.Unlock()

@@ -117,6 +117,45 @@ func TestLocalClusterValidation(t *testing.T) {
 	}
 }
 
+// TestLocalClusterClientAddressesNeverReused pins the client address
+// range: a wrapped counter would hand the 257th client the first client's
+// address and repoint the first client's replies at the newest socket.
+func TestLocalClusterClientAddressesNeverReused(t *testing.T) {
+	cl, err := StartLocalCluster(ClusterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	first, err := cl.NewClient(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	for i := 2; i <= 255; i++ {
+		c, err := cl.NewClient(0)
+		if err != nil {
+			t.Fatalf("client %d: %v", i, err)
+		}
+		c.Close()
+	}
+	for i := 256; i <= 257; i++ {
+		if c, err := cl.NewClient(0); err == nil {
+			c.Close()
+			t.Fatalf("client %d: the address range is spent, want an error", i)
+		}
+	}
+	k := KeyFromString("first/own")
+	if err := cl.Insert(k); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Write(k, Value("mine")); err != nil {
+		t.Fatalf("first client's write: %v", err)
+	}
+	if v, _, err := first.Read(k); err != nil || string(v) != "mine" {
+		t.Fatalf("first client's read: %q %v", v, err)
+	}
+}
+
 func TestSimClusterQuickPath(t *testing.T) {
 	s, err := NewSimCluster(SimConfig{})
 	if err != nil {

@@ -88,8 +88,8 @@ func scrapeMetrics(ep string) (map[string]float64, error) {
 
 func renderTop(endpoints []string, prev map[string]map[string]float64, prevAt map[string]time.Time) {
 	fmt.Printf("\n%s\n", time.Now().Format("15:04:05"))
-	fmt.Printf("%-22s %9s %9s %8s %8s %6s %8s %8s\n",
-		"endpoint", "ops/s", "reads/s", "p50µs", "p99µs", "queue", "drops/s", "errs/s")
+	fmt.Printf("%-22s %9s %9s %8s %8s %6s %8s %8s %8s %8s\n",
+		"endpoint", "ops/s", "reads/s", "p50µs", "p99µs", "queue", "drops/s", "errs/s", "items", "regKB")
 	var extra []string
 	for _, ep := range endpoints {
 		m, err := scrapeMetrics(ep)
@@ -116,14 +116,16 @@ func renderTop(endpoints []string, prev map[string]map[string]float64, prevAt ma
 			drops := rate(telemetry.SwitchRuleDrops)
 			errs := rate(telemetry.NodeReadErrors) + rate(telemetry.NodeDecodeErrors) +
 				rate(telemetry.NodeTruncatedBatches)
-			fmt.Printf("%-22s %9.0f %9.0f %8.1f %8.1f %6.0f %8.1f %8.1f\n",
+			fmt.Printf("%-22s %9.0f %9.0f %8.1f %8.1f %6.0f %8.1f %8.1f %8.0f %8.0f\n",
 				ep,
 				rate(telemetry.SwitchProcessed),
 				rate(telemetry.SwitchReads),
 				m[telemetry.NodeProcNs+"_p50"]/1e3,
 				m[telemetry.NodeProcNs+"_p99"]/1e3,
 				m[telemetry.NodeQueueDepth],
-				drops, errs)
+				drops, errs,
+				m[telemetry.SwitchItems],
+				m[telemetry.SwitchRegisterBytes]/1024)
 		}
 		if v, ok := m[telemetry.ControllerSwitches]; ok {
 			extra = append(extra, fmt.Sprintf("controller %s: %.0f switches, %.0f repairs, %.0f suspects, %.1f probes/s",

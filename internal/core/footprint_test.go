@@ -1,0 +1,65 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+
+	"netchain/internal/kv"
+	"netchain/internal/packet"
+	"netchain/internal/swsim"
+)
+
+// liveHeap is the heap still reachable after a collection — no wall clock,
+// no RSS: what the process would keep however long it ran.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC() // the second cycle finishes what the first one's sweep left
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestIdleSwitchFootprint: a switch configured with the paper's 64K slots
+// per stage holds next to nothing until keys are installed — the register
+// file is paged in by Alloc, so transit switches and spares cost a page
+// directory, not 11 MB of zeroed slots each.
+func TestIdleSwitchFootprint(t *testing.T) {
+	const n = 16
+	const perSwitch = 64 << 10
+	before := liveHeap()
+	sws := make([]*Switch, n)
+	for i := range sws {
+		sw, err := NewSwitch(packet.AddrFrom4(10, 0, 0, byte(i+1)), swsim.Tofino())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sws[i] = sw
+	}
+	after := liveHeap()
+	if got := int64(after) - int64(before); got > n*perSwitch {
+		t.Fatalf("%d idle Tofino switches retain %d B of heap (%d B each), want ≤ %d B each", n, got, got/n, perSwitch)
+	}
+	sw := sws[0]
+	idle := sw.ResidentBytes()
+	if idle > perSwitch {
+		t.Fatalf("idle switch reports %d resident register bytes, want ≤ %d", idle, perSwitch)
+	}
+	// The gauge moves with the keys, a page at a time: one key costs one
+	// page, and the keys that share it cost nothing more.
+	if err := sw.InstallKey(kv.KeyFromUint64(1)); err != nil {
+		t.Fatal(err)
+	}
+	one := sw.ResidentBytes()
+	if one <= idle || one-idle > perSwitch {
+		t.Fatalf("first key moved resident bytes %d → %d, want one page (≤ %d B)", idle, one, perSwitch)
+	}
+	for k := uint64(2); k <= 100; k++ {
+		if err := sw.InstallKey(kv.KeyFromUint64(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := sw.ResidentBytes(); got != one {
+		t.Fatalf("100 keys hold %d B, 1 key held %d: they share a page", got, one)
+	}
+	runtime.KeepAlive(sws)
+}

@@ -1091,3 +1091,8 @@ func (s *Switch) Keys() []kv.Key { return s.pipe.Keys() }
 
 // MemoryBytes reports value storage in use (§6 accounting).
 func (s *Switch) MemoryBytes() int { return s.pipe.MemoryBytes() }
+
+// ResidentBytes reports the process memory the switch's register file
+// occupies (swsim.Pipeline.ResidentBytes): it follows the keys installed,
+// not the configured slot count.
+func (s *Switch) ResidentBytes() int { return s.pipe.ResidentBytes() }

@@ -3,6 +3,7 @@ package swsim
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -227,4 +228,120 @@ func TestReadLatestForDetectsSlotReuse(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
+}
+
+// TestPagingReadersDuringMaterialise is the paging race proof (run it under
+// -race): lock-free readers work the slots just behind the allocation
+// frontier while the control plane keeps installing keys — materialising
+// page p+1 while page p is being read — and, a page behind the frontier,
+// frees keys and re-lets their slots to new tenants, so freed slots are
+// reused across page boundaries. Nobody may fault on a missing page; a
+// reader must never see a torn value or another tenant's bytes under its
+// key; a key that is never freed must never read as absent.
+func TestPagingReadersDuringMaterialise(t *testing.T) {
+	const (
+		pages      = 48
+		readers    = 3
+		valLen     = 24 // line rate is 16 B here: the overflow slab is exercised too
+		tenantBase = uint64(1) << 32
+	)
+	p, err := NewPipeline(Config{Stages: 2, SlotBytes: 8, SlotsPerStage: pages * pageSlots, PPS: 1e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every fifth id is churned: freed once the frontier is a page past it.
+	churned := func(id uint64) bool { return id%5 == 0 }
+	install := func(id uint64, buf []byte) {
+		loc, err := p.Alloc(kv.KeyFromUint64(id))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		fillPattern(buf, id)
+		binary.BigEndian.PutUint64(buf[:8], id)
+		if err := p.Commit(loc, buf, kv.Version{Session: 1, Seq: id}, false); err != nil {
+			t.Error(err)
+		}
+	}
+	var frontier atomic.Uint64 // ids 1..frontier are installed and committed
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			var scratch []byte
+			want := make([]byte, valLen)
+			for !stop.Load() {
+				hw := frontier.Load()
+				if hw == 0 {
+					continue
+				}
+				id := hw - uint64(rng.Int63n(int64(min(hw, 2*pageSlots))))
+				k := kv.KeyFromUint64(id)
+				loc, ok := p.Lookup(k)
+				var val []byte
+				var ver kv.Version
+				if ok {
+					val, ver, ok = p.ReadLatestFor(k, loc, &scratch)
+				}
+				if !ok {
+					if !churned(id) {
+						t.Errorf("key %d is installed, committed and never freed, but reads as absent", id)
+						return
+					}
+					continue
+				}
+				fillPattern(want, id)
+				binary.BigEndian.PutUint64(want[:8], id)
+				if ver.Seq != id || !bytes.Equal(val, want) {
+					t.Errorf("key %d read version %v and bytes of id %d: torn, or another tenant's", id, ver, binary.BigEndian.Uint64(val[:8]))
+					return
+				}
+			}
+		}(int64(r + 1))
+	}
+	// A dataplane writer commits into the key being installed the instant
+	// Lookup can see it: were the match entry published before the page, this
+	// is the nil dereference. It writes what install writes, into keys that
+	// are never freed, so it changes nothing a reader checks.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		buf := make([]byte, valLen)
+		for !stop.Load() {
+			id := frontier.Load() + 1
+			if churned(id) {
+				continue
+			}
+			if loc, ok := p.Lookup(kv.KeyFromUint64(id)); ok {
+				fillPattern(buf, id)
+				binary.BigEndian.PutUint64(buf[:8], id)
+				if err := p.Commit(loc, buf, kv.Version{Session: 1, Seq: id}, false); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	buf := make([]byte, valLen)
+	for id := uint64(1); id <= pages*pageSlots && !t.Failed(); id++ {
+		install(id, buf)
+		frontier.Store(id)
+		if old := id - pageSlots - 3; id > pageSlots+3 && churned(old) {
+			if err := p.Free(kv.KeyFromUint64(old)); err != nil {
+				t.Fatal(err)
+			}
+			install(tenantBase+old, buf) // lands in old's slot, a page behind the frontier
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if got := int(p.npages.Load()); got != pages {
+		t.Fatalf("%d pages materialised, want %d", got, pages)
+	}
+	if p.FreeSlots() != 0 {
+		t.Fatalf("FreeSlots = %d after filling the pipeline", p.FreeSlots())
+	}
 }

@@ -24,6 +24,9 @@ const (
 	SwitchNotFound       = "netchain_switch_not_found_total"
 	SwitchTransits       = "netchain_switch_transits_total"
 	SwitchProcessed      = "netchain_switch_processed_total"
+	// What the switch stores (swsim.Pipeline.ItemCount / ResidentBytes).
+	SwitchItems         = "netchain_switch_items"
+	SwitchRegisterBytes = "netchain_switch_register_bytes"
 
 	// Transport node socket layer (transport.NodeStats).
 	NodeReadErrors       = "netchain_node_read_errors_total"

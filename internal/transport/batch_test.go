@@ -422,3 +422,140 @@ func TestRcvBufPlumbing(t *testing.T) {
 	}
 	t.Fatal("detector snapshot never carried the switch's receive-buffer size")
 }
+
+// writeFrame serializes one write of key k to dst whose frame is exactly
+// wireLen bytes on the wire (the value is padded to make it so).
+func writeFrame(t *testing.T, dst packet.Addr, k kv.Key, qid uint64, fill byte, wireLen int) *[]byte {
+	t.Helper()
+	f := packet.GetFrame()
+	defer packet.PutFrame(f)
+	f.NC = packet.NetChain{Op: kv.OpWrite, QueryID: qid, Key: k}
+	out := packet.NewQueryInto(f, packet.AddrFrom4(10, 9, 9, 9), dst, packet.Port, &f.NC)
+	out.NC.Value = bytes.Repeat([]byte{fill}, wireLen-out.WireLen())
+	out.Finalize()
+	buf := packet.GetBuf()
+	b, err := out.Serialize((*buf)[:0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) != wireLen {
+		t.Fatalf("frame is %d B on the wire, want %d", len(b), wireLen)
+	}
+	*buf = b
+	return buf
+}
+
+// TestRecvSlotHoldsFullBatch pins the receive ring's slot size against the
+// egress coalescer's cap, on both readers: a datagram of exactly
+// maxBatchBytes, built by egressBatch, arrives whole (every frame in it is
+// served, nothing is counted), and a datagram one byte longer loses its
+// tail to truncation — the frames ahead of the cut are served and the cut
+// one is a counted decode error, never silent loss.
+func TestRecvSlotHoldsFullBatch(t *testing.T) {
+	if recvSlotBytes < maxBatchBytes {
+		t.Fatalf("recvSlotBytes %d < maxBatchBytes %d: our own batches would truncate", recvSlotBytes, maxBatchBytes)
+	}
+	const frames = 4
+	const frameLen = maxBatchBytes / frames
+	readers := map[string][]NodeOption{"platform": nil, "portable": {withPortableIO()}}
+	for name, opts := range readers {
+		t.Run(name, func(t *testing.T) {
+			node, ops := singleNode(t, 2, 8, opts...)
+			dst := node.sw.Addr()
+			var full, over [frames]kv.Key
+			for i := 0; i < frames; i++ {
+				full[i] = kv.KeyFromString(fmt.Sprintf("full-%d", i))
+				over[i] = kv.KeyFromString(fmt.Sprintf("over-%d", i))
+				for _, k := range []kv.Key{full[i], over[i]} {
+					if err := node.Switch().InstallKey(k); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			written := func(k kv.Key, fill byte) bool {
+				v, _, err := ops.Read(k)
+				return err == nil && len(v) > 0 && v[0] == fill
+			}
+			waitFor := func(what string, cond func() bool) {
+				t.Helper()
+				for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("timed out waiting for %s (stats %+v)", what, node.Stats())
+					}
+				}
+			}
+
+			// Exactly maxBatchBytes: the coalescer folds the four frames into
+			// one datagram, which must fit a ring slot to the byte.
+			eg := newEgressBatch(newBatchSender(conn))
+			for i, k := range full {
+				eg.add(outFrame{buf: writeFrame(t, dst, k, uint64(i+1), 'f', frameLen), ep: node.Endpoint()})
+			}
+			if len(eg.msgs) != 1 || len(*eg.msgs[0].buf) != maxBatchBytes {
+				t.Fatalf("coalescer built %d datagrams, first %d B; want 1 of %d B", len(eg.msgs), len(*eg.msgs[0].buf), maxBatchBytes)
+			}
+			eg.flush()
+			for _, k := range full {
+				waitFor("a write of the full batch", func() bool { return written(k, 'f') })
+			}
+			if st := node.Stats(); st.DecodeErrors != 0 || st.TruncatedBatches != 0 {
+				t.Fatalf("a %d B datagram was cut: DecodeErrors=%d TruncatedBatches=%d", maxBatchBytes, st.DecodeErrors, st.TruncatedBatches)
+			}
+
+			// One byte more (sent raw: the coalescer would refuse to build
+			// it): the last frame loses its final byte in the slot.
+			var data []byte
+			for i, k := range over {
+				n := frameLen
+				if i == frames-1 {
+					n++
+				}
+				buf := writeFrame(t, dst, k, uint64(10+i), 'o', n)
+				data = append(data, *buf...)
+				packet.PutBuf(buf)
+			}
+			if _, err := conn.WriteToUDP(data, node.Endpoint()); err != nil {
+				t.Fatal(err)
+			}
+			waitFor("the truncated frame to be counted", func() bool { return node.Stats().DecodeErrors == 1 })
+			if st := node.Stats(); st.TruncatedBatches != 1 {
+				t.Fatalf("TruncatedBatches=%d, want 1", st.TruncatedBatches)
+			}
+			for _, k := range over[:frames-1] {
+				waitFor("a write ahead of the cut", func() bool { return written(k, 'o') })
+			}
+			if written(over[frames-1], 'o') {
+				t.Fatalf("the frame cut at %d B was applied", recvSlotBytes)
+			}
+		})
+	}
+}
+
+// TestLargestFrameFitsRecvSlot: a single frame is never coalesced, so the
+// largest one the system can build must fit a ring slot on its own — a
+// value of the pipeline's MaxValueBytes with a full chain list and a full
+// in-band trace.
+func TestLargestFrameFitsRecvSlot(t *testing.T) {
+	f := packet.GetFrame()
+	defer packet.PutFrame(f)
+	chain := make([]packet.Addr, packet.MaxChainHops)
+	f.NC = packet.NetChain{
+		Op: kv.OpWrite, Key: kv.KeyFromUint64(1), Chain: chain,
+		Value:  make([]byte, pipeCfg().MaxValueBytes()),
+		Traced: true, Trace: make([]byte, packet.MaxTraceHops*packet.TraceRecLen),
+	}
+	out := packet.NewQueryInto(f, packet.AddrFrom4(10, 1, 0, 1), packet.AddrFrom4(10, 0, 0, 1), packet.Port, &f.NC)
+	b, err := out.Serialize(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) > recvSlotBytes {
+		t.Fatalf("largest frame is %d B, a receive slot holds %d", len(b), recvSlotBytes)
+	}
+	t.Logf("largest frame %d B, slot %d B", len(b), recvSlotBytes)
+}

@@ -26,12 +26,16 @@ const (
 	// ring's cache footprint keeps growing.
 	defaultRecvBatch = 32
 
-	// recvSlotBytes is the capacity of one receive-ring slot. Our own
-	// senders never emit datagrams above maxBatchBytes (coalescing caps
-	// there, and single frames carry ≤128 B line-rate values), so 8 KB
-	// leaves generous headroom; an oversized foreign datagram truncates
-	// and surfaces as a counted decode error rather than silent loss.
-	recvSlotBytes = 8 << 10
+	// recvSlotBytes is the capacity of one receive-ring slot: exactly the
+	// largest datagram our own senders emit. The egress coalescer never
+	// grows a datagram past maxBatchBytes, and the largest single frame the
+	// system builds — a MaxValueBytes (1024 B) value with a full chain and
+	// MaxTraceHops trace records, 1945 B — is under half of that
+	// (TestLargestFrameFitsRecvSlot). A ring is batch × recvSlotBytes per
+	// ingest socket, client and relay, so headroom here is paid many times
+	// over; an oversized foreign datagram truncates and surfaces as a
+	// counted decode error rather than silent loss.
+	recvSlotBytes = maxBatchBytes
 
 	// sendBatchMsgs caps the datagrams flushed by one WriteBatch — the
 	// egress mirror of defaultRecvBatch.

@@ -9,11 +9,12 @@ import (
 	"netchain/internal/kv"
 	"netchain/internal/packet"
 	"netchain/internal/query"
+	"netchain/internal/telemetry"
 )
 
 // singleNode boots one switch behind a multi-worker UDP node with a
 // direct (chainless) route to itself, plus a windowed client.
-func singleNode(t *testing.T, workers, window int) (*SwitchNode, *Ops) {
+func singleNode(t *testing.T, workers, window int, opts ...NodeOption) (*SwitchNode, *Ops) {
 	t.Helper()
 	book := NewAddressBook()
 	addr := packet.AddrFrom4(10, 0, 0, 1)
@@ -21,7 +22,7 @@ func singleNode(t *testing.T, workers, window int) (*SwitchNode, *Ops) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := NewSwitchNode(sw, book, "127.0.0.1:0", WithIngestWorkers(workers))
+	node, err := NewSwitchNode(sw, book, "127.0.0.1:0", append(opts, WithIngestWorkers(workers))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,5 +115,41 @@ func TestIngestPoolSingleWorkerCompat(t *testing.T) {
 	}
 	if ver.Seq != 20 || string(val) != "v20" {
 		t.Fatalf("got %q @ %v, want v20 @ seq 20", val, ver)
+	}
+}
+
+// TestNodeMetricsReportWhatTheSwitchStores: the two storage gauges come
+// straight from the switch — items is the match-table count, register
+// bytes is the paged register file's resident size, which moves with the
+// keys installed, not with the configured slot count.
+func TestNodeMetricsReportWhatTheSwitchStores(t *testing.T) {
+	node, _ := singleNode(t, 1, 1)
+	reg := telemetry.NewRegistry()
+	node.RegisterMetrics(reg)
+	scrape := func() (items, regBytes float64) {
+		t.Helper()
+		got := map[string]telemetry.Sample{}
+		for _, s := range reg.Snapshot() {
+			got[s.Name] = s
+		}
+		for _, name := range []string{telemetry.SwitchItems, telemetry.SwitchRegisterBytes} {
+			if s, ok := got[name]; !ok || s.Kind != telemetry.KindGauge {
+				t.Fatalf("%s: present=%v kind=%v, want a gauge", name, ok, s.Kind)
+			}
+		}
+		return got[telemetry.SwitchItems].Value, got[telemetry.SwitchRegisterBytes].Value
+	}
+	items, idle := scrape()
+	if items != 0 || idle != float64(node.Switch().ResidentBytes()) {
+		t.Fatalf("idle node: items=%v register_bytes=%v, switch says 0 and %d", items, idle, node.Switch().ResidentBytes())
+	}
+	for i := 0; i < 10; i++ {
+		if err := node.Switch().InstallKey(kv.KeyFromUint64(uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	items, stored := scrape()
+	if items != 10 || stored <= idle || stored != float64(node.Switch().ResidentBytes()) {
+		t.Fatalf("10 keys: items=%v register_bytes=%v (idle %v), switch says %d B", items, stored, idle, node.Switch().ResidentBytes())
 	}
 }

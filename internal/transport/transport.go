@@ -459,6 +459,8 @@ func (n *SwitchNode) RegisterMetrics(reg *telemetry.Registry) {
 		counter(telemetry.SwitchNotFound, cs.NotFound)
 		counter(telemetry.SwitchTransits, cs.Transits)
 		counter(telemetry.SwitchProcessed, cs.Processed)
+		gauge(telemetry.SwitchItems, float64(n.sw.ItemCount()))
+		gauge(telemetry.SwitchRegisterBytes, float64(n.sw.ResidentBytes()))
 	})
 	for name, help := range map[string]string{
 		telemetry.NodeReadErrors:       "transient socket read errors survived",
@@ -469,6 +471,8 @@ func (n *SwitchNode) RegisterMetrics(reg *telemetry.Registry) {
 		telemetry.SwitchReads:          "read queries served here",
 		telemetry.SwitchProcessed:      "NetChain queries processed locally",
 		telemetry.SwitchTransits:       "frames forwarded without local processing",
+		telemetry.SwitchItems:          "keys installed in the match table",
+		telemetry.SwitchRegisterBytes:  "process memory held by the register file (materialised pages + directory)",
 	} {
 		reg.Help(name, help)
 	}

@@ -156,6 +156,31 @@ func TestLocalClusterClientAddressesNeverReused(t *testing.T) {
 	}
 }
 
+// TestLocalClusterDuplicateInsertOnFullSwitch: re-inserting a key answers
+// "already installed" even when every slot is taken — the capacity check
+// used to run first, so the operator was told to add capacity.
+func TestLocalClusterDuplicateInsertOnFullSwitch(t *testing.T) {
+	const slots = 8
+	cl, err := StartLocalCluster(ClusterConfig{Switches: 3, Slots: slots}) // 3 replicas on 3 switches: every key on every switch
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	key := func(i int) Key { return KeyFromString(fmt.Sprintf("full/%d", i)) }
+	for i := 0; i < slots; i++ {
+		if err := cl.Insert(key(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = cl.Insert(key(1))
+	if err == nil || strings.Contains(err.Error(), "no free slot") || !strings.Contains(err.Error(), "already installed") {
+		t.Fatalf("duplicate Insert on a full cluster = %v, want \"already installed\"", err)
+	}
+	if err := cl.Insert(key(slots)); err == nil || !strings.Contains(err.Error(), "no free slot") {
+		t.Fatalf("Insert of a new key on a full cluster = %v, want \"no free slot\"", err)
+	}
+}
+
 func TestSimClusterQuickPath(t *testing.T) {
 	s, err := NewSimCluster(SimConfig{})
 	if err != nil {

@@ -1,6 +1,7 @@
 package netchain
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -85,4 +86,31 @@ func TestSimClusterTopologyValidation(t *testing.T) {
 	if _, err := NewSimCluster(SimConfig{Topology: "fattree:3"}); err == nil {
 		t.Fatal("odd fat-tree arity accepted")
 	}
+}
+
+// TestSimClusterFabricFootprint: "scale-free" has to hold for memory too.
+// An 80-switch fattree:8 fabric with nothing stored fits in a few MB (2–3 MB
+// measured) because switch register files are paged in by the keys they
+// store; allocated per configured slot it held 903 MB. Live heap after GC,
+// no wall clock.
+func TestSimClusterFabricFootprint(t *testing.T) {
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := liveHeap()
+	c, err := NewSimCluster(SimConfig{Topology: "fattree:8"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := int64(liveHeap()) - int64(before)
+	runtime.KeepAlive(c)
+	const limit = 32 << 20
+	if got > limit {
+		t.Fatalf("an idle fattree:8 SimCluster retains %.1f MB of heap, want ≤ %d MB", float64(got)/(1<<20), limit>>20)
+	}
+	t.Logf("idle fattree:8 SimCluster: %.2f MB live heap", float64(got)/(1<<20))
 }

@@ -28,7 +28,7 @@
 package main
 
 import (
-	"errors"
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -44,7 +44,6 @@ import (
 
 	"netchain/internal/kv"
 	"netchain/internal/packet"
-	"netchain/internal/query"
 	"netchain/internal/relay"
 	"netchain/internal/transport"
 	"netchain/internal/watch"
@@ -308,66 +307,30 @@ func watchKeys(ops *transport.Ops, relayCtl string, mcast bool, keys []kv.Key) e
 		}
 		return rt.Group
 	}, 256)
-	defer sub.Close()
-	sig := make(chan struct{}, 1)
+	f := watch.NewFollower(sub, ops.Read)
 	mode := relay.ModeUnicast
 	if mcast {
 		mode = relay.ModeMulticast
 	}
-	conn, err := relay.Subscribe(mode, ctlEp, sub.Groups(), func(ev query.Event) {
-		if sub.ApplyEvent(ev) {
-			select {
-			case sig <- struct{}{}:
-			default:
-			}
-		}
-	})
+	conn, err := relay.Subscribe(mode, ctlEp, sub.Groups(), f.Deliver)
 	if err != nil {
+		sub.Close()
 		return err
 	}
 	defer conn.Close()
 
-	readDirty := func() {
-		for _, k := range sub.TakeDirty() {
-			v, ver, rerr := ops.Read(k)
-			switch {
-			case rerr == nil:
-				sub.ApplyRead(k, true, v, ver)
-			case errors.Is(rerr, kv.ErrNotFound):
-				sub.ApplyRead(k, false, nil, ver)
-			default:
-				sub.MarkDirty(k)
-			}
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	go f.Run(ctx, 200*time.Millisecond, 10*time.Second)
+	for ev := range sub.Events() { // closes once the follower stops
+		switch ev.Type {
+		case watch.Deleted:
+			fmt.Printf("%-8s %s (version %v)\n", "DELETED", ev.Key, ev.Version)
+		case watch.Created:
+			fmt.Printf("%-8s %s = %s (version %v)\n", "CREATED", ev.Key, ev.Value, ev.Version)
+		default:
+			fmt.Printf("%-8s %s = %s (version %v)\n", "UPDATED", ev.Key, ev.Value, ev.Version)
 		}
 	}
-	readDirty() // initial state fetch
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
-	tick := time.NewTicker(200 * time.Millisecond)
-	defer tick.Stop()
-	sweep := time.NewTicker(10 * time.Second)
-	defer sweep.Stop()
-	for {
-		select {
-		case ev := <-sub.Events():
-			switch ev.Type {
-			case watch.Deleted:
-				fmt.Printf("%-8s %s (version %v)\n", "DELETED", ev.Key, ev.Version)
-			case watch.Created:
-				fmt.Printf("%-8s %s = %s (version %v)\n", "CREATED", ev.Key, ev.Value, ev.Version)
-			default:
-				fmt.Printf("%-8s %s = %s (version %v)\n", "UPDATED", ev.Key, ev.Value, ev.Version)
-			}
-		case <-sig:
-			readDirty()
-		case <-tick.C:
-			readDirty()
-		case <-sweep.C:
-			sub.MarkDirty()
-			readDirty()
-		case <-stop:
-			return nil
-		}
-	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package netchain_test
 
 import (
+	"bufio"
 	"fmt"
 	"os"
 	"os/exec"
@@ -11,9 +12,9 @@ import (
 )
 
 // TestEndToEndBinaries builds the three deployment binaries, boots a
-// three-switch chain plus controller as separate processes, and drives
-// them with netchainctl — the full multi-process deployment of §7 on
-// loopback.
+// three-switch chain plus controller (with its push-watch relay tier) as
+// separate processes, and drives them with netchainctl — the full
+// multi-process deployment of §7 on loopback, watch stream included.
 func TestEndToEndBinaries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process e2e skipped in -short mode")
@@ -41,6 +42,11 @@ func TestEndToEndBinaries(t *testing.T) {
 		{"10.0.0.4", "127.0.0.1:19004", "127.0.0.1:19104"},
 	}
 	clientVirt := "10.1.0.1"
+	// The watch process is a second client with its own reply address.
+	watcherVirt, watcherUDP := "10.1.0.2", "127.0.0.1:19302"
+	// The controller's relay ingests on relayUDP; its control socket, where
+	// subscribers lease streams, binds the next port up.
+	relayVirt, relayUDP, relayCtl := "10.255.0.2", "127.0.0.1:19400", "127.0.0.1:19401"
 
 	var procs []*exec.Cmd
 	stopAll := func() {
@@ -56,6 +62,7 @@ func TestEndToEndBinaries(t *testing.T) {
 	for i, s := range switches {
 		args := []string{
 			"-addr", s.virt, "-udp", s.udp, "-rpc", s.rpc, "-slots", "1024",
+			"-relay", relayVirt + "=" + relayUDP,
 		}
 		for j, p := range switches {
 			if i != j {
@@ -65,7 +72,7 @@ func TestEndToEndBinaries(t *testing.T) {
 		// Replies are addressed to the client's virtual address; every
 		// switch needs its mapping in the static book (netchainctl binds
 		// the matching port with -bind).
-		args = append(args, "-peer", clientVirt+"=127.0.0.1:19301")
+		args = append(args, "-peer", clientVirt+"=127.0.0.1:19301", "-peer", watcherVirt+"="+watcherUDP)
 		cmd := exec.Command(bins["netchaind"], args...)
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
@@ -77,6 +84,7 @@ func TestEndToEndBinaries(t *testing.T) {
 
 	ctl := exec.Command(bins["netchain-controller"],
 		"-rpc", "127.0.0.1:19200", "-replicas", "3", "-vnodes", "4",
+		"-relay-udp", relayUDP, "-relay-vaddr", relayVirt,
 		"-switch", "10.0.0.1=127.0.0.1:19101",
 		"-switch", "10.0.0.2=127.0.0.1:19102",
 		"-switch", "10.0.0.3=127.0.0.1:19103",
@@ -150,6 +158,68 @@ func TestEndToEndBinaries(t *testing.T) {
 		t.Fatalf("del: %v %q", err, out)
 	}
 
+	// Push watch through the relay: a netchainctl watch process prints the
+	// key's state, then an UPDATED line once a put commits. The first puts
+	// may race the subscription's lease, so keep writing until one shows.
+	if out, err = run("insert", "e2e/watch"); err != nil {
+		t.Fatalf("insert watch: %v\n%s", err, out)
+	}
+	if out, err = run("put", "e2e/watch", "v0"); err != nil {
+		t.Fatalf("put watch: %v\n%s", err, out)
+	}
+	watcher := exec.Command(bins["netchainctl"],
+		"-controller", "127.0.0.1:19200", "-gateway", "10.0.0.1=127.0.0.1:19001",
+		"-client", watcherVirt, "-bind", watcherUDP, "-relay", relayCtl, "watch", "e2e/watch")
+	watcher.Stderr = os.Stderr
+	stdout, err := watcher.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := watcher.Start(); err != nil {
+		t.Fatalf("start watch: %v", err)
+	}
+	procs = append(procs, watcher)
+	lines := make(chan string, 16)
+	go func() {
+		sc := bufio.NewScanner(stdout)
+		for sc.Scan() {
+			lines <- sc.Text()
+		}
+		close(lines)
+	}()
+	next := func(deadline <-chan time.Time) string {
+		select {
+		case l, ok := <-lines:
+			if !ok {
+				t.Fatal("watch exited early")
+			}
+			return l
+		case <-deadline:
+			return ""
+		}
+	}
+	if l := next(time.After(10 * time.Second)); !strings.HasPrefix(l, "CREATED") || !strings.Contains(l, "v0") {
+		t.Fatalf("watch initial state: %q", l)
+	}
+	updated := ""
+	for i := 1; i <= 10 && updated == ""; i++ {
+		if out, err = run("put", "e2e/watch", fmt.Sprintf("v%d", i)); err != nil {
+			t.Fatalf("put watch: %v\n%s", err, out)
+		}
+		if l := next(time.After(time.Second)); strings.HasPrefix(l, "UPDATED") {
+			updated = l
+		}
+	}
+	if updated == "" {
+		t.Fatal("watch printed no UPDATED line after 10 puts")
+	}
+	if err := watcher.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	if err := watcher.Wait(); err != nil {
+		t.Fatalf("watch exit after SIGINT: %v", err)
+	}
+
 	// Elastic membership through the binaries: admit the pre-cabled fourth
 	// switch live, keep serving, then drain it back out.
 	if out, err = run("insert", "e2e/elastic"); err != nil {
@@ -173,5 +243,5 @@ func TestEndToEndBinaries(t *testing.T) {
 	if out, err = run("get", "e2e/elastic"); err != nil || !strings.Contains(out, "after-scale-out") {
 		t.Fatalf("get after remove-switch: %v %q", err, out)
 	}
-	fmt.Println("e2e verified: insert/put/get/lock/unlock/del + add-switch/remove-switch across real processes")
+	fmt.Println("e2e verified: insert/put/get/lock/unlock/del + watch + add-switch/remove-switch across real processes")
 }

@@ -52,7 +52,7 @@ func Fig9f(o Fig9fOpts) (*Figure, error) {
 	for _, leaves := range o.Leaves {
 		sim := event.New()
 		prof := netsim.PaperProfile(1)
-		sl, err := netsim.NewSpineLeaf(sim, prof, o.Seed, leaves, 2)
+		sl, err := netsim.NewFabric(sim, prof, o.Seed, netsim.TopoSpec{Kind: "spine-leaf", S: leaves / 2, L: leaves}, 2, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -79,9 +79,10 @@ func Fig9f(o Fig9fOpts) (*Figure, error) {
 			writeTrav += float64(w)
 		}
 		n := float64(o.Samples)
-		totalBudget := float64(sl.SwitchCount()) * prof.SwitchPPS
-		f.Add("NetChain (read)", float64(sl.SwitchCount()), totalBudget/(readTrav/n))
-		f.Add("NetChain (write)", float64(sl.SwitchCount()), totalBudget/(writeTrav/n))
+		size := float64(len(sl.Switches))
+		totalBudget := size * prof.SwitchPPS
+		f.Add("NetChain (read)", size, totalBudget/(readTrav/n))
+		f.Add("NetChain (write)", size, totalBudget/(writeTrav/n))
 	}
 	return f, nil
 }
@@ -119,7 +120,7 @@ func Fig9fValidate(o Fig9fOpts) (analytic, measured float64, err error) {
 	o.defaults()
 	sim := event.New()
 	prof := netsim.PaperProfile(1)
-	sl, err := netsim.NewSpineLeaf(sim, prof, o.Seed, 4, 2)
+	sl, err := netsim.NewFabric(sim, prof, o.Seed, netsim.TopoSpec{Kind: "spine-leaf", S: 2, L: 4}, 2, 0)
 	if err != nil {
 		return 0, 0, err
 	}

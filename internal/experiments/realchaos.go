@@ -1,22 +1,19 @@
 package experiments
 
 import (
+	"context"
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"netchain/internal/controller"
-	"netchain/internal/core"
 	"netchain/internal/faultconn"
 	"netchain/internal/health"
 	"netchain/internal/kv"
+	"netchain/internal/localcluster"
 	"netchain/internal/packet"
 	"netchain/internal/query"
-	"netchain/internal/relay"
-	"netchain/internal/ring"
-	"netchain/internal/swsim"
 	"netchain/internal/transport"
 	"netchain/internal/watch"
 )
@@ -112,16 +109,16 @@ type RealChaosResult struct {
 	WatchConverged bool
 }
 
-// realCluster is the live-UDP deployment: three chain members plus one
-// spare, each a real core.Switch behind a transport.SwitchNode and an RPC
-// agent, a wall-clock controller, a relay tier, a φ-accrual health
-// monitor, and an autopilot — every socket threaded through one
-// faultconn.Injector.
+// realCluster is the façade's live-UDP deployment (localcluster: relay,
+// three chain members plus one spare, wall-clock controller, every
+// datagram socket threaded through one faultconn.Injector) with a health
+// plane on top — φ-accrual monitor, detector and autopilot — and the
+// workload's client sockets.
 type realCluster struct {
+	cl  *localcluster.Cluster
+	ctl *controller.Controller
 	inj *faultconn.Injector
 	sws []packet.Addr // members [0..2], spare [3]
-	ctl *controller.Controller
-	rs  *relay.Server
 
 	det   *health.Detector
 	mon   *health.Monitor
@@ -139,16 +136,8 @@ func (rc *realCluster) Close() {
 	rc.stops = nil
 }
 
-func (rc *realCluster) route(k kv.Key) (query.Route, error) {
-	rt := rc.ctl.Route(k) // an empty chain surfaces as kv.ErrUnavailable when the frame is built
-	return query.Route{Group: rt.Group, Hops: rt.Hops}, nil
-}
-
 func newRealCluster(o RealChaosOpts) (*realCluster, error) {
 	rc := &realCluster{inj: faultconn.New(o.Seed, faultconn.WithTimeScale(o.TimeScale))}
-	book := transport.NewAddressBook()
-	agents := make(map[packet.Addr]controller.Agent)
-	var nodes []*transport.SwitchNode
 	ok := false
 	defer func() {
 		if !ok {
@@ -156,77 +145,16 @@ func newRealCluster(o RealChaosOpts) (*realCluster, error) {
 		}
 	}()
 
-	// Relay tier first so switch nodes can point their event egress at it.
-	relayAddr := packet.AddrFrom4(10, 2, 0, 1)
-	rs, err := relay.Start(relay.Config{Addr: relayAddr, Faults: rc.inj.Pipe(relayAddr)})
+	cl, err := localcluster.Start(localcluster.Config{
+		Slots: 256, ClientTimeout: o.Timeout, ClientRetries: 8, Faults: rc.inj,
+	})
 	if err != nil {
 		return nil, err
 	}
-	rc.rs = rs
-	rc.stops = append(rc.stops, rs.Close)
-	rc.inj.RegisterEndpoint(relayAddr, rs.IngestEndpoint())
-	rc.inj.RegisterEndpoint(relayAddr, rs.ControlEndpoint())
-
-	// Four switches: three chain members and one recovery spare.
-	for i := 0; i < 4; i++ {
-		addr := packet.AddrFrom4(10, 0, 0, byte(i+1))
-		sw, err := core.NewSwitch(addr, swsim.Config{
-			Stages: 8, SlotBytes: 16, SlotsPerStage: 256, PPS: 1e9,
-		})
-		if err != nil {
-			return nil, err
-		}
-		node, err := transport.NewSwitchNode(sw, book, "127.0.0.1:0",
-			transport.WithFaultPipe(rc.inj.Pipe(addr)))
-		if err != nil {
-			return nil, err
-		}
-		node.SetEventSink(relayAddr, rs.IngestEndpoint())
-		rc.inj.RegisterEndpoint(addr, node.Endpoint())
-		rc.sws = append(rc.sws, addr)
-		nodes = append(nodes, node)
-		rc.stops = append(rc.stops, node.Close)
-
-		rpcAddr, stopAgent, err := transport.ServeAgent(sw, "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		rc.stops = append(rc.stops, stopAgent)
-		// The agent dial is deliberately unwrapped: the sim's chaos runs
-		// use LocalAgent, whose control channel survives a fail-stopped
-		// dataplane — the wire keeps that parity so the autopilot can
-		// still program rules into the surviving switches.
-		agent, err := transport.DialAgent(rpcAddr.String())
-		if err != nil {
-			return nil, err
-		}
-		rc.stops = append(rc.stops, agent.Close)
-		agents[addr] = agent
-	}
-
-	ringV, err := ring.New(ring.Config{VNodesPerSwitch: 8, Replicas: 3, Seed: 0x6e63}, rc.sws[:3])
-	if err != nil {
-		return nil, err
-	}
-	ccfg := controller.DefaultConfig()
-	ccfg.RuleDelay = time.Millisecond
-	ccfg.SyncPerItem = 0
-	rc.ctl, err = controller.New(ccfg, ringV, controller.WallClock{},
-		func(a packet.Addr) (controller.Agent, bool) {
-			ag, found := agents[a]
-			return ag, found
-		},
-		func(failed packet.Addr) []packet.Addr {
-			var out []packet.Addr
-			for _, a := range rc.sws {
-				if a != failed {
-					out = append(out, a)
-				}
-			}
-			return out
-		})
-	if err != nil {
-		return nil, err
+	rc.cl, rc.ctl = cl, cl.Controller()
+	rc.stops = append(rc.stops, cl.Close)
+	for i := 0; i < cl.Switches(); i++ {
+		rc.sws = append(rc.sws, cl.SwitchAddr(i))
 	}
 
 	// Health plane: the monitor's socket runs through the nemesis too
@@ -243,47 +171,30 @@ func newRealCluster(o RealChaosOpts) (*realCluster, error) {
 	}
 	rc.stops = append(rc.stops, rc.mon.Close)
 	rc.inj.RegisterEndpoint(mv, rc.mon.Endpoint())
-	book.Set(mv, rc.mon.Endpoint())
 	for _, a := range rc.sws {
 		rc.det.Track(a, rc.mon.Now())
 		rc.mon.Watch(a)
 	}
 	rc.mon.StartProbes(2*o.Heartbeat, 8*o.Heartbeat)
-	for _, n := range nodes {
-		if err := n.StartHeartbeats(mv, o.Heartbeat); err != nil {
-			return nil, err
-		}
+	if err := cl.StartHeartbeats(mv, rc.mon.Endpoint(), o.Heartbeat); err != nil {
+		return nil, err
 	}
-
 	rc.pilot = controller.NewAutopilot(rc.ctl, rc.det, controller.WallClock{}, rc.mon.Now,
 		controller.AutopilotConfig{
 			Interval: o.Heartbeat,
 			Spares:   []packet.Addr{rc.sws[3]},
 		})
 
-	// Clients gateway through the survivors (S0 and the gray S2, never
-	// the fail-stop victim S1): a client whose ToR powers off is a host
-	// outage, not a protocol property this scenario measures.
+	// Clients (10.1.0.1, .2, ...) gateway through the survivors (S0 and the
+	// gray S2, never the fail-stop victim S1): a client whose ToR powers off
+	// is a host outage, not a protocol property this scenario measures.
 	for i := 0; i < o.Clients; i++ {
-		caddr := packet.AddrFrom4(10, 1, 0, byte(i+1))
-		gw := rc.sws[0]
-		if i%2 == 1 {
-			gw = rc.sws[2]
-		}
-		tc, err := transport.NewClient(book, transport.ClientConfig{
-			Addr:    caddr,
-			Gateway: gw,
-			Bind:    "127.0.0.1:0",
-			Timeout: o.Timeout,
-			Retries: 8,
-			Faults:  rc.inj.Pipe(caddr),
-		})
+		ops, err := cl.NewClient(2 * (i % 2))
 		if err != nil {
 			return nil, err
 		}
-		rc.inj.RegisterEndpoint(caddr, tc.LocalEndpoint())
-		rc.ops = append(rc.ops, &transport.Ops{Client: tc, Dir: rc.route})
-		rc.stops = append(rc.stops, tc.Close)
+		rc.ops = append(rc.ops, ops)
+		rc.stops = append(rc.stops, ops.Client.Close)
 	}
 	ok = true
 	return rc, nil
@@ -361,24 +272,18 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 		watchKeys = append(watchKeys, kv.KeyFromString(load.names[i]))
 	}
 	sub := watch.NewSub(watchKeys, func(k kv.Key) uint16 { return rc.ctl.Route(k).Group }, 256)
-	sig := make(chan struct{}, 1)
-	deliver := func(ev query.Event) {
-		if sub.ApplyEvent(ev) {
-			select {
-			case sig <- struct{}{}:
-			default:
-			}
-		}
-	}
-	wAddr := packet.AddrFrom4(10, 3, 0, 1)
-	wconn, err := relay.Subscribe(rc.rs.Mode(), rc.rs.ControlEndpoint(), sub.Groups(), deliver,
-		relay.WithSubFaults(rc.inj.Pipe(wAddr)))
+	follower := watch.NewFollower(sub, func(k kv.Key) (kv.Value, kv.Version, error) {
+		out, err := do0(query.Call{Op: kv.OpRead, Key: k})
+		return out.Value, out.Version, err
+	})
+	wconn, err := rc.cl.Subscribe(packet.AddrFrom4(10, 3, 0, 1), sub.Groups(), follower.Deliver)
 	if err != nil {
 		return nil, fmt.Errorf("watch subscribe: %w", err)
 	}
 	defer wconn.Close()
+	watchCtx, stopWatch := context.WithCancel(context.Background())
+	defer stopWatch()
 	var watchWG sync.WaitGroup
-	watchStop := make(chan struct{})
 	var watchEvents uint64
 	watchWG.Add(2)
 	go func() { // drain the event channel; overflow self-heals via dirty marks
@@ -387,34 +292,9 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 			watchEvents++
 		}
 	}()
-	readDirty := func() {
-		for _, k := range sub.TakeDirty() {
-			out, rerr := do0(query.Call{Op: kv.OpRead, Key: k})
-			switch {
-			case rerr == nil:
-				sub.ApplyRead(k, true, out.Value, out.Version)
-			case errors.Is(rerr, kv.ErrNotFound):
-				sub.ApplyRead(k, false, nil, out.Version)
-			default:
-				sub.MarkDirty(k)
-			}
-		}
-	}
 	go func() {
 		defer watchWG.Done()
-		readDirty()
-		tick := time.NewTicker(25 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-watchStop:
-				return
-			case <-sig:
-				readDirty()
-			case <-tick.C:
-				readDirty()
-			}
-		}
+		follower.Run(watchCtx, 25*time.Millisecond, 0)
 	}()
 
 	// The nemesis: same schedule builders as the sim, plus the fail-stop
@@ -503,10 +383,8 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	close(watchStop)
-	wconn.Close()
-	sub.Close()
-	watchWG.Wait()
+	stopWatch()
+	watchWG.Wait() // Run closed the Sub, so the drain loop ended too
 	res.WatchEvents = watchEvents
 	res.WatchStats = sub.Stats()
 

@@ -95,7 +95,7 @@ func buildWatchPop(n, nkeys, ngroups int) *watchPop {
 	for i := 0; i < n; i++ {
 		k := p.keys[i%nkeys]
 		s := watch.NewSub([]kv.Key{k}, lookup, 1)
-		s.TakeDirty() // population starts synced; the stream is the only feed
+		s.ApplyRead(k, false, nil, kv.Version{}) // starts synced (known absent); the stream is the only feed
 		p.subs = append(p.subs, s)
 		g := p.groupOf[k]
 		p.members[g] = append(p.members[g], s)

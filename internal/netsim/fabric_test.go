@@ -100,7 +100,9 @@ func TestFabricSizes(t *testing.T) {
 }
 
 // TestFabricReachability asserts all-pairs connectivity: every node can
-// route to every other node, and ECMP flow paths terminate.
+// route to every other node, and ECMP flow paths terminate. On a
+// spine-leaf fabric every host reaches every leaf within 3 links
+// (host-leaf-spine-leaf), the bound the §8.3 hop model rests on.
 func TestFabricReachability(t *testing.T) {
 	for _, spec := range []string{"spine-leaf:2x4", "fattree:4", "fattree:8"} {
 		fb := newFabric(t, spec, 1, 0)
@@ -116,6 +118,16 @@ func TestFabricReachability(t *testing.T) {
 				}
 				if path[0] != a || path[len(path)-1] != b {
 					t.Fatalf("%s: path %v -> %v endpoints wrong: %v", spec, a, b, path)
+				}
+			}
+		}
+		if fb.Spec.Kind != "spine-leaf" {
+			continue
+		}
+		for _, h := range fb.Hosts {
+			for _, leaf := range fb.Leaves {
+				if l, ok := fb.Net.PathLen(h, leaf); !ok || l > 3 {
+					t.Fatalf("%s: host %v -> leaf %v path %d (%v), want <= 3 links", spec, h, leaf, l, ok)
 				}
 			}
 		}

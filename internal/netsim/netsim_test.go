@@ -265,32 +265,6 @@ func TestTTLExpiry(t *testing.T) {
 	}
 }
 
-func TestSpineLeafConstruction(t *testing.T) {
-	sim := event.New()
-	sl, err := NewSpineLeaf(sim, PaperProfile(1000), 3, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sl.Spines) != 2 || len(sl.Leaves) != 4 || sl.SwitchCount() != 6 {
-		t.Fatalf("topology = %d spines %d leaves", len(sl.Spines), len(sl.Leaves))
-	}
-	if len(sl.Hosts) != 16 {
-		t.Fatalf("hosts = %d, want 16", len(sl.Hosts))
-	}
-	// Any host reaches any leaf within 3 links (host-leaf-spine-leaf).
-	for _, h := range sl.Hosts {
-		for _, leaf := range sl.Leaves {
-			l, ok := sl.Net.PathLen(h, leaf)
-			if !ok || l > 3 {
-				t.Fatalf("host %v -> leaf %v path %d (%v)", h, leaf, l, ok)
-			}
-		}
-	}
-	if _, err := NewSpineLeaf(sim, PaperProfile(1), 3, 3, 4); err == nil {
-		t.Fatal("odd leaf count must be rejected")
-	}
-}
-
 func TestAddValidation(t *testing.T) {
 	sim := event.New()
 	net := New(sim, 1)

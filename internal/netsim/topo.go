@@ -178,70 +178,3 @@ func (n *Network) HostRecv(addr packet.Addr, recv func(*packet.Frame)) error {
 	nd.recv = recv
 	return nil
 }
-
-// SpineLeaf is the §8.3 simulation topology: non-blocking two-layer
-// fabric, 64-port switches, 32 servers per leaf, spines = leaves/2.
-type SpineLeaf struct {
-	Net      *Network
-	Spines   []packet.Addr
-	Leaves   []packet.Addr
-	Hosts    []packet.Addr // 32 per leaf
-	HostLeaf map[packet.Addr]packet.Addr
-}
-
-// NewSpineLeaf builds a spine-leaf fabric with the given leaf count.
-// hostsPerLeaf is typically 32 (§8.3); pass fewer to shrink tests.
-func NewSpineLeaf(sim *event.Sim, p Profile, seed int64, leaves, hostsPerLeaf int) (*SpineLeaf, error) {
-	if leaves < 2 || leaves%2 != 0 {
-		return nil, fmt.Errorf("netsim: leaves must be even and >= 2, got %d", leaves)
-	}
-	spines := leaves / 2
-	sl := &SpineLeaf{Net: New(sim, seed), HostLeaf: make(map[packet.Addr]packet.Addr)}
-	for i := 0; i < spines; i++ {
-		a := packet.AddrFrom4(10, 0, 1, byte(i+1))
-		sw, err := core.NewSwitch(a, p.Pipeline)
-		if err != nil {
-			return nil, err
-		}
-		if err := sl.Net.AddSwitch(sw, p.SwitchNodeConfig()); err != nil {
-			return nil, err
-		}
-		sl.Spines = append(sl.Spines, a)
-	}
-	for i := 0; i < leaves; i++ {
-		a := packet.AddrFrom4(10, 0, 2, byte(i+1))
-		sw, err := core.NewSwitch(a, p.Pipeline)
-		if err != nil {
-			return nil, err
-		}
-		if err := sl.Net.AddSwitch(sw, p.SwitchNodeConfig()); err != nil {
-			return nil, err
-		}
-		sl.Leaves = append(sl.Leaves, a)
-	}
-	for _, leaf := range sl.Leaves {
-		for _, spine := range sl.Spines {
-			if err := sl.Net.Link(leaf, spine, p.LinkLatency); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for i, leaf := range sl.Leaves {
-		for h := 0; h < hostsPerLeaf; h++ {
-			a := packet.AddrFrom4(10, byte(i+2), 0, byte(h+1))
-			if err := sl.Net.AddHost(a, p.HostNodeConfig(), nil); err != nil {
-				return nil, err
-			}
-			if err := sl.Net.Link(a, leaf, p.LinkLatency); err != nil {
-				return nil, err
-			}
-			sl.Hosts = append(sl.Hosts, a)
-			sl.HostLeaf[a] = leaf
-		}
-	}
-	sl.Net.ComputeRoutes()
-	return sl, nil
-}
-
-// SwitchCount returns the total number of switches in the fabric.
-func (sl *SpineLeaf) SwitchCount() int { return len(sl.Spines) + len(sl.Leaves) }

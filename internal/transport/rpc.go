@@ -177,19 +177,6 @@ func (s *ControllerService) RemoveSwitch(args ResizeArgs, out *ResizeReply) erro
 	return nil
 }
 
-// ServeController starts the controller RPC endpoint.
-func ServeController(ctl *controller.Controller, bind string) (net.Addr, func() error, error) {
-	return ServeControllerWithRegister(ctl, nil, bind)
-}
-
-// ServeControllerWithRegister is ServeController with an agent-registration
-// hook for the add-switch admin verb.
-func ServeControllerWithRegister(ctl *controller.Controller,
-	register func(sw packet.Addr, agentAddr string) error,
-	bind string) (net.Addr, func() error, error) {
-	return ServeControllerService(&ControllerService{Ctl: ctl, Register: register}, bind)
-}
-
 // ServeControllerService starts the RPC endpoint for a caller-built
 // service — the controller binary wires the autopilot's Health hook into
 // the service before serving.

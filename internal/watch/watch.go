@@ -11,7 +11,8 @@
 // subscriber half: Sub is the substrate-neutral subscription state machine
 // (version-exact dedup, stream-gap detection, versioned-read resync), fed
 // by the real transport's watch socket or the simulator's multicast
-// delivery.
+// delivery; on the wire, Follower drives it from the relay stream and a
+// read function.
 //
 // The protocol's monotonic (session, seq) pairs make change detection
 // exact: no false positives from value re-writes of identical bytes, and

@@ -117,6 +117,42 @@ func TestLocalClusterValidation(t *testing.T) {
 	}
 }
 
+// TestLocalClusterRejectsBadSwitchIndex: every verb that takes a switch
+// index answers one the cluster never booted with an error, as SimCluster
+// does, instead of panicking — and a rejected NewClient spends no client
+// address.
+func TestLocalClusterRejectsBadSwitchIndex(t *testing.T) {
+	cl, err := StartLocalCluster(ClusterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cases := []struct {
+		name string
+		call func() error
+	}{
+		{"NewClient(9)", func() error { _, err := cl.NewClient(9); return err }},
+		{"NewClient(-1)", func() error { _, err := cl.NewClient(-1); return err }},
+		{"FailSwitch(9)", func() error { return cl.FailSwitch(9) }},
+		{"Recover(0, 9)", func() error { return cl.Recover(0, 9) }},
+		{"Recover(9, 3)", func() error { return cl.Recover(9, 3) }},
+		{"RemoveSwitch(-1)", func() error { return cl.RemoveSwitch(-1) }},
+	}
+	for _, c := range cases {
+		if err := c.call(); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s = %v, want an out-of-range error", c.name, err)
+		}
+	}
+	c, err := cl.NewClient(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if addr, _ := c.Ops.Client.Endpoint(); addr.String() != "10.1.0.1" {
+		t.Fatalf("first client after rejected attaches is %v, want 10.1.0.1", addr)
+	}
+}
+
 // TestLocalClusterClientAddressesNeverReused pins the client address
 // range: a wrapped counter would hand the 257th client the first client's
 // address and repoint the first client's replies at the newest socket.

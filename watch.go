@@ -2,7 +2,6 @@ package netchain
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"netchain/internal/kv"
 	"netchain/internal/packet"
 	"netchain/internal/query"
-	"netchain/internal/relay"
 	"netchain/internal/simclient"
 	"netchain/internal/watch"
 )
@@ -86,76 +84,20 @@ func (cl *Client) Watch(ctx context.Context, keys []Key, opts ...WatchOption) (<
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("netchain: Watch needs at least one key")
 	}
-	ctl := cl.cluster.ctl
+	ctl := cl.cluster.Controller()
 	sub := watch.NewSub(keys, func(k kv.Key) uint16 { return ctl.Route(k).Group }, o.buffer)
-	sig := make(chan struct{}, 1)
-	deliver := func(ev query.Event) {
-		if sub.ApplyEvent(ev) {
-			select {
-			case sig <- struct{}{}:
-			default:
-			}
-		}
-	}
-	cl.cluster.mu.RLock()
-	rs := cl.cluster.relaySrv
-	cl.cluster.mu.RUnlock()
-	var subOpts []relay.SubOption
-	if ttl := cl.cluster.cfg.RelayLeaseTTL; ttl > 0 {
-		subOpts = append(subOpts, relay.WithRenewEvery(ttl/3))
-	}
-	if inj := cl.cluster.cfg.Faults; inj != nil {
-		claddr, _ := cl.client.Endpoint()
-		subOpts = append(subOpts, relay.WithSubFaults(inj.Pipe(claddr)))
-	}
-	conn, err := relay.Subscribe(rs.Mode(), rs.ControlEndpoint(), sub.Groups(), deliver, subOpts...)
+	f := watch.NewFollower(sub, cl.Read)
+	claddr, _ := cl.Ops.Client.Endpoint()
+	conn, err := cl.cluster.Subscribe(claddr, sub.Groups(), f.Deliver)
 	if err != nil {
 		sub.Close()
 		return nil, err
 	}
-	go cl.watchLoop(ctx, sub, conn, sig, o.resync, o.antiEntropy)
+	go func() {
+		defer conn.Close()
+		f.Run(ctx, o.resync, o.antiEntropy)
+	}()
 	return sub.Events(), nil
-}
-
-func (cl *Client) watchLoop(ctx context.Context, sub *watch.Sub, conn *relay.Conn,
-	sig <-chan struct{}, resync, antiEntropy time.Duration) {
-	defer sub.Close()
-	defer conn.Close()
-	readDirty := func() {
-		for _, k := range sub.TakeDirty() {
-			v, ver, err := cl.ops.Read(k)
-			switch {
-			case err == nil:
-				sub.ApplyRead(k, true, v, ver)
-			case errors.Is(err, ErrNotFound):
-				sub.ApplyRead(k, false, nil, ver)
-			default:
-				sub.MarkDirty(k) // transient failure: retry next tick
-			}
-		}
-	}
-	readDirty() // initial state fetch (all keys start dirty)
-	tick := time.NewTicker(resync)
-	defer tick.Stop()
-	var sweep <-chan time.Time
-	if antiEntropy > 0 {
-		t := time.NewTicker(antiEntropy)
-		defer t.Stop()
-		sweep = t.C
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-sig:
-			readDirty()
-		case <-tick.C:
-			readDirty()
-		case <-sweep:
-			sub.MarkDirty()
-			readDirty()
-		}
-	}
 }
 
 // Watch subscribes to server-push notifications for keys on the

@@ -63,3 +63,49 @@ func TestIdleSwitchFootprint(t *testing.T) {
 	}
 	runtime.KeepAlive(sws)
 }
+
+// TestDedupFootprintPerKey: the head's duplicate-adjudication state for a
+// written key — its tags and its entry in the shard's map — fits in 256 B,
+// and the tags later writes add land in storage the key already holds.
+func TestDedupFootprintPerKey(t *testing.T) {
+	const n = 4096
+	const maxPerKey = 256
+	sw, err := NewSwitch(s0, swsim.Tofino())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]kv.Key, n)
+	for i := range keys {
+		keys[i] = kv.KeyFromUint64(uint64(i))
+		if err := sw.InstallKey(keys[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := &packet.Frame{}
+	nc := &packet.NetChain{Op: kv.OpWrite, Value: []byte("value")}
+	writeAll := func() {
+		for i, k := range keys {
+			nc.Key, nc.Group = k, uint16(i%256)
+			nc.QueryID++
+			packet.NewQueryInto(f, client, s0, 5000, nc)
+			if d, _ := sw.ProcessLocal(f); d != Forward || f.NC.Status != kv.StatusOK {
+				t.Fatalf("write %d = %v (disp %v)", i, &f.NC, d)
+			}
+		}
+	}
+
+	before := liveHeap()
+	writeAll()
+	first := liveHeap()
+	writeAll()
+	second := liveHeap()
+	perKey := float64(int64(first)-int64(before)) / n
+	t.Logf("%.1f B of live heap per written key", perKey)
+	if perKey > maxPerKey {
+		t.Fatalf("one write to each of %d keys retains %.1f B per key, want ≤ %d", n, perKey, maxPerKey)
+	}
+	if second > first {
+		t.Fatalf("a second round of fresh writes to the same keys added %d B, want 0", second-first)
+	}
+	runtime.KeepAlive(sw)
+}

@@ -208,7 +208,8 @@ type groupShard struct {
 	mu        sync.Mutex
 	sessions  map[uint16]uint32 // virtual group -> session stamped when acting head
 	frozen    map[uint16]int    // virtual group -> nested serve-while-migrating write guards
-	lastWrite map[kv.Key]*tagRing
+	lastWrite map[kv.Key]*keyTags
+	scratch   []byte // sameEffect's register snapshot, reused under mu
 }
 
 // ruleTable is the immutable published form of the neighbor rule table:
@@ -236,16 +237,29 @@ type Switch struct {
 // writeTag identifies a client query the head adjudicated — IP source,
 // UDP source port, the client-chosen query id from the NetChain header,
 // and a hash of the raw value bytes (guarding against a client reusing a
-// query id for a different query) — plus the pinned verdict.
+// query id for a different query) — plus the pinned verdict. It is 40
+// pointer-free bytes: source, port, op and verdict pack into one word
+// the way an endpoint packs into a map key (host<<16 | port), and the
+// value a CAS failure returned lives beside the tag (noEffectTags), so
+// the collector has nothing to trace in a tag.
 type writeTag struct {
-	src       packet.Addr
-	port      uint16
-	qid       uint64
-	op        kv.Op
-	valHash   uint64
-	verdict   tagVerdict
-	ver       kv.Version // tagApplied: the stamped version
-	storedVal kv.Value   // tagCASFail: stored value at adjudication
+	id      uint64 // (src<<16 | port)<<16 | op<<8 | verdict
+	qid     uint64
+	valHash uint64
+	ver     kv.Version // tagApplied: the stamped version
+}
+
+// tagIdentity packs a query's source, port and op into a writeTag id with
+// the verdict byte zero; tag ids compare against it with the verdict
+// masked off.
+func tagIdentity(src packet.Addr, port uint16, op kv.Op) uint64 {
+	return (uint64(src)<<16|uint64(port))<<16 | uint64(op)<<8
+}
+
+func (t *writeTag) verdict() tagVerdict { return tagVerdict(t.id) }
+
+func (t *writeTag) matches(identity, qid, valHash uint64) bool {
+	return t.id&^0xff == identity && t.qid == qid && t.valHash == valHash
 }
 
 // tagVerdict is the pinned outcome of a head adjudication. Duplicates of
@@ -258,7 +272,7 @@ type tagVerdict uint8
 const (
 	// tagApplied: the write was stamped as ver.
 	tagApplied tagVerdict = iota
-	// tagCASFail: the CAS lost against storedVal.
+	// tagCASFail: the CAS lost against the value stored beside the tag.
 	tagCASFail
 	// tagRefused: bounced StatusUnavailable by a migration freeze.
 	tagRefused
@@ -270,41 +284,94 @@ const (
 // CAS-fail/refused adjudications) is indistinguishable from a fresh query
 // and gets re-adjudicated (the paper's at-least-once retry semantics).
 // The classes evict independently so a burst of failed lock acquires
-// cannot push an applied write's tag out of its documented window. Eight
-// tags of ~50 bytes is register-memory plausible per slot.
+// cannot push an applied write's tag out of its documented window, and
+// each class is its own ring: a written key holds its four 40-byte
+// applied tags in one 176-byte allocation (~230 B with its map entry,
+// TestDedupFootprintPerKey), and only a key that ever refused a write or
+// failed a CAS pays for the second ring.
 const writeTagDepth = 4
 
-// tagRing holds a key's recent adjudications, newest first, in fixed
-// storage: writeTagDepth applied verdicts plus writeTagDepth no-effect
-// verdicts, interleaved in recency order. No allocation after the first
-// write to a key (the dataplane hot path stays GC-quiet).
-type tagRing struct {
-	tags [2 * writeTagDepth]writeTag
-	n    int
+// verdictRing holds the last writeTagDepth adjudications of one verdict
+// class for a key, overwriting the oldest once full. The head pushes a
+// tag only after both of the key's rings were searched for the query and
+// held no tag for it, so a key never holds two tags for one query and no
+// lookup depends on scan order: two per-class rings return exactly what
+// one interleaved, newest-first ring with per-class eviction would
+// (FuzzTagRingMatchesReference).
+type verdictRing struct {
+	tags    [writeTagDepth]writeTag
+	n, next uint8
 }
 
-// push prepends tag, evicting the oldest entry of the same verdict class
-// when that class is at capacity.
-func (r *tagRing) push(tag writeTag) {
-	applied := tag.verdict == tagApplied
-	count := 0
-	for i := 0; i < r.n; i++ {
-		if (r.tags[i].verdict == tagApplied) == applied {
-			count++
+// push records tag, over the oldest entry once the ring is full, and
+// returns the index it landed in.
+func (r *verdictRing) push(tag writeTag) int {
+	i := r.next
+	r.tags[i] = tag
+	r.next = (i + 1) % writeTagDepth
+	if r.n < writeTagDepth {
+		r.n++
+	}
+	return int(i)
+}
+
+// find returns the index of the query's tag, or -1.
+func (r *verdictRing) find(identity, qid, valHash uint64) int {
+	for i := range r.tags[:r.n] {
+		if r.tags[i].matches(identity, qid, valHash) {
+			return i
 		}
 	}
-	if count >= writeTagDepth {
-		for i := r.n - 1; i >= 0; i-- {
-			if (r.tags[i].verdict == tagApplied) == applied {
-				copy(r.tags[i:], r.tags[i+1:r.n])
-				r.n--
-				break
-			}
+	return -1
+}
+
+// keyTags is a written key's duplicate-adjudication state: the applied
+// verdicts inline, the no-effect verdicts (freeze refusals, CAS failures)
+// in a second ring created the first time the key sees one. No
+// allocation after the first write to a key (the dataplane hot path
+// stays GC-quiet).
+type keyTags struct {
+	applied  verdictRing
+	noEffect *noEffectTags // nil until the key's first no-effect verdict
+}
+
+// noEffectTags is a key's ring of no-effect verdicts, with the stored
+// value each CAS failure returned kept beside its tag (nil for a refusal)
+// so a replay returns the same bytes.
+type noEffectTags struct {
+	verdictRing
+	stored [writeTagDepth]kv.Value
+}
+
+// find returns the pinned adjudication of the query with this identity,
+// query id and raw-value hash, plus the stored value a CAS failure
+// returned. A nil kt holds no tags.
+func (kt *keyTags) find(identity, qid, valHash uint64) (tag writeTag, stored kv.Value, ok bool) {
+	if kt == nil {
+		return writeTag{}, nil, false
+	}
+	if i := kt.applied.find(identity, qid, valHash); i >= 0 {
+		return kt.applied.tags[i], nil, true
+	}
+	if ne := kt.noEffect; ne != nil {
+		if i := ne.find(identity, qid, valHash); i >= 0 {
+			return ne.tags[i], ne.stored[i], true
 		}
 	}
-	copy(r.tags[1:r.n+1], r.tags[:r.n])
-	r.tags[0] = tag
-	r.n++
+	return writeTag{}, nil, false
+}
+
+// push records an adjudication in its class's ring; stored is the value a
+// CAS failure returned.
+func (kt *keyTags) push(tag writeTag, stored kv.Value) {
+	if tag.verdict() == tagApplied {
+		kt.applied.push(tag)
+		return
+	}
+	if kt.noEffect == nil {
+		kt.noEffect = new(noEffectTags)
+	}
+	kt.noEffect.stored[kt.noEffect.push(tag)] = stored
 }
 
 // tagHash fingerprints the raw packet value of a query (for CAS this
@@ -321,7 +388,7 @@ func NewSwitch(addr packet.Addr, cfg swsim.Config) (*Switch, error) {
 	for i := range s.shards {
 		s.shards[i].sessions = make(map[uint16]uint32)
 		s.shards[i].frozen = make(map[uint16]int)
-		s.shards[i].lastWrite = make(map[kv.Key]*tagRing)
+		s.shards[i].lastWrite = make(map[kv.Key]*keyTags)
 	}
 	empty := make(ruleTable)
 	s.rules.Store(&empty)
@@ -577,19 +644,12 @@ func (s *Switch) processWrite(f *packet.Frame, st *counterStripe) Verdict {
 		// Checked before the freeze gate: verdicts replay as ordered
 		// traffic, which a freeze never blocks.
 		rawHash := tagHash(nc.Value)
-		var ringTags []writeTag
-		if r := sh.lastWrite[nc.Key]; r != nil {
-			ringTags = r.tags[:r.n]
-		}
-		for _, tag := range ringTags {
-			if tag.src != f.IP.Src || tag.port != f.UDP.SrcPort ||
-				tag.qid != nc.QueryID || tag.op != nc.Op || tag.valHash != rawHash {
-				continue
-			}
+		identity := tagIdentity(f.IP.Src, f.UDP.SrcPort, nc.Op)
+		if tag, stored, ok := sh.lastWrite[nc.Key].find(identity, nc.QueryID, rawHash); ok {
 			st.writesReplayed.Add(1)
-			switch tag.verdict {
+			switch tag.verdict() {
 			case tagCASFail:
-				nc.Value = tag.storedVal
+				nc.Value = stored
 				f.ToReply(kv.StatusCASFail)
 				st.replies.Add(1)
 				return VerdictForward
@@ -598,7 +658,7 @@ func (s *Switch) processWrite(f *packet.Frame, st *counterStripe) Verdict {
 				st.replies.Add(1)
 				return VerdictForward
 			}
-			if tag.ver == s.pipe.Version(loc) && s.sameEffect(loc, nc) {
+			if tag.ver == s.pipe.Version(loc) && sh.sameEffect(s.pipe, loc, nc) {
 				// Still the latest write: replay the original stamp down
 				// the chain so replicas that missed the first copy
 				// converge and the tail re-acks.
@@ -639,9 +699,8 @@ func (s *Switch) processWrite(f *packet.Frame, st *counterStripe) Verdict {
 			// Pin the refusal: a duplicate arriving after the thaw must
 			// not be stamped — its original reported "no effect".
 			sh.pushTag(nc.Key, writeTag{
-				src: f.IP.Src, port: f.UDP.SrcPort, qid: nc.QueryID, op: nc.Op,
-				valHash: rawHash, verdict: tagRefused,
-			})
+				id: identity | uint64(tagRefused), qid: nc.QueryID, valHash: rawHash,
+			}, nil)
 			f.ToReply(kv.StatusUnavailable)
 			st.replies.Add(1)
 			return VerdictForward
@@ -653,9 +712,8 @@ func (s *Switch) processWrite(f *packet.Frame, st *counterStripe) Verdict {
 				// Pin the verdict so a duplicate of this query repeats
 				// it instead of re-adjudicating against later state.
 				sh.pushTag(nc.Key, writeTag{
-					src: f.IP.Src, port: f.UDP.SrcPort, qid: nc.QueryID, op: nc.Op,
-					valHash: rawHash, verdict: tagCASFail, storedVal: stored,
-				})
+					id: identity | uint64(tagCASFail), qid: nc.QueryID, valHash: rawHash,
+				}, stored)
 				// Return the stored value so a client whose successful CAS
 				// reply was lost can recognize its own ownership on retry
 				// (retries must stay benign, §4.3).
@@ -673,9 +731,8 @@ func (s *Switch) processWrite(f *packet.Frame, st *counterStripe) Verdict {
 		nc.SetVersion(v)
 		s.apply(loc, nc)
 		sh.pushTag(nc.Key, writeTag{
-			src: f.IP.Src, port: f.UDP.SrcPort, qid: nc.QueryID, op: nc.Op,
-			valHash: rawHash, verdict: tagApplied, ver: v,
-		})
+			id: identity | uint64(tagApplied), qid: nc.QueryID, valHash: rawHash, ver: v,
+		}, nil)
 		st.writesHead.Add(1)
 	} else {
 		// Replica or tail: apply only newer versions (Fig. 5 fix). An
@@ -707,24 +764,26 @@ func (s *Switch) processWrite(f *packet.Frame, st *counterStripe) Verdict {
 	return VerdictForward
 }
 
-// pushTag records an adjudication in the key's duplicate-detection ring.
-// Caller holds the shard lock.
-func (sh *groupShard) pushTag(k kv.Key, tag writeTag) {
-	r := sh.lastWrite[k]
-	if r == nil {
-		r = &tagRing{}
-		sh.lastWrite[k] = r
+// pushTag records an adjudication in the key's duplicate-detection rings;
+// stored is the value a CAS failure returned. Caller holds the shard lock.
+func (sh *groupShard) pushTag(k kv.Key, tag writeTag, stored kv.Value) {
+	kt := sh.lastWrite[k]
+	if kt == nil {
+		kt = new(keyTags)
+		sh.lastWrite[k] = kt
 	}
-	r.push(tag)
+	kt.push(tag, stored)
 }
 
 // sameEffect reports whether the stored state at loc is exactly what the
 // query nc would produce — the final check before treating a fresh write
 // as a duplicate of the one that produced the stored version. Identity
 // fields (source, port, query id, op) can collide if a client reuses a
-// query id; the stored bytes cannot.
-func (s *Switch) sameEffect(loc int, nc *packet.NetChain) bool {
-	val, live := s.pipe.ReadValue(loc)
+// query id; the stored bytes cannot. The snapshot lands in the shard's
+// scratch buffer, so a replayed duplicate allocates nothing. Caller holds
+// the shard lock.
+func (sh *groupShard) sameEffect(pipe *swsim.Pipeline, loc int, nc *packet.NetChain) bool {
+	val, _, live := pipe.ReadLatest(loc, &sh.scratch)
 	switch nc.Op {
 	case kv.OpDelete:
 		return !live

@@ -18,8 +18,8 @@
 // value with plain atomic loads and retry on a torn snapshot; writers
 // serialize per slot on striped write locks and bump the counter around
 // the store. Reads never block, never allocate, and scale across cores;
-// the match table is a sync.Map whose read path is a lock-free lookup on
-// an immutable map.
+// the match table is a sync.Map — since Go 1.24 a concurrent hash-trie
+// (internal/sync.HashTrieMap) whose lookups take no lock.
 //
 // Memory model: the configured SlotsPerStage is the switch's SRAM budget,
 // not what the process holds. The register file is demand-paged: slots
@@ -130,9 +130,11 @@ func (r *RegisterArray) Write(i int, v []byte) {
 // MatchTable is an exact-match table from key to register index — the
 // "Match-Action Table" of Fig. 3. Entries are installed by the control
 // plane (Insert) and removed by garbage collection (Delete). Lookup is
-// safe for concurrent use with Install/Remove and is lock-free in steady
-// state: installed keys promote into sync.Map's immutable read map, so the
-// dataplane match costs one atomic pointer load plus a map probe.
+// safe for concurrent use with Install/Remove and never takes a lock:
+// sync.Map is a concurrent hash-trie (internal/sync.HashTrieMap since
+// Go 1.24), so the dataplane match is a walk of atomic loads down the
+// trie. Each entry costs about 120 B of heap (trie nodes plus the boxed
+// slot index).
 type MatchTable struct {
 	capacity int
 	mu       sync.Mutex // serializes Install/Remove (capacity accounting)

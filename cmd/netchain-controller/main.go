@@ -16,6 +16,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -161,16 +162,13 @@ func main() {
 			log.Fatalf("netchain-controller: %v", err)
 		}
 		defer mon.Close()
-		// Track every known switch up front so one that dies (or was
+		// Watch every known switch up front so one that dies (or was
 		// misconfigured) before its first heartbeat still accrues
 		// suspicion from silence and gets repaired.
-		for _, sw := range memberAddrs {
-			det.Track(sw, mon.Now())
+		for _, sw := range slices.Concat(memberAddrs, spareAddrs) {
+			mon.Watch(sw)
 		}
-		for _, sw := range spareAddrs {
-			det.Track(sw, mon.Now())
-		}
-		mon.StartProbes(2*(*heartbeat), 8*(*heartbeat))
+		mon.StartProbes()
 		mon.RegisterMetrics(reg)
 		ap = controller.NewAutopilot(ctl, det, controller.WallClock{}, mon.Now,
 			controller.AutopilotConfig{
@@ -180,7 +178,9 @@ func main() {
 			})
 		ap.Start()
 		svc.Health = func() transport.HealthReport {
-			return transport.BuildHealthReport(det, ap, mon.Now())
+			return transport.HealthReport{
+				Switches: det.Snapshot(mon.Now()), Repairs: ap.History(), Demoted: ap.Demoted(),
+			}
 		}
 		// A drained switch powering off is retirement, not a failure:
 		// stop watching it. Re-adding one resumes the watch.
@@ -191,7 +191,6 @@ func main() {
 				return err
 			}
 			mon.Watch(sw)
-			det.Track(sw, mon.Now())
 			return nil
 		}
 		svc.Register = register

@@ -42,6 +42,7 @@ import (
 
 	"net/rpc"
 
+	"netchain/internal/health"
 	"netchain/internal/kv"
 	"netchain/internal/packet"
 	"netchain/internal/relay"
@@ -246,29 +247,14 @@ func clusterHealth(addr string) error {
 	if err := c.Call("Controller.ClusterHealth", transport.None{}, &rep); err != nil {
 		return err
 	}
-	fmt.Printf("%-12s %-9s %7s %6s %10s %10s %7s %7s %7s %9s %8s\n",
-		"switch", "verdict", "phi", "beats", "rtt µs", "base µs", "loss", "drops", "badpkt", "rcvbuf", "demoted")
-	for _, s := range rep.Switches {
-		rcvbuf := "?"
-		if s.RcvBufBytes > 0 {
-			rcvbuf = fmt.Sprintf("%dK", s.RcvBufBytes/1024)
-		}
-		fmt.Printf("%-12v %-9s %7.2f %6d %10.1f %10.1f %7.3f %7.3f %7d %9s %8v\n",
-			s.Addr, s.Verdict, s.Phi, s.Heartbeats,
-			s.RTTEWMAus, s.RTTBaselineUs, s.ProbeLossEWMA, s.DropRateEWMA,
-			s.DecodeErrs, rcvbuf, s.Demoted)
-	}
+	fmt.Print(health.Table(rep.Switches, rep.Demoted))
 	if len(rep.Repairs) == 0 {
 		fmt.Println("repair history: empty")
 		return nil
 	}
 	fmt.Println("repair history:")
-	for _, r := range rep.Repairs {
-		detail := ""
-		if r.Detail != "" {
-			detail = " (" + r.Detail + ")"
-		}
-		fmt.Printf("  t=%-12v %-13s %v%s\n", r.At, r.Action, r.Switch, detail)
+	for _, ev := range rep.Repairs {
+		fmt.Println("  " + ev.String())
 	}
 	return nil
 }

@@ -7,8 +7,8 @@ import (
 	"netchain"
 )
 
-// TestClusterElasticScaleOutScaleIn drives the real (UDP + net/rpc)
-// cluster through a full elastic cycle: grow by one switch, shrink back,
+// TestClusterElasticScaleOutScaleIn drives the real cluster (UDP
+// dataplane, agentwire control channel) through a full elastic cycle: grow by one switch, shrink back,
 // with data intact and writable at every step.
 func TestClusterElasticScaleOutScaleIn(t *testing.T) {
 	cl, err := netchain.StartLocalCluster(netchain.ClusterConfig{

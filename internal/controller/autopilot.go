@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -205,11 +206,19 @@ func (a *Autopilot) Deferred() uint64 {
 	return a.deferred
 }
 
-// Demoted reports whether the autopilot currently holds sw demoted.
-func (a *Autopilot) Demoted(sw packet.Addr) bool {
+// Demoted lists the switches the autopilot currently holds demoted, in
+// address order.
+func (a *Autopilot) Demoted() []packet.Addr {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.demoted[sw]
+	var out []packet.Addr
+	for sw, d := range a.demoted {
+		if d {
+			out = append(out, sw)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // historyCap bounds the repair log: a long-lived daemon retrying a

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -219,7 +220,7 @@ func TestAutopilotGrayDemotesNotEvicts(t *testing.T) {
 	feed(f, det, 20, hb, nil, nil)
 	// Gray: S2's probes come back 40× slow, heartbeats keep flowing.
 	feed(f, det, 20, hb, map[packet.Addr]time.Duration{s2: 200 * time.Microsecond}, nil)
-	if !ap.Demoted(s2) {
+	if !slices.Contains(ap.Demoted(), s2) {
 		t.Fatalf("gray switch not demoted; history: %v", ap.History())
 	}
 	acts := countActions(ap)
@@ -230,7 +231,7 @@ func TestAutopilotGrayDemotesNotEvicts(t *testing.T) {
 	feed(f, det, 60, hb, nil, nil)
 	ap.Stop()
 	f.sim.Run()
-	if ap.Demoted(s2) {
+	if slices.Contains(ap.Demoted(), s2) {
 		t.Fatalf("healed switch still demoted; history: %v", ap.History())
 	}
 	acts = countActions(ap)

@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"netchain/internal/controller"
 	"netchain/internal/event"
 	"netchain/internal/health"
-	"netchain/internal/kv"
 	"netchain/internal/packet"
 )
 
@@ -15,15 +13,15 @@ import (
 // heartbeat emitters (each beacon runs through its own switch's pipeline,
 // so fail-stop kills it and gray degradation delays it — EmitFrom), a
 // monitor host dual-homed like the spare, data-plane probes measuring
-// each switch's actual forwarding path, the shared health.Detector, and
-// the controller Autopilot — all driven by the discrete-event engine, so
-// nemesis schedules exercise detection and repair deterministically.
+// each switch's actual forwarding path, and the controller Autopilot — all
+// driven by the discrete-event engine, so nemesis schedules exercise
+// detection and repair deterministically. What the monitor host makes of
+// beacons and echoes is health.Core's, the engine the UDP health.Monitor
+// drives too.
 
 // AutopilotOpts sizes the harness.
 type AutopilotOpts struct {
-	Heartbeat    time.Duration // switch beacon cadence (default 500 µs)
-	Probe        time.Duration // monitor probe cadence (default 1 ms)
-	ProbeTimeout time.Duration // unanswered-probe expiry (default 4×Probe)
+	Heartbeat time.Duration // switch beacon cadence (default 500 µs)
 
 	// Detector overrides the derived health config (nil = Defaults(Heartbeat)).
 	Detector *health.Config
@@ -38,12 +36,6 @@ func (o *AutopilotOpts) defaults(d *Deployment) {
 	if o.Heartbeat == 0 {
 		o.Heartbeat = 500 * time.Microsecond
 	}
-	if o.Probe == 0 {
-		o.Probe = 2 * o.Heartbeat
-	}
-	if o.ProbeTimeout == 0 {
-		o.ProbeTimeout = 4 * o.Probe
-	}
 	if len(o.Spares) == 0 {
 		o.Spares = d.Spares()
 	}
@@ -56,12 +48,9 @@ type AutopilotHarness struct {
 	Monitor packet.Addr
 
 	d       *Deployment
-	opts    AutopilotOpts
+	core    *health.Core
 	stopped bool
-	removed map[packet.Addr]bool
-
-	hbSeq  uint64
-	probes *health.ProbeTable
+	hbSeq   uint64
 }
 
 // StartAutopilot attaches the monitor host, starts heartbeat emitters,
@@ -100,29 +89,28 @@ func StartAutopilot(d *Deployment, o AutopilotOpts) (*AutopilotHarness, error) {
 		Det:     det,
 		Monitor: mon,
 		d:       d,
-		opts:    o,
-		removed: make(map[packet.Addr]bool),
-		probes:  health.NewProbeTable(),
+		core:    health.NewCore(det, mon),
 	}
 	now := func() time.Duration { return time.Duration(d.Sim.Now()) }
 	h.Pilot = controller.NewAutopilot(d.Ctl, det, controller.SimScheduler{Sim: d.Sim}, now, pcfg)
 
-	if err := d.Net.HostRecv(mon, h.recv); err != nil {
+	if err := d.Net.HostRecv(mon, func(f *packet.Frame) { h.core.Receive(f, now()) }); err != nil {
 		return nil, err
 	}
 	switches := d.SwitchAddrs()
 	for _, sw := range switches {
-		det.Track(sw, now())
+		h.core.Watch(sw, now())
 	}
 	// Stagger the emitters across the interval so beacons don't arrive
-	// as a synchronized burst (deterministic offsets).
+	// as a synchronized burst (deterministic offsets). A retired switch
+	// keeps beating, as a drained netchaind does until it is shut down;
+	// the Core ignores it.
 	hb := event.Duration(o.Heartbeat)
 	for i, sw := range switches {
-		sw := sw
 		offset := hb * event.Time(i+1) / event.Time(len(switches)+1)
 		var loop func()
 		loop = func() {
-			if h.stopped || h.removed[sw] {
+			if h.stopped {
 				return
 			}
 			h.emitHeartbeat(sw)
@@ -130,15 +118,17 @@ func StartAutopilot(d *Deployment, o AutopilotOpts) (*AutopilotHarness, error) {
 		}
 		d.Sim.After(offset, loop)
 	}
+	// Probes run through every switch's forwarding path.
+	probeEvery := event.Duration(h.core.ProbeEvery())
 	var probeLoop func()
 	probeLoop = func() {
 		if h.stopped {
 			return
 		}
-		h.probeTick()
-		d.Sim.After(event.Duration(o.Probe), probeLoop)
+		h.core.ProbeRound(now(), d.SwitchAddrs(), func(f *packet.Frame) { d.Net.Inject(mon, f) })
+		d.Sim.After(probeEvery, probeLoop)
 	}
-	d.Sim.After(event.Duration(o.Probe), probeLoop)
+	d.Sim.After(probeEvery, probeLoop)
 	h.Pilot.Start()
 	return h, nil
 }
@@ -168,15 +158,10 @@ func (h *AutopilotHarness) RecordMilestones(failover, recovery *time.Duration) {
 	}
 }
 
-// Forget retires a switch from the health plane — beacons stop, probes
-// stop, the detector drops it — so a deliberately drained switch that
-// powers off is not "detected" as a failure and repaired. (Observations
-// auto-track in the detector, so without this the prober itself would
-// resurrect the state.)
-func (h *AutopilotHarness) Forget(sw packet.Addr) {
-	h.removed[sw] = true
-	h.Det.Forget(sw)
-}
+// Forget retires a switch from the health plane (health.Core.Forget) so a
+// deliberately drained switch that powers off is not "detected" as a
+// failure and repaired.
+func (h *AutopilotHarness) Forget(sw packet.Addr) { h.core.Forget(sw) }
 
 // emitHeartbeat builds one beacon from the switch's node-local counters
 // and pushes it through the switch's own pipeline.
@@ -197,56 +182,8 @@ func (h *AutopilotHarness) emitHeartbeat(sw packet.Addr) {
 	h.d.Net.EmitFrom(sw, f)
 }
 
-// probeTick expires overdue probes and launches a fresh round through
-// every tracked switch's forwarding path.
-func (h *AutopilotHarness) probeTick() {
-	now := time.Duration(h.d.Sim.Now())
-	for _, sw := range h.probes.Expire(now, h.opts.ProbeTimeout) {
-		h.Det.ProbeLost(sw, now)
-	}
-	for _, sw := range h.d.SwitchAddrs() {
-		if h.removed[sw] {
-			continue
-		}
-		f := packet.GetFrame()
-		health.NewProbe(f, h.Monitor, sw, h.probes.Issue(sw, now))
-		h.d.Net.Inject(h.Monitor, f)
-	}
-}
-
-// recv handles frames delivered to the monitor host. Probe echoes go
-// through the shared ProbeTable, which drops duplicate echoes and —
-// crucially — echoes from impostors: after failover, neighbor rules (and
-// later the recovery redirect) answer traffic addressed to the dead
-// switch, and crediting those echoes would suppress the fail-stop
-// verdict forever.
-func (h *AutopilotHarness) recv(f *packet.Frame) {
-	now := time.Duration(h.d.Sim.Now())
-	switch f.NC.Op {
-	case kv.OpHeartbeat:
-		p, err := health.DecodePayload(f.NC.Value)
-		if err != nil {
-			return
-		}
-		h.Det.Heartbeat(f.IP.Src, now, p)
-	case kv.OpReply:
-		if sw, sentAt, ok := h.probes.Match(f.NC.QueryID, f.IP.Src); ok {
-			h.Det.ProbeReply(sw, now, now-sentAt)
-		}
-	}
-}
-
-// HealthString renders a snapshot as the table the demo and benchrunner
-// print.
+// HealthString renders the current snapshot as health.Table, the table
+// `netchainctl cluster health` prints.
 func (h *AutopilotHarness) HealthString() string {
-	now := time.Duration(h.d.Sim.Now())
-	s := fmt.Sprintf("%-12s %-9s %7s %6s %10s %10s %7s %7s\n",
-		"switch", "verdict", "phi", "beats", "rtt ewma", "rtt base", "loss", "drops")
-	for _, sh := range h.Det.Snapshot(now) {
-		s += fmt.Sprintf("%-12v %-9s %7.2f %6d %10v %10v %7.3f %7.3f\n",
-			sh.Addr, sh.Verdict, sh.Phi, sh.Heartbeats,
-			sh.RTTEWMA.Round(time.Nanosecond), sh.RTTBaseline.Round(time.Nanosecond),
-			sh.ProbeLossEWMA, sh.DropRateEWMA)
-	}
-	return s
+	return health.Table(h.Det.Snapshot(time.Duration(h.d.Sim.Now())), h.Pilot.Demoted())
 }

@@ -241,3 +241,34 @@ func TestAutopilotFlappingLinkBudget(t *testing.T) {
 		t.Fatal("flap never pressured the budget — the schedule is too tame to test it")
 	}
 }
+
+// TestAutopilotForgetStaysRetired retires the spare the instant after a
+// probe round has gone out to it. Its in-flight echo, the probe's expiry
+// and its beacons, which keep running as a drained box's do, must all
+// leave it out of the detector, and the autopilot must repair nothing.
+func TestAutopilotForgetStaysRetired(t *testing.T) {
+	d, err := NewDeployment(1, 4, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := chaosController(d); err != nil {
+		t.Fatal(err)
+	}
+	h, err := StartAutopilot(d, AutopilotOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spare := d.TB.Switches[3]
+	// Probe rounds run every 2 heartbeats (1 ms), so one is issued at 10 ms.
+	d.Sim.At(msec(10)+1, func() { h.Forget(spare) })
+	d.Sim.At(msec(20), h.Stop) // 20 heartbeats on
+	d.Sim.Run()
+	for _, sh := range h.Det.Snapshot(time.Duration(d.Sim.Now())) {
+		if sh.Addr == spare {
+			t.Fatalf("retired %v back in the detector: %+v", spare, sh)
+		}
+	}
+	if hist := h.Pilot.History(); len(hist) != 0 {
+		t.Fatalf("autopilot repaired after a retirement:\n%v", hist)
+	}
+}

@@ -172,10 +172,9 @@ func newRealCluster(o RealChaosOpts) (*realCluster, error) {
 	rc.stops = append(rc.stops, rc.mon.Close)
 	rc.inj.RegisterEndpoint(mv, rc.mon.Endpoint())
 	for _, a := range rc.sws {
-		rc.det.Track(a, rc.mon.Now())
 		rc.mon.Watch(a)
 	}
-	rc.mon.StartProbes(2*o.Heartbeat, 8*o.Heartbeat)
+	rc.mon.StartProbes()
 	if err := cl.StartHeartbeats(mv, rc.mon.Endpoint(), o.Heartbeat); err != nil {
 		return nil, err
 	}

@@ -236,10 +236,9 @@ func TestMonitorResilientToGrayAndBurst(t *testing.T) {
 	inj.RegisterEndpoint(mv, mon.Endpoint())
 	book.Set(mv, mon.Endpoint())
 	for _, a := range addrs {
-		det.Track(a, mon.Now())
 		mon.Watch(a)
 	}
-	mon.StartProbes(2*hb, 8*hb)
+	mon.StartProbes()
 	for _, n := range nodes {
 		if err := n.StartHeartbeats(mv, hb); err != nil {
 			t.Fatal(err)

@@ -1,7 +1,10 @@
 package health
 
 import (
+	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -566,4 +569,24 @@ func (d *Detector) Snapshot(now time.Duration) []SwitchHealth {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
+}
+
+// Table renders a snapshot as the per-switch health table — what
+// `netchainctl cluster health` prints and the simulator's diagnostics
+// show. demoted lists the switches the autopilot holds demoted.
+func Table(snap []SwitchHealth, demoted []packet.Addr) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-12s %-9s %7s %6s %10s %10s %7s %7s %7s %9s %8s\n",
+		"switch", "verdict", "phi", "beats", "rtt µs", "base µs", "loss", "drops", "badpkt", "rcvbuf", "demoted")
+	for _, s := range snap {
+		rcvbuf := "?"
+		if s.RcvBufBytes > 0 {
+			rcvbuf = fmt.Sprintf("%dK", s.RcvBufBytes/1024)
+		}
+		fmt.Fprintf(&b, "%-12v %-9s %7.2f %6d %10.1f %10.1f %7.3f %7.3f %7d %9s %8v\n",
+			s.Addr, s.Verdict, s.Phi, s.Heartbeats,
+			float64(s.RTTEWMA)/1e3, float64(s.RTTBaseline)/1e3, s.ProbeLossEWMA, s.DropRateEWMA,
+			s.DecodeErrs, rcvbuf, slices.Contains(demoted, s.Addr))
+	}
+	return b.String()
 }

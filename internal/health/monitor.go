@@ -3,27 +3,16 @@ package health
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net"
-	"sort"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"netchain/internal/kv"
 	"netchain/internal/packet"
 	"netchain/internal/telemetry"
 )
 
-// Monitor is the wall-clock half of the detector: a UDP endpoint that
-// receives switch heartbeats, learns each switch's dataplane endpoint
-// from the datagram source address (zero extra controller configuration),
-// and optionally probes every learned switch's forwarding path. It feeds
-// a Detector on a monotonic since-start timeline.
-//
-// The simulated substrate does not use Monitor — experiments wire
-// heartbeats and probes straight into the Detector under simulated time —
-// but both substrates share the Detector, the payload codec, the frame
-// builders and the ProbeTable, so verdict behavior is identical.
 // FaultPipe is the wire-nemesis hook the monitor's sockets honor. It
 // mirrors transport.FaultPipe structurally — health sits below transport
 // in the import graph, so the interface is restated here and the
@@ -44,21 +33,21 @@ func WithMonitorFaults(p FaultPipe) MonitorOption {
 	return func(m *Monitor) { m.fault = p }
 }
 
+// Monitor is the wall-clock driver of a Core: a UDP endpoint that
+// receives switch heartbeats, learns each switch's dataplane endpoint from
+// the datagram source address (zero extra controller configuration), and
+// optionally probes every learned switch's forwarding path on a ticker.
+// Its timestamps are a monotonic since-start timeline; every decision —
+// what a heartbeat or echo means, which probes are lost, who is retired —
+// is the Core's, which the simulated autopilot harness drives too.
 type Monitor struct {
-	det    *Detector
-	conn   *net.UDPConn
-	virt   packet.Addr
-	start  time.Time
-	probes *ProbeTable
-	fault  FaultPipe
+	core  *Core
+	conn  *net.UDPConn
+	start time.Time
+	fault FaultPipe
 
-	heartbeats    atomic.Uint64
-	probesSent    atomic.Uint64
-	probeTimeouts atomic.Uint64
-
-	mu      sync.Mutex
-	eps     map[packet.Addr]*net.UDPAddr
-	removed map[packet.Addr]bool
+	mu  sync.Mutex
+	eps map[packet.Addr]*net.UDPAddr
 
 	closed   chan struct{}
 	recvDone chan struct{}
@@ -78,13 +67,10 @@ func NewMonitor(bind string, virt packet.Addr, det *Detector, opts ...MonitorOpt
 		return nil, fmt.Errorf("health: listen: %w", err)
 	}
 	m := &Monitor{
-		det:      det,
+		core:     NewCore(det, virt),
 		conn:     conn,
-		virt:     virt,
 		start:    time.Now(),
-		probes:   NewProbeTable(),
 		eps:      make(map[packet.Addr]*net.UDPAddr),
-		removed:  make(map[packet.Addr]bool),
 		closed:   make(chan struct{}),
 		recvDone: make(chan struct{}),
 	}
@@ -103,26 +89,19 @@ func (m *Monitor) Endpoint() *net.UDPAddr { return m.conn.LocalAddr().(*net.UDPA
 // Detector observations use.
 func (m *Monitor) Now() time.Duration { return time.Since(m.start) }
 
-// Forget retires a switch: it leaves the probe target list, the detector
-// drops it, and — because the drained netchaind usually keeps beating
-// until the operator shuts it down — its future heartbeats are ignored
-// rather than re-learned. A deliberately retired switch powering off
-// must not be "detected" and repaired. Watch reverses it.
+// Forget retires a switch (Core.Forget) and drops its learned endpoint.
+// The drained netchaind usually keeps beating until the operator shuts it
+// down; those heartbeats are ignored rather than re-learned.
 func (m *Monitor) Forget(sw packet.Addr) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	delete(m.eps, sw)
-	m.removed[sw] = true
-	m.mu.Unlock()
-	m.det.Forget(sw)
+	m.core.Forget(sw)
 }
 
-// Watch (re-)admits a switch to monitoring — the add-switch path clears
-// a previous retirement so a readmitted box is watched again.
-func (m *Monitor) Watch(sw packet.Addr) {
-	m.mu.Lock()
-	delete(m.removed, sw)
-	m.mu.Unlock()
-}
+// Watch (re-)admits a switch to monitoring (Core.Watch) — the add-switch
+// path clears a previous retirement so a readmitted box is watched again.
+func (m *Monitor) Watch(sw packet.Addr) { m.core.Watch(sw, m.Now()) }
 
 // Close stops the monitor.
 func (m *Monitor) Close() error {
@@ -159,34 +138,15 @@ func (m *Monitor) recvLoop() {
 		}
 		// A torn frame only loses the undecodable tail; heartbeats decoded
 		// before the corruption still land.
-		_, _ = packet.DecodeBatch(&f, buf[:sz], func(f *packet.Frame) { m.deliver(f, src) })
-	}
-}
-
-func (m *Monitor) deliver(f *packet.Frame, src *net.UDPAddr) {
-	now := m.Now()
-	switch f.NC.Op {
-	case kv.OpHeartbeat:
-		p, err := DecodePayload(f.NC.Value)
-		if err != nil {
-			return
-		}
-		sw := f.IP.Src
-		m.mu.Lock()
-		retired := m.removed[sw]
-		if !retired {
-			m.eps[sw] = src
-		}
-		m.mu.Unlock()
-		if retired {
-			return // a drained switch beating until shutdown is not news
-		}
-		m.heartbeats.Add(1)
-		m.det.Heartbeat(sw, now, p)
-	case kv.OpReply:
-		if sw, sentAt, ok := m.probes.Match(f.NC.QueryID, f.IP.Src); ok {
-			m.det.ProbeReply(sw, now, now-sentAt)
-		}
+		_, _ = packet.DecodeBatch(&f, buf[:sz], func(f *packet.Frame) {
+			// Under m.mu, so a concurrent Forget cannot be followed by
+			// re-learning the retired switch's endpoint.
+			m.mu.Lock()
+			if m.core.Receive(f, m.Now()) {
+				m.eps[f.IP.Src] = src
+			}
+			m.mu.Unlock()
+		})
 	}
 }
 
@@ -199,70 +159,56 @@ func (m *Monitor) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Help(telemetry.MonitorSuspects, "switches whose verdict is currently not healthy")
 	reg.Collect(func(emit func(telemetry.Sample)) {
 		suspects := 0
-		for _, sh := range m.det.Snapshot(m.Now()) {
+		for _, sh := range m.core.det.Snapshot(m.Now()) {
 			if sh.Verdict != Healthy && sh.Verdict != Unknown {
 				suspects++
 			}
 		}
-		emit(telemetry.Sample{Name: telemetry.MonitorHeartbeats, Kind: telemetry.KindCounter, Value: float64(m.heartbeats.Load())})
-		emit(telemetry.Sample{Name: telemetry.MonitorProbes, Kind: telemetry.KindCounter, Value: float64(m.probesSent.Load())})
-		emit(telemetry.Sample{Name: telemetry.MonitorProbeTimeouts, Kind: telemetry.KindCounter, Value: float64(m.probeTimeouts.Load())})
+		st := m.core.Stats()
+		emit(telemetry.Sample{Name: telemetry.MonitorHeartbeats, Kind: telemetry.KindCounter, Value: float64(st.Heartbeats)})
+		emit(telemetry.Sample{Name: telemetry.MonitorProbes, Kind: telemetry.KindCounter, Value: float64(st.ProbesSent)})
+		emit(telemetry.Sample{Name: telemetry.MonitorProbeTimeouts, Kind: telemetry.KindCounter, Value: float64(st.ProbeTimeouts)})
 		emit(telemetry.Sample{Name: telemetry.MonitorSuspects, Kind: telemetry.KindGauge, Value: float64(suspects)})
 	})
 }
 
-// StartProbes begins probing every learned switch endpoint each interval;
-// probes unanswered after timeout count as losses. Runs until Close.
-func (m *Monitor) StartProbes(interval, timeout time.Duration) {
+// StartProbes begins probing every learned switch endpoint at the Core's
+// cadence (Core.ProbeEvery). Runs until Close.
+func (m *Monitor) StartProbes() {
 	m.probeWG.Add(1)
 	go func() {
 		defer m.probeWG.Done()
-		tick := time.NewTicker(interval)
+		tick := time.NewTicker(m.core.ProbeEvery())
 		defer tick.Stop()
 		for {
 			select {
 			case <-m.closed:
 				return
 			case <-tick.C:
-				m.probeOnce(timeout)
+				m.probeOnce()
 			}
 		}
 	}()
 }
 
-func (m *Monitor) probeOnce(timeout time.Duration) {
-	now := m.Now()
-	for _, sw := range m.probes.Expire(now, timeout) {
-		m.probeTimeouts.Add(1)
-		m.det.ProbeLost(sw, now)
-	}
-	type target struct {
-		sw packet.Addr
-		ep *net.UDPAddr
-	}
-	var targets []target
+func (m *Monitor) probeOnce() {
 	m.mu.Lock()
-	for sw, ep := range m.eps {
-		targets = append(targets, target{sw: sw, ep: ep})
-	}
+	eps := maps.Clone(m.eps)
 	m.mu.Unlock()
-	sort.Slice(targets, func(i, j int) bool { return targets[i].sw < targets[j].sw })
-	f := packet.GetFrame()
-	defer packet.PutFrame(f)
 	var buf []byte
-	for _, t := range targets {
-		NewProbe(f, m.virt, t.sw, m.probes.Issue(t.sw, now))
+	m.core.ProbeRound(m.Now(), slices.Sorted(maps.Keys(eps)), func(f *packet.Frame) {
+		defer packet.PutFrame(f)
+		ep := eps[f.IP.Dst]
 		out, err := f.Serialize(buf[:0])
 		if err != nil {
-			continue
+			return
 		}
 		buf = out
-		m.probesSent.Add(1)
-		if m.fault != nil && !m.fault.Egress(out, t.ep, m.rawSend) {
-			continue
+		if m.fault != nil && !m.fault.Egress(out, ep, m.rawSend) {
+			return
 		}
-		_, _ = m.conn.WriteToUDP(out, t.ep)
-	}
+		_, _ = m.conn.WriteToUDP(out, ep)
+	})
 }
 
 // rawSend is the monitor's single-datagram sender, used by the fault

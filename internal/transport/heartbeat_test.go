@@ -45,7 +45,7 @@ func TestHeartbeatsFeedMonitor(t *testing.T) {
 	if err := node.StartHeartbeats(monAddr, hb); err != nil {
 		t.Fatal(err)
 	}
-	mon.StartProbes(hb, 4*hb)
+	mon.StartProbes()
 
 	deadline := time.Now().Add(5 * time.Second)
 	var snap []health.SwitchHealth

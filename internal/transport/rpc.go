@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"net/rpc"
-	"time"
 
 	"netchain/internal/controller"
 	"netchain/internal/health"
@@ -91,64 +90,12 @@ func (s *ControllerService) AddSwitch(args ResizeArgs, out *ResizeReply) error {
 	return nil
 }
 
-// SwitchHealthWire is one switch's health as carried over the RPC wire.
-type SwitchHealthWire struct {
-	Addr          packet.Addr
-	Verdict       string
-	Phi           float64
-	Heartbeats    uint64
-	RTTEWMAus     float64
-	RTTBaselineUs float64
-	ProbeLossEWMA float64
-	DropRateEWMA  float64
-	QueueEWMA     float64
-	DecodeErrs    uint64 // undecodable datagrams seen at the switch socket
-	RcvBufBytes   uint32 // kernel-effective SO_RCVBUF (0 = unknown)
-	Demoted       bool
-}
-
-// RepairWire is one autopilot repair-history entry on the wire.
-type RepairWire struct {
-	At     time.Duration
-	Switch packet.Addr
-	Action string
-	Detail string
-}
-
-// HealthReport is the ClusterHealth reply.
+// HealthReport is the ClusterHealth reply: the detector's snapshot, the
+// autopilot's repair history and the switches it holds demoted.
 type HealthReport struct {
-	Switches []SwitchHealthWire
-	Repairs  []RepairWire
-}
-
-// BuildHealthReport renders a detector snapshot plus autopilot history
-// into the wire form (shared by the controller binary and tests).
-func BuildHealthReport(det *health.Detector, ap *controller.Autopilot, now time.Duration) HealthReport {
-	var rep HealthReport
-	for _, h := range det.Snapshot(now) {
-		rep.Switches = append(rep.Switches, SwitchHealthWire{
-			Addr:          h.Addr,
-			Verdict:       h.Verdict.String(),
-			Phi:           h.Phi,
-			Heartbeats:    h.Heartbeats,
-			RTTEWMAus:     float64(h.RTTEWMA.Nanoseconds()) / 1e3,
-			RTTBaselineUs: float64(h.RTTBaseline.Nanoseconds()) / 1e3,
-			ProbeLossEWMA: h.ProbeLossEWMA,
-			DropRateEWMA:  h.DropRateEWMA,
-			QueueEWMA:     h.QueueEWMA,
-			DecodeErrs:    h.DecodeErrs,
-			RcvBufBytes:   h.RcvBufBytes,
-			Demoted:       ap != nil && ap.Demoted(h.Addr),
-		})
-	}
-	if ap != nil {
-		for _, ev := range ap.History() {
-			rep.Repairs = append(rep.Repairs, RepairWire{
-				At: ev.At, Switch: ev.Switch, Action: string(ev.Action), Detail: ev.Detail,
-			})
-		}
-	}
-	return rep
+	Switches []health.SwitchHealth
+	Repairs  []controller.RepairEvent
+	Demoted  []packet.Addr
 }
 
 // ClusterHealth returns per-switch φ scores, quality EWMAs, verdicts and

@@ -40,19 +40,23 @@ func (f *Follower) Deliver(ev query.Event) {
 }
 
 // Run fetches every key's state, then re-reads the dirty keys after each
-// gap Deliver reports and every resync, and marks every key dirty every
-// antiEntropy (0 disables the sweep). When ctx ends it closes the Sub,
-// which closes its event channel.
+// gap Deliver reports and every resync (0 disables the periodic re-read;
+// gaps still trigger one), and marks every key dirty every antiEntropy
+// (0 disables the sweep). When ctx ends it closes the Sub, which closes
+// its event channel.
 func (f *Follower) Run(ctx context.Context, resync, antiEntropy time.Duration) {
-	tick := time.NewTicker(resync)
-	defer tick.Stop()
-	var sweep <-chan time.Time
+	var tick, sweep <-chan time.Time
+	if resync > 0 {
+		t := time.NewTicker(resync)
+		defer t.Stop()
+		tick = t.C
+	}
 	if antiEntropy > 0 {
 		t := time.NewTicker(antiEntropy)
 		defer t.Stop()
 		sweep = t.C
 	}
-	f.run(ctx, tick.C, sweep)
+	f.run(ctx, tick, sweep)
 }
 
 func (f *Follower) run(ctx context.Context, tick, sweep <-chan time.Time) {

@@ -34,7 +34,9 @@ var (
 	fGroup     = map[kv.Key]uint16{fa: 1, fb: 2, fc: 1}
 )
 
-func newFollowRig(fail map[kv.Key]int, absent ...kv.Key) *followRig {
+// newFollowRig starts the follower through run, or — when run is nil — on
+// the rig's hand-fired tick and sweep channels.
+func newFollowRig(run func(r *followRig, ctx context.Context), fail map[kv.Key]int, absent ...kv.Key) *followRig {
 	r := &followRig{
 		tick: make(chan time.Time), sweep: make(chan time.Time),
 		reads: make(chan kv.Key, 64), done: make(chan struct{}),
@@ -47,8 +49,11 @@ func newFollowRig(fail map[kv.Key]int, absent ...kv.Key) *followRig {
 	r.f = NewFollower(r.sub, r.read)
 	ctx, cancel := context.WithCancel(context.Background())
 	r.cancel = cancel
+	if run == nil {
+		run = func(r *followRig, ctx context.Context) { r.f.run(ctx, r.tick, r.sweep) }
+	}
 	go func() {
-		r.f.run(ctx, r.tick, r.sweep)
+		run(r, ctx)
 		close(r.done)
 	}()
 	return r
@@ -116,6 +121,7 @@ func (r *followRig) stop(t *testing.T) {
 func TestFollower(t *testing.T) {
 	cases := []struct {
 		name   string
+		run    func(r *followRig, ctx context.Context)
 		fail   map[kv.Key]int
 		absent []kv.Key
 		drive  func(t *testing.T, r *followRig)
@@ -145,6 +151,17 @@ func TestFollower(t *testing.T) {
 			},
 		},
 		{
+			// SimClient.Watch reads a zero resync as "no periodic resync";
+			// the wire follower must too, not panic in time.NewTicker.
+			name: "zero resync and anti-entropy: no tickers, gaps still re-read",
+			run:  func(r *followRig, ctx context.Context) { r.f.Run(ctx, 0, 0) },
+			drive: func(t *testing.T, r *followRig) {
+				r.f.Deliver(query.Event{Key: fb, Version: kv.Version{Session: 2, Seq: 1}, Group: 2, StreamSeq: 1})
+				r.f.Deliver(query.Event{Key: fb, Version: kv.Version{Session: 2, Seq: 3}, Group: 2, StreamSeq: 3})
+				r.expect(t, "gap", fb)
+			},
+		},
+		{
 			name: "anti-entropy sweep re-reads every key",
 			drive: func(t *testing.T, r *followRig) {
 				r.sweep <- time.Time{}
@@ -154,7 +171,7 @@ func TestFollower(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			r := newFollowRig(c.fail, c.absent...)
+			r := newFollowRig(c.run, c.fail, c.absent...)
 			r.expect(t, "initial fetch", fa, fb, fc)
 			c.drive(t, r)
 			r.stop(t)

@@ -18,7 +18,7 @@ import (
 // controller under simulated time.
 type fixture struct {
 	sim  *event.Sim
-	tb   *netsim.Testbed
+	tb   *netsim.Fabric
 	ring *ring.Ring
 	ctl  *Controller
 
@@ -33,7 +33,7 @@ type fixture struct {
 func newFixture(t *testing.T, cfg Config, vnodes int) *fixture {
 	t.Helper()
 	sim := event.New()
-	tb, err := netsim.NewTestbed(sim, netsim.PaperProfile(1), 1)
+	tb, err := netsim.NewFabric(sim, netsim.PaperProfile(1), 1, netsim.TopoSpec{Kind: "ring"}, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func Fig9aPoint(o ThroughputOpts, servers int) (PointResult, error) {
 // distinct frame transmissions between nodes (client→head, head→mid,
 // mid→tail, tail→client = 4 for n=3).
 func ChainMessagesPerWrite() (float64, error) {
-	d, err := NewDeployment(1, 4, 1)
+	d, err := NewDeployment(FabricOpts{Scale: 1})
 	if err != nil {
 		return 0, err
 	}
@@ -41,14 +41,15 @@ func ChainMessagesPerWrite() (float64, error) {
 	// One write, then count the distinct node-to-node sends: client→head,
 	// per-link chain hops, tail→client. Underlay transits don't count as
 	// protocol messages — they exist in both designs.
-	ep := query.Endpoint{Addr: d.TB.Hosts[0], Port: 4000}
+	h0 := d.Fab.Hosts[0]
+	ep := query.Endpoint{Addr: h0, Port: 4000}
 	f, err := query.NewWrite(ep, 1, query.Route{Group: rt.Group, Hops: rt.Hops}, k, kv.Value("x"))
 	if err != nil {
 		return 0, err
 	}
 	got := 0
-	d.TB.Net.HostRecv(d.TB.Hosts[0], func(*packet.Frame) { got++ })
-	d.TB.Net.Inject(d.TB.Hosts[0], f)
+	d.Net.HostRecv(h0, func(*packet.Frame) { got++ })
+	d.Net.Inject(h0, f)
 	d.Sim.RunFor(event.Duration(1e9))
 	if got != 1 {
 		return 0, fmt.Errorf("experiments: write produced %d replies, want 1", got)

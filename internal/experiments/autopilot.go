@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"maps"
+	"slices"
 	"time"
 
 	"netchain/internal/controller"
 	"netchain/internal/event"
 	"netchain/internal/health"
 	"netchain/internal/packet"
+	"netchain/internal/ring"
 )
 
 // The simulated half of the self-healing control plane: per-switch
@@ -28,7 +31,7 @@ type AutopilotOpts struct {
 	// Pilot overrides the autopilot config; Spares is filled from the
 	// Spares field below when unset.
 	Pilot *controller.AutopilotConfig
-	// Spares is the recovery pool (default: the testbed spare S3).
+	// Spares is the recovery pool (default: the deployment's spares).
 	Spares []packet.Addr
 }
 
@@ -49,6 +52,8 @@ type AutopilotHarness struct {
 
 	d       *Deployment
 	core    *health.Core
+	hb      event.Time           // beacon cadence
+	beating map[packet.Addr]bool // switches with a running beacon
 	stopped bool
 	hbSeq   uint64
 }
@@ -59,12 +64,12 @@ type AutopilotHarness struct {
 // relying on Sim.Run() draining to quiescence.
 func StartAutopilot(d *Deployment, o AutopilotOpts) (*AutopilotHarness, error) {
 	o.defaults(d)
-	mon, err := d.AttachMonitor()
+	mon, err := d.Fab.AttachMonitor()
 	if err != nil {
 		return nil, err
 	}
 	dcfg := health.Defaults(o.Heartbeat)
-	if d.Fab != nil {
+	if d.Fab.Spec.Kind != "ring" {
 		// Fabrics have metered transit links, so the opt-in Congested
 		// verdict is on by default: RTT sustained past 2.5× baseline with
 		// loss and drop channels clean reads as path queueing, answered by
@@ -82,7 +87,7 @@ func StartAutopilot(d *Deployment, o AutopilotOpts) (*AutopilotHarness, error) {
 			pcfg.Spares = o.Spares
 		}
 	}
-	if d.Fab != nil && pcfg.Placer == nil {
+	if pcfg.Placer == nil {
 		pcfg.Placer = d.CongestionPlacer()
 	}
 	h := &AutopilotHarness{
@@ -90,6 +95,8 @@ func StartAutopilot(d *Deployment, o AutopilotOpts) (*AutopilotHarness, error) {
 		Monitor: mon,
 		d:       d,
 		core:    health.NewCore(det, mon),
+		hb:      event.Duration(o.Heartbeat),
+		beating: make(map[packet.Addr]bool),
 	}
 	now := func() time.Duration { return time.Duration(d.Sim.Now()) }
 	h.Pilot = controller.NewAutopilot(d.Ctl, det, controller.SimScheduler{Sim: d.Sim}, now, pcfg)
@@ -99,24 +106,12 @@ func StartAutopilot(d *Deployment, o AutopilotOpts) (*AutopilotHarness, error) {
 	}
 	switches := d.SwitchAddrs()
 	for _, sw := range switches {
-		h.core.Watch(sw, now())
+		h.Watch(sw)
 	}
 	// Stagger the emitters across the interval so beacons don't arrive
-	// as a synchronized burst (deterministic offsets). A retired switch
-	// keeps beating, as a drained netchaind does until it is shut down;
-	// the Core ignores it.
-	hb := event.Duration(o.Heartbeat)
+	// as a synchronized burst (deterministic offsets).
 	for i, sw := range switches {
-		offset := hb * event.Time(i+1) / event.Time(len(switches)+1)
-		var loop func()
-		loop = func() {
-			if h.stopped {
-				return
-			}
-			h.emitHeartbeat(sw)
-			d.Sim.After(hb, loop)
-		}
-		d.Sim.After(offset, loop)
+		h.beacon(sw, h.hb*event.Time(i+1)/event.Time(len(switches)+1))
 	}
 	// Probes run through every switch's forwarding path.
 	probeEvery := event.Duration(h.core.ProbeEvery())
@@ -131,6 +126,37 @@ func StartAutopilot(d *Deployment, o AutopilotOpts) (*AutopilotHarness, error) {
 	d.Sim.After(probeEvery, probeLoop)
 	h.Pilot.Start()
 	return h, nil
+}
+
+// beacon starts sw's heartbeat emitter, first beat after offset, unless
+// sw already has one: one beacon per switch address. A retired switch
+// keeps beating, as a drained netchaind does until it is shut down; the
+// Core ignores it.
+func (h *AutopilotHarness) beacon(sw packet.Addr, offset event.Time) {
+	if h.beating[sw] {
+		return
+	}
+	h.beating[sw] = true
+	var loop func()
+	loop = func() {
+		if h.stopped {
+			return
+		}
+		h.emitHeartbeat(sw)
+		h.d.Sim.After(h.hb, loop)
+	}
+	h.d.Sim.After(offset, loop)
+}
+
+// StartBeacon starts the heartbeat emitter of a switch cabled in after
+// StartAutopilot: like a booted netchaind, it beats from the moment it is
+// attached. A no-op for a switch that already beats.
+func (h *AutopilotHarness) StartBeacon(sw packet.Addr) { h.beacon(sw, 0) }
+
+// Watch (re-)admits sw to the health plane (health.Core.Watch) — the
+// add-switch half of Forget, as on the wire.
+func (h *AutopilotHarness) Watch(sw packet.Addr) {
+	h.core.Watch(sw, time.Duration(h.d.Sim.Now()))
 }
 
 // Stop halts heartbeats, probes and reconcile ticks so the simulator can
@@ -186,4 +212,50 @@ func (h *AutopilotHarness) emitHeartbeat(sw packet.Addr) {
 // `netchainctl cluster health` prints.
 func (h *AutopilotHarness) HealthString() string {
 	return health.Table(h.Det.Snapshot(time.Duration(h.d.Sim.Now())), h.Pilot.Demoted())
+}
+
+// CongestionPlacer returns the autopilot hook that answers a Congested
+// verdict on a fabric leaf: every group whose chain runs through the
+// congested leaf is re-planned with that member swapped for the coolest
+// other live member (fewest chain slots after the swap, lowest address on
+// ties), keeping chain order. Deterministic: groups are visited sorted.
+func (d *Deployment) CongestionPlacer() func(packet.Addr) map[ring.GroupID][]packet.Addr {
+	return func(congested packet.Addr) map[ring.GroupID][]packet.Addr {
+		routes := d.Ctl.Routes()
+		groups := slices.Sorted(maps.Keys(routes))
+		slots := make(map[packet.Addr]int)
+		for _, rt := range routes {
+			for _, h := range rt.Hops {
+				slots[h]++
+			}
+		}
+		members := d.Ring.Switches()
+		plans := make(map[ring.GroupID][]packet.Addr)
+		for _, g := range groups {
+			rt := routes[g]
+			idx := slices.Index(rt.Hops, congested)
+			if idx < 0 {
+				continue
+			}
+			var best packet.Addr
+			bestSlots := -1
+			for _, m := range members {
+				if m == congested || d.Net.Failed(m) || slices.Contains(rt.Hops, m) {
+					continue
+				}
+				if bestSlots < 0 || slots[m] < bestSlots || (slots[m] == bestSlots && m < best) {
+					best, bestSlots = m, slots[m]
+				}
+			}
+			if bestSlots < 0 {
+				continue // nowhere to move this chain
+			}
+			hops := slices.Clone(rt.Hops)
+			hops[idx] = best
+			slots[best]++
+			slots[congested]--
+			plans[ring.GroupID(g)] = hops
+		}
+		return plans
+	}
 }

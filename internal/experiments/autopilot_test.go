@@ -184,7 +184,7 @@ func TestAutopilotDeterminism(t *testing.T) {
 // cooldown) plus the repair budget cap the number of data-moving
 // migrations, while the history stays linearizable throughout.
 func TestAutopilotFlappingLinkBudget(t *testing.T) {
-	d, err := NewDeployment(1, 4, 11)
+	d, err := NewDeployment(FabricOpts{Scale: 1, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestAutopilotFlappingLinkBudget(t *testing.T) {
 	// 6 ms gray, 8 ms healthy, 20 cycles: slow enough that the confirm
 	// and clear streaks both complete each phase — so an unguarded loop
 	// would demote+restore every cycle (~40 migrations).
-	tail := d.TB.Switches[2]
+	tail := d.Fab.Switches[2]
 	var sch netsim.Schedule
 	for i := 0; i < 20; i++ {
 		sch = append(sch, netsim.Step{
@@ -218,7 +218,7 @@ func TestAutopilotFlappingLinkBudget(t *testing.T) {
 			},
 		})
 	}
-	nm := netsim.RunSchedule(d.TB.Net, sch)
+	nm := netsim.RunSchedule(d.Net, sch)
 	d.Sim.At(msec(320), h.Stop)
 	d.Sim.Run()
 	if err := nm.Err(); err != nil {
@@ -247,7 +247,7 @@ func TestAutopilotFlappingLinkBudget(t *testing.T) {
 // and its beacons, which keep running as a drained box's do, must all
 // leave it out of the detector, and the autopilot must repair nothing.
 func TestAutopilotForgetStaysRetired(t *testing.T) {
-	d, err := NewDeployment(1, 4, 11)
+	d, err := NewDeployment(FabricOpts{Scale: 1, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestAutopilotForgetStaysRetired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spare := d.TB.Switches[3]
+	spare := d.Fab.Switches[3]
 	// Probe rounds run every 2 heartbeats (1 ms), so one is issued at 10 ms.
 	d.Sim.At(msec(10)+1, func() { h.Forget(spare) })
 	d.Sim.At(msec(20), h.Stop) // 20 heartbeats on

@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"netchain/internal/controller"
-	"netchain/internal/core"
 	"netchain/internal/event"
-	"netchain/internal/kv"
 	"netchain/internal/netsim"
 	"netchain/internal/packet"
 	"netchain/internal/query"
@@ -105,8 +103,8 @@ func testbedTargets(sws []packet.Addr, cutHost packet.Addr) chaosTargets {
 // roles verbatim (so ring fingerprints are unchanged), or group 0's chain
 // on a fabric.
 func chaosTargetsFor(d *Deployment) (chaosTargets, error) {
-	if d.TB != nil {
-		return testbedTargets(d.TB.Switches[:], d.TB.Hosts[1]), nil
+	if d.Fab.Spec.Kind == "ring" {
+		return testbedTargets(d.Fab.Switches, d.Fab.Hosts[1]), nil
 	}
 	rt := d.Ctl.GroupRoute(0)
 	if len(rt.Hops) < 3 {
@@ -119,7 +117,7 @@ func chaosTargetsFor(d *Deployment) (chaosTargets, error) {
 	}
 	spares := d.Spares()
 	if len(spares) == 0 {
-		return chaosTargets{}, fmt.Errorf("experiments: fabric chaos needs a spare leaf (SpareLeaves >= 1)")
+		return chaosTargets{}, fmt.Errorf("experiments: fabric chaos needs a spare leaf (Spares >= 1)")
 	}
 	hosts := d.HostAddrs()
 	if len(hosts) < 2 {
@@ -327,18 +325,14 @@ func runChaos(o ChaosOpts, script func(d *Deployment, fail func(error))) (*Chaos
 	if err != nil {
 		return nil, err
 	}
-	var d *Deployment
-	if topo.Kind == "ring" {
-		d, err = NewDeployment(1, 4, o.Seed)
-	} else {
-		// Scale 1 like the testbed run; bottleneck-aware placement so the
-		// nemesis also shakes placed chains through failover and recovery;
-		// one leaf held out as the autopilot's spare pool.
-		d, err = NewFabricDeployment(FabricOpts{
-			Spec: topo, Scale: 1, VNodes: 2, Seed: o.Seed,
-			HostsPerLeaf: 1, SpareLeaves: 1, Placement: "bottleneck",
-		})
+	// Scale 1 on every shape, one candidate held out as the spare pool. A
+	// fabric places chains bottleneck-aware, so the nemesis also shakes
+	// placed chains through failover and recovery.
+	fo := FabricOpts{Spec: topo, Scale: 1, Seed: o.Seed, Spares: 1}
+	if topo.Kind != "ring" {
+		fo.VNodes, fo.HostsPerLeaf, fo.Placement = 2, 1, "bottleneck"
 	}
+	d, err := NewDeployment(fo)
 	if err != nil {
 		return nil, err
 	}
@@ -350,26 +344,8 @@ func runChaos(o ChaosOpts, script func(d *Deployment, fail func(error))) (*Chaos
 		return nil, err
 	}
 
-	// Preload: slots through the controller, values straight into every
-	// chain member's registers.
 	load := newChaosLoad(o.Registers, o.OpsPerClient)
-	err = load.preload(func(k kv.Key, val kv.Value) error {
-		rt, err := d.Ctl.Insert(k)
-		if err != nil {
-			return err
-		}
-		for _, hop := range rt.Hops {
-			sw, ok := d.Net.Switch(hop)
-			if !ok {
-				return fmt.Errorf("experiments: no switch %v", hop)
-			}
-			if err := sw.WriteItem(core.Item{Key: k, Value: val, Version: kv.Version{Seq: 1}}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := load.preload(d.Preload); err != nil {
 		return nil, err
 	}
 

@@ -120,13 +120,13 @@ func TestChaosFabricSweep(t *testing.T) {
 // demotion. This is the PR 5 autopilot loop closed over the new fabric
 // substrate.
 func TestFabricCongestionRehome(t *testing.T) {
-	d, err := NewFabricDeployment(FabricOpts{
+	d, err := NewDeployment(FabricOpts{
 		Spec:         netsim.TopoSpec{Kind: "fattree", K: 4},
 		Scale:        1,
 		VNodes:       2,
 		Seed:         1,
 		HostsPerLeaf: 1,
-		SpareLeaves:  1,
+		Spares:       1,
 		Placement:    "bottleneck",
 	})
 	if err != nil {

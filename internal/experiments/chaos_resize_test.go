@@ -18,7 +18,7 @@ func TestChaosLinearizableAcrossResize(t *testing.T) {
 		var added, removed time.Duration
 		res, err := runChaos(ChaosOpts{Schedule: "reorder-dup", Seed: seed},
 			func(d *Deployment, fail func(error)) {
-				s1, s3 := d.TB.Switches[1], d.TB.Switches[3]
+				s1, s3 := d.Fab.Switches[1], d.Fab.Switches[3]
 				now := func() time.Duration { return time.Duration(d.Sim.Now()) }
 				d.Sim.At(event.Duration(5*time.Millisecond), func() {
 					_, err := d.Ctl.AddSwitch(s3, func() {

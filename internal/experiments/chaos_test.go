@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -76,6 +78,42 @@ func TestChaosFullNemesisLinearizable(t *testing.T) {
 	}
 }
 
+// TestChaosFingerprintsPinned pins what `benchrunner -exp chaos … -seed 1`
+// prints, so a refactor that moves simulated behaviour fails tier-1 instead
+// of waiting for someone to diff benchrunner builds. A deliberate change
+// re-baselines by pasting the printed table over this one.
+func TestChaosFingerprintsPinned(t *testing.T) {
+	pins := []struct {
+		topology, schedule string
+		autopilot          bool
+		want               string
+	}{
+		{"ring", "asym-partition", false, "cf014380a7f60c88f04648d459aad5aa368bdb8ceafec0afde9c8040abff4b37"},
+		{"ring", "full-nemesis", false, "03ac1d27a409be7c47bc37605c0bbe7bbdb6cc62357708cb2bcb1db978b53802"},
+		{"ring", "gray-tail", false, "b55f7b52586f4058341daf84a4846fee7c92d8505084da2f6f206864be676902"},
+		{"ring", "reorder-dup", false, "c601c5092b4550b8c882e47915f27bec928698e5b97b4fd8b7d5d7730a3c8524"},
+		{"ring", "asym-partition", true, "e00d712459a27349fd63078c5140831e62f06ff9b9db4d9245520b7bb7fdde0e"},
+		{"ring", "full-nemesis", true, "2697e813e3b5cf79246f2e57468668e4435b4d24e2f48d26c2a0c137b51da242"},
+		{"ring", "gray-tail", true, "956dcff1b6d8d255cb62b366d4fee662dce845d7db38557f7c4817495e851830"},
+		{"ring", "reorder-dup", true, "0865e0870b05e11ac2988a47a1f0020cc5cfee1ed251451f05d62b96d70fa473"},
+		{"fattree:4", "full-nemesis", true, "350c4a25cc5a007ca2884a9714fcd5b6b9a34c01e0976cdb2f038d82eda24099"},
+		{"fattree:8", "full-nemesis", true, "f3eec49bda234ca4ca6c5e035ebe09d0e261eb3cb06d4086bd7db63c8e814cc9"},
+	}
+	var got strings.Builder
+	failed := false
+	for _, p := range pins {
+		res, err := RunChaos(ChaosOpts{Topology: p.topology, Schedule: p.schedule, Seed: 1, Autopilot: p.autopilot})
+		if err != nil {
+			t.Fatalf("%s %s autopilot=%v: %v", p.topology, p.schedule, p.autopilot, err)
+		}
+		failed = failed || res.Fingerprint != p.want
+		fmt.Fprintf(&got, "\t\t{%q, %q, %v, %q},\n", p.topology, p.schedule, p.autopilot, res.Fingerprint)
+	}
+	if failed {
+		t.Fatalf("chaos fingerprints moved; got:\n%s", got.String())
+	}
+}
+
 // TestChaosSchedulesLinearizable sweeps the remaining named schedules at a
 // lighter operation count — the matrix the nightly CI job runs with more
 // seeds and full size.
@@ -108,7 +146,7 @@ func TestChaosSchedulesLinearizable(t *testing.T) {
 // the p99 is the canary for failure-path regressions.
 func TestChaosMixedTail(t *testing.T) {
 	const window = 20 * time.Millisecond
-	d, err := NewDeployment(1000, 8, 1)
+	d, err := NewDeployment(FabricOpts{Scale: 1000, VNodes: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,13 +155,13 @@ func TestChaosMixedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := event.Duration(window)
-	nm := netsim.RunSchedule(d.TB.Net, netsim.Schedule{
+	nm := netsim.RunSchedule(d.Net, netsim.Schedule{
 		{Name: "mangle", At: 0, Fault: clusterMangle()},
 		{Name: "gray-tail", At: w / 4, For: w / 2, Fault: netsim.GraySwitch{
-			Addr: d.TB.Switches[2],
+			Addr: d.Fab.Switches[2],
 			G:    netsim.Gray{SlowFactor: 20, Loss: 0.01, ExtraDelay: usec(40)}}},
 	})
-	qps, gens := d.runGenerators(4, keys, 0.1, 64, w, 0)
+	qps, gens := d.runGenerators(firstServers(4, keys), 0.1, 64, w, 0)
 	if err := nm.Err(); err != nil {
 		t.Fatal(err)
 	}

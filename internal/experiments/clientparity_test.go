@@ -97,7 +97,7 @@ func TestClientParitySimAndWire(t *testing.T) {
 	// The simulator: the far end is a host on the testbed.
 	simRows := func() []parityRow {
 		sim := event.New()
-		tb, err := netsim.NewTestbed(sim, netsim.PaperProfile(1), 1)
+		tb, err := netsim.NewFabric(sim, netsim.PaperProfile(1), 1, netsim.TopoSpec{Kind: "ring"}, 2, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,10 @@
 // benchrunner binary and the root bench suite print alongside the paper's
 // published values (EXPERIMENTS.md records the comparison).
 //
+// Every simulated experiment runs on one Deployment, built by
+// NewDeployment over any netsim.Fabric shape: the Fig. 8 ring (the
+// default) or a spine-leaf / fat-tree fabric.
+//
 // The nemesis-driven chaos run exists once as a workload (chaosload.go: op
 // mix, lock bookkeeping, lincheck recorder, report tail) and twice as a
 // harness: chaos.go drives it on the simulator, realchaos.go on live UDP.
@@ -12,6 +16,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"netchain/internal/controller"
 	"netchain/internal/core"
@@ -19,82 +24,172 @@ import (
 	"netchain/internal/kv"
 	"netchain/internal/netsim"
 	"netchain/internal/packet"
+	"netchain/internal/place"
 	"netchain/internal/query"
 	"netchain/internal/ring"
 	"netchain/internal/simclient"
 	"netchain/internal/workload"
 )
 
-// Deployment is a fully wired simulated NetChain over one of two
-// substrates: the Fig. 8 testbed (TB set, ring over S0..S2, S3 spare) or
-// a parameterized multi-tier fabric (Fab set, ring over the member
-// leaves — see NewFabricDeployment). Net always points at the underlying
-// network; code that only forwards frames or resolves switches should
-// use it instead of TB so it runs on both substrates.
+// Deployment is a fully wired simulated NetChain: a fabric, a ring over
+// its member candidates, the controller, and one client mux per host.
+// Net is Fab.Net.
 type Deployment struct {
 	Sim     *event.Sim
 	Net     *netsim.Network
-	TB      *netsim.Testbed // nil on fabric deployments
-	Fab     *netsim.Fabric  // nil on testbed deployments
+	Fab     *netsim.Fabric
 	Ring    *ring.Ring
 	Ctl     *controller.Controller
 	Muxes   []*simclient.Mux
 	Profile netsim.Profile
 
-	// Fabric-only wiring (see NewFabricDeployment).
-	members   []packet.Addr // ring member leaves, build order
-	spares    []packet.Addr // leaves held out as the recovery pool
+	members   []packet.Addr // ring members, build order
+	spares    []packet.Addr // candidates held out as the recovery pool
 	writeFrac float64       // planner's write share
 
 	relay *SimRelay // push-watch relay tier, nil until AttachRelay
 }
 
-// SwitchAddrs returns every switch address on either substrate.
-func (d *Deployment) SwitchAddrs() []packet.Addr {
-	if d.Fab != nil {
-		return d.Fab.SwitchAddrs()
-	}
-	return d.TB.SwitchAddrs()
+// FabricOpts sizes a deployment over any netsim.Fabric shape: the Fig. 8
+// ring, or a multi-tier fabric — the scale-free substrate of §8.3 with ECMP
+// routing and (optionally) metered inter-switch links, so placement
+// quality is observable as delivered throughput instead of an article of
+// faith.
+type FabricOpts struct {
+	Spec  netsim.TopoSpec // see netsim.ParseTopology; zero value = ring
+	Scale float64         // rate divisor, default 1000
+	// VNodes is virtual nodes per ring member; default 4 (fabrics have
+	// many leaves, so fewer vnodes per leaf keep group counts sane).
+	VNodes       int
+	Seed         int64 // default 1
+	HostsPerLeaf int   // client hosts per leaf, default 2
+	// LinkPPS meters every inter-switch link at LinkPPS/Scale packets per
+	// second (0 = unmetered) — the knob that makes high-betweenness links
+	// saturable and bad placement measurable.
+	LinkPPS float64
+	// Spares holds the last N candidates out of the ring as the recovery
+	// pool (their hosts stay idle). Default: 1 on the ring (the spare S3),
+	// 0 on fabrics, where every leaf is a member.
+	Spares int
+	// Placement picks how chains land on the members:
+	//   "hash"       — the consistent-hash ring's own assignment (default)
+	//   "roundrobin" — the naive walk (place.RoundRobin), the baseline arm
+	//   "bottleneck" — link-load-aware greedy (place.BottleneckAware)
+	Placement string
+	// WriteFrac is the write share the planner models; default 0.1 (§8.2).
+	WriteFrac float64
 }
 
-// HostAddrs returns every client host address on either substrate.
-func (d *Deployment) HostAddrs() []packet.Addr {
-	if d.Fab != nil {
-		return append([]packet.Addr(nil), d.Fab.Hosts...)
+func (o *FabricOpts) defaults() {
+	if o.Spec.Kind == "" {
+		o.Spec.Kind = "ring"
 	}
-	return append([]packet.Addr(nil), d.TB.Hosts[:]...)
+	if o.Scale == 0 {
+		o.Scale = 1000
+	}
+	if o.VNodes == 0 {
+		o.VNodes = 4
+	}
+	if o.Seed == 0 {
+		o.Seed = 1
+	}
+	if o.HostsPerLeaf == 0 {
+		o.HostsPerLeaf = 2
+	}
+	if o.Spares == 0 && o.Spec.Kind == "ring" {
+		o.Spares = 1
+	}
+	if o.Placement == "" {
+		o.Placement = "hash"
+	}
+	if o.WriteFrac == 0 {
+		o.WriteFrac = 0.1
+	}
 }
 
-// AttachMonitor adds the out-of-band health-monitoring host on either
-// substrate. Idempotent.
-func (d *Deployment) AttachMonitor() (packet.Addr, error) {
-	if d.Fab != nil {
-		return d.Fab.AttachMonitor()
+// NewDeployment builds the fabric, a ring over its member candidates, the
+// controller, and one client mux per host. When Placement is not "hash"
+// the planned chains are installed as ring placement overrides before the
+// controller snapshots routes, so every route served afterwards is the
+// planned one.
+func NewDeployment(o FabricOpts) (*Deployment, error) {
+	o.defaults()
+	sim := event.New()
+	prof := netsim.PaperProfile(o.Scale)
+	fb, err := netsim.NewFabric(sim, prof, o.Seed, o.Spec, o.HostsPerLeaf, o.LinkPPS)
+	if err != nil {
+		return nil, err
 	}
-	return d.TB.AttachMonitor()
+	n := len(fb.Candidates) - o.Spares
+	if o.Spares < 0 || n < 3 {
+		return nil, fmt.Errorf("experiments: Spares %d leaves fewer than 3 members on %s",
+			o.Spares, o.Spec)
+	}
+	members := slices.Clone(fb.Candidates[:n])
+	spares := slices.Clone(fb.Candidates[n:])
+
+	r, err := ring.New(ring.Config{VNodesPerSwitch: o.VNodes, Replicas: 3, Seed: uint64(o.Seed)},
+		members)
+	if err != nil {
+		return nil, err
+	}
+	d := &Deployment{
+		Sim: sim, Net: fb.Net, Fab: fb, Ring: r, Profile: prof,
+		members: members, spares: spares, writeFrac: o.WriteFrac,
+	}
+
+	switch o.Placement {
+	case "hash":
+	case "roundrobin", "bottleneck":
+		top := d.PlaceTopology()
+		var plans [][]packet.Addr
+		if o.Placement == "bottleneck" {
+			plans = place.BottleneckAware(top, r.Groups(), r.Replicas())
+		} else {
+			plans = place.RoundRobin(top, r.Groups(), r.Replicas())
+		}
+		m := make(map[ring.GroupID][]packet.Addr, len(plans))
+		for g, chain := range plans {
+			m[ring.GroupID(g)] = chain
+		}
+		if err := r.SetPlacement(m); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("experiments: unknown placement %q (want hash|roundrobin|bottleneck)",
+			o.Placement)
+	}
+
+	if err := d.NewController(controller.DefaultConfig()); err != nil {
+		return nil, err
+	}
+	for _, h := range fb.Hosts {
+		mux, err := simclient.NewMux(sim, fb.Net, h)
+		if err != nil {
+			return nil, err
+		}
+		d.Muxes = append(d.Muxes, mux)
+	}
+	return d, nil
 }
 
-// Spares returns the recovery pool: the testbed spare S3, or the leaves a
-// fabric deployment held out of the ring (possibly none).
-func (d *Deployment) Spares() []packet.Addr {
-	if d.Fab != nil {
-		return append([]packet.Addr(nil), d.spares...)
-	}
-	return []packet.Addr{d.TB.Switches[3]}
-}
+// SwitchAddrs returns every switch address.
+func (d *Deployment) SwitchAddrs() []packet.Addr { return d.Fab.SwitchAddrs() }
+
+// HostAddrs returns every client host address.
+func (d *Deployment) HostAddrs() []packet.Addr { return slices.Clone(d.Fab.Hosts) }
+
+// Spares returns the recovery pool: the candidates held out of the ring
+// (the ring's S3 by default; possibly none on a fabric).
+func (d *Deployment) Spares() []packet.Addr { return slices.Clone(d.spares) }
 
 // Topology names the substrate in the -topology grammar.
-func (d *Deployment) Topology() string {
-	if d.Fab != nil {
-		return d.Fab.Spec.String()
-	}
-	return "ring"
-}
+func (d *Deployment) Topology() string { return d.Fab.Spec.String() }
 
 // NewController replaces d.Ctl with a controller configured by ccfg over
-// the deployment's ring, simulated clock and switches. Both constructors
-// call it with the default config; experiments that need other timing
-// call it again before they load the store.
+// the deployment's ring, simulated clock and switches. NewDeployment calls
+// it with the default config; experiments that need other timing call it
+// again before they load the store.
 func (d *Deployment) NewController(ccfg controller.Config) error {
 	ctl, err := controller.New(ccfg, d.Ring, controller.SimScheduler{Sim: d.Sim},
 		func(a packet.Addr) (controller.Agent, bool) {
@@ -109,34 +204,6 @@ func (d *Deployment) NewController(ccfg controller.Config) error {
 	}
 	d.Ctl = ctl
 	return nil
-}
-
-// NewDeployment builds the standard testbed deployment. scale divides all
-// rates (see netsim.Profile); vnodes is virtual nodes per switch.
-func NewDeployment(scale float64, vnodes int, seed int64) (*Deployment, error) {
-	sim := event.New()
-	prof := netsim.PaperProfile(scale)
-	tb, err := netsim.NewTestbed(sim, prof, seed)
-	if err != nil {
-		return nil, err
-	}
-	r, err := ring.New(ring.Config{VNodesPerSwitch: vnodes, Replicas: 3, Seed: uint64(seed)},
-		[]packet.Addr{tb.Switches[0], tb.Switches[1], tb.Switches[2]})
-	if err != nil {
-		return nil, err
-	}
-	d := &Deployment{Sim: sim, Net: tb.Net, TB: tb, Ring: r, Profile: prof}
-	if err := d.NewController(controller.DefaultConfig()); err != nil {
-		return nil, err
-	}
-	for _, h := range tb.Hosts {
-		mux, err := simclient.NewMux(sim, tb.Net, h)
-		if err != nil {
-			return nil, err
-		}
-		d.Muxes = append(d.Muxes, mux)
-	}
-	return d, nil
 }
 
 // Directory returns an always-fresh route lookup backed by the controller.
@@ -158,41 +225,36 @@ func (d *Deployment) FrozenDirectory() simclient.Directory {
 	}
 }
 
-// LoadStore inserts n keys and preloads valueSize-byte values through the
-// control plane (versions start at 1, as after one chain write). It
-// returns the keys.
+// Preload inserts k through the control plane and writes val straight
+// into every chain member's registers at version 1, as after one chain
+// write — how every experiment seeds its store.
+func (d *Deployment) Preload(k kv.Key, val kv.Value) error {
+	rt, err := d.Ctl.Insert(k)
+	if err != nil {
+		return err
+	}
+	it := core.Item{Key: k, Value: val, Version: kv.Version{Seq: 1}}
+	for _, hop := range rt.Hops {
+		sw, ok := d.Net.Switch(hop)
+		if !ok {
+			return fmt.Errorf("experiments: no switch %v", hop)
+		}
+		if err := sw.WriteItem(it); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// LoadStore preloads n keys with valueSize-byte values and returns them.
 func (d *Deployment) LoadStore(n, valueSize int) ([]kv.Key, error) {
 	keys := workload.KeySpace(n)
 	for i, k := range keys {
-		rt, err := d.Ctl.Insert(k)
-		if err != nil {
+		if err := d.Preload(k, workload.Value(valueSize, uint64(i))); err != nil {
 			return nil, fmt.Errorf("load key %d: %w", i, err)
-		}
-		it := core.Item{Key: k, Value: workload.Value(valueSize, uint64(i)),
-			Version: kv.Version{Seq: 1}}
-		for _, hop := range rt.Hops {
-			sw, ok := d.Net.Switch(hop)
-			if !ok {
-				return nil, fmt.Errorf("no switch %v", hop)
-			}
-			if err := sw.WriteItem(it); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return keys, nil
-}
-
-// KeysInGroup filters keys to those owned by virtual group g — used by the
-// Fig. 10(a) "single virtual group" scenario.
-func (d *Deployment) KeysInGroup(keys []kv.Key, g ring.GroupID) []kv.Key {
-	var out []kv.Key
-	for _, k := range keys {
-		if d.Ring.GroupForKey(k) == g {
-			out = append(out, k)
-		}
-	}
-	return out
 }
 
 // mixSource adapts a workload mix over concrete keys to a generator feed.
@@ -208,21 +270,33 @@ func mixSource(keys []kv.Key, writeRatio float64, valueSize int, seed int64) fun
 	}
 }
 
-// runGenerators starts one open-loop generator per mux (the paper's 1–4
-// client servers) for the window and returns delivered OK QPS, scaled
-// back to unscaled units. outWindow caps each generator's outstanding
-// queries (0 = unbounded).
-func (d *Deployment) runGenerators(servers int, keys []kv.Key, writeRatio float64,
-	valueSize int, window event.Time, outWindow int) (deliveredQPS float64, gens []*simclient.Generator) {
-	if servers > len(d.Muxes) {
-		servers = len(d.Muxes)
+// firstServers feeds keys to the first n muxes (the paper's 1–4 client
+// servers) and leaves the rest quiet.
+func firstServers(n int, keys []kv.Key) func(mux int) []kv.Key {
+	return func(mux int) []kv.Key {
+		if mux < n {
+			return keys
+		}
+		return nil
 	}
+}
+
+// runGenerators starts one open-loop generator per mux that keysFor gives
+// keys to, for the window, and returns delivered OK QPS scaled back to
+// unscaled units. outWindow caps each generator's outstanding queries
+// (0 = unbounded).
+func (d *Deployment) runGenerators(keysFor func(mux int) []kv.Key, writeRatio float64,
+	valueSize int, window event.Time, outWindow int) (deliveredQPS float64, gens []*simclient.Generator) {
 	cfg := simclient.DefaultConfig()
 	cfg.Window = outWindow
 	rate := d.Profile.HostRate / d.Profile.Scale
 	dir := d.Directory()
-	for i := 0; i < servers; i++ {
-		g := d.Muxes[i].NewGenerator(cfg, dir, mixSource(keys, writeRatio, valueSize, int64(i+1)))
+	for i, mux := range d.Muxes {
+		keys := keysFor(i)
+		if len(keys) == 0 {
+			continue
+		}
+		g := mux.NewGenerator(cfg, dir, mixSource(keys, writeRatio, valueSize, int64(i+1)))
 		gens = append(gens, g)
 		g.Start(rate)
 	}

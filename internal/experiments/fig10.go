@@ -110,7 +110,7 @@ func Fig10(o Fig10Opts) (*Fig10Result, error) {
 	if o.VGroups > 1 {
 		vnodes = (o.VGroups + 2) / 3
 	}
-	d, err := NewDeployment(o.Scale, vnodes, o.Seed)
+	d, err := NewDeployment(FabricOpts{Scale: o.Scale, VNodes: vnodes, Seed: o.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +122,7 @@ func Fig10(o Fig10Opts) (*Fig10Result, error) {
 		return nil, err
 	}
 
-	s0, s1, s2, s3 := d.TB.Switches[0], d.TB.Switches[1], d.TB.Switches[2], d.TB.Switches[3]
+	s0, s1, s2, s3 := d.Fab.Switches[0], d.Fab.Switches[1], d.Fab.Switches[2], d.Fab.Switches[3]
 
 	var keys []kv.Key
 	if o.VGroups == 1 {
@@ -145,7 +145,7 @@ func Fig10(o Fig10Opts) (*Fig10Result, error) {
 
 	// Pin the read path S0→S3→S2 as the paper does (§8.4), so reads avoid
 	// the failing S1.
-	d.TB.Net.SetRoute(s0, s2, s3)
+	d.Net.SetRoute(s0, s2, s3)
 
 	dir := d.FrozenDirectory() // clients keep pre-failure routes (§4.2)
 	gen := d.Muxes[0].NewGenerator(simclient.DefaultConfig(), dir,
@@ -167,10 +167,10 @@ func Fig10(o Fig10Opts) (*Fig10Result, error) {
 		}
 		harness = h
 		h.RecordMilestones(&res.FailoverDone, &res.RecoveryDone)
-		d.Sim.After(event.Duration(o.FailAt), func() { d.TB.Net.FailSwitch(s1) })
+		d.Sim.After(event.Duration(o.FailAt), func() { d.Net.FailSwitch(s1) })
 	} else {
 		d.Sim.After(event.Duration(o.FailAt), func() {
-			d.TB.Net.FailSwitch(s1)
+			d.Net.FailSwitch(s1)
 			d.Sim.After(event.Duration(o.DetectLag), func() {
 				d.Ctl.HandleFailure(s1, func() {
 					res.FailoverDone = time.Duration(d.Sim.Now())
@@ -242,8 +242,8 @@ func groupWithMiddle(d *Deployment, sw packet.Addr) (ring.GroupID, error) {
 	return 0, fmt.Errorf("experiments: no chain has %v in the middle", sw)
 }
 
-// loadKeysInGroup inserts keys until n of them land in group g, preloading
-// values; only those keys are returned.
+// loadKeysInGroup preloads keys until n of them land in group g; only
+// those keys are returned.
 func loadKeysInGroup(d *Deployment, g ring.GroupID, n int) ([]kv.Key, error) {
 	var out []kv.Key
 	for i := uint64(0); len(out) < n; i++ {
@@ -254,15 +254,8 @@ func loadKeysInGroup(d *Deployment, g ring.GroupID, n int) ([]kv.Key, error) {
 		if d.Ring.GroupForKey(k) != g {
 			continue
 		}
-		rt, err := d.Ctl.Insert(k)
-		if err != nil {
+		if err := d.Preload(k, kv.Value("v")); err != nil {
 			return nil, err
-		}
-		for _, hop := range rt.Hops {
-			sw, _ := d.TB.Net.Switch(hop)
-			if err := sw.WriteItem(coreItem(k)); err != nil {
-				return nil, err
-			}
 		}
 		out = append(out, k)
 	}

@@ -80,7 +80,7 @@ func Fig11(o Fig11Opts) (*Figure, error) {
 }
 
 func fig11NetChain(o Fig11Opts, ci float64, clients int) (float64, error) {
-	d, err := NewDeployment(1, 4, o.Seed) // true rates: lock latency matters
+	d, err := NewDeployment(FabricOpts{Scale: 1, Seed: o.Seed}) // true rates: lock latency matters
 	if err != nil {
 		return 0, err
 	}

@@ -62,7 +62,7 @@ func (o *ThroughputOpts) defaults() {
 // maximum derived from switch budgets and measured traversals
 // (NetChain(max) in Fig. 9).
 func netchainThroughput(o ThroughputOpts, servers int, lossRate float64) (qps, maxQPS float64, err error) {
-	d, err := NewDeployment(o.Scale, 10, o.Seed)
+	d, err := NewDeployment(FabricOpts{Scale: o.Scale, VNodes: 10, Seed: o.Seed})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -71,13 +71,13 @@ func netchainThroughput(o ThroughputOpts, servers int, lossRate float64) (qps, m
 		return 0, 0, err
 	}
 	if lossRate > 0 {
-		for _, s := range d.TB.Switches {
-			if err := d.TB.Net.LossRateSet(s, lossRate); err != nil {
+		for _, s := range d.SwitchAddrs() {
+			if err := d.Net.LossRateSet(s, lossRate); err != nil {
 				return 0, 0, err
 			}
 		}
 	}
-	delivered, gens := d.runGenerators(servers, keys, o.WriteRatio, o.ValueSize, event.Duration(o.Window), o.ClientWindow)
+	delivered, gens := d.runGenerators(firstServers(servers, keys), o.WriteRatio, o.ValueSize, event.Duration(o.Window), o.ClientWindow)
 
 	// NetChain(max): the chain saturates when its busiest switch exhausts
 	// its packet budget; traversals-per-query comes from the measured run.
@@ -88,8 +88,8 @@ func netchainThroughput(o ThroughputOpts, servers int, lossRate float64) (qps, m
 	maxQPS = 0
 	if sent > 0 {
 		worst := 0.0
-		for _, sa := range d.TB.Switches {
-			sw, _ := d.TB.Net.Switch(sa)
+		for _, sa := range d.SwitchAddrs() {
+			sw, _ := d.Net.Switch(sa)
 			st := sw.Stats()
 			// Pipeline passes, not packets: recirculated big values consume
 			// multiple slots of the switch budget (§6).
@@ -313,7 +313,7 @@ func Fig9eWindows(o ThroughputOpts, windows []int) ([]WindowPoint, error) {
 // host budget for 4 ms of simulated time.
 func fig9ePoint(o ThroughputOpts, window int, rateFrac float64) (WindowPoint, error) {
 	const ncWindow = 4 * time.Millisecond
-	d, err := NewDeployment(1, 10, o.Seed)
+	d, err := NewDeployment(FabricOpts{Scale: 1, VNodes: 10, Seed: o.Seed})
 	if err != nil {
 		return WindowPoint{}, err
 	}

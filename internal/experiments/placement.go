@@ -2,12 +2,16 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"netchain/internal/event"
+	"netchain/internal/kv"
 	"netchain/internal/netsim"
 	"netchain/internal/packet"
 	"netchain/internal/place"
+	"netchain/internal/ring"
+	"netchain/internal/workload"
 )
 
 // PlacementScaling is the "scale-free actually scales" experiment: the
@@ -117,7 +121,7 @@ func RunPlacementScaling(o PlacementOpts) (*PlacementResult, error) {
 }
 
 func runPlacementArm(o PlacementOpts, spec netsim.TopoSpec, placement string) (*PlacementArm, error) {
-	d, err := NewFabricDeployment(FabricOpts{
+	d, err := NewDeployment(FabricOpts{
 		Spec: spec, Scale: o.Scale, VNodes: o.VNodes, Seed: o.Seed,
 		HostsPerLeaf: o.HostsPerLeaf, LinkPPS: o.LinkPPS,
 		Placement: placement, WriteFrac: o.WriteRatio,
@@ -129,7 +133,7 @@ func runPlacementArm(o PlacementOpts, spec netsim.TopoSpec, placement string) (*
 	if err != nil {
 		return nil, err
 	}
-	qps, _ := d.runAffineGenerators(groupKeys, o.WriteRatio, 64, event.Duration(o.Window), 0)
+	qps, _ := d.runGenerators(d.affineKeys(groupKeys), o.WriteRatio, 64, event.Duration(o.Window), 0)
 
 	// Evaluate the installed chains under the planner's own load model so
 	// the table shows model vs measurement side by side.
@@ -143,6 +147,84 @@ func runPlacementArm(o PlacementOpts, spec netsim.TopoSpec, placement string) (*
 		ModelMax:  model,
 		LinkDrops: d.Net.Stats().LinkDrops,
 	}, nil
+}
+
+// GroupClients returns the hosts that query virtual group g under the
+// client-affinity model: coordination traffic is service-local (§2's use
+// cases all are), so group g belongs to member leaf g mod M and is
+// queried by that leaf's own hosts. This affinity is what bottleneck-
+// aware placement exploits — park the tail under the clients' leaf and
+// reads never cross a metered transit link.
+func (d *Deployment) GroupClients(g int) []packet.Addr {
+	leaf := d.members[g%len(d.members)]
+	var out []packet.Addr
+	for _, h := range d.Fab.Hosts {
+		if d.Fab.HostLeaf[h] == leaf {
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
+// PlaceTopology exposes the fabric to the placement planner: the members
+// as candidates, each its own anti-affinity domain, the flow paths as the
+// traffic model, and the client-affinity group→hosts map.
+func (d *Deployment) PlaceTopology() place.Topology {
+	return place.Topology{
+		Candidates: slices.Clone(d.members),
+		Domain:     d.Fab.Domain,
+		Hosts:      d.Fab.Hosts,
+		Path:       d.Fab.Path,
+		WriteFrac:  d.writeFrac,
+		GroupHosts: d.GroupClients,
+	}
+}
+
+// LoadAffineStore mines perGroup keys for every virtual group (so each
+// leaf's clients have local keys to query) and preloads valueSize-byte
+// values. Keys are found by deterministic scanning over a counter
+// namespace — no randomness, same keys every run.
+func (d *Deployment) LoadAffineStore(perGroup, valueSize int) (map[ring.GroupID][]kv.Key, error) {
+	out := make(map[ring.GroupID][]kv.Key, d.Ring.Groups())
+	need := d.Ring.Groups() * perGroup
+	loaded := 0
+	for i := 0; loaded < need; i++ {
+		if i > need*1000 {
+			return nil, fmt.Errorf("experiments: could not mine %d keys/group after %d candidates", perGroup, i)
+		}
+		k := kv.KeyFromString(fmt.Sprintf("aff/%d", i))
+		g := d.Ring.GroupForKey(k)
+		if len(out[g]) >= perGroup {
+			continue
+		}
+		if err := d.Preload(k, workload.Value(valueSize, uint64(i))); err != nil {
+			return nil, err
+		}
+		out[g] = append(out[g], k)
+		loaded++
+	}
+	return out, nil
+}
+
+// affineKeys is the affinity workload's feed for runGenerators: each
+// member-leaf host queries only its own leaf's groups; spare-leaf hosts
+// stay quiet.
+func (d *Deployment) affineKeys(groupKeys map[ring.GroupID][]kv.Key) func(mux int) []kv.Key {
+	leafIdx := make(map[packet.Addr]int, len(d.members))
+	for i, l := range d.members {
+		leafIdx[l] = i
+	}
+	return func(mux int) []kv.Key {
+		li, ok := leafIdx[d.Fab.HostLeaf[d.Fab.Hosts[mux]]]
+		if !ok {
+			return nil
+		}
+		var keys []kv.Key
+		for g := li; g < d.Ring.Groups(); g += len(d.members) {
+			keys = append(keys, groupKeys[ring.GroupID(g)]...)
+		}
+		return keys
+	}
 }
 
 // installedChains snapshots the routes actually being served, indexed by

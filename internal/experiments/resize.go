@@ -98,7 +98,7 @@ type ResizeResult struct {
 // resize diffs).
 func RunResize(o ResizeOpts) (*ResizeResult, error) {
 	o.defaults()
-	d, err := NewDeployment(o.Scale, o.VNodes, o.Seed)
+	d, err := NewDeployment(FabricOpts{Scale: o.Scale, VNodes: o.VNodes, Seed: o.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +138,7 @@ func RunResize(o ResizeOpts) (*ResizeResult, error) {
 	var outDiff, inDiff ring.Diff
 	var resizeErr error
 	d.Sim.After(event.Duration(o.AddAt), func() {
-		s4, err := d.TB.AttachSwitch()
+		s4, err := d.Fab.AttachSwitch()
 		if err != nil {
 			resizeErr = err
 			return
@@ -159,14 +159,14 @@ func RunResize(o ResizeOpts) (*ResizeResult, error) {
 			d.Sim.After(event.Duration(500*time.Millisecond), startRemove)
 			return
 		}
-		s1 := d.TB.Switches[1]
+		s1 := d.Fab.Switches[1]
 		probe.Start(rate)
 		var err error
 		inDiff, err = d.Ctl.RemoveSwitch(s1, func() {
 			res.ScaleInDone = time.Duration(d.Sim.Now())
 			probe.Stop()
 			// The drained switch holds nothing; uncable it.
-			if err := d.TB.Net.DetachSwitch(s1); err != nil {
+			if err := d.Net.DetachSwitch(s1); err != nil {
 				resizeErr = err
 			}
 		})
@@ -272,8 +272,8 @@ func auditPlacement(d *Deployment, keys []kv.Key, diffs ...ring.Diff) error {
 		if !slices.Equal(rt.Hops, ch.Hops) {
 			return fmt.Errorf("experiments: key %d route %v != ring chain %v", i, rt.Hops, ch.Hops)
 		}
-		for _, sa := range d.TB.SwitchAddrs() {
-			sw, ok := d.TB.Net.Switch(sa)
+		for _, sa := range d.SwitchAddrs() {
+			sw, ok := d.Net.Switch(sa)
 			if !ok {
 				continue // detached after drain
 			}

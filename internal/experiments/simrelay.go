@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"netchain/internal/kv"
-	"netchain/internal/netsim"
 	"netchain/internal/packet"
 	"netchain/internal/query"
 	"netchain/internal/relay"
@@ -28,31 +27,16 @@ type SimRelay struct {
 // relayHostAddr sits next to the monitor host (10.1.0.9).
 var relayHostAddr = packet.AddrFrom4(10, 1, 0, 10)
 
-// AttachRelay adds the relay host on either substrate and arms the
+// AttachRelay adds the relay host (netsim.Fabric.AttachHost) and arms the
 // commit hook. Idempotent.
 func (d *Deployment) AttachRelay() (*SimRelay, error) {
 	if d.relay != nil {
 		return d.relay, nil
 	}
 	sr := &SimRelay{d: d, Addr: relayHostAddr, Core: relay.NewCore()}
-	if err := d.Net.AddHost(sr.Addr, netsim.NodeConfig{}, sr.recv); err != nil {
+	if err := d.Fab.AttachHost(sr.Addr, sr.recv); err != nil {
 		return nil, fmt.Errorf("attach relay: %w", err)
 	}
-	var uplinks []packet.Addr
-	if d.Fab != nil {
-		uplinks = d.Fab.Switches
-		if len(uplinks) > 2 {
-			uplinks = uplinks[:2]
-		}
-	} else {
-		uplinks = []packet.Addr{d.TB.Switches[0], d.TB.Switches[2]}
-	}
-	for _, p := range uplinks {
-		if err := d.Net.Link(sr.Addr, p, d.Profile.LinkLatency); err != nil {
-			return nil, fmt.Errorf("link relay: %w", err)
-		}
-	}
-	d.Net.ComputeRoutes()
 	d.Net.SetCommitHook(sr.onCommit)
 	d.relay = sr
 	return sr, nil

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"netchain/internal/controller"
-	"netchain/internal/core"
 	"netchain/internal/event"
 	"netchain/internal/experiments"
 	"netchain/internal/kv"
@@ -38,7 +37,7 @@ type recorder struct {
 // session bumps and state copies must never manufacture a stale read, a
 // lost update, or a double lock grant.
 func TestLinearizableThroughResizeAndFailover(t *testing.T) {
-	d, err := experiments.NewDeployment(1, 4, 3)
+	d, err := experiments.NewDeployment(experiments.FabricOpts{Scale: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,15 +57,8 @@ func TestLinearizableThroughResizeAndFailover(t *testing.T) {
 		if name == "lock" {
 			val = ownerBytes(0)
 		}
-		rt, err := d.Ctl.Insert(k)
-		if err != nil {
+		if err := d.Preload(k, val); err != nil {
 			t.Fatal(err)
-		}
-		for _, hop := range rt.Hops {
-			sw, _ := d.TB.Net.Switch(hop)
-			if err := sw.WriteItem(core.Item{Key: k, Value: val, Version: kv.Version{Seq: 1}}); err != nil {
-				t.Fatal(err)
-			}
 		}
 		initial[name] = string(val)
 	}
@@ -170,13 +162,13 @@ func TestLinearizableThroughResizeAndFailover(t *testing.T) {
 
 	// Churn mid-history: resize at 3 ms, then failover of S1 right after
 	// the resize lands, then recovery of its groups onto the pool.
-	s1, s3 := d.TB.Switches[1], d.TB.Switches[3]
+	s1, s3 := d.Fab.Switches[1], d.Fab.Switches[3]
 	milestones := map[string]event.Time{}
 	d.Sim.After(event.Duration(3*time.Millisecond), func() {
 		_, err := d.Ctl.AddSwitch(s3, func() {
 			milestones["resize"] = d.Sim.Now()
 			d.Sim.After(event.Duration(time.Millisecond), func() {
-				d.TB.Net.FailSwitch(s1)
+				d.Net.FailSwitch(s1)
 				if err := d.Ctl.HandleFailure(s1, func() {
 					milestones["failover"] = d.Sim.Now()
 				}); err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -15,7 +16,8 @@ import (
 
 // TopoSpec names a fabric shape. The grammar accepted by ParseTopology:
 //
-//	ring            — the Fig. 8 four-switch testbed (NewTestbed)
+//	ring            — the Fig. 8 four-switch testbed: S0-S1-S2 in line,
+//	                  the spare S3 closing the diamond S0-S3-S2
 //	spine-leaf:SxL  — S spines, L leaves, full bipartite core
 //	fattree:k       — canonical k-ary fat-tree: (k/2)^2 cores,
 //	                  k pods of k/2 aggregation + k/2 edge switches
@@ -91,42 +93,53 @@ func (t TopoSpec) LinkCount() int {
 	}
 }
 
-// Fabric is a parameterized multi-tier topology: the scale-free substrate
-// the paper's §8.3 simulations assume, with ECMP routing and metered
-// inter-switch links so transit congestion is observable. Leaves (edge
-// switches) attach hosts and are the only placement candidates the
-// bottleneck-aware planner considers; Domain maps each leaf to its
-// failure/congestion domain (its own leaf index) for
-// replica anti-affinity.
+// Fabric is the simulated substrate in one of three shapes: the paper's
+// Fig. 8 testbed (ring) or a parameterized multi-tier topology — the
+// scale-free substrate the §8.3 simulations assume, with ECMP routing and
+// metered inter-switch links so transit congestion is observable. Leaves
+// attach hosts. Candidates are the switches chains may live on; Domain
+// maps each to its failure/congestion domain (its own index) for replica
+// anti-affinity.
 type Fabric struct {
 	Net     *Network
 	Profile Profile
 	Spec    TopoSpec
 
-	Switches []packet.Addr       // every switch, build order: top tier, then per-pod agg+edge
-	Leaves   []packet.Addr       // host-bearing edge switches
-	Domain   map[packet.Addr]int // leaf → anti-affinity domain
+	// Switches lists every switch in build order: S0..S3 on the ring, else
+	// the top tier, then per pod agg+edge. Switches attached later follow.
+	Switches []packet.Addr
+	Leaves   []packet.Addr // host-bearing switches: S0 and S2, or the edge tier
+	// Candidates are the switches chains may live on: all four ring
+	// switches, or the leaves.
+	Candidates []packet.Addr
+	// Uplinks dual-home the out-of-band hosts and attached switches, so one
+	// switch failure cannot sever them: S0 and S2, or the first two
+	// top-tier switches.
+	Uplinks  []packet.Addr
+	Domain   map[packet.Addr]int // candidate → anti-affinity domain
 	Hosts    []packet.Addr       // all hosts, leaf-major order
 	HostLeaf map[packet.Addr]packet.Addr
 
 	// LinkPPS is the pre-scale packet budget metered onto every
 	// switch-switch link (0 = unmetered).
 	LinkPPS float64
-
-	monitor packet.Addr
 }
 
-// NewFabric builds a spine-leaf or fat-tree fabric under the profile with
-// hostsPerLeaf hosts on every edge switch. linkPPS > 0 meters every
-// inter-switch link at linkPPS/Scale packets per second — the knob that
-// makes high-betweenness links saturable. ECMP is enabled: equal-cost
-// paths are hashed per flow, deterministically.
+// NewFabric builds the spec's fabric under the profile with hostsPerLeaf
+// hosts on every leaf. linkPPS > 0 meters every inter-switch link at
+// linkPPS/Scale packets per second — the knob that makes high-betweenness
+// links saturable. Multi-tier fabrics enable ECMP: equal-cost paths are
+// hashed per flow, deterministically. The ring keeps single-path routing.
 func NewFabric(sim *event.Sim, p Profile, seed int64, spec TopoSpec, hostsPerLeaf int, linkPPS float64) (*Fabric, error) {
-	if spec.Kind != "spine-leaf" && spec.Kind != "fattree" {
-		return nil, fmt.Errorf("netsim: NewFabric wants spine-leaf or fattree, got %q", spec.Kind)
+	if spec.Kind != "ring" && spec.Kind != "spine-leaf" && spec.Kind != "fattree" {
+		return nil, fmt.Errorf("netsim: NewFabric wants ring, spine-leaf or fattree, got %q", spec.Kind)
 	}
 	if hostsPerLeaf < 1 || hostsPerLeaf > 253 {
 		return nil, fmt.Errorf("netsim: hostsPerLeaf must be 1..253, got %d", hostsPerLeaf)
+	}
+	if spec.Kind == "ring" && hostsPerLeaf > 4 {
+		// Ring hosts share 10.1.0.x with the monitor (.9) and relay (.10).
+		return nil, fmt.Errorf("netsim: the ring takes at most 4 hosts per leaf, got %d", hostsPerLeaf)
 	}
 	fb := &Fabric{
 		Net:      New(sim, seed),
@@ -136,7 +149,9 @@ func NewFabric(sim *event.Sim, p Profile, seed int64, spec TopoSpec, hostsPerLea
 		HostLeaf: make(map[packet.Addr]packet.Addr),
 		LinkPPS:  linkPPS,
 	}
-	fb.Net.EnableECMP()
+	if spec.Kind != "ring" {
+		fb.Net.EnableECMP()
+	}
 
 	addSwitch := func(a packet.Addr) error {
 		sw, err := core.NewSwitch(a, p.Pipeline)
@@ -153,6 +168,20 @@ func NewFabric(sim *event.Sim, p Profile, seed int64, spec TopoSpec, hostsPerLea
 	link := func(a, b packet.Addr) { swLinks = append(swLinks, [2]packet.Addr{a, b}) }
 
 	switch spec.Kind {
+	case "ring":
+		for i := 0; i < 4; i++ {
+			if err := addSwitch(packet.AddrFrom4(10, 0, 0, byte(i+1))); err != nil {
+				return nil, err
+			}
+		}
+		s := fb.Switches
+		link(s[0], s[1])
+		link(s[1], s[2])
+		link(s[0], s[3])
+		link(s[3], s[2])
+		fb.Leaves = []packet.Addr{s[0], s[2]}
+		fb.Candidates = slices.Clone(s)
+		fb.Uplinks = []packet.Addr{s[0], s[2]}
 	case "spine-leaf":
 		var spines []packet.Addr
 		for i := 0; i < spec.S; i++ {
@@ -168,7 +197,6 @@ func NewFabric(sim *event.Sim, p Profile, seed int64, spec TopoSpec, hostsPerLea
 				return nil, err
 			}
 			fb.Leaves = append(fb.Leaves, a)
-			fb.Domain[a] = i
 			for _, sp := range spines {
 				link(a, sp)
 			}
@@ -203,16 +231,22 @@ func NewFabric(sim *event.Sim, p Profile, seed int64, spec TopoSpec, hostsPerLea
 				}
 				edges = append(edges, a)
 				fb.Leaves = append(fb.Leaves, a)
-				// Anti-affinity domain is the leaf itself: an edge switch is
-				// the unit that takes all its replicas down with it. Pod-level
-				// domains would force every chain cross-pod and tax all
-				// writes with core transit for no single-failure benefit.
-				fb.Domain[a] = len(fb.Leaves) - 1
 				for _, ag := range aggs {
 					link(a, ag)
 				}
 			}
 		}
+	}
+	if spec.Kind != "ring" {
+		fb.Candidates = fb.Leaves
+		fb.Uplinks = slices.Clone(fb.Switches[:min(2, len(fb.Switches))])
+	}
+	// Each candidate is its own anti-affinity domain: a fat-tree edge switch
+	// is the unit that takes all its replicas down with it. Pod-level domains
+	// would force every chain cross-pod and tax all writes with core transit
+	// for no single-failure benefit.
+	for i, c := range fb.Candidates {
+		fb.Domain[c] = i
 	}
 
 	for _, l := range swLinks {
@@ -221,13 +255,17 @@ func NewFabric(sim *event.Sim, p Profile, seed int64, spec TopoSpec, hostsPerLea
 		}
 	}
 
-	// Hosts: octet pattern keeps 10.1.x.x free for the monitor.
+	// Hosts: the ring's H0..H3 are 10.1.0.1-4; the multi-tier octet
+	// pattern keeps 10.1.x.x free for the monitor and relay.
 	for li, leaf := range fb.Leaves {
 		for hn := 0; hn < hostsPerLeaf; hn++ {
 			var a packet.Addr
-			if spec.Kind == "spine-leaf" {
+			switch spec.Kind {
+			case "ring":
+				a = packet.AddrFrom4(10, 1, 0, byte(li*hostsPerLeaf+hn+1))
+			case "spine-leaf":
 				a = packet.AddrFrom4(10, byte(li+2), 0, byte(hn+1))
-			} else {
+			default:
 				h := spec.K / 2
 				a = packet.AddrFrom4(10, byte(li/h+2), byte(li%h+1), byte(hn+1))
 			}
@@ -253,35 +291,59 @@ func NewFabric(sim *event.Sim, p Profile, seed int64, spec TopoSpec, hostsPerLea
 	return fb, nil
 }
 
-// SwitchAddrs returns every switch address (the substrate interface shared
-// with Testbed).
+// SwitchAddrs returns a copy of Switches.
 func (fb *Fabric) SwitchAddrs() []packet.Addr {
-	return append([]packet.Addr(nil), fb.Switches...)
+	return slices.Clone(fb.Switches)
 }
 
-// AttachMonitor adds the out-of-band health-monitoring host, dual-homed to
-// the first two top-tier switches so one failure cannot sever monitoring.
-// Its links are unmetered: congestion must slow the probed path, not the
-// observer. Idempotent.
+// AttachHost adds an out-of-band host (the health monitor, the watch
+// relay) dual-homed to the Uplinks, with recv as its receive callback.
+// The host and its links are unmetered: a rate gate would serialize
+// concurrent probe echoes, and congestion must slow the observed path,
+// not the observer.
+func (fb *Fabric) AttachHost(addr packet.Addr, recv func(*packet.Frame)) error {
+	if err := fb.Net.AddHost(addr, NodeConfig{}, recv); err != nil {
+		return err
+	}
+	for _, p := range fb.Uplinks {
+		if err := fb.Net.Link(addr, p, fb.Profile.LinkLatency); err != nil {
+			return err
+		}
+	}
+	fb.Net.ComputeRoutes()
+	return nil
+}
+
+// AttachMonitor adds the health-monitoring host (AttachHost) and returns
+// its address. Idempotent.
 func (fb *Fabric) AttachMonitor() (packet.Addr, error) {
 	addr := packet.AddrFrom4(10, 1, 0, 9)
 	if _, ok := fb.Net.nodes[addr]; ok {
 		return addr, nil
 	}
-	if err := fb.Net.AddHost(addr, NodeConfig{}, nil); err != nil {
+	if err := fb.AttachHost(addr, nil); err != nil {
 		return 0, err
 	}
-	top := fb.Switches
-	if len(top) > 2 {
-		top = top[:2]
+	return addr, nil
+}
+
+// AttachSwitch boots a new ring switch (S4, S5, ...) under the profile and
+// links it to the Uplinks, mirroring the spare S3's diamond wiring — the
+// physical half of elastic scale-out. Spine-leaf and fat-tree fabrics are
+// sized by their spec and refuse.
+func (fb *Fabric) AttachSwitch() (packet.Addr, error) {
+	if fb.Spec.Kind != "ring" {
+		return 0, fmt.Errorf("netsim: AttachSwitch needs the ring, not %s", fb.Spec)
 	}
-	for _, p := range top {
-		if err := fb.Net.Link(addr, p, fb.Profile.LinkLatency); err != nil {
-			return 0, err
-		}
+	addr := packet.AddrFrom4(10, 0, 0, byte(len(fb.Switches)+1))
+	sw, err := core.NewSwitch(addr, fb.Profile.Pipeline)
+	if err != nil {
+		return 0, err
 	}
-	fb.Net.ComputeRoutes()
-	fb.monitor = addr
+	if err := fb.Net.AttachSwitch(sw, fb.Profile.SwitchNodeConfig(), fb.Uplinks, fb.Profile.LinkLatency); err != nil {
+		return 0, err
+	}
+	fb.Switches = append(fb.Switches, addr)
 	return addr, nil
 }
 

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 
 	"netchain/internal/event"
@@ -69,6 +70,7 @@ func TestFabricSizes(t *testing.T) {
 		spec                           string
 		switches, links, leaves, hosts int
 	}{
+		{"ring", 4, 4, 2, 4},
 		{"spine-leaf:2x4", 6, 8, 4, 8},
 		{"spine-leaf:4x8", 12, 32, 8, 16},
 		{"spine-leaf:8x16", 24, 128, 16, 32},
@@ -213,6 +215,37 @@ func TestFabricDeterminism(t *testing.T) {
 	}
 	if newFabric(t, "fattree:4", 2, 0).Fingerprint() == newFabric(t, "spine-leaf:4x8", 2, 0).Fingerprint() {
 		t.Fatal("distinct specs fingerprint-identical")
+	}
+}
+
+// TestRingIsFig8Wiring pins the ring shape to the exact Fig. 8 wiring
+// the retired standalone builder produced: same nodes, links, latencies and
+// single-path routes, before and after the monitor joins (fingerprints
+// recorded from that builder). Every ring chaos fingerprint rests on this.
+func TestRingIsFig8Wiring(t *testing.T) {
+	fb := newFabric(t, "ring", 2, 0)
+	if fb.Net.ECMPEnabled() {
+		t.Fatal("ECMP enabled on the ring")
+	}
+	if got, want := fb.Fingerprint(), "7309175cd8816fa3c9819f25328ddb8a0353feb6497b13e94f07d205dfc54b7f"; got != want {
+		t.Fatalf("ring fingerprint = %s, want %s", got, want)
+	}
+	if _, err := fb.AttachMonitor(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fb.Fingerprint(), "4285055075ef87411bab86dde524516d61a66558dd1d529dd102838eec2ede0d"; got != want {
+		t.Fatalf("ring fingerprint with monitor = %s, want %s", got, want)
+	}
+	s := fb.Switches
+	if !slices.Equal(fb.Candidates, s) || !slices.Equal(fb.Uplinks, []packet.Addr{s[0], s[2]}) {
+		t.Fatalf("candidates %v, uplinks %v; want all of %v, and S0,S2", fb.Candidates, fb.Uplinks, s)
+	}
+}
+
+// TestAttachSwitchRingOnly: only the ring takes ad-hoc switches.
+func TestAttachSwitchRingOnly(t *testing.T) {
+	if _, err := newFabric(t, "fattree:4", 1, 0).AttachSwitch(); err == nil {
+		t.Fatal("AttachSwitch succeeded on a fat-tree")
 	}
 }
 

@@ -26,7 +26,7 @@ func us(n int) event.Time { return event.Duration(time.Duration(n) * time.Micros
 func chaosRun(t *testing.T, seed int64) (string, netsim.Stats) {
 	t.Helper()
 	sim := event.New()
-	tb, err := netsim.NewTestbed(sim, netsim.PaperProfile(1000), seed)
+	tb, err := netsim.NewFabric(sim, netsim.PaperProfile(1000), seed, netsim.TopoSpec{Kind: "ring"}, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestNemesisDeterminism(t *testing.T) {
 // src→dst direction: H0→H2 frames die, H2→H0 frames arrive.
 func TestAsymPartitionOneDirection(t *testing.T) {
 	sim := event.New()
-	tb, err := netsim.NewTestbed(sim, netsim.PaperProfile(1000), 1)
+	tb, err := netsim.NewFabric(sim, netsim.PaperProfile(1000), 1, netsim.TopoSpec{Kind: "ring"}, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestAsymPartitionOneDirection(t *testing.T) {
 // deep copies.
 func TestDuplicationDelivers(t *testing.T) {
 	sim := event.New()
-	tb, err := netsim.NewTestbed(sim, netsim.PaperProfile(1000), 1)
+	tb, err := netsim.NewFabric(sim, netsim.PaperProfile(1000), 1, netsim.TopoSpec{Kind: "ring"}, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestDuplicationDelivers(t *testing.T) {
 // healthy one.
 func TestReorderHoldback(t *testing.T) {
 	sim := event.New()
-	tb, err := netsim.NewTestbed(sim, netsim.PaperProfile(1000), 1)
+	tb, err := netsim.NewFabric(sim, netsim.PaperProfile(1000), 1, netsim.TopoSpec{Kind: "ring"}, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestReorderHoldback(t *testing.T) {
 // but adds latency, and that gray loss is counted separately.
 func TestGrayDegradation(t *testing.T) {
 	sim := event.New()
-	tb, err := netsim.NewTestbed(sim, netsim.PaperProfile(1000), 1)
+	tb, err := netsim.NewFabric(sim, netsim.PaperProfile(1000), 1, netsim.TopoSpec{Kind: "ring"}, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,17 +16,18 @@ func coreSwitch(addr packet.Addr) (*core.Switch, error) {
 	return core.NewSwitch(addr, swsim.Config{Stages: 4, SlotBytes: 16, SlotsPerStage: 64, PPS: 1e9})
 }
 
-func newTB(t *testing.T) (*event.Sim, *Testbed) {
+// newTB builds the Fig. 8 testbed: the ring with H0,H1 on S0 and H2,H3 on S2.
+func newTB(t *testing.T) (*event.Sim, *Fabric) {
 	t.Helper()
 	sim := event.New()
-	tb, err := NewTestbed(sim, PaperProfile(1), 1)
+	tb, err := NewFabric(sim, PaperProfile(1), 1, TopoSpec{Kind: "ring"}, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sim, tb
 }
 
-func installKey(t *testing.T, tb *Testbed, key kv.Key, on ...int) {
+func installKey(t *testing.T, tb *Fabric, key kv.Key, on ...int) {
 	t.Helper()
 	for _, i := range on {
 		sw, ok := tb.Net.Switch(tb.Switches[i])
@@ -47,7 +48,7 @@ func chainQuery(op kv.Op, key kv.Key, val []byte, from packet.Addr, first packet
 	return packet.NewQuery(from, first, 4000, nc)
 }
 
-func TestTestbedRouting(t *testing.T) {
+func TestRingRouting(t *testing.T) {
 	_, tb := newTB(t)
 	// H0 reaches S2 in two switch hops + host link.
 	if l, ok := tb.Net.PathLen(tb.Hosts[0], tb.Switches[2]); !ok || l != 3 {

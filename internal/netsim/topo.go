@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 
-	"netchain/internal/core"
 	"netchain/internal/event"
 	"netchain/internal/packet"
 	"netchain/internal/swsim"
@@ -66,107 +65,6 @@ func (p Profile) SwitchNodeConfig() NodeConfig {
 // per side itself.
 func (p Profile) HostNodeConfig() NodeConfig {
 	return NodeConfig{Rate: p.hostRate(), ProcDelay: 0}
-}
-
-// Testbed is the four-switch, four-server topology of Fig. 8 with the
-// §8.1/§8.4 wiring: chain switches S0-S1-S2 in line, S3 connected to S0
-// and S2 as the spare/replacement, hosts H0,H1 on S0 and H2,H3 on S2.
-type Testbed struct {
-	Net      *Network
-	Profile  Profile
-	Switches [4]packet.Addr // S0..S3
-	Hosts    [4]packet.Addr // H0..H3
-	// Extra lists switches attached after construction (S4, S5, ... via
-	// AttachSwitch) in join order.
-	Extra []packet.Addr
-}
-
-// SwitchAddrs returns S0..S3 plus any attached extras as a slice.
-func (tb *Testbed) SwitchAddrs() []packet.Addr {
-	return append(append([]packet.Addr(nil), tb.Switches[:]...), tb.Extra...)
-}
-
-// AttachSwitch boots a new switch (S4, S5, ...) under the testbed profile
-// and links it to the given peers (defaults to S0 and S2, mirroring the
-// spare S3's diamond wiring) — the physical half of elastic scale-out.
-func (tb *Testbed) AttachSwitch(peers ...packet.Addr) (packet.Addr, error) {
-	addr := packet.AddrFrom4(10, 0, 0, byte(5+len(tb.Extra)))
-	if len(peers) == 0 {
-		peers = []packet.Addr{tb.Switches[0], tb.Switches[2]}
-	}
-	sw, err := core.NewSwitch(addr, tb.Profile.Pipeline)
-	if err != nil {
-		return 0, err
-	}
-	if err := tb.Net.AttachSwitch(sw, tb.Profile.SwitchNodeConfig(), peers, tb.Profile.LinkLatency); err != nil {
-		return 0, err
-	}
-	tb.Extra = append(tb.Extra, addr)
-	return addr, nil
-}
-
-// AttachMonitor adds the out-of-band health-monitoring host (dual-homed
-// to S0 and S2 like the spare, so one chain-switch failure cannot sever
-// monitoring) and returns its address. Idempotent.
-func (tb *Testbed) AttachMonitor() (packet.Addr, error) {
-	addr := packet.AddrFrom4(10, 1, 0, 9)
-	if _, ok := tb.Net.nodes[addr]; ok {
-		return addr, nil
-	}
-	// The monitor is an unmetered observer, not a DPDK client: a rate
-	// gate here would serialize concurrent probe echoes and pollute the
-	// RTT signal with order-dependent ingest queueing.
-	if err := tb.Net.AddHost(addr, NodeConfig{}, nil); err != nil {
-		return 0, err
-	}
-	for _, p := range []packet.Addr{tb.Switches[0], tb.Switches[2]} {
-		if err := tb.Net.Link(addr, p, tb.Profile.LinkLatency); err != nil {
-			return 0, err
-		}
-	}
-	tb.Net.ComputeRoutes()
-	return addr, nil
-}
-
-// NewTestbed wires the Fig. 8 testbed. Host receive callbacks are
-// installed later by the client layer via HostRecv.
-func NewTestbed(sim *event.Sim, p Profile, seed int64) (*Testbed, error) {
-	tb := &Testbed{Net: New(sim, seed), Profile: p}
-	for i := 0; i < 4; i++ {
-		tb.Switches[i] = packet.AddrFrom4(10, 0, 0, byte(i+1))
-		tb.Hosts[i] = packet.AddrFrom4(10, 1, 0, byte(i+1))
-	}
-	for _, sa := range tb.Switches {
-		sw, err := core.NewSwitch(sa, p.Pipeline)
-		if err != nil {
-			return nil, err
-		}
-		if err := tb.Net.AddSwitch(sw, p.SwitchNodeConfig()); err != nil {
-			return nil, err
-		}
-	}
-	for _, ha := range tb.Hosts {
-		if err := tb.Net.AddHost(ha, p.HostNodeConfig(), nil); err != nil {
-			return nil, err
-		}
-	}
-	links := [][2]packet.Addr{
-		{tb.Switches[0], tb.Switches[1]},
-		{tb.Switches[1], tb.Switches[2]},
-		{tb.Switches[0], tb.Switches[3]},
-		{tb.Switches[3], tb.Switches[2]},
-		{tb.Hosts[0], tb.Switches[0]},
-		{tb.Hosts[1], tb.Switches[0]},
-		{tb.Hosts[2], tb.Switches[2]},
-		{tb.Hosts[3], tb.Switches[2]},
-	}
-	for _, l := range links {
-		if err := tb.Net.Link(l[0], l[1], p.LinkLatency); err != nil {
-			return nil, err
-		}
-	}
-	tb.Net.ComputeRoutes()
-	return tb, nil
 }
 
 // HostRecv installs the receive callback for a host after construction.

@@ -16,7 +16,7 @@ import (
 // (op, key-index) stream it emitted plus its counters.
 func traceRun(t *testing.T, seed int64) (trace []uint64, sent, ok uint64, latency string) {
 	t.Helper()
-	d, err := experiments.NewDeployment(20000, 4, seed)
+	d, err := experiments.NewDeployment(experiments.FabricOpts{Scale: 20000, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestGeneratorSeedActuallyMatters(t *testing.T) {
 // byte-identical results.
 func TestTrackedClientDeterministic(t *testing.T) {
 	run := func() []string {
-		d, err := experiments.NewDeployment(20000, 4, 5)
+		d, err := experiments.NewDeployment(experiments.FabricOpts{Scale: 20000, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}

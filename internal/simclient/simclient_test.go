@@ -17,7 +17,7 @@ import (
 // + one client mux on H0.
 type rig struct {
 	sim *event.Sim
-	tb  *netsim.Testbed
+	tb  *netsim.Fabric
 	ctl *controller.Controller
 	mux *Mux
 }
@@ -25,7 +25,7 @@ type rig struct {
 func newRig(t *testing.T) *rig {
 	t.Helper()
 	sim := event.New()
-	tb, err := netsim.NewTestbed(sim, netsim.PaperProfile(1), 1)
+	tb, err := netsim.NewFabric(sim, netsim.PaperProfile(1), 1, netsim.TopoSpec{Kind: "ring"}, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,8 +46,8 @@ func (c *SimConfig) defaults() {
 	}
 }
 
-// SimCluster is a deterministic simulation of the testbed: same dataplane
-// code as the real cluster, driven by a discrete-event engine — the
+// SimCluster is a deterministic simulation of the configured fabric: same
+// dataplane code as the real cluster, driven by a discrete-event engine — the
 // substrate behind every figure reproduction.
 type SimCluster struct {
 	d  *experiments.Deployment
@@ -61,20 +61,15 @@ func NewSimCluster(cfg SimConfig) (*SimCluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	var d *experiments.Deployment
-	if spec.Kind == "ring" {
-		vn := cfg.VNodesPerSwitch
-		if vn == 0 {
-			vn = 8
-		}
-		d, err = experiments.NewDeployment(cfg.Scale, vn, cfg.Seed)
-	} else {
-		d, err = experiments.NewFabricDeployment(experiments.FabricOpts{
-			Spec: spec, Scale: cfg.Scale, VNodes: cfg.VNodesPerSwitch,
-			Seed: cfg.Seed, HostsPerLeaf: 2, SpareLeaves: 1,
-			Placement: "bottleneck",
-		})
+	o := experiments.FabricOpts{
+		Spec: spec, Scale: cfg.Scale, VNodes: cfg.VNodesPerSwitch, Seed: cfg.Seed, Spares: 1,
 	}
+	if spec.Kind != "ring" {
+		o.Placement = "bottleneck"
+	} else if o.VNodes == 0 {
+		o.VNodes = 8
+	}
+	d, err := experiments.NewDeployment(o)
 	if err != nil {
 		return nil, err
 	}
@@ -149,20 +144,12 @@ func (s *SimCluster) Recover(i, spare int) error {
 	return nil
 }
 
-// switchAddr resolves a switch index. Testbed: 0..3 are S0..S3, higher
-// indexes are switches attached later. Fabric: build order — top tier
-// first (spines/cores), then per pod aggregation and edge switches.
+// switchAddr resolves a switch index in build order: on the ring 0..3 are
+// S0..S3 and higher indexes are switches attached later; on a fabric the
+// top tier (spines/cores) comes first, then per pod aggregation and edge
+// switches.
 func (s *SimCluster) switchAddr(i int) (packet.Addr, error) {
-	if s.d.TB != nil {
-		if i >= 0 && i < len(s.d.TB.Switches) {
-			return s.d.TB.Switches[i], nil
-		}
-		if j := i - len(s.d.TB.Switches); j >= 0 && j < len(s.d.TB.Extra) {
-			return s.d.TB.Extra[j], nil
-		}
-		return 0, fmt.Errorf("netchain: switch %d out of range", i)
-	}
-	sws := s.d.SwitchAddrs()
+	sws := s.d.Fab.Switches
 	if i < 0 || i >= len(sws) {
 		return 0, fmt.Errorf("netchain: switch %d out of range", i)
 	}
@@ -178,6 +165,11 @@ func (s *SimCluster) AddSwitch(i int) error {
 	if err != nil {
 		return err
 	}
+	if s.ap != nil {
+		// Re-admit a switch RemoveSwitch retired, as the wire's add-switch
+		// path does.
+		s.ap.Watch(addr)
+	}
 	done := false
 	if _, err := s.d.Ctl.AddSwitch(addr, func() { done = true }); err != nil {
 		return err
@@ -189,19 +181,20 @@ func (s *SimCluster) AddSwitch(i int) error {
 	return nil
 }
 
-// AttachSwitch cables a brand-new switch into the simulated testbed
-// (linked to S0 and S2 like the spare) and returns its index for
-// AddSwitch. Fabrics size their switch population from the topology spec
-// and hold spare LEAVES instead — attaching ad-hoc switches is a testbed
-// verb.
+// AttachSwitch cables a brand-new switch into the ring (linked to S0 and
+// S2 like the spare) and returns its index for AddSwitch; with the
+// autopilot on it starts beating at once. Fabrics size their switch
+// population from the topology spec and hold spare leaves instead —
+// attaching ad-hoc switches is a ring verb.
 func (s *SimCluster) AttachSwitch() (int, error) {
-	if s.d.TB == nil {
-		return 0, fmt.Errorf("netchain: AttachSwitch needs the ring testbed, not %s", s.d.Topology())
-	}
-	if _, err := s.d.TB.AttachSwitch(); err != nil {
+	addr, err := s.d.Fab.AttachSwitch()
+	if err != nil {
 		return 0, err
 	}
-	return len(s.d.TB.Switches) + len(s.d.TB.Extra) - 1, nil
+	if s.ap != nil {
+		s.ap.StartBeacon(addr)
+	}
+	return len(s.d.Fab.Switches) - 1, nil
 }
 
 // RemoveSwitch live-drains switch i out of the ring: its virtual groups
@@ -229,13 +222,13 @@ func (s *SimCluster) RemoveSwitch(i int) error {
 	return nil
 }
 
-// SwitchAddress resolves switch index i (0..3 are the testbed's S0..S3,
-// higher indexes are switches attached later) to its fabric address — the
-// handle nemesis schedules and route pins are built from.
+// SwitchAddress resolves switch index i (see switchAddr for the order) to
+// its fabric address — the handle nemesis schedules and route pins are
+// built from.
 func (s *SimCluster) SwitchAddress(i int) (packet.Addr, error) { return s.switchAddr(i) }
 
-// HostAddress resolves host index h to its network address (testbed: 0..3;
-// fabric: leaf-major order).
+// HostAddress resolves host index h to its network address, in leaf-major
+// order (ring: H0,H1 on S0, then H2,H3 on S2).
 func (s *SimCluster) HostAddress(h int) (packet.Addr, error) {
 	hosts := s.d.HostAddrs()
 	if h < 0 || h >= len(hosts) {
@@ -331,7 +324,7 @@ type SimClient struct {
 	mux *simclient.Mux
 }
 
-// NewClient binds a client to host h (0..3).
+// NewClient binds a client to host h (see HostAddress for the order).
 func (s *SimCluster) NewClient(h int) (*SimClient, error) {
 	if h < 0 || h >= len(s.d.Muxes) {
 		return nil, fmt.Errorf("netchain: host %d out of range", h)

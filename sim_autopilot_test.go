@@ -90,3 +90,86 @@ func TestSimClusterSelfHeals(t *testing.T) {
 		t.Fatalf("read after scale-out = %v, %v", v, err)
 	}
 }
+
+// healthOf returns sw's health row, if the detector tracks it.
+func healthOf(c *SimCluster, sw int) (health.SwitchHealth, bool) {
+	addr, _ := c.SwitchAddress(sw)
+	for _, h := range c.HealthSnapshot() {
+		if h.Addr == addr {
+			return h, true
+		}
+	}
+	return health.SwitchHealth{}, false
+}
+
+// failedOver reports whether the autopilot has failed switch sw over.
+func failedOver(c *SimCluster, sw int) bool {
+	addr, _ := c.SwitchAddress(sw)
+	for _, ev := range c.RepairHistory() {
+		if ev.Action == controller.ActionFailover && ev.Switch == addr {
+			return true
+		}
+	}
+	return false
+}
+
+// TestSimAutopilotBeatsAttachedSwitch: a switch cabled in after the
+// autopilot started heartbeats like every other switch, so its health row
+// reflects beacons, not just probes.
+func TestSimAutopilotBeatsAttachedSwitch(t *testing.T) {
+	c, err := NewSimCluster(SimConfig{Scale: 1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.EnableAutopilot(); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := c.AttachSwitch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddSwitch(idx); err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(20 * time.Millisecond)
+	h, ok := healthOf(c, idx)
+	if !ok || h.Heartbeats == 0 || h.Verdict != health.Healthy {
+		t.Fatalf("attached switch %d: tracked=%v %+v, want healthy with heartbeats", idx, ok, h)
+	}
+	if err := c.KillSwitch(idx); err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(100 * time.Millisecond)
+	if !failedOver(c, idx) {
+		t.Fatalf("dead attached switch %d never failed over: %v", idx, c.RepairHistory())
+	}
+}
+
+// TestSimAutopilotReaddedSwitchWatched: a switch RemoveSwitch retired and
+// AddSwitch brought back is monitored again, so its death is repaired.
+func TestSimAutopilotReaddedSwitchWatched(t *testing.T) {
+	c, err := NewSimCluster(SimConfig{Scale: 1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.EnableAutopilot(); err != nil {
+		t.Fatal(err)
+	}
+	const s3 = 3
+	for _, step := range []func(int) error{c.AddSwitch, c.RemoveSwitch, c.AddSwitch} {
+		if err := step(s3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.RunFor(20 * time.Millisecond)
+	if _, ok := healthOf(c, s3); !ok {
+		t.Fatalf("re-added S3 missing from the health snapshot: %v", c.HealthSnapshot())
+	}
+	if err := c.KillSwitch(s3); err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(100 * time.Millisecond)
+	if !failedOver(c, s3) {
+		t.Fatalf("dead re-added S3 never failed over: %v", c.RepairHistory())
+	}
+}

@@ -448,6 +448,37 @@ func BenchmarkRealUDPWritePipelined(b *testing.B) {
 	}
 }
 
+// BenchmarkLocalClusterInsert: one Cluster.Insert on the default
+// four-switch loopback cluster, which installs the key on each of its
+// three chain members in turn, one agent round trip apiece (§4.1). A fresh
+// cluster, outside the timer, takes over every insertBlock keys so switch
+// slots never run out.
+func BenchmarkLocalClusterInsert(b *testing.B) {
+	const insertBlock = 4096
+	var cl *Cluster
+	closeCluster := func() {
+		if cl != nil {
+			cl.Close()
+		}
+	}
+	defer closeCluster()
+	for i := 0; i < b.N; i++ {
+		if i%insertBlock == 0 {
+			b.StopTimer()
+			closeCluster()
+			var err error
+			if cl, err = StartLocalCluster(ClusterConfig{}); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if err := cl.Insert(KeyFromUint64(uint64(i % insertBlock))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/insert")
+}
+
 // BenchmarkZKKVWriteLatency: one quorum write through the real TCP
 // baseline ensemble on loopback — compare with BenchmarkRealUDPWriteLatency.
 func BenchmarkZKKVWriteLatency(b *testing.B) {

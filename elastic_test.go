@@ -67,7 +67,10 @@ func TestClusterElasticScaleOutScaleIn(t *testing.T) {
 		}
 	}
 	// No route may still reference the drained switch.
-	drained := cl.SwitchAddr(idx)
+	drained, err := cl.SwitchAddr(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, k := range keys {
 		for _, h := range cl.Controller().Route(k).Hops {
 			if h == drained {

@@ -154,7 +154,11 @@ func newRealCluster(o RealChaosOpts) (*realCluster, error) {
 	rc.cl, rc.ctl = cl, cl.Controller()
 	rc.stops = append(rc.stops, cl.Close)
 	for i := 0; i < cl.Switches(); i++ {
-		rc.sws = append(rc.sws, cl.SwitchAddr(i))
+		a, err := cl.SwitchAddr(i)
+		if err != nil {
+			return nil, err
+		}
+		rc.sws = append(rc.sws, a)
 	}
 
 	// Health plane: the monitor's socket runs through the nemesis too

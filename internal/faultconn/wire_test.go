@@ -195,12 +195,13 @@ func TestPartitionBoundsRetryVolume(t *testing.T) {
 	}
 }
 
-// TestMonitorResilientToGrayAndBurst: the φ-accrual monitor must ride out
-// burst loss windows and a gray (lossy, slow) member without declaring
-// anyone fail-stopped — and still detect a real fail-stop promptly once
-// the chaos is over. False evictions under mere packet loss are exactly
-// the failure mode φ-accrual plus probe corroboration exists to prevent.
-func TestMonitorResilientToGrayAndBurst(t *testing.T) {
+// TestMonitorDetectsFailStopOnWire is the health.Monitor smoke on real
+// sockets: two switches beat over a clean wire until both read healthy,
+// then the nemesis fail-stops one, and the monitor must convict it within
+// seconds and leave the other alone. What the detector makes of gray and
+// burst loss is pinned by health's TestCoreGrayAndBurstVerdictsPinned, on
+// a manual clock.
+func TestMonitorDetectsFailStopOnWire(t *testing.T) {
 	const hb = 10 * time.Millisecond
 	inj := faultconn.New(17)
 	defer inj.Stop()
@@ -245,60 +246,23 @@ func TestMonitorResilientToGrayAndBurst(t *testing.T) {
 		}
 	}
 
-	// Let the detector reach steady state on a clean wire.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if det.VerdictFor(addrs[0], mon.Now()) == health.Healthy &&
-			det.VerdictFor(addrs[1], mon.Now()) == health.Healthy {
-			break
-		}
+	for det.VerdictFor(addrs[0], mon.Now()) != health.Healthy ||
+		det.VerdictFor(addrs[1], mon.Now()) != health.Healthy {
 		if time.Now().After(deadline) {
 			t.Fatalf("cluster never went healthy: %+v", det.Snapshot(mon.Now()))
 		}
 		time.Sleep(hb)
 	}
 
-	// One second of burst loss (40 ms blackouts every 250 ms, cluster-wide)
-	// with node A simultaneously gray: 15% ingress loss and inflated probe
-	// latency. Heartbeats thin out; none of it is fail-stop.
-	window := event.Time(time.Second)
-	if err := inj.RunSchedule(netsim.Schedule{
-		{Name: "burst", At: 0, For: window, Fault: netsim.ClusterChaos{F: netsim.LinkFault{
-			BurstEvery: event.Time(250 * time.Millisecond),
-			BurstFor:   event.Time(40 * time.Millisecond),
-		}}},
-		{Name: "gray", At: 0, For: window, Fault: netsim.GraySwitch{
-			Addr: addrs[0],
-			G:    netsim.Gray{Loss: 0.15, ExtraDelay: event.Time(2 * time.Millisecond)},
-		}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	chaosEnd := time.Now().Add(time.Duration(window))
-	for time.Now().Before(chaosEnd) {
-		for _, a := range addrs {
-			if v := det.VerdictFor(a, mon.Now()); v == health.FailStop {
-				t.Fatalf("false eviction: %v declared fail-stop under gray+burst (φ=%.1f)",
-					a, det.Phi(a, mon.Now()))
-			}
-		}
-		time.Sleep(hb)
-	}
-
-	// Chaos healed; now kill node B for real. The detector must converge
-	// to FailStop — and promptly, not after minutes of suspicion.
 	killed := time.Now()
 	inj.FailStop(addrs[1])
-	deadline = killed.Add(10 * time.Second)
 	for det.VerdictFor(addrs[1], mon.Now()) != health.FailStop {
-		if time.Now().After(deadline) {
-			t.Fatalf("real fail-stop never detected: φ=%.1f %+v",
-				det.Phi(addrs[1], mon.Now()), det.Snapshot(mon.Now()))
+		if time.Since(killed) > 5*time.Second {
+			t.Fatalf("fail-stop undetected after 5 s at hb=%v: φ=%.1f %+v",
+				hb, det.Phi(addrs[1], mon.Now()), det.Snapshot(mon.Now()))
 		}
 		time.Sleep(hb)
-	}
-	if d := time.Since(killed); d > 5*time.Second {
-		t.Fatalf("fail-stop detection took %v, want well under 5s at hb=%v", d, hb)
 	}
 	if v := det.VerdictFor(addrs[0], mon.Now()); v == health.FailStop {
 		t.Fatalf("survivor evicted alongside the real failure (verdict %v)", v)
@@ -324,10 +288,11 @@ func TestWrapStreamAgentCalls(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { stop() })
-		a, err := transport.DialAgentWrapped(ep.String(), inj.WrapStream(addr))
+		conn, err := net.Dial("tcp", ep.String())
 		if err != nil {
 			t.Fatal(err)
 		}
+		a := transport.NewWireAgent(inj.WrapStream(addr)(conn))
 		t.Cleanup(func() { a.Close() })
 		return addr, a, sw
 	}

@@ -1,6 +1,11 @@
 package health
 
 import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -70,5 +75,198 @@ func TestCoreForgetRetires(t *testing.T) {
 				t.Fatalf("re-admitted switch probed %d times, want 1", sent)
 			}
 		})
+	}
+}
+
+// TestCoreGrayAndBurstVerdictsPinned records a known false-conviction bug
+// (ROADMAP item 1(a)): it pins the seeds on which the detector fail-stops a
+// live switch under gray and burst loss. When a detector fix empties
+// falseFailStopSeeds, rename it back to TestCoreRidesOutGrayAndBurst.
+//
+// It runs a wire-nemesis schedule through the
+// monitor engine on a manual clock: two switches beat every 10 ms; once
+// both read healthy, one second of cluster-wide burst loss (40 ms
+// blackouts every 250 ms, phase-aligned to t=0 as faultconn aligns them
+// to its injector's creation) drops every
+// datagram while switch A is gray (15 % of the probes reaching it lost,
+// 2 ms added to each echo); then B fail-stops. Each seed fixes every
+// random choice: boot time, send jitter, wire delays and the gray losses.
+//
+// B must be declared fail-stopped soon after it goes silent, and A never
+// outside the chaos, on every seed. During the chaos the detector does
+// convict live switches, A and B alike, for 0–14 ms (median 2 ms) at a
+// time: a blackout silences four heartbeats, so φ passes 8 before the
+// next one lands, and it swallows the probes and echoes of up to three
+// 20 ms probe rounds, so the last echo can be older than ProbeDead
+// (60 ms) by then. That is a detector bug. falseFailStopSeeds pins the
+// seeds where it shows, so the test fails when the detector changes
+// either way; a fixed detector empties the list.
+func TestCoreGrayAndBurstVerdictsPinned(t *testing.T) {
+	falseFailStopSeeds := []int64{1, 2, 3, 4, 5, 6, 8, 10, 12, 14, 16, 18, 19, 25, 28, 30, 31, 32, 35,
+		36, 37, 38, 39, 41, 42, 46, 47, 48, 50, 51, 52, 53, 54, 55, 58, 59, 63}
+	var convicted []int64
+	var slowest time.Duration
+	for seed := int64(1); seed <= 64; seed++ {
+		run, err := replayGrayAndBurst(seed)
+		if err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+			continue
+		}
+		if run.falseFailStop != "" {
+			convicted = append(convicted, seed)
+			if !slices.Contains(falseFailStopSeeds, seed) {
+				t.Errorf("seed %d: %s", seed, run.falseFailStop)
+			}
+		}
+		slowest = max(slowest, run.detect)
+	}
+	if !slices.Equal(convicted, falseFailStopSeeds) {
+		t.Errorf("false fail-stops during the chaos on seeds %v, pinned %v", convicted, falseFailStopSeeds)
+	}
+	t.Logf("false fail-stops during the chaos on %d of 64 seeds; slowest detection of B: %v", len(convicted), slowest)
+}
+
+// grayBurstRun is what one replay observed.
+type grayBurstRun struct {
+	falseFailStop string        // the first conviction of a live switch during the chaos, if any
+	detect        time.Duration // from B's death to its fail-stop verdict
+}
+
+// replayGrayAndBurst runs one seed of TestCoreGrayAndBurstVerdictsPinned. It
+// fails on a conviction the chaos cannot excuse and on a death that goes
+// undetected, and records a conviction during the chaos.
+func replayGrayAndBurst(seed int64) (grayBurstRun, error) {
+	const (
+		hb         = 10 * time.Millisecond
+		window     = time.Second
+		burstEvery = 250 * time.Millisecond
+		burstFor   = 40 * time.Millisecond
+		grayLoss   = 0.15
+		grayDelay  = 2 * time.Millisecond
+		healthyBy  = 5 * time.Second
+		detectBy   = 200 * time.Millisecond
+	)
+	var run grayBurstRun
+	rng := rand.New(rand.NewSource(seed))
+	det := NewDetector(Defaults(hb))
+	c := NewCore(det, coreMon)
+	jitter := func(max time.Duration) time.Duration { return time.Duration(rng.Int63n(int64(max))) }
+	wire := func() time.Duration { return 20*time.Microsecond + jitter(40*time.Microsecond) }
+
+	// The schedule, fixed as the run reaches each point: the chaos starts
+	// at the first healthy poll, and B dies the moment it ends.
+	chaosAt, killAt := time.Duration(-1), time.Duration(-1)
+	chaos := func(now time.Duration) bool { return chaosAt >= 0 && now >= chaosAt && now < chaosAt+window }
+	dark := func(now time.Duration) bool { return chaos(now) && now%burstEvery < burstFor }
+	dead := func(sw packet.Addr, now time.Duration) bool { return sw == swB && killAt >= 0 && now >= killAt }
+
+	// A time-ordered queue of deliveries and timer ticks, FIFO at equal times.
+	type event struct {
+		at time.Duration
+		do func(now time.Duration)
+	}
+	var queue []event
+	at := func(when time.Duration, do func(now time.Duration)) {
+		i := sort.Search(len(queue), func(i int) bool { return queue[i].at > when })
+		queue = slices.Insert(queue, i, event{when, do})
+	}
+	deliver := func(when time.Duration, f func(*packet.Frame) *packet.Frame, then func(beat bool)) {
+		at(when, func(now time.Duration) {
+			fr := packet.GetFrame()
+			defer packet.PutFrame(fr)
+			then(c.Receive(f(fr), now))
+		})
+	}
+
+	// As in the socket test, the monitor, its probe ticker, both heartbeat
+	// tickers and the healthy poll start together, once the switches have
+	// booted. The monitor probes the switches it has heard from.
+	learned := map[packet.Addr]bool{}
+	var beatTick func(sw packet.Addr) func(time.Duration)
+	beatTick = func(sw packet.Addr) func(time.Duration) {
+		return func(now time.Duration) {
+			at(now+hb, beatTick(sw))
+			sent := now + jitter(300*time.Microsecond)
+			if dead(sw, sent) || dark(sent) {
+				return
+			}
+			deliver(sent+wire(), func(f *packet.Frame) *packet.Frame { return beat(f, sw) },
+				func(ok bool) { learned[sw] = learned[sw] || ok })
+		}
+	}
+	var probeTick func(now time.Duration)
+	probeTick = func(now time.Duration) {
+		at(now+c.ProbeEvery(), probeTick)
+		at(now+jitter(300*time.Microsecond), func(now time.Duration) {
+			c.ProbeRound(now, slices.Sorted(maps.Keys(learned)), func(f *packet.Frame) {
+				sw, qid := f.IP.Dst, f.NC.QueryID
+				packet.PutFrame(f)
+				if dark(now) {
+					return // lost leaving the monitor
+				}
+				arrive := now + wire()
+				if sw == swA && chaos(arrive) {
+					if rng.Float64() < grayLoss {
+						return
+					}
+					arrive += grayDelay
+				}
+				if dead(sw, arrive) || dark(arrive) {
+					return // never answered, or the echo lost leaving the switch
+				}
+				deliver(arrive+wire(), func(f *packet.Frame) *packet.Frame { return echo(f, sw, qid) }, func(bool) {})
+			})
+		})
+	}
+	var poll func(now time.Duration)
+	poll = func(now time.Duration) {
+		if det.VerdictFor(swA, now) == Healthy && det.VerdictFor(swB, now) == Healthy {
+			chaosAt = now
+			at(chaosAt+window, func(now time.Duration) { killAt = now })
+			return
+		}
+		at(now+hb+jitter(300*time.Microsecond), poll)
+	}
+	boot := jitter(5 * time.Millisecond)
+	c.Watch(swA, boot)
+	c.Watch(swB, boot)
+	at(boot+c.ProbeEvery(), probeTick)
+	at(boot+hb, beatTick(swA))
+	at(boot+hb, beatTick(swB))
+	at(boot, poll)
+
+	// Between events a verdict can only harden (φ and the age of the last
+	// echo grow with the clock), so checking just before each event sees
+	// every fail-stop interval there is.
+	for run.detect = -1; ; {
+		ev := queue[0]
+		queue = queue[1:]
+		now := ev.at
+		switch {
+		case chaosAt < 0 && now > healthyBy:
+			return run, fmt.Errorf("never healthy: %+v", det.Snapshot(now))
+		case killAt >= 0 && now > killAt+detectBy:
+			if run.detect < 0 {
+				return run, fmt.Errorf("B's fail-stop undetected %v after it went silent (φ=%.1f)", detectBy, det.Phi(swB, now))
+			}
+			return run, nil
+		}
+		for _, sw := range []packet.Addr{swA, swB} {
+			switch {
+			case det.VerdictFor(sw, now) != FailStop:
+			case dead(sw, now):
+				if run.detect < 0 {
+					run.detect = now - killAt
+				}
+			case chaos(now):
+				if run.falseFailStop == "" {
+					run.falseFailStop = fmt.Sprintf("%v declared fail-stop %v into the chaos (φ=%.1f)", sw, now-chaosAt, det.Phi(sw, now))
+				}
+			default:
+				return run, fmt.Errorf("%v declared fail-stop %v after boot, outside the chaos (φ=%.1f): %+v",
+					sw, now-boot, det.Phi(sw, now), det.Snapshot(now))
+			}
+		}
+		ev.do(now)
 	}
 }

@@ -1,10 +1,10 @@
 // Package localcluster is the live-UDP NetChain deployment on loopback: a
 // push-watch relay, switch dataplanes behind their own UDP sockets, a
 // wall-clock controller driving per-switch agents over the framed binary
-// TCP channel, and clients attached through a gateway switch. It exists
-// once: the public netchain.StartLocalCluster façade and the real-wire
-// chaos harness (internal/experiments, -exp realchaos) both boot through
-// it.
+// agent channel (in-process AF_UNIX socketpairs), and clients attached
+// through a gateway switch. It exists once: the public
+// netchain.StartLocalCluster façade and the real-wire chaos harness
+// (internal/experiments, -exp realchaos) both boot through it.
 package localcluster
 
 import (
@@ -82,10 +82,12 @@ func (c *Config) defaults() {
 
 // Cluster is a real NetChain deployment on loopback: every switch is a
 // dataplane goroutine behind its own UDP socket, and the controller drives
-// them through wire agents (transport.ServeAgent / transport.WireAgent over
-// loopback TCP) exactly as a multi-process deployment would. Close stops
-// every goroutine and closes every descriptor the cluster opened, except
-// the sockets of clients from NewClient, which their owners close.
+// them through wire agents: the framed verbs a multi-process deployment
+// sends over TCP, carried here by one AF_UNIX socketpair per switch
+// (transport.PairAgent), since controller and agents share a process.
+// Close stops every goroutine and closes every descriptor the cluster
+// opened, except the sockets of clients from NewClient, which their owners
+// close.
 type Cluster struct {
 	cfg      Config
 	book     *transport.AddressBook
@@ -222,18 +224,11 @@ func (c *Cluster) bootSwitch() (packet.Addr, error) {
 	c.nodes = append(c.nodes, node)
 	c.stops = append(c.stops, node.Close)
 
-	agentAddr, stop, err := transport.ServeAgent(sw, "127.0.0.1:0")
+	agent, stop, err := transport.PairAgent(sw) // unwrapped: see Config.Faults
 	if err != nil {
 		return 0, err
 	}
 	c.stops = append(c.stops, stop)
-	agent, err := transport.DialAgent(agentAddr.String()) // unwrapped: see Config.Faults
-	if err != nil {
-		return 0, err
-	}
-	// Stops run in reverse: the controller's end hangs up first, so the
-	// agent's stop finds its connection already finished.
-	c.stops = append(c.stops, agent.Close)
 	c.agents[addr] = agent
 	return addr, nil
 }
@@ -265,10 +260,12 @@ func (c *Cluster) node(i int) (*transport.SwitchNode, error) {
 }
 
 // SwitchAddr returns the virtual address of switch i.
-func (c *Cluster) SwitchAddr(i int) packet.Addr {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.nodes[i].Switch().Addr()
+func (c *Cluster) SwitchAddr(i int) (packet.Addr, error) {
+	node, err := c.node(i)
+	if err != nil {
+		return 0, err
+	}
+	return node.Switch().Addr(), nil
 }
 
 // Switches returns the number of switch nodes booted so far (including

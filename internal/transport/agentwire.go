@@ -1,6 +1,8 @@
 // The controller↔switch-agent channel (the paper's controller spoke xmlrpc
 // to a per-switch Python agent, §7) is a length-prefixed binary protocol
-// over one TCP connection per switch. All integers are big-endian.
+// over one byte stream per switch: a TCP connection between processes
+// (ServeAgent, DialAgent), an AF_UNIX socketpair within one (PairAgent).
+// All integers are big-endian.
 //
 //	request:  u32 len | u8 verb   | body
 //	response: u32 len | u8 status | body
@@ -314,16 +316,21 @@ func serveAgentFrame(sw *core.Switch, req, out []byte) []byte {
 	return out
 }
 
-// agentServer is one switch's control endpoint: a listener plus the
-// connections it accepted, all of which stop() closes and waits out.
+// agentServer is one switch's control endpoint: the connections it serves,
+// accepted from a listener or handed over as a socketpair's agent end, all
+// of which stop() closes and waits out.
 type agentServer struct {
 	sw *core.Switch
-	ln net.Listener
+	ln net.Listener // nil for a PairAgent
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
 	wg     sync.WaitGroup // accept loop + one per live connection
+}
+
+func newAgentServer(sw *core.Switch, ln net.Listener) *agentServer {
+	return &agentServer{sw: sw, ln: ln, conns: make(map[net.Conn]struct{})}
 }
 
 // ServeAgent starts the control agent for a switch on bind and returns the
@@ -334,30 +341,54 @@ func ServeAgent(sw *core.Switch, bind string) (net.Addr, func() error, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	s := &agentServer{sw: sw, ln: ln, conns: make(map[net.Conn]struct{})}
+	s := newAgentServer(sw, ln)
 	s.wg.Add(1)
 	go s.accept()
 	return ln.Addr(), s.stop, nil
+}
+
+// PairAgent serves sw's control agent over a connected stream pair inside
+// this process and returns the controller's end. The agent end runs the
+// same serve loop and framed verbs as a ServeAgent connection; only the
+// way the stream is made differs (streamPair). stop closes both ends and
+// returns once the agent's goroutine has exited.
+func PairAgent(sw *core.Switch) (*WireAgent, func() error, error) {
+	ctl, agent, err := streamPair()
+	if err != nil {
+		return nil, nil, fmt.Errorf("transport: agent stream pair: %w", err)
+	}
+	s := newAgentServer(sw, nil)
+	s.start(agent)
+	a := NewWireAgent(ctl)
+	return a, func() error {
+		a.Close()
+		return s.stop()
+	}, nil
 }
 
 func (s *agentServer) accept() {
 	defer s.wg.Done()
 	for {
 		conn, err := s.ln.Accept()
-		if err != nil {
+		if err != nil || !s.start(conn) {
 			return
 		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go s.serve(conn)
 	}
+}
+
+// start serves conn on its own goroutine, or closes it and reports false
+// once stop has run.
+func (s *agentServer) start(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		conn.Close()
+		return false
+	}
+	s.conns[conn] = struct{}{}
+	s.wg.Add(1)
+	go s.serve(conn)
+	return true
 }
 
 // serve answers one connection's requests in order until the peer hangs
@@ -389,7 +420,10 @@ func (s *agentServer) serve(conn net.Conn) {
 func (s *agentServer) stop() error {
 	s.mu.Lock()
 	s.closed = true
-	err := s.ln.Close()
+	var err error
+	if s.ln != nil {
+		err = s.ln.Close()
+	}
 	for conn := range s.conns {
 		conn.Close()
 	}
@@ -415,24 +449,19 @@ type WireAgent struct {
 
 var _ controller.Agent = (*WireAgent)(nil)
 
-// DialAgent connects to a switch agent.
+// DialAgent connects to a switch agent over TCP.
 func DialAgent(addr string) (*WireAgent, error) {
-	return DialAgentWrapped(addr, nil)
-}
-
-// DialAgentWrapped is DialAgent with a connection filter — the wire
-// nemesis wraps the stream so fail-stop and gray degradation reach the
-// controller's control path too (a dead switch's agent stops answering, a
-// gray one answers slowly).
-func DialAgentWrapped(addr string, wrap func(net.Conn) net.Conn) (*WireAgent, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial agent %s: %w", addr, err)
 	}
-	if wrap != nil {
-		conn = wrap(conn)
-	}
-	return &WireAgent{conn: conn, r: bufio.NewReader(conn)}, nil
+	return NewWireAgent(conn), nil
+}
+
+// NewWireAgent speaks the agent protocol over conn, a stream whose other
+// end an agent serves; the WireAgent owns conn from here on.
+func NewWireAgent(conn net.Conn) *WireAgent {
+	return &WireAgent{conn: conn, r: bufio.NewReader(conn)}
 }
 
 // Close hangs up. A call in flight fails; so does every later one.

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -32,21 +31,41 @@ func agentTestSwitch(t testing.TB, i int) *core.Switch {
 	return sw
 }
 
-// dialTestAgent serves sw on loopback and dials it; both ends are torn
-// down with the test.
-func dialTestAgent(t testing.TB, sw *core.Switch, wrap func(net.Conn) net.Conn) *WireAgent {
+// An agentKind is one way of serving a switch's agent: open returns the
+// controller's end and the stop that tears down the agent's side. Both are
+// released with the test.
+type agentKind struct {
+	name string
+	open func(t testing.TB, sw *core.Switch) (*WireAgent, func() error)
+}
+
+// agentKinds are the two streams the agent protocol runs over: TCP, as
+// between processes, and the in-process socketpair localcluster uses.
+var agentKinds = []agentKind{{"tcp", openTCPAgent}, {"pair", openPairAgent}}
+
+func openTCPAgent(t testing.TB, sw *core.Switch) (*WireAgent, func() error) {
 	t.Helper()
 	addr, stop, err := ServeAgent(sw, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { stop() })
-	a, err := DialAgentWrapped(addr.String(), wrap)
+	a, err := DialAgent(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { a.Close() })
-	return a
+	return a, stop
+}
+
+func openPairAgent(t testing.TB, sw *core.Switch) (*WireAgent, func() error) {
+	t.Helper()
+	a, stop, err := PairAgent(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { stop() })
+	return a, stop
 }
 
 func sortedKeys(ks []kv.Key) []kv.Key {
@@ -70,8 +89,9 @@ func sameItems(a, b []core.Item) bool {
 	return true
 }
 
-// TestAgentVerbRoundTrip drives every verb through a live connection and
-// checks the switch-side effect and whatever comes back.
+// TestAgentVerbRoundTrip drives every verb through a live stream of each
+// kind, in lockstep, and checks the switch-side effect and whatever comes
+// back.
 func TestAgentVerbRoundTrip(t *testing.T) {
 	k1, k2, k3 := kv.KeyFromString("k1"), kv.KeyFromString("k2"), kv.KeyFromString("k3")
 	absent := kv.KeyFromString("absent")
@@ -82,30 +102,39 @@ func TestAgentVerbRoundTrip(t *testing.T) {
 	}
 	dst, to := packet.AddrFrom4(10, 0, 0, 9), packet.AddrFrom4(10, 0, 0, 4)
 
-	sw := agentTestSwitch(t, 1)
-	a := dialTestAgent(t, sw, nil)
+	type end struct {
+		kind string
+		sw   *core.Switch
+		a    *WireAgent
+	}
+	var ends []end
+	for _, k := range agentKinds {
+		sw := agentTestSwitch(t, 1)
+		a, _ := k.open(t, sw)
+		ends = append(ends, end{k.name, sw, a})
+	}
 	steps := []struct {
 		name  string
-		call  func() error
-		check func(t *testing.T)
+		call  func(a *WireAgent) error
+		check func(t *testing.T, sw *core.Switch)
 	}{
-		{"InstallKeys", func() error { return a.InstallKeys([]kv.Key{k1, k2}) }, func(t *testing.T) {
+		{"InstallKeys", func(a *WireAgent) error { return a.InstallKeys([]kv.Key{k1, k2}) }, func(t *testing.T, sw *core.Switch) {
 			if !sw.HasKey(k1) || !sw.HasKey(k2) || sw.HasKey(k3) {
 				t.Fatal("slots not installed as asked")
 			}
 		}},
-		{"InstallKeys empty", func() error { return a.InstallKeys(nil) }, func(t *testing.T) {
+		{"InstallKeys empty", func(a *WireAgent) error { return a.InstallKeys(nil) }, func(t *testing.T, sw *core.Switch) {
 			if sw.ItemCount() != 2 {
 				t.Fatalf("items = %d", sw.ItemCount())
 			}
 		}},
-		{"WriteItems", func() error { return a.WriteItems(items) }, func(t *testing.T) {
+		{"WriteItems", func(a *WireAgent) error { return a.WriteItems(items) }, func(t *testing.T, sw *core.Switch) {
 			got, missing := sw.ReadItems([]kv.Key{k1, k2, k3})
 			if len(missing) != 0 || !sameItems(got, items) {
 				t.Fatalf("switch holds %+v (missing %v), want %+v", got, missing, items)
 			}
 		}},
-		{"ReadItems", func() error {
+		{"ReadItems", func(a *WireAgent) error {
 			got, missing, err := a.ReadItems([]kv.Key{k3, absent, k1, k2})
 			if err != nil {
 				return err
@@ -118,7 +147,7 @@ func TestAgentVerbRoundTrip(t *testing.T) {
 			}
 			return nil
 		}, nil},
-		{"Keys", func() error {
+		{"Keys", func(a *WireAgent) error {
 			got, err := a.Keys()
 			if err != nil {
 				return err
@@ -128,67 +157,75 @@ func TestAgentVerbRoundTrip(t *testing.T) {
 			}
 			return nil
 		}, nil},
-		{"RemoveKeys", func() error { return a.RemoveKeys([]kv.Key{k2, k3}) }, func(t *testing.T) {
+		{"RemoveKeys", func(a *WireAgent) error { return a.RemoveKeys([]kv.Key{k2, k3}) }, func(t *testing.T, sw *core.Switch) {
 			if !sw.HasKey(k1) || sw.HasKey(k2) || sw.HasKey(k3) {
 				t.Fatal("slots not removed as asked")
 			}
 		}},
-		{"SetSession", func() error { return a.SetSession(0xfffe, 0xdeadbeef) }, func(t *testing.T) {
+		{"SetSession", func(a *WireAgent) error { return a.SetSession(0xfffe, 0xdeadbeef) }, func(t *testing.T, sw *core.Switch) {
 			if got := sw.Session(0xfffe); got != 0xdeadbeef {
 				t.Fatalf("session = %#x", got)
 			}
 		}},
-		{"FreezeWrites on", func() error { return a.FreezeWrites(12, true) }, func(t *testing.T) {
+		{"FreezeWrites on", func(a *WireAgent) error { return a.FreezeWrites(12, true) }, func(t *testing.T, sw *core.Switch) {
 			if !sw.WriteFrozen(12) {
 				t.Fatal("group not frozen")
 			}
 		}},
-		{"FreezeWrites off", func() error { return a.FreezeWrites(12, false) }, func(t *testing.T) {
+		{"FreezeWrites off", func(a *WireAgent) error { return a.FreezeWrites(12, false) }, func(t *testing.T, sw *core.Switch) {
 			if sw.WriteFrozen(12) {
 				t.Fatal("group still frozen")
 			}
 		}},
-		{"InstallRule wildcard", func() error {
+		{"InstallRule wildcard", func(a *WireAgent) error {
 			return a.InstallRule(dst, core.WildcardGroup, core.Rule{Action: core.ActNextHop})
-		}, func(t *testing.T) {
+		}, func(t *testing.T, sw *core.Switch) {
 			if got := sw.Rules()[dst][core.WildcardGroup]; got != (core.Rule{Action: core.ActNextHop}) {
 				t.Fatalf("rule = %+v", got)
 			}
 		}},
-		{"InstallRule redirect", func() error {
+		{"InstallRule redirect", func(a *WireAgent) error {
 			return a.InstallRule(dst, 65535, core.Rule{Action: core.ActRedirect, To: to})
-		}, func(t *testing.T) {
+		}, func(t *testing.T, sw *core.Switch) {
 			if got := sw.Rules()[dst][65535]; got != (core.Rule{Action: core.ActRedirect, To: to}) {
 				t.Fatalf("rule = %+v", got)
 			}
 		}},
-		{"RemoveRule", func() error { return a.RemoveRule(dst, core.WildcardGroup) }, func(t *testing.T) {
+		{"RemoveRule", func(a *WireAgent) error { return a.RemoveRule(dst, core.WildcardGroup) }, func(t *testing.T, sw *core.Switch) {
 			if rules := sw.Rules()[dst]; len(rules) != 1 {
 				t.Fatalf("rules left = %+v", rules)
 			}
 		}},
 	}
 	for _, st := range steps {
-		if err := st.call(); err != nil {
-			t.Fatalf("%s: %v", st.name, err)
+		for _, e := range ends {
+			if err := st.call(e.a); err != nil {
+				t.Fatalf("%s over %s: %v", st.name, e.kind, err)
+			}
 		}
 		if st.check != nil {
-			t.Run(st.name, st.check)
+			t.Run(st.name, func(t *testing.T) {
+				for _, e := range ends {
+					t.Run(e.kind, func(t *testing.T) { st.check(t, e.sw) })
+				}
+			})
 		}
 	}
 
 	// A verb the switch refuses comes back as an error naming the cause,
-	// having still attempted the rest of the batch, and the connection
-	// stays in step for the next call.
-	err := a.InstallKeys([]kv.Key{k1, k2})
-	if err == nil || !strings.Contains(err.Error(), k1.String()) {
-		t.Fatalf("duplicate install error = %v", err)
-	}
-	if !sw.HasKey(k2) {
-		t.Fatal("batch stopped at its first failure")
-	}
-	if ks, err := a.Keys(); err != nil || len(ks) != 2 {
-		t.Fatalf("call after a refused verb: %v, %v", ks, err)
+	// having still attempted the rest of the batch, and the stream stays in
+	// step for the next call.
+	for _, e := range ends {
+		err := e.a.InstallKeys([]kv.Key{k1, k2})
+		if err == nil || !strings.Contains(err.Error(), k1.String()) {
+			t.Fatalf("%s: duplicate install error = %v", e.kind, err)
+		}
+		if !e.sw.HasKey(k2) {
+			t.Fatalf("%s: batch stopped at its first failure", e.kind)
+		}
+		if ks, err := e.a.Keys(); err != nil || len(ks) != 2 {
+			t.Fatalf("%s: call after a refused verb: %v, %v", e.kind, ks, err)
+		}
 	}
 }
 
@@ -309,22 +346,37 @@ func TestAgentFrameRejects(t *testing.T) {
 		t.Errorf("truncated frame: err = %v", err)
 	}
 
-	// On a live agent a bad prefix costs that connection only.
-	sw := agentTestSwitch(t, 1)
-	good := dialTestAgent(t, sw, nil)
-	raw, err := net.Dial("tcp", good.conn.RemoteAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	if _, err := raw.Write(binary.BigEndian.AppendUint32(nil, maxAgentFrame+1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := raw.Read(make([]byte, 1)); err != io.EOF {
-		t.Errorf("agent kept a connection whose framing is gone: %v", err)
-	}
-	if err := good.SetSession(1, 1); err != nil {
-		t.Errorf("other connection disturbed: %v", err)
+	// On a live agent of either kind a bad prefix costs that stream only:
+	// the agent hangs up, and the controller's next call on it fails. A TCP
+	// agent serves every connection to its listener, so there the bad
+	// prefix goes down a second connection to the same agent, which must
+	// keep serving the first; a pair has one stream and no sibling.
+	for _, k := range agentKinds {
+		sw := agentTestSwitch(t, 1)
+		good, _ := k.open(t, sw)
+		bad := good
+		if k.name == "tcp" {
+			raw, err := net.Dial("tcp", good.conn.RemoteAddr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad = NewWireAgent(raw)
+			t.Cleanup(func() { bad.Close() })
+		}
+		if _, err := bad.conn.Write(binary.BigEndian.AppendUint32(nil, maxAgentFrame+1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bad.r.ReadByte(); err != io.EOF {
+			t.Errorf("%s: agent kept a stream whose framing is gone: %v", k.name, err)
+		}
+		if err := bad.SetSession(1, 1); err == nil {
+			t.Errorf("%s: a call on a stream the agent hung up succeeded", k.name)
+		}
+		if bad != good {
+			if err := good.SetSession(1, 1); err != nil {
+				t.Errorf("%s: other connection disturbed: %v", k.name, err)
+			}
+		}
 	}
 
 	// The controller's end treats a reply it cannot frame the same way:
@@ -335,7 +387,7 @@ func TestAgentFrameRejects(t *testing.T) {
 		io.CopyN(io.Discard, srv, 4+1+2+4) // the SetSession request
 		srv.Write(binary.BigEndian.AppendUint32(nil, maxAgentFrame+1))
 	}()
-	a := &WireAgent{conn: cli, r: bufio.NewReader(cli)}
+	a := NewWireAgent(cli)
 	if err := a.SetSession(1, 1); !errors.Is(err, errAgentFrame) {
 		t.Errorf("unframeable reply: err = %v", err)
 	}
@@ -396,12 +448,13 @@ func FuzzAgentFrame(f *testing.F) {
 }
 
 // TestAgentParity runs one scripted control sequence through a LocalAgent
-// and through a wire agent, each against its own switch, and requires the
-// two switches — and what the agents report of them — to end up identical.
+// and through a wire agent of each kind, each against its own switch, and
+// requires the switches — and what the agents report of them — to end up
+// identical.
 func TestAgentParity(t *testing.T) {
 	k := func(i int) kv.Key { return kv.KeyFromUint64(uint64(100 + i)) }
 	dst, to := packet.AddrFrom4(10, 0, 0, 7), packet.AddrFrom4(10, 0, 0, 8)
-	script := func(a controller.Agent) error {
+	script := func(t *testing.T, a controller.Agent) {
 		steps := []func() error{
 			func() error { return a.InstallKeys([]kv.Key{k(1), k(2), k(3), k(4)}) },
 			func() error {
@@ -434,39 +487,46 @@ func TestAgentParity(t *testing.T) {
 		if err := a.RemoveKeys([]kv.Key{k(4), k(3)}); err == nil {
 			t.Error("removing an absent key reported no error")
 		}
-		return nil
 	}
-	swLocal, swWire := agentTestSwitch(t, 1), agentTestSwitch(t, 1)
+	swLocal := agentTestSwitch(t, 1)
 	local := controller.LocalAgent{Switch: swLocal}
-	wire := dialTestAgent(t, swWire, nil)
-	script(local)
-	script(wire)
-
+	script(t, local)
 	ask := []kv.Key{k(5), k(4), k(3), k(2), k(1)}
-	li, lm, lerr := local.ReadItems(ask)
-	wi, wm, werr := wire.ReadItems(ask)
-	if lerr != nil || werr != nil {
-		t.Fatalf("ReadItems: %v / %v", lerr, werr)
-	}
-	if !sameItems(li, wi) || !reflect.DeepEqual(lm, wm) {
-		t.Errorf("ReadItems diverge:\n local %+v missing %v\n wire  %+v missing %v", li, lm, wi, wm)
+	li, lm, err := local.ReadItems(ask)
+	if err != nil {
+		t.Fatalf("local ReadItems: %v", err)
 	}
 	if len(li) != 3 || len(lm) != 2 || string(li[2].Value) != "one" {
 		t.Errorf("script did not leave the expected state: %+v missing %v", li, lm)
 	}
 	lk, _ := local.Keys()
-	wk, err := wire.Keys()
-	if err != nil || !reflect.DeepEqual(sortedKeys(lk), sortedKeys(wk)) {
-		t.Errorf("Keys diverge: %v vs %v (%v)", lk, wk, err)
-	}
-	if !reflect.DeepEqual(swLocal.Rules(), swWire.Rules()) {
-		t.Errorf("Rules diverge: %v vs %v", swLocal.Rules(), swWire.Rules())
-	}
-	for g := uint16(0); g < 8; g++ {
-		if swLocal.Session(g) != swWire.Session(g) || swLocal.WriteFrozen(g) != swWire.WriteFrozen(g) {
-			t.Errorf("group %d: session %d/%d frozen %v/%v", g,
-				swLocal.Session(g), swWire.Session(g), swLocal.WriteFrozen(g), swWire.WriteFrozen(g))
-		}
+
+	for _, kind := range agentKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			swWire := agentTestSwitch(t, 1)
+			wire, _ := kind.open(t, swWire)
+			script(t, wire)
+			wi, wm, err := wire.ReadItems(ask)
+			if err != nil {
+				t.Fatalf("ReadItems: %v", err)
+			}
+			if !sameItems(li, wi) || !reflect.DeepEqual(lm, wm) {
+				t.Errorf("ReadItems diverge:\n local %+v missing %v\n wire  %+v missing %v", li, lm, wi, wm)
+			}
+			wk, err := wire.Keys()
+			if err != nil || !reflect.DeepEqual(sortedKeys(lk), sortedKeys(wk)) {
+				t.Errorf("Keys diverge: %v vs %v (%v)", lk, wk, err)
+			}
+			if !reflect.DeepEqual(swLocal.Rules(), swWire.Rules()) {
+				t.Errorf("Rules diverge: %v vs %v", swLocal.Rules(), swWire.Rules())
+			}
+			for g := uint16(0); g < 8; g++ {
+				if swLocal.Session(g) != swWire.Session(g) || swLocal.WriteFrozen(g) != swWire.WriteFrozen(g) {
+					t.Errorf("group %d: session %d/%d frozen %v/%v", g,
+						swLocal.Session(g), swWire.Session(g), swLocal.WriteFrozen(g), swWire.WriteFrozen(g))
+				}
+			}
+		})
 	}
 }
 
@@ -495,10 +555,9 @@ func TestAgentRoundTripCounts(t *testing.T) {
 			addrs[i] = packet.AddrFrom4(10, 0, 0, byte(i+1))
 			sw := agentTestSwitch(t, i+1)
 			sws[addrs[i]] = sw
-			i := i
-			agents[addrs[i]] = dialTestAgent(t, sw, func(c net.Conn) net.Conn {
-				return countingConn{Conn: c, trips: &trips[i]}
-			})
+			a, _ := openPairAgent(t, sw)
+			a.conn = countingConn{Conn: a.conn, trips: &trips[i]}
+			agents[addrs[i]] = a
 		}
 		snapshot := func() (out [4]int64) {
 			for i := range trips {
@@ -605,67 +664,132 @@ func TestAgentRoundTripCounts(t *testing.T) {
 	}
 }
 
-// TestAgentConcurrentCallers shares one connection between goroutines: the
+// TestAgentConcurrentCallers shares one stream between goroutines: the
 // one-request-in-flight rule must hand every caller its own reply, and a
 // stop in mid-traffic must fail the callers, not wedge them.
 func TestAgentConcurrentCallers(t *testing.T) {
-	sw := agentTestSwitch(t, 1)
-	addr, stop, err := ServeAgent(sw, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := DialAgent(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
+	for _, kind := range agentKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			a, stop := kind.open(t, agentTestSwitch(t, 1))
+			const callers, rounds = 8, 200
+			var wg sync.WaitGroup
+			for c := 0; c < callers; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					k := kv.KeyFromUint64(uint64(c + 1))
+					for i := 1; i <= rounds; i++ {
+						want := core.Item{Key: k, Value: kv.Value{byte(c), byte(i)}, Version: kv.Version{Seq: uint64(i)}}
+						if err := a.WriteItems([]core.Item{want}); err != nil {
+							t.Errorf("caller %d: %v", c, err)
+							return
+						}
+						got, _, err := a.ReadItems([]kv.Key{k})
+						if err != nil || !sameItems(got, []core.Item{want}) {
+							t.Errorf("caller %d round %d: read %+v, %v", c, i, got, err)
+							return
+						}
+						if err := a.SetSession(uint16(c), uint32(i)); err != nil {
+							t.Errorf("caller %d: %v", c, err)
+							return
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
 
-	const callers, rounds = 8, 200
-	var wg sync.WaitGroup
-	for c := 0; c < callers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			k := kv.KeyFromUint64(uint64(c + 1))
-			for i := 1; i <= rounds; i++ {
-				want := core.Item{Key: k, Value: kv.Value{byte(c), byte(i)}, Version: kv.Version{Seq: uint64(i)}}
-				if err := a.WriteItems([]core.Item{want}); err != nil {
-					t.Errorf("caller %d: %v", c, err)
-					return
-				}
-				got, _, err := a.ReadItems([]kv.Key{k})
-				if err != nil || !sameItems(got, []core.Item{want}) {
-					t.Errorf("caller %d round %d: read %+v, %v", c, i, got, err)
-					return
-				}
-				if err := a.SetSession(uint16(c), uint32(i)); err != nil {
-					t.Errorf("caller %d: %v", c, err)
-					return
+			failed := make(chan error, callers)
+			for c := 0; c < callers; c++ {
+				go func() {
+					for {
+						if err := a.SetSession(1, 1); err != nil {
+							failed <- err
+							return
+						}
+					}
+				}()
+			}
+			if err := stop(); err != nil {
+				t.Fatal(err)
+			}
+			for c := 0; c < callers; c++ {
+				select {
+				case <-failed:
+				case <-time.After(5 * time.Second):
+					t.Fatal("a caller is still blocked after the agent stopped")
 				}
 			}
-		}(c)
+		})
 	}
-	wg.Wait()
+}
 
-	failed := make(chan error, callers)
-	for c := 0; c < callers; c++ {
-		go func() {
-			for {
-				if err := a.SetSession(1, 1); err != nil {
-					failed <- err
-					return
+// stallConn sends every request but its last byte, so the agent waits for
+// the rest of the frame and the call waits for a reply that never comes.
+type stallConn struct {
+	net.Conn
+	sent chan struct{} // closed once the first request is on the stream
+}
+
+func (c stallConn) Write(b []byte) (int, error) {
+	if n, err := c.Conn.Write(b[:len(b)-1]); err != nil {
+		return n, err
+	}
+	close(c.sent)
+	return len(b), nil
+}
+
+// TestAgentStopFailsCallInFlight stops the agent while a call waits for
+// its reply: on either kind of stream the call fails and stop returns.
+func TestAgentStopFailsCallInFlight(t *testing.T) {
+	for _, k := range agentKinds {
+		t.Run(k.name, func(t *testing.T) {
+			a, stop := k.open(t, agentTestSwitch(t, 1))
+			sent := make(chan struct{})
+			a.conn = stallConn{Conn: a.conn, sent: sent}
+			called := make(chan error, 1)
+			go func() { called <- a.SetSession(1, 1) }()
+			<-sent
+			stopped := make(chan error, 1)
+			go func() { stopped <- stop() }()
+			select {
+			case err := <-called:
+				if err == nil {
+					t.Fatal("a call in flight across stop succeeded")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("a call in flight is still blocked after stop")
+			}
+			select {
+			case err := <-stopped:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("stop hung with a call in flight")
+			}
+		})
+	}
+}
+
+// BenchmarkAgentRoundTrip prices one controller→agent round trip on each
+// kind of stream: a one-key InstallKeys, the call Insert makes once per
+// chain hop. Each iteration also removes the key on the switch directly
+// (no round trip) so the next can install it again.
+func BenchmarkAgentRoundTrip(b *testing.B) {
+	for _, k := range agentKinds {
+		b.Run(k.name, func(b *testing.B) {
+			sw := agentTestSwitch(b, 1)
+			a, _ := k.open(b, sw)
+			keys := []kv.Key{kv.KeyFromString("bench")}
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := a.InstallKeys(keys); err != nil {
+					b.Fatal(err)
+				}
+				if err := sw.RemoveKeys(keys); err != nil {
+					b.Fatal(err)
 				}
 			}
-		}()
-	}
-	if err := stop(); err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < callers; c++ {
-		select {
-		case <-failed:
-		case <-time.After(5 * time.Second):
-			t.Fatal("a caller is still blocked after the agent stopped")
-		}
+		})
 	}
 }

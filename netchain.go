@@ -7,9 +7,10 @@
 // Two substrates run the same protocol code:
 //
 //   - a real deployment: switch dataplanes behind UDP sockets, a
-//     controller driving per-switch agents over a framed binary TCP
-//     channel (one batch verb per round trip), clients with timeout-based
-//     retries — see StartLocalCluster;
+//     controller driving per-switch agents over a framed binary stream
+//     channel (one batch verb per round trip; TCP between processes, a
+//     socketpair within one), clients with timeout-based retries — see
+//     StartLocalCluster;
 //   - a deterministic discrete-event simulation of the paper's testbed
 //     (four switches, four servers) used by the evaluation harness — see
 //     NewSimCluster and the bench suite, which regenerates every table
@@ -54,8 +55,9 @@ type ClusterConfig = localcluster.Config
 
 // Cluster is a real NetChain deployment on loopback: every switch is a
 // dataplane goroutine behind its own UDP socket, and the controller drives
-// them through wire agents over loopback TCP exactly as a multi-process
-// deployment would. The lifecycle verbs (FailSwitch, Recover, AddSwitch,
+// them through wire agents with the framed verbs a multi-process
+// deployment sends over TCP, carried by an in-process AF_UNIX socketpair
+// per switch. The lifecycle verbs (FailSwitch, Recover, AddSwitch,
 // RemoveSwitch, RestartRelay, Close) and accessors come from the embedded
 // deployment, the same one the real-wire chaos harness boots.
 type Cluster struct {

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"netchain/internal/packet"
 )
 
 func TestLocalClusterLifecycle(t *testing.T) {
@@ -137,6 +139,8 @@ func TestLocalClusterRejectsBadSwitchIndex(t *testing.T) {
 		{"Recover(0, 9)", func() error { return cl.Recover(0, 9) }},
 		{"Recover(9, 3)", func() error { return cl.Recover(9, 3) }},
 		{"RemoveSwitch(-1)", func() error { return cl.RemoveSwitch(-1) }},
+		{"SwitchAddr(4)", func() error { _, err := cl.SwitchAddr(4); return err }},
+		{"SwitchAddr(-1)", func() error { _, err := cl.SwitchAddr(-1); return err }},
 	}
 	for _, c := range cases {
 		if err := c.call(); err == nil || !strings.Contains(err.Error(), "out of range") {
@@ -326,9 +330,17 @@ func TestLocalClusterPromotedHeadStampsFreshSession(t *testing.T) {
 	if _, err := c.Write(k, Value("v0")); err != nil {
 		t.Fatal(err)
 	}
+	switchAddr := func(i int) packet.Addr {
+		t.Helper()
+		a, err := cl.SwitchAddr(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
 	head := -1
 	for i := 0; i < 3; i++ {
-		if cl.SwitchAddr(i) == cl.Controller().Route(k).Hops[0] {
+		if switchAddr(i) == cl.Controller().Route(k).Hops[0] {
 			head = i
 		}
 	}
@@ -343,8 +355,8 @@ func TestLocalClusterPromotedHeadStampsFreshSession(t *testing.T) {
 	if err := cl.Recover(head, 3); err != nil {
 		t.Fatal(err)
 	}
-	if got := cl.Controller().Route(k).Hops[0]; got != cl.SwitchAddr(3) {
-		t.Fatalf("head after recovery = %v, want the replacement %v", got, cl.SwitchAddr(3))
+	if got, want := cl.Controller().Route(k).Hops[0], switchAddr(3); got != want {
+		t.Fatalf("head after recovery = %v, want the replacement %v", got, want)
 	}
 
 	stop := make(chan struct{})

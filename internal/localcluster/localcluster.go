@@ -450,11 +450,16 @@ func (c *Cluster) RemoveSwitch(i int) error {
 // NewClient attaches a client socket through the given switch (its "ToR")
 // whose calls route through the controller. Client addresses are
 // 10.1.0.1–10.1.0.255 in attach order and never reused, so a cluster hands
-// out at most 255 of them. The caller closes the returned Ops.Client.
+// out at most 255 of them. A gateway FailSwitch or RemoveSwitch took down
+// is refused: every query through it would be lost. The caller closes the
+// returned Ops.Client.
 func (c *Cluster) NewClient(gateway int) (*transport.Ops, error) {
 	gw, err := c.node(gateway)
 	if err != nil {
 		return nil, err
+	}
+	if gw.Closed() {
+		return nil, fmt.Errorf("netchain: switch %d (%v) is down", gateway, gw.Switch().Addr())
 	}
 	c.mu.Lock()
 	if c.nextCl == 255 {

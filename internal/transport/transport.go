@@ -392,6 +392,13 @@ func (n *SwitchNode) Close() error {
 	return err
 }
 
+// Closed reports whether Close has run: the node is fail-stopped.
+func (n *SwitchNode) Closed() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.closed
+}
+
 // Stats returns a snapshot of the node's transport counters.
 func (n *SwitchNode) Stats() NodeStats {
 	return NodeStats{

@@ -12,9 +12,10 @@
 //     socketpair within one), clients with timeout-based retries — see
 //     StartLocalCluster;
 //   - a deterministic discrete-event simulation of the paper's testbed
-//     (four switches, four servers) used by the evaluation harness — see
-//     NewSimCluster and the bench suite, which regenerates every table
-//     and figure of the paper (EXPERIMENTS.md).
+//     (four switches, four servers) or a multi-tier fabric — see
+//     NewSimCluster. Its shared verbs take Cluster's shapes. The figure
+//     reproductions (EXPERIMENTS.md) run on the same simulator through
+//     internal/experiments, not through this package.
 package netchain
 
 import (
@@ -87,9 +88,9 @@ type Client struct {
 	cluster *Cluster
 }
 
-// NewClient attaches a client through the given switch (its "ToR"). Client
-// addresses are 10.1.0.1–10.1.0.255 and never reused, so a cluster hands
-// out at most 255 of them.
+// NewClient attaches a client through the given live switch (its "ToR").
+// Client addresses are 10.1.0.1–10.1.0.255 and never reused, so a cluster
+// hands out at most 255 of them.
 func (c *Cluster) NewClient(gateway int) (*Client, error) {
 	ops, err := c.Cluster.NewClient(gateway)
 	if err != nil {

@@ -11,140 +11,44 @@ import (
 	"netchain/internal/packet"
 )
 
-func TestLocalClusterLifecycle(t *testing.T) {
-	cl, err := StartLocalCluster(ClusterConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	c, err := cl.NewClient(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	k := KeyFromString("app/config")
-	if err := cl.Insert(k); err != nil {
-		t.Fatal(err)
-	}
-	ver, err := c.Write(k, Value(`{"timeout": 30}`))
-	if err != nil || ver.Seq != 1 {
-		t.Fatalf("write: %v %v", ver, err)
-	}
-	v, rv, err := c.Read(k)
-	if err != nil || string(v) != `{"timeout": 30}` || rv != ver {
-		t.Fatalf("read: %q %v %v", v, rv, err)
-	}
-	if err := c.Delete(k); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Read(k); err != ErrNotFound {
-		t.Fatalf("read after delete: %v", err)
-	}
-	if err := cl.GC(k); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLocalClusterLocksAndCAS(t *testing.T) {
-	cl, err := StartLocalCluster(ClusterConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	c, _ := cl.NewClient(0)
-	defer c.Close()
-
-	lk := KeyFromString("lock/api")
-	cl.Insert(lk)
-	if ok, err := c.Acquire(lk, 7); err != nil || !ok {
-		t.Fatalf("acquire: %v %v", ok, err)
-	}
-	if ok, _ := c.Acquire(lk, 8); ok {
-		t.Fatal("contender acquired a held lock")
-	}
-	swapped, stored, err := c.CAS(lk, 999, LockValue(1, nil))
-	if err != nil || swapped {
-		t.Fatalf("CAS with wrong expect must fail: %v %v", swapped, err)
-	}
-	if LockOwner(stored) != 7 {
-		t.Fatalf("stored owner = %d, want 7", LockOwner(stored))
-	}
-	if ok, _ := c.Release(lk, 7); !ok {
-		t.Fatal("owner release failed")
-	}
-}
-
-func TestLocalClusterFailoverRecovery(t *testing.T) {
-	cl, err := StartLocalCluster(ClusterConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	c, _ := cl.NewClient(0)
-	defer c.Close()
-
-	keys := make([]Key, 6)
-	for i := range keys {
-		keys[i] = KeyFromUint64(uint64(i))
-		if err := cl.Insert(keys[i]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Write(keys[i], Value(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cl.FailSwitch(1); err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		v, _, err := c.Read(k)
-		if err != nil || string(v) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("read %d after failover: %q %v", i, v, err)
-		}
-	}
-	if err := cl.Recover(1, 3); err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		if _, err := c.Write(k, Value(fmt.Sprintf("w%d", i))); err != nil {
-			t.Fatalf("write %d after recovery: %v", i, err)
-		}
-	}
-}
-
 func TestLocalClusterValidation(t *testing.T) {
 	if _, err := StartLocalCluster(ClusterConfig{Switches: 2, Replicas: 3}); err == nil {
 		t.Fatal("too few switches must be rejected")
 	}
 }
 
-// TestLocalClusterRejectsBadSwitchIndex: every verb that takes a switch
-// index answers one the cluster never booted with an error, as SimCluster
-// does, instead of panicking — and a rejected NewClient spends no client
-// address.
+// TestLocalClusterRejectsBadSwitchIndex: NewClient refuses a gateway the
+// cluster never booted and one FailSwitch or RemoveSwitch took down (a
+// client attached there used to burn its whole retry budget on the first
+// call), and a rejected attach spends no client address. TestContract
+// checks the other verbs' bad-index errors on both substrates.
 func TestLocalClusterRejectsBadSwitchIndex(t *testing.T) {
 	cl, err := StartLocalCluster(ClusterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cases := []struct {
-		name string
-		call func() error
-	}{
-		{"NewClient(9)", func() error { _, err := cl.NewClient(9); return err }},
-		{"NewClient(-1)", func() error { _, err := cl.NewClient(-1); return err }},
-		{"FailSwitch(9)", func() error { return cl.FailSwitch(9) }},
-		{"Recover(0, 9)", func() error { return cl.Recover(0, 9) }},
-		{"Recover(9, 3)", func() error { return cl.Recover(9, 3) }},
-		{"RemoveSwitch(-1)", func() error { return cl.RemoveSwitch(-1) }},
-		{"SwitchAddr(4)", func() error { _, err := cl.SwitchAddr(4); return err }},
-		{"SwitchAddr(-1)", func() error { _, err := cl.SwitchAddr(-1); return err }},
+	added, err := cl.AddSwitch()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		if err := c.call(); err == nil || !strings.Contains(err.Error(), "out of range") {
-			t.Errorf("%s = %v, want an out-of-range error", c.name, err)
+	if err := cl.RemoveSwitch(added); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.FailSwitch(1); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		gateway int
+		want    string
+	}{
+		{9, "switch 9 out of range"},
+		{-1, "switch -1 out of range"},
+		{1, "switch 1 (10.0.0.2) is down"},
+		{added, "switch 4 (10.0.0.5) is down"},
+	} {
+		if _, err := cl.NewClient(c.gateway); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("NewClient(%d) = %v, want %q", c.gateway, err, c.want)
 		}
 	}
 	c, err := cl.NewClient(0)
@@ -218,88 +122,6 @@ func TestLocalClusterDuplicateInsertOnFullSwitch(t *testing.T) {
 	}
 	if err := cl.Insert(key(slots)); err == nil || !strings.Contains(err.Error(), "no free slot") {
 		t.Fatalf("Insert of a new key on a full cluster = %v, want \"no free slot\"", err)
-	}
-}
-
-func TestSimClusterQuickPath(t *testing.T) {
-	s, err := NewSimCluster(SimConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := s.NewClient(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.NewClient(99); err == nil {
-		t.Fatal("bad host index must be rejected")
-	}
-
-	k := KeyFromString("sim/key")
-	if err := s.Insert(k); err != nil {
-		t.Fatal(err)
-	}
-	ver, err := c.Write(k, Value("hello"))
-	if err != nil || ver.Seq != 1 {
-		t.Fatalf("write: %v %v", ver, err)
-	}
-	v, _, err := c.Read(k)
-	if err != nil || string(v) != "hello" {
-		t.Fatalf("read: %q %v", v, err)
-	}
-	if err := c.Delete(k); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.Read(k); err != ErrNotFound {
-		t.Fatalf("read after delete: %v", err)
-	}
-	if got := c.LatencySummary(); !strings.Contains(got, "n=") {
-		t.Fatalf("latency summary: %q", got)
-	}
-}
-
-func TestSimClusterFailureLifecycle(t *testing.T) {
-	s, err := NewSimCluster(SimConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, _ := s.NewClient(0)
-	k := KeyFromString("sim/ha")
-	s.Insert(k)
-	if _, err := c.Write(k, Value("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.FailSwitch(1, 5*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if v, _, err := c.Read(k); err != nil || string(v) != "v1" {
-		t.Fatalf("read after failover: %q %v", v, err)
-	}
-	if err := s.Recover(1, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Write(k, Value("v2")); err != nil {
-		t.Fatal(err)
-	}
-	if v, _, err := c.Read(k); err != nil || string(v) != "v2" {
-		t.Fatalf("read after recovery: %q %v", v, err)
-	}
-	if s.Now() == 0 {
-		t.Fatal("simulated clock did not advance")
-	}
-}
-
-func TestSimClusterCAS(t *testing.T) {
-	s, _ := NewSimCluster(SimConfig{})
-	c, _ := s.NewClient(0)
-	lk := KeyFromString("sim/lock")
-	s.Insert(lk)
-	ok, _, err := c.CAS(lk, 0, LockValue(5, nil))
-	if err != nil || !ok {
-		t.Fatalf("CAS acquire: %v %v", ok, err)
-	}
-	ok, stored, err := c.CAS(lk, 0, LockValue(6, nil))
-	if err != nil || ok || LockOwner(stored) != 5 {
-		t.Fatalf("CAS steal: ok=%v stored=%d err=%v", ok, LockOwner(stored), err)
 	}
 }
 

@@ -46,9 +46,9 @@ func (c *SimConfig) defaults() {
 	}
 }
 
-// SimCluster is a deterministic simulation of the configured fabric: same
-// dataplane code as the real cluster, driven by a discrete-event engine — the
-// substrate behind every figure reproduction.
+// SimCluster is a deterministic simulation of the configured fabric: the
+// real cluster's dataplane and controller code driven by a discrete-event
+// engine. The verbs it shares with Cluster take Cluster's shapes.
 type SimCluster struct {
 	d  *experiments.Deployment
 	ap *experiments.AutopilotHarness
@@ -92,63 +92,58 @@ func (s *SimCluster) Now() time.Duration { return time.Duration(s.d.Sim.Now()) }
 // RunFor advances simulated time.
 func (s *SimCluster) RunFor(d time.Duration) { s.d.Sim.RunFor(event.Duration(d)) }
 
-// runUntil steps the simulator until stop() reports true — used instead
-// of Sim.Run() by every blocking verb, because with the autopilot enabled
-// the heartbeat/probe/reconcile loops keep the event queue populated
-// forever and a full drain would never return.
-func (s *SimCluster) runUntil(stop func() bool) {
-	for !stop() && s.d.Sim.Step() {
+// await starts a controller operation and steps the simulator until the
+// operation calls back on done — instead of Sim.Run(), because with the
+// autopilot enabled the heartbeat/probe/reconcile loops keep the event
+// queue populated forever and a full drain would never return. Every
+// blocking verb goes through it.
+func (s *SimCluster) await(what string, start func(done func()) error) error {
+	finished := false
+	if err := start(func() { finished = true }); err != nil {
+		return err
 	}
+	for !finished && s.d.Sim.Step() {
+	}
+	if !finished {
+		return fmt.Errorf("netchain: simulated %s did not finish", what)
+	}
+	return nil
 }
 
-// FailSwitch fail-stops switch i and triggers failover after detectLag.
-func (s *SimCluster) FailSwitch(i int, detectLag time.Duration) error {
-	addr, err := s.switchAddr(i)
+// FailSwitch fail-stops switch i and hands the failure to the controller
+// at once; it returns when fast failover has rewired the neighbors.
+func (s *SimCluster) FailSwitch(i int) error {
+	addr, err := s.SwitchAddr(i)
 	if err != nil {
 		return err
 	}
 	if err := s.d.Net.FailSwitch(addr); err != nil {
 		return err
 	}
-	var ferr error
-	done := false
-	s.d.Sim.After(event.Duration(detectLag), func() {
-		ferr = s.d.Ctl.HandleFailure(addr, func() { done = true })
-		if ferr != nil {
-			done = true
-		}
-	})
-	s.runUntil(func() bool { return done })
-	return ferr
+	return s.await("failover", func(done func()) error { return s.d.Ctl.HandleFailure(addr, done) })
 }
 
 // Recover restores switch i's chains onto the spare switch j.
 func (s *SimCluster) Recover(i, spare int) error {
-	failed, err := s.switchAddr(i)
+	failed, err := s.SwitchAddr(i)
 	if err != nil {
 		return err
 	}
-	pool, err := s.switchAddr(spare)
+	pool, err := s.SwitchAddr(spare)
 	if err != nil {
 		return err
 	}
-	done := false
-	if err := s.d.Ctl.Recover(failed,
-		[]packet.Addr{pool}, func() { done = true }); err != nil {
-		return err
-	}
-	s.runUntil(func() bool { return done })
-	if !done {
-		return fmt.Errorf("netchain: simulated recovery did not finish")
-	}
-	return nil
+	return s.await("recovery", func(done func()) error {
+		return s.d.Ctl.Recover(failed, []packet.Addr{pool}, done)
+	})
 }
 
-// switchAddr resolves a switch index in build order: on the ring 0..3 are
-// S0..S3 and higher indexes are switches attached later; on a fabric the
-// top tier (spines/cores) comes first, then per pod aggregation and edge
-// switches.
-func (s *SimCluster) switchAddr(i int) (packet.Addr, error) {
+// SwitchAddr resolves switch index i to its fabric address — the handle
+// nemesis schedules and route pins are built from. Indexes follow build
+// order: on the ring 0..3 are S0..S3 and higher indexes are switches
+// AddSwitch cabled in later; on a fabric the top tier (spines/cores) comes
+// first, then per pod aggregation and edge switches.
+func (s *SimCluster) SwitchAddr(i int) (packet.Addr, error) {
 	sws := s.d.Fab.Switches
 	if i < 0 || i >= len(sws) {
 		return 0, fmt.Errorf("netchain: switch %d out of range", i)
@@ -156,43 +151,28 @@ func (s *SimCluster) switchAddr(i int) (packet.Addr, error) {
 	return sws[i], nil
 }
 
-// AddSwitch live-migrates the cluster onto a layout that includes switch i
-// (e.g. the spare S3): the switch joins the ring with its own virtual
-// groups, state is copied over group by group, and routes flip atomically —
-// reads keep serving throughout. It returns when the migration completes.
-func (s *SimCluster) AddSwitch(i int) error {
-	addr, err := s.switchAddr(i)
-	if err != nil {
-		return err
-	}
-	if s.ap != nil {
-		// Re-admit a switch RemoveSwitch retired, as the wire's add-switch
-		// path does.
-		s.ap.Watch(addr)
-	}
-	done := false
-	if _, err := s.d.Ctl.AddSwitch(addr, func() { done = true }); err != nil {
-		return err
-	}
-	s.runUntil(func() bool { return done })
-	if !done {
-		return fmt.Errorf("netchain: simulated scale-out did not finish")
-	}
-	return nil
-}
-
-// AttachSwitch cables a brand-new switch into the ring (linked to S0 and
-// S2 like the spare) and returns its index for AddSwitch; with the
-// autopilot on it starts beating at once. Fabrics size their switch
-// population from the topology spec and hold spare leaves instead —
-// attaching ad-hoc switches is a ring verb.
-func (s *SimCluster) AttachSwitch() (int, error) {
+// AddSwitch cables a brand-new switch into the ring (linked to S0 and S2
+// like the spare) and live-migrates the cluster onto a layout that
+// includes it: the switch joins with its own virtual groups, state is
+// copied over group by group, and routes flip atomically — reads keep
+// serving throughout. With the autopilot on, the new switch beacons and is
+// watched from the start. It returns the new switch's index once the
+// migration completes. Fabrics size their switch population from the
+// topology spec and hold spare leaves instead, so AddSwitch errors there.
+func (s *SimCluster) AddSwitch() (int, error) {
 	addr, err := s.d.Fab.AttachSwitch()
 	if err != nil {
 		return 0, err
 	}
 	if s.ap != nil {
 		s.ap.StartBeacon(addr)
+		s.ap.Watch(addr)
+	}
+	if err := s.await("scale-out", func(done func()) error {
+		_, err := s.d.Ctl.AddSwitch(addr, done)
+		return err
+	}); err != nil {
+		return 0, err
 	}
 	return len(s.d.Fab.Switches) - 1, nil
 }
@@ -202,17 +182,15 @@ func (s *SimCluster) AttachSwitch() (int, error) {
 // routes flip), and the switch ends up empty. It returns when the drain
 // completes; the switch stays cabled but carries no state.
 func (s *SimCluster) RemoveSwitch(i int) error {
-	addr, err := s.switchAddr(i)
+	addr, err := s.SwitchAddr(i)
 	if err != nil {
 		return err
 	}
-	done := false
-	if _, err := s.d.Ctl.RemoveSwitch(addr, func() { done = true }); err != nil {
+	if err := s.await("scale-in", func(done func()) error {
+		_, err := s.d.Ctl.RemoveSwitch(addr, done)
 		return err
-	}
-	s.runUntil(func() bool { return done })
-	if !done {
-		return fmt.Errorf("netchain: simulated scale-in did not finish")
+	}); err != nil {
+		return err
 	}
 	if s.ap != nil {
 		// Retirement, not failure: stop watching the drained switch so
@@ -222,10 +200,14 @@ func (s *SimCluster) RemoveSwitch(i int) error {
 	return nil
 }
 
-// SwitchAddress resolves switch index i (see switchAddr for the order) to
-// its fabric address — the handle nemesis schedules and route pins are
-// built from.
-func (s *SimCluster) SwitchAddress(i int) (packet.Addr, error) { return s.switchAddr(i) }
+// Close stops the autopilot's heartbeat, probe and reconcile loops, if
+// EnableAutopilot started them; the simulator itself holds no resources.
+func (s *SimCluster) Close() error {
+	if s.ap != nil {
+		s.ap.Stop()
+	}
+	return nil
+}
 
 // HostAddress resolves host index h to its network address, in leaf-major
 // order (ring: H0,H1 on S0, then H2,H3 on S2).
@@ -259,10 +241,10 @@ func (s *SimCluster) EnableAutopilot() error {
 
 // KillSwitch fail-stops switch i WITHOUT notifying the control plane —
 // detection is the autopilot's job (compare FailSwitch, which hands the
-// failure to the controller after an explicit detection lag). Advance
+// failure to the controller at once). Advance
 // simulated time with RunFor and watch RepairHistory.
 func (s *SimCluster) KillSwitch(i int) error {
-	addr, err := s.switchAddr(i)
+	addr, err := s.SwitchAddr(i)
 	if err != nil {
 		return err
 	}
@@ -337,7 +319,7 @@ func (s *SimCluster) NewClient(h int) (*SimClient, error) {
 }
 
 // do issues one call and steps the simulator until the reply (or timeout)
-// resolves it, rather than draining the simulator (see runUntil). The
+// resolves it, rather than draining the simulator (see await). The
 // client's one retry-scan event may outlive the call; it finds nothing
 // pending during a later call or RunFor and does not reschedule itself.
 // The result is read exactly as the wire client's Ops reads it.
@@ -345,7 +327,8 @@ func (sc *SimClient) do(call query.Call) (query.Outcome, error) {
 	var res simclient.Result
 	got := false
 	sc.c.Do(call, func(r simclient.Result) { res = r; got = true })
-	sc.s.runUntil(func() bool { return got })
+	for !got && sc.s.d.Sim.Step() {
+	}
 	if !got {
 		return query.Outcome{}, ErrTimeout
 	}
@@ -376,6 +359,19 @@ func (sc *SimClient) CAS(k Key, expect uint64, newValue Value) (bool, Value, err
 	return out.Swapped, out.Value, err
 }
 
-// Latency returns the observed query latency distribution summary — with
+// Acquire takes an exclusive lock for owner; ok reports success, and a
+// retry that finds the lock already ours counts as success.
+func (sc *SimClient) Acquire(lock Key, owner uint64) (bool, error) {
+	out, err := sc.do(query.Acquire(lock, owner))
+	return out.Landed, err
+}
+
+// Release returns the lock held by owner.
+func (sc *SimClient) Release(lock Key, owner uint64) (bool, error) {
+	out, err := sc.do(query.Release(lock, owner))
+	return out.Landed, err
+}
+
+// LatencySummary returns the observed query latency distribution summary — with
 // the paper's constants this sits at ~9.7 µs end to end (§8.2).
 func (sc *SimClient) LatencySummary() string { return sc.c.Latency.Summary() }

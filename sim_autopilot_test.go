@@ -79,11 +79,7 @@ func TestSimClusterSelfHeals(t *testing.T) {
 	// autopilot's background loops keeping the event queue busy — the
 	// blocking verbs must step to their own completion, not drain the
 	// simulator.
-	idx, err := c.AttachSwitch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddSwitch(idx); err != nil {
+	if _, err := c.AddSwitch(); err != nil {
 		t.Fatalf("scale-out with autopilot running: %v", err)
 	}
 	if v, _, err := cl.Read(key); err != nil || len(v) != 1 || v[0] != 2 {
@@ -93,7 +89,7 @@ func TestSimClusterSelfHeals(t *testing.T) {
 
 // healthOf returns sw's health row, if the detector tracks it.
 func healthOf(c *SimCluster, sw int) (health.SwitchHealth, bool) {
-	addr, _ := c.SwitchAddress(sw)
+	addr, _ := c.SwitchAddr(sw)
 	for _, h := range c.HealthSnapshot() {
 		if h.Addr == addr {
 			return h, true
@@ -104,7 +100,7 @@ func healthOf(c *SimCluster, sw int) (health.SwitchHealth, bool) {
 
 // failedOver reports whether the autopilot has failed switch sw over.
 func failedOver(c *SimCluster, sw int) bool {
-	addr, _ := c.SwitchAddress(sw)
+	addr, _ := c.SwitchAddr(sw)
 	for _, ev := range c.RepairHistory() {
 		if ev.Action == controller.ActionFailover && ev.Switch == addr {
 			return true
@@ -124,11 +120,8 @@ func TestSimAutopilotBeatsAttachedSwitch(t *testing.T) {
 	if err := c.EnableAutopilot(); err != nil {
 		t.Fatal(err)
 	}
-	idx, err := c.AttachSwitch()
+	idx, err := c.AddSwitch()
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddSwitch(idx); err != nil {
 		t.Fatal(err)
 	}
 	c.RunFor(20 * time.Millisecond)
@@ -142,34 +135,5 @@ func TestSimAutopilotBeatsAttachedSwitch(t *testing.T) {
 	c.RunFor(100 * time.Millisecond)
 	if !failedOver(c, idx) {
 		t.Fatalf("dead attached switch %d never failed over: %v", idx, c.RepairHistory())
-	}
-}
-
-// TestSimAutopilotReaddedSwitchWatched: a switch RemoveSwitch retired and
-// AddSwitch brought back is monitored again, so its death is repaired.
-func TestSimAutopilotReaddedSwitchWatched(t *testing.T) {
-	c, err := NewSimCluster(SimConfig{Scale: 1, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.EnableAutopilot(); err != nil {
-		t.Fatal(err)
-	}
-	const s3 = 3
-	for _, step := range []func(int) error{c.AddSwitch, c.RemoveSwitch, c.AddSwitch} {
-		if err := step(s3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.RunFor(20 * time.Millisecond)
-	if _, ok := healthOf(c, s3); !ok {
-		t.Fatalf("re-added S3 missing from the health snapshot: %v", c.HealthSnapshot())
-	}
-	if err := c.KillSwitch(s3); err != nil {
-		t.Fatal(err)
-	}
-	c.RunFor(100 * time.Millisecond)
-	if !failedOver(c, s3) {
-		t.Fatalf("dead re-added S3 never failed over: %v", c.RepairHistory())
 	}
 }

@@ -1,6 +1,7 @@
 package netchain
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -10,14 +11,15 @@ import (
 
 // TestSimClusterNemesis drives the public chaos surface: a nemesis
 // schedule registered through SimCluster keeps firing while clients
-// operate, the fault counters land in NetStats, and the cluster keeps
-// serving correct values through the adversity.
+// operate, the fault counters land in NetStats, the cluster keeps serving
+// correct values through the adversity, and the client's latency summary
+// counts every call.
 func TestSimClusterNemesis(t *testing.T) {
 	c, err := NewSimCluster(SimConfig{Scale: 1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail, err := c.SwitchAddress(2)
+	tail, err := c.SwitchAddr(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +52,9 @@ func TestSimClusterNemesis(t *testing.T) {
 		if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 			t.Fatalf("read %d = %v, want %v", i, got, want)
 		}
+	}
+	if got := cl.LatencySummary(); !strings.HasPrefix(got, "n=60 ") {
+		t.Fatalf("latency summary after 60 calls: %q", got)
 	}
 	if err := nm.Err(); err != nil {
 		t.Fatal(err)

@@ -73,8 +73,8 @@ func TestSimClusterFabricSelfHeals(t *testing.T) {
 
 	// Ad-hoc switch attachment is a testbed verb; fabrics must refuse it
 	// instead of wiring a switch the topology spec knows nothing about.
-	if _, err := c.AttachSwitch(); err == nil {
-		t.Fatal("AttachSwitch succeeded on a fabric")
+	if _, err := c.AddSwitch(); err == nil {
+		t.Fatal("AddSwitch succeeded on a fabric")
 	}
 }
 

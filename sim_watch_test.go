@@ -28,91 +28,6 @@ func drainWatch(ch <-chan WatchEvent, last map[Key]WatchEvent, regressions *int)
 	}
 }
 
-// TestSimPushWatchDelivers: the simulated push pipeline end to end —
-// commit hook at the tail, relay host sequencing, multicast fan-out into
-// the subscriber's mux sink — with zero resync reads in the steady state.
-func TestSimPushWatchDelivers(t *testing.T) {
-	c, err := NewSimCluster(SimConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wr, err := c.NewClient(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ob, err := c.NewClient(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	keys := []Key{KeyFromString("sim/a"), KeyFromString("sim/b")}
-	for _, k := range keys {
-		if err := c.Insert(k); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ch, err := ob.Watch(ctx, keys,
-		WithResyncInterval(time.Millisecond), WithAntiEntropy(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.RunFor(2 * time.Millisecond) // initial fetch resolves: keys absent, no events
-
-	last := map[Key]WatchEvent{}
-	regressions := 0
-	drainWatch(ch, last, &regressions)
-	if len(last) != 0 {
-		t.Fatalf("events before any write: %v", last)
-	}
-
-	if _, err := wr.Write(keys[0], Value("v1")); err != nil {
-		t.Fatal(err)
-	}
-	c.RunFor(time.Millisecond)
-	drainWatch(ch, last, &regressions)
-	ev, ok := last[keys[0]]
-	if !ok || ev.Type != WatchCreated || string(ev.Value) != "v1" {
-		t.Fatalf("after first write: %+v (delivered=%v)", ev, ok)
-	}
-
-	if _, err := wr.Write(keys[0], Value("v2")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wr.Write(keys[1], Value("w1")); err != nil {
-		t.Fatal(err)
-	}
-	c.RunFor(time.Millisecond)
-	drainWatch(ch, last, &regressions)
-	if ev := last[keys[0]]; ev.Type != WatchUpdated || string(ev.Value) != "v2" {
-		t.Fatalf("update event = %+v", ev)
-	}
-	if ev := last[keys[1]]; ev.Type != WatchCreated || string(ev.Value) != "w1" {
-		t.Fatalf("second key event = %+v", ev)
-	}
-
-	if err := wr.Delete(keys[0]); err != nil {
-		t.Fatal(err)
-	}
-	c.RunFor(time.Millisecond)
-	drainWatch(ch, last, &regressions)
-	if ev := last[keys[0]]; ev.Type != WatchDeleted {
-		t.Fatalf("delete event = %+v", ev)
-	}
-	if regressions != 0 {
-		t.Fatalf("%d version regressions", regressions)
-	}
-
-	// Cancel tears the stream down at the next timer firing.
-	cancel()
-	c.RunFor(5 * time.Millisecond)
-	if _, open := <-ch; open {
-		t.Fatal("channel still open after cancel")
-	}
-}
-
 // TestSimWatchCancelImmediate: cancelling before any traffic closes the
 // stream and leaves the simulator reusable.
 func TestSimWatchCancelImmediate(t *testing.T) {
@@ -206,7 +121,7 @@ func TestWatchConvergesUnderNemesis(t *testing.T) {
 				// The acceptance scenario: S1 fail-stops, failover runs,
 				// then its groups recover onto the spare S3 — the watch
 				// stream must ride across the session bump.
-				if err := c.FailSwitch(1, time.Millisecond); err != nil {
+				if err := c.FailSwitch(1); err != nil {
 					t.Fatal(err)
 				}
 				if err := c.Recover(1, 3); err != nil {

@@ -479,6 +479,59 @@ func BenchmarkLocalClusterInsert(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/insert")
 }
 
+// BenchmarkLocalClusterSeedWrites prices the seeding half of a workload
+// set-up: on a fresh four-switch loopback cluster with one ingest socket
+// per switch, 1 024 keys are inserted outside the timer, then one write
+// per key is timed, issued with WriteAsync through two clients with at
+// most 32 in flight. Each write crosses head → replica → tail, so the
+// number is the switch nodes' per-mutation hand-off and egress cost.
+func BenchmarkLocalClusterSeedWrites(b *testing.B) {
+	const keys, window = 1024, 32
+	val := Value("0123456789abcdef")
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cl, err := StartLocalCluster(ClusterConfig{Switches: 4, Replicas: 3, IngestSockets: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var clients [2]*Client
+		for c := range clients {
+			if clients[c], err = cl.NewClient(c); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for k := 0; k < keys; k++ {
+			if err := cl.Insert(KeyFromUint64(uint64(k))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		var fails atomic.Uint64
+		slots := make(chan struct{}, window)
+		b.StartTimer()
+		for k := 0; k < keys; k++ {
+			slots <- struct{}{}
+			clients[k%2].WriteAsync(KeyFromUint64(uint64(k)), val, func(_ Version, err error) {
+				if err != nil {
+					fails.Add(1)
+				}
+				<-slots
+			})
+		}
+		for j := 0; j < window; j++ {
+			slots <- struct{}{}
+		}
+		b.StopTimer()
+		for _, c := range clients {
+			c.Close()
+		}
+		cl.Close()
+		if n := fails.Load(); n > 0 {
+			b.Fatalf("%d of %d writes failed", n, keys)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*keys), "µs/write")
+}
+
 // BenchmarkZKKVWriteLatency: one quorum write through the real TCP
 // baseline ensemble on loopback — compare with BenchmarkRealUDPWriteLatency.
 func BenchmarkZKKVWriteLatency(b *testing.B) {

@@ -43,8 +43,7 @@ func main() {
 	udpBind := flag.String("udp", "127.0.0.1:0", "UDP bind address for the dataplane")
 	rpcBind := flag.String("rpc", "127.0.0.1:0", "TCP bind address for the control-plane agent")
 	slots := flag.Int("slots", 65536, "key slots per stage (the paper's Tofino profile uses 64K)")
-	workers := flag.Int("workers", 0, "dataplane ingest workers (0 = one per core, capped at 8)")
-	sockets := flag.Int("sockets", 0, "SO_REUSEPORT ingest sockets sharing the port (0 = one per core, capped at 4; Linux only)")
+	sockets := flag.Int("sockets", 0, "SO_REUSEPORT ingest sockets sharing the port, each handling the frames it reads (0 = one per core, capped at 4; Linux only)")
 	batch := flag.Int("batch", 0, "datagrams drained per ingest syscall (0 = 32)")
 	monitor := flag.String("monitor", "", "health monitor: virtual=host:port — the switch emits heartbeats there and routes probe replies to it")
 	heartbeat := flag.Duration("heartbeat", 100*time.Millisecond, "heartbeat cadence when -monitor is set")
@@ -87,7 +86,6 @@ func main() {
 	}
 
 	node, err := transport.NewSwitchNode(sw, book, *udpBind,
-		transport.WithIngestWorkers(*workers),
 		transport.WithIngestSockets(*sockets),
 		transport.WithRecvBatch(*batch))
 	if err != nil {

@@ -9,15 +9,17 @@ import (
 	"time"
 )
 
-// TestCrossSocketWritesKeepStampOrder pins why switch nodes funnel
-// mutations through a key-hashed worker pool instead of processing them on
-// the ingest goroutines: with several SO_REUSEPORT sockets per node, writes
-// to one key from different clients arrive on different goroutines, and
-// they must still reach the next chain hop in the order the head stamped
-// them. If they did not, the replica would apply the newer one, drop the
-// older as stale, and its client would sit out a retry timeout — so the
-// test demands that every write is acknowledged without a single retry and
-// that each key's sequence number counts exactly the writes made to it.
+// TestCrossSocketWritesKeepStampOrder pins the switch node's mutation
+// invariant: a mutation's output is queued before that of any mutation
+// stamped after it, and leaves in queue order. With several SO_REUSEPORT
+// sockets per node, writes to one key from different clients are handled
+// on different ingest goroutines; the node-wide mutation lock, held from
+// the stamp to the enqueue on the one shared mutation egress, is what
+// makes them reach the next chain hop in the order the head stamped them.
+// Without it, the replica applies the newer write, drops the older as
+// stale, and its client sits out a retry timeout — so the test demands
+// that every write is acknowledged without a single retry and that each
+// key's sequence number counts exactly the writes made to it.
 func TestCrossSocketWritesKeepStampOrder(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("needs SO_REUSEPORT ingest sockets")

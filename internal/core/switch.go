@@ -126,8 +126,9 @@ type Stats struct {
 // counterStripes spreads the hot counters across independent cache lines:
 // a contended fetch-add on one shared line would make every core's reads
 // convoy on counter ping-pong, re-serializing the path the seqlock just
-// freed. Stripes are picked from the frame pointer — pooled frames are
-// worker-affine, so concurrent workers land on different lines.
+// freed. Stripes are picked from the frame pointer — each transport ingest
+// goroutine decodes into its own frame, so concurrent goroutines land on
+// different lines.
 const counterStripes = 8
 
 // counterStripe is one cache-line-padded bundle of the dataplane
@@ -157,8 +158,8 @@ type counters struct {
 	stripes [counterStripes]counterStripe
 }
 
-// at picks the stripe for a frame. The pooled frame's address is stable
-// while a worker owns it, so each ingest worker effectively gets its own
+// at picks the stripe for a frame. A frame's address is stable while a
+// goroutine owns it, so each ingest goroutine effectively gets its own
 // counter line; single-goroutine callers always hit the same stripe.
 func (c *counters) at(f *packet.Frame) *counterStripe {
 	return &c.stripes[(uintptr(unsafe.Pointer(f))>>7)%counterStripes]
@@ -218,9 +219,9 @@ type groupShard struct {
 type ruleTable map[packet.Addr]map[int]Rule
 
 // Switch is one NetChain switch's dataplane state. Methods are safe for
-// concurrent use (the real UDP transport serves packets from a worker
-// pool; the simulator is single-threaded and pays only uncontended-atomic
-// costs).
+// concurrent use (the real UDP transport serves packets from one goroutine
+// per ingest socket; the simulator is single-threaded and pays only
+// uncontended-atomic costs).
 type Switch struct {
 	addr packet.Addr
 	pipe *swsim.Pipeline

@@ -55,7 +55,7 @@ type Config struct {
 	// starts empty — re-learn its subscribers quickly.
 	RelayLeaseTTL time.Duration
 	// Faults, when set, threads the wire nemesis through every datagram
-	// socket the cluster opens: switch ingest workers, the relay's ingest
+	// socket the cluster opens: switch ingest sockets, the relay's ingest
 	// and control sockets, client sockets and watch subscriptions. The
 	// controller's agent streams stay unwrapped: the simulator drives its
 	// switches through controller.LocalAgent, whose control channel

@@ -30,7 +30,7 @@ type Frame struct {
 
 	// Non-wire telemetry context a transport stamps at ingress so the hop
 	// record appended after processing can attribute queueing: receive
-	// timestamp, pending depth at arrival, and the worker shard. Zero on
+	// timestamp, pending depth at arrival, and the ingest socket. Zero on
 	// untraced frames and on substrates that don't stamp them.
 	TraceIngress int64
 	TraceQueue   uint16

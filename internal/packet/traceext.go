@@ -45,7 +45,7 @@ const (
 	// StageRead: the tail served a read from its register file.
 	StageRead
 	// StageIngest: a transport node's socket/dispatch layer handled the
-	// frame (queueing between ingress and the worker shard).
+	// frame (queueing between ingress and processing).
 	StageIngest
 	// StageRelay: the relay tier fanned the committed event out.
 	StageRelay
@@ -78,8 +78,8 @@ type TraceHop struct {
 	Stage     TraceStage
 	IngressNs int64
 	EgressNs  int64
-	Queue     uint16 // pending frames at the hop when this frame arrived
-	Shard     uint8  // worker shard that processed the frame
+	Queue     uint16 // the hop's receive backlog when this frame arrived
+	Shard     uint8  // ingest socket that handled the frame
 }
 
 func putTraceHop(b []byte, h *TraceHop) {

@@ -206,7 +206,7 @@ func (s *mmsgSender) WriteBatch(msgs []outFrame) error {
 // soReusePort is SO_REUSEPORT, absent from the stdlib syscall constants.
 const soReusePort = 0xf
 
-// reusePortSupported gates socket-per-worker ingest sharding.
+// reusePortSupported gates multi-socket ingest sharding.
 const reusePortSupported = true
 
 // listenReusePort binds a UDP socket with SO_REUSEPORT set before bind,

@@ -17,7 +17,7 @@ func newPlatformBatchReader(*net.UDPConn, *recvRing) batchReader { return nil }
 
 func newPlatformBatchSender(*net.UDPConn) batchSender { return nil }
 
-// reusePortSupported gates socket-per-worker ingest sharding.
+// reusePortSupported gates multi-socket ingest sharding.
 const reusePortSupported = false
 
 func listenReusePort(string) (*net.UDPConn, error) {

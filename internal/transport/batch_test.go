@@ -559,3 +559,127 @@ func TestLargestFrameFitsRecvSlot(t *testing.T) {
 	}
 	t.Logf("largest frame %d B, slot %d B", len(b), recvSlotBytes)
 }
+
+// recordingSender keeps a copy of every message WriteBatch was handed.
+type recordingSender struct {
+	msgs []recordedMsg
+}
+
+type recordedMsg struct {
+	ep   *net.UDPAddr
+	data []byte
+}
+
+func (m recordedMsg) String() string { return fmt.Sprintf("%v:%q", m.ep, m.data) }
+
+func (r *recordingSender) WriteBatch(msgs []outFrame) error {
+	for _, m := range msgs {
+		r.msgs = append(r.msgs, recordedMsg{ep: m.ep, data: append([]byte(nil), *m.buf...)})
+	}
+	return nil
+}
+
+// payload returns a pooled buffer of n bytes of fill, as egressBatch.add
+// takes them.
+func payload(fill byte, n int) outFrame {
+	buf := packet.GetBuf()
+	*buf = append((*buf)[:0], bytes.Repeat([]byte{fill}, n)...)
+	return outFrame{buf: buf}
+}
+
+// TestEgressCoalescesPerEndpoint: a frame joins the newest queued message
+// for its endpoint, not only the last message, so interleaved traffic to
+// three endpoints becomes three datagrams with each endpoint's frames in
+// the order they were added.
+func TestEgressCoalescesPerEndpoint(t *testing.T) {
+	a, b, c := &net.UDPAddr{Port: 1}, &net.UDPAddr{Port: 2}, &net.UDPAddr{Port: 3}
+	rec := &recordingSender{}
+	eg := newEgressBatch(rec)
+	for i, ep := range []*net.UDPAddr{a, b, a, c, b, a} {
+		o := payload(byte('0'+i), 8)
+		o.ep = ep
+		eg.add(o)
+	}
+	eg.flush()
+	want := []recordedMsg{
+		{a, []byte("000000002222222255555555")},
+		{b, []byte("1111111144444444")},
+		{c, []byte("33333333")},
+	}
+	if len(rec.msgs) != len(want) {
+		t.Fatalf("%d messages, want %d: %v", len(rec.msgs), len(want), rec.msgs)
+	}
+	for i, w := range want {
+		if got := rec.msgs[i]; got.ep != w.ep || !bytes.Equal(got.data, w.data) {
+			t.Errorf("message %d: %v %q, want %v %q", i, got.ep, got.data, w.ep, w.data)
+		}
+	}
+}
+
+// TestEgressFullMessageKeepsEndpointOrder: once an endpoint's newest
+// message cannot take a frame, the frame opens a new message after it —
+// even when an older message for the endpoint still has room, because
+// joining that one would send the frame ahead of frames queued before it.
+func TestEgressFullMessageKeepsEndpointOrder(t *testing.T) {
+	a, b := &net.UDPAddr{Port: 1}, &net.UDPAddr{Port: 2}
+	rec := &recordingSender{}
+	eg := newEgressBatch(rec)
+	add := func(ep *net.UDPAddr, fill byte, n int) {
+		o := payload(fill, n)
+		o.ep = ep
+		eg.add(o)
+	}
+	add(a, '1', 3000)
+	add(b, 'b', 10)
+	add(a, '2', 3500) // 6500 B: A's message is full, so a second one opens
+	add(a, '3', 1000) // fits A's first message, but must follow '2'
+	add(a, '4', 500)  // joins the newest A message
+	eg.flush()
+	var order []byte
+	var sizes []int
+	for _, m := range rec.msgs {
+		if m.ep != a {
+			continue
+		}
+		sizes = append(sizes, len(m.data))
+		for i, x := range m.data {
+			if i == 0 || x != m.data[i-1] {
+				order = append(order, x)
+			}
+		}
+	}
+	if string(order) != "1234" {
+		t.Fatalf("A's frames left as %q, want 1234 (sizes %v)", order, sizes)
+	}
+	if len(rec.msgs) != 4 || len(sizes) != 3 || sizes[0] != 3000 || sizes[1] != 3500 || sizes[2] != 1500 {
+		t.Fatalf("%d messages, A's sizes %v; want 4 messages, A's [3000 3500 1500]", len(rec.msgs), sizes)
+	}
+}
+
+// dropFill is a FaultPipe whose egress verdict drops every frame starting
+// with one byte value and passes the rest.
+type dropFill struct{ fill byte }
+
+func (d dropFill) Egress(buf []byte, _ *net.UDPAddr, _ func([]byte, *net.UDPAddr)) bool {
+	return len(buf) == 0 || buf[0] != d.fill
+}
+
+func (dropFill) Ingress([]byte) bool { return true }
+
+// TestEgressFaultJudgesFramesBeforeCoalescing: the fault verdict runs on
+// each frame as it is added, so dropping the middle one of three
+// interleaved frames leaves the other two to be coalesced and sent.
+func TestEgressFaultJudgesFramesBeforeCoalescing(t *testing.T) {
+	a := &net.UDPAddr{Port: 1}
+	rec := &recordingSender{}
+	eg := newEgressBatch(rec).withFault(dropFill{'x'}, nil)
+	for _, fill := range []byte{'1', 'x', '2'} {
+		o := payload(fill, 4)
+		o.ep = a
+		eg.add(o)
+	}
+	eg.flush()
+	if len(rec.msgs) != 1 || rec.msgs[0].ep != a || string(rec.msgs[0].data) != "11112222" {
+		t.Fatalf("sent %v, want one datagram \"11112222\" to A", rec.msgs)
+	}
+}

@@ -183,9 +183,10 @@ func (b *BatchConn) ReadBatch(fn func(datagram []byte)) (int, error) {
 }
 
 // Queue adds one serialized datagram payload bound for ep, taking
-// ownership of buf (obtain it with packet.GetBuf). Consecutive payloads
-// for the same ep pointer coalesce into one datagram up to the batch
-// cap; a full message ring flushes automatically.
+// ownership of buf (obtain it with packet.GetBuf). It joins the newest
+// queued datagram for the same ep pointer while that stays within the
+// batch cap, so payloads for one ep keep their order; a full message ring
+// flushes automatically.
 func (b *BatchConn) Queue(buf *[]byte, ep *net.UDPAddr) {
 	b.eg.add(outFrame{buf: buf, ep: ep})
 }
@@ -194,11 +195,14 @@ func (b *BatchConn) Queue(buf *[]byte, ep *net.UDPAddr) {
 func (b *BatchConn) Flush() { b.eg.flush() }
 
 // egressBatch accumulates serialized frames into datagrams and flushes
-// them with one WriteBatch per burst: consecutive frames bound for the
-// same endpoint fold into a single datagram (the receiver's DecodeBatch
-// separates them, DPDK-style burst batching) up to maxBatchBytes, and
-// distinct endpoints become separate messages of the same syscall. One
-// goroutine owns each egressBatch.
+// them with one WriteBatch per burst: a frame joins the newest queued
+// datagram bound for the same endpoint (the receiver's DecodeBatch
+// separates them, DPDK-style burst batching) up to maxBatchBytes, so
+// interleaved replies, forwards and events for a handful of endpoints
+// still share datagrams. Frames for one endpoint leave in the order they
+// were added; no receiver depends on the order across endpoints, which
+// become separate messages of the same syscall. One goroutine at a time
+// uses an egressBatch.
 type egressBatch struct {
 	snd   batchSender
 	msgs  []outFrame
@@ -218,13 +222,19 @@ func (e *egressBatch) add(o outFrame) {
 		packet.PutBuf(o.buf)
 		return
 	}
-	if k := len(e.msgs); k > 0 {
-		last := &e.msgs[k-1]
-		if last.ep == o.ep && len(*last.buf)+len(*o.buf) <= maxBatchBytes {
-			*last.buf = append(*last.buf, *o.buf...)
+	for i := len(e.msgs) - 1; i >= 0; i-- {
+		m := &e.msgs[i]
+		if m.ep != o.ep {
+			continue
+		}
+		// Only the newest message for ep may grow: appending to an older
+		// one would put this frame ahead of frames already queued after it.
+		if len(*m.buf)+len(*o.buf) <= maxBatchBytes {
+			*m.buf = append(*m.buf, *o.buf...)
 			packet.PutBuf(o.buf)
 			return
 		}
+		break
 	}
 	e.msgs = append(e.msgs, o)
 	if len(e.msgs) == cap(e.msgs) {

@@ -16,6 +16,12 @@ import (
 // ErrClosed is returned by client operations after Close.
 var ErrClosed = errors.New("transport: client closed")
 
+// switchQueueDepth sizes the client's send queue (sendCh), the only
+// user-space queue left on the wire path: deep enough to absorb a
+// pipelined window, shallow enough that a stalled send loop backpressures
+// Submit.
+const switchQueueDepth = 512
+
 // call is one logical request as the client registers it with the retry
 // core (query.Pending, which owns its QueryID, its attempts and its
 // deadline): how to build an attempt's frame, whom to tell, and whether the

@@ -12,9 +12,10 @@ import (
 	"netchain/internal/telemetry"
 )
 
-// singleNode boots one switch behind a multi-worker UDP node with a
-// direct (chainless) route to itself, plus a windowed client.
-func singleNode(t *testing.T, workers, window int, opts ...NodeOption) (*SwitchNode, *Ops) {
+// singleNode boots one switch behind a UDP node with the given number of
+// ingest sockets and a direct (chainless) route to itself, plus a
+// windowed client.
+func singleNode(t *testing.T, sockets, window int, opts ...NodeOption) (*SwitchNode, *Ops) {
 	t.Helper()
 	book := NewAddressBook()
 	addr := packet.AddrFrom4(10, 0, 0, 1)
@@ -22,13 +23,21 @@ func singleNode(t *testing.T, workers, window int, opts ...NodeOption) (*SwitchN
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := NewSwitchNode(sw, book, "127.0.0.1:0", append(opts, WithIngestWorkers(workers))...)
+	node, err := NewSwitchNode(sw, book, "127.0.0.1:0", append(opts, WithIngestSockets(sockets))...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { node.Close() })
-	cl, err := NewClient(book, ClientConfig{
-		Addr:    packet.AddrFrom4(10, 1, 0, 1),
+	return node, nodeClient(t, node, 1, window)
+}
+
+// nodeClient attaches one more windowed client, 10.1.0.host, to a
+// singleNode switch.
+func nodeClient(t *testing.T, node *SwitchNode, host byte, window int) *Ops {
+	t.Helper()
+	addr := node.sw.Addr()
+	cl, err := NewClient(node.book, ClientConfig{
+		Addr:    packet.AddrFrom4(10, 1, 0, host),
 		Gateway: addr,
 		Bind:    "127.0.0.1:0",
 		Window:  window,
@@ -38,19 +47,20 @@ func singleNode(t *testing.T, workers, window int, opts ...NodeOption) (*SwitchN
 	}
 	t.Cleanup(func() { cl.Close() })
 	rt := query.Route{Group: 0, Hops: []packet.Addr{addr}}
-	ops := &Ops{Client: cl, Dir: func(kv.Key) (query.Route, error) { return rt, nil }}
-	return node, ops
+	return &Ops{Client: cl, Dir: func(kv.Key) (query.Route, error) { return rt, nil }}
 }
 
-// TestIngestPoolPerKeyOrdering floods a multi-worker node with pipelined
-// writes to a handful of keys: because frames shard onto workers by key
-// hash, each key's final stored value must be the last write the client
-// issued for it, and versions must be dense (no write lost or reordered
-// into oblivion by the pool).
-func TestIngestPoolPerKeyOrdering(t *testing.T) {
-	node, ops := singleNode(t, 4, 32)
+// TestIngestPerKeyOrderingAcrossSockets floods a four-socket node with
+// pipelined writes to a handful of keys from two clients, whose flows the
+// kernel may hash onto different ingest sockets: every write is handled on
+// the goroutine that read it, under the node's mutation lock, so each
+// key's version must count exactly the writes made to it (none lost or
+// stamped twice) and every write must be acknowledged.
+func TestIngestPerKeyOrderingAcrossSockets(t *testing.T) {
+	node, first := singleNode(t, 4, 32)
+	clients := []*Ops{first, nodeClient(t, node, 2, 32)}
 	const keys = 8
-	const writesPerKey = 60
+	const writesPerKey = 60 // per client
 	for k := 0; k < keys; k++ {
 		key := kv.KeyFromString(fmt.Sprintf("ordered-%d", k))
 		if err := node.Switch().InstallKey(key); err != nil {
@@ -58,19 +68,27 @@ func TestIngestPoolPerKeyOrdering(t *testing.T) {
 		}
 	}
 	var wg sync.WaitGroup
-	errs := make(chan error, keys*writesPerKey)
-	for k := 0; k < keys; k++ {
-		key := kv.KeyFromString(fmt.Sprintf("ordered-%d", k))
-		for i := 1; i <= writesPerKey; i++ {
-			wg.Add(1)
-			val := kv.Value(fmt.Sprintf("v-%d-%d", k, i))
-			ops.WriteAsync(key, val, func(_ kv.Version, err error) {
-				if err != nil {
-					errs <- err
+	errs := make(chan error, len(clients)*keys*writesPerKey)
+	for c, ops := range clients {
+		wg.Add(1)
+		go func(c int, ops *Ops) {
+			defer wg.Done()
+			var inflight sync.WaitGroup
+			for k := 0; k < keys; k++ {
+				key := kv.KeyFromString(fmt.Sprintf("ordered-%d", k))
+				for i := 1; i <= writesPerKey; i++ {
+					inflight.Add(1)
+					val := kv.Value(fmt.Sprintf("v-%d-%d-%d", c, k, i))
+					ops.WriteAsync(key, val, func(_ kv.Version, err error) {
+						if err != nil {
+							errs <- err
+						}
+						inflight.Done()
+					})
 				}
-				wg.Done()
-			})
-		}
+			}
+			inflight.Wait()
+		}(c, ops)
 	}
 	wg.Wait()
 	close(errs)
@@ -79,16 +97,16 @@ func TestIngestPoolPerKeyOrdering(t *testing.T) {
 	}
 	for k := 0; k < keys; k++ {
 		key := kv.KeyFromString(fmt.Sprintf("ordered-%d", k))
-		val, ver, err := ops.Read(key)
+		val, ver, err := first.Read(key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The client pipelines writes to the same key, so the switch may
-		// stamp them in any arrival order — but exactly writesPerKey
-		// writes must have been applied, and the stored value must be the
+		// The clients pipeline writes to the same key, so the switch may
+		// stamp them in any arrival order — but exactly one version per
+		// write must have been applied, and the stored value must be the
 		// one stamped last.
-		if ver.Seq != writesPerKey {
-			t.Fatalf("key %d: final seq %d, want %d (lost or duplicated writes)", k, ver.Seq, writesPerKey)
+		if want := uint64(len(clients) * writesPerKey); ver.Seq != want {
+			t.Fatalf("key %d: final seq %d, want %d (lost or duplicated writes)", k, ver.Seq, want)
 		}
 		if len(val) == 0 {
 			t.Fatalf("key %d: empty final value", k)
@@ -96,9 +114,10 @@ func TestIngestPoolPerKeyOrdering(t *testing.T) {
 	}
 }
 
-// TestIngestPoolSingleWorkerCompat pins that workers=1 behaves exactly
-// like the historical single-goroutine node.
-func TestIngestPoolSingleWorkerCompat(t *testing.T) {
+// TestIngestSingleSocketSerialWrites pins the one-socket node (the
+// benchmark's configuration and the only one without SO_REUSEPORT):
+// blocking writes apply in issue order and the last one is what reads see.
+func TestIngestSingleSocketSerialWrites(t *testing.T) {
 	node, ops := singleNode(t, 1, 0)
 	key := kv.KeyFromString("solo")
 	if err := node.Switch().InstallKey(key); err != nil {

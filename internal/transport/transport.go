@@ -62,15 +62,10 @@ func (b *AddressBook) Get(a packet.Addr) (*net.UDPAddr, bool) {
 	return ep, ok
 }
 
-// switchQueueDepth sizes the inter-stage queues of a switch node: deep
-// enough to absorb pipelined client windows, shallow enough that a stalled
-// stage backpressures into the UDP socket buffer like a real switch queue.
-const switchQueueDepth = 512
-
-// maxBatchBytes caps how many back-to-back frames one datagram may carry
-// when a send stage coalesces its queue (burst batching, like the paper's
-// DPDK clients). Latency is unaffected: batches only form when frames are
-// already waiting behind one syscall.
+// maxBatchBytes caps how many frames one datagram may carry when an
+// egress batch coalesces the frames it queued for one endpoint (burst
+// batching, like the paper's DPDK clients). Latency is unaffected: batches
+// only form from frames one receive batch produced, flushed together.
 const maxBatchBytes = 4096
 
 // outFrame is one serialized frame (or a growing batch) awaiting the wire.
@@ -83,18 +78,11 @@ type outFrame struct {
 type NodeOption func(*nodeConfig)
 
 type nodeConfig struct {
-	workers   int
 	sockets   int
 	batch     int
 	portable  bool                                      // force the pre-batching reference path
 	newReader func(*net.UDPConn, *recvRing) batchReader // test seam: inject read errors
 	fault     FaultPipe                                 // wire nemesis hook (nil = healthy)
-}
-
-// WithIngestWorkers sets the size of the node's dataplane worker pool.
-// n < 1 selects the default (GOMAXPROCS, capped at 8).
-func WithIngestWorkers(n int) NodeOption {
-	return func(c *nodeConfig) { c.workers = n }
 }
 
 // WithIngestSockets sets how many SO_REUSEPORT sockets share the node's
@@ -126,22 +114,8 @@ func withReader(fn func(*net.UDPConn, *recvRing) batchReader) NodeOption {
 	return func(c *nodeConfig) { c.newReader = fn }
 }
 
-// defaultIngestWorkers sizes the pool for the machine: one worker per
-// schedulable core, capped — beyond a handful of workers the UDP socket
-// itself is the bottleneck.
-func defaultIngestWorkers() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // defaultIngestSockets sizes the ingest-socket shard count: ingest
-// goroutines also serve reads inline, so more sockets than cores just
+// goroutines serve every frame inline, so more sockets than cores just
 // adds scheduler churn.
 func defaultIngestSockets() int {
 	n := runtime.GOMAXPROCS(0)
@@ -155,7 +129,8 @@ func defaultIngestSockets() int {
 }
 
 // socketBufBytes is requested for the node's UDP socket in both
-// directions, absorbing multi-client bursts while the worker pool drains.
+// directions, absorbing multi-client bursts while the ingest goroutines
+// are busy with the batch before.
 const socketBufBytes = 4 << 20
 
 // warnRcvBufOnce rate-limits the clamped-receive-buffer warning: every
@@ -208,24 +183,32 @@ type NodeStats struct {
 // SwitchNode runs one NetChain switch dataplane behind real UDP sockets.
 // Ingest is sharded and batched: up to S SO_REUSEPORT sockets share the
 // node's port, each owned by a goroutine that drains whole datagram
-// batches per syscall (recvmmsg on Linux) into its own receive ring.
-// Reads, replies and transit frames are processed inline on the ingest
-// goroutine, zero-copy off the ring — the seqlock snapshot linearizes
-// reads regardless of arrival order — and their output leaves in one
-// batched send syscall per ingest wakeup. Mutating ops (write/delete/
-// CAS/sync) detach into pooled frames and shard onto W workers by key
-// hash: all writes for one key serialize through one worker, and because
-// the kernel pins each client flow to one ingest socket, per-client
-// per-key FIFO order is preserved exactly as the single-socket node
-// preserved it.
+// batches per syscall (recvmmsg on Linux) into its own receive ring and
+// handles every frame it decodes right there, zero-copy off the ring, in
+// one pass from the socket to the egress batch — as a switch pipeline
+// handles a packet, with no queue between the stamp and the wire.
+//
+// Reads, replies and transit frames take no lock: the seqlock snapshot
+// linearizes reads regardless of arrival order. Mutations (write/delete/
+// CAS/sync, whether this node stamps, applies or only forwards them) are
+// handled under one node-wide lock and emit into one shared egress batch,
+// so a mutation's output is queued before that of any mutation stamped
+// after it and leaves in queue order — the order chain replication needs
+// at the next hop, whichever sockets the writes arrived on.
 type SwitchNode struct {
 	sw    *core.Switch
 	book  *AddressBook
-	conn  *net.UDPConn   // primary socket (worker egress, heartbeats)
+	conn  *net.UDPConn   // primary socket (mutation egress, heartbeats)
 	conns []*net.UDPConn // every ingest socket, conns[0] == conn
 
-	in  []chan *packet.Frame // per-worker queues, sharded by key hash
-	out chan outFrame        // worker-serialized datagrams awaiting the wire
+	// mutMu is held across the handling of each mutation and across the
+	// flush of mutEg, the egress every mutation's output is queued on.
+	mutMu sync.Mutex
+	mutEg *egressBatch
+
+	// recvDepth[i] is how many datagrams socket i's latest receive batch
+	// drained: the backlog an ingest goroutine works through per wakeup.
+	recvDepth []atomic.Int32
 
 	readErrs     atomic.Uint64
 	decodeErrs   atomic.Uint64
@@ -236,22 +219,20 @@ type SwitchNode struct {
 	evtPublished atomic.Uint64
 	rcvBuf       int
 
-	// procHist samples handle() wall time (roughly 1/1024 inline frames,
-	// 1/256 worker mutations — each loop keeps its own non-atomic tick so
-	// the fast path pays nothing). Exported via the metrics registry as
-	// the node's per-hop processing percentiles.
+	// procHist samples handle() wall time (roughly 1/1024 frames, 1/256
+	// mutations — each ingest loop keeps its own non-atomic tick so the
+	// fast path pays nothing). Exported via the metrics registry as the
+	// node's per-hop processing percentiles.
 	procHist *stats.Histogram
 
 	evtSink atomic.Pointer[eventSink] // push-watch egress target (nil = off)
 	fault   FaultPipe                 // wire nemesis hook (nil = healthy)
 
-	mu       sync.Mutex
-	closed   bool
-	recvWG   sync.WaitGroup
-	workerWG sync.WaitGroup
-	sendDone chan struct{}
-	hbStop   chan struct{}
-	hbDone   chan struct{}
+	mu     sync.Mutex
+	closed bool
+	recvWG sync.WaitGroup
+	hbStop chan struct{}
+	hbDone chan struct{}
 }
 
 // NewSwitchNode binds the node's UDP socket(s) (pass "127.0.0.1:0" for
@@ -260,9 +241,6 @@ func NewSwitchNode(sw *core.Switch, book *AddressBook, bind string, opts ...Node
 	cfg := nodeConfig{}
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.workers < 1 {
-		cfg.workers = defaultIngestWorkers()
 	}
 	if cfg.sockets < 1 {
 		cfg.sockets = defaultIngestSockets()
@@ -315,50 +293,30 @@ func NewSwitchNode(sw *core.Switch, book *AddressBook, bind string, opts ...Node
 		conns = append(conns, conn)
 	}
 
+	newSender := newBatchSender
+	if cfg.portable {
+		newSender = func(c *net.UDPConn) batchSender { return &portableSender{conn: c} }
+	}
 	n := &SwitchNode{
 		sw: sw, book: book, conn: conns[0], conns: conns,
-		in:       make([]chan *packet.Frame, cfg.workers),
-		out:      make(chan outFrame, switchQueueDepth),
-		sendDone: make(chan struct{}),
-		fault:    cfg.fault,
-		procHist: stats.NewLatencyHistogram(),
+		mutEg:     newEgressBatch(newSender(conns[0])),
+		recvDepth: make([]atomic.Int32, len(conns)),
+		fault:     cfg.fault,
+		procHist:  stats.NewLatencyHistogram(),
+	}
+	if n.fault != nil {
+		n.mutEg.withFault(n.fault, rawSender(n.conn))
 	}
 	for _, c := range conns {
 		n.rcvBuf = configureSocket(c)
 	}
-	depth := switchQueueDepth / cfg.workers
-	if depth < 64 {
-		depth = 64
-	}
-	for i := range n.in {
-		n.in[i] = make(chan *packet.Frame, depth)
-	}
 	book.Set(sw.Addr(), n.conn.LocalAddr().(*net.UDPAddr))
-	n.workerWG.Add(cfg.workers)
-	for i := range n.in {
-		go n.processLoop(n.in[i])
-	}
 	n.recvWG.Add(len(conns))
-	for _, c := range conns {
+	for i, c := range conns {
 		ring := newRecvRing(cfg.batch)
-		var snd batchSender
-		if cfg.portable {
-			snd = &portableSender{conn: c}
-		} else {
-			snd = newBatchSender(c)
-		}
-		go n.ingestLoop(cfg.newReader(c, ring), ring, snd)
+		go n.ingestLoop(i, cfg.newReader(c, ring), ring, newSender(c))
 	}
-	go n.closeInWhenDrained()
-	go n.closeOutWhenDrained()
-	go n.sendLoop()
 	return n, nil
-}
-
-// keyShard hashes a key onto a worker queue: per-key FIFO order is
-// preserved because one key always lands on one worker.
-func keyShard(k kv.Key, workers int) int {
-	return int(k.Hash() % uint64(workers))
 }
 
 // Switch exposes the dataplane (local agent access in-process).
@@ -368,7 +326,7 @@ func (n *SwitchNode) Switch() *core.Switch { return n.sw }
 func (n *SwitchNode) Endpoint() *net.UDPAddr { return n.conn.LocalAddr().(*net.UDPAddr) }
 
 // Close stops the node (fail-stop: packets to it are lost, like a dead
-// switch). The pipeline drains stage by stage behind the dead socket.
+// switch) and returns once every ingest goroutine has exited.
 func (n *SwitchNode) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -388,7 +346,7 @@ func (n *SwitchNode) Close() error {
 			err = cerr
 		}
 	}
-	<-n.sendDone
+	n.recvWG.Wait()
 	return err
 }
 
@@ -474,7 +432,7 @@ func (n *SwitchNode) RegisterMetrics(reg *telemetry.Registry) {
 		telemetry.NodeDecodeErrors:     "datagrams containing undecodable bytes",
 		telemetry.NodeTruncatedBatches: "batched datagrams cut short by a corrupt frame",
 		telemetry.NodeRecvFrames:       "frames decoded off the wire",
-		telemetry.NodeQueueDepth:       "frames waiting in ingest worker queues",
+		telemetry.NodeQueueDepth:       "datagrams drained by each ingest socket's latest receive batch, summed",
 		telemetry.SwitchReads:          "read queries served here",
 		telemetry.SwitchProcessed:      "NetChain queries processed locally",
 		telemetry.SwitchTransits:       "frames forwarded without local processing",
@@ -506,12 +464,13 @@ func (n *SwitchNode) SetEventSink(addr packet.Addr, ep *net.UDPAddr) {
 	n.evtSink.Store(&eventSink{addr: addr, ep: ep})
 }
 
-// QueueDepth returns the number of frames waiting in the node's ingest
-// worker queues — the backlog signal heartbeat payloads carry.
+// QueueDepth returns the sum, over the node's ingest sockets, of the
+// datagrams each socket's latest receive batch drained — the backlog the
+// node works through per wakeup, and the signal heartbeat payloads carry.
 func (n *SwitchNode) QueueDepth() int {
 	depth := 0
-	for _, ch := range n.in {
-		depth += len(ch)
+	for i := range n.recvDepth {
+		depth += int(n.recvDepth[i].Load())
 	}
 	return depth
 }
@@ -594,30 +553,30 @@ func (n *SwitchNode) StartHeartbeats(monitor packet.Addr, every time.Duration) e
 	return nil
 }
 
-// ingestLoop owns one socket: it drains whole datagram batches per
+// ingestLoop owns ingest socket idx: it drains whole datagram batches per
 // syscall into its ring, decodes every frame batched inside each
-// datagram, and splits the work — mutating ops detach into pooled frames
-// and shard onto workers by key hash, while reads, replies and transit
-// frames are processed inline, zero-copy off the ring (the seqlock
-// snapshot, not arrival order, linearizes reads — and a client only issues
-// a read-after-write once the write's tail ack arrived, by which point the
-// value is committed). Inline output leaves through this socket's own
-// batched sender, so a read's whole lifetime is two amortized syscalls and
-// no channel hops.
+// datagram, and handles each one before decoding the next, zero-copy off
+// the ring — nothing keeps a frame past n.handle, which serializes what it
+// forwards, so the next ReadBatch may reuse the slots.
 //
-// The pool exists for stamp→egress order per key across sockets: one
-// worker per key stamps and queues for egress in one step. Inline on the
-// ingest goroutines, two clients' writes to a key can be stamped n, n+1 and
+// Every other frame — reads, replies, transit of non-mutations — takes no
+// lock and emits into this socket's own egress batch: the seqlock snapshot,
+// not arrival order,
+// linearizes reads, and a client only issues a read-after-write once the
+// write's tail ack arrived, by which point the value is committed.
+// Mutations are handled under n.mutMu and emit into n.mutEg, so their
+// output leaves in stamp order even when two clients' writes to a key
+// arrive on different sockets. Without the lock, writes stamped n, n+1 can
 // reach the next hop as n+1, n — the replica stale-drops n and its client
-// waits out a retry (978 of 80 000 writes with 4 sockets, none with the
-// pool; TestCrossSocketWritesKeepStampOrder).
+// waits out a retry (TestCrossSocketWritesKeepStampOrder). After each
+// receive batch the loop flushes its own egress, then, if it handled a
+// mutation, the mutation egress under the lock.
 //
 // Only a closed socket ends the loop; any other read error — an ICMP
 // refusal surfacing from a dead client, a transient ENOBUFS — is counted
 // and survived. Exiting on those killed the switch's whole data plane.
-func (n *SwitchNode) ingestLoop(rd batchReader, ring *recvRing, snd batchSender) {
+func (n *SwitchNode) ingestLoop(idx int, rd batchReader, ring *recvRing, snd batchSender) {
 	defer n.recvWG.Done()
-	workers := len(n.in)
 	var f packet.Frame
 	eg := newEgressBatch(snd)
 	if n.fault != nil {
@@ -626,32 +585,33 @@ func (n *SwitchNode) ingestLoop(rd batchReader, ring *recvRing, snd batchSender)
 		// endpoint receivers see is unchanged.
 		eg.withFault(n.fault, rawSender(n.conn))
 	}
-	emit := eg.add
+	emit, mutEmit := eg.add, n.mutEg.add
 	var procTick uint32 // loop-local sampling tick, no hot-path atomics
-	handleInline := func(f *packet.Frame) {
+	mutated := false    // this batch queued output on n.mutEg
+	handleFrame := func(f *packet.Frame) {
 		if f.NC.Traced {
-			// In-band telemetry ingest stamp: receive time, queue depth at
-			// arrival, worker shard. Carried as frame context until the
-			// dataplane appends the hop record.
+			// In-band telemetry ingest stamp: receive time, the node's
+			// receive backlog, ingest socket. Carried as frame context
+			// until the dataplane appends the hop record.
 			f.TraceIngress = time.Now().UnixNano()
 			f.TraceQueue = clampQueue(n.QueueDepth())
+			f.TraceShard = uint8(idx)
 		}
+		out, sample := emit, uint32(1023)
 		switch f.NC.Op {
 		case kv.OpWrite, kv.OpDelete, kv.OpCAS, kv.OpSync:
-			g := packet.GetFrame()
-			f.CloneTo(g) // detach from the ring before the next batch lands
-			shard := keyShard(g.NC.Key, workers)
-			g.TraceShard = uint8(shard)
-			n.in[shard] <- g
-		default:
-			if procTick++; procTick&1023 == 0 {
-				t0 := time.Now()
-				n.handle(f, emit)
-				n.procHist.ObserveDuration(time.Since(t0))
-				return
-			}
-			n.handle(f, emit)
+			out, sample = mutEmit, 255
+			mutated = true
+			n.mutMu.Lock()
+			defer n.mutMu.Unlock()
 		}
+		if procTick++; procTick&sample == 0 {
+			t0 := time.Now()
+			n.handle(f, out)
+			n.procHist.ObserveDuration(time.Since(t0))
+			return
+		}
+		n.handle(f, out)
 	}
 	for {
 		k, err := rd.ReadBatch(ring)
@@ -663,13 +623,14 @@ func (n *SwitchNode) ingestLoop(rd batchReader, ring *recvRing, snd batchSender)
 			time.Sleep(20 * time.Microsecond) // don't spin on an error storm
 			continue
 		}
+		n.recvDepth[idx].Store(int32(k))
 		n.recvBatches.Add(1)
 		n.recvDgrams.Add(uint64(k))
 		for i := 0; i < k; i++ {
 			if n.fault != nil && !n.fault.Ingress(ring.bufs[i][:ring.sizes[i]]) {
 				continue
 			}
-			frames, derr := packet.DecodeBatch(&f, ring.bufs[i][:ring.sizes[i]], handleInline)
+			frames, derr := packet.DecodeBatch(&f, ring.bufs[i][:ring.sizes[i]], handleFrame)
 			n.recvFrames.Add(uint64(frames))
 			if derr != nil {
 				// A torn or corrupt frame: everything before it was
@@ -682,73 +643,19 @@ func (n *SwitchNode) ingestLoop(rd batchReader, ring *recvRing, snd batchSender)
 			}
 		}
 		eg.flush()
-	}
-}
-
-// closeInWhenDrained closes the worker queues once every ingest goroutine
-// has exited (all sockets closed), so the workers drain and exit.
-func (n *SwitchNode) closeInWhenDrained() {
-	n.recvWG.Wait()
-	for _, ch := range n.in {
-		close(ch)
-	}
-}
-
-func (n *SwitchNode) processLoop(in <-chan *packet.Frame) {
-	defer n.workerWG.Done()
-	emit := func(o outFrame) { n.out <- o }
-	var procTick uint32
-	for f := range in {
-		if procTick++; procTick&255 == 0 {
-			t0 := time.Now()
-			n.handle(f, emit)
-			n.procHist.ObserveDuration(time.Since(t0))
-		} else {
-			n.handle(f, emit)
+		if mutated {
+			mutated = false
+			n.mutMu.Lock()
+			n.mutEg.flush()
+			n.mutMu.Unlock()
 		}
-		packet.PutFrame(f)
-	}
-}
-
-// closeOutWhenDrained closes the send queue once every worker has exited,
-// so the send loop flushes the tail and terminates.
-func (n *SwitchNode) closeOutWhenDrained() {
-	n.workerWG.Wait()
-	close(n.out)
-}
-
-// sendLoop drains worker egress, folding the whole queued burst into one
-// batched send syscall (coalescing same-endpoint frames into single
-// datagrams along the way).
-func (n *SwitchNode) sendLoop() {
-	defer close(n.sendDone)
-	eg := newEgressBatch(newBatchSender(n.conn))
-	if n.fault != nil {
-		eg.withFault(n.fault, rawSender(n.conn))
-	}
-	for o := range n.out {
-		eg.add(o)
-	drain:
-		for {
-			select {
-			case o2, ok := <-n.out:
-				if !ok {
-					eg.flush()
-					return
-				}
-				eg.add(o2)
-			default:
-				break drain
-			}
-		}
-		eg.flush()
 	}
 }
 
 // handle runs the dataplane's per-frame driver (core.Switch.Handle) on a
 // frame and puts what it forwards on the wire. Output frames are
 // serialized and passed to emit while the frame's value may still alias
-// dataplane storage, matching the pre-pipeline ordering.
+// dataplane storage or the receive ring; nothing keeps f afterwards.
 func (n *SwitchNode) handle(f *packet.Frame, emit func(outFrame)) {
 	v, commit := n.sw.Handle(f)
 	if v != core.VerdictForward {

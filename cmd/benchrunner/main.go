@@ -1,7 +1,10 @@
 // Command benchrunner regenerates the paper's evaluation: Table 1,
 // Figures 9(a)–(f), 10(a)(b), 11, and the TLA+-style model check — each
 // printed as the rows/series the paper reports, with a note of the
-// published shape for comparison (EXPERIMENTS.md records both).
+// published shape for comparison (EXPERIMENTS.md records both) — plus the
+// resize, placement, chaos and wall-clock experiments. Each experiment is
+// one row of a table: its name, quick parameters, -full parameters and
+// printer.
 //
 // Usage:
 //
@@ -71,203 +74,144 @@ func realMain() (code int) {
 		}()
 	}
 
+	tQuick := experiments.ThroughputOpts{
+		StoreSize: 4000, Window: 40 * time.Millisecond, ZKWindow: 250 * time.Millisecond, ClientWindow: *window,
+	}
+	tFull := experiments.ThroughputOpts{ClientWindow: *window}
+	fig10 := show(experiments.Fig10, (*experiments.Fig10Result).Format)
+	fig10Quick := func(vgroups int) experiments.Fig10Opts {
+		return experiments.Fig10Opts{VGroups: vgroups, Scale: 20000, StoreSize: 2000,
+			Duration: 60 * time.Second, FailAt: 10 * time.Second, RecoverAt: 20 * time.Second}
+	}
+	chaos := experiments.ChaosOpts{Schedule: *schedule, Seed: *seed, Autopilot: *autopilot, Topology: *topology}
+	realChaos := experiments.RealChaosOpts{Schedule: *schedule, Seed: *seed}
+	placement := experiments.PlacementOpts{Seed: *seed}
+
+	// One row per experiment, in -exp all order: name, quick parameters,
+	// -full parameters, printer.
+	rows := []row{
+		entry("table1", 400*time.Millisecond, 400*time.Millisecond, show(experiments.MeasureTable1,
+			func(t *experiments.Table1) string { return t.Format() + "\n" })),
+		entry("fig9a", tQuick, tFull, show(experiments.Fig9a, figText)),
+		entry("fig9b", tQuick, tFull, show(experiments.Fig9b, figText)),
+		entry("fig9c", tQuick, tFull, show(experiments.Fig9c, figText)),
+		entry("fig9d", tQuick, tFull, show(experiments.Fig9d, figText)),
+		entry("fig9e", tQuick, tFull, show(experiments.Fig9e, figText)),
+		entry("fig9f", experiments.Fig9fOpts{Samples: 2000}, experiments.Fig9fOpts{}, show(experiments.Fig9f, figText)),
+		entry("fig10a", fig10Quick(1), experiments.Fig10Opts{VGroups: 1}, fig10),
+		entry("fig10b", fig10Quick(100), experiments.Fig10Opts{VGroups: 100}, fig10),
+		entry("resize", experiments.ResizeOpts{Scale: 20000, StoreSize: 1000,
+			Duration: 20 * time.Second, AddAt: 4 * time.Second, RemoveAt: 12 * time.Second},
+			experiments.ResizeOpts{}, show(experiments.RunResize, (*experiments.ResizeResult).Format)),
+		entry("fig11", experiments.Fig11Opts{Clients: []int{1, 10, 50}, ColdKeys: 1000,
+			NetChainWindow: 15 * time.Millisecond, ZKWindow: time.Second},
+			experiments.Fig11Opts{}, show(experiments.Fig11, figText)),
+		entry("pipeline", tQuick, tFull, show(func(o experiments.ThroughputOpts) ([]experiments.WindowPoint, error) {
+			var ws []int
+			for _, s := range strings.Split(*windows, ",") {
+				w, err := strconv.Atoi(strings.TrimSpace(s))
+				if err != nil || w < 1 {
+					return nil, fmt.Errorf("bad -windows entry %q", s)
+				}
+				ws = append(ws, w)
+			}
+			return experiments.Fig9eWindows(o, ws)
+		}, experiments.FormatWindows)),
+		entry("watch", experiments.WatchScaleOpts{}, experiments.WatchScaleOpts{Events: 8192},
+			show(experiments.WatchScale, experiments.FormatWatchScale)),
+		entry("trace", experiments.TraceBenchOpts{},
+			experiments.TraceBenchOpts{Duration: 2 * time.Second, ABWindows: 5},
+			show(experiments.TraceBench, experiments.FormatTraceBench)),
+		entry("chaos", chaos, chaos, runChaos),
+		entry("realchaos", realChaos, realChaos, runRealChaos),
+		entry("placement", placement, placement, show(experiments.RunPlacementScaling,
+			func(r *experiments.PlacementResult) string {
+				return "placement scaling (client-affine workload, metered fabric links):\n" +
+					experiments.FormatPlacement(r) + "\n"
+			})),
+		entry("tla", mc.DefaultBounds(), mc.DefaultBounds(), runTLA),
+	}
+	// These run on the wall clock (live sockets), so -exp all skips them.
+	byName := map[string]bool{"watch": true, "trace": true, "realchaos": true}
 	ran := false
-	run := func(name string, fn func() error) {
-		if code != 0 || (*exp != "all" && *exp != name) {
-			return
+	for _, r := range rows {
+		if *exp != r.name && (*exp != "all" || byName[r.name]) {
+			continue
 		}
 		ran = true
 		start := time.Now()
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			code = 1
-			return
+		if err := r.run(*full); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", r.name, err)
+			return 1
 		}
-		fmt.Printf("[%s took %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("[%s took %v]\n\n", r.name, time.Since(start).Round(time.Millisecond))
 	}
-	// runOnly registers an experiment reachable only by name: these run on
-	// the wall clock (live sockets, worker pools), so "all" (the quick sim
-	// sweep) must not pay for them.
-	runOnly := func(name string, fn func() error) {
-		if *exp == name {
-			run(name, fn)
-		}
-	}
-
-	tOpts := experiments.ThroughputOpts{ClientWindow: *window}
-	if !*full {
-		tOpts.StoreSize = 4000
-		tOpts.Window = 40 * time.Millisecond
-		tOpts.ZKWindow = 250 * time.Millisecond
-	}
-
-	run("table1", func() error {
-		tab, err := experiments.MeasureTable1(400 * time.Millisecond)
-		if err != nil {
-			return err
-		}
-		fmt.Println(tab.Format())
-		return nil
-	})
-	run("fig9a", func() error { return printFig(experiments.Fig9a(tOpts)) })
-	run("fig9b", func() error { return printFig(experiments.Fig9b(tOpts)) })
-	run("fig9c", func() error { return printFig(experiments.Fig9c(tOpts)) })
-	run("fig9d", func() error { return printFig(experiments.Fig9d(tOpts)) })
-	run("fig9e", func() error { return printFig(experiments.Fig9e(tOpts)) })
-	run("fig9f", func() error {
-		o := experiments.Fig9fOpts{}
-		if !*full {
-			o.Samples = 2000
-		}
-		return printFig(experiments.Fig9f(o))
-	})
-	run("fig10a", func() error { return runFig10(1, *full) })
-	run("fig10b", func() error { return runFig10(100, *full) })
-	run("resize", func() error { return runResize(*full) })
-	run("fig11", func() error {
-		o := experiments.Fig11Opts{}
-		if !*full {
-			o.Clients = []int{1, 10, 50}
-			o.NetChainWindow = 15 * time.Millisecond
-			o.ZKWindow = time.Second
-			o.ColdKeys = 1000
-		}
-		return printFig(experiments.Fig11(o))
-	})
-	run("pipeline", func() error {
-		var ws []int
-		for _, s := range strings.Split(*windows, ",") {
-			w, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || w < 1 {
-				return fmt.Errorf("bad -windows entry %q", s)
-			}
-			ws = append(ws, w)
-		}
-		pts, err := experiments.Fig9eWindows(tOpts, ws)
-		if err != nil {
-			return err
-		}
-		fmt.Println("client pipeline sweep (one client server, fixed offered load):")
-		fmt.Printf("%8s %12s %10s %10s %12s\n", "window", "MQPS", "p50 µs", "p99 µs", "suppressed")
-		for _, p := range pts {
-			fmt.Printf("%8d %12.3f %10.2f %10.2f %12d\n", p.Window, p.QPS/1e6, p.P50us, p.P99us, p.Suppressed)
-		}
-		return nil
-	})
-	runOnly("watch", func() error {
-		results, err := experiments.WatchScale(watchOpts(*full))
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatWatchScale(results))
-		return nil
-	})
-	runOnly("trace", func() error {
-		results, err := experiments.TraceBench(traceOpts(*full))
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatTraceBench(results))
-		return nil
-	})
-	run("chaos", func() error { return runChaos(*schedule, *seed, *autopilot, *topology) })
-	runOnly("realchaos", func() error { return runRealChaos(*schedule, *seed) })
-	run("placement", func() error {
-		r, err := experiments.RunPlacementScaling(experiments.PlacementOpts{Seed: *seed})
-		if err != nil {
-			return err
-		}
-		fmt.Println("placement scaling (client-affine workload, metered fabric links):")
-		fmt.Print(experiments.FormatPlacement(r))
-		fmt.Println()
-		return nil
-	})
-	run("tla", func() error {
-		for _, cfg := range []struct {
-			name string
-			mut  func(*mc.Bounds)
-		}{
-			{"default (drop/dup/reorder + 1 failure)", func(*mc.Bounds) {}},
-			{"with recovery", func(b *mc.Bounds) { b.WithRecovery = true }},
-			{"ablation: sequence numbers OFF", func(b *mc.Bounds) {
-				b.DisableSeqCheck = true
-				b.MaxFails = 0
-			}},
-		} {
-			b := mc.DefaultBounds()
-			cfg.mut(&b)
-			ck, err := mc.New(b)
-			if err != nil {
-				return err
-			}
-			res := ck.Run()
-			fmt.Printf("model check [%s]: %d states — ", cfg.name, res.States)
-			if res.Violation == nil {
-				fmt.Println("Consistency + UpdatePropagation HOLD")
-			} else {
-				fmt.Printf("VIOLATION: %s\n  trace: %s\n", res.Reason, res.Violation)
-			}
-		}
-		fmt.Println()
-		return nil
-	})
 	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; see -exp usage\n", *exp)
 		return 2
 	}
-	return code
+	return 0
 }
 
-func printFig(f *experiments.Figure, err error) error {
-	if err != nil {
+// row is one experiment: run prints it with its quick or -full parameters.
+type row struct {
+	name string
+	run  func(full bool) error
+}
+
+// entry builds a row from its two parameter sets and its printer.
+func entry[O any](name string, quick, full O, printer func(O) error) row {
+	return row{name: name, run: func(f bool) error {
+		if f {
+			return printer(full)
+		}
+		return printer(quick)
+	}}
+}
+
+// show runs an experiment and prints its result through text.
+func show[O, R any](exp func(O) (R, error), text func(R) string) func(O) error {
+	return func(o O) error {
+		res, err := exp(o)
+		if err == nil {
+			fmt.Print(text(res))
+		}
 		return err
 	}
-	fmt.Println(f.Format())
+}
+
+func figText(f *experiments.Figure) string { return f.Format() + "\n" }
+
+// runTLA model-checks the appendix spec from base under three
+// configurations, the last the sequence-number ablation.
+func runTLA(base mc.Bounds) error {
+	for _, cfg := range []struct {
+		name string
+		mut  func(*mc.Bounds)
+	}{
+		{"default (drop/dup/reorder + 1 failure)", func(*mc.Bounds) {}},
+		{"with recovery", func(b *mc.Bounds) { b.WithRecovery = true }},
+		{"ablation: sequence numbers OFF", func(b *mc.Bounds) {
+			b.DisableSeqCheck = true
+			b.MaxFails = 0
+		}},
+	} {
+		b := base
+		cfg.mut(&b)
+		ck, err := mc.New(b)
+		if err != nil {
+			return err
+		}
+		res := ck.Run()
+		fmt.Printf("model check [%s]: %d states — ", cfg.name, res.States)
+		if res.Violation == nil {
+			fmt.Println("Consistency + UpdatePropagation HOLD")
+		} else {
+			fmt.Printf("VIOLATION: %s\n  trace: %s\n", res.Reason, res.Violation)
+		}
+	}
+	fmt.Println()
 	return nil
-}
-
-func runFig10(vgroups int, full bool) error {
-	o := experiments.Fig10Opts{VGroups: vgroups}
-	if !full {
-		o.Scale = 20000
-		o.StoreSize = 2000
-		o.Duration = 60 * time.Second
-		o.FailAt = 10 * time.Second
-		o.RecoverAt = 20 * time.Second
-		o.Bucket = time.Second
-	}
-	res, err := experiments.Fig10(o)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.Figure.Format())
-	fmt.Printf("failover done at t=%.1fs; recovery done at t=%.1fs; groups recovered: %d\n",
-		res.FailoverDone.Seconds(), res.RecoveryDone.Seconds(), res.GroupsRecovered)
-	fmt.Printf("baseline %.2f MQPS; minimum during recovery %.2f MQPS (%.1f%% of baseline)\n",
-		res.BaselineRate/1e6, res.MinRateDuringRecovery/1e6,
-		100*res.MinRateDuringRecovery/res.BaselineRate)
-	return nil
-}
-
-// traceOpts sizes the latency-breakdown experiment: quick windows for
-// CI, longer measurement and more A/B windows under -full.
-func traceOpts(full bool) experiments.TraceBenchOpts {
-	o := experiments.TraceBenchOpts{}
-	if full {
-		o.Duration = 2 * time.Second
-		o.ABWindows = 5
-	}
-	return o
-}
-
-// watchOpts sizes the watch-scale sweep: the acceptance population (10⁴
-// and 10⁵ subscribers) either way; -full publishes more events per point.
-func watchOpts(full bool) experiments.WatchScaleOpts {
-	o := experiments.WatchScaleOpts{}
-	if full {
-		o.Events = 8192
-	}
-	return o
 }
 
 // runChaos executes nemesis schedules and fails on a non-linearizable
@@ -275,35 +219,34 @@ func watchOpts(full bool) experiments.WatchScaleOpts {
 // autopilot, every repair must come from the detector — the run also
 // fails if the fail-stop schedule ends with an unrepaired chain or a
 // repair-free schedule suffers a false eviction.
-func runChaos(schedule string, seed int64, autopilot bool, topology string) error {
-	names := []string{schedule}
-	if schedule == "all" {
+func runChaos(o experiments.ChaosOpts) error {
+	names := []string{o.Schedule}
+	if o.Schedule == "all" {
 		names = experiments.ChaosScheduleNames()
 	}
 	for _, name := range names {
-		res, err := experiments.RunChaos(experiments.ChaosOpts{
-			Schedule: name, Seed: seed, Autopilot: autopilot, Topology: topology,
-		})
+		o.Schedule = name
+		res, err := experiments.RunChaos(o)
 		if err != nil {
 			return err
 		}
 		fmt.Println(res.Format())
 		if !res.Lin.OK {
-			dump := fmt.Sprintf("chaos-failure-%s-seed%d.txt", name, seed)
+			dump := fmt.Sprintf("chaos-failure-%s-seed%d.txt", name, o.Seed)
 			if werr := os.WriteFile(dump, []byte(res.DumpHistory()), 0o644); werr != nil {
 				fmt.Fprintf(os.Stderr, "could not dump history: %v\n", werr)
 			} else {
 				fmt.Fprintf(os.Stderr, "history dumped to %s\n", dump)
 			}
 			return fmt.Errorf("chaos %s seed %d: history not linearizable (key %s): %s",
-				name, seed, res.Lin.Key, res.Lin.Reason)
+				name, o.Seed, res.Lin.Key, res.Lin.Reason)
 		}
-		if autopilot {
+		if o.Autopilot {
 			if res.FailStopInjected && !res.ChainsRepaired {
-				return fmt.Errorf("chaos %s seed %d: autopilot left the chain unrepaired", name, seed)
+				return fmt.Errorf("chaos %s seed %d: autopilot left the chain unrepaired", name, o.Seed)
 			}
 			if !res.FailStopInjected && res.Failovers > 0 {
-				return fmt.Errorf("chaos %s seed %d: %d false fail-stop evictions", name, seed, res.Failovers)
+				return fmt.Errorf("chaos %s seed %d: %d false fail-stop evictions", name, o.Seed, res.Failovers)
 			}
 		}
 	}
@@ -314,65 +257,37 @@ func runChaos(schedule string, seed int64, autopilot bool, topology string) erro
 // (see experiments.RunRealChaos). The run fails on a non-linearizable
 // history (dumped for CI upload), an unrepaired chain after a schedule
 // fail-stop, a false eviction, or a diverged push-watch stream.
-func runRealChaos(schedule string, seed int64) error {
-	names := []string{schedule}
-	if schedule == "all" {
+func runRealChaos(o experiments.RealChaosOpts) error {
+	names := []string{o.Schedule}
+	if o.Schedule == "all" {
 		names = experiments.ChaosScheduleNames()
 	}
 	for _, name := range names {
-		res, err := experiments.RunRealChaos(experiments.RealChaosOpts{
-			Schedule: name, Seed: seed,
-		})
+		o.Schedule = name
+		res, err := experiments.RunRealChaos(o)
 		if err != nil {
 			return err
 		}
 		fmt.Println(res.Format())
 		if !res.Lin.OK {
-			dump := fmt.Sprintf("realchaos-failure-%s-seed%d.txt", name, seed)
+			dump := fmt.Sprintf("realchaos-failure-%s-seed%d.txt", name, o.Seed)
 			if werr := os.WriteFile(dump, []byte(res.DumpHistory()), 0o644); werr != nil {
 				fmt.Fprintf(os.Stderr, "could not dump history: %v\n", werr)
 			} else {
 				fmt.Fprintf(os.Stderr, "history dumped to %s\n", dump)
 			}
 			return fmt.Errorf("realchaos %s seed %d: history not linearizable (key %s): %s",
-				name, seed, res.Lin.Key, res.Lin.Reason)
+				name, o.Seed, res.Lin.Key, res.Lin.Reason)
 		}
 		if res.FailStopInjected && !res.ChainsRepaired {
-			return fmt.Errorf("realchaos %s seed %d: autopilot left the chain unrepaired", name, seed)
+			return fmt.Errorf("realchaos %s seed %d: autopilot left the chain unrepaired", name, o.Seed)
 		}
 		if res.FalseEvictions > 0 {
-			return fmt.Errorf("realchaos %s seed %d: %d false fail-stop evictions", name, seed, res.FalseEvictions)
+			return fmt.Errorf("realchaos %s seed %d: %d false fail-stop evictions", name, o.Seed, res.FalseEvictions)
 		}
 		if !res.WatchConverged {
-			return fmt.Errorf("realchaos %s seed %d: push-watch stream did not converge", name, seed)
+			return fmt.Errorf("realchaos %s seed %d: push-watch stream did not converge", name, o.Seed)
 		}
 	}
-	return nil
-}
-
-func runResize(full bool) error {
-	o := experiments.ResizeOpts{}
-	if !full {
-		o.Scale = 20000
-		o.StoreSize = 1000
-		o.Duration = 20 * time.Second
-		o.AddAt = 4 * time.Second
-		o.RemoveAt = 12 * time.Second
-	}
-	res, err := experiments.RunResize(o)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.Figure.Format())
-	fmt.Printf("scale-out done at t=%.1fs (%d groups); scale-in done at t=%.1fs (%d groups)\n",
-		res.ScaleOutDone.Seconds(), res.GroupsMigratedOut,
-		res.ScaleInDone.Seconds(), res.GroupsMigratedIn)
-	fmt.Printf("reads: baseline %.2f MQPS, worst bucket during resize %.2f MQPS (%.1f%%); "+
-		"read p99 %.1fµs quiet vs %.1fµs during migration\n",
-		res.BaselineReadRate/1e6, res.MinReadRateDuring/1e6,
-		100*res.MinReadRateDuring/res.BaselineReadRate,
-		float64(res.BaselineReadP99.Nanoseconds())/1e3,
-		float64(res.ResizeReadP99.Nanoseconds())/1e3)
-	fmt.Printf("writes bounced by per-group migration freeze: %d\n", res.WritesUnavailable)
 	return nil
 }

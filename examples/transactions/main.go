@@ -22,7 +22,6 @@ func main() {
 		ColdKeys:          500,
 		NetChainWindow:    10 * time.Millisecond,
 		ZKWindow:          500 * time.Millisecond,
-		ExecTime:          100 * time.Microsecond,
 	}); err != nil {
 		log.Fatal(err)
 	}

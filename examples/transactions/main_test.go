@@ -19,7 +19,6 @@ func TestTransactionsDemo(t *testing.T) {
 		ColdKeys:          100,
 		NetChainWindow:    5 * time.Millisecond,
 		ZKWindow:          100 * time.Millisecond,
-		ExecTime:          100 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatalf("transactions demo: %v", err)

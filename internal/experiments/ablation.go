@@ -25,36 +25,47 @@ func Fig9aPoint(o ThroughputOpts, servers int) (PointResult, error) {
 
 // ChainMessagesPerWrite counts the messages one write costs on the
 // testbed chain: the paper's CR argument (§2.2) — n+1 messages for a
-// chain of n replicas versus 2n for classical primary-backup. Counted as
-// distinct frame transmissions between nodes (client→head, head→mid,
-// mid→tail, tail→client = 4 for n=3).
+// chain of n replicas versus 2n for classical primary-backup. It counts the
+// run's node-to-node sends: every frame a switch processed (client→head,
+// head→mid, mid→tail) plus every reply delivered (tail→client). Underlay
+// transits don't count as protocol messages — they exist in both designs.
 func ChainMessagesPerWrite() (float64, error) {
+	c, err := chainWrite()
+	return float64(c.processed + c.replies), err
+}
+
+// writeCount tallies one write's frames across the testbed.
+type writeCount struct{ processed, transits, replies uint64 }
+
+// chainWrite sends one write from the first host and counts its frames.
+func chainWrite() (writeCount, error) {
+	var c writeCount
 	d, err := NewDeployment(FabricOpts{Scale: 1})
 	if err != nil {
-		return 0, err
+		return c, err
 	}
 	k := kv.KeyFromUint64(1)
 	rt, err := d.Ctl.Insert(k)
 	if err != nil {
-		return 0, err
+		return c, err
 	}
-	// One write, then count the distinct node-to-node sends: client→head,
-	// per-link chain hops, tail→client. Underlay transits don't count as
-	// protocol messages — they exist in both designs.
 	h0 := d.Fab.Hosts[0]
 	ep := query.Endpoint{Addr: h0, Port: 4000}
 	f, err := query.NewWrite(ep, 1, query.Route{Group: rt.Group, Hops: rt.Hops}, k, kv.Value("x"))
 	if err != nil {
-		return 0, err
+		return c, err
 	}
-	got := 0
-	d.Net.HostRecv(h0, func(*packet.Frame) { got++ })
+	d.Net.HostRecv(h0, func(*packet.Frame) { c.replies++ })
 	d.Net.Inject(h0, f)
 	d.Sim.RunFor(event.Duration(1e9))
-	if got != 1 {
-		return 0, fmt.Errorf("experiments: write produced %d replies, want 1", got)
+	for _, sa := range d.SwitchAddrs() {
+		sw, _ := d.Net.Switch(sa)
+		st := sw.Stats()
+		c.processed += st.Processed
+		c.transits += st.Transits
 	}
-	// Protocol messages = chain length + 1 (§2.2): client→S0, S0→S1,
-	// S1→S2, S2→client.
-	return float64(len(rt.Hops) + 1), nil
+	if c.replies != 1 {
+		return c, fmt.Errorf("experiments: write produced %d replies, want 1", c.replies)
+	}
+	return c, nil
 }

@@ -28,19 +28,14 @@ type AutopilotOpts struct {
 
 	// Detector overrides the derived health config (nil = Defaults(Heartbeat)).
 	Detector *health.Config
-	// Pilot overrides the autopilot config; Spares is filled from the
-	// Spares field below when unset.
+	// Pilot overrides the autopilot config; its recovery pool defaults to
+	// the deployment's spares.
 	Pilot *controller.AutopilotConfig
-	// Spares is the recovery pool (default: the deployment's spares).
-	Spares []packet.Addr
 }
 
-func (o *AutopilotOpts) defaults(d *Deployment) {
+func (o *AutopilotOpts) defaults() {
 	if o.Heartbeat == 0 {
 		o.Heartbeat = 500 * time.Microsecond
-	}
-	if len(o.Spares) == 0 {
-		o.Spares = d.Spares()
 	}
 }
 
@@ -63,7 +58,7 @@ type AutopilotHarness struct {
 // harness schedules recurring events; call Stop (or schedule it) before
 // relying on Sim.Run() draining to quiescence.
 func StartAutopilot(d *Deployment, o AutopilotOpts) (*AutopilotHarness, error) {
-	o.defaults(d)
+	o.defaults()
 	mon, err := d.Fab.AttachMonitor()
 	if err != nil {
 		return nil, err
@@ -80,12 +75,12 @@ func StartAutopilot(d *Deployment, o AutopilotOpts) (*AutopilotHarness, error) {
 		dcfg = *o.Detector
 	}
 	det := health.NewDetector(dcfg)
-	pcfg := controller.AutopilotConfig{Interval: o.Heartbeat, Spares: o.Spares}
+	pcfg := controller.AutopilotConfig{Interval: o.Heartbeat}
 	if o.Pilot != nil {
 		pcfg = *o.Pilot
-		if len(pcfg.Spares) == 0 {
-			pcfg.Spares = o.Spares
-		}
+	}
+	if len(pcfg.Spares) == 0 {
+		pcfg.Spares = d.Spares()
 	}
 	if pcfg.Placer == nil {
 		pcfg.Placer = d.CongestionPlacer()

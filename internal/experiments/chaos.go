@@ -35,12 +35,9 @@ import (
 
 // ChaosOpts parameterizes the scenario.
 type ChaosOpts struct {
-	Schedule     string        // named nemesis schedule (see ChaosScheduleNames); default "full-nemesis"
-	Seed         int64         // drives placement, client mixes and fault randomness; default 1
-	Clients      int           // concurrent client hosts (max 3; host 3 stays quiet); default 3
-	OpsPerClient int           // operations each client issues; default 200
-	Registers    int           // independent register keys; default 14
-	Pause        time.Duration // think time between a client's ops; default 400 µs
+	Schedule     string // named nemesis schedule (see ChaosScheduleNames); default "full-nemesis"
+	Seed         int64  // drives placement, client mixes and fault randomness; default 1
+	OpsPerClient int    // operations each client issues; default 200
 
 	// Topology picks the substrate (ring|spine-leaf:SxL|fattree:k, default
 	// ring = the Fig. 8 testbed). Fabric runs deploy with bottleneck-aware
@@ -65,17 +62,8 @@ func (o *ChaosOpts) defaults() {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Clients == 0 || o.Clients > 3 {
-		o.Clients = 3
-	}
 	if o.OpsPerClient == 0 {
 		o.OpsPerClient = 200
-	}
-	if o.Registers == 0 {
-		o.Registers = 14
-	}
-	if o.Pause == 0 {
-		o.Pause = 400 * time.Microsecond
 	}
 	if o.Topology == "" {
 		o.Topology = "ring"
@@ -344,7 +332,7 @@ func runChaos(o ChaosOpts, script func(d *Deployment, fail func(error))) (*Chaos
 		return nil, err
 	}
 
-	load := newChaosLoad(o.Registers, o.OpsPerClient)
+	load := newChaosLoad(14, o.OpsPerClient) // 14 registers
 	if err := load.preload(d.Preload); err != nil {
 		return nil, err
 	}
@@ -355,9 +343,9 @@ func runChaos(o ChaosOpts, script func(d *Deployment, fail func(error))) (*Chaos
 	cfg := simclient.DefaultConfig()
 	cfg.MaxRetries = 400 // ride through fault windows instead of timing out
 	now := func() int64 { return int64(d.Sim.Now()) }
-	think := func(fn func()) { d.Sim.After(event.Duration(o.Pause), fn) }
+	think := func(fn func()) { d.Sim.After(event.Duration(400*time.Microsecond), fn) }
 	var clients []*simclient.Client
-	for c := 0; c < o.Clients; c++ {
+	for c := 0; c < 3; c++ { // host 3 stays quiet
 		client, err := d.Muxes[c].NewClient(cfg, d.Directory())
 		if err != nil {
 			return nil, err

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"netchain/internal/event"
+	"netchain/internal/kv"
 	"netchain/internal/netsim"
 	"netchain/internal/stats"
 )
@@ -146,27 +147,32 @@ func TestChaosSchedulesLinearizable(t *testing.T) {
 // the p99 is the canary for failure-path regressions.
 func TestChaosMixedTail(t *testing.T) {
 	const window = 20 * time.Millisecond
-	d, err := NewDeployment(FabricOpts{Scale: 1000, VNodes: 8})
+	var nm *netsim.Nemesis
+	r, err := scenario{
+		fabric: FabricOpts{VNodes: 8},
+		store: func(d *Deployment) (func(int) []kv.Key, error) {
+			keys, err := d.LoadStore(2000, 64)
+			w := event.Duration(window)
+			nm = netsim.RunSchedule(d.Net, netsim.Schedule{
+				{Name: "mangle", At: 0, Fault: clusterMangle()},
+				{Name: "gray-tail", At: w / 4, For: w / 2, Fault: netsim.GraySwitch{
+					Addr: d.Fab.Switches[2],
+					G:    netsim.Gray{SlowFactor: 20, Loss: 0.01, ExtraDelay: usec(40)}}},
+			})
+			return allHosts(keys), err // the testbed's four hosts
+		},
+		loads: []load{{mux: everyMux, writeRatio: 0.1, valueSize: 64}},
+		stop:  window,
+	}.run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, err := d.LoadStore(2000, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := event.Duration(window)
-	nm := netsim.RunSchedule(d.Net, netsim.Schedule{
-		{Name: "mangle", At: 0, Fault: clusterMangle()},
-		{Name: "gray-tail", At: w / 4, For: w / 2, Fault: netsim.GraySwitch{
-			Addr: d.Fab.Switches[2],
-			G:    netsim.Gray{SlowFactor: 20, Loss: 0.01, ExtraDelay: usec(40)}}},
-	})
-	qps, gens := d.runGenerators(firstServers(4, keys), 0.1, 64, w, 0)
 	if err := nm.Err(); err != nil {
 		t.Fatal(err)
 	}
+	qps := r.okQPS()
 	lat := stats.NewLatencyHistogram()
-	for _, g := range gens {
+	for _, g := range r.gens {
 		if err := lat.Merge(g.Latency); err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,12 @@
 //
 // Every simulated experiment runs on one Deployment, built by
 // NewDeployment over any netsim.Fabric shape: the Fig. 8 ring (the
-// default) or a spine-leaf / fat-tree fabric.
+// default) or a spine-leaf / fat-tree fabric. Figs. 9(a)–(e), 10, the
+// resize and the placement sweep are each one scenario (scenario.go):
+// fabric options, controller timing, a store loader, open-loop loads and
+// timeline steps, played by one runner, so any of them moves to a fabric
+// by changing its FabricOpts. Parameters no caller varies are constants
+// next to the figure that uses them.
 //
 // The nemesis-driven chaos run exists once as a workload (chaosload.go: op
 // mix, lock bookkeeping, lincheck recorder, report tail) and twice as a
@@ -15,7 +20,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 
 	"netchain/internal/controller"
@@ -43,12 +47,15 @@ type Deployment struct {
 	Muxes   []*simclient.Mux
 	Profile netsim.Profile
 
-	members   []packet.Addr // ring members, build order
-	spares    []packet.Addr // candidates held out as the recovery pool
-	writeFrac float64       // planner's write share
+	members []packet.Addr // ring members, build order
+	spares  []packet.Addr // candidates held out as the recovery pool
 
 	relay *SimRelay // push-watch relay tier, nil until AttachRelay
 }
+
+// figSeed seeds every simulated figure: the deployment default, the
+// baseline's and the transaction workload's.
+const figSeed = 1
 
 // FabricOpts sizes a deployment over any netsim.Fabric shape: the Fig. 8
 // ring, or a multi-tier fabric — the scale-free substrate of §8.3 with ECMP
@@ -76,8 +83,6 @@ type FabricOpts struct {
 	//   "roundrobin" — the naive walk (place.RoundRobin), the baseline arm
 	//   "bottleneck" — link-load-aware greedy (place.BottleneckAware)
 	Placement string
-	// WriteFrac is the write share the planner models; default 0.1 (§8.2).
-	WriteFrac float64
 }
 
 func (o *FabricOpts) defaults() {
@@ -91,7 +96,7 @@ func (o *FabricOpts) defaults() {
 		o.VNodes = 4
 	}
 	if o.Seed == 0 {
-		o.Seed = 1
+		o.Seed = figSeed
 	}
 	if o.HostsPerLeaf == 0 {
 		o.HostsPerLeaf = 2
@@ -101,9 +106,6 @@ func (o *FabricOpts) defaults() {
 	}
 	if o.Placement == "" {
 		o.Placement = "hash"
-	}
-	if o.WriteFrac == 0 {
-		o.WriteFrac = 0.1
 	}
 }
 
@@ -135,7 +137,7 @@ func NewDeployment(o FabricOpts) (*Deployment, error) {
 	}
 	d := &Deployment{
 		Sim: sim, Net: fb.Net, Fab: fb, Ring: r, Profile: prof,
-		members: members, spares: spares, writeFrac: o.WriteFrac,
+		members: members, spares: spares,
 	}
 
 	switch o.Placement {
@@ -255,61 +257,4 @@ func (d *Deployment) LoadStore(n, valueSize int) ([]kv.Key, error) {
 		}
 	}
 	return keys, nil
-}
-
-// mixSource adapts a workload mix over concrete keys to a generator feed.
-func mixSource(keys []kv.Key, writeRatio float64, valueSize int, seed int64) func(n uint64) (kv.Op, kv.Key, kv.Value) {
-	rng := rand.New(rand.NewSource(seed))
-	val := workload.Value(valueSize, uint64(seed))
-	return func(n uint64) (kv.Op, kv.Key, kv.Value) {
-		k := keys[rng.Intn(len(keys))]
-		if rng.Float64() < writeRatio {
-			return kv.OpWrite, k, val
-		}
-		return kv.OpRead, k, nil
-	}
-}
-
-// firstServers feeds keys to the first n muxes (the paper's 1–4 client
-// servers) and leaves the rest quiet.
-func firstServers(n int, keys []kv.Key) func(mux int) []kv.Key {
-	return func(mux int) []kv.Key {
-		if mux < n {
-			return keys
-		}
-		return nil
-	}
-}
-
-// runGenerators starts one open-loop generator per mux that keysFor gives
-// keys to, for the window, and returns delivered OK QPS scaled back to
-// unscaled units. outWindow caps each generator's outstanding queries
-// (0 = unbounded).
-func (d *Deployment) runGenerators(keysFor func(mux int) []kv.Key, writeRatio float64,
-	valueSize int, window event.Time, outWindow int) (deliveredQPS float64, gens []*simclient.Generator) {
-	cfg := simclient.DefaultConfig()
-	cfg.Window = outWindow
-	rate := d.Profile.HostRate / d.Profile.Scale
-	dir := d.Directory()
-	for i, mux := range d.Muxes {
-		keys := keysFor(i)
-		if len(keys) == 0 {
-			continue
-		}
-		g := mux.NewGenerator(cfg, dir, mixSource(keys, writeRatio, valueSize, int64(i+1)))
-		gens = append(gens, g)
-		g.Start(rate)
-	}
-	d.Sim.After(window, func() {
-		for _, g := range gens {
-			g.Stop()
-		}
-	})
-	d.Sim.Run()
-	var ok uint64
-	for _, g := range gens {
-		ok += g.OKCount()
-	}
-	deliveredQPS = float64(ok) / (float64(window) / 1e9) * d.Profile.Scale
-	return deliveredQPS, gens
 }

@@ -4,17 +4,17 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"netchain/internal/netsim"
 )
 
 // fastOpts shrinks windows and store for test speed while preserving the
 // capacity ratios that drive every shape.
 func fastOpts() ThroughputOpts {
 	return ThroughputOpts{
-		Scale:     1000,
 		StoreSize: 1500,
 		Window:    20 * time.Millisecond,
 		ZKWindow:  150 * time.Millisecond,
-		Seed:      1,
 	}
 }
 
@@ -42,6 +42,30 @@ func TestNetChainThroughputScalesWithClients(t *testing.T) {
 	}
 }
 
+// TestThroughputRowOnFabric runs the scenario behind NetChain(k) on a
+// fattree:4 fabric, changing only its FabricOpts: the client-bound §8.1
+// shape, NetChain(4) ≈ 4 × NetChain(1), holds there as on the ring.
+func TestThroughputRowOnFabric(t *testing.T) {
+	qps := func(servers int) float64 {
+		sc := throughputScenario(fastOpts(), servers, 0)
+		sc.fabric.Spec = netsim.TopoSpec{Kind: "fattree", K: 4}
+		q, _, err := chainThroughput(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	q1, q4 := qps(1), qps(4)
+	t.Logf("fattree:4 NetChain(1) %.1f MQPS, NetChain(4) %.1f MQPS", q1/1e6, q4/1e6)
+	if q1 < 15e6 || q1 > 25e6 {
+		t.Fatalf("NetChain(1) on fattree:4 = %.1f MQPS, want ~20.5", q1/1e6)
+	}
+	if ratio := q4 / q1; ratio < 3.6 || ratio > 4.4 {
+		t.Fatalf("NetChain(4)/NetChain(1) on fattree:4 = %.2f (%.1f / %.1f MQPS), want ~4",
+			ratio, q4/1e6, q1/1e6)
+	}
+}
+
 func TestFig9cShape(t *testing.T) {
 	o := fastOpts()
 	// NetChain flat across write ratio.
@@ -59,11 +83,11 @@ func TestFig9cShape(t *testing.T) {
 		t.Fatalf("NetChain write/read throughput ratio = %.2f, want ~1 (flat)", ratio)
 	}
 	// Baseline collapses with writes.
-	zr, _, _, err := zkRun(100, 0, o.ZKWindow, 0, 1)
+	zr, _, _, err := zkRun(100, 0, o.ZKWindow, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	zw, _, _, err := zkRun(100, 1, o.ZKWindow, 0, 1)
+	zw, _, _, err := zkRun(100, 1, o.ZKWindow, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +116,11 @@ func TestFig9dShape(t *testing.T) {
 		t.Fatalf("NetChain @10%% loss = %.2f of clean, want ~0.55", frac)
 	}
 	// Baseline falls off a cliff at 1% loss.
-	zclean, _, _, err := zkRun(100, 0.01, o.ZKWindow, 0, 1)
+	zclean, _, _, err := zkRun(100, 0.01, o.ZKWindow, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	zlossy, _, _, err := zkRun(100, 0.01, o.ZKWindow, 0.01, 1)
+	zlossy, _, _, err := zkRun(100, 0.01, o.ZKWindow, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +201,7 @@ func TestFig9fLinearScalability(t *testing.T) {
 }
 
 func TestFig9fAnalyticMatchesSimulation(t *testing.T) {
-	analytic, measured, err := Fig9fValidate(Fig9fOpts{})
+	analytic, measured, err := Fig9fValidate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,16 +215,14 @@ func TestFig9fAnalyticMatchesSimulation(t *testing.T) {
 
 func fastFig10(vgroups int) Fig10Opts {
 	return Fig10Opts{
-		VGroups:     vgroups,
-		Scale:       20000,
-		StoreSize:   400,
-		Duration:    15 * time.Second,
-		FailAt:      3 * time.Second,
-		DetectLag:   500 * time.Millisecond,
-		RecoverAt:   6 * time.Second,
-		Bucket:      500 * time.Millisecond,
-		SyncPerItem: 7 * time.Millisecond,
-		Seed:        1,
+		VGroups:   vgroups,
+		Scale:     20000,
+		StoreSize: 400,
+		Duration:  15 * time.Second,
+		FailAt:    3 * time.Second,
+		DetectLag: 500 * time.Millisecond,
+		RecoverAt: 6 * time.Second,
+		Bucket:    500 * time.Millisecond,
 	}
 }
 
@@ -294,6 +316,21 @@ func TestFig11Shape(t *testing.T) {
 	// Orders-of-magnitude gap vs baseline.
 	if nc8lo < 20*zk8 {
 		t.Fatalf("NetChain (%.0f) should dwarf baseline (%.0f)", nc8lo, zk8)
+	}
+}
+
+// TestChainMessagesPerWrite: one write on the ring costs n+1 = 4 protocol
+// messages; the underlay's two transits are not among them.
+func TestChainMessagesPerWrite(t *testing.T) {
+	c, err := chainWrite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.processed != 3 || c.replies != 1 || c.transits != 2 {
+		t.Fatalf("processed %d, replies %d, transits %d; want 3, 1, 2", c.processed, c.replies, c.transits)
+	}
+	if msgs, err := ChainMessagesPerWrite(); err != nil || msgs != 4 {
+		t.Fatalf("ChainMessagesPerWrite = %v, %v; want 4", msgs, err)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"netchain/internal/kv"
 	"netchain/internal/packet"
 	"netchain/internal/ring"
-	"netchain/internal/simclient"
 	"netchain/internal/stats"
 )
 
@@ -18,17 +17,15 @@ import (
 // delay), start recovery onto S3 at t=40 s, 50% writes, and watch one
 // client server's throughput over time.
 type Fig10Opts struct {
-	VGroups     int           // virtual groups holding the store: 1 (Fig 10a) or ~100 (Fig 10b)
-	Scale       float64       // rate scale (default 10000)
-	StoreSize   int           // keys (default 20000)
-	Duration    time.Duration // total simulated time (default 200 s)
-	FailAt      time.Duration // default 20 s
-	DetectLag   time.Duration // injected controller delay (default 1 s, §8.4)
-	RecoverAt   time.Duration // default 40 s
-	Bucket      time.Duration // time-series bucket (default 1 s)
-	PreSync     bool          // Algorithm 3 Step 1 ablation
-	SyncPerItem time.Duration // default 7 ms (calibrates ~140 s recovery)
-	Seed        int64
+	VGroups   int           // virtual groups holding the store: 1 (Fig 10a) or ~100 (Fig 10b)
+	Scale     float64       // rate scale (default 10000)
+	StoreSize int           // keys (default 20000)
+	Duration  time.Duration // total simulated time (default 200 s)
+	FailAt    time.Duration // default 20 s
+	DetectLag time.Duration // injected controller delay (default 1 s, §8.4)
+	RecoverAt time.Duration // default 40 s
+	Bucket    time.Duration // time-series bucket (default 1 s)
+	PreSync   bool          // Algorithm 3 Step 1 ablation
 
 	// Autopilot replaces the scripted repair ("the network OS detects
 	// the failure" as an injected DetectLag, Recover at RecoverAt) with
@@ -37,10 +34,6 @@ type Fig10Opts struct {
 	// recovery from the spare pool on its own. DetectLag and RecoverAt
 	// are ignored.
 	Autopilot bool
-	// Heartbeat is the autopilot beacon cadence (default 100 ms — at
-	// Fig. 10 time scales, detection lands ~0.6 s after the failure,
-	// comparable to the paper's 1 s injected delay).
-	Heartbeat time.Duration
 }
 
 func (o *Fig10Opts) defaults() {
@@ -67,15 +60,6 @@ func (o *Fig10Opts) defaults() {
 	}
 	if o.Bucket == 0 {
 		o.Bucket = time.Second
-	}
-	if o.SyncPerItem == 0 {
-		o.SyncPerItem = 7 * time.Millisecond
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Heartbeat == 0 {
-		o.Heartbeat = 100 * time.Millisecond
 	}
 }
 
@@ -110,136 +94,107 @@ func Fig10(o Fig10Opts) (*Fig10Result, error) {
 	if o.VGroups > 1 {
 		vnodes = (o.VGroups + 2) / 3
 	}
-	d, err := NewDeployment(FabricOpts{Scale: o.Scale, VNodes: vnodes, Seed: o.Seed})
+	ccfg := controller.DefaultConfig() // its 7 ms per-item sync calibrates the ~140 s recovery
+	ccfg.PreSync = o.PreSync
+	res := &Fig10Result{}
+	var harness *AutopilotHarness
+	// S1 fails at FailAt; S3, the deployment's spare, replaces it.
+	steps := []step{{o.FailAt, func(r *run) {
+		s1 := r.Fab.Switches[1]
+		r.Net.FailSwitch(s1)
+		if !o.Autopilot {
+			r.Sim.After(event.Duration(o.DetectLag), func() {
+				r.Ctl.HandleFailure(s1, func() { res.FailoverDone = r.now() })
+			})
+		}
+	}}}
+	if !o.Autopilot {
+		steps = append(steps, step{o.RecoverAt, func(r *run) {
+			r.Ctl.Recover(r.Fab.Switches[1], []packet.Addr{r.Fab.Switches[3]}, func() { res.RecoveryDone = r.now() })
+		}})
+	}
+	r, err := scenario{
+		fabric: FabricOpts{Scale: o.Scale, VNodes: vnodes},
+		ctl:    &ccfg,
+		store: func(d *Deployment) (func(int) []kv.Key, error) {
+			keys, err := fig10Store(d, o)
+			// Pin the read path S0→S3→S2 as the paper does (§8.4), so reads
+			// avoid the failing S1.
+			d.Net.SetRoute(d.Fab.Switches[0], d.Fab.Switches[2], d.Fab.Switches[3])
+			return allHosts(keys), err
+		},
+		frozen: true, // clients keep pre-failure routes (§4.2)
+		loads:  []load{{writeRatio: 0.5, valueSize: 64, bucket: o.Bucket}},
+		setup: func(r *run) (err error) {
+			r.Ctl.OnGroupRecovered = func(ring.GroupID) { res.GroupsRecovered++ }
+			if o.Autopilot {
+				// A 100 ms beacon lands detection ~0.6 s after the failure,
+				// comparable to the paper's 1 s injected delay.
+				harness, err = StartAutopilot(r.Deployment, AutopilotOpts{Heartbeat: 100 * time.Millisecond})
+				if err == nil {
+					harness.RecordMilestones(&res.FailoverDone, &res.RecoveryDone)
+				}
+			}
+			return err
+		},
+		steps:  steps,
+		stop:   o.Duration,
+		settle: 50 * time.Millisecond,
+	}.run()
 	if err != nil {
 		return nil, err
 	}
-	// Slow down / configure the controller sync path.
-	ccfg := controller.DefaultConfig()
-	ccfg.SyncPerItem = o.SyncPerItem
-	ccfg.PreSync = o.PreSync
-	if err := d.NewController(ccfg); err != nil {
-		return nil, err
-	}
-
-	s0, s1, s2, s3 := d.Fab.Switches[0], d.Fab.Switches[1], d.Fab.Switches[2], d.Fab.Switches[3]
-
-	var keys []kv.Key
-	if o.VGroups == 1 {
-		// All keys in one group whose chain has S1 in the middle, so reads
-		// (tail) keep flowing while writes block during recovery.
-		g, err := groupWithMiddle(d, s1)
-		if err != nil {
-			return nil, err
-		}
-		keys, err = loadKeysInGroup(d, g, o.StoreSize)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		keys, err = d.LoadStore(o.StoreSize, 64)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// Pin the read path S0→S3→S2 as the paper does (§8.4), so reads avoid
-	// the failing S1.
-	d.Net.SetRoute(s0, s2, s3)
-
-	dir := d.FrozenDirectory() // clients keep pre-failure routes (§4.2)
-	gen := d.Muxes[0].NewGenerator(simclient.DefaultConfig(), dir,
-		mixSource(keys, 0.5, 64, o.Seed))
-	gen.Series = stats.NewTimeSeries(o.Bucket)
-
-	res := &Fig10Result{Series: gen.Series}
-	gen.Start(d.Profile.HostRate / d.Profile.Scale)
-
-	d.Ctl.OnGroupRecovered = func(ring.GroupID) { res.GroupsRecovered++ }
-	var harness *AutopilotHarness
-	if o.Autopilot {
-		h, err := StartAutopilot(d, AutopilotOpts{
-			Heartbeat: o.Heartbeat,
-			Spares:    []packet.Addr{s3},
-		})
-		if err != nil {
-			return nil, err
-		}
-		harness = h
-		h.RecordMilestones(&res.FailoverDone, &res.RecoveryDone)
-		d.Sim.After(event.Duration(o.FailAt), func() { d.Net.FailSwitch(s1) })
-	} else {
-		d.Sim.After(event.Duration(o.FailAt), func() {
-			d.Net.FailSwitch(s1)
-			d.Sim.After(event.Duration(o.DetectLag), func() {
-				d.Ctl.HandleFailure(s1, func() {
-					res.FailoverDone = time.Duration(d.Sim.Now())
-				})
-			})
-		})
-		d.Sim.After(event.Duration(o.RecoverAt), func() {
-			d.Ctl.Recover(s1, []packet.Addr{s3}, func() {
-				res.RecoveryDone = time.Duration(d.Sim.Now())
-			})
-		})
-	}
-	d.Sim.After(event.Duration(o.Duration), gen.Stop)
-	d.Sim.RunUntil(event.Duration(o.Duration) + event.Duration(50*time.Millisecond))
 	if harness != nil {
 		harness.Stop()
 		res.Repairs = harness.Pilot.History()
 	}
+	res.Series = r.gens[0].Series
 
-	// Build the figure (rates scaled back to true units).
-	fig := &Figure{
+	res.Figure = &Figure{
 		ID:     fmt.Sprintf("fig10-%dvg", o.VGroups),
 		Title:  fmt.Sprintf("Failure handling, %d virtual group(s)", o.VGroups),
 		XLabel: "t(s)", YLabel: "QPS",
 		PaperNote: "failover dip at 20 s (1 s injected delay); recovery 40 s onward: " +
 			"1 vgroup → ~50% drop for the whole sync; 100 vgroups → ~0.5% drop",
 	}
-	rates := gen.Series.Rates()
-	for i, r := range rates {
-		fig.Add("client throughput", float64(i)*o.Bucket.Seconds(), r*o.Scale)
-	}
-	res.Figure = fig
+	r.plot(res.Figure, "client throughput", 0)
 
 	// Quantify the recovery dip over the window where recovery ran.
 	recoverStart := o.RecoverAt
 	if o.Autopilot && res.FailoverDone > 0 {
 		recoverStart = res.FailoverDone // the autopilot recovers right after failover
 	}
-	startB := int(recoverStart / o.Bucket)
-	endB := int(res.RecoveryDone / o.Bucket)
-	if endB > len(rates) {
-		endB = len(rates)
-	}
-	base := 0.0
-	for i := 5; i < int(o.FailAt/o.Bucket)-1 && i < len(rates); i++ {
-		if rates[i] > base {
-			base = rates[i]
-		}
-	}
-	res.BaselineRate = base * o.Scale
-	min := base
-	for i := startB + 1; i < endB-1; i++ {
-		if i >= 0 && i < len(rates) && rates[i] < min {
-			min = rates[i]
-		}
-	}
-	res.MinRateDuringRecovery = min * o.Scale
+	rates := res.Series.Rates()
+	endB := min(int(res.RecoveryDone/o.Bucket), len(rates))
+	base, low := dip(rates, 5, int(o.FailAt/o.Bucket)-1, int(recoverStart/o.Bucket)+1, endB-1)
+	res.BaselineRate, res.MinRateDuringRecovery = base*o.Scale, low*o.Scale
 	return res, nil
 }
 
-// groupWithMiddle finds a virtual group whose chain places sw in the
-// middle position.
-func groupWithMiddle(d *Deployment, sw packet.Addr) (ring.GroupID, error) {
+// fig10Store preloads the store: with one virtual group, all keys in a
+// group whose chain has S1 in the middle, so reads (tail) keep flowing
+// while writes block during recovery.
+func fig10Store(d *Deployment, o Fig10Opts) ([]kv.Key, error) {
+	if o.VGroups > 1 {
+		return d.LoadStore(o.StoreSize, 64)
+	}
 	for g, ch := range d.Ring.Chains() {
-		if len(ch.Hops) == 3 && ch.Hops[1] == sw {
-			return g, nil
+		if len(ch.Hops) == 3 && ch.Hops[1] == d.Fab.Switches[1] {
+			return loadKeysInGroup(d, g, o.StoreSize)
 		}
 	}
-	return 0, fmt.Errorf("experiments: no chain has %v in the middle", sw)
+	return nil, fmt.Errorf("experiments: no chain has %v in the middle", d.Fab.Switches[1])
+}
+
+// Format renders the figure and the recovery milestones as benchrunner
+// prints them.
+func (r *Fig10Result) Format() string {
+	return r.Figure.Format() + "\n" +
+		fmt.Sprintf("failover done at t=%.1fs; recovery done at t=%.1fs; groups recovered: %d\n",
+			r.FailoverDone.Seconds(), r.RecoveryDone.Seconds(), r.GroupsRecovered) +
+		fmt.Sprintf("baseline %.2f MQPS; minimum during recovery %.2f MQPS (%.1f%% of baseline)\n",
+			r.BaselineRate/1e6, r.MinRateDuringRecovery/1e6,
+			100*r.MinRateDuringRecovery/r.BaselineRate)
 }
 
 // loadKeysInGroup preloads keys until n of them land in group g; only

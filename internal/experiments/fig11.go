@@ -21,8 +21,6 @@ type Fig11Opts struct {
 	ColdKeys          int           // default 2000
 	NetChainWindow    time.Duration // default 30 ms simulated
 	ZKWindow          time.Duration // default 2 s simulated
-	ExecTime          time.Duration // in-memory txn time (default 100 µs, §6)
-	Seed              int64
 }
 
 func (o *Fig11Opts) defaults() {
@@ -40,12 +38,6 @@ func (o *Fig11Opts) defaults() {
 	}
 	if o.ZKWindow == 0 {
 		o.ZKWindow = 2 * time.Second
-	}
-	if o.ExecTime == 0 {
-		o.ExecTime = 100 * time.Microsecond
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 }
 
@@ -80,81 +72,67 @@ func Fig11(o Fig11Opts) (*Figure, error) {
 }
 
 func fig11NetChain(o Fig11Opts, ci float64, clients int) (float64, error) {
-	d, err := NewDeployment(FabricOpts{Scale: 1, Seed: o.Seed}) // true rates: lock latency matters
+	d, err := NewDeployment(FabricOpts{Scale: 1}) // true rates: lock latency matters
 	if err != nil {
 		return 0, err
-	}
-	wl0, err := workload.NewTxnWorkload(ci, o.ColdKeys, o.Seed)
-	if err != nil {
-		return 0, err
-	}
-	keys := make([]kv.Key, wl0.TotalKeys())
-	for i := range keys {
-		keys[i] = kv.KeyFromUint64(uint64(i))
-		if _, err := d.Ctl.Insert(keys[i]); err != nil {
-			return 0, err
-		}
 	}
 	dir := d.Directory()
-	execs := make([]*lock.Executor, clients)
-	for i := 0; i < clients; i++ {
-		mux := d.Muxes[i%len(d.Muxes)]
-		cl, err := mux.NewClient(simclient.DefaultConfig(), dir)
-		if err != nil {
-			return 0, err
-		}
-		wl, err := workload.NewTxnWorkload(ci, o.ColdKeys, o.Seed+int64(i))
-		if err != nil {
-			return 0, err
-		}
-		cfg := lock.DefaultExecutorConfig()
-		cfg.ExecTime = event.Duration(o.ExecTime)
-		cfg.Seed = int64(i)
-		execs[i] = lock.NewExecutor(d.Sim, lock.NetChainLocks{Client: cl}, wl, keys, uint64(i+1), cfg)
-		execs[i].Start()
-	}
-	d.Sim.After(event.Duration(o.NetChainWindow), func() {
-		for _, ex := range execs {
-			ex.Stop()
-		}
-	})
-	d.Sim.Run()
-	var committed uint64
-	for _, ex := range execs {
-		committed += ex.Committed
-	}
-	return float64(committed) / o.NetChainWindow.Seconds(), nil
+	return fig11Txns(d.Sim, o.NetChainWindow, ci, clients, o.ColdKeys,
+		func(k kv.Key) error {
+			_, err := d.Ctl.Insert(k)
+			return err
+		},
+		func(i int) (lock.Service, error) {
+			cl, err := d.Muxes[i%len(d.Muxes)].NewClient(simclient.DefaultConfig(), dir)
+			return lock.NetChainLocks{Client: cl}, err
+		})
 }
 
 func fig11ZK(o Fig11Opts, ci float64, clients int) (float64, error) {
 	sim := event.New()
 	cfg := zab.DefaultConfig()
-	cfg.Seed = o.Seed
+	cfg.Seed = figSeed
 	cl, err := zab.NewCluster(sim, cfg)
 	if err != nil {
 		return 0, err
 	}
-	wl0, err := workload.NewTxnWorkload(ci, o.ColdKeys, o.Seed)
+	return fig11Txns(sim, o.ZKWindow, ci, clients, o.ColdKeys,
+		func(kv.Key) error { return nil },
+		func(int) (lock.Service, error) { return lock.ZabLocks{Cluster: cl}, nil })
+}
+
+// fig11Txns runs clients two-phase-locking executors for window over one
+// system: insert makes each lock key exist, locks gives client i its lock
+// service. It returns committed transactions per second.
+func fig11Txns(sim *event.Sim, window time.Duration, ci float64, clients, coldKeys int,
+	insert func(kv.Key) error, locks func(i int) (lock.Service, error)) (float64, error) {
+	wl0, err := workload.NewTxnWorkload(ci, coldKeys, figSeed)
 	if err != nil {
 		return 0, err
 	}
 	keys := make([]kv.Key, wl0.TotalKeys())
 	for i := range keys {
 		keys[i] = kv.KeyFromUint64(uint64(i))
+		if err := insert(keys[i]); err != nil {
+			return 0, err
+		}
 	}
 	execs := make([]*lock.Executor, clients)
-	for i := 0; i < clients; i++ {
-		wl, err := workload.NewTxnWorkload(ci, o.ColdKeys, o.Seed+int64(i))
+	for i := range execs {
+		l, err := locks(i)
 		if err != nil {
 			return 0, err
 		}
-		ecfg := lock.DefaultExecutorConfig()
-		ecfg.ExecTime = event.Duration(o.ExecTime)
-		ecfg.Seed = int64(i)
-		execs[i] = lock.NewExecutor(sim, lock.ZabLocks{Cluster: cl}, wl, keys, uint64(i+1), ecfg)
+		wl, err := workload.NewTxnWorkload(ci, coldKeys, figSeed+int64(i))
+		if err != nil {
+			return 0, err
+		}
+		cfg := lock.DefaultExecutorConfig() // §6's 100 µs in-memory transactions
+		cfg.Seed = int64(i)
+		execs[i] = lock.NewExecutor(sim, l, wl, keys, uint64(i+1), cfg)
 		execs[i].Start()
 	}
-	sim.After(event.Duration(o.ZKWindow), func() {
+	sim.After(event.Duration(window), func() {
 		for _, ex := range execs {
 			ex.Stop()
 		}
@@ -164,5 +142,5 @@ func fig11ZK(o Fig11Opts, ci float64, clients int) (float64, error) {
 	for _, ex := range execs {
 		committed += ex.Committed
 	}
-	return float64(committed) / o.ZKWindow.Seconds(), nil
+	return float64(committed) / window.Seconds(), nil
 }

@@ -7,33 +7,30 @@ import (
 
 	"netchain/internal/event"
 	"netchain/internal/kv"
-	"netchain/internal/simclient"
 	"netchain/internal/stats"
 	"netchain/internal/workload"
 	"netchain/internal/zab"
 )
 
 // ThroughputOpts parameterizes the Fig. 9(a)–(d) family. Zero values take
-// the paper's defaults: 64-byte values, 20K store, 1% writes, no loss.
+// the paper's defaults: 64-byte values, 20K store, 1% writes, no loss. Rates
+// run at FabricOpts' default scale, 1/1000.
 type ThroughputOpts struct {
-	Scale      float64       // rate scale (default 1000)
 	StoreSize  int           // number of keys (default 20000)
 	ValueSize  int           // bytes (default 64)
 	WriteRatio float64       // default 0.01
 	Window     time.Duration // measurement window (default 100 ms simulated)
-	ZKClients  int           // closed-loop baseline sessions (default 100)
 	ZKWindow   time.Duration // baseline window (default 400 ms simulated)
 	// ClientWindow caps each generator's outstanding queries (0 = unbounded
 	// open loop, the paper's DPDK source); sweep it to reproduce the
 	// pipelining crossover of Fig. 9(e).
 	ClientWindow int
-	Seed         int64
 }
 
+// zkClients is the baseline's closed-loop session count.
+const zkClients = 100
+
 func (o *ThroughputOpts) defaults() {
-	if o.Scale == 0 {
-		o.Scale = 1000
-	}
 	if o.StoreSize == 0 {
 		o.StoreSize = 20000
 	}
@@ -43,17 +40,40 @@ func (o *ThroughputOpts) defaults() {
 	if o.Window == 0 {
 		o.Window = 100 * time.Millisecond
 	}
-	if o.ZKClients == 0 {
-		o.ZKClients = 100
-	}
 	if o.ZKWindow == 0 {
 		o.ZKWindow = 400 * time.Millisecond
 	}
 	if o.WriteRatio == 0 {
 		o.WriteRatio = 0.01
 	}
-	if o.Seed == 0 {
-		o.Seed = 1
+}
+
+// throughputScenario is the NetChain side of Fig. 9(a)–(d): the store on
+// a 10-vnode ring, every switch dropping lossRate of its frames, and one
+// open-loop generator on each of the first servers client hosts for the
+// window.
+func throughputScenario(o ThroughputOpts, servers int, lossRate float64) scenario {
+	return scenario{
+		fabric: FabricOpts{VNodes: 10},
+		store: func(d *Deployment) (func(int) []kv.Key, error) {
+			keys, err := d.LoadStore(o.StoreSize, o.ValueSize)
+			if err != nil {
+				return nil, err
+			}
+			for _, s := range d.SwitchAddrs() {
+				if err := d.Net.LossRateSet(s, lossRate); err != nil {
+					return nil, err
+				}
+			}
+			return func(mux int) []kv.Key {
+				if mux < servers {
+					return keys
+				}
+				return nil
+			}, nil
+		},
+		loads: []load{{mux: everyMux, writeRatio: o.WriteRatio, valueSize: o.ValueSize, window: o.ClientWindow}},
+		stop:  o.Window,
 	}
 }
 
@@ -62,57 +82,44 @@ func (o *ThroughputOpts) defaults() {
 // maximum derived from switch budgets and measured traversals
 // (NetChain(max) in Fig. 9).
 func netchainThroughput(o ThroughputOpts, servers int, lossRate float64) (qps, maxQPS float64, err error) {
-	d, err := NewDeployment(FabricOpts{Scale: o.Scale, VNodes: 10, Seed: o.Seed})
-	if err != nil {
-		return 0, 0, err
-	}
-	keys, err := d.LoadStore(o.StoreSize, o.ValueSize)
-	if err != nil {
-		return 0, 0, err
-	}
-	if lossRate > 0 {
-		for _, s := range d.SwitchAddrs() {
-			if err := d.Net.LossRateSet(s, lossRate); err != nil {
-				return 0, 0, err
-			}
-		}
-	}
-	delivered, gens := d.runGenerators(firstServers(servers, keys), o.WriteRatio, o.ValueSize, event.Duration(o.Window), o.ClientWindow)
+	return chainThroughput(throughputScenario(o, servers, lossRate))
+}
 
+// chainThroughput runs sc and returns its delivered QPS and NetChain(max).
+func chainThroughput(sc scenario) (qps, maxQPS float64, err error) {
+	r, err := sc.run()
+	if err != nil {
+		return 0, 0, err
+	}
 	// NetChain(max): the chain saturates when its busiest switch exhausts
 	// its packet budget; traversals-per-query comes from the measured run.
 	var sent uint64
-	for _, g := range gens {
+	for _, g := range r.gens {
 		sent += g.Sent
 	}
-	maxQPS = 0
 	if sent > 0 {
 		worst := 0.0
-		for _, sa := range d.SwitchAddrs() {
-			sw, _ := d.Net.Switch(sa)
-			st := sw.Stats()
+		for _, sa := range r.SwitchAddrs() {
+			sw, _ := r.Net.Switch(sa)
 			// Pipeline passes, not packets: recirculated big values consume
 			// multiple slots of the switch budget (§6).
 			_, passes := sw.PipelinePasses()
-			perQuery := float64(passes+st.Transits) / float64(sent)
-			if perQuery > worst {
-				worst = perQuery
-			}
+			worst = max(worst, float64(passes+sw.Stats().Transits)/float64(sent))
 		}
 		if worst > 0 {
-			maxQPS = d.Profile.SwitchPPS / worst
+			maxQPS = r.Profile.SwitchPPS / worst
 		}
 	}
-	return delivered, maxQPS, nil
+	return r.okQPS(), maxQPS, nil
 }
 
 // zkRun drives a closed-loop mixed workload against the baseline and
 // returns delivered QPS plus latency histograms split by op.
-func zkRun(clients int, writeRatio float64, window time.Duration, lossRate float64, seed int64) (qps float64, readLat, writeLat *stats.Histogram, err error) {
+func zkRun(clients int, writeRatio float64, window time.Duration, lossRate float64) (qps float64, readLat, writeLat *stats.Histogram, err error) {
 	sim := event.New()
 	cfg := zab.DefaultConfig()
 	cfg.LossRate = lossRate
-	cfg.Seed = seed
+	cfg.Seed = figSeed
 	cl, err := zab.NewCluster(sim, cfg)
 	if err != nil {
 		return 0, nil, nil, err
@@ -127,7 +134,7 @@ func zkRun(clients int, writeRatio float64, window time.Duration, lossRate float
 	writeLat = stats.NewLatencyHistogram()
 	done := uint64(0)
 	deadline := sim.Now() + event.Duration(window)
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(figSeed))
 
 	var loop func(i int)
 	loop = func(i int) {
@@ -176,7 +183,7 @@ func fig9Sweep(f *Figure, o ThroughputOpts, xs []float64, apply func(o *Throughp
 				f.Add("NetChain(max)", x, maxQPS)
 			}
 		}
-		qps, _, _, err := zkRun(oo.ZKClients, oo.WriteRatio, oo.ZKWindow, 0, oo.Seed)
+		qps, _, _, err := zkRun(zkClients, oo.WriteRatio, oo.ZKWindow, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -232,7 +239,7 @@ func Fig9d(o ThroughputOpts) (*Figure, error) {
 			return nil, err
 		}
 		f.Add("NetChain(4)", loss*100, qps)
-		zq, _, _, err := zkRun(o.ZKClients, o.WriteRatio, o.ZKWindow, loss, o.Seed)
+		zq, _, _, err := zkRun(zkClients, o.WriteRatio, o.ZKWindow, loss)
 		if err != nil {
 			return nil, err
 		}
@@ -263,12 +270,12 @@ func Fig9e(o ThroughputOpts) (*Figure, error) {
 	}
 	// Baseline: client count sweep, read-only and write-only.
 	for _, clients := range []int{1, 2, 5, 10, 25, 50, 100} {
-		qps, readLat, _, err := zkRun(clients, 0, o.ZKWindow, 0, o.Seed)
+		qps, readLat, _, err := zkRun(clients, 0, o.ZKWindow, 0)
 		if err != nil {
 			return nil, err
 		}
 		f.Add("ZooKeeper (read)", qps, readLat.P50()/1e3)
-		wqps, _, writeLat, err := zkRun(clients, 1, o.ZKWindow, 0, o.Seed)
+		wqps, _, writeLat, err := zkRun(clients, 1, o.ZKWindow, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -307,30 +314,37 @@ func Fig9eWindows(o ThroughputOpts, windows []int) ([]WindowPoint, error) {
 	return out, nil
 }
 
+// FormatWindows renders the client-pipeline sweep as benchrunner prints it.
+func FormatWindows(pts []WindowPoint) string {
+	s := "client pipeline sweep (one client server, fixed offered load):\n" +
+		fmt.Sprintf("%8s %12s %10s %10s %12s\n", "window", "MQPS", "p50 µs", "p99 µs", "suppressed")
+	for _, p := range pts {
+		s += fmt.Sprintf("%8d %12.3f %10.2f %10.2f %12d\n", p.Window, p.QPS/1e6, p.P50us, p.P99us, p.Suppressed)
+	}
+	return s
+}
+
 // fig9ePoint runs the Fig. 9(e) single-client measurement: a fresh
 // unscaled deployment, a 4096-key store, and one 50/50 read-write
 // generator with the given outstanding window offered rateFrac of the
 // host budget for 4 ms of simulated time.
 func fig9ePoint(o ThroughputOpts, window int, rateFrac float64) (WindowPoint, error) {
-	const ncWindow = 4 * time.Millisecond
-	d, err := NewDeployment(FabricOpts{Scale: 1, VNodes: 10, Seed: o.Seed})
+	r, err := scenario{
+		fabric: FabricOpts{Scale: 1, VNodes: 10},
+		store: func(d *Deployment) (func(int) []kv.Key, error) {
+			keys, err := d.LoadStore(4096, o.ValueSize)
+			return allHosts(keys), err
+		},
+		loads: []load{{writeRatio: 0.5, valueSize: o.ValueSize, window: window, rate: rateFrac}},
+		stop:  4 * time.Millisecond,
+	}.run()
 	if err != nil {
 		return WindowPoint{}, err
 	}
-	keys, err := d.LoadStore(4096, o.ValueSize)
-	if err != nil {
-		return WindowPoint{}, err
-	}
-	cfg := simclient.DefaultConfig()
-	cfg.Window = window
-	g := d.Muxes[0].NewGenerator(cfg, d.Directory(),
-		mixSource(keys, 0.5, o.ValueSize, o.Seed))
-	g.Start(rateFrac * d.Profile.HostRate)
-	d.Sim.After(event.Duration(ncWindow), g.Stop)
-	d.Sim.Run()
+	g := r.gens[0]
 	return WindowPoint{
 		Window:     window,
-		QPS:        float64(g.OKCount()) / ncWindow.Seconds(),
+		QPS:        r.okQPS(),
 		P50us:      g.Latency.P50() / 1e3,
 		P99us:      g.Latency.P99() / 1e3,
 		Suppressed: g.Suppressed,

@@ -11,16 +11,10 @@ import (
 	"netchain/internal/ring"
 )
 
-// coreItem builds a minimal preloaded record for validation runs.
-func coreItem(k kv.Key) core.Item {
-	return core.Item{Key: k, Value: kv.Value("v"), Version: kv.Version{Seq: 1}}
-}
-
 // Fig9fOpts parameterizes the §8.3 scalability simulation.
 type Fig9fOpts struct {
 	Leaves  []int // leaf counts; spines = leaves/2 (default 4..64)
 	Samples int   // (host, key) samples per size (default 4000)
-	Seed    int64
 }
 
 func (o *Fig9fOpts) defaults() {
@@ -30,9 +24,20 @@ func (o *Fig9fOpts) defaults() {
 	if o.Samples == 0 {
 		o.Samples = 4000
 	}
-	if o.Seed == 0 {
-		o.Seed = 1
+}
+
+// spineLeaf builds the §8.3 fabric at true rates — leaves leaf switches
+// under leaves/2 spines, two hosts per leaf, unmetered — and a ring over
+// every switch.
+func spineLeaf(leaves int) (*event.Sim, *netsim.Fabric, *ring.Ring, error) {
+	sim := event.New()
+	sl, err := netsim.NewFabric(sim, netsim.PaperProfile(1), figSeed,
+		netsim.TopoSpec{Kind: "spine-leaf", S: leaves / 2, L: leaves}, 2, 0)
+	if err != nil {
+		return nil, nil, nil, err
 	}
+	r, err := ring.New(ring.Config{VNodesPerSwitch: 8, Replicas: 3, Seed: figSeed}, sl.Net.Switches())
+	return sim, sl, r, err
 }
 
 // Fig9f reproduces the paper's scalability simulation: spine-leaf fabrics
@@ -50,18 +55,11 @@ func Fig9f(o Fig9fOpts) (*Figure, error) {
 		PaperNote: "read and write BQPS grow linearly 6→96 switches; write < read",
 	}
 	for _, leaves := range o.Leaves {
-		sim := event.New()
-		prof := netsim.PaperProfile(1)
-		sl, err := netsim.NewFabric(sim, prof, o.Seed, netsim.TopoSpec{Kind: "spine-leaf", S: leaves / 2, L: leaves}, 2, 0)
+		_, sl, r, err := spineLeaf(leaves)
 		if err != nil {
 			return nil, err
 		}
-		switches := sl.Net.Switches()
-		r, err := ring.New(ring.Config{VNodesPerSwitch: 8, Replicas: 3, Seed: uint64(o.Seed)}, switches)
-		if err != nil {
-			return nil, err
-		}
-		rng := rand.New(rand.NewSource(o.Seed))
+		rng := rand.New(rand.NewSource(figSeed))
 		var readTrav, writeTrav float64
 		for i := 0; i < o.Samples; i++ {
 			host := sl.Hosts[rng.Intn(len(sl.Hosts))]
@@ -80,7 +78,7 @@ func Fig9f(o Fig9fOpts) (*Figure, error) {
 		}
 		n := float64(o.Samples)
 		size := float64(len(sl.Switches))
-		totalBudget := size * prof.SwitchPPS
+		totalBudget := size * netsim.PaperProfile(1).SwitchPPS
 		f.Add("NetChain (read)", size, totalBudget/(readTrav/n))
 		f.Add("NetChain (write)", size, totalBudget/(writeTrav/n))
 	}
@@ -116,21 +114,13 @@ func switchEntries(net *netsim.Network, from, to packet.Addr) int {
 // simulation: it measures per-switch packet counts on the smallest fabric
 // and confirms traversals-per-query agree within tolerance. Returns the
 // analytic and measured traversal averages for reads.
-func Fig9fValidate(o Fig9fOpts) (analytic, measured float64, err error) {
-	o.defaults()
-	sim := event.New()
-	prof := netsim.PaperProfile(1)
-	sl, err := netsim.NewFabric(sim, prof, o.Seed, netsim.TopoSpec{Kind: "spine-leaf", S: 2, L: 4}, 2, 0)
-	if err != nil {
-		return 0, 0, err
-	}
-	switches := sl.Net.Switches()
-	r, err := ring.New(ring.Config{VNodesPerSwitch: 8, Replicas: 3, Seed: uint64(o.Seed)}, switches)
+func Fig9fValidate() (analytic, measured float64, err error) {
+	sim, sl, r, err := spineLeaf(4)
 	if err != nil {
 		return 0, 0, err
 	}
 	// Analytic.
-	rng := rand.New(rand.NewSource(o.Seed))
+	rng := rand.New(rand.NewSource(figSeed))
 	keys := make([]kv.Key, 256)
 	for i := range keys {
 		keys[i] = kv.KeyFromUint64(uint64(i))
@@ -152,7 +142,7 @@ func Fig9fValidate(o Fig9fOpts) (analytic, measured float64, err error) {
 			if err := sw.InstallKey(k); err != nil {
 				return 0, 0, err
 			}
-			sw.WriteItem(coreItem(k))
+			sw.WriteItem(core.Item{Key: k, Value: kv.Value("v"), Version: kv.Version{Seq: 1}})
 		}
 	}
 	sent := 0
@@ -167,7 +157,7 @@ func Fig9fValidate(o Fig9fOpts) (analytic, measured float64, err error) {
 	}
 	sim.Run()
 	var work uint64
-	for _, sa := range switches {
+	for _, sa := range sl.Net.Switches() {
 		sw, _ := sl.Net.Switch(sa)
 		st := sw.Stats()
 		work += st.Processed + st.Transits

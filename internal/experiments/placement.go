@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"netchain/internal/event"
 	"netchain/internal/kv"
 	"netchain/internal/netsim"
 	"netchain/internal/packet"
@@ -28,18 +27,8 @@ type PlacementOpts struct {
 	// Topologies to sweep (grammar of netsim.ParseTopology, fabrics only).
 	// Default: spine-leaf:2x4, spine-leaf:4x8, fattree:4 — 4, 8 and 8
 	// leaves, so the sweep shows scaling, not a single point.
-	Topologies   []string
-	Seed         int64         // default 1
-	Scale        float64       // rate divisor, default 1000
-	Window       time.Duration // measurement window, default 10 ms
-	WriteRatio   float64       // default 0.1 (§8.2 mix)
-	PerGroup     int           // keys mined per virtual group, default 3
-	VNodes       int           // vnodes per leaf, default 4
-	HostsPerLeaf int           // default 2
-	// LinkPPS is the pre-scale budget metered onto every inter-switch
-	// link. Default 4e6: far below a leaf's aggregate client demand, so a
-	// placement that sends reads across the fabric saturates.
-	LinkPPS float64
+	Topologies []string
+	Seed       int64 // default 1
 }
 
 func (o *PlacementOpts) defaults() {
@@ -47,28 +36,7 @@ func (o *PlacementOpts) defaults() {
 		o.Topologies = []string{"spine-leaf:2x4", "spine-leaf:4x8", "fattree:4"}
 	}
 	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Scale == 0 {
-		o.Scale = 1000
-	}
-	if o.Window == 0 {
-		o.Window = 10 * time.Millisecond
-	}
-	if o.WriteRatio == 0 {
-		o.WriteRatio = 0.1
-	}
-	if o.PerGroup == 0 {
-		o.PerGroup = 3
-	}
-	if o.VNodes == 0 {
-		o.VNodes = 4
-	}
-	if o.HostsPerLeaf == 0 {
-		o.HostsPerLeaf = 2
-	}
-	if o.LinkPPS == 0 {
-		o.LinkPPS = 4e6
+		o.Seed = figSeed
 	}
 }
 
@@ -104,48 +72,47 @@ func RunPlacementScaling(o PlacementOpts) (*PlacementResult, error) {
 		if spec.Kind == "ring" {
 			return nil, fmt.Errorf("experiments: placement scaling wants a fabric, got %q", topo)
 		}
-		byArm := make(map[string]float64, 2)
 		for _, placement := range []string{"roundrobin", "bottleneck"} {
 			arm, err := runPlacementArm(o, spec, placement)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", topo, placement, err)
 			}
-			byArm[placement] = arm.OpsPerSec
 			res.Arms = append(res.Arms, *arm)
 		}
-		if rr := byArm["roundrobin"]; rr > 0 {
-			res.Gain[spec.String()] = byArm["bottleneck"] / rr
+		if rr, bn := res.Arms[len(res.Arms)-2], res.Arms[len(res.Arms)-1]; rr.OpsPerSec > 0 {
+			res.Gain[spec.String()] = bn.OpsPerSec / rr.OpsPerSec
 		}
 	}
 	return res, nil
 }
 
 func runPlacementArm(o PlacementOpts, spec netsim.TopoSpec, placement string) (*PlacementArm, error) {
-	d, err := NewDeployment(FabricOpts{
-		Spec: spec, Scale: o.Scale, VNodes: o.VNodes, Seed: o.Seed,
-		HostsPerLeaf: o.HostsPerLeaf, LinkPPS: o.LinkPPS,
-		Placement: placement, WriteFrac: o.WriteRatio,
-	})
+	// FabricOpts' defaults (scale 1/1000, 4 vnodes and 2 hosts per leaf),
+	// every inter-switch link metered at 4 MPPS before scaling: far below a
+	// leaf's aggregate client demand, so a placement that sends reads across
+	// the fabric saturates. 3 keys per group, the §8.2 mix, 10 ms.
+	r, err := scenario{
+		fabric: FabricOpts{Spec: spec, Seed: o.Seed, LinkPPS: 4e6, Placement: placement},
+		store: func(d *Deployment) (func(int) []kv.Key, error) {
+			groupKeys, err := d.LoadAffineStore(3, 64)
+			return d.affineKeys(groupKeys), err
+		},
+		loads: []load{{mux: everyMux, writeRatio: 0.1, valueSize: 64}},
+		stop:  10 * time.Millisecond,
+	}.run()
 	if err != nil {
 		return nil, err
 	}
-	groupKeys, err := d.LoadAffineStore(o.PerGroup, 64)
-	if err != nil {
-		return nil, err
-	}
-	qps, _ := d.runGenerators(d.affineKeys(groupKeys), o.WriteRatio, 64, event.Duration(o.Window), 0)
-
 	// Evaluate the installed chains under the planner's own load model so
 	// the table shows model vs measurement side by side.
-	model := place.MaxLinkLoad(d.PlaceTopology(), installedChains(d))
 	return &PlacementArm{
 		Topology:  spec.String(),
 		Placement: placement,
-		Leaves:    len(d.members),
-		Hosts:     len(d.members) * o.HostsPerLeaf,
-		OpsPerSec: qps,
-		ModelMax:  model,
-		LinkDrops: d.Net.Stats().LinkDrops,
+		Leaves:    len(r.members),
+		Hosts:     len(r.gens),
+		OpsPerSec: r.okQPS(),
+		ModelMax:  place.MaxLinkLoad(r.PlaceTopology(), installedChains(r.Deployment)),
+		LinkDrops: r.Net.Stats().LinkDrops,
 	}, nil
 }
 
@@ -175,7 +142,6 @@ func (d *Deployment) PlaceTopology() place.Topology {
 		Domain:     d.Fab.Domain,
 		Hosts:      d.Fab.Hosts,
 		Path:       d.Fab.Path,
-		WriteFrac:  d.writeFrac,
 		GroupHosts: d.GroupClients,
 	}
 }
@@ -206,25 +172,17 @@ func (d *Deployment) LoadAffineStore(perGroup, valueSize int) (map[ring.GroupID]
 	return out, nil
 }
 
-// affineKeys is the affinity workload's feed for runGenerators: each
-// member-leaf host queries only its own leaf's groups; spare-leaf hosts
-// stay quiet.
+// affineKeys is the affinity workload's key feed: each host queries the
+// groups GroupClients gives it, so member-leaf hosts query only their own
+// leaf's groups and spare-leaf hosts stay quiet.
 func (d *Deployment) affineKeys(groupKeys map[ring.GroupID][]kv.Key) func(mux int) []kv.Key {
-	leafIdx := make(map[packet.Addr]int, len(d.members))
-	for i, l := range d.members {
-		leafIdx[l] = i
-	}
-	return func(mux int) []kv.Key {
-		li, ok := leafIdx[d.Fab.HostLeaf[d.Fab.Hosts[mux]]]
-		if !ok {
-			return nil
+	byHost := make(map[packet.Addr][]kv.Key)
+	for g := 0; g < d.Ring.Groups(); g++ {
+		for _, h := range d.GroupClients(g) {
+			byHost[h] = append(byHost[h], groupKeys[ring.GroupID(g)]...)
 		}
-		var keys []kv.Key
-		for g := li; g < d.Ring.Groups(); g += len(d.members) {
-			keys = append(keys, groupKeys[ring.GroupID(g)]...)
-		}
-		return keys
 	}
+	return func(mux int) []kv.Key { return byHost[d.Fab.Hosts[mux]] }
 }
 
 // installedChains snapshots the routes actually being served, indexed by
@@ -248,8 +206,11 @@ func FormatPlacement(r *PlacementResult) string {
 		s += fmt.Sprintf("%-16s %-12s %7d %7d %12.3f %10.3f %10d\n",
 			a.Topology, a.Placement, a.Leaves, a.Hosts, a.OpsPerSec/1e6, a.ModelMax, a.LinkDrops)
 	}
-	for topo, g := range r.Gain {
-		s += fmt.Sprintf("gain[%s] = %.2fx (bottleneck-aware over round-robin)\n", topo, g)
+	// Gain lines in sweep order: a topology's arms are adjacent.
+	for i, a := range r.Arms {
+		if g, ok := r.Gain[a.Topology]; ok && (i == 0 || r.Arms[i-1].Topology != a.Topology) {
+			s += fmt.Sprintf("gain[%s] = %.2fx (bottleneck-aware over round-robin)\n", a.Topology, g)
+		}
 	}
 	return s
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -55,6 +56,29 @@ func TestPlacementScalingNearLinear(t *testing.T) {
 	if large < small*0.75 {
 		t.Fatalf("per-host throughput collapsed when the fabric grew: %.0f → %.0f ops/s/host\n%s",
 			small, large, FormatPlacement(r))
+	}
+}
+
+// TestFormatPlacementIsDeterministic: the gain lines print in sweep order,
+// not in the Gain map's iteration order.
+func TestFormatPlacementIsDeterministic(t *testing.T) {
+	r := &PlacementResult{Gain: map[string]float64{}}
+	for i, topo := range []string{"spine-leaf:2x4", "spine-leaf:4x8", "fattree:4"} {
+		for _, p := range []string{"roundrobin", "bottleneck"} {
+			r.Arms = append(r.Arms, PlacementArm{Topology: topo, Placement: p})
+		}
+		r.Gain[topo] = float64(i + 2)
+	}
+	first := FormatPlacement(r)
+	if !strings.HasSuffix(first, "gain[spine-leaf:2x4] = 2.00x (bottleneck-aware over round-robin)\n"+
+		"gain[spine-leaf:4x8] = 3.00x (bottleneck-aware over round-robin)\n"+
+		"gain[fattree:4] = 4.00x (bottleneck-aware over round-robin)\n") {
+		t.Fatalf("gain lines out of sweep order:\n%s", first)
+	}
+	for i := 0; i < 50; i++ {
+		if out := FormatPlacement(r); out != first {
+			t.Fatalf("format %d differs:\n%s\nvs\n%s", i, out, first)
+		}
 	}
 }
 

@@ -37,17 +37,17 @@ import (
 
 // RealChaosOpts parameterizes a wire chaos run.
 type RealChaosOpts struct {
-	Schedule     string        // named nemesis schedule (see ChaosScheduleNames); default "full-nemesis"
-	Seed         int64         // drives fault randomness and client mixes; default 1
-	Clients      int           // concurrent client sockets; default 3
-	OpsPerClient int           // operations each client issues; default 150
-	Registers    int           // independent register keys; default 8
-	Pause        time.Duration // think time between a client's ops; default 3 ms
-	Timeout      time.Duration // per-attempt client timeout; default 25 ms
-	TimeScale    float64       // wall-clock stretch of schedule time; default 20
-	Heartbeat    time.Duration // heartbeat/monitor cadence; default 10 ms
-	RepairWait   time.Duration // post-workload ceiling for autopilot repairs; default 20 s
+	Schedule     string // named nemesis schedule (see ChaosScheduleNames); default "full-nemesis"
+	Seed         int64  // drives fault randomness and client mixes; default 1
+	Clients      int    // concurrent client sockets; default 3
+	OpsPerClient int    // operations each client issues; default 150
+	Registers    int    // independent register keys; default 12
 }
+
+const (
+	realChaosTimeScale = 20                    // wall-clock stretch of schedule time
+	realChaosHeartbeat = 10 * time.Millisecond // heartbeat and monitor cadence
+)
 
 func (o *RealChaosOpts) defaults() {
 	if o.Schedule == "" {
@@ -66,21 +66,6 @@ func (o *RealChaosOpts) defaults() {
 		// Enough spread to stay under lincheck's per-key density ceiling
 		// at the default op count.
 		o.Registers = 12
-	}
-	if o.Pause == 0 {
-		o.Pause = 3 * time.Millisecond
-	}
-	if o.Timeout == 0 {
-		o.Timeout = 25 * time.Millisecond
-	}
-	if o.TimeScale == 0 {
-		o.TimeScale = 20
-	}
-	if o.Heartbeat == 0 {
-		o.Heartbeat = 10 * time.Millisecond
-	}
-	if o.RepairWait == 0 {
-		o.RepairWait = 20 * time.Second
 	}
 }
 
@@ -137,7 +122,7 @@ func (rc *realCluster) Close() {
 }
 
 func newRealCluster(o RealChaosOpts) (*realCluster, error) {
-	rc := &realCluster{inj: faultconn.New(o.Seed, faultconn.WithTimeScale(o.TimeScale))}
+	rc := &realCluster{inj: faultconn.New(o.Seed, faultconn.WithTimeScale(realChaosTimeScale))}
 	ok := false
 	defer func() {
 		if !ok {
@@ -146,7 +131,7 @@ func newRealCluster(o RealChaosOpts) (*realCluster, error) {
 	}()
 
 	cl, err := localcluster.Start(localcluster.Config{
-		Slots: 256, ClientTimeout: o.Timeout, ClientRetries: 8, Faults: rc.inj,
+		Slots: 256, ClientTimeout: 25 * time.Millisecond, ClientRetries: 8, Faults: rc.inj,
 	})
 	if err != nil {
 		return nil, err
@@ -167,7 +152,7 @@ func newRealCluster(o RealChaosOpts) (*realCluster, error) {
 	// address sits outside the switch and host ranges so fault targeting
 	// never aliases it.
 	mv := packet.AddrFrom4(10, 255, 0, 1)
-	rc.det = health.NewDetector(health.Defaults(o.Heartbeat))
+	rc.det = health.NewDetector(health.Defaults(realChaosHeartbeat))
 	rc.mon, err = health.NewMonitor("127.0.0.1:0", mv, rc.det,
 		health.WithMonitorFaults(rc.inj.Pipe(mv)))
 	if err != nil {
@@ -179,12 +164,12 @@ func newRealCluster(o RealChaosOpts) (*realCluster, error) {
 		rc.mon.Watch(a)
 	}
 	rc.mon.StartProbes()
-	if err := cl.StartHeartbeats(mv, rc.mon.Endpoint(), o.Heartbeat); err != nil {
+	if err := cl.StartHeartbeats(mv, rc.mon.Endpoint(), realChaosHeartbeat); err != nil {
 		return nil, err
 	}
 	rc.pilot = controller.NewAutopilot(rc.ctl, rc.det, controller.WallClock{}, rc.mon.Now,
 		controller.AutopilotConfig{
-			Interval: o.Heartbeat,
+			Interval: realChaosHeartbeat,
 			Spares:   []packet.Addr{rc.sws[3]},
 		})
 
@@ -323,8 +308,8 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 	for c := 0; c < o.Clients; c++ {
 		wg.Add(1)
 		go func(cid int) {
-			defer wg.Done()
-			load.client(o.Seed, cid).loop(load.counted(rc.ops[cid].Do), now, func() { time.Sleep(o.Pause) })
+			defer wg.Done() // each client thinks 3 ms between ops
+			load.client(o.Seed, cid).loop(load.counted(rc.ops[cid].Do), now, func() { time.Sleep(3 * time.Millisecond) })
 		}(c)
 	}
 	wg.Wait()
@@ -336,7 +321,7 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 	// to finish repairing what the nemesis broke.
 	lastAt := time.Duration(0)
 	for _, st := range schedule {
-		if end := time.Duration(float64(st.At+st.For) * o.TimeScale); end > lastAt {
+		if end := time.Duration(float64(st.At+st.For) * realChaosTimeScale); end > lastAt {
 			lastAt = end
 		}
 	}
@@ -344,7 +329,7 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 		time.Sleep(lastAt - since)
 	}
 	if sc.failover {
-		deadline := time.Now().Add(o.RepairWait)
+		deadline := time.Now().Add(20 * time.Second) // repair ceiling
 		for time.Now().Before(deadline) {
 			done := false
 			for _, ev := range rc.pilot.History() {
@@ -393,7 +378,7 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 
 	res.Repairs = rc.pilot.History()
 	res.Health = rc.det.Snapshot(rc.mon.Now())
-	res.tallyRepairs(sc, tg.fail, schedStart+time.Duration(float64(sc.faultAt)*o.TimeScale), rc.ctl)
+	res.tallyRepairs(sc, tg.fail, schedStart+time.Duration(float64(sc.faultAt)*realChaosTimeScale), rc.ctl)
 
 	var cores []query.Stats
 	inFlight := 0

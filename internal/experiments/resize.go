@@ -9,7 +9,6 @@ import (
 	"netchain/internal/event"
 	"netchain/internal/kv"
 	"netchain/internal/ring"
-	"netchain/internal/simclient"
 	"netchain/internal/stats"
 )
 
@@ -22,16 +21,16 @@ import (
 // during migration (there must be no window where reads stop committing)
 // and the bounded per-group write stop.
 type ResizeOpts struct {
-	Scale       float64       // rate scale (default 10000)
-	VNodes      int           // virtual nodes per switch (default 8)
-	StoreSize   int           // keys (default 2000)
-	Duration    time.Duration // total simulated time (default 30 s)
-	AddAt       time.Duration // scale-out start (default 5 s)
-	RemoveAt    time.Duration // scale-in start (default 15 s)
-	Bucket      time.Duration // time-series bucket (default 500 ms)
-	SyncPerItem time.Duration // control-plane copy cost (default 1 ms)
-	Seed        int64
+	Scale     float64       // rate scale (default 10000)
+	VNodes    int           // virtual nodes per switch (default 8)
+	StoreSize int           // keys (default 2000)
+	Duration  time.Duration // total simulated time (default 30 s)
+	AddAt     time.Duration // scale-out start (default 5 s)
+	RemoveAt  time.Duration // scale-in start (default 15 s)
 }
+
+// resizeBucket is the time-series bucket.
+const resizeBucket = 500 * time.Millisecond
 
 func (o *ResizeOpts) defaults() {
 	if o.Scale == 0 {
@@ -51,15 +50,6 @@ func (o *ResizeOpts) defaults() {
 	}
 	if o.RemoveAt == 0 {
 		o.RemoveAt = 15 * time.Second
-	}
-	if o.Bucket == 0 {
-		o.Bucket = 500 * time.Millisecond
-	}
-	if o.SyncPerItem == 0 {
-		o.SyncPerItem = time.Millisecond
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 }
 
@@ -98,144 +88,123 @@ type ResizeResult struct {
 // resize diffs).
 func RunResize(o ResizeOpts) (*ResizeResult, error) {
 	o.defaults()
-	d, err := NewDeployment(FabricOpts{Scale: o.Scale, VNodes: o.VNodes, Seed: o.Seed})
-	if err != nil {
-		return nil, err
-	}
 	ccfg := controller.DefaultConfig()
-	ccfg.SyncPerItem = o.SyncPerItem
-	if err := d.NewController(ccfg); err != nil {
-		return nil, err
-	}
-
-	keys, err := d.LoadStore(o.StoreSize, 64)
-	if err != nil {
-		return nil, err
-	}
-
-	dir := d.Directory()
-	rate := d.Profile.HostRate / d.Profile.Scale
-	readGen := d.Muxes[0].NewGenerator(simclient.DefaultConfig(), dir,
-		mixSource(keys, 0, 64, o.Seed))
-	readGen.Series = stats.NewTimeSeries(o.Bucket)
-	writeGen := d.Muxes[1].NewGenerator(simclient.DefaultConfig(), dir,
-		mixSource(keys, 1, 64, o.Seed+1))
-	writeGen.Series = stats.NewTimeSeries(o.Bucket)
-	// Probe generators: one measures read latency only while a migration
-	// runs, its twin only during the quiet pre-resize window — same mux
-	// arrangement, so their latency distributions are directly comparable.
-	probe := d.Muxes[2].NewGenerator(simclient.DefaultConfig(), dir,
-		mixSource(keys, 0, 64, o.Seed+2))
-	baseProbe := d.Muxes[3].NewGenerator(simclient.DefaultConfig(), dir,
-		mixSource(keys, 0, 64, o.Seed+3))
-
-	res := &ResizeResult{Reads: readGen.Series, Writes: writeGen.Series}
-	readGen.Start(rate)
-	writeGen.Start(rate)
-	d.Sim.After(event.Duration(time.Second), func() { baseProbe.Start(rate) })
-	d.Sim.After(event.Duration(o.AddAt)-event.Duration(200*time.Millisecond), baseProbe.Stop)
-
+	ccfg.SyncPerItem = time.Millisecond // control-plane copy cost
+	res := &ResizeResult{}
+	var keys []kv.Key
 	var outDiff, inDiff ring.Diff
-	var resizeErr error
-	d.Sim.After(event.Duration(o.AddAt), func() {
-		s4, err := d.Fab.AttachSwitch()
+	const probe = 2 // the load that measures read latency during migrations
+	scaleOut := func(r *run) {
+		s4, err := r.Fab.AttachSwitch()
 		if err != nil {
-			resizeErr = err
+			r.fail(err)
 			return
 		}
-		probe.Start(rate)
-		outDiff, err = d.Ctl.AddSwitch(s4, func() {
-			res.ScaleOutDone = time.Duration(d.Sim.Now())
-			probe.Stop()
+		r.gens[probe].Start(r.Profile.HostRate / r.Profile.Scale)
+		outDiff, err = r.Ctl.AddSwitch(s4, func() {
+			res.ScaleOutDone = r.now()
+			r.gens[probe].Stop()
 		})
 		if err != nil {
-			resizeErr = err
+			r.fail(err)
 		}
-	})
-	var startRemove func()
-	startRemove = func() {
-		if d.Ctl.Resizing() {
+	}
+	var scaleIn func(r *run)
+	scaleIn = func(r *run) {
+		if r.Ctl.Resizing() {
 			// Scale-out still in flight; resizes serialize.
-			d.Sim.After(event.Duration(500*time.Millisecond), startRemove)
+			r.Sim.After(event.Duration(500*time.Millisecond), func() { scaleIn(r) })
 			return
 		}
-		s1 := d.Fab.Switches[1]
-		probe.Start(rate)
+		s1 := r.Fab.Switches[1]
+		r.gens[probe].Start(r.Profile.HostRate / r.Profile.Scale)
 		var err error
-		inDiff, err = d.Ctl.RemoveSwitch(s1, func() {
-			res.ScaleInDone = time.Duration(d.Sim.Now())
-			probe.Stop()
+		inDiff, err = r.Ctl.RemoveSwitch(s1, func() {
+			res.ScaleInDone = r.now()
+			r.gens[probe].Stop()
 			// The drained switch holds nothing; uncable it.
-			if err := d.Net.DetachSwitch(s1); err != nil {
-				resizeErr = err
+			if err := r.Net.DetachSwitch(s1); err != nil {
+				r.fail(err)
 			}
 		})
 		if err != nil {
-			resizeErr = err
+			r.fail(err)
 		}
 	}
-	d.Sim.After(event.Duration(o.RemoveAt), startRemove)
-	d.Sim.After(event.Duration(o.Duration), func() {
-		readGen.Stop()
-		writeGen.Stop()
-	})
-	d.Sim.RunUntil(event.Duration(o.Duration) + event.Duration(50*time.Millisecond))
-	if resizeErr != nil {
-		return nil, resizeErr
+	r, err := scenario{
+		fabric: FabricOpts{Scale: o.Scale, VNodes: o.VNodes},
+		ctl:    &ccfg,
+		store: func(d *Deployment) (_ func(int) []kv.Key, err error) {
+			keys, err = d.LoadStore(o.StoreSize, 64)
+			return allHosts(keys), err
+		},
+		// Reads and writes from their own hosts, plus two read probes: one
+		// runs only while a migration does, its twin only in the quiet
+		// pre-resize window — same mux arrangement, so their latency
+		// distributions are directly comparable.
+		loads: []load{
+			{mux: 0, bucket: resizeBucket},
+			{mux: 1, writeRatio: 1, valueSize: 64, bucket: resizeBucket},
+			{mux: probe, idle: true},
+			{mux: 3, from: time.Second, to: o.AddAt - 200*time.Millisecond},
+		},
+		steps:  []step{{o.AddAt, scaleOut}, {o.RemoveAt, scaleIn}},
+		stop:   o.Duration,
+		settle: 50 * time.Millisecond,
+	}.run()
+	if err != nil {
+		return nil, err
 	}
 	if res.ScaleOutDone == 0 || res.ScaleInDone == 0 {
 		return nil, fmt.Errorf("experiments: resize did not complete (out=%v in=%v)",
 			res.ScaleOutDone, res.ScaleInDone)
 	}
+	res.Reads, res.Writes = r.gens[0].Series, r.gens[1].Series
 	res.GroupsMigratedOut = len(outDiff.Deltas)
 	res.GroupsMigratedIn = len(inDiff.Deltas)
-	res.BaselineReadP99 = time.Duration(baseProbe.Latency.P99())
-	res.ResizeReadP99 = time.Duration(probe.Latency.P99())
-	res.WritesUnavailable = writeGen.Done[kv.StatusUnavailable]
+	res.BaselineReadP99 = time.Duration(r.gens[3].Latency.P99())
+	res.ResizeReadP99 = time.Duration(r.gens[probe].Latency.P99())
+	res.WritesUnavailable = r.gens[1].Done[kv.StatusUnavailable]
 
 	// Placement audit: every key lives on exactly its ring chain, the
 	// served route matches the ring, and the non-retired diff entries match
 	// what is serving.
-	if err := auditPlacement(d, keys, outDiff, inDiff); err != nil {
+	if err := auditPlacement(r.Deployment, keys, outDiff, inDiff); err != nil {
 		return nil, err
 	}
 
 	// Figure: read/write completion rates over time (unscaled units).
-	fig := &Figure{
+	res.Figure = &Figure{
 		ID:     "resize",
 		Title:  "Elastic scale-out (add S4) and scale-in (drain S1)",
 		XLabel: "t(s)", YLabel: "QPS",
 		PaperNote: "scale-free coordination (title, §4): growth/shrink moves only the " +
 			"affected virtual groups; reads never stop, writes pause per group like Fig. 10(b)",
 	}
-	for i, r := range readGen.Series.Rates() {
-		fig.Add("reads", float64(i)*o.Bucket.Seconds(), r*o.Scale)
-	}
-	for i, r := range writeGen.Series.Rates() {
-		fig.Add("writes", float64(i)*o.Bucket.Seconds(), r*o.Scale)
-	}
-	res.Figure = fig
+	r.plot(res.Figure, "reads", 0)
+	r.plot(res.Figure, "writes", 1)
 
 	// Read availability before vs during the migrations.
-	rates := readGen.Series.Rates()
-	preEnd := int(o.AddAt/o.Bucket) - 1
-	base := 0.0
-	for i := 1; i < preEnd && i < len(rates); i++ {
-		if rates[i] > base {
-			base = rates[i]
-		}
-	}
-	res.BaselineReadRate = base * o.Scale
-	min := base
-	startB := int(o.AddAt/o.Bucket) + 1
-	endB := int(res.ScaleInDone / o.Bucket)
-	for i := startB; i < endB && i < len(rates); i++ {
-		if rates[i] < min {
-			min = rates[i]
-		}
-	}
-	res.MinReadRateDuring = min * o.Scale
+	addB := int(o.AddAt / resizeBucket)
+	base, low := dip(res.Reads.Rates(), 1, addB-1, addB+1, int(res.ScaleInDone/resizeBucket))
+	res.BaselineReadRate, res.MinReadRateDuring = base*o.Scale, low*o.Scale
 	return res, nil
+}
+
+// Format renders the figure and the migration milestones as benchrunner
+// prints them.
+func (r *ResizeResult) Format() string {
+	return r.Figure.Format() + "\n" +
+		fmt.Sprintf("scale-out done at t=%.1fs (%d groups); scale-in done at t=%.1fs (%d groups)\n",
+			r.ScaleOutDone.Seconds(), r.GroupsMigratedOut,
+			r.ScaleInDone.Seconds(), r.GroupsMigratedIn) +
+		fmt.Sprintf("reads: baseline %.2f MQPS, worst bucket during resize %.2f MQPS (%.1f%%); "+
+			"read p99 %.1fµs quiet vs %.1fµs during migration\n",
+			r.BaselineReadRate/1e6, r.MinReadRateDuring/1e6,
+			100*r.MinReadRateDuring/r.BaselineReadRate,
+			float64(r.BaselineReadP99.Nanoseconds())/1e3,
+			float64(r.ResizeReadP99.Nanoseconds())/1e3) +
+		fmt.Sprintf("writes bounced by per-group migration freeze: %d\n", r.WritesUnavailable)
 }
 
 // auditPlacement cross-checks controller routes, ring chains, diff deltas

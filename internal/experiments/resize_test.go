@@ -7,15 +7,12 @@ import (
 
 func fastResize() ResizeOpts {
 	return ResizeOpts{
-		Scale:       50000,
-		VNodes:      4,
-		StoreSize:   300,
-		Duration:    12 * time.Second,
-		AddAt:       2 * time.Second,
-		RemoveAt:    7 * time.Second,
-		Bucket:      500 * time.Millisecond,
-		SyncPerItem: time.Millisecond,
-		Seed:        1,
+		Scale:     50000,
+		VNodes:    4,
+		StoreSize: 300,
+		Duration:  12 * time.Second,
+		AddAt:     2 * time.Second,
+		RemoveAt:  7 * time.Second,
 	}
 }
 

@@ -34,33 +34,16 @@ import (
 
 // TraceBenchOpts tunes the latency-breakdown experiment.
 type TraceBenchOpts struct {
-	Duration   time.Duration // per-phase measurement window, default 400 ms
-	Keys       int           // store size, default 128
-	Clients    int           // concurrent client sockets, default 2
-	Window     int           // per-client in-flight queries, default 32
-	SampleRate float64       // trace sampling on the breakdown phase, default 1/16
-	WriteRatio float64       // write share of the mixed load, default 0.3
-	ABWindows  int           // A/B windows per arm for the overhead phase, default 3
+	Duration  time.Duration // per-phase measurement window, default 400 ms
+	ABWindows int           // A/B windows per arm for the overhead phase, default 3
 }
+
+// traceKeys is the chain's store size.
+const traceKeys = 128
 
 func (o *TraceBenchOpts) defaults() {
 	if o.Duration == 0 {
 		o.Duration = 400 * time.Millisecond
-	}
-	if o.Keys == 0 {
-		o.Keys = 128
-	}
-	if o.Clients == 0 {
-		o.Clients = 2
-	}
-	if o.Window == 0 {
-		o.Window = 32
-	}
-	if o.SampleRate == 0 {
-		o.SampleRate = 1.0 / 16
-	}
-	if o.WriteRatio == 0 {
-		o.WriteRatio = 0.3
 	}
 	if o.ABWindows == 0 {
 		o.ABWindows = 3
@@ -82,14 +65,14 @@ type traceCluster struct {
 
 // newTraceCluster boots the chain with every client tracing into col at
 // sampleRate (0 = the client default, 1/1024); a nil col is tracing off.
-func newTraceCluster(o TraceBenchOpts, col *trace.Collector, sampleRate float64) (*traceCluster, error) {
+func newTraceCluster(col *trace.Collector, sampleRate float64) (*traceCluster, error) {
 	c := &traceCluster{book: transport.NewAddressBook(), rts: map[kv.Key]query.Route{}}
 	var addrs []packet.Addr
 	for i := 0; i < 3; i++ {
 		addr := packet.AddrFrom4(10, 0, 0, byte(i+1))
 		addrs = append(addrs, addr)
 		sw, err := core.NewSwitch(addr, swsim.Config{
-			Stages: 8, SlotBytes: 16, SlotsPerStage: 2 * o.Keys, PPS: 1e9,
+			Stages: 8, SlotBytes: 16, SlotsPerStage: 2 * traceKeys, PPS: 1e9,
 		})
 		if err != nil {
 			c.Close()
@@ -108,12 +91,12 @@ func newTraceCluster(o TraceBenchOpts, col *trace.Collector, sampleRate float64)
 		return nil, err
 	}
 	c.ring = r
-	for i := 0; i < o.Clients; i++ {
+	for i := 0; i < 2; i++ { // two client sockets
 		tc, err := transport.NewClient(c.book, transport.ClientConfig{
 			Addr:            packet.AddrFrom4(10, 1, 0, byte(i+1)),
 			Gateway:         addrs[0],
 			Bind:            "127.0.0.1:0",
-			Window:          o.Window,
+			Window:          32,
 			Timeout:         250 * time.Millisecond,
 			Retries:         8,
 			Tracer:          col,
@@ -126,7 +109,7 @@ func newTraceCluster(o TraceBenchOpts, col *trace.Collector, sampleRate float64)
 		c.tcs = append(c.tcs, tc)
 		c.ops = append(c.ops, &transport.Ops{Client: tc, Dir: c.route})
 	}
-	c.keys = make([]kv.Key, o.Keys)
+	c.keys = make([]kv.Key, traceKeys)
 	val := make(kv.Value, 64)
 	for i := range val {
 		val[i] = byte(i)
@@ -234,11 +217,11 @@ func TraceBench(o TraceBenchOpts) ([]Row, error) {
 
 	// Phase 1: per-hop breakdown on the 3-switch chain.
 	col := trace.NewCollector()
-	c, err := newTraceCluster(o, col, o.SampleRate)
+	c, err := newTraceCluster(col, 1.0/16)
 	if err != nil {
 		return nil, err
 	}
-	_, err = c.drive(o.Duration, o.WriteRatio)
+	_, err = c.drive(o.Duration, 0.3) // 30% writes
 	c.Close()
 	if err != nil {
 		return nil, fmt.Errorf("trace breakdown: %w", err)
@@ -289,12 +272,12 @@ func TraceBench(o TraceBenchOpts) ([]Row, error) {
 // Returns the relative slowdown (negative clamped to 0) and the untraced
 // arm's throughput.
 func traceOverhead(o TraceBenchOpts) (overhead, baseQPS float64, err error) {
-	baseCl, err := newTraceCluster(o, nil, 0)
+	baseCl, err := newTraceCluster(nil, 0)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer baseCl.Close()
-	tracedCl, err := newTraceCluster(o, trace.NewCollector(), 0) // client default: 1/1024
+	tracedCl, err := newTraceCluster(trace.NewCollector(), 0) // client default: 1/1024
 	if err != nil {
 		return 0, 0, err
 	}

@@ -450,9 +450,10 @@ func BenchmarkRealUDPWritePipelined(b *testing.B) {
 
 // BenchmarkLocalClusterInsert: one Cluster.Insert on the default
 // four-switch loopback cluster, which installs the key on each of its
-// three chain members in turn, one agent round trip apiece (§4.1). A fresh
-// cluster, outside the timer, takes over every insertBlock keys so switch
-// slots never run out.
+// three chain members in turn, tail first (§4.1), through their in-process
+// agents: ~2.5–4.5 µs/insert at -benchtime 4096x on 2 vCPUs, where three
+// loopback agent round trips cost 28–35 µs. A fresh cluster, outside the
+// timer, takes over every insertBlock keys so switch slots never run out.
 func BenchmarkLocalClusterInsert(b *testing.B) {
 	const insertBlock = 4096
 	var cl *Cluster

@@ -16,6 +16,7 @@ package controller
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -559,7 +560,7 @@ func (c *Controller) migrateNext(n int, build func(i int) *migration, i int, don
 				c.removeKeys(additions(m.next, d.chain), d.keys)
 			}
 			if leavers := additions(m.next, m.old); len(leavers) > 0 {
-				c.removeKeys(leavers, c.groupKeys(m.group))
+				c.removeKeys(leavers, m.ownKeys(c.groupKeys(m.group)))
 			}
 			c.setFreeze(m, false)
 			if cb := c.OnGroupRecovered; cb != nil {
@@ -807,6 +808,23 @@ func (c *Controller) chainAgrees(ch ring.Chain, keys []kv.Key) bool {
 		}
 	}
 	return true
+}
+
+// ownKeys drops from keys those the group absorbed from its donors at the
+// flip: a leaver never held them unless it served a donor chain, and the
+// donor collection has already freed them there, so asking again would
+// count a spurious agent error.
+func (m *migration) ownKeys(keys []kv.Key) []kv.Key {
+	if len(m.donors) == 0 {
+		return keys
+	}
+	absorbed := make(map[kv.Key]bool)
+	for _, d := range m.donors {
+		for _, k := range d.keys {
+			absorbed[k] = true
+		}
+	}
+	return slices.DeleteFunc(keys, func(k kv.Key) bool { return absorbed[k] })
 }
 
 // additions lists switches present in next but not in cur, chain order.

@@ -167,6 +167,11 @@ func TestRemoveSwitchDrains(t *testing.T) {
 		t.Fatal("removed switch still a ring member")
 	}
 	f.verifyExactPlacement(t, keys)
+	// Collecting the leavers' slots asks no switch to free a key it never
+	// held: a resize on a healthy cluster fails no agent call.
+	if n := f.ctl.AgentErrors(); n != 0 {
+		t.Fatalf("%d agent calls failed across scale-out and scale-in", n)
+	}
 	// The drained switch holds nothing: it can be powered off.
 	sw1, _ := f.tb.Net.Switch(s1)
 	if n := sw1.ItemCount(); n != 0 {

@@ -9,14 +9,31 @@ import (
 	"netchain/internal/swsim"
 )
 
-// liveHeap is the heap still reachable after a collection — no wall clock,
-// no RSS: what the process would keep however long it ran.
+// liveHeap is the heap still reachable once collections stop moving it —
+// no wall clock, no RSS: what the process would keep however long it ran.
+// Measure under oneP.
 func liveHeap() uint64 {
-	runtime.GC()
-	runtime.GC() // the second cycle finishes what the first one's sweep left
 	var m runtime.MemStats
+	runtime.GC()
 	runtime.ReadMemStats(&m)
-	return m.HeapAlloc
+	for {
+		prev := m.HeapAlloc
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		if m.HeapAlloc == prev {
+			return prev
+		}
+	}
+}
+
+// oneP runs the rest of the test on a single P. Every stop-the-world (each
+// collection, each ReadMemStats) ends by waking an idle P, and when no idle
+// thread is free to run it — the common case on a loaded host — the runtime
+// starts a thread whose M stays on the heap for good, about 5 KB of it, that
+// liveHeap would charge to the code under test. With one P none is idle.
+func oneP(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // TestIdleSwitchFootprint: a switch configured with the paper's 64K slots
@@ -26,6 +43,7 @@ func liveHeap() uint64 {
 func TestIdleSwitchFootprint(t *testing.T) {
 	const n = 16
 	const perSwitch = 64 << 10
+	oneP(t)
 	before := liveHeap()
 	sws := make([]*Switch, n)
 	for i := range sws {
@@ -83,6 +101,7 @@ func TestDedupFootprintPerKey(t *testing.T) {
 	}
 	f := &packet.Frame{}
 	nc := &packet.NetChain{Op: kv.OpWrite, Value: []byte("value")}
+	oneP(t)
 	writeAll := func() {
 		for i, k := range keys {
 			nc.Key, nc.Group = k, uint16(i%256)

@@ -1,7 +1,8 @@
 // Package localcluster is the live-UDP NetChain deployment on loopback: a
 // push-watch relay, switch dataplanes behind their own UDP sockets, a
-// wall-clock controller driving per-switch agents over the framed binary
-// agent channel (in-process AF_UNIX socketpairs), and clients attached
+// wall-clock controller programming each switch through an in-process
+// agent (controller.LocalAgent; netchaind and netchain-controller speak
+// the framed TCP agent wire between processes), and clients attached
 // through a gateway switch. It exists once: the public
 // netchain.StartLocalCluster façade and the real-wire chaos harness
 // (internal/experiments, -exp realchaos) both boot through it.
@@ -57,10 +58,10 @@ type Config struct {
 	// Faults, when set, threads the wire nemesis through every datagram
 	// socket the cluster opens: switch ingest sockets, the relay's ingest
 	// and control sockets, client sockets and watch subscriptions. The
-	// controller's agent streams stay unwrapped: the simulator drives its
-	// switches through controller.LocalAgent, whose control channel
-	// survives a fail-stopped or partitioned dataplane, and the wire keeps
-	// that parity so repairs can still program the surviving switches.
+	// controller's agents are in-process (controller.LocalAgent, as in the
+	// simulator), so no nemesis reaches them: the control channel survives
+	// a fail-stopped or partitioned dataplane, and repairs can still
+	// program the surviving switches.
 	// nil is the production configuration.
 	Faults *faultconn.Injector
 }
@@ -81,10 +82,10 @@ func (c *Config) defaults() {
 }
 
 // Cluster is a real NetChain deployment on loopback: every switch is a
-// dataplane goroutine behind its own UDP socket, and the controller drives
-// them through wire agents: the framed verbs a multi-process deployment
-// sends over TCP, carried here by one AF_UNIX socketpair per switch
-// (transport.PairAgent), since controller and agents share a process.
+// dataplane goroutine behind its own UDP socket, and the controller
+// programs them through in-process agents (controller.LocalAgent), since
+// controller and switches share a process; a multi-process deployment
+// sends the same verbs over TCP (transport.ServeAgent, DialAgent).
 // Close stops every goroutine and closes every descriptor the cluster
 // opened, except the sockets of clients from NewClient, which their owners
 // close.
@@ -99,7 +100,7 @@ type Cluster struct {
 	// controller resolves agents from its own goroutines.
 	mu     sync.RWMutex
 	nodes  []*transport.SwitchNode
-	agents map[packet.Addr]*transport.WireAgent
+	agents map[packet.Addr]controller.Agent
 	stops  []func() error
 }
 
@@ -113,7 +114,7 @@ func Start(cfg Config) (*Cluster, error) {
 	cl := &Cluster{
 		cfg:    cfg,
 		book:   transport.NewAddressBook(),
-		agents: make(map[packet.Addr]*transport.WireAgent),
+		agents: make(map[packet.Addr]controller.Agent),
 	}
 	// The push-watch relay tier boots first so every switch node can point
 	// its event sink at it from birth.
@@ -223,13 +224,7 @@ func (c *Cluster) bootSwitch() (packet.Addr, error) {
 	}
 	c.nodes = append(c.nodes, node)
 	c.stops = append(c.stops, node.Close)
-
-	agent, stop, err := transport.PairAgent(sw) // unwrapped: see Config.Faults
-	if err != nil {
-		return 0, err
-	}
-	c.stops = append(c.stops, stop)
-	c.agents[addr] = agent
+	c.agents[addr] = controller.LocalAgent{Switch: sw} // no nemesis: see Config.Faults
 	return addr, nil
 }
 

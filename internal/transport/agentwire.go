@@ -1,7 +1,8 @@
 // The controller↔switch-agent channel (the paper's controller spoke xmlrpc
 // to a per-switch Python agent, §7) is a length-prefixed binary protocol
-// over one byte stream per switch: a TCP connection between processes
-// (ServeAgent, DialAgent), an AF_UNIX socketpair within one (PairAgent).
+// over one TCP connection per switch between processes (ServeAgent,
+// DialAgent); a controller that shares a process with its switches skips
+// the wire and programs them through controller.LocalAgent.
 // All integers are big-endian.
 //
 //	request:  u32 len | u8 verb   | body
@@ -316,21 +317,16 @@ func serveAgentFrame(sw *core.Switch, req, out []byte) []byte {
 	return out
 }
 
-// agentServer is one switch's control endpoint: the connections it serves,
-// accepted from a listener or handed over as a socketpair's agent end, all
-// of which stop() closes and waits out.
+// agentServer is one switch's control endpoint: a TCP listener and the
+// connections accepted from it, all of which stop() closes and waits out.
 type agentServer struct {
 	sw *core.Switch
-	ln net.Listener // nil for a PairAgent
+	ln net.Listener
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
 	wg     sync.WaitGroup // accept loop + one per live connection
-}
-
-func newAgentServer(sw *core.Switch, ln net.Listener) *agentServer {
-	return &agentServer{sw: sw, ln: ln, conns: make(map[net.Conn]struct{})}
 }
 
 // ServeAgent starts the control agent for a switch on bind and returns the
@@ -341,54 +337,32 @@ func ServeAgent(sw *core.Switch, bind string) (net.Addr, func() error, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	s := newAgentServer(sw, ln)
+	s := &agentServer{sw: sw, ln: ln, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.accept()
 	return ln.Addr(), s.stop, nil
 }
 
-// PairAgent serves sw's control agent over a connected stream pair inside
-// this process and returns the controller's end. The agent end runs the
-// same serve loop and framed verbs as a ServeAgent connection; only the
-// way the stream is made differs (streamPair). stop closes both ends and
-// returns once the agent's goroutine has exited.
-func PairAgent(sw *core.Switch) (*WireAgent, func() error, error) {
-	ctl, agent, err := streamPair()
-	if err != nil {
-		return nil, nil, fmt.Errorf("transport: agent stream pair: %w", err)
-	}
-	s := newAgentServer(sw, nil)
-	s.start(agent)
-	a := NewWireAgent(ctl)
-	return a, func() error {
-		a.Close()
-		return s.stop()
-	}, nil
-}
-
+// accept serves each connection on its own goroutine until the listener
+// closes; a connection accepted after stop has run is closed unserved.
 func (s *agentServer) accept() {
 	defer s.wg.Done()
 	for {
 		conn, err := s.ln.Accept()
-		if err != nil || !s.start(conn) {
+		if err != nil {
 			return
 		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return
+		}
+		s.conns[conn] = struct{}{}
+		s.wg.Add(1)
+		go s.serve(conn)
+		s.mu.Unlock()
 	}
-}
-
-// start serves conn on its own goroutine, or closes it and reports false
-// once stop has run.
-func (s *agentServer) start(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		conn.Close()
-		return false
-	}
-	s.conns[conn] = struct{}{}
-	s.wg.Add(1)
-	go s.serve(conn)
-	return true
 }
 
 // serve answers one connection's requests in order until the peer hangs
@@ -420,10 +394,7 @@ func (s *agentServer) serve(conn net.Conn) {
 func (s *agentServer) stop() error {
 	s.mu.Lock()
 	s.closed = true
-	var err error
-	if s.ln != nil {
-		err = s.ln.Close()
-	}
+	err := s.ln.Close()
 	for conn := range s.conns {
 		conn.Close()
 	}

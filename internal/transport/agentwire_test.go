@@ -39,32 +39,31 @@ type agentKind struct {
 	open func(t testing.TB, sw *core.Switch) (*WireAgent, func() error)
 }
 
-// agentKinds are the two streams the agent protocol runs over: TCP, as
-// between processes, and the in-process socketpair localcluster uses.
-var agentKinds = []agentKind{{"tcp", openTCPAgent}, {"pair", openPairAgent}}
+// agentKinds are the streams the agent protocol runs over: TCP, as between
+// processes. (A controller in the switches' own process uses
+// controller.LocalAgent and no stream at all.)
+var agentKinds = []agentKind{{"tcp", openTCPAgent}}
 
 func openTCPAgent(t testing.TB, sw *core.Switch) (*WireAgent, func() error) {
+	t.Helper()
+	return openTCPAgentWrapped(t, sw, func(c net.Conn) net.Conn { return c })
+}
+
+// openTCPAgentWrapped is openTCPAgent with the dialed connection passed
+// through wrap before the WireAgent takes it over.
+func openTCPAgentWrapped(t testing.TB, sw *core.Switch, wrap func(net.Conn) net.Conn) (*WireAgent, func() error) {
 	t.Helper()
 	addr, stop, err := ServeAgent(sw, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { stop() })
-	a, err := DialAgent(addr.String())
+	conn, err := net.Dial("tcp", addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
+	a := NewWireAgent(wrap(conn))
 	t.Cleanup(func() { a.Close() })
-	return a, stop
-}
-
-func openPairAgent(t testing.TB, sw *core.Switch) (*WireAgent, func() error) {
-	t.Helper()
-	a, stop, err := PairAgent(sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { stop() })
 	return a, stop
 }
 
@@ -89,8 +88,8 @@ func sameItems(a, b []core.Item) bool {
 	return true
 }
 
-// TestAgentVerbRoundTrip drives every verb through a live stream of each
-// kind, in lockstep, and checks the switch-side effect and whatever comes
+// TestAgentVerbRoundTrip drives every verb through a live agent
+// connection and checks the switch-side effect and whatever comes
 // back.
 func TestAgentVerbRoundTrip(t *testing.T) {
 	k1, k2, k3 := kv.KeyFromString("k1"), kv.KeyFromString("k2"), kv.KeyFromString("k3")
@@ -346,23 +345,18 @@ func TestAgentFrameRejects(t *testing.T) {
 		t.Errorf("truncated frame: err = %v", err)
 	}
 
-	// On a live agent of either kind a bad prefix costs that stream only:
-	// the agent hangs up, and the controller's next call on it fails. A TCP
-	// agent serves every connection to its listener, so there the bad
-	// prefix goes down a second connection to the same agent, which must
-	// keep serving the first; a pair has one stream and no sibling.
+	// On a live agent a bad prefix costs that connection only: the agent
+	// hangs up, the controller's next call on it fails, and a second
+	// connection to the same agent keeps being served.
 	for _, k := range agentKinds {
 		sw := agentTestSwitch(t, 1)
 		good, _ := k.open(t, sw)
-		bad := good
-		if k.name == "tcp" {
-			raw, err := net.Dial("tcp", good.conn.RemoteAddr().String())
-			if err != nil {
-				t.Fatal(err)
-			}
-			bad = NewWireAgent(raw)
-			t.Cleanup(func() { bad.Close() })
+		raw, err := net.Dial("tcp", good.conn.RemoteAddr().String())
+		if err != nil {
+			t.Fatal(err)
 		}
+		bad := NewWireAgent(raw)
+		t.Cleanup(func() { bad.Close() })
 		if _, err := bad.conn.Write(binary.BigEndian.AppendUint32(nil, maxAgentFrame+1)); err != nil {
 			t.Fatal(err)
 		}
@@ -372,10 +366,8 @@ func TestAgentFrameRejects(t *testing.T) {
 		if err := bad.SetSession(1, 1); err == nil {
 			t.Errorf("%s: a call on a stream the agent hung up succeeded", k.name)
 		}
-		if bad != good {
-			if err := good.SetSession(1, 1); err != nil {
-				t.Errorf("%s: other connection disturbed: %v", k.name, err)
-			}
+		if err := good.SetSession(1, 1); err != nil {
+			t.Errorf("%s: other connection disturbed: %v", k.name, err)
 		}
 	}
 
@@ -448,7 +440,7 @@ func FuzzAgentFrame(f *testing.F) {
 }
 
 // TestAgentParity runs one scripted control sequence through a LocalAgent
-// and through a wire agent of each kind, each against its own switch, and
+// and through a wire agent, each against its own switch, and
 // requires the switches — and what the agents report of them — to end up
 // identical.
 func TestAgentParity(t *testing.T) {
@@ -555,8 +547,9 @@ func TestAgentRoundTripCounts(t *testing.T) {
 			addrs[i] = packet.AddrFrom4(10, 0, 0, byte(i+1))
 			sw := agentTestSwitch(t, i+1)
 			sws[addrs[i]] = sw
-			a, _ := openPairAgent(t, sw)
-			a.conn = countingConn{Conn: a.conn, trips: &trips[i]}
+			a, _ := openTCPAgentWrapped(t, sw, func(c net.Conn) net.Conn {
+				return countingConn{Conn: c, trips: &trips[i]}
+			})
 			agents[addrs[i]] = a
 		}
 		snapshot := func() (out [4]int64) {
@@ -739,7 +732,7 @@ func (c stallConn) Write(b []byte) (int, error) {
 }
 
 // TestAgentStopFailsCallInFlight stops the agent while a call waits for
-// its reply: on either kind of stream the call fails and stop returns.
+// its reply: the call fails and stop returns.
 func TestAgentStopFailsCallInFlight(t *testing.T) {
 	for _, k := range agentKinds {
 		t.Run(k.name, func(t *testing.T) {
@@ -771,8 +764,8 @@ func TestAgentStopFailsCallInFlight(t *testing.T) {
 	}
 }
 
-// BenchmarkAgentRoundTrip prices one controller→agent round trip on each
-// kind of stream: a one-key InstallKeys, the call Insert makes once per
+// BenchmarkAgentRoundTrip prices one controller→agent round trip over
+// TCP: a one-key InstallKeys, the call Insert makes once per
 // chain hop. Each iteration also removes the key on the switch directly
 // (no round trip) so the next can install it again.
 func BenchmarkAgentRoundTrip(b *testing.B) {

@@ -292,6 +292,94 @@ func TestRealUDPFailoverAndRecovery(t *testing.T) {
 	}
 }
 
+// TestRealUDPScaleOutAndIn live-migrates a TCP-agent deployment onto a
+// fourth switch, drains an original member, then fails another and
+// readmits it, reading every key back through the UDP client after each
+// step. With the failover test above it drives every agent verb over the
+// framed wire from a real controller flow.
+func TestRealUDPScaleOutAndIn(t *testing.T) {
+	d := newDeployment(t)
+	keys := make([]kv.Key, 64)
+	want := func(i int) string { return fmt.Sprintf("v%d", i) }
+	for i := range keys {
+		keys[i] = kv.KeyFromUint64(uint64(500 + i))
+		if _, err := d.ctl.Insert(keys[i]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.ops.Write(keys[i], kv.Value(want(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readAll := func(when string) {
+		t.Helper()
+		for i, k := range keys {
+			v, _, err := d.ops.Read(k)
+			if err != nil || string(v) != want(i) {
+				t.Fatalf("read %d %s: %q %v", i, when, v, err)
+			}
+		}
+	}
+	await := func(what string, run func(done func()) error) {
+		t.Helper()
+		done := make(chan struct{})
+		if err := run(func() { close(done) }); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s did not complete", what)
+		}
+	}
+
+	added := d.addrs[3]
+	await("scale-out", func(done func()) error { _, err := d.ctl.AddSwitch(added, done); return err })
+	if d.nodes[added].Switch().ItemCount() == 0 {
+		t.Fatal("the added switch took over no keys")
+	}
+	readAll("after scale-out")
+
+	drained := d.addrs[1]
+	await("scale-in", func(done func()) error { _, err := d.ctl.RemoveSwitch(drained, done); return err })
+	if n := d.nodes[drained].Switch().ItemCount(); n != 0 {
+		t.Fatalf("the drained switch still holds %d items", n)
+	}
+	// Nothing may still route through the drained switch.
+	if err := d.nodes[drained].Close(); err != nil {
+		t.Fatal(err)
+	}
+	readAll("after scale-in")
+
+	// Readmission: a member fails and the drained switch, booted again,
+	// replaces it; then the failed one comes back with its stale replicas
+	// and is added again. The controller scrubs what it still holds (Keys,
+	// RemoveKeys) and lifts its neighbors' failover rules (RemoveRule)
+	// before migrating groups onto it.
+	reboot := func(a packet.Addr) {
+		t.Helper()
+		node, err := NewSwitchNode(d.nodes[a].Switch(), d.book, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { node.Close() })
+		d.nodes[a] = node
+	}
+	back := d.addrs[2]
+	if err := d.nodes[back].Close(); err != nil {
+		t.Fatal(err)
+	}
+	await("failover", func(done func()) error { return d.ctl.HandleFailure(back, done) })
+	reboot(drained)
+	await("recovery", func(done func()) error { return d.ctl.Recover(back, []packet.Addr{drained}, done) })
+	readAll("after recovery")
+	reboot(back)
+	await("readmission", func(done func()) error { _, err := d.ctl.AddSwitch(back, done); return err })
+	readAll("after readmission")
+	if n := d.ctl.AgentErrors(); n != 0 {
+		t.Fatalf("%d agent calls failed", n)
+	}
+}
+
 func TestAddressBook(t *testing.T) {
 	b := NewAddressBook()
 	if _, ok := b.Get(1); ok {

@@ -7,10 +7,10 @@
 // Two substrates run the same protocol code:
 //
 //   - a real deployment: switch dataplanes behind UDP sockets, a
-//     controller driving per-switch agents over a framed binary stream
-//     channel (one batch verb per round trip; TCP between processes, a
-//     socketpair within one), clients with timeout-based retries — see
-//     StartLocalCluster;
+//     controller driving per-switch agents with batch verbs (in-process
+//     agents, controller.LocalAgent, within one process; a framed binary
+//     stream over TCP between processes), clients with timeout-based
+//     retries — see StartLocalCluster;
 //   - a deterministic discrete-event simulation of the paper's testbed
 //     (four switches, four servers) or a multi-tier fabric — see
 //     NewSimCluster. Its shared verbs take Cluster's shapes. The figure
@@ -55,12 +55,12 @@ func KeyFromUint64(v uint64) Key { return kv.KeyFromUint64(v) }
 type ClusterConfig = localcluster.Config
 
 // Cluster is a real NetChain deployment on loopback: every switch is a
-// dataplane goroutine behind its own UDP socket, and the controller drives
-// them through wire agents with the framed verbs a multi-process
-// deployment sends over TCP, carried by an in-process AF_UNIX socketpair
-// per switch. The lifecycle verbs (FailSwitch, Recover, AddSwitch,
-// RemoveSwitch, RestartRelay, Close) and accessors come from the embedded
-// deployment, the same one the real-wire chaos harness boots.
+// dataplane goroutine behind its own UDP socket, and the controller
+// programs them through in-process agents (controller.LocalAgent); a
+// multi-process deployment sends the same verbs over TCP. The lifecycle
+// verbs (FailSwitch, Recover, AddSwitch, RemoveSwitch, RestartRelay,
+// Close) and accessors come from the embedded deployment, the same one
+// the real-wire chaos harness boots.
 type Cluster struct {
 	*localcluster.Cluster
 }

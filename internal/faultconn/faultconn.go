@@ -431,12 +431,12 @@ func (i *Injector) Pipe(self packet.Addr) *Pipe { return &Pipe{inj: i, self: sel
 // frame without decoding it — the partition matcher runs on every egress
 // frame and cannot afford a parse.
 func PeekAddrs(buf []byte) (src, dst packet.Addr, ok bool) {
-	const srcOff = packet.EthernetLen + 12 // IPv4 header: src at +12, dst at +16
-	if len(buf) < packet.EthernetLen+packet.IPv4Len {
+	if len(buf) < packet.CarrierLen {
 		return 0, 0, false
 	}
-	src = packet.Addr(binary.BigEndian.Uint32(buf[srcOff:]))
-	dst = packet.Addr(binary.BigEndian.Uint32(buf[srcOff+4:]))
+	// The carrier opens with src at offset 0 and dst at offset 4.
+	src = packet.Addr(binary.BigEndian.Uint32(buf[0:]))
+	dst = packet.Addr(binary.BigEndian.Uint32(buf[4:]))
 	return src, dst, true
 }
 

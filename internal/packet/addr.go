@@ -1,10 +1,14 @@
-// Package packet implements the NetChain wire formats of Fig. 2(b):
-// Ethernet / IPv4 / UDP carrier layers plus the custom NetChain header
-// (OP, SEQ, SESSION, KEY, VALUE, SC and the chain IP list).
+// Package packet implements the NetChain wire format of Fig. 2(b): a
+// fixed 15-byte carrier (virtual IP source and destination, UDP ports,
+// TTL and frame length) followed by the custom NetChain header (OP, SEQ,
+// SESSION, KEY, VALUE, SC and the chain IP list). On a switch ASIC the
+// carrier's fields are the packet's real IPv4 and UDP headers; here the
+// real headers belong to the kernel socket that carries each datagram, so
+// the carrier holds the virtual ones and nothing the protocol never reads.
 //
-// The codec follows the gopacket DecodingLayer discipline: DecodeFromBytes
+// The codec follows the gopacket DecodingLayer discipline: decoding
 // parses into a preallocated struct without retaining the input slice for
-// header fields, and SerializeTo appends into a caller-provided buffer, so
+// header fields, and serializing appends into a caller-provided buffer, so
 // steady-state encode/decode performs no allocation.
 package packet
 
@@ -61,10 +65,3 @@ func (a Addr) IsZero() bool { return a == 0 }
 // the watch relay's fan-out groups live in this range, and the simulator
 // replicates frames addressed to one toward every joined member.
 func (a Addr) IsMulticast() bool { return byte(a>>24)&0xf0 == 0xe0 }
-
-// MAC is a 48-bit Ethernet address.
-type MAC [6]byte
-
-func (m MAC) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
-}

@@ -1,17 +1,13 @@
 package packet
 
-import (
-	"fmt"
+import "netchain/internal/kv"
 
-	"netchain/internal/kv"
-)
-
-// Frame is a fully parsed NetChain datagram: Ethernet + IPv4 + UDP +
-// NetChain. The real transport serializes frames to bytes; the simulator
-// passes *Frame values directly (both run the same dataplane code).
+// Frame is a fully parsed NetChain frame: the carrier's virtual
+// addressing (see carrier.go) plus the NetChain header. The real transport
+// serializes frames to bytes; the simulator passes *Frame values directly
+// (both run the same dataplane code).
 type Frame struct {
-	Eth Ethernet
-	IP  IPv4
+	IP  IP
 	UDP UDP
 	NC  NetChain
 
@@ -71,7 +67,6 @@ func NewQueryInto(f *Frame, src, first Addr, srcPort uint16, nc *NetChain) *Fram
 	f.NC.Chain = f.NC.chainBuf[:n]
 	f.traceOwned = false // NC.Trace (if any) aliases the caller's header
 	f.SetAddrs(src, first, srcPort, Port)
-	f.fixLengths()
 	return f
 }
 
@@ -80,8 +75,6 @@ func (f *Frame) SetAddrs(src, dst Addr, srcPort, dstPort uint16) {
 	f.IP.Src, f.IP.Dst = src, dst
 	f.UDP.SrcPort, f.UDP.DstPort = srcPort, dstPort
 	f.IP.TTL = 64
-	f.IP.Protocol = ProtoUDP
-	f.Eth.EtherType = EtherTypeIPv4
 }
 
 // Retarget points the frame at a new IP destination (the next chain hop).
@@ -96,74 +89,26 @@ func (f *Frame) ToReply(status kv.Status) {
 	f.NC.Op = kv.OpReply
 	f.NC.Status = status
 	f.NC.Chain = f.NC.chainBuf[:0]
-	f.fixLengths()
 }
 
-// Finalize recomputes the carrier length fields after direct NC edits,
-// for frames assembled outside the NewQuery path (event/watch frames with
-// non-standard port pairs).
-func (f *Frame) Finalize() { f.fixLengths() }
-
-// fixLengths recomputes the IP and UDP length fields from the payload.
-func (f *Frame) fixLengths() {
-	nclen := f.NC.WireLen()
-	f.UDP.Length = uint16(UDPLen + nclen)
-	f.IP.TotalLen = uint16(IPv4Len + UDPLen + nclen)
-}
-
-// WireLen returns the full on-wire frame size in bytes, used by the
-// simulator for link serialization delay.
-func (f *Frame) WireLen() int {
-	return EthernetLen + IPv4Len + UDPLen + f.NC.WireLen()
-}
-
-// Serialize appends the complete frame to buf and returns it.
-func (f *Frame) Serialize(buf []byte) ([]byte, error) {
-	f.fixLengths()
-	buf = f.Eth.SerializeTo(buf)
-	buf = f.IP.SerializeTo(buf)
-	buf = f.UDP.SerializeTo(buf)
-	return f.NC.SerializeTo(buf)
-}
+// WireLen returns the size of the serialized frame in bytes.
+func (f *Frame) WireLen() int { return CarrierLen + f.NC.WireLen() }
 
 // Decode parses a complete frame from data. The NC.Value field aliases
 // data.
 func (f *Frame) Decode(data []byte) error {
-	if err := f.Eth.DecodeFromBytes(data); err != nil {
-		return err
-	}
-	if f.Eth.EtherType != EtherTypeIPv4 {
-		return fmt.Errorf("packet: ethertype %#04x is not IPv4", f.Eth.EtherType)
-	}
-	data = data[EthernetLen:]
-	if err := f.IP.DecodeFromBytes(data); err != nil {
-		return err
-	}
-	if f.IP.Protocol != ProtoUDP {
-		return fmt.Errorf("packet: protocol %d is not UDP", f.IP.Protocol)
-	}
-	data = data[IPv4Len:]
-	if err := f.UDP.DecodeFromBytes(data); err != nil {
-		return err
-	}
-	if f.UDP.DstPort != Port && f.UDP.SrcPort != Port {
-		return fmt.Errorf("packet: neither UDP port is the NetChain port")
-	}
-	f.traceOwned = false // a decoded NC.Trace aliases data
-	return f.NC.DecodeFromBytes(data[UDPLen:f.UDP.Length])
+	_, err := f.decode(data)
+	return err
 }
 
 // NextFrame decodes the first frame in data and returns the bytes that
 // follow it. Transports concatenate whole frames back-to-back inside one
-// datagram (DPDK-style burst batching); the IP total-length field
+// datagram (DPDK-style burst batching); the carrier's length field
 // delimits them, and a lone frame is simply a batch of one.
 func NextFrame(f *Frame, data []byte) (rest []byte, err error) {
-	if err := f.Decode(data); err != nil {
+	n, err := f.decode(data)
+	if err != nil {
 		return nil, err
-	}
-	n := EthernetLen + int(f.IP.TotalLen)
-	if n < EthernetLen+IPv4Len+UDPLen || n > len(data) {
-		return nil, fmt.Errorf("packet: frame length %d outside datagram of %d bytes", n, len(data))
 	}
 	return data[n:], nil
 }
@@ -200,7 +145,7 @@ func (f *Frame) Clone() *Frame {
 // CloneTo deep-copies f into dst (usually a pooled frame from GetFrame),
 // detaching Value and Chain from any buffers f aliases.
 func (f *Frame) CloneTo(dst *Frame) {
-	dst.Eth, dst.IP, dst.UDP = f.Eth, f.IP, f.UDP
+	dst.IP, dst.UDP = f.IP, f.UDP
 	vb, tb := dst.valBuf, dst.traceBuf // keep dst's grown-once storage
 	dst.NC = f.NC
 	dst.valBuf, dst.traceBuf = vb, tb

@@ -17,7 +17,7 @@ const Port = 0x4e43
 const Magic = 0x4e43
 
 // VersionWire is the header format version emitted by this implementation.
-const VersionWire = 1
+const VersionWire = 2
 
 // MaxChainHops bounds the chain IP list length (a chain of f+1 replicas
 // plus slack for routing; Tofino parsers bound header stacks similarly).

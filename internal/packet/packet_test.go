@@ -2,7 +2,9 @@ package packet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -37,88 +39,6 @@ func TestAddrParseProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEthernetRoundTrip(t *testing.T) {
-	e := Ethernet{
-		Dst:       MAC{0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff},
-		Src:       MAC{1, 2, 3, 4, 5, 6},
-		EtherType: EtherTypeIPv4,
-	}
-	buf := e.SerializeTo(nil)
-	if len(buf) != EthernetLen {
-		t.Fatalf("serialized %d bytes, want %d", len(buf), EthernetLen)
-	}
-	var d Ethernet
-	if err := d.DecodeFromBytes(buf); err != nil {
-		t.Fatal(err)
-	}
-	if d != e {
-		t.Fatalf("round trip mismatch: %+v vs %+v", d, e)
-	}
-	if err := d.DecodeFromBytes(buf[:13]); err == nil {
-		t.Fatal("truncated header must fail")
-	}
-}
-
-func TestIPv4RoundTripAndChecksum(t *testing.T) {
-	ip := IPv4{
-		TotalLen: 100, ID: 7, TTL: 64, Protocol: ProtoUDP,
-		Src: AddrFrom4(10, 0, 0, 1), Dst: AddrFrom4(10, 0, 0, 2),
-	}
-	buf := ip.SerializeTo(nil)
-	if len(buf) != IPv4Len {
-		t.Fatalf("serialized %d bytes, want %d", len(buf), IPv4Len)
-	}
-	var d IPv4
-	if err := d.DecodeFromBytes(buf); err != nil {
-		t.Fatal(err)
-	}
-	if d.Src != ip.Src || d.Dst != ip.Dst || d.TotalLen != ip.TotalLen || d.TTL != 64 {
-		t.Fatalf("round trip mismatch: %+v", d)
-	}
-	// Corrupt one byte: checksum must catch it.
-	buf[16] ^= 0x01
-	if err := d.DecodeFromBytes(buf); err == nil {
-		t.Fatal("corrupted header must fail checksum")
-	}
-}
-
-func TestIPv4RejectsOptionsAndVersion(t *testing.T) {
-	ip := IPv4{TotalLen: 40, TTL: 1, Protocol: ProtoUDP}
-	buf := ip.SerializeTo(nil)
-	bad := append([]byte(nil), buf...)
-	bad[0] = 0x46 // IHL=6 -> options
-	if err := new(IPv4).DecodeFromBytes(bad); err == nil {
-		t.Fatal("options must be rejected")
-	}
-	bad[0] = 0x65 // version 6
-	if err := new(IPv4).DecodeFromBytes(bad); err == nil {
-		t.Fatal("version 6 must be rejected")
-	}
-}
-
-func TestUDPRoundTrip(t *testing.T) {
-	u := UDP{SrcPort: 1234, DstPort: Port, Length: UDPLen + 5}
-	buf := u.SerializeTo(nil)
-	payload := append(buf, 1, 2, 3, 4, 5)
-	var d UDP
-	if err := d.DecodeFromBytes(payload); err != nil {
-		t.Fatal(err)
-	}
-	if d.SrcPort != 1234 || d.DstPort != Port || d.Length != UDPLen+5 {
-		t.Fatalf("round trip mismatch: %+v", d)
-	}
-	// Length larger than datagram must fail.
-	short := append([]byte(nil), buf...)
-	if err := d.DecodeFromBytes(short[:UDPLen]); err == nil {
-		t.Fatal("udp length beyond datagram must fail")
-	}
-	u.Length = 3
-	buf = u.SerializeTo(nil)
-	if err := d.DecodeFromBytes(buf); err == nil {
-		t.Fatal("udp length below header must fail")
 	}
 }
 
@@ -295,6 +215,9 @@ func TestFrameRoundTrip(t *testing.T) {
 	if d.UDP.SrcPort != 5555 || d.UDP.DstPort != Port {
 		t.Fatalf("UDP mismatch: %+v", d.UDP)
 	}
+	if d.IP.TTL != 64 {
+		t.Fatalf("TTL = %d, want 64", d.IP.TTL)
+	}
 	if d.NC.Key != nc.Key || !bytes.Equal(d.NC.Value, nc.Value) {
 		t.Fatal("NetChain payload mismatch")
 	}
@@ -317,30 +240,67 @@ func TestFrameToReply(t *testing.T) {
 	}
 }
 
-func TestFrameDecodeRejectsForeign(t *testing.T) {
-	nc := sampleHeader()
-	f := NewQuery(1, 2, 9, nc)
-	buf, _ := f.Serialize(nil)
+// setFrameLen returns a copy of data whose frame starting at off has its
+// carrier length field (the carrier's last two bytes) set to n.
+func setFrameLen(data []byte, off, n int) []byte {
+	out := append([]byte(nil), data...)
+	binary.BigEndian.PutUint16(out[off+CarrierLen-2:], uint16(n))
+	return out
+}
 
-	var d Frame
-	eth := append([]byte(nil), buf...)
-	eth[12], eth[13] = 0x86, 0xdd // IPv6 ethertype
-	if err := d.Decode(eth); err == nil {
-		t.Fatal("non-IPv4 ethertype must fail")
+// malformedFrame is a datagram a batch walk rejects: it delivers good
+// frames, then fails with an error containing err.
+type malformedFrame struct {
+	name string
+	data []byte
+	good int
+	err  string
+}
+
+// malformedFrames covers every check the carrier makes on outside input.
+func malformedFrames() []malformedFrame {
+	one := seedFrame(kv.OpWrite, []byte("hello"), AddrFrom4(10, 0, 0, 2))
+	two := append(append([]byte(nil), one...), seedFrame(kv.OpRead, nil)...)
+	noPort := append([]byte(nil), one...)
+	binary.BigEndian.PutUint16(noPort[10:], 9) // dport; sport is 4000
+	return []malformedFrame{
+		{"short carrier", one[:CarrierLen-1], 0, "carrier truncated"},
+		{"no NetChain port", noPort, 0, "neither UDP port"},
+		{"length past datagram", setFrameLen(one, 0, len(one)+1), 0, "outside datagram"},
+		{"length below carrier", setFrameLen(one, 0, CarrierLen-1), 0, "outside datagram"},
+		{"length disagrees with header", setFrameLen(append(one, 0), 0, len(one)+1), 0, "carrier length"},
+		{"second frame lies about length", setFrameLen(two, len(one), len(two)-len(one)-1), 1, "truncated"},
 	}
+}
 
-	proto := append([]byte(nil), buf...)
-	proto[EthernetLen+9] = 6 // TCP
-	// fix IPv4 checksum after mutation
-	var ip IPv4
-	ip.TotalLen = f.IP.TotalLen
-	ip.TTL = f.IP.TTL
-	ip.Protocol = 6
-	ip.Src, ip.Dst = f.IP.Src, f.IP.Dst
-	fixed := ip.SerializeTo(nil)
-	copy(proto[EthernetLen:], fixed)
-	if err := d.Decode(proto); err == nil {
-		t.Fatal("non-UDP protocol must fail")
+func TestFrameDecodeRejectsForeign(t *testing.T) {
+	for _, tc := range malformedFrames() {
+		t.Run(tc.name, func(t *testing.T) {
+			var f Frame
+			n, err := DecodeBatch(&f, tc.data, func(*Frame) {})
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.err)
+			}
+			if n != tc.good {
+				t.Fatalf("delivered %d frames before the error, want %d", n, tc.good)
+			}
+		})
+	}
+}
+
+// TestSerializeRejectsOversizeFrame: a frame too long for the carrier's
+// 16-bit length field must fail to serialize instead of writing a wrapped
+// length that the decoder then misreads.
+func TestSerializeRejectsOversizeFrame(t *testing.T) {
+	nc := &NetChain{Op: kv.OpWrite, Key: kv.KeyFromString("big")}
+	f := NewQuery(1, 2, 9, nc)
+	f.NC.Value = make([]byte, maxFrameLen-CarrierLen-netchainFixedLen)
+	if _, err := f.Serialize(nil); err != nil {
+		t.Fatalf("largest frame must serialize: %v", err)
+	}
+	f.NC.Value = make([]byte, 65500)
+	if out, err := f.Serialize(nil); err == nil {
+		t.Fatalf("a %d-byte frame serialized without error", len(out))
 	}
 }
 
@@ -384,6 +344,33 @@ func BenchmarkNetChainDecode(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := d.DecodeFromBytes(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkFrameSerialize(b *testing.B) {
+	f := NewQuery(AddrFrom4(10, 1, 0, 1), AddrFrom4(10, 0, 0, 1), 5555, sampleHeader())
+	buf := make([]byte, 0, 256)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if buf, err = f.Serialize(buf[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkFrameDecode(b *testing.B) {
+	f := NewQuery(AddrFrom4(10, 1, 0, 1), AddrFrom4(10, 0, 0, 1), 5555, sampleHeader())
+	buf, err := f.Serialize(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var d Frame
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := d.Decode(buf); err != nil {
 			b.Fatal(err)
 		}
 	}

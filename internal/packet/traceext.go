@@ -126,7 +126,6 @@ func (f *Frame) EnableTrace() {
 // CopyTraceFrom marks f traced and copies src's hop records into f's own
 // storage — how a derived frame (a push-watch event bred from a traced
 // reply) inherits the query's telemetry. No-op when src is untraced.
-// Callers that already serialized f must Finalize() afterwards.
 func (f *Frame) CopyTraceFrom(src *Frame) {
 	if !src.NC.Traced {
 		return

@@ -66,7 +66,7 @@ func TestTraceUntracedBitIdentical(t *testing.T) {
 	// An untraced frame must carry a bare chain count in the SC byte and no
 	// extension bytes — the exact pre-telemetry layout.
 	wire := seedFrame(kv.OpWrite, []byte("hello"), AddrFrom4(10, 0, 0, 2))
-	sc := wire[EthernetLen+IPv4Len+UDPLen+5]
+	sc := wire[CarrierLen+5]
 	if sc != 1 {
 		t.Fatalf("untraced SC byte = %#02x, want chain count 1", sc)
 	}
@@ -77,7 +77,7 @@ func TestTraceUntracedBitIdentical(t *testing.T) {
 	if f.NC.Traced || f.NC.Trace != nil {
 		t.Fatal("untraced frame decoded as traced")
 	}
-	if want := EthernetLen + IPv4Len + UDPLen + netchainFixedLen + 5 + 4; len(wire) != want {
+	if want := CarrierLen + netchainFixedLen + 5 + 4; len(wire) != want {
 		t.Fatalf("untraced wire len %d, want %d", len(wire), want)
 	}
 }
@@ -128,7 +128,7 @@ func TestTraceAppendBounds(t *testing.T) {
 
 func TestTraceDecodeErrors(t *testing.T) {
 	full := seedTracedFrame(2, nil)
-	nc := full[EthernetLen+IPv4Len+UDPLen:]
+	nc := full[CarrierLen:]
 
 	// Flag set, hop-count byte missing.
 	var h NetChain
@@ -222,17 +222,17 @@ func FuzzDecodeTraceExt(f *testing.F) {
 	for cut := 0; cut < len(whole); cut += 5 {
 		f.Add(whole[:cut])
 	}
-	for i := 0; i < len(whole); i += 3 {
+	for i := 0; i < len(whole); i += 2 {
 		flip := append([]byte(nil), whole...)
 		flip[i] ^= 0x80
 		f.Add(flip)
 	}
 	// Hop-count overflow and count/record mismatches.
 	over := append([]byte(nil), whole...)
-	over[EthernetLen+IPv4Len+UDPLen+netchainFixedLen] = 0xff
+	over[CarrierLen+netchainFixedLen] = 0xff
 	f.Add(over)
 	short := append([]byte(nil), whole...)
-	short[EthernetLen+IPv4Len+UDPLen+netchainFixedLen] = MaxTraceHops
+	short[CarrierLen+netchainFixedLen] = MaxTraceHops
 	f.Add(short)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -265,9 +265,7 @@ func FuzzDecodeTraceExt(f *testing.F) {
 				back.NC.Traced, fr.NC.Traced, back.NC.TraceHopCount(), fr.NC.TraceHopCount())
 		}
 		// The canonical wire form must be a bit-identical fixed point:
-		// decode(out) re-serializes to exactly out. (Arbitrary accepted
-		// input may differ from out — the decoder tolerates length slack
-		// and checksums that the serializer canonicalizes away.)
+		// decode(out) re-serializes to exactly out.
 		out2, err := back.Serialize(nil)
 		if err != nil {
 			t.Fatal(err)

@@ -66,7 +66,6 @@ func EventInto(f *packet.Frame, src, dst packet.Addr, srcPort, dstPort uint16, e
 	}
 	nc.Chain = nil
 	f.SetAddrs(src, dst, srcPort, dstPort)
-	f.Finalize()
 	return f
 }
 
@@ -135,7 +134,6 @@ func NewWatch(src, dst packet.Addr, srcPort uint16, verb byte, nonce uint64, gro
 	nc.Value = buf
 	nc.Chain = nil
 	f.SetAddrs(src, dst, srcPort, packet.Port)
-	f.Finalize()
 	return f, nil
 }
 

@@ -304,7 +304,6 @@ func (s *Server) stampRelayHop(out *packet.Frame, in *packet.Frame, ingressNs in
 		IngressNs: ingressNs,
 		EgressNs:  time.Now().UnixNano(),
 	})
-	out.Finalize()
 }
 
 func (s *Server) queueSerialized(f *packet.Frame, ep *net.UDPAddr, bio *transport.BatchConn) {
@@ -406,7 +405,6 @@ func (s *Server) ack(dst *net.UDPAddr, nonce uint64, groups []uint16) {
 	}
 	defer packet.PutFrame(f)
 	f.UDP.DstPort = uint16(dst.Port)
-	f.Finalize()
 	bp := packet.GetBuf()
 	out, serr := f.Serialize((*bp)[:0])
 	if serr == nil {

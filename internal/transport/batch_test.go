@@ -432,7 +432,6 @@ func writeFrame(t *testing.T, dst packet.Addr, k kv.Key, qid uint64, fill byte, 
 	f.NC = packet.NetChain{Op: kv.OpWrite, QueryID: qid, Key: k}
 	out := packet.NewQueryInto(f, packet.AddrFrom4(10, 9, 9, 9), dst, packet.Port, &f.NC)
 	out.NC.Value = bytes.Repeat([]byte{fill}, wireLen-out.WireLen())
-	out.Finalize()
 	buf := packet.GetBuf()
 	b, err := out.Serialize((*buf)[:0])
 	if err != nil {

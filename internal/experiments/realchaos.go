@@ -298,9 +298,7 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 	// Workload start is the schedule's t=0.
 	rc.inj.ResetClock()
 	schedStart := rc.mon.Now()
-	if err := rc.inj.RunSchedule(schedule); err != nil {
-		return nil, err
-	}
+	rc.inj.RunSchedule(schedule)
 
 	start := time.Now()
 	now := func() int64 { return int64(time.Since(start)) }

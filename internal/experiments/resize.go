@@ -95,7 +95,7 @@ func RunResize(o ResizeOpts) (*ResizeResult, error) {
 	var outDiff, inDiff ring.Diff
 	const probe = 2 // the load that measures read latency during migrations
 	scaleOut := func(r *run) {
-		s4, err := r.Fab.AttachSwitch()
+		s4, err := r.Fab.AddSwitch()
 		if err != nil {
 			r.fail(err)
 			return

@@ -3,7 +3,6 @@ package faultconn
 import (
 	"fmt"
 	"net"
-	"time"
 
 	"netchain/internal/packet"
 )
@@ -64,30 +63,3 @@ func (c *PacketConn) WriteTo(b []byte, addr net.Addr) (int, error) {
 }
 
 func (c *PacketConn) raw(b []byte, ep *net.UDPAddr) { _, _ = c.UDPConn.WriteToUDP(b, ep) }
-
-// WrapStream returns a net.Conn filter for stream (TCP) connections
-// toward the node with virtual address peer — the controller's RPC dial
-// path uses it so fail-stop and gray degradation reach the control plane
-// too: writes toward a fail-stopped peer fail fast (the process is
-// "off"), writes toward a gray peer stall by the scaled ExtraDelay.
-func (i *Injector) WrapStream(peer packet.Addr) func(net.Conn) net.Conn {
-	return func(c net.Conn) net.Conn { return &streamConn{Conn: c, inj: i, peer: peer} }
-}
-
-type streamConn struct {
-	net.Conn
-	inj  *Injector
-	peer packet.Addr
-}
-
-func (s *streamConn) Write(b []byte) (int, error) {
-	if s.inj.Dead(s.peer) {
-		return 0, fmt.Errorf("faultconn: peer %v fail-stopped", s.peer)
-	}
-	if g, ok := s.inj.grayOf(s.peer); ok {
-		if stall := s.inj.wall(g.ExtraDelay); stall > 0 {
-			time.Sleep(stall)
-		}
-	}
-	return s.Conn.Write(b)
-}

@@ -1,11 +1,13 @@
 // Package faultconn is the wire-side nemesis: a deterministic, seedable
 // fault-injection layer at the real socket boundary. Where internal/netsim
 // perturbs a simulated network, faultconn perturbs the actual datagrams a
-// live-UDP cluster exchanges over loopback — same fault grammar
-// (netsim.LinkFault / Gray / Partition / Schedule), same decision core
-// (netsim.LinkFault.Decide), so one declarative schedule runs unchanged
-// against either substrate and a seeded run produces the same
-// fault-decision stream on both (pinned by FuzzScheduleWire).
+// live-UDP cluster exchanges over loopback. Only the applying is its own:
+// the fault state is a netsim.Faults, changed only by the grammar's own
+// Fault.Inject/Heal (the injector is a netsim.Target), and every frame's
+// fate comes from netsim.LinkFault.Decide. So one Schedule runs through the
+// same inject/heal rules on either substrate (TestOverlapParity), and a
+// seeded run produces the same fault-decision stream on both (pinned by
+// FuzzScheduleWire).
 //
 // The injector hands out one Pipe per socket owner; the Pipe implements
 // transport.FaultPipe (and, structurally, health.FaultPipe), so it slots
@@ -63,20 +65,16 @@ type Injector struct {
 
 	start time.Time
 
-	mu         sync.Mutex
-	eps        map[uint64]packet.Addr // "ip:port" key → owning virtual addr
-	linkFaults map[pair]netsim.LinkFault
-	defFault   *netsim.LinkFault
-	parts      []*netsim.Partition
-	asymLive   map[*netsim.AsymPartition]*netsim.Partition
-	gray       map[packet.Addr]netsim.Gray
-	dead       map[packet.Addr]bool
-	dirs       map[pair]*rand.Rand
-	grayRng    map[packet.Addr]*rand.Rand
-	timers     []*time.Timer
-	log        []string
-	stopped    bool
-	trace      func(from, to packet.Addr, dec netsim.FaultDecision)
+	mu      sync.Mutex
+	eps     map[uint64]packet.Addr // "ip:port" key → owning virtual addr
+	faults  netsim.Faults
+	dead    map[packet.Addr]bool // fail-stopped nodes, blackholed
+	dirs    map[pair]*rand.Rand
+	grayRng map[packet.Addr]*rand.Rand
+	timers  []*time.Timer
+	log     []string
+	stopped bool
+	trace   func(from, to packet.Addr, dec netsim.FaultDecision)
 
 	chaosDrops atomic.Uint64
 	burstDrops atomic.Uint64
@@ -138,18 +136,15 @@ func WithDecisionTrace(fn func(from, to packet.Addr, dec netsim.FaultDecision)) 
 // order reproduces the same decisions.
 func New(seed int64, opts ...Option) *Injector {
 	i := &Injector{
-		seed:       seed,
-		scale:      1,
-		lat:        event.Time(10 * time.Microsecond),
-		svc:        event.Time(time.Nanosecond),
-		start:      time.Now(),
-		eps:        make(map[uint64]packet.Addr),
-		linkFaults: make(map[pair]netsim.LinkFault),
-		asymLive:   make(map[*netsim.AsymPartition]*netsim.Partition),
-		gray:       make(map[packet.Addr]netsim.Gray),
-		dead:       make(map[packet.Addr]bool),
-		dirs:       make(map[pair]*rand.Rand),
-		grayRng:    make(map[packet.Addr]*rand.Rand),
+		seed:    seed,
+		scale:   1,
+		lat:     event.Time(10 * time.Microsecond),
+		svc:     event.Time(time.Nanosecond),
+		start:   time.Now(),
+		eps:     make(map[uint64]packet.Addr),
+		dead:    make(map[packet.Addr]bool),
+		dirs:    make(map[pair]*rand.Rand),
+		grayRng: make(map[packet.Addr]*rand.Rand),
 	}
 	for _, o := range opts {
 		o(i)
@@ -295,123 +290,48 @@ func (i *Injector) logf(format string, args ...any) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault state management (mirrors netsim.Network's API).
+// Fault state: netsim's Faults, changed only by netsim's Fault values.
 
-// SetLinkFault installs f on the directed virtual link from→to.
-func (i *Injector) SetLinkFault(from, to packet.Addr, f netsim.LinkFault) {
-	i.mu.Lock()
-	i.linkFaults[pair{from, to}] = f
-	i.mu.Unlock()
-}
-
-// ClearLinkFault removes the fault on the directed link from→to.
-func (i *Injector) ClearLinkFault(from, to packet.Addr) {
-	i.mu.Lock()
-	delete(i.linkFaults, pair{from, to})
-	i.mu.Unlock()
-}
-
-// SetDefaultFault installs a cluster-wide fault on every traversal.
-func (i *Injector) SetDefaultFault(f netsim.LinkFault) {
-	i.mu.Lock()
-	if f.Active() {
-		cp := f
-		i.defFault = &cp
-	} else {
-		i.defFault = nil
-	}
-	i.mu.Unlock()
-}
-
-// ClearDefaultFault removes the cluster-wide fault.
-func (i *Injector) ClearDefaultFault() {
-	i.mu.Lock()
-	i.defFault = nil
-	i.mu.Unlock()
-}
-
-// AddPartition activates an asymmetric partition (matched against the
-// virtual IP headers of serialized frames).
-func (i *Injector) AddPartition(p *netsim.Partition) {
-	i.mu.Lock()
-	i.parts = append(i.parts, p)
-	i.mu.Unlock()
-}
-
-// RemovePartition heals a partition previously added (identity by pointer).
-func (i *Injector) RemovePartition(p *netsim.Partition) {
-	i.mu.Lock()
-	kept := i.parts[:0]
-	for _, q := range i.parts {
-		if q != p {
-			kept = append(kept, q)
-		}
-	}
-	i.parts = kept
-	if len(i.parts) == 0 {
-		i.parts = nil
-	}
-	i.mu.Unlock()
-}
-
-// SetGray degrades addr without failing it: its ingest drops Loss of the
-// arriving datagrams and stalls by the scaled ExtraDelay (+SlowFactor
-// surcharge) — heartbeats keep flowing, slowly, which is the case
-// fail-stop detectors never see.
-func (i *Injector) SetGray(addr packet.Addr, g netsim.Gray) {
-	i.mu.Lock()
-	i.gray[addr] = g
-	i.mu.Unlock()
-}
-
-// ClearGray restores addr to full health.
-func (i *Injector) ClearGray(addr packet.Addr) {
-	i.mu.Lock()
-	delete(i.gray, addr)
-	i.mu.Unlock()
-}
-
-// FailStop blackholes addr: nothing leaves it, nothing reaches it — the
-// wire analogue of powering the switch off without closing its sockets.
-func (i *Injector) FailStop(addr packet.Addr) {
-	i.mu.Lock()
-	i.dead[addr] = true
-	i.mu.Unlock()
-}
-
-// Restore brings a fail-stopped addr back.
-func (i *Injector) Restore(addr packet.Addr) {
-	i.mu.Lock()
-	delete(i.dead, addr)
-	i.mu.Unlock()
-}
-
-// Dead reports whether addr is currently fail-stopped.
-func (i *Injector) Dead(addr packet.Addr) bool {
+// Inject installs f on the live wire now, through the same rules a
+// simulated network runs it by.
+func (i *Injector) Inject(f netsim.Fault) error {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	return i.dead[addr]
+	return f.Inject(locked{i})
 }
 
-// grayOf returns addr's gray degradation, if any.
-func (i *Injector) grayOf(addr packet.Addr) (netsim.Gray, bool) {
+// Heal removes what f installed, unless a later step replaced it.
+func (i *Injector) Heal(f netsim.Fault) error {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	g, ok := i.gray[addr]
-	return g, ok
+	return f.Heal(locked{i})
 }
 
-// faultForLocked resolves the merged fault on the directed traversal
-// from→to, exactly as netsim's faultFor does.
-func (i *Injector) faultForLocked(from, to packet.Addr) (netsim.LinkFault, bool) {
-	lf, hasLink := i.linkFaults[pair{from, to}]
-	if i.defFault == nil {
-		return lf, hasLink && lf.Active()
-	}
-	if !hasLink {
-		return *i.defFault, true
-	}
-	return lf.Merge(*i.defFault), true
+// locked is the injector as a netsim.Target, used only while i.mu is held.
+// The wire has no topology, so any address pair is a link and any address
+// a node; a fail-stopped node is blackholed at its own sockets.
+type locked struct{ i *Injector }
+
+func (l locked) Faults() *netsim.Faults { return &l.i.faults }
+
+func (l locked) SetLinkFault(from, to packet.Addr, f netsim.LinkFault) error {
+	l.i.faults.SetLink(from, to, f)
+	return nil
+}
+
+func (l locked) SetGray(addr packet.Addr, g netsim.Gray) error {
+	l.i.faults.SetGray(addr, g)
+	return nil
+}
+
+func (l locked) FailSwitch(addr packet.Addr) error {
+	l.i.dead[addr] = true
+	return nil
+}
+
+func (l locked) RestoreSwitch(addr packet.Addr) error {
+	delete(l.i.dead, addr)
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -465,18 +385,12 @@ func (p *Pipe) Egress(buf []byte, ep *net.UDPAddr, send func([]byte, *net.UDPAdd
 		i.failDrops.Add(1)
 		return false
 	}
-	if len(i.parts) > 0 {
-		if src, dst, ok := PeekAddrs(buf); ok {
-			for _, pt := range i.parts {
-				if pt.Matches(src, dst) {
-					i.mu.Unlock()
-					i.partDrops.Add(1)
-					return false
-				}
-			}
-		}
+	if src, dst, ok := PeekAddrs(buf); ok && i.faults.Cut(src, dst) {
+		i.mu.Unlock()
+		i.partDrops.Add(1)
+		return false
 	}
-	flt, faulty := i.faultForLocked(p.self, to)
+	flt, faulty := i.faults.Link(p.self, to)
 	if !faulty {
 		i.mu.Unlock()
 		return true
@@ -529,7 +443,7 @@ func (p *Pipe) Ingress(buf []byte) bool {
 		i.failDrops.Add(1)
 		return false
 	}
-	g, grayed := i.gray[p.self]
+	g, grayed := i.faults.Gray(p.self)
 	if !grayed {
 		i.mu.Unlock()
 		return true

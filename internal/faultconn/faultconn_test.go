@@ -74,7 +74,7 @@ func collectTrace(seed int64, flt netsim.LinkFault, n int) []netsim.FaultDecisio
 	defer inj.Stop()
 	ep := testEndpoint()
 	inj.RegisterEndpoint(testTo, ep)
-	inj.SetLinkFault(testFrom, testTo, flt)
+	_ = inj.Inject(netsim.LinkChaos{A: testFrom, B: testTo, F: flt}) // the wire takes any link
 	pipe := inj.Pipe(testFrom)
 	buf := make([]byte, 64)
 	sink := func([]byte, *net.UDPAddr) {}
@@ -122,7 +122,10 @@ func TestInjectorStatsDeterminism(t *testing.T) {
 		defer inj.Stop()
 		ep := testEndpoint()
 		inj.RegisterEndpoint(testTo, ep)
-		inj.SetLinkFault(testFrom, testTo, netsim.LinkFault{Drop: 0.3, Dup: 0.1, Reorder: 0.2})
+		flt := netsim.LinkFault{Drop: 0.3, Dup: 0.1, Reorder: 0.2}
+		if err := inj.Inject(netsim.LinkChaos{A: testFrom, B: testTo, F: flt}); err != nil {
+			t.Fatal(err)
+		}
 		pipe := inj.Pipe(testFrom)
 		buf := make([]byte, 64)
 		for i := 0; i < 500; i++ {
@@ -170,22 +173,108 @@ func TestFingerprint(t *testing.T) {
 	}
 }
 
-// TestRunScheduleRejectsUnknownFault: an unsupported fault type fails the
-// whole schedule up front, before any step is armed.
-func TestRunScheduleRejectsUnknownFault(t *testing.T) {
+// TestOverlapParity runs one scripted sequence of injects and heals
+// against a simulated ring and against the wire injector. At every step
+// boundary both substrates' Faults must answer Link, Cut and Gray alike for
+// every pair of nodes, and the probes must show the grammar's overlap
+// rules: last inject wins, and a heal removes only what its own step
+// installed.
+func TestOverlapParity(t *testing.T) {
+	fb, err := netsim.NewFabric(event.New(), netsim.PaperProfile(1000), 1, netsim.TopoSpec{Kind: "ring"}, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	inj := New(1)
 	defer inj.Stop()
-	err := inj.RunSchedule(netsim.Schedule{{Name: "bogus", Fault: bogusFault{}}})
-	if err == nil {
-		t.Fatal("unsupported fault accepted")
+	h0, h1, s0, s1 := fb.Hosts[0], fb.Hosts[1], fb.Switches[0], fb.Switches[1]
+
+	slow := netsim.LinkFault{Jitter: 5000}
+	lossy := netsim.LinkFault{Drop: 0.2}
+	dup := netsim.LinkFault{Dup: 0.1}
+	linkA := netsim.LinkChaos{A: h0, B: s0, Sym: true, F: slow}
+	linkB := netsim.LinkChaos{A: h0, B: s0, F: lossy}
+	mangle := netsim.ClusterChaos{F: dup}
+	calm := netsim.ClusterChaos{} // inactive: clears the cluster-wide fault
+	grayA := netsim.GraySwitch{Addr: s1, G: netsim.Gray{Loss: 0.1}}
+	grayB := netsim.GraySwitch{Addr: s1, G: netsim.Gray{ExtraDelay: 1000}}
+	cutA := &netsim.AsymPartition{From: []packet.Addr{h0}, To: []packet.Addr{h1}}
+	cutB := &netsim.AsymPartition{From: []packet.Addr{h0}, To: []packet.Addr{h1}}
+
+	// view is what the probes see: Link(h0,s0), Link(s0,h0), Link(h1,s1),
+	// Cut(h0,h1) and Gray(s1).
+	type view struct {
+		fwd, rev, other netsim.LinkFault
+		cut             bool
+		gray            netsim.Gray
+	}
+	look := func(fs *netsim.Faults) view {
+		var v view
+		v.fwd, _ = fs.Link(h0, s0)
+		v.rev, _ = fs.Link(s0, h0)
+		v.other, _ = fs.Link(h1, s1)
+		v.cut = fs.Cut(h0, h1)
+		v.gray, _ = fs.Gray(s1)
+		return v
+	}
+	script := []struct {
+		inject bool
+		f      netsim.Fault
+		want   view
+	}{
+		{true, linkA, view{fwd: slow, rev: slow}},
+		{true, linkB, view{fwd: lossy, rev: slow}},
+		{false, linkA, view{fwd: lossy}},
+		{false, linkB, view{}},
+		{true, mangle, view{fwd: dup, rev: dup, other: dup}},
+		{true, calm, view{}},
+		{false, mangle, view{}},
+		{false, calm, view{}},
+		{true, grayA, view{gray: grayA.G}},
+		{true, grayB, view{gray: grayB.G}},
+		{false, grayA, view{gray: grayB.G}},
+		{false, grayB, view{}},
+		{true, cutA, view{cut: true}},
+		{true, cutB, view{cut: true}},
+		{false, cutA, view{cut: true}},
+		{false, cutB, view{}},
+		{true, cutA, view{cut: true}},
+		{true, cutB, view{cut: true}},
+		{false, cutB, view{cut: true}},
+		{false, cutA, view{}},
+	}
+	nodes := append(append([]packet.Addr(nil), fb.Hosts...), fb.Switches...)
+	for k, st := range script {
+		simApply, wireApply := netsim.Fault.Heal, inj.Heal
+		if st.inject {
+			simApply, wireApply = netsim.Fault.Inject, inj.Inject
+		}
+		if err := simApply(st.f, fb.Net); err != nil {
+			t.Fatalf("step %d (%s) on the sim: %v", k, st.f, err)
+		}
+		if err := wireApply(st.f); err != nil {
+			t.Fatalf("step %d (%s) on the wire: %v", k, st.f, err)
+		}
+		sim, wire := fb.Net.Faults(), &inj.faults
+		for _, a := range nodes {
+			for _, b := range nodes {
+				sf, sok := sim.Link(a, b)
+				wf, wok := wire.Link(a, b)
+				if sf != wf || sok != wok || sim.Cut(a, b) != wire.Cut(a, b) {
+					t.Fatalf("step %d (%s): %v→%v sim link %+v/%v cut %v, wire link %+v/%v cut %v",
+						k, st.f, a, b, sf, sok, sim.Cut(a, b), wf, wok, wire.Cut(a, b))
+				}
+			}
+			sg, sok := sim.Gray(a)
+			wg, wok := wire.Gray(a)
+			if sg != wg || sok != wok {
+				t.Fatalf("step %d (%s): gray %v sim %+v/%v, wire %+v/%v", k, st.f, a, sg, sok, wg, wok)
+			}
+		}
+		if got := look(sim); got != st.want {
+			t.Fatalf("step %d (inject=%v %s): probes %+v, want %+v", k, st.inject, st.f, got, st.want)
+		}
 	}
 }
-
-type bogusFault struct{}
-
-func (bogusFault) Inject(*netsim.Network) error { return nil }
-func (bogusFault) Heal(*netsim.Network) error   { return nil }
-func (bogusFault) String() string               { return "bogus" }
 
 // FuzzScheduleWire pins sim/wire parity at the decision core: for any
 // (seed, link-fault parameters), the decisions the wire egress path emits

@@ -13,18 +13,12 @@ import (
 
 // RunSchedule executes a netsim fault schedule against the live wire: the
 // same Schedule value a simulator run consumes, with step times stretched
-// by the injector's time scale onto the wall clock. Steps whose At has
-// already passed (relative to the injector's start) fire immediately.
-//
-// The Fault implementations themselves target *netsim.Network, so the
-// injector interprets the grammar's concrete types directly; an unknown
-// Fault type is an error up front, before any step is armed.
-func (i *Injector) RunSchedule(sch netsim.Schedule) error {
-	for _, st := range sch {
-		if !i.supported(st.Fault) {
-			return fmt.Errorf("faultconn: schedule step %q: unsupported fault %T", st.Name, st.Fault)
-		}
-	}
+// by the injector's time scale onto the wall clock, and each step injected
+// and healed by the same Fault.Inject/Heal the simulator calls. Steps
+// whose At has already passed (relative to the injector's start) fire
+// immediately. A step's error, which netsim's faults never return on the
+// wire, is logged.
+func (i *Injector) RunSchedule(sch netsim.Schedule) {
 	i.mu.Lock()
 	elapsed := time.Since(i.start)
 	i.mu.Unlock()
@@ -36,99 +30,22 @@ func (i *Injector) RunSchedule(sch netsim.Schedule) error {
 		}
 		i.afterWall(at, func() {
 			i.mu.Lock()
+			defer i.mu.Unlock()
 			i.logf("inject %s: %s", st.Name, st.Fault)
-			i.applyLocked(st.Fault, true)
-			i.mu.Unlock()
+			if err := st.Fault.Inject(locked{i}); err != nil {
+				i.logf("inject %s failed: %v", st.Name, err)
+			}
 		})
 		if st.For > 0 {
 			i.afterWall(at+i.wall(st.For), func() {
 				i.mu.Lock()
+				defer i.mu.Unlock()
 				i.logf("heal   %s", st.Name)
-				i.applyLocked(st.Fault, false)
-				i.mu.Unlock()
+				if err := st.Fault.Heal(locked{i}); err != nil {
+					i.logf("heal %s failed: %v", st.Name, err)
+				}
 			})
 		}
-	}
-	return nil
-}
-
-func (i *Injector) supported(f netsim.Fault) bool {
-	switch f.(type) {
-	case netsim.LinkChaos, netsim.ClusterChaos, *netsim.AsymPartition,
-		netsim.GraySwitch, netsim.FailStop:
-		return true
-	}
-	return false
-}
-
-// applyLocked installs (inject) or removes (heal) one fault. Heals mirror
-// the sim's overlap semantics: a step removes only the exact fault it
-// installed, so a later replacement keeps running.
-func (i *Injector) applyLocked(f netsim.Fault, inject bool) {
-	switch c := f.(type) {
-	case netsim.LinkChaos:
-		if inject {
-			i.linkFaults[pair{c.A, c.B}] = c.F
-			if c.Sym {
-				i.linkFaults[pair{c.B, c.A}] = c.F
-			}
-			return
-		}
-		if i.linkFaults[pair{c.A, c.B}] == c.F {
-			delete(i.linkFaults, pair{c.A, c.B})
-		}
-		if c.Sym && i.linkFaults[pair{c.B, c.A}] == c.F {
-			delete(i.linkFaults, pair{c.B, c.A})
-		}
-	case netsim.ClusterChaos:
-		if inject {
-			if c.F.Active() {
-				cp := c.F
-				i.defFault = &cp
-			}
-			return
-		}
-		if i.defFault != nil && *i.defFault == c.F {
-			i.defFault = nil
-		}
-	case *netsim.AsymPartition:
-		if inject {
-			// The step's own *AsymPartition keeps sim-side install state
-			// (c.p); the injector keys its instance off the step pointer
-			// instead of touching it, so one Schedule value can drive a
-			// sim run and a wire run back to back.
-			p := netsim.NewPartition(c.From, c.To)
-			i.asymLive[c] = p
-			i.parts = append(i.parts, p)
-			return
-		}
-		if p := i.asymLive[c]; p != nil {
-			delete(i.asymLive, c)
-			kept := i.parts[:0]
-			for _, q := range i.parts {
-				if q != p {
-					kept = append(kept, q)
-				}
-			}
-			i.parts = kept
-			if len(i.parts) == 0 {
-				i.parts = nil
-			}
-		}
-	case netsim.GraySwitch:
-		if inject {
-			i.gray[c.Addr] = c.G
-			return
-		}
-		if i.gray[c.Addr] == c.G {
-			delete(i.gray, c.Addr)
-		}
-	case netsim.FailStop:
-		if inject {
-			i.dead[c.Addr] = true
-			return
-		}
-		delete(i.dead, c.Addr)
 	}
 }
 

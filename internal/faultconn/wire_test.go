@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"netchain/internal/core"
-	"netchain/internal/event"
 	"netchain/internal/faultconn"
 	"netchain/internal/health"
 	"netchain/internal/kv"
@@ -69,30 +68,30 @@ func TestPacketConnShim(t *testing.T) {
 		t.Fatalf("clean delivery failed: got %q ok=%v", got, ok)
 	}
 
-	// Directed cut a→b: the write is consumed, nothing arrives.
-	inj.SetLinkFault(aAddr, bAddr, netsim.LinkFault{Drop: 1})
-	send("cut")
-	if got, ok := recv(120 * time.Millisecond); ok {
-		t.Fatalf("datagram %q crossed a fully cut link", got)
+	// Each fault silently consumes the datagram while it is installed.
+	for _, tc := range []struct {
+		what string
+		f    netsim.Fault
+	}{
+		// Directed cut a→b: the write is consumed, nothing arrives.
+		{"crossed a fully cut link", netsim.LinkChaos{A: aAddr, B: bAddr, F: netsim.LinkFault{Drop: 1}}},
+		// Fail-stop of the sender: its egress dies at the socket.
+		{"left a fail-stopped node", netsim.FailStop{Addr: aAddr}},
+		// Gray ingress loss on the receiver: the wire delivers, the
+		// wrapped read loop eats every arrival.
+		{"passed gray-lossy ingress", netsim.GraySwitch{Addr: bAddr, G: netsim.Gray{Loss: 1}}},
+	} {
+		if err := inj.Inject(tc.f); err != nil {
+			t.Fatal(err)
+		}
+		send("faulted")
+		if got, ok := recv(120 * time.Millisecond); ok {
+			t.Fatalf("datagram %q %s", got, tc.what)
+		}
+		if err := inj.Heal(tc.f); err != nil {
+			t.Fatal(err)
+		}
 	}
-	inj.ClearLinkFault(aAddr, bAddr)
-
-	// Fail-stop of the sender: its egress dies at the socket.
-	inj.FailStop(aAddr)
-	send("dead")
-	if got, ok := recv(120 * time.Millisecond); ok {
-		t.Fatalf("fail-stopped node transmitted %q", got)
-	}
-	inj.Restore(aAddr)
-
-	// Gray ingress loss on the receiver: the wire delivers, the wrapped
-	// read loop eats every arrival.
-	inj.SetGray(bAddr, netsim.Gray{Loss: 1})
-	send("gray")
-	if got, ok := recv(120 * time.Millisecond); ok {
-		t.Fatalf("gray-lossy ingress delivered %q", got)
-	}
-	inj.ClearGray(bAddr)
 
 	// Healed: traffic flows again on the same sockets.
 	send("healed")
@@ -180,7 +179,9 @@ func TestPartitionBoundsRetryVolume(t *testing.T) {
 
 	// Cut client→switch. Replies can't even be generated: every attempt
 	// is consumed at the client's own egress.
-	w.inj.AddPartition(netsim.NewPartition([]packet.Addr{cli}, []packet.Addr{w.addr}))
+	if err := w.inj.Inject(&netsim.AsymPartition{From: []packet.Addr{cli}, To: []packet.Addr{w.addr}}); err != nil {
+		t.Fatal(err)
+	}
 
 	before, dropsBefore := ops.Client.Stats(), w.inj.Stats().PartitionDrops
 	if _, _, err := ops.Read(k); !errors.Is(err, kv.ErrTimeout) {
@@ -256,7 +257,9 @@ func TestMonitorDetectsFailStopOnWire(t *testing.T) {
 	}
 
 	killed := time.Now()
-	inj.FailStop(addrs[1])
+	if err := inj.Inject(netsim.FailStop{Addr: addrs[1]}); err != nil {
+		t.Fatal(err)
+	}
 	for det.VerdictFor(addrs[1], mon.Now()) != health.FailStop {
 		if time.Since(killed) > 5*time.Second {
 			t.Fatalf("fail-stop undetected after 5 s at hb=%v: φ=%.1f %+v",
@@ -266,88 +269,5 @@ func TestMonitorDetectsFailStopOnWire(t *testing.T) {
 	}
 	if v := det.VerdictFor(addrs[0], mon.Now()); v == health.FailStop {
 		t.Fatalf("survivor evicted alongside the real failure (verdict %v)", v)
-	}
-}
-
-// TestWrapStreamAgentCalls pins what the nemesis does to the controller's
-// agent channel: a call to a fail-stopped switch fails fast and works
-// again once the switch is restored, a call to a gray switch is slow by
-// the injected stall, and neither keeps calls to another switch's agent
-// from going through.
-func TestWrapStreamAgentCalls(t *testing.T) {
-	inj := faultconn.New(3)
-	t.Cleanup(inj.Stop)
-	dial := func(i byte) (packet.Addr, *transport.WireAgent, *core.Switch) {
-		addr := packet.AddrFrom4(10, 0, 0, i)
-		sw, err := core.NewSwitch(addr, swsim.Config{Stages: 8, SlotBytes: 16, SlotsPerStage: 64, PPS: 1e9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ep, stop, err := transport.ServeAgent(sw, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { stop() })
-		conn, err := net.Dial("tcp", ep.String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := transport.NewWireAgent(inj.WrapStream(addr)(conn))
-		t.Cleanup(func() { a.Close() })
-		return addr, a, sw
-	}
-	addrA, a, swA := dial(1)
-	addrB, b, _ := dial(2)
-	call := func(ag *transport.WireAgent, session uint32) (time.Duration, error) {
-		t0 := time.Now()
-		err := ag.SetSession(1, session)
-		return time.Since(t0), err
-	}
-	if _, err := call(a, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := call(b, 1); err != nil {
-		t.Fatal(err)
-	}
-
-	inj.FailStop(addrA)
-	if took, err := call(a, 2); err == nil || took > time.Second {
-		t.Fatalf("call to a fail-stopped switch: err %v after %v", err, took)
-	}
-	if swA.Session(1) != 1 {
-		t.Fatal("a refused call reached the switch")
-	}
-	if _, err := call(b, 2); err != nil {
-		t.Fatalf("healthy agent wedged by a dead peer: %v", err)
-	}
-	inj.Restore(addrA)
-	if _, err := call(a, 3); err != nil || swA.Session(1) != 3 {
-		t.Fatalf("restored switch unreachable: %v (session %d)", err, swA.Session(1))
-	}
-
-	const stall = 60 * time.Millisecond
-	inj.SetGray(addrB, netsim.Gray{ExtraDelay: event.Time(stall)})
-	slow := make(chan time.Duration, 1)
-	go func() {
-		took, err := call(b, 3)
-		if err != nil {
-			t.Errorf("call to a gray switch: %v", err)
-		}
-		slow <- took
-	}()
-	if _, err := call(a, 4); err != nil {
-		t.Fatalf("healthy agent wedged by a gray peer: %v", err)
-	}
-	select {
-	case took := <-slow:
-		t.Fatalf("gray call (%v) finished before a healthy one issued after it", took)
-	default:
-	}
-	if took := <-slow; took < stall {
-		t.Fatalf("gray call took %v, want at least the %v stall", took, stall)
-	}
-	inj.ClearGray(addrB)
-	if took, err := call(b, 4); err != nil || took >= stall {
-		t.Fatalf("healed switch still slow: %v, %v", took, err)
 	}
 }

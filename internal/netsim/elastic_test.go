@@ -18,7 +18,7 @@ func TestAttachSwitchMidRun(t *testing.T) {
 	tb.Net.Inject(tb.Hosts[0], chainQuery(kv.OpWrite, key, []byte("x"), tb.Hosts[0], tb.Switches[0]))
 	sim.Run()
 
-	s4, err := tb.AttachSwitch()
+	s4, err := tb.AddSwitch()
 	if err != nil {
 		t.Fatal(err)
 	}

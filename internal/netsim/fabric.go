@@ -327,13 +327,13 @@ func (fb *Fabric) AttachMonitor() (packet.Addr, error) {
 	return addr, nil
 }
 
-// AttachSwitch boots a new ring switch (S4, S5, ...) under the profile and
+// AddSwitch boots a new ring switch (S4, S5, ...) under the profile and
 // links it to the Uplinks, mirroring the spare S3's diamond wiring — the
 // physical half of elastic scale-out. Spine-leaf and fat-tree fabrics are
 // sized by their spec and refuse.
-func (fb *Fabric) AttachSwitch() (packet.Addr, error) {
+func (fb *Fabric) AddSwitch() (packet.Addr, error) {
 	if fb.Spec.Kind != "ring" {
-		return 0, fmt.Errorf("netsim: AttachSwitch needs the ring, not %s", fb.Spec)
+		return 0, fmt.Errorf("netsim: AddSwitch needs the ring, not %s", fb.Spec)
 	}
 	addr := packet.AddrFrom4(10, 0, 0, byte(len(fb.Switches)+1))
 	sw, err := core.NewSwitch(addr, fb.Profile.Pipeline)

@@ -244,8 +244,8 @@ func TestRingIsFig8Wiring(t *testing.T) {
 
 // TestAttachSwitchRingOnly: only the ring takes ad-hoc switches.
 func TestAttachSwitchRingOnly(t *testing.T) {
-	if _, err := newFabric(t, "fattree:4", 1, 0).AttachSwitch(); err == nil {
-		t.Fatal("AttachSwitch succeeded on a fat-tree")
+	if _, err := newFabric(t, "fattree:4", 1, 0).AddSwitch(); err == nil {
+		t.Fatal("AddSwitch succeeded on a fat-tree")
 	}
 }
 

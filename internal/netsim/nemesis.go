@@ -7,8 +7,8 @@
 //
 //   - LinkFault: per-directed-link drop, duplication, jitter and
 //     reordering hold-back, installable on one link or cluster-wide;
-//   - Partition: asymmetric src→dst reachability loss (A→B delivered,
-//     B→A dropped — the classic half-open failure);
+//   - AsymPartition: asymmetric src→dst reachability loss (A→B
+//     delivered, B→A dropped — the classic half-open failure);
 //   - Gray: a switch that stays alive and routed-through but serves
 //     slowly and lossily — the worst case for failure detection, since
 //     fail-stop detectors never fire;
@@ -16,6 +16,10 @@
 //     inside the event simulator, so a scenario like "partition S1→S2
 //     for 3 ms with 2% duplication cluster-wide" is a table, not test
 //     code.
+//
+// Faults is the state these steps build and Target the substrate they
+// act on; the wire injector (internal/faultconn) is a second Target, so
+// one Schedule runs through the same inject/heal rules on both.
 //
 // All randomness flows through the Network's seeded rng, so a schedule
 // replayed with the same seed produces byte-identical drop/dup/reorder
@@ -95,14 +99,7 @@ func (f LinkFault) merge(g LinkFault) LinkFault {
 	return out
 }
 
-// Merge combines two faults acting on the same traversal — exported for
-// the wire-side applier (internal/faultconn), which resolves per-link +
-// cluster-wide faults exactly the way faultFor does.
-func (f LinkFault) Merge(g LinkFault) LinkFault { return f.merge(g) }
-
-// Active reports whether the fault perturbs anything — the wire-side
-// applier uses it to skip the decision core on healthy directions without
-// consuming rng draws.
+// Active reports whether the fault perturbs anything.
 func (f LinkFault) Active() bool { return f.active() }
 
 // FaultDecision is the outcome of applying a LinkFault to one frame
@@ -172,17 +169,15 @@ type Gray struct {
 	ExtraDelay event.Time
 }
 
-// Partition is an asymmetric reachability fault: frames whose IP source is
-// in From and IP destination is in To are dropped on every link they would
-// traverse; the reverse direction is untouched. Partition the other
-// direction too for a full cut.
-type Partition struct {
+// partition is an asymmetric reachability fault: frames whose virtual
+// source is in from and destination in to are dropped on every link they
+// would traverse; the reverse direction is untouched.
+type partition struct {
 	from, to map[packet.Addr]bool
 }
 
-// NewPartition builds the directed partition From→To.
-func NewPartition(from, to []packet.Addr) *Partition {
-	p := &Partition{from: make(map[packet.Addr]bool), to: make(map[packet.Addr]bool)}
+func newPartition(from, to []packet.Addr) *partition {
+	p := &partition{from: make(map[packet.Addr]bool), to: make(map[packet.Addr]bool)}
 	for _, a := range from {
 		p.from[a] = true
 	}
@@ -192,18 +187,93 @@ func NewPartition(from, to []packet.Addr) *Partition {
 	return p
 }
 
-func (p *Partition) matches(src, dst packet.Addr) bool {
+func (p *partition) matches(src, dst packet.Addr) bool {
 	return p.from[src] && p.to[dst]
 }
 
-// Matches reports whether a frame with the given virtual src/dst headers
-// is cut by this partition — exported for the wire-side applier
-// (internal/faultconn), which evaluates the same Partition values against
-// serialized frame headers instead of simulated ones.
-func (p *Partition) Matches(src, dst packet.Addr) bool { return p.matches(src, dst) }
-
 // ---------------------------------------------------------------------------
-// Network fault management.
+// Fault state, shared by both substrates.
+
+// Faults is the nemesis state of one substrate: directed per-link faults,
+// a cluster-wide default fault, the installed asymmetric partitions and the
+// gray-degraded nodes. The simulator and the wire injector
+// (internal/faultconn) each hold one and change it only through the Fault
+// values below, so the inject/heal rules exist once; each substrate keeps
+// only the code that applies Link, Cut and Gray where a frame crosses. The
+// zero value holds no faults.
+type Faults struct {
+	links map[routeKey]LinkFault // keyed by directed {from, to}
+	def   LinkFault              // cluster-wide; inactive when unset
+	// parts holds each AsymPartition step's installed instance, keyed by
+	// the step, so one Schedule value can drive any number of targets.
+	parts map[*AsymPartition]*partition
+	gray  map[packet.Addr]Gray
+}
+
+// Link resolves the fault acting on the directed traversal from→to: the
+// per-link fault merged with the cluster-wide default. ok is false when
+// the direction is healthy.
+func (fs *Faults) Link(from, to packet.Addr) (f LinkFault, ok bool) {
+	lf, hasLink := fs.links[routeKey{from, to}]
+	if !fs.def.active() {
+		return lf, hasLink && lf.active()
+	}
+	if !hasLink {
+		return fs.def, true
+	}
+	return lf.merge(fs.def), true
+}
+
+// Cut reports whether an installed partition drops a frame with virtual
+// source src and destination dst.
+func (fs *Faults) Cut(src, dst packet.Addr) bool {
+	for _, p := range fs.parts {
+		if p.matches(src, dst) {
+			return true
+		}
+	}
+	return false
+}
+
+// Gray returns addr's gray degradation, if any.
+func (fs *Faults) Gray(addr packet.Addr) (g Gray, ok bool) {
+	g, ok = fs.gray[addr]
+	return g, ok
+}
+
+// SetLink installs f on the directed link from→to, replacing any previous
+// fault on that direction. It checks nothing; a Target's SetLinkFault
+// decides whether the link exists.
+func (fs *Faults) SetLink(from, to packet.Addr, f LinkFault) {
+	if fs.links == nil {
+		fs.links = make(map[routeKey]LinkFault)
+	}
+	fs.links[routeKey{from, to}] = f
+}
+
+// SetGray marks addr gray-degraded. It checks nothing; a Target's SetGray
+// decides whether the node exists.
+func (fs *Faults) SetGray(addr packet.Addr, g Gray) {
+	if fs.gray == nil {
+		fs.gray = make(map[packet.Addr]Gray)
+	}
+	fs.gray[addr] = g
+}
+
+// Target is a substrate a Fault can be injected into and healed from: its
+// fault state plus the operations whose validity or effect depend on the
+// substrate — the simulator refuses links and nodes its fabric lacks, and
+// fail-stop is a routing event there but a blackhole on the wire.
+type Target interface {
+	Faults() *Faults
+	SetLinkFault(from, to packet.Addr, f LinkFault) error
+	SetGray(addr packet.Addr, g Gray) error
+	FailSwitch(addr packet.Addr) error
+	RestoreSwitch(addr packet.Addr) error
+}
+
+// Faults returns the network's nemesis state.
+func (n *Network) Faults() *Faults { return &n.faults }
 
 // SetLinkFault installs f on the directed link from→to (replacing any
 // previous fault on that direction). The reverse direction is untouched —
@@ -212,60 +282,8 @@ func (n *Network) SetLinkFault(from, to packet.Addr, f LinkFault) error {
 	if _, ok := n.latency[linkKey(from, to)]; !ok {
 		return fmt.Errorf("netsim: no link %v-%v", from, to)
 	}
-	n.linkFaults[routeKey{from, to}] = f
+	n.faults.SetLink(from, to, f)
 	return nil
-}
-
-// ClearLinkFault removes the fault on the directed link from→to.
-func (n *Network) ClearLinkFault(from, to packet.Addr) {
-	delete(n.linkFaults, routeKey{from, to})
-}
-
-// SetDefaultFault installs a cluster-wide fault applied to every link
-// traversal in both directions (merged with any per-link fault).
-func (n *Network) SetDefaultFault(f LinkFault) {
-	if !f.active() {
-		n.defFault = nil
-		return
-	}
-	cp := f
-	n.defFault = &cp
-}
-
-// ClearDefaultFault removes the cluster-wide fault.
-func (n *Network) ClearDefaultFault() { n.defFault = nil }
-
-// faultFor resolves the merged fault acting on the directed traversal
-// from→to; ok is false when the direction is healthy.
-func (n *Network) faultFor(from, to packet.Addr) (LinkFault, bool) {
-	lf, hasLink := n.linkFaults[routeKey{from, to}]
-	if n.defFault == nil {
-		return lf, hasLink && lf.active()
-	}
-	if !hasLink {
-		return *n.defFault, true
-	}
-	return lf.merge(*n.defFault), true
-}
-
-// AddPartition activates an asymmetric partition. Frames already in flight
-// on a link are not recalled; they were sent before the cut.
-func (n *Network) AddPartition(p *Partition) {
-	n.partitions = append(n.partitions, p)
-}
-
-// RemovePartition heals a partition previously added (identity by pointer).
-func (n *Network) RemovePartition(p *Partition) {
-	kept := n.partitions[:0]
-	for _, q := range n.partitions {
-		if q != p {
-			kept = append(kept, q)
-		}
-	}
-	n.partitions = kept
-	if len(n.partitions) == 0 {
-		n.partitions = nil
-	}
 }
 
 // SetGray marks addr gray-degraded. The node is NOT failed: routes still
@@ -274,26 +292,19 @@ func (n *Network) SetGray(addr packet.Addr, g Gray) error {
 	if _, ok := n.nodes[addr]; !ok {
 		return fmt.Errorf("netsim: unknown node %v", addr)
 	}
-	n.gray[addr] = g
+	n.faults.SetGray(addr, g)
 	return nil
-}
-
-// ClearGray restores addr to full health.
-func (n *Network) ClearGray(addr packet.Addr) { delete(n.gray, addr) }
-
-// GrayDegraded reports whether addr is currently gray.
-func (n *Network) GrayDegraded(addr packet.Addr) bool {
-	_, ok := n.gray[addr]
-	return ok
 }
 
 // ---------------------------------------------------------------------------
 // Declarative fault schedule.
 
 // Fault is one adversarial condition a Schedule can hold over an interval.
+// Inject and Heal are the grammar's one interpreter: the simulator and the
+// wire injector both run them against their own Target.
 type Fault interface {
-	Inject(n *Network) error
-	Heal(n *Network) error
+	Inject(t Target) error
+	Heal(t Target) error
 	String() string
 }
 
@@ -304,24 +315,25 @@ type LinkChaos struct {
 	F    LinkFault
 }
 
-func (c LinkChaos) Inject(n *Network) error {
-	if err := n.SetLinkFault(c.A, c.B, c.F); err != nil {
+func (c LinkChaos) Inject(t Target) error {
+	if err := t.SetLinkFault(c.A, c.B, c.F); err != nil {
 		return err
 	}
 	if c.Sym {
-		return n.SetLinkFault(c.B, c.A, c.F)
+		return t.SetLinkFault(c.B, c.A, c.F)
 	}
 	return nil
 }
 
-func (c LinkChaos) Heal(n *Network) error {
+func (c LinkChaos) Heal(t Target) error {
 	// Clear only the fault this step installed: an overlapping later step
 	// that replaced it keeps running.
-	if n.linkFaults[routeKey{c.A, c.B}] == c.F {
-		n.ClearLinkFault(c.A, c.B)
+	fs := t.Faults()
+	if fs.links[routeKey{c.A, c.B}] == c.F {
+		delete(fs.links, routeKey{c.A, c.B})
 	}
-	if c.Sym && n.linkFaults[routeKey{c.B, c.A}] == c.F {
-		n.ClearLinkFault(c.B, c.A)
+	if c.Sym && fs.links[routeKey{c.B, c.A}] == c.F {
+		delete(fs.links, routeKey{c.B, c.A})
 	}
 	return nil
 }
@@ -338,13 +350,14 @@ func (c LinkChaos) String() string {
 // ClusterChaos installs F on every link traversal cluster-wide.
 type ClusterChaos struct{ F LinkFault }
 
-func (c ClusterChaos) Inject(n *Network) error { n.SetDefaultFault(c.F); return nil }
+// Inject replaces the cluster-wide fault; an inactive F clears it.
+func (c ClusterChaos) Inject(t Target) error { t.Faults().def = c.F; return nil }
 
 // Heal clears the cluster-wide fault only if it is still the one this
 // step installed (see LinkChaos.Heal).
-func (c ClusterChaos) Heal(n *Network) error {
-	if n.defFault != nil && *n.defFault == c.F {
-		n.ClearDefaultFault()
+func (c ClusterChaos) Heal(t Target) error {
+	if fs := t.Faults(); fs.def == c.F {
+		fs.def = LinkFault{}
 	}
 	return nil
 }
@@ -354,24 +367,24 @@ func (c ClusterChaos) String() string {
 }
 
 // AsymPartition cuts reachability for frames sourced in From addressed to
-// To; the reverse direction keeps working.
+// To; the reverse direction keeps working. Frames already in flight are
+// not recalled; they were sent before the cut. The step's identity is its
+// pointer: two steps over the same pair install and heal independently.
 type AsymPartition struct {
 	From, To []packet.Addr
-
-	p *Partition // installed instance, for healing
 }
 
-func (c *AsymPartition) Inject(n *Network) error {
-	c.p = NewPartition(c.From, c.To)
-	n.AddPartition(c.p)
+func (c *AsymPartition) Inject(t Target) error {
+	fs := t.Faults()
+	if fs.parts == nil {
+		fs.parts = make(map[*AsymPartition]*partition)
+	}
+	fs.parts[c] = newPartition(c.From, c.To)
 	return nil
 }
 
-func (c *AsymPartition) Heal(n *Network) error {
-	if c.p != nil {
-		n.RemovePartition(c.p)
-		c.p = nil
-	}
+func (c *AsymPartition) Heal(t Target) error {
+	delete(t.Faults().parts, c)
 	return nil
 }
 
@@ -385,13 +398,13 @@ type GraySwitch struct {
 	G    Gray
 }
 
-func (c GraySwitch) Inject(n *Network) error { return n.SetGray(c.Addr, c.G) }
+func (c GraySwitch) Inject(t Target) error { return t.SetGray(c.Addr, c.G) }
 
 // Heal restores the node only if it still carries this step's degradation
 // (see LinkChaos.Heal).
-func (c GraySwitch) Heal(n *Network) error {
-	if n.gray[c.Addr] == c.G {
-		n.ClearGray(c.Addr)
+func (c GraySwitch) Heal(t Target) error {
+	if fs := t.Faults(); fs.gray[c.Addr] == c.G {
+		delete(fs.gray, c.Addr)
 	}
 	return nil
 }
@@ -408,9 +421,9 @@ type FailStop struct {
 	Addr packet.Addr
 }
 
-func (c FailStop) Inject(n *Network) error { return n.FailSwitch(c.Addr) }
-func (c FailStop) Heal(n *Network) error   { return n.RestoreSwitch(c.Addr) }
-func (c FailStop) String() string          { return fmt.Sprintf("fail-stop %v", c.Addr) }
+func (c FailStop) Inject(t Target) error { return t.FailSwitch(c.Addr) }
+func (c FailStop) Heal(t Target) error   { return t.RestoreSwitch(c.Addr) }
+func (c FailStop) String() string        { return fmt.Sprintf("fail-stop %v", c.Addr) }
 
 // Step is one timeline entry: inject Fault at absolute simulated time At,
 // heal it For later (For == 0 keeps it until the run ends).

@@ -102,8 +102,10 @@ func TestAsymPartitionOneDirection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p := netsim.NewPartition([]packet.Addr{tb.Hosts[0]}, []packet.Addr{tb.Hosts[2]})
-	tb.Net.AddPartition(p)
+	p := &netsim.AsymPartition{From: []packet.Addr{tb.Hosts[0]}, To: []packet.Addr{tb.Hosts[2]}}
+	if err := p.Inject(tb.Net); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 10; i++ {
 		tb.Net.Inject(tb.Hosts[0], rawFrame(tb.Hosts[0], tb.Hosts[2], uint16(100+i)))
 		tb.Net.Inject(tb.Hosts[2], rawFrame(tb.Hosts[2], tb.Hosts[0], uint16(200+i)))
@@ -119,7 +121,9 @@ func TestAsymPartitionOneDirection(t *testing.T) {
 		t.Fatalf("PartitionDrops = %d, want 10", s.PartitionDrops)
 	}
 	// Healing restores the cut direction.
-	tb.Net.RemovePartition(p)
+	if err := p.Heal(tb.Net); err != nil {
+		t.Fatal(err)
+	}
 	tb.Net.Inject(tb.Hosts[0], rawFrame(tb.Hosts[0], tb.Hosts[2], 300))
 	sim.Run()
 	if got[tb.Hosts[2]] != 1 {
@@ -180,13 +184,16 @@ func TestReorderHoldback(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	hold := netsim.LinkFault{Reorder: 1, ReorderDelay: us(50)}
-	if err := tb.Net.SetLinkFault(tb.Hosts[0], tb.Switches[0], hold); err != nil {
+	hold := netsim.LinkChaos{A: tb.Hosts[0], B: tb.Switches[0],
+		F: netsim.LinkFault{Reorder: 1, ReorderDelay: us(50)}}
+	if err := hold.Inject(tb.Net); err != nil {
 		t.Fatal(err)
 	}
 	tb.Net.Inject(tb.Hosts[0], rawFrame(tb.Hosts[0], tb.Hosts[2], 1))
 	sim.At(us(1), func() {
-		tb.Net.ClearLinkFault(tb.Hosts[0], tb.Switches[0])
+		if err := hold.Heal(tb.Net); err != nil {
+			t.Error(err)
+		}
 		tb.Net.Inject(tb.Hosts[0], rawFrame(tb.Hosts[0], tb.Hosts[2], 2))
 	})
 	sim.Run()
@@ -227,8 +234,8 @@ func TestGrayDegradation(t *testing.T) {
 	if tb.Net.Failed(tb.Switches[1]) {
 		t.Fatal("gray switch must not be failed")
 	}
-	if !tb.Net.GrayDegraded(tb.Switches[1]) {
-		t.Fatal("GrayDegraded not reported")
+	if _, ok := tb.Net.Faults().Gray(tb.Switches[1]); !ok {
+		t.Fatal("gray degradation not reported")
 	}
 	start = sim.Now()
 	tb.Net.Inject(tb.Hosts[0], rawFrame(tb.Hosts[0], tb.Hosts[2], 2))
@@ -242,7 +249,8 @@ func TestGrayDegradation(t *testing.T) {
 	}
 
 	// Gray loss drops frames without marking the switch failed.
-	if err := tb.Net.SetGray(tb.Switches[1], netsim.Gray{Loss: 1}); err != nil {
+	lossy := netsim.GraySwitch{Addr: tb.Switches[1], G: netsim.Gray{Loss: 1}}
+	if err := lossy.Inject(tb.Net); err != nil {
 		t.Fatal(err)
 	}
 	tb.Net.Inject(tb.Hosts[0], rawFrame(tb.Hosts[0], tb.Hosts[2], 3))
@@ -253,8 +261,52 @@ func TestGrayDegradation(t *testing.T) {
 	if s := tb.Net.Stats(); s.GrayDrops != 1 {
 		t.Fatalf("GrayDrops = %d, want 1", s.GrayDrops)
 	}
-	tb.Net.ClearGray(tb.Switches[1])
-	if tb.Net.GrayDegraded(tb.Switches[1]) {
-		t.Fatal("ClearGray did not heal")
+	if err := lossy.Heal(tb.Net); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tb.Net.Faults().Gray(tb.Switches[1]); ok {
+		t.Fatal("GraySwitch.Heal did not heal")
+	}
+}
+
+// TestScheduleDrivesTwoNetworks runs one Schedule value against two
+// networks with interleaved clocks: a partition step's installed instance
+// lives in each target's Faults, not on the step, so healing it on one
+// network neither heals nor strands the other.
+func TestScheduleDrivesTwoNetworks(t *testing.T) {
+	var h0, h2 packet.Addr
+	boot := func() (*event.Sim, *netsim.Network) {
+		sim := event.New()
+		fb, err := netsim.NewFabric(sim, netsim.PaperProfile(1000), 1, netsim.TopoSpec{Kind: "ring"}, 2, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h0, h2 = fb.Hosts[0], fb.Hosts[2]
+		return sim, fb.Net
+	}
+	simA, netA := boot()
+	simB, netB := boot()
+	sch := netsim.Schedule{{Name: "part", At: us(10), For: us(20), Fault: &netsim.AsymPartition{
+		From: []packet.Addr{h0}, To: []packet.Addr{h2}}}}
+	nmA, nmB := netsim.RunSchedule(netA, sch), netsim.RunSchedule(netB, sch)
+	cut := func() [2]bool { return [2]bool{netA.Faults().Cut(h0, h2), netB.Faults().Cut(h0, h2)} }
+
+	simA.RunUntil(us(15)) // A injected
+	simB.RunUntil(us(15)) // B injected over the same step
+	if got := cut(); got != [2]bool{true, true} {
+		t.Fatalf("after both injects cut = %v, want both", got)
+	}
+	simA.RunUntil(us(40)) // A healed
+	if got := cut(); got != [2]bool{false, true} {
+		t.Fatalf("after A's heal cut = %v, want B only", got)
+	}
+	simB.RunUntil(us(40)) // B healed
+	if got := cut(); got != [2]bool{false, false} {
+		t.Fatalf("after both heals cut = %v, want neither", got)
+	}
+	for _, nm := range []*netsim.Nemesis{nmA, nmB} {
+		if err := nm.Err(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -142,12 +142,8 @@ type Network struct {
 	// {from, to}; absent means unmetered.
 	links map[routeKey]*linkState
 
-	// Nemesis state (nemesis.go): directed per-link faults, a cluster-wide
-	// default fault, asymmetric src→dst partitions, gray-degraded nodes.
-	linkFaults map[routeKey]LinkFault // keyed by directed {from, to}
-	defFault   *LinkFault
-	partitions []*Partition
-	gray       map[packet.Addr]Gray
+	// Nemesis state (nemesis.go), changed only by Fault.Inject/Heal.
+	faults Faults
 
 	// Multicast group membership for the push-watch relay tier: frames
 	// addressed to a class-D address replicate to every joined member
@@ -172,17 +168,15 @@ type mcastMember struct {
 // and ECMP randomness deterministically.
 func New(sim *event.Sim, seed int64) *Network {
 	return &Network{
-		Sim:        sim,
-		rng:        rand.New(rand.NewSource(seed)),
-		nodes:      make(map[packet.Addr]*node),
-		latency:    make(map[routeKey]event.Time),
-		routes:     make(map[routeKey]packet.Addr),
-		override:   make(map[routeKey]packet.Addr),
-		multi:      make(map[routeKey][]packet.Addr),
-		links:      make(map[routeKey]*linkState),
-		linkFaults: make(map[routeKey]LinkFault),
-		gray:       make(map[packet.Addr]Gray),
-		mcast:      make(map[packet.Addr][]mcastMember),
+		Sim:      sim,
+		rng:      rand.New(rand.NewSource(seed)),
+		nodes:    make(map[packet.Addr]*node),
+		latency:  make(map[routeKey]event.Time),
+		routes:   make(map[routeKey]packet.Addr),
+		override: make(map[routeKey]packet.Addr),
+		multi:    make(map[routeKey][]packet.Addr),
+		links:    make(map[routeKey]*linkState),
+		mcast:    make(map[packet.Addr][]mcastMember),
 	}
 }
 
@@ -631,12 +625,12 @@ func (n *Network) removeNode(addr packet.Addr) {
 			pn.links = kept
 		}
 		delete(n.latency, linkKey(addr, peer))
-		delete(n.linkFaults, routeKey{addr, peer})
-		delete(n.linkFaults, routeKey{peer, addr})
+		delete(n.faults.links, routeKey{addr, peer})
+		delete(n.faults.links, routeKey{peer, addr})
 		delete(n.links, routeKey{addr, peer})
 		delete(n.links, routeKey{peer, addr})
 	}
-	delete(n.gray, addr)
+	delete(n.faults.gray, addr)
 	delete(n.nodes, addr)
 }
 
@@ -750,11 +744,9 @@ func (n *Network) forward(nd *node, f *packet.Frame) {
 func (n *Network) transmit(from, via packet.Addr, f *packet.Frame) {
 	lat := n.latency[linkKey(from, via)]
 	next := n.nodes[via]
-	for _, p := range n.partitions {
-		if p.matches(f.IP.Src, f.IP.Dst) {
-			n.stats.PartitionDrops++
-			return
-		}
+	if n.faults.Cut(f.IP.Src, f.IP.Dst) {
+		n.stats.PartitionDrops++
+		return
 	}
 	// Capacity gate: metered links serialize frames through their packet
 	// budget exactly like node ingest does — queueing delay while the
@@ -776,7 +768,7 @@ func (n *Network) transmit(from, via packet.Addr, f *packet.Frame) {
 		ls.load++
 		lat += ls.busyUntil - now
 	}
-	flt, faulty := n.faultFor(from, via)
+	flt, faulty := n.faults.Link(from, via)
 	if !faulty {
 		n.Sim.After(lat, func() { n.arrive(next, f) })
 		return
@@ -817,7 +809,7 @@ func (n *Network) arrive(nd *node, f *packet.Frame) {
 		nd.drops++
 		return
 	}
-	g, grayed := n.gray[nd.addr]
+	g, grayed := n.faults.Gray(nd.addr)
 	if grayed && g.Loss > 0 && n.rng.Float64() < g.Loss {
 		n.stats.GrayDrops++
 		nd.drops++

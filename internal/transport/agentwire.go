@@ -446,9 +446,9 @@ func (a *WireAgent) begin(verb byte) {
 
 // finish sends the frame begin started, reads the reply into a.buf and
 // returns its body, which is valid until the caller unlocks a.mu. A
-// request the stream refused whole (a fail-stopped peer behind
-// faultconn.WrapStream) leaves the connection usable; a partial write or
-// any read failure does not — the stream's framing is gone.
+// request the stream refused whole (no byte written) leaves the
+// connection usable; a partial write or any read failure does not — the
+// stream's framing is gone.
 func (a *WireAgent) finish() ([]byte, error) {
 	if a.broken != nil {
 		return nil, a.broken

@@ -716,6 +716,50 @@ func TestAgentConcurrentCallers(t *testing.T) {
 	}
 }
 
+// refuseConn refuses every write whole while refuse is set: no byte of
+// the request reaches the stream.
+type refuseConn struct {
+	net.Conn
+	refuse *atomic.Bool
+}
+
+func (c refuseConn) Write(b []byte) (int, error) {
+	if c.refuse.Load() {
+		return 0, errors.New("write refused")
+	}
+	return c.Conn.Write(b)
+}
+
+// TestAgentRefusedWriteKeepsConn: a request the stream refuses whole fails
+// fast without reaching the switch, leaves the connection usable for the
+// next call, and does not wedge another switch's agent.
+func TestAgentRefusedWriteKeepsConn(t *testing.T) {
+	var refuse atomic.Bool
+	swA := agentTestSwitch(t, 1)
+	a, _ := openTCPAgentWrapped(t, swA, func(c net.Conn) net.Conn {
+		return refuseConn{Conn: c, refuse: &refuse}
+	})
+	b, _ := openTCPAgent(t, agentTestSwitch(t, 2))
+	if err := a.SetSession(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	refuse.Store(true)
+	t0 := time.Now()
+	if err := a.SetSession(1, 2); err == nil || time.Since(t0) > time.Second {
+		t.Fatalf("refused call: err %v after %v", err, time.Since(t0))
+	}
+	if swA.Session(1) != 1 {
+		t.Fatal("a refused call reached the switch")
+	}
+	if err := b.SetSession(1, 2); err != nil {
+		t.Fatalf("healthy agent wedged by a refused one: %v", err)
+	}
+	refuse.Store(false)
+	if err := a.SetSession(1, 3); err != nil || swA.Session(1) != 3 {
+		t.Fatalf("connection unusable after a refused write: %v (session %d)", err, swA.Session(1))
+	}
+}
+
 // stallConn sends every request but its last byte, so the agent waits for
 // the rest of the frame and the call waits for a reply that never comes.
 type stallConn struct {

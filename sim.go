@@ -160,7 +160,7 @@ func (s *SimCluster) SwitchAddr(i int) (packet.Addr, error) {
 // migration completes. Fabrics size their switch population from the
 // topology spec and hold spare leaves instead, so AddSwitch errors there.
 func (s *SimCluster) AddSwitch() (int, error) {
-	addr, err := s.d.Fab.AttachSwitch()
+	addr, err := s.d.Fab.AddSwitch()
 	if err != nil {
 		return 0, err
 	}

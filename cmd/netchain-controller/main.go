@@ -156,7 +156,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("netchain-controller: -monitor-vaddr: %v", err)
 		}
-		det := health.NewDetector(health.Defaults(*heartbeat))
+		det := health.NewDetector(health.Config{HeartbeatEvery: *heartbeat})
 		mon, err := health.NewMonitor(*healthBind, mv, det)
 		if err != nil {
 			log.Fatalf("netchain-controller: %v", err)
@@ -172,7 +172,6 @@ func main() {
 		mon.RegisterMetrics(reg)
 		ap = controller.NewAutopilot(ctl, det, controller.WallClock{}, mon.Now,
 			controller.AutopilotConfig{
-				Interval:     *heartbeat,
 				Spares:       spareAddrs,
 				RepairBudget: *repairBudget,
 			})

@@ -56,27 +56,27 @@ func (e RepairEvent) String() string {
 	return s
 }
 
-// AutopilotConfig tunes the reconcile loop.
+// recoverRetry is the backoff, in heartbeats, after a Recover attempt
+// the controller refused (bad pool, mid-resize, non-member) — without it
+// a persistent error would be retried hot on every tick, spamming the
+// repair history forever.
+const recoverRetry = 10
+
+// AutopilotConfig tunes the reconcile loop. The loop ticks once per
+// detector heartbeat (health.Detector.HeartbeatEvery), and every default
+// below is a multiple of that tick.
 type AutopilotConfig struct {
-	// Interval is the reconcile cadence. Default 1 ms (simulated);
-	// wall-clock deployments set something like 250 ms.
-	Interval time.Duration
 	// Spares is the replacement pool Recover draws from. Spares that are
 	// themselves failed, gray or demoted are skipped at selection time.
 	Spares []packet.Addr
 	// RepairBudget caps data-moving repairs (recover/demote/restore) per
-	// BudgetWindow. Default 4 per 100 intervals.
+	// BudgetWindow. Default 4 per 100 heartbeats.
 	RepairBudget int
 	BudgetWindow time.Duration
 	// Cooldown is the minimum gap between repairs touching the same
 	// switch — the hysteresis that stops a flapping verdict from
-	// demote/restore ping-pong. Default 20 intervals.
+	// demote/restore ping-pong. Default 20 heartbeats.
 	Cooldown time.Duration
-	// RecoverRetry is the backoff after a Recover attempt the controller
-	// refused (bad pool, mid-resize, non-member) — without it a
-	// persistent error would be retried hot on every tick, spamming the
-	// repair history forever. Default 10 intervals.
-	RecoverRetry time.Duration
 	// Placer, when set, answers a Congested verdict with a re-placement
 	// plan: new chains for the groups that should move off the congested
 	// switch (the bottleneck-aware planner over the fabric's current
@@ -87,21 +87,15 @@ type AutopilotConfig struct {
 	Placer func(congested packet.Addr) map[ring.GroupID][]packet.Addr
 }
 
-func (c *AutopilotConfig) sanitize() {
-	if c.Interval <= 0 {
-		c.Interval = time.Millisecond
-	}
+func (c *AutopilotConfig) sanitize(heartbeat time.Duration) {
 	if c.RepairBudget <= 0 {
 		c.RepairBudget = 4
 	}
 	if c.BudgetWindow <= 0 {
-		c.BudgetWindow = 100 * c.Interval
+		c.BudgetWindow = 100 * heartbeat
 	}
 	if c.Cooldown <= 0 {
-		c.Cooldown = 20 * c.Interval
-	}
-	if c.RecoverRetry <= 0 {
-		c.RecoverRetry = 10 * c.Interval
+		c.Cooldown = 20 * heartbeat
 	}
 }
 
@@ -132,11 +126,12 @@ type Autopilot struct {
 	OnEvent func(RepairEvent)
 }
 
-// NewAutopilot wires the loop; Start begins reconciling. now supplies the
-// detector's timeline (simulated or wall-clock since start).
+// NewAutopilot wires the loop; Start begins reconciling, one tick per
+// det's heartbeat. now supplies the detector's timeline (simulated or
+// wall-clock since start).
 func NewAutopilot(ctl *Controller, det *health.Detector, sched Scheduler,
 	now func() time.Duration, cfg AutopilotConfig) *Autopilot {
-	cfg.sanitize()
+	cfg.sanitize(det.HeartbeatEvery())
 	return &Autopilot{
 		ctl:             ctl,
 		det:             det,
@@ -166,7 +161,7 @@ func (a *Autopilot) Start() {
 	a.gen++ // orphan any tick still queued from an earlier Start/Stop cycle
 	gen := a.gen
 	a.mu.Unlock()
-	a.sched.After(a.cfg.Interval, func() { a.tick(gen) })
+	a.sched.After(a.det.HeartbeatEvery(), func() { a.tick(gen) })
 }
 
 // Stop halts future ticks; a repair already in flight runs to completion.
@@ -188,7 +183,7 @@ func (a *Autopilot) tick(gen uint64) {
 		return
 	}
 	a.reconcile()
-	a.sched.After(a.cfg.Interval, func() { a.tick(gen) })
+	a.sched.After(a.det.HeartbeatEvery(), func() { a.tick(gen) })
 }
 
 // History returns a copy of the repair log.
@@ -485,7 +480,7 @@ func (a *Autopilot) execute(kind RepairAction, sw packet.Addr, pool []packet.Add
 			a.mu.Lock()
 			a.busy = false
 			a.recoveryPending[sw] = true // retry after the backoff
-			a.recoveryAfter[sw] = a.now() + a.cfg.RecoverRetry
+			a.recoveryAfter[sw] = a.now() + recoverRetry*a.det.HeartbeatEvery()
 			a.refundLocked(now, sw)
 			a.mu.Unlock()
 			a.record(a.now(), sw, ActionRecover, "error: "+err.Error())

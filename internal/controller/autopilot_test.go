@@ -131,9 +131,9 @@ func pilotFixture(t *testing.T, mut func(*AutopilotConfig)) (*fixture, *health.D
 	cfg.SyncPerItem = 0
 	cfg.RuleDelay = time.Millisecond
 	f := newFixture(t, cfg, 2)
-	det := health.NewDetector(health.Defaults(time.Millisecond))
+	det := health.NewDetector(health.Config{HeartbeatEvery: time.Millisecond})
 	now := func() time.Duration { return time.Duration(f.sim.Now()) }
-	pcfg := AutopilotConfig{Interval: time.Millisecond, Spares: []packet.Addr{f.tb.Switches[3]}}
+	pcfg := AutopilotConfig{Spares: []packet.Addr{f.tb.Switches[3]}}
 	if mut != nil {
 		mut(&pcfg)
 	}

@@ -107,19 +107,19 @@ type Config struct {
 	// writes for the full sync (Fig. 10(a)); default off to match, on for
 	// the ablation bench.
 	PreSync bool
-	// PreSyncDelta is the residual stop-window duration when PreSync is
-	// enabled (the delta copy).
-	PreSyncDelta time.Duration
 }
+
+// preSyncDelta is the residual stop-window duration when PreSync is
+// enabled (the delta copy).
+const preSyncDelta = 50 * time.Millisecond
 
 // DefaultConfig returns timings calibrated to Fig. 10: ~150 s to recover a
 // 20K-item store.
 func DefaultConfig() Config {
 	return Config{
-		RuleDelay:    10 * time.Millisecond,
-		SyncPerItem:  7 * time.Millisecond,
-		PreSync:      false,
-		PreSyncDelta: 50 * time.Millisecond,
+		RuleDelay:   10 * time.Millisecond,
+		SyncPerItem: 7 * time.Millisecond,
+		PreSync:     false,
 	}
 }
 
@@ -592,7 +592,7 @@ func (c *Controller) migrateNext(n int, build func(i int) *migration, i int, don
 		// copied inside the stop window.
 		c.sched.After(syncDur, func() {
 			copyState()
-			stop(c.cfg.PreSyncDelta)
+			stop(preSyncDelta)
 		})
 	} else {
 		stop(syncDur)

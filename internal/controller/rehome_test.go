@@ -145,14 +145,14 @@ func TestAutopilotCongestionRehome(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hcfg := health.Defaults(time.Millisecond)
-	hcfg.CongestRTTFactor = 2 // gray bar stays at 4x
-	det := health.NewDetector(hcfg)
+	det := health.NewDetector(health.Config{
+		HeartbeatEvery:   time.Millisecond,
+		CongestRTTFactor: 2, // gray bar stays at 4x
+	})
 	now := func() time.Duration { return time.Duration(f.sim.Now()) }
 	placerCalls := 0
 	pcfg := AutopilotConfig{
-		Interval: time.Millisecond,
-		Spares:   []packet.Addr{s3},
+		Spares: []packet.Addr{s3},
 		Placer: func(congested packet.Addr) map[ring.GroupID][]packet.Addr {
 			placerCalls++
 			// Move every chain tailed at the congested switch: swap its

@@ -24,19 +24,17 @@ import (
 
 // AutopilotOpts sizes the harness.
 type AutopilotOpts struct {
-	Heartbeat time.Duration // switch beacon cadence (default 500 µs)
+	// Heartbeat is the detector's heartbeat (default 500 µs): the switch
+	// beacon cadence and the unit of every health-plane clock.
+	Heartbeat time.Duration
 
-	// Detector overrides the derived health config (nil = Defaults(Heartbeat)).
+	// Detector overrides the derived health config (nil = Heartbeat, plus
+	// the congestion bar on fabrics); its HeartbeatEvery replaces
+	// Heartbeat.
 	Detector *health.Config
 	// Pilot overrides the autopilot config; its recovery pool defaults to
 	// the deployment's spares.
 	Pilot *controller.AutopilotConfig
-}
-
-func (o *AutopilotOpts) defaults() {
-	if o.Heartbeat == 0 {
-		o.Heartbeat = 500 * time.Microsecond
-	}
 }
 
 // AutopilotHarness is a running autopilot over a simulated deployment.
@@ -58,24 +56,25 @@ type AutopilotHarness struct {
 // harness schedules recurring events; call Stop (or schedule it) before
 // relying on Sim.Run() draining to quiescence.
 func StartAutopilot(d *Deployment, o AutopilotOpts) (*AutopilotHarness, error) {
-	o.defaults()
 	mon, err := d.Fab.AttachMonitor()
 	if err != nil {
 		return nil, err
 	}
-	dcfg := health.Defaults(o.Heartbeat)
+	dcfg := health.Config{HeartbeatEvery: o.Heartbeat}
 	if d.Fab.Spec.Kind != "ring" {
 		// Fabrics have metered transit links, so the opt-in Congested
 		// verdict is on by default: RTT sustained past 2.5× baseline with
 		// loss and drop channels clean reads as path queueing, answered by
-		// re-placement (below), never by eviction.
+		// re-placement (below). The 4× gray bar still applies, so on a
+		// 500 µs fattree:4 a leaf delayed by +20 µs or more is rehomed
+		// and then demoted as gray too.
 		dcfg.CongestRTTFactor = 2.5
 	}
 	if o.Detector != nil {
 		dcfg = *o.Detector
 	}
 	det := health.NewDetector(dcfg)
-	pcfg := controller.AutopilotConfig{Interval: o.Heartbeat}
+	var pcfg controller.AutopilotConfig
 	if o.Pilot != nil {
 		pcfg = *o.Pilot
 	}
@@ -90,7 +89,7 @@ func StartAutopilot(d *Deployment, o AutopilotOpts) (*AutopilotHarness, error) {
 		Monitor: mon,
 		d:       d,
 		core:    health.NewCore(det, mon),
-		hb:      event.Duration(o.Heartbeat),
+		hb:      event.Duration(det.HeartbeatEvery()),
 		beating: make(map[packet.Addr]bool),
 	}
 	now := func() time.Duration { return time.Duration(d.Sim.Now()) }

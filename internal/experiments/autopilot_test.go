@@ -194,7 +194,6 @@ func TestAutopilotFlappingLinkBudget(t *testing.T) {
 	budget := 3
 	h, err := StartAutopilot(d, AutopilotOpts{
 		Pilot: &controller.AutopilotConfig{
-			Interval:     500 * time.Microsecond,
 			RepairBudget: budget,
 			BudgetWindow: 400 * time.Millisecond, // spans the run: the cap is absolute
 			Cooldown:     4 * time.Millisecond,

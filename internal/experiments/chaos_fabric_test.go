@@ -138,12 +138,14 @@ func TestFabricCongestionRehome(t *testing.T) {
 
 	congested := d.Ctl.GroupRoute(0).Hops[2] // group 0's tail leaf
 	hb := 500 * time.Microsecond
-	dcfg := health.Defaults(hb)
-	// Decouple the two RTT verdicts: the extra delay injected below must
-	// clear the congestion bar while staying far under the gray bar, so
-	// the only escalation path under test is the rehome.
-	dcfg.GrayRTTFactor = 200
-	dcfg.CongestRTTFactor = 2
+	dcfg := health.Config{
+		HeartbeatEvery: hb,
+		// Decouple the two RTT verdicts: the extra delay injected below
+		// must clear the congestion bar while staying far under the gray
+		// bar, so the only escalation path under test is the rehome.
+		GrayRTTFactor:    200,
+		CongestRTTFactor: 2,
+	}
 	h, err := StartAutopilot(d, AutopilotOpts{Heartbeat: hb, Detector: &dcfg})
 	if err != nil {
 		t.Fatal(err)

@@ -32,8 +32,11 @@ import (
 //
 // What the sim run cannot give us — and this one does — is evidence that
 // the protocol's invariants survive the parts the simulator idealizes:
-// kernel buffering, OS timer slop, racing ingest workers, TCP'd control
-// RPC, and a relay whose lease state lives behind a real port.
+// kernel buffering, OS timer slop, a switch's ingest goroutines racing
+// across its sockets, and a relay whose lease state lives behind a real
+// port. The controller programs the switches through in-process agents,
+// as in the simulator; the TCP agent protocol is tested on its own in
+// internal/transport.
 
 // RealChaosOpts parameterizes a wire chaos run.
 type RealChaosOpts struct {
@@ -152,7 +155,7 @@ func newRealCluster(o RealChaosOpts) (*realCluster, error) {
 	// address sits outside the switch and host ranges so fault targeting
 	// never aliases it.
 	mv := packet.AddrFrom4(10, 255, 0, 1)
-	rc.det = health.NewDetector(health.Defaults(realChaosHeartbeat))
+	rc.det = health.NewDetector(health.Config{HeartbeatEvery: realChaosHeartbeat})
 	rc.mon, err = health.NewMonitor("127.0.0.1:0", mv, rc.det,
 		health.WithMonitorFaults(rc.inj.Pipe(mv)))
 	if err != nil {
@@ -168,10 +171,7 @@ func newRealCluster(o RealChaosOpts) (*realCluster, error) {
 		return nil, err
 	}
 	rc.pilot = controller.NewAutopilot(rc.ctl, rc.det, controller.WallClock{}, rc.mon.Now,
-		controller.AutopilotConfig{
-			Interval: realChaosHeartbeat,
-			Spares:   []packet.Addr{rc.sws[3]},
-		})
+		controller.AutopilotConfig{Spares: []packet.Addr{rc.sws[3]}})
 
 	// Clients (10.1.0.1, .2, ...) gateway through the survivors (S0 and the
 	// gray S2, never the fail-stop victim S1): a client whose ToR powers off

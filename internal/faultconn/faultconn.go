@@ -347,19 +347,6 @@ type Pipe struct {
 // Pipe mints the fault filter for the node with virtual address self.
 func (i *Injector) Pipe(self packet.Addr) *Pipe { return &Pipe{inj: i, self: self} }
 
-// PeekAddrs reads the virtual IP source/destination out of a serialized
-// frame without decoding it — the partition matcher runs on every egress
-// frame and cannot afford a parse.
-func PeekAddrs(buf []byte) (src, dst packet.Addr, ok bool) {
-	if len(buf) < packet.CarrierLen {
-		return 0, 0, false
-	}
-	// The carrier opens with src at offset 0 and dst at offset 4.
-	src = packet.Addr(binary.BigEndian.Uint32(buf[0:]))
-	dst = packet.Addr(binary.BigEndian.Uint32(buf[4:]))
-	return src, dst, true
-}
-
 // Egress judges one serialized frame about to leave self toward ep.
 // Returns true to let the caller send it unmodified; false when the
 // injector consumed it — dropped, or held and re-injected later through
@@ -385,7 +372,7 @@ func (p *Pipe) Egress(buf []byte, ep *net.UDPAddr, send func([]byte, *net.UDPAdd
 		i.failDrops.Add(1)
 		return false
 	}
-	if src, dst, ok := PeekAddrs(buf); ok && i.faults.Cut(src, dst) {
+	if src, dst, ok := packet.PeekAddrs(buf); ok && i.faults.Cut(src, dst) {
 		i.mu.Unlock()
 		i.partDrops.Add(1)
 		return false

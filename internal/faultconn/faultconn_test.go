@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"netchain/internal/event"
-	"netchain/internal/kv"
 	"netchain/internal/netsim"
 	"netchain/internal/packet"
 )
@@ -19,49 +18,6 @@ var (
 
 func testEndpoint() *net.UDPAddr {
 	return &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 40123}
-}
-
-// TestPeekAddrsMatchesDecode: the partition matcher's peek at a
-// serialized frame must read the source and destination the full decoder
-// does — for a query, a reply, and the first frame of a batch.
-func TestPeekAddrsMatchesDecode(t *testing.T) {
-	client, head, tail := packet.AddrFrom4(10, 1, 0, 1), testFrom, testTo
-	nc := &packet.NetChain{Op: kv.OpWrite, Key: kv.KeyFromString("peek"), Value: []byte("v")}
-	if err := nc.SetChain([]packet.Addr{tail}); err != nil {
-		t.Fatal(err)
-	}
-	query, err := packet.NewQuery(client, head, 5000, nc).Serialize(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rf := packet.NewQuery(client, tail, 5000, nc)
-	rf.ToReply(kv.StatusOK)
-	reply, err := rf.Serialize(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name     string
-		buf      []byte
-		src, dst packet.Addr
-	}{
-		{"query", query, client, head},
-		{"reply", reply, tail, client},
-		{"batch", append(append([]byte(nil), reply...), query...), tail, client},
-	} {
-		var f packet.Frame
-		if err := f.Decode(tc.buf); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		src, dst, ok := PeekAddrs(tc.buf)
-		if !ok || src != f.IP.Src || dst != f.IP.Dst || src != tc.src || dst != tc.dst {
-			t.Fatalf("%s: PeekAddrs = %v→%v ok=%v, Decode = %v→%v, want %v→%v",
-				tc.name, src, dst, ok, f.IP.Src, f.IP.Dst, tc.src, tc.dst)
-		}
-	}
-	if _, _, ok := PeekAddrs(query[:packet.CarrierLen-1]); ok {
-		t.Fatal("PeekAddrs accepted a buffer shorter than the carrier")
-	}
 }
 
 // collectTrace pumps n frames through a fresh injector's egress for one

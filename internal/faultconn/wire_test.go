@@ -228,7 +228,7 @@ func TestMonitorDetectsFailStopOnWire(t *testing.T) {
 	}
 
 	mv := packet.AddrFrom4(10, 255, 0, 1)
-	det := health.NewDetector(health.Defaults(hb))
+	det := health.NewDetector(health.Config{HeartbeatEvery: hb})
 	mon, err := health.NewMonitor("127.0.0.1:0", mv, det,
 		health.WithMonitorFaults(inj.Pipe(mv)))
 	if err != nil {

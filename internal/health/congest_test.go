@@ -18,13 +18,11 @@ func warmBaseline(d *Detector, now time.Duration, beats int) time.Duration {
 
 // TestCongestedLatchAndClear pins the opt-in congestion verdict: RTT
 // sitting above CongestRTTFactor×baseline — with loss and drop channels
-// clean — latches Congested after GrayConfirm observations and releases
-// after GrayClear clean ones. The same inflation stays under the gray
+// clean — latches Congested after grayConfirm observations and releases
+// after grayClear clean ones. The same inflation stays under the gray
 // bar, so the two verdicts separate.
 func TestCongestedLatchAndClear(t *testing.T) {
-	cfg := Defaults(time.Millisecond)
-	cfg.CongestRTTFactor = 2 // gray bar stays at 4×
-	d := NewDetector(cfg)
+	d := NewDetector(Config{HeartbeatEvery: time.Millisecond, CongestRTTFactor: 2}) // gray bar stays at 4×
 	now := warmBaseline(d, 0, 30)
 	if v := d.VerdictFor(swA, now); v != Healthy {
 		t.Fatalf("verdict=%v during warmup, want healthy", v)
@@ -37,7 +35,7 @@ func TestCongestedLatchAndClear(t *testing.T) {
 	if v := d.VerdictFor(swA, now); v != Healthy {
 		t.Fatalf("verdict=%v after one inflated probe, want healthy", v)
 	}
-	for i := 0; i < cfg.GrayConfirm+3; i++ {
+	for i := 0; i < grayConfirm+3; i++ {
 		now += time.Millisecond
 		d.Heartbeat(swA, now, Payload{})
 		d.ProbeReply(swA, now, 25*time.Microsecond)
@@ -52,7 +50,7 @@ func TestCongestedLatchAndClear(t *testing.T) {
 	if v := d.VerdictFor(swA, now); v != Congested {
 		t.Fatal("congested cleared after a single clean probe")
 	}
-	for i := 0; i < cfg.GrayClear+2; i++ {
+	for i := 0; i < grayClear+2; i++ {
 		now += time.Millisecond
 		d.Heartbeat(swA, now, Payload{})
 		d.ProbeReply(swA, now, 5*time.Microsecond)
@@ -63,19 +61,12 @@ func TestCongestedLatchAndClear(t *testing.T) {
 }
 
 // TestCongestedDisabledByDefault: with CongestRTTFactor zero (the
-// default — sanitize must not invent one), the same RTT inflation stays
+// default), the same RTT inflation stays
 // Healthy. Fabric-less deployments have no transit links to congest.
 func TestCongestedDisabledByDefault(t *testing.T) {
-	cfg := Defaults(time.Millisecond)
-	if cfg.CongestRTTFactor != 0 {
-		t.Fatalf("Defaults sets CongestRTTFactor=%v, want 0 (opt-in)", cfg.CongestRTTFactor)
-	}
-	d := NewDetector(cfg)
-	if got := d.Config().CongestRTTFactor; got != 0 {
-		t.Fatalf("sanitize defaulted CongestRTTFactor to %v, want 0", got)
-	}
+	d := NewDetector(Config{HeartbeatEvery: time.Millisecond})
 	now := warmBaseline(d, 0, 30)
-	for i := 0; i < cfg.GrayConfirm+5; i++ {
+	for i := 0; i < grayConfirm+5; i++ {
 		now += time.Millisecond
 		d.Heartbeat(swA, now, Payload{})
 		d.ProbeReply(swA, now, 25*time.Microsecond)
@@ -89,11 +80,9 @@ func TestCongestedDisabledByDefault(t *testing.T) {
 // probe channel is switch decay, not path queueing — the gray verdict
 // (peer-relative, demotion-worthy) must win over Congested.
 func TestCongestedYieldsToGray(t *testing.T) {
-	cfg := Defaults(time.Millisecond)
-	cfg.CongestRTTFactor = 2
-	d := NewDetector(cfg)
+	d := NewDetector(Config{HeartbeatEvery: time.Millisecond, CongestRTTFactor: 2})
 	now := warmBaseline(d, 0, 30)
-	for i := 0; i < cfg.GrayConfirm+3; i++ {
+	for i := 0; i < grayConfirm+3; i++ {
 		now += time.Millisecond
 		d.Heartbeat(swA, now, Payload{})
 		d.ProbeReply(swA, now, 200*time.Microsecond) // 40×: past the gray bar
@@ -108,15 +97,13 @@ func TestCongestedYieldsToGray(t *testing.T) {
 // loss over the gray bound is not "congested" — the clean-channel
 // requirement is what separates a queueing path from a dying box.
 func TestCongestedRequiresCleanChannels(t *testing.T) {
-	cfg := Defaults(time.Millisecond)
-	cfg.CongestRTTFactor = 2
-	d := NewDetector(cfg)
+	d := NewDetector(Config{HeartbeatEvery: time.Millisecond, CongestRTTFactor: 2})
 	now := warmBaseline(d, 0, 30)
-	for i := 0; i < cfg.GrayConfirm+3; i++ {
+	for i := 0; i < grayConfirm+3; i++ {
 		now += time.Millisecond
 		d.Heartbeat(swA, now, Payload{})
 		d.ProbeReply(swA, now, 25*time.Microsecond)
-		d.ProbeLost(swA, now) // ~50% loss: over GrayLoss
+		d.ProbeLost(swA, now) // ~50% loss: over grayLoss
 		d.ProbeReply(swA, now, 25*time.Microsecond)
 	}
 	if v := d.VerdictFor(swA, now); v == Congested {

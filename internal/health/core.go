@@ -51,20 +51,20 @@ type CoreStats struct {
 
 // NewCore builds the engine feeding det. monitor is the monitor's virtual
 // NetChain address: the source of its probes, where switches send
-// heartbeats and probe echoes. The probe cadence follows the detector's
-// HeartbeatEvery: one round every 2 heartbeats, a probe lost after 8.
+// heartbeats and probe echoes. The probe cadence and the probe-loss
+// timeout are the detector's probeEvery and probeLost.
 func NewCore(det *Detector, monitor packet.Addr) *Core {
 	return &Core{
 		det:          det,
 		monitor:      monitor,
-		probeTimeout: 8 * det.Config().HeartbeatEvery,
+		probeTimeout: det.span(probeLost),
 		outstanding:  make(map[uint64]probeRec),
 		retired:      make(map[packet.Addr]bool),
 	}
 }
 
 // ProbeEvery is the interval at which a driver calls ProbeRound.
-func (c *Core) ProbeEvery() time.Duration { return 2 * c.det.Config().HeartbeatEvery }
+func (c *Core) ProbeEvery() time.Duration { return c.det.span(probeEvery) }
 
 // Receive handles one frame delivered to the monitor at now: a heartbeat
 // feeds the detector unless its switch is retired, and a probe echo is

@@ -43,7 +43,7 @@ func TestCoreForgetRetires(t *testing.T) {
 		{"heartbeat in flight", func(c *Core, f *packet.Frame, _ uint64) { c.Receive(beat(f, sw), 2*hb) }},
 	} {
 		t.Run(after.name, func(t *testing.T) {
-			det := NewDetector(Defaults(hb))
+			det := NewDetector(Config{HeartbeatEvery: hb})
 			c := NewCore(det, coreMon)
 			c.Watch(sw, 0)
 			var qid uint64
@@ -97,7 +97,7 @@ func TestCoreForgetRetires(t *testing.T) {
 // convict live switches, A and B alike, for 0–14 ms (median 2 ms) at a
 // time: a blackout silences four heartbeats, so φ passes 8 before the
 // next one lands, and it swallows the probes and echoes of up to three
-// 20 ms probe rounds, so the last echo can be older than ProbeDead
+// 20 ms probe rounds, so the last echo can be older than probeDead
 // (60 ms) by then. That is a detector bug. falseFailStopSeeds pins the
 // seeds where it shows, so the test fails when the detector changes
 // either way; a fixed detector empties the list.
@@ -148,7 +148,7 @@ func replayGrayAndBurst(seed int64) (grayBurstRun, error) {
 	)
 	var run grayBurstRun
 	rng := rand.New(rand.NewSource(seed))
-	det := NewDetector(Defaults(hb))
+	det := NewDetector(Config{HeartbeatEvery: hb})
 	c := NewCore(det, coreMon)
 	jitter := func(max time.Duration) time.Duration { return time.Duration(rng.Int63n(int64(max))) }
 	wire := func() time.Duration { return 20*time.Microsecond + jitter(40*time.Microsecond) }

@@ -51,53 +51,87 @@ func (v Verdict) String() string {
 	}
 }
 
-// Config tunes the detector. Defaults derives everything from the
-// expected heartbeat interval, so one knob moves the whole detector
-// between simulated-microsecond and wall-clock-millisecond regimes.
-type Config struct {
-	// HeartbeatEvery is the expected heartbeat cadence: the bootstrap
-	// mean before the window has real samples.
-	HeartbeatEvery time.Duration
-	// WindowSize is the number of inter-arrival samples kept per switch.
-	WindowSize int
-	// PhiFailStop is the suspicion threshold for fail-stop verdicts.
-	// φ = 8 means the silence has probability ~1e-8 under the observed
-	// arrival distribution.
-	PhiFailStop float64
-	// MinStdDev floors the estimated σ so a jitter-free network does not
-	// hair-trigger on the first delayed beat (and so a run of lost
-	// heartbeats — duplication-era networks drop a few — must be several
-	// intervals long before φ crosses the threshold).
-	MinStdDev time.Duration
-	// ProbeDead is the corroboration requirement: a fail-stop verdict
+// beats is a health-plane span in thousandths of a heartbeat. Every
+// clock of the detector and of Core's probe loop is a fixed multiple of
+// the one setting, Config.HeartbeatEvery (the autopilot ticks on it too),
+// so that setting alone moves the whole plane between
+// simulated-microsecond and wall-clock-millisecond regimes.
+type beats int64
+
+// hb is one heartbeat.
+const hb beats = 1000
+
+// The health plane's constants: the spans in heartbeats, then the
+// dimensionless scores.
+const (
+	// defaultHeartbeat is the cadence a zero Config.HeartbeatEvery takes.
+	defaultHeartbeat = 500 * time.Microsecond
+
+	// probeEvery is the interval between Core.ProbeRound calls.
+	probeEvery = 2 * hb
+	// probeLost is how long Core leaves a probe unanswered before it
+	// reports it lost.
+	probeLost = 8 * hb
+	// probeDead is the corroboration requirement: a fail-stop verdict
 	// additionally requires the last probe reply to be older than this.
 	// A gray switch keeps answering probes, so a φ blip from a few lost
 	// heartbeats can never evict it. Ignored for switches that have
 	// never answered a probe (probing may be disabled).
-	ProbeDead time.Duration
-	// BootGrace shields a switch that has never heartbeated from a
+	probeDead = 6 * hb
+	// bootGrace shields a switch that has never heartbeated from a
 	// fail-stop verdict until this long after it was Tracked: a
 	// monitor that boots before its switches must not convict boxes
 	// that are still starting up (their probe channel is empty too, so
-	// ProbeDead corroboration cannot save them).
-	BootGrace time.Duration
-
-	// GrayRTTFactor flags degradation when the fast probe-RTT EWMA
-	// exceeds this multiple of the switch's learned baseline.
-	GrayRTTFactor float64
-	// RTTFloor is added to the baseline before the factor comparison so
+	// probeDead corroboration cannot save them).
+	bootGrace = 30 * hb
+	// minStdDev floors the estimated σ so a jitter-free network does not
+	// hair-trigger on the first delayed beat (and so a run of lost
+	// heartbeats — duplication-era networks drop a few — must be several
+	// intervals long before φ crosses the threshold).
+	minStdDev = hb / 2
+	// rttFloor is added to the baseline before the factor comparison so
 	// sub-floor jitter on very fast paths cannot flag degradation.
-	RTTFloor time.Duration
-	// GrayLoss flags degradation when the probe-loss EWMA exceeds it.
-	GrayLoss float64
-	// GrayDropRate flags degradation when the heartbeat-reported local
+	rttFloor = hb / 500
+
+	// windowSize is the number of inter-arrival samples kept per switch.
+	windowSize = 32
+	// phiFailStop is the suspicion threshold for fail-stop verdicts.
+	// φ = 8 means the silence has probability ~1e-8 under the observed
+	// arrival distribution.
+	phiFailStop = 8.0
+	// defaultGrayRTTFactor is the gray RTT bar a zero
+	// Config.GrayRTTFactor takes.
+	defaultGrayRTTFactor = 4.0
+	// grayLoss flags degradation when the probe-loss EWMA exceeds it.
+	grayLoss = 0.25
+	// grayDropRate flags degradation when the heartbeat-reported local
 	// drop-rate EWMA exceeds it.
-	GrayDropRate float64
-	// GrayConfirm / GrayClear are the hysteresis counts: this many
+	grayDropRate = 0.10
+	// grayConfirm / grayClear are the hysteresis counts: this many
 	// consecutive degraded observations latch the gray verdict, that
 	// many consecutive clean ones release it.
-	GrayConfirm int
-	GrayClear   int
+	grayConfirm = 3
+	grayClear   = 6
+	// grayRelFactor is the peer-relative gate (the Perigee idea: judge a
+	// node against its neighbors' measured behavior, not an absolute
+	// bar): a latched gray verdict is only emitted while the switch is
+	// also anomalous relative to the cluster median — a uniformly loaded
+	// (or uniformly degraded) cluster slows every probe equally, and
+	// demoting everyone is not a repair.
+	grayRelFactor = 2.5
+	// baseAlpha / fastAlpha are the EWMA smoothing factors for the slow
+	// learned baseline and the fast tracking estimate.
+	baseAlpha = 0.05
+	fastAlpha = 0.3
+)
+
+// Config holds the detector's three settings; everything else is the
+// constant table above.
+type Config struct {
+	// HeartbeatEvery is the expected heartbeat cadence: the bootstrap
+	// mean before the window has real samples, and the unit of every
+	// span in the table. Zero means 500 µs.
+	HeartbeatEvery time.Duration
 	// CongestRTTFactor, when positive, enables the Congested verdict: a
 	// switch whose fast probe-RTT EWMA exceeds this multiple of its
 	// learned baseline — while its probe-loss and local-drop signals
@@ -106,93 +140,12 @@ type Config struct {
 	// transit links to congest). Pick it below GrayRTTFactor so
 	// congestion is named before the switch is suspected of decay.
 	CongestRTTFactor float64
-
-	// GrayRelFactor is the peer-relative gate (the Perigee idea: judge a
-	// node against its neighbors' measured behavior, not an absolute
-	// bar): a latched gray verdict is only emitted while the switch is
-	// also anomalous relative to the cluster median — a uniformly loaded
-	// (or uniformly degraded) cluster slows every probe equally, and
-	// demoting everyone is not a repair.
-	GrayRelFactor float64
-
-	// BaseAlpha / FastAlpha are the EWMA smoothing factors for the slow
-	// learned baseline and the fast tracking estimate.
-	BaseAlpha float64
-	FastAlpha float64
-}
-
-// Defaults returns a Config calibrated to the given heartbeat cadence.
-func Defaults(heartbeatEvery time.Duration) Config {
-	if heartbeatEvery <= 0 {
-		heartbeatEvery = 500 * time.Microsecond
-	}
-	return Config{
-		HeartbeatEvery: heartbeatEvery,
-		WindowSize:     32,
-		PhiFailStop:    8,
-		MinStdDev:      heartbeatEvery / 2,
-		ProbeDead:      6 * heartbeatEvery,
-		BootGrace:      30 * heartbeatEvery,
-		GrayRTTFactor:  4,
-		RTTFloor:       heartbeatEvery / 500,
-		GrayLoss:       0.25,
-		GrayDropRate:   0.10,
-		GrayConfirm:    3,
-		GrayClear:      6,
-		GrayRelFactor:  2.5,
-		BaseAlpha:      0.05,
-		FastAlpha:      0.3,
-	}
-}
-
-func (c *Config) sanitize() {
-	d := Defaults(c.HeartbeatEvery)
-	if c.WindowSize <= 0 {
-		c.WindowSize = d.WindowSize
-	}
-	if c.PhiFailStop <= 0 {
-		c.PhiFailStop = d.PhiFailStop
-	}
-	if c.MinStdDev <= 0 {
-		c.MinStdDev = d.MinStdDev
-	}
-	if c.ProbeDead <= 0 {
-		c.ProbeDead = d.ProbeDead
-	}
-	if c.BootGrace <= 0 {
-		c.BootGrace = d.BootGrace
-	}
-	if c.GrayRTTFactor <= 0 {
-		c.GrayRTTFactor = d.GrayRTTFactor
-	}
-	if c.RTTFloor <= 0 {
-		c.RTTFloor = d.RTTFloor
-	}
-	if c.GrayLoss <= 0 {
-		c.GrayLoss = d.GrayLoss
-	}
-	if c.GrayDropRate <= 0 {
-		c.GrayDropRate = d.GrayDropRate
-	}
-	if c.GrayConfirm <= 0 {
-		c.GrayConfirm = d.GrayConfirm
-	}
-	if c.GrayClear <= 0 {
-		c.GrayClear = d.GrayClear
-	}
-	if c.GrayRelFactor <= 0 {
-		c.GrayRelFactor = d.GrayRelFactor
-	}
-	// CongestRTTFactor is deliberately NOT defaulted: zero means the
-	// Congested verdict is off, and only deployments with metered
-	// transit links (fabrics) should turn it on.
-	if c.BaseAlpha <= 0 {
-		c.BaseAlpha = d.BaseAlpha
-	}
-	if c.FastAlpha <= 0 {
-		c.FastAlpha = d.FastAlpha
-	}
-	c.HeartbeatEvery = d.HeartbeatEvery
+	// GrayRTTFactor flags degradation when the fast probe-RTT EWMA
+	// exceeds this multiple of the switch's learned baseline. Zero
+	// means 4. It stays settable because the default sits close enough
+	// to a 2.5× congestion bar that sustained queueing often crosses
+	// both: a caller that must see the rehome path alone raises it.
+	GrayRTTFactor float64
 }
 
 // SwitchHealth is one switch's observable state — what `netchainctl
@@ -259,14 +212,27 @@ type Detector struct {
 	sw  map[packet.Addr]*switchState
 }
 
-// NewDetector builds a detector; zero Config fields take Defaults.
+// NewDetector builds a detector; a zero HeartbeatEvery or GrayRTTFactor
+// takes its default.
 func NewDetector(cfg Config) *Detector {
-	cfg.sanitize()
+	if cfg.HeartbeatEvery <= 0 {
+		cfg.HeartbeatEvery = defaultHeartbeat
+	}
+	if cfg.GrayRTTFactor <= 0 {
+		cfg.GrayRTTFactor = defaultGrayRTTFactor
+	}
 	return &Detector{cfg: cfg, sw: make(map[packet.Addr]*switchState)}
 }
 
-// Config returns the sanitized configuration in effect.
-func (d *Detector) Config() Config { return d.cfg }
+// HeartbeatEvery returns the heartbeat cadence in effect: the unit of
+// every health-plane clock.
+func (d *Detector) HeartbeatEvery() time.Duration { return d.cfg.HeartbeatEvery }
+
+// span converts a span of the table into a duration at this detector's
+// heartbeat.
+func (d *Detector) span(b beats) time.Duration {
+	return d.cfg.HeartbeatEvery * time.Duration(b) / time.Duration(hb)
+}
 
 func (d *Detector) state(a packet.Addr, now time.Duration) *switchState {
 	st, ok := d.sw[a]
@@ -274,7 +240,7 @@ func (d *Detector) state(a packet.Addr, now time.Duration) *switchState {
 		st = &switchState{
 			trackedAt: now,
 			lastHB:    now, // virtual beat: a dead-from-the-start switch accrues φ from here
-			win:       newPhiWindow(d.cfg.WindowSize),
+			win:       newPhiWindow(windowSize),
 		}
 		d.sw[a] = st
 	}
@@ -307,7 +273,7 @@ func (d *Detector) Heartbeat(a packet.Addr, now time.Duration, p Payload) {
 	}
 	st.lastHB = now
 	st.hbSeen++
-	fa := d.cfg.FastAlpha
+	fa := fastAlpha
 	if st.havePay && p.Drops >= st.lastPay.Drops && p.Processed >= st.lastPay.Processed {
 		// Counters that went backwards mean the agent restarted; skip
 		// this delta rather than underflowing into a ~100% drop rate
@@ -341,7 +307,7 @@ func (d *Detector) ProbeReply(a packet.Addr, now time.Duration, rtt time.Duratio
 	if st.rttBase == 0 {
 		st.rttBase = r
 	}
-	fa := d.cfg.FastAlpha
+	fa := fastAlpha
 	st.rttFast = fa*r + (1-fa)*st.rttFast
 	st.lossEWMA = (1 - fa) * st.lossEWMA
 	// The baseline only learns from unremarkable samples: a slowdown
@@ -352,8 +318,8 @@ func (d *Detector) ProbeReply(a packet.Addr, now time.Duration, rtt time.Duratio
 	if d.cfg.CongestRTTFactor > 0 && d.cfg.CongestRTTFactor < bar {
 		bar = d.cfg.CongestRTTFactor
 	}
-	if r <= bar*(st.rttBase+float64(d.cfg.RTTFloor)) {
-		ba := d.cfg.BaseAlpha
+	if r <= bar*(st.rttBase+float64(d.span(rttFloor))) {
+		ba := baseAlpha
 		st.rttBase = ba*r + (1-ba)*st.rttBase
 	}
 	d.scoreLocked(st)
@@ -366,7 +332,7 @@ func (d *Detector) ProbeLost(a packet.Addr, now time.Duration) {
 	st := d.state(a, now)
 	st.probeSeen = true
 	st.probeLosses++
-	fa := d.cfg.FastAlpha
+	fa := fastAlpha
 	st.lossEWMA = fa + (1-fa)*st.lossEWMA
 	d.scoreLocked(st)
 }
@@ -374,13 +340,13 @@ func (d *Detector) ProbeLost(a packet.Addr, now time.Duration) {
 // degradedLocked is the instantaneous quality judgement feeding the gray
 // hysteresis.
 func (d *Detector) degradedLocked(st *switchState) bool {
-	if st.rttFast > d.cfg.GrayRTTFactor*(st.rttBase+float64(d.cfg.RTTFloor)) {
+	if st.rttFast > d.cfg.GrayRTTFactor*(st.rttBase+float64(d.span(rttFloor))) {
 		return true
 	}
-	if st.lossEWMA > d.cfg.GrayLoss {
+	if st.lossEWMA > grayLoss {
 		return true
 	}
-	if st.dropEWMA > d.cfg.GrayDropRate {
+	if st.dropEWMA > grayDropRate {
 		return true
 	}
 	return false
@@ -393,10 +359,10 @@ func (d *Detector) congestedObsLocked(st *switchState) bool {
 	if d.cfg.CongestRTTFactor <= 0 || !st.probeSeen {
 		return false
 	}
-	if st.rttFast <= d.cfg.CongestRTTFactor*(st.rttBase+float64(d.cfg.RTTFloor)) {
+	if st.rttFast <= d.cfg.CongestRTTFactor*(st.rttBase+float64(d.span(rttFloor))) {
 		return false
 	}
-	return st.lossEWMA <= d.cfg.GrayLoss && st.dropEWMA <= d.cfg.GrayDropRate
+	return st.lossEWMA <= grayLoss && st.dropEWMA <= grayDropRate
 }
 
 // scoreLocked advances the gray and congestion confirm/clear hysteresis
@@ -407,26 +373,26 @@ func (d *Detector) scoreLocked(st *switchState) {
 	if d.degradedLocked(st) {
 		st.grayStreak++
 		st.healthyStreak = 0
-		if st.grayStreak >= d.cfg.GrayConfirm {
+		if st.grayStreak >= grayConfirm {
 			st.gray = true
 		}
 	} else {
 		st.healthyStreak++
 		st.grayStreak = 0
-		if st.healthyStreak >= d.cfg.GrayClear {
+		if st.healthyStreak >= grayClear {
 			st.gray = false
 		}
 	}
 	if d.congestedObsLocked(st) {
 		st.congStreak++
 		st.calmStreak = 0
-		if st.congStreak >= d.cfg.GrayConfirm {
+		if st.congStreak >= grayConfirm {
 			st.congested = true
 		}
 	} else {
 		st.calmStreak++
 		st.congStreak = 0
-		if st.calmStreak >= d.cfg.GrayClear {
+		if st.calmStreak >= grayClear {
 			st.congested = false
 		}
 	}
@@ -450,9 +416,9 @@ func (d *Detector) phiLocked(st *switchState, now time.Duration) float64 {
 		// Bootstrap: assume the configured cadence until the window has
 		// real samples.
 		mean = float64(d.cfg.HeartbeatEvery)
-		std = float64(d.cfg.MinStdDev)
+		std = float64(d.span(minStdDev))
 	}
-	if floor := float64(d.cfg.MinStdDev); std < floor {
+	if floor := float64(d.span(minStdDev)); std < floor {
 		std = floor
 	}
 	return phi(float64(now-st.lastHB), mean, std)
@@ -476,15 +442,15 @@ func (d *Detector) relativelyAnomalousLocked(st *switchState) bool {
 		}
 	}
 	if len(rtts) >= 2 {
-		if st.rttFast > d.cfg.GrayRelFactor*median(rtts)+float64(d.cfg.RTTFloor) {
+		if st.rttFast > grayRelFactor*median(rtts)+float64(d.span(rttFloor)) {
 			return true
 		}
-		if st.lossEWMA > median(losses)+d.cfg.GrayLoss/2 {
+		if st.lossEWMA > median(losses)+grayLoss/2 {
 			return true
 		}
 	}
 	if len(drops) >= 2 {
-		if st.dropEWMA > median(drops)+d.cfg.GrayDropRate/2 {
+		if st.dropEWMA > median(drops)+grayDropRate/2 {
 			return true
 		}
 	}
@@ -505,15 +471,15 @@ func median(xs []float64) float64 {
 
 func (d *Detector) verdictLocked(st *switchState, now time.Duration) (Verdict, float64) {
 	p := d.phiLocked(st, now)
-	if p >= d.cfg.PhiFailStop {
+	if p >= phiFailStop {
 		// A switch that has never beaten gets the boot grace: it may
 		// simply still be starting (and has no probe history for the
 		// corroboration gate to consult).
-		booting := st.hbSeen == 0 && !st.probeSeen && now-st.trackedAt < d.cfg.BootGrace
+		booting := st.hbSeen == 0 && !st.probeSeen && now-st.trackedAt < d.span(bootGrace)
 		// Corroborate with the probe channel when it exists: a gray
 		// switch still answers probes, so lost heartbeats alone cannot
 		// evict it.
-		if !booting && (!st.probeSeen || now-st.lastProbe > d.cfg.ProbeDead) {
+		if !booting && (!st.probeSeen || now-st.lastProbe > d.span(probeDead)) {
 			return FailStop, p
 		}
 	}

@@ -18,24 +18,23 @@ func msd(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 // silence makes it grow past the fail-stop threshold, and a single
 // delayed beat does not.
 func TestPhiAccrues(t *testing.T) {
-	cfg := Defaults(time.Millisecond)
-	d := NewDetector(cfg)
+	d := NewDetector(Config{HeartbeatEvery: time.Millisecond})
 	now := time.Duration(0)
 	for i := 0; i < 20; i++ {
 		now += time.Millisecond
 		d.Heartbeat(swA, now, Payload{Processed: uint64(i)})
 	}
-	if p := d.Phi(swA, now+time.Millisecond); p >= cfg.PhiFailStop {
-		t.Fatalf("φ=%v after one on-cadence interval, want < %v", p, cfg.PhiFailStop)
+	if p := d.Phi(swA, now+time.Millisecond); p >= phiFailStop {
+		t.Fatalf("φ=%v after one on-cadence interval, want < %v", p, phiFailStop)
 	}
 	// Two missed beats: suspicion grows but must not evict (the σ floor
 	// absorbs short loss runs).
-	if p := d.Phi(swA, now+3*time.Millisecond); p >= cfg.PhiFailStop {
-		t.Fatalf("φ=%v after two missed beats, want < %v", p, cfg.PhiFailStop)
+	if p := d.Phi(swA, now+3*time.Millisecond); p >= phiFailStop {
+		t.Fatalf("φ=%v after two missed beats, want < %v", p, phiFailStop)
 	}
 	// Sustained silence: φ crosses the threshold.
-	if p := d.Phi(swA, now+10*time.Millisecond); p < cfg.PhiFailStop {
-		t.Fatalf("φ=%v after 10 silent intervals, want >= %v", p, cfg.PhiFailStop)
+	if p := d.Phi(swA, now+10*time.Millisecond); p < phiFailStop {
+		t.Fatalf("φ=%v after 10 silent intervals, want >= %v", p, phiFailStop)
 	}
 	if v := d.VerdictFor(swA, now+10*time.Millisecond); v != FailStop {
 		t.Fatalf("verdict=%v after sustained silence, want fail-stop", v)
@@ -46,8 +45,7 @@ func TestPhiAccrues(t *testing.T) {
 // whose probes still come back — the gray-degradation guard against
 // false fail-stop verdicts.
 func TestProbeCorroboration(t *testing.T) {
-	cfg := Defaults(time.Millisecond)
-	d := NewDetector(cfg)
+	d := NewDetector(Config{HeartbeatEvery: time.Millisecond})
 	now := time.Duration(0)
 	for i := 0; i < 10; i++ {
 		now += time.Millisecond
@@ -60,25 +58,24 @@ func TestProbeCorroboration(t *testing.T) {
 		silent += time.Millisecond
 		d.ProbeReply(swA, silent, 10*time.Microsecond)
 	}
-	if p := d.Phi(swA, silent); p < cfg.PhiFailStop {
+	if p := d.Phi(swA, silent); p < phiFailStop {
 		t.Fatalf("φ=%v, want over threshold for this test to bite", p)
 	}
 	if v := d.VerdictFor(swA, silent); v == FailStop {
 		t.Fatal("fail-stop verdict despite live probe channel")
 	}
 	// Once probes stop too, the verdict flips.
-	dead := silent + cfg.ProbeDead + time.Millisecond
+	dead := silent + d.span(probeDead) + time.Millisecond
 	if v := d.VerdictFor(swA, dead); v != FailStop {
 		t.Fatalf("verdict=%v after probes died, want fail-stop", v)
 	}
 }
 
 // TestGrayLatchAndClear pins the quality hysteresis: sustained RTT
-// inflation latches the gray verdict after GrayConfirm observations, and
-// it clears only after GrayClear healthy ones.
+// inflation latches the gray verdict after grayConfirm observations, and
+// it clears only after grayClear healthy ones.
 func TestGrayLatchAndClear(t *testing.T) {
-	cfg := Defaults(time.Millisecond)
-	d := NewDetector(cfg)
+	d := NewDetector(Config{HeartbeatEvery: time.Millisecond})
 	now := time.Duration(0)
 	// Learn a ~5µs baseline.
 	for i := 0; i < 30; i++ {
@@ -96,7 +93,7 @@ func TestGrayLatchAndClear(t *testing.T) {
 	if v := d.VerdictFor(swA, now); v == Gray {
 		t.Fatal("gray latched after a single degraded probe")
 	}
-	for i := 0; i < cfg.GrayConfirm+2; i++ {
+	for i := 0; i < grayConfirm+2; i++ {
 		now += time.Millisecond
 		d.Heartbeat(swA, now, Payload{})
 		d.ProbeReply(swA, now, 200*time.Microsecond)
@@ -111,7 +108,7 @@ func TestGrayLatchAndClear(t *testing.T) {
 	if v := d.VerdictFor(swA, now); v != Gray {
 		t.Fatal("gray cleared after a single healthy probe")
 	}
-	for i := 0; i < cfg.GrayClear+2; i++ {
+	for i := 0; i < grayClear+2; i++ {
 		now += time.Millisecond
 		d.Heartbeat(swA, now, Payload{})
 		d.ProbeReply(swA, now, 5*time.Microsecond)
@@ -124,8 +121,7 @@ func TestGrayLatchAndClear(t *testing.T) {
 // TestGrayFromPayloadDrops: the heartbeat payload's drop counters alone
 // (no probes at all) flag sustained local loss.
 func TestGrayFromPayloadDrops(t *testing.T) {
-	cfg := Defaults(time.Millisecond)
-	d := NewDetector(cfg)
+	d := NewDetector(Config{HeartbeatEvery: time.Millisecond})
 	now := time.Duration(0)
 	drops, processed := uint64(0), uint64(0)
 	for i := 0; i < 20; i++ {
@@ -133,7 +129,7 @@ func TestGrayFromPayloadDrops(t *testing.T) {
 		processed += 100
 		d.Heartbeat(swA, now, Payload{Drops: drops, Processed: processed})
 	}
-	for i := 0; i < cfg.GrayConfirm+3; i++ {
+	for i := 0; i < grayConfirm+3; i++ {
 		now += time.Millisecond
 		processed += 60
 		drops += 40 // 40% local loss
@@ -147,8 +143,7 @@ func TestGrayFromPayloadDrops(t *testing.T) {
 // TestDeadFromTheStart: a tracked switch that never heartbeats accrues φ
 // from its Track time and is eventually declared fail-stop.
 func TestDeadFromTheStart(t *testing.T) {
-	cfg := Defaults(time.Millisecond)
-	d := NewDetector(cfg)
+	d := NewDetector(Config{HeartbeatEvery: time.Millisecond})
 	d.Track(swB, 0)
 	if v := d.VerdictFor(swB, msd(1)); v == FailStop {
 		t.Fatal("fail-stop after 1ms — too eager")
@@ -183,7 +178,7 @@ func TestPayloadRoundTrip(t *testing.T) {
 
 // TestSnapshotSorted pins the reconcile-input ordering (determinism).
 func TestSnapshotSorted(t *testing.T) {
-	d := NewDetector(Defaults(time.Millisecond))
+	d := NewDetector(Config{HeartbeatEvery: time.Millisecond})
 	d.Track(swB, 0)
 	d.Track(swA, 0)
 	snap := d.Snapshot(time.Millisecond)

@@ -51,7 +51,7 @@ func FuzzMonitorCore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		const hb = time.Millisecond
 		sws := []packet.Addr{packet.AddrFrom4(10, 0, 0, 1), packet.AddrFrom4(10, 0, 0, 2), packet.AddrFrom4(10, 0, 0, 3)}
-		det := NewDetector(Defaults(hb))
+		det := NewDetector(Config{HeartbeatEvery: hb})
 		c := NewCore(det, coreMon)
 
 		type probe struct {

@@ -16,7 +16,7 @@ import (
 func TestMonitorForgetStaysRetired(t *testing.T) {
 	const hb = 5 * time.Millisecond
 	sw := packet.AddrFrom4(10, 0, 0, 9)
-	det := NewDetector(Defaults(hb))
+	det := NewDetector(Config{HeartbeatEvery: hb})
 	mon, err := NewMonitor("127.0.0.1:0", coreMon, det)
 	if err != nil {
 		t.Fatal(err)

@@ -51,6 +51,16 @@ func (f *Frame) Serialize(buf []byte) ([]byte, error) {
 	return f.NC.SerializeTo(append(buf, c[:]...))
 }
 
+// PeekAddrs reads the virtual IP source/destination out of a serialized
+// frame without decoding it — a fault injector's partition matcher runs on
+// every egress frame and cannot afford a parse.
+func PeekAddrs(buf []byte) (src, dst Addr, ok bool) {
+	if len(buf) < CarrierLen {
+		return 0, 0, false
+	}
+	return Addr(binary.BigEndian.Uint32(buf[0:])), Addr(binary.BigEndian.Uint32(buf[4:])), true
+}
+
 // decode parses the frame at the front of data and returns its length.
 // The carrier's length must be exactly the carrier plus the NetChain
 // header it describes, so an accepted frame re-serializes to the bytes it

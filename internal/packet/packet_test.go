@@ -375,3 +375,46 @@ func BenchmarkFrameDecode(b *testing.B) {
 		}
 	}
 }
+
+// TestPeekAddrsMatchesDecode: a partition matcher's peek at a
+// serialized frame must read the source and destination the full decoder
+// does — for a query, a reply, and the first frame of a batch.
+func TestPeekAddrsMatchesDecode(t *testing.T) {
+	client, head, tail := AddrFrom4(10, 1, 0, 1), AddrFrom4(10, 0, 0, 1), AddrFrom4(10, 0, 0, 2)
+	nc := &NetChain{Op: kv.OpWrite, Key: kv.KeyFromString("peek"), Value: []byte("v")}
+	if err := nc.SetChain([]Addr{tail}); err != nil {
+		t.Fatal(err)
+	}
+	query, err := NewQuery(client, head, 5000, nc).Serialize(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rf := NewQuery(client, tail, 5000, nc)
+	rf.ToReply(kv.StatusOK)
+	reply, err := rf.Serialize(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		buf      []byte
+		src, dst Addr
+	}{
+		{"query", query, client, head},
+		{"reply", reply, tail, client},
+		{"batch", append(append([]byte(nil), reply...), query...), tail, client},
+	} {
+		var f Frame
+		if err := f.Decode(tc.buf); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		src, dst, ok := PeekAddrs(tc.buf)
+		if !ok || src != f.IP.Src || dst != f.IP.Dst || src != tc.src || dst != tc.dst {
+			t.Fatalf("%s: PeekAddrs = %v→%v ok=%v, Decode = %v→%v, want %v→%v",
+				tc.name, src, dst, ok, f.IP.Src, f.IP.Dst, tc.src, tc.dst)
+		}
+	}
+	if _, _, ok := PeekAddrs(query[:CarrierLen-1]); ok {
+		t.Fatal("PeekAddrs accepted a buffer shorter than the carrier")
+	}
+}

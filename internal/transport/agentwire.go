@@ -317,11 +317,37 @@ func serveAgentFrame(sw *core.Switch, req, out []byte) []byte {
 	return out
 }
 
-// agentServer is one switch's control endpoint: a TCP listener and the
-// connections accepted from it, all of which stop() closes and waits out.
-type agentServer struct {
-	sw *core.Switch
-	ln net.Listener
+// ServeAgent starts the control agent for a switch on bind and returns the
+// listener address and a stop function. stop closes the listener and every
+// accepted connection and returns once their goroutines have exited.
+func ServeAgent(sw *core.Switch, bind string) (net.Addr, func() error, error) {
+	return serveTCP(bind, func(conn net.Conn) { serveAgentConn(sw, conn) })
+}
+
+// serveAgentConn answers one connection's requests in order until the
+// peer hangs up, the stream loses framing, or the server closes it.
+func serveAgentConn(sw *core.Switch, conn net.Conn) {
+	// Buffered so a frame's prefix and body cost one read syscall.
+	r := bufio.NewReader(conn)
+	var in, out []byte
+	for {
+		var err error
+		if in, err = readAgentFrame(r, in); err != nil {
+			return
+		}
+		out = serveAgentFrame(sw, in, append(out[:0], 0, 0, 0, 0))
+		binary.BigEndian.PutUint32(out, uint32(len(out)-4))
+		if _, err := conn.Write(out); err != nil {
+			return
+		}
+	}
+}
+
+// tcpServer is a TCP listener and the connections accepted from it, all
+// of which stop closes and waits out.
+type tcpServer struct {
+	ln     net.Listener
+	handle func(net.Conn)
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -329,15 +355,16 @@ type agentServer struct {
 	wg     sync.WaitGroup // accept loop + one per live connection
 }
 
-// ServeAgent starts the control agent for a switch on bind and returns the
-// listener address and a stop function. stop closes the listener and every
-// accepted connection and returns once their goroutines have exited.
-func ServeAgent(sw *core.Switch, bind string) (net.Addr, func() error, error) {
+// serveTCP listens on bind and runs handle on each accepted connection,
+// one goroutine per connection. It returns the listener address and a
+// stop function that closes the listener and every accepted connection
+// and returns once their goroutines have exited.
+func serveTCP(bind string, handle func(net.Conn)) (net.Addr, func() error, error) {
 	ln, err := net.Listen("tcp", bind)
 	if err != nil {
 		return nil, nil, err
 	}
-	s := &agentServer{sw: sw, ln: ln, conns: make(map[net.Conn]struct{})}
+	s := &tcpServer{ln: ln, handle: handle, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.accept()
 	return ln.Addr(), s.stop, nil
@@ -345,7 +372,7 @@ func ServeAgent(sw *core.Switch, bind string) (net.Addr, func() error, error) {
 
 // accept serves each connection on its own goroutine until the listener
 // closes; a connection accepted after stop has run is closed unserved.
-func (s *agentServer) accept() {
+func (s *tcpServer) accept() {
 	defer s.wg.Done()
 	for {
 		conn, err := s.ln.Accept()
@@ -365,9 +392,7 @@ func (s *agentServer) accept() {
 	}
 }
 
-// serve answers one connection's requests in order until the peer hangs
-// up, the stream loses framing, or stop closes it.
-func (s *agentServer) serve(conn net.Conn) {
+func (s *tcpServer) serve(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
 		s.mu.Lock()
@@ -375,23 +400,10 @@ func (s *agentServer) serve(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	// Buffered so a frame's prefix and body cost one read syscall.
-	r := bufio.NewReader(conn)
-	var in, out []byte
-	for {
-		var err error
-		if in, err = readAgentFrame(r, in); err != nil {
-			return
-		}
-		out = serveAgentFrame(s.sw, in, append(out[:0], 0, 0, 0, 0))
-		binary.BigEndian.PutUint32(out, uint32(len(out)-4))
-		if _, err := conn.Write(out); err != nil {
-			return
-		}
-	}
+	s.handle(conn)
 }
 
-func (s *agentServer) stop() error {
+func (s *tcpServer) stop() error {
 	s.mu.Lock()
 	s.closed = true
 	err := s.ln.Close()

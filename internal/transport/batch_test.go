@@ -398,7 +398,7 @@ func TestRcvBufPlumbing(t *testing.T) {
 		t.Fatalf("RcvBufBytes = %d, want the kernel's readback > 0", node.Stats().RcvBufBytes)
 	}
 
-	det := health.NewDetector(health.Defaults(5 * time.Millisecond))
+	det := health.NewDetector(health.Config{HeartbeatEvery: 5 * time.Millisecond})
 	mon, err := health.NewMonitor("127.0.0.1:0", monAddr, det)
 	if err != nil {
 		t.Fatal(err)

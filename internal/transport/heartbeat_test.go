@@ -32,7 +32,7 @@ func TestHeartbeatsFeedMonitor(t *testing.T) {
 	defer node.Close()
 
 	const hb = 5 * time.Millisecond
-	det := health.NewDetector(health.Defaults(hb))
+	det := health.NewDetector(health.Config{HeartbeatEvery: hb})
 	mon, err := health.NewMonitor("127.0.0.1:0", monAddr, det)
 	if err != nil {
 		t.Fatal(err)

@@ -126,26 +126,14 @@ func (s *ControllerService) RemoveSwitch(args ResizeArgs, out *ResizeReply) erro
 
 // ServeControllerService starts the RPC endpoint for a caller-built
 // service — the controller binary wires the autopilot's Health hook into
-// the service before serving.
+// the service before serving. stop closes the listener and every accepted
+// connection and returns once their goroutines have exited.
 func ServeControllerService(svc *ControllerService, bind string) (net.Addr, func() error, error) {
 	srv := rpc.NewServer()
 	if err := srv.RegisterName("Controller", svc); err != nil {
 		return nil, nil, err
 	}
-	ln, err := net.Listen("tcp", bind)
-	if err != nil {
-		return nil, nil, err
-	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeConn(conn)
-		}
-	}()
-	return ln.Addr(), ln.Close, nil
+	return serveTCP(bind, func(conn net.Conn) { srv.ServeConn(conn) })
 }
 
 // DialDirectory returns a Directory backed by the controller RPC service.

@@ -1,7 +1,9 @@
 // Command netchain-controller runs the NetChain control plane (§5): it
 // owns the consistent-hash ring, allocates keys on chains (Insert),
-// serves route lookups to clients, and — on demand via its admin RPC —
-// performs fast failover and failure recovery.
+// serves route lookups to clients, and performs fast failover, failure
+// recovery and live add/remove-switch. It programs each switch over that
+// switch's agent connection and serves clients (netchainctl) on -rpc; both
+// speak the one framed binary control wire of internal/transport.
 //
 // Example:
 //
@@ -17,7 +19,6 @@ import (
 	"os"
 	"os/signal"
 	"slices"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -31,32 +32,61 @@ import (
 	"netchain/internal/transport"
 )
 
-type switchList []string
-
-func (p *switchList) String() string { return strings.Join(*p, ",") }
-func (p *switchList) Set(v string) error {
-	*p = append(*p, v)
-	return nil
-}
-
-func parseSwitch(spec string) (packet.Addr, *transport.WireAgent, error) {
-	parts := strings.SplitN(spec, "=", 2)
-	if len(parts) != 2 {
-		return 0, nil, fmt.Errorf("bad switch spec %q (want virtual=host:port)", spec)
-	}
-	va, err := packet.ParseAddr(parts[0])
-	if err != nil {
-		return 0, nil, err
-	}
-	agent, err := transport.DialAgent(parts[1])
-	if err != nil {
-		return 0, nil, err
-	}
-	return va, agent, nil
-}
-
 func main() {
-	rpcBind := flag.String("rpc", "127.0.0.1:9200", "TCP bind address for the client-facing RPC service")
+	// The agent registry is mutable at runtime: add-switch registers a
+	// switch while the controller is live (replacing, and hanging up on,
+	// any agent it already had), and remove-switch unregisters the drained
+	// one, which later failovers then no longer program. With -autopilot
+	// the health monitor watches exactly the registered switches: a
+	// drained switch powering off is retirement, not a failure.
+	var agentMu sync.RWMutex
+	agents := map[packet.Addr]*transport.WireAgent{}
+	var mon *health.Monitor
+	register := func(sw packet.Addr, agentAddr string) error {
+		ag, err := transport.DialAgent(agentAddr)
+		if err != nil {
+			return err
+		}
+		agentMu.Lock()
+		old := agents[sw]
+		agents[sw] = ag
+		agentMu.Unlock()
+		if old != nil {
+			old.Close()
+		}
+		if mon != nil {
+			mon.Watch(sw)
+		}
+		return nil
+	}
+	unregister := func(sw packet.Addr) {
+		agentMu.Lock()
+		ag := agents[sw]
+		delete(agents, sw)
+		agentMu.Unlock()
+		if ag != nil {
+			ag.Close()
+		}
+		if mon != nil {
+			mon.Forget(sw)
+		}
+	}
+	// -switch and -spare register each switch as they parse.
+	var memberAddrs, spareAddrs []packet.Addr
+	switchFlag := func(into *[]packet.Addr) func(string) error {
+		return func(spec string) error {
+			va, agentAddr, err := packet.ParseMapping(spec)
+			if err == nil {
+				err = register(va, agentAddr)
+			}
+			if err == nil {
+				*into = append(*into, va)
+			}
+			return err
+		}
+	}
+
+	rpcBind := flag.String("rpc", "127.0.0.1:9200", "TCP bind address for the client-facing controller service")
 	replicas := flag.Int("replicas", 3, "chain length f+1")
 	vnodes := flag.Int("vnodes", 100, "virtual nodes (groups) per switch")
 	autopilot := flag.Bool("autopilot", false, "self-healing: φ-accrual failure detection over switch heartbeats + autonomous failover/recovery/demotion")
@@ -68,35 +98,13 @@ func main() {
 	relayVaddr := flag.String("relay-vaddr", "10.255.0.2", "virtual NetChain address of the relay")
 	relayMcast := flag.Bool("relay-multicast", false, "fan events out over per-group UDP multicast instead of unicast leases (needs multicast routing to subscribers)")
 	debugAddr := flag.String("debug-addr", "", "HTTP bind for the metrics plane: /metrics (Prometheus text), /debug/vars (expvar), /debug/pprof (empty = disabled)")
-	var members, spares switchList
-	flag.Var(&members, "switch", "ring member: virtual=agent host:port (repeatable)")
-	flag.Var(&spares, "spare", "spare switch: virtual=agent host:port (repeatable); the autopilot recovers failed switches onto these")
+	flag.Func("switch", "ring member: virtual=agent host:port (repeatable)", switchFlag(&memberAddrs))
+	flag.Func("spare", "spare switch: virtual=agent host:port (repeatable); the autopilot recovers failed switches onto these", switchFlag(&spareAddrs))
 	flag.Parse()
 
-	if len(members) < *replicas {
+	if len(memberAddrs) < *replicas {
 		fmt.Fprintf(os.Stderr, "need at least %d -switch members\n", *replicas)
 		os.Exit(2)
-	}
-	// The agent registry is mutable at runtime: the add-switch admin verb
-	// registers new switches while the controller is live.
-	var agentMu sync.RWMutex
-	agents := map[packet.Addr]*transport.WireAgent{}
-	var memberAddrs, spareAddrs []packet.Addr
-	for _, spec := range members {
-		va, ag, err := parseSwitch(spec)
-		if err != nil {
-			log.Fatalf("netchain-controller: %v", err)
-		}
-		agents[va] = ag
-		memberAddrs = append(memberAddrs, va)
-	}
-	for _, spec := range spares {
-		va, ag, err := parseSwitch(spec)
-		if err != nil {
-			log.Fatalf("netchain-controller: %v", err)
-		}
-		agents[va] = ag
-		spareAddrs = append(spareAddrs, va)
 	}
 
 	r, err := ring.New(ring.Config{
@@ -131,17 +139,6 @@ func main() {
 		log.Fatalf("netchain-controller: %v", err)
 	}
 
-	register := func(sw packet.Addr, agentAddr string) error {
-		ag, err := transport.DialAgent(agentAddr)
-		if err != nil {
-			return err
-		}
-		agentMu.Lock()
-		agents[sw] = ag
-		agentMu.Unlock()
-		return nil
-	}
-
 	// Metrics plane: components register into one registry as they come
 	// up; -debug-addr exposes it (plus expvar and pprof) over HTTP.
 	reg := telemetry.NewRegistry()
@@ -149,7 +146,7 @@ func main() {
 
 	// Self-healing: health monitor (heartbeats in, probes out), φ-accrual
 	// detector, and the reconcile loop that repairs convicted switches.
-	svc := &transport.ControllerService{Ctl: ctl, Register: register}
+	svc := &transport.ControllerService{Ctl: ctl, Register: register, Unregister: unregister}
 	apLine := ""
 	if *autopilot {
 		mv, err := packet.ParseAddr(*monitorVaddr)
@@ -157,7 +154,7 @@ func main() {
 			log.Fatalf("netchain-controller: -monitor-vaddr: %v", err)
 		}
 		det := health.NewDetector(health.Config{HeartbeatEvery: *heartbeat})
-		mon, err := health.NewMonitor(*healthBind, mv, det)
+		mon, err = health.NewMonitor(*healthBind, mv, det)
 		if err != nil {
 			log.Fatalf("netchain-controller: %v", err)
 		}
@@ -181,18 +178,6 @@ func main() {
 				Switches: det.Snapshot(mon.Now()), Repairs: ap.History(), Demoted: ap.Demoted(),
 			}
 		}
-		// A drained switch powering off is retirement, not a failure:
-		// stop watching it. Re-adding one resumes the watch.
-		svc.Unregister = mon.Forget
-		baseRegister := register
-		register = func(sw packet.Addr, agentAddr string) error {
-			if err := baseRegister(sw, agentAddr); err != nil {
-				return err
-			}
-			mon.Watch(sw)
-			return nil
-		}
-		svc.Register = register
 		apLine = fmt.Sprintf(", autopilot on (health %v, %d spares)",
 			mon.Endpoint(), len(spareAddrs))
 	}

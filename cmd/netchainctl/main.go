@@ -1,6 +1,8 @@
 // Command netchainctl is the NetChain command-line client: it resolves
 // routes from the controller, then issues queries over UDP through a
-// gateway switch (the client agent of §3, as a tool).
+// gateway switch (the client agent of §3, as a tool). Every verb but top
+// opens one connection to the controller, on the framed binary control
+// wire of internal/transport, and makes all its controller calls on it.
 //
 // Examples:
 //
@@ -36,13 +38,9 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
-	"net/rpc"
-
-	"netchain/internal/health"
 	"netchain/internal/kv"
 	"netchain/internal/packet"
 	"netchain/internal/relay"
@@ -51,7 +49,7 @@ import (
 )
 
 func main() {
-	ctlAddr := flag.String("controller", "127.0.0.1:9200", "controller RPC address")
+	ctlAddr := flag.String("controller", "127.0.0.1:9200", "controller service address (netchain-controller -rpc)")
 	gateway := flag.String("gateway", "", "gateway switch: virtual=real UDP endpoint (required)")
 	clientAddr := flag.String("client", "10.1.0.1", "this client's virtual address")
 	bind := flag.String("bind", ":0", "local UDP bind address; switches must map the client's virtual address to it")
@@ -77,42 +75,41 @@ func main() {
 		return
 	}
 
-	// Membership and health verbs only need the controller; handle them
-	// before the UDP client plumbing.
-	if len(args) >= 1 && (args[0] == "add-switch" || args[0] == "remove-switch") {
-		if len(args) < 2 {
-			log.Fatalf("%s needs a switch argument", args[0])
-		}
-		if err := resizeViaController(*ctlAddr, args[0], args[1]); err != nil {
-			log.Fatalf("%s: %v", args[0], err)
-		}
-		fmt.Println("ok")
-		return
+	verb := ""
+	if len(args) >= 1 {
+		verb = args[0]
 	}
-	if len(args) >= 2 && args[0] == "cluster" && args[1] == "health" {
-		if err := clusterHealth(*ctlAddr); err != nil {
-			log.Fatalf("cluster health: %v", err)
-		}
-		return
+	if verb == "cluster" && len(args) >= 2 && args[1] == "health" {
+		verb = "cluster health"
 	}
-
-	if *gateway == "" || len(args) < 2 {
+	admin := verb == "add-switch" || verb == "remove-switch" || verb == "cluster health"
+	if !admin && (*gateway == "" || len(args) < 2) {
 		fmt.Fprintln(os.Stderr, "usage: netchainctl -gateway V=HOST:PORT [flags] {get|put|del|insert|lock|unlock} KEY [VALUE|OWNER]")
 		fmt.Fprintln(os.Stderr, "       netchainctl -controller HOST:PORT {add-switch V=AGENTHOST:PORT | remove-switch V}")
 		fmt.Fprintln(os.Stderr, "       netchainctl -controller HOST:PORT cluster health")
 		fmt.Fprintln(os.Stderr, "       netchainctl [-interval 1s] [-samples N] top DEBUGADDR...")
 		os.Exit(2)
 	}
-
-	parts := strings.SplitN(*gateway, "=", 2)
-	if len(parts) != 2 {
-		log.Fatal("netchainctl: -gateway must be virtual=host:port")
-	}
-	gwVirt, err := packet.ParseAddr(parts[0])
+	ctl, err := transport.DialController(*ctlAddr)
 	if err != nil {
 		log.Fatalf("netchainctl: %v", err)
 	}
-	gwReal, err := net.ResolveUDPAddr("udp", parts[1])
+	defer ctl.Close()
+
+	// Membership and health verbs only need the controller; handle them
+	// before the UDP client plumbing.
+	if admin {
+		if err := adminVerb(ctl, verb, args[1:]); err != nil {
+			log.Fatalf("%s: %v", verb, err)
+		}
+		return
+	}
+
+	gwVirt, gwHost, err := packet.ParseMapping(*gateway)
+	if err != nil {
+		log.Fatalf("netchainctl: -gateway: %v", err)
+	}
+	gwReal, err := net.ResolveUDPAddr("udp", gwHost)
 	if err != nil {
 		log.Fatalf("netchainctl: %v", err)
 	}
@@ -123,11 +120,6 @@ func main() {
 
 	book := transport.NewAddressBook()
 	book.Set(gwVirt, gwReal)
-	dir, closeDir, err := transport.DialDirectory(*ctlAddr)
-	if err != nil {
-		log.Fatalf("netchainctl: %v", err)
-	}
-	defer closeDir()
 	client, err := transport.NewClient(book, transport.ClientConfig{
 		Addr: myAddr, Gateway: gwVirt, Bind: *bind,
 	})
@@ -135,7 +127,7 @@ func main() {
 		log.Fatalf("netchainctl: %v", err)
 	}
 	defer client.Close()
-	ops := &transport.Ops{Client: client, Dir: dir}
+	ops := &transport.Ops{Client: client, Dir: ctl.Route}
 
 	cmd, key := args[0], kv.KeyFromString(args[1])
 	switch cmd {
@@ -170,11 +162,11 @@ func main() {
 	case "insert":
 		// Insert goes through the controller (§4.1): allocate the slot,
 		// then the key is writable.
-		rt, err := insertViaController(*ctlAddr, key)
+		rt, err := ctl.Insert(key)
 		if err != nil {
 			log.Fatalf("insert: %v", err)
 		}
-		fmt.Printf("ok (chain %v)\n", rt)
+		fmt.Printf("ok (chain %v)\n", rt.Hops)
 	case "lock", "unlock":
 		if len(args) < 3 {
 			log.Fatalf("%s needs an owner id", cmd)
@@ -198,81 +190,41 @@ func main() {
 	}
 }
 
-// resizeViaController drives the elastic membership verbs. add-switch
-// takes "virtual=agentHost:port" (the controller dials the new switch's
-// agent); remove-switch takes just the virtual address and blocks until
-// the drain completes.
-func resizeViaController(addr, verb, spec string) error {
-	var args transport.ResizeArgs
+// adminVerb runs a membership or health verb. add-switch takes
+// "virtual=agentHost:port" (the controller dials the new switch's agent);
+// remove-switch takes just the virtual address and blocks until the drain
+// completes; cluster health prints the controller's detector snapshot and
+// autopilot repair history (the controller must run with -autopilot).
+func adminVerb(ctl *transport.ControllerClient, verb string, args []string) error {
+	if verb == "cluster health" {
+		text, err := ctl.ClusterHealth()
+		fmt.Print(text)
+		return err
+	}
+	if len(args) < 1 {
+		return fmt.Errorf("needs a switch argument")
+	}
+	var n int
 	if verb == "add-switch" {
-		parts := strings.SplitN(spec, "=", 2)
-		if len(parts) != 2 {
-			return fmt.Errorf("add-switch wants virtual=agentHost:port, got %q", spec)
-		}
-		va, err := packet.ParseAddr(parts[0])
+		va, agentAddr, err := packet.ParseMapping(args[0])
 		if err != nil {
 			return err
 		}
-		args = transport.ResizeArgs{Switch: va, AgentAddr: parts[1]}
+		if n, err = ctl.AddSwitch(va, agentAddr); err != nil {
+			return err
+		}
 	} else {
-		va, err := packet.ParseAddr(spec)
+		va, err := packet.ParseAddr(args[0])
 		if err != nil {
 			return err
 		}
-		args = transport.ResizeArgs{Switch: va}
+		if n, err = ctl.RemoveSwitch(va); err != nil {
+			return err
+		}
 	}
-	c, err := dialRPC(addr)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	var rep transport.ResizeReply
-	method := map[string]string{"add-switch": "Controller.AddSwitch", "remove-switch": "Controller.RemoveSwitch"}[verb]
-	if err := c.Call(method, args, &rep); err != nil {
-		return err
-	}
-	fmt.Printf("migrated %d virtual groups\n", rep.GroupsMigrated)
+	fmt.Printf("migrated %d virtual groups\nok\n", n)
 	return nil
 }
-
-// clusterHealth renders the controller's detector snapshot and autopilot
-// repair history (requires the controller to run with -autopilot).
-func clusterHealth(addr string) error {
-	c, err := dialRPC(addr)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	var rep transport.HealthReport
-	if err := c.Call("Controller.ClusterHealth", transport.None{}, &rep); err != nil {
-		return err
-	}
-	fmt.Print(health.Table(rep.Switches, rep.Demoted))
-	if len(rep.Repairs) == 0 {
-		fmt.Println("repair history: empty")
-		return nil
-	}
-	fmt.Println("repair history:")
-	for _, ev := range rep.Repairs {
-		fmt.Println("  " + ev.String())
-	}
-	return nil
-}
-
-func insertViaController(addr string, k kv.Key) ([]packet.Addr, error) {
-	c, err := dialRPC(addr)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	var rep transport.RouteReply
-	if err := c.Call("Controller.Insert", k, &rep); err != nil {
-		return nil, err
-	}
-	return rep.Hops, nil
-}
-
-func dialRPC(addr string) (*rpc.Client, error) { return rpc.Dial("tcp", addr) }
 
 // watchKeys streams push events for keys to stdout until SIGINT: it
 // subscribes the watched virtual groups at the relay, resynchronizes on

@@ -19,7 +19,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -29,14 +28,6 @@ import (
 	"netchain/internal/telemetry"
 	"netchain/internal/transport"
 )
-
-type peerList []string
-
-func (p *peerList) String() string { return strings.Join(*p, ",") }
-func (p *peerList) Set(v string) error {
-	*p = append(*p, v)
-	return nil
-}
 
 func main() {
 	addrFlag := flag.String("addr", "", "virtual NetChain address of this switch, e.g. 10.0.0.1 (required)")
@@ -49,8 +40,14 @@ func main() {
 	heartbeat := flag.Duration("heartbeat", 100*time.Millisecond, "heartbeat cadence when -monitor is set")
 	relayFlag := flag.String("relay", "", "push-watch relay ingest: virtual=host:port — every applied mutation this switch commits publishes one event frame there")
 	debugAddr := flag.String("debug-addr", "", "HTTP bind for the metrics plane: /metrics (Prometheus text), /debug/vars (expvar), /debug/pprof (empty = disabled)")
-	var peers peerList
-	flag.Var(&peers, "peer", "virtual=real UDP endpoint of a peer (repeatable), e.g. 10.0.0.2=127.0.0.1:9002")
+	book := transport.NewAddressBook()
+	flag.Func("peer", "virtual=real UDP endpoint of a peer (repeatable), e.g. 10.0.0.2=127.0.0.1:9002", func(spec string) error {
+		va, ep, err := udpMapping(spec)
+		if err == nil {
+			book.Set(va, ep)
+		}
+		return err
+	})
 	flag.Parse()
 
 	if *addrFlag == "" {
@@ -68,22 +65,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("netchaind: %v", err)
 	}
-	book := transport.NewAddressBook()
-	for _, p := range peers {
-		parts := strings.SplitN(p, "=", 2)
-		if len(parts) != 2 {
-			log.Fatalf("netchaind: bad -peer %q (want virtual=host:port)", p)
-		}
-		va, err := packet.ParseAddr(parts[0])
-		if err != nil {
-			log.Fatalf("netchaind: peer %q: %v", p, err)
-		}
-		ep, err := net.ResolveUDPAddr("udp", parts[1])
-		if err != nil {
-			log.Fatalf("netchaind: peer %q: %v", p, err)
-		}
-		book.Set(va, ep)
-	}
 
 	node, err := transport.NewSwitchNode(sw, book, *udpBind,
 		transport.WithIngestSockets(*sockets),
@@ -97,17 +78,9 @@ func main() {
 	}
 	hb := ""
 	if *monitor != "" {
-		parts := strings.SplitN(*monitor, "=", 2)
-		if len(parts) != 2 {
-			log.Fatal("netchaind: -monitor must be virtual=host:port")
-		}
-		mv, err := packet.ParseAddr(parts[0])
+		mv, mep, err := udpMapping(*monitor)
 		if err != nil {
-			log.Fatalf("netchaind: monitor %q: %v", *monitor, err)
-		}
-		mep, err := net.ResolveUDPAddr("udp", parts[1])
-		if err != nil {
-			log.Fatalf("netchaind: monitor %q: %v", *monitor, err)
+			log.Fatalf("netchaind: -monitor: %v", err)
 		}
 		book.Set(mv, mep) // probe replies route back through the book
 		if err := node.StartHeartbeats(mv, *heartbeat); err != nil {
@@ -117,17 +90,9 @@ func main() {
 	}
 	ev := ""
 	if *relayFlag != "" {
-		parts := strings.SplitN(*relayFlag, "=", 2)
-		if len(parts) != 2 {
-			log.Fatal("netchaind: -relay must be virtual=host:port")
-		}
-		rv, err := packet.ParseAddr(parts[0])
+		rv, rep, err := udpMapping(*relayFlag)
 		if err != nil {
-			log.Fatalf("netchaind: relay %q: %v", *relayFlag, err)
-		}
-		rep, err := net.ResolveUDPAddr("udp", parts[1])
-		if err != nil {
-			log.Fatalf("netchaind: relay %q: %v", *relayFlag, err)
+			log.Fatalf("netchaind: -relay: %v", err)
 		}
 		node.SetEventSink(rv, rep)
 		ev = fmt.Sprintf(", events to %v (%v)", rv, rep)
@@ -151,4 +116,15 @@ func main() {
 	<-sig
 	stopRPC()
 	node.Close()
+}
+
+// udpMapping parses a virtual=host:port flag value and resolves its
+// endpoint.
+func udpMapping(spec string) (packet.Addr, *net.UDPAddr, error) {
+	va, hostport, err := packet.ParseMapping(spec)
+	if err != nil {
+		return 0, nil, err
+	}
+	ep, err := net.ResolveUDPAddr("udp", hostport)
+	return va, ep, err
 }

@@ -124,6 +124,12 @@ func TestEndToEndBinaries(t *testing.T) {
 		t.Fatalf("duplicate insert should fail, got %q", out)
 	}
 
+	// A controller without -autopilot refuses cluster health: the error
+	// frame must reach netchainctl's exit status and stderr.
+	if out, err := run("cluster", "health"); err == nil || !strings.Contains(out, "autopilot not enabled") {
+		t.Fatalf("cluster health without an autopilot: %v %q", err, out)
+	}
+
 	// Data plane: write through the chain, read from the tail.
 	out, err = run("put", "e2e/key", "hello-processes")
 	if err != nil {

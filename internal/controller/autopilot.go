@@ -218,7 +218,7 @@ func (a *Autopilot) Demoted() []packet.Addr {
 
 // historyCap bounds the repair log: a long-lived daemon retrying a
 // misconfigured repair at budget rate must not grow memory (and the
-// ClusterHealth RPC payload) without bound. The newest events win.
+// ClusterHealth reply) without bound. The newest events win.
 const historyCap = 512
 
 func (a *Autopilot) record(at time.Duration, sw packet.Addr, act RepairAction, detail string) {

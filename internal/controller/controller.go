@@ -25,6 +25,7 @@ import (
 	"netchain/internal/core"
 	"netchain/internal/kv"
 	"netchain/internal/packet"
+	"netchain/internal/query"
 	"netchain/internal/ring"
 )
 
@@ -126,10 +127,7 @@ func DefaultConfig() Config {
 // Route is what a client needs to reach a key: its virtual group and the
 // current chain (head first). Clients derive write packets (dst = head,
 // list = rest) and read packets (dst = tail, list = reversed rest).
-type Route struct {
-	Group uint16
-	Hops  []packet.Addr
-}
+type Route = query.Route
 
 // Controller is the NetChain control plane. It is assumed reliable
 // (replicated in practice, §3); a single instance here.

@@ -51,7 +51,7 @@ func chainWrite() (writeCount, error) {
 	}
 	h0 := d.Fab.Hosts[0]
 	ep := query.Endpoint{Addr: h0, Port: 4000}
-	f, err := query.NewWrite(ep, 1, query.Route{Group: rt.Group, Hops: rt.Hops}, k, kv.Value("x"))
+	f, err := query.NewWrite(ep, 1, rt, k, kv.Value("x"))
 	if err != nil {
 		return c, err
 	}

@@ -210,10 +210,7 @@ func (d *Deployment) NewController(ccfg controller.Config) error {
 
 // Directory returns an always-fresh route lookup backed by the controller.
 func (d *Deployment) Directory() simclient.Directory {
-	return func(k kv.Key) query.Route {
-		rt := d.Ctl.Route(k)
-		return query.Route{Group: rt.Group, Hops: rt.Hops}
-	}
+	return func(k kv.Key) query.Route { return d.Ctl.Route(k) }
 }
 
 // FrozenDirectory snapshots the current routes: clients keep using them
@@ -221,10 +218,7 @@ func (d *Deployment) Directory() simclient.Directory {
 // propagate slowly (§4.2) — the neighbor rules make stale routes work.
 func (d *Deployment) FrozenDirectory() simclient.Directory {
 	snap := d.Ctl.Routes()
-	return func(k kv.Key) query.Route {
-		rt := snap[uint16(d.Ring.GroupForKey(k))]
-		return query.Route{Group: rt.Group, Hops: rt.Hops}
-	}
+	return func(k kv.Key) query.Route { return snap[uint16(d.Ring.GroupForKey(k))] }
 }
 
 // Preload inserts k through the control plane and writes val straight

@@ -62,7 +62,7 @@ func (w *phiWindow) stddev() float64 {
 }
 
 // phiCap bounds the suspicion level so a long-dead switch reports a large
-// finite φ instead of +Inf (which would poison JSON/RPC marshalling).
+// finite φ instead of +Inf (which would poison JSON marshalling).
 const phiCap = 30.0
 
 // phi is the accrual suspicion level after elapsed silence, given the

@@ -484,7 +484,6 @@ func (c *Cluster) NewClient(gateway int) (*transport.Ops, error) {
 	}
 	return &transport.Ops{Client: tc, Dir: func(k kv.Key) (query.Route, error) {
 		// An empty chain surfaces as kv.ErrUnavailable when the frame is built.
-		rt := c.ctl.Route(k)
-		return query.Route{Group: rt.Group, Hops: rt.Hops}, nil
+		return c.ctl.Route(k), nil
 	}}, nil
 }

@@ -15,6 +15,7 @@ package packet
 import (
 	"fmt"
 	"net/netip"
+	"strings"
 )
 
 // Addr is an IPv4 address in host integer form. Switches, hosts and the
@@ -37,6 +38,21 @@ func ParseAddr(s string) (Addr, error) {
 	}
 	b := ip.As4()
 	return AddrFrom4(b[0], b[1], b[2], b[3]), nil
+}
+
+// ParseMapping parses a "virtual=host:port" spec — the form every CLI
+// flag that maps a virtual address onto a real endpoint takes — into the
+// virtual address and the endpoint text, which it leaves unresolved.
+func ParseMapping(spec string) (Addr, string, error) {
+	virt, hostport, ok := strings.Cut(spec, "=")
+	if !ok || hostport == "" {
+		return 0, "", fmt.Errorf("packet: %q is not virtual=host:port", spec)
+	}
+	a, err := ParseAddr(virt)
+	if err != nil {
+		return 0, "", err
+	}
+	return a, hostport, nil
 }
 
 // MustParseAddr is ParseAddr that panics on error; for tests and tables.

@@ -31,6 +31,28 @@ func TestAddrRoundTrip(t *testing.T) {
 	}
 }
 
+func TestParseMapping(t *testing.T) {
+	for _, c := range []struct {
+		spec, host string
+		addr       Addr
+		ok         bool
+	}{
+		{"10.0.0.1=127.0.0.1:9001", "127.0.0.1:9001", AddrFrom4(10, 0, 0, 1), true},
+		{"10.0.0.1=[::1]:9001", "[::1]:9001", AddrFrom4(10, 0, 0, 1), true},
+		{"10.0.0.1", "", 0, false},              // no '='
+		{"10.0.0.1:9001", "", 0, false},         // no '='
+		{"10.0.0=127.0.0.1:9001", "", 0, false}, // bad virtual address
+		{"::1=127.0.0.1:9001", "", 0, false},    // virtual address not IPv4
+		{"=127.0.0.1:9001", "", 0, false},       // empty virtual address
+		{"10.0.0.1=", "", 0, false},             // empty host:port
+	} {
+		a, host, err := ParseMapping(c.spec)
+		if (err == nil) != c.ok || a != c.addr || host != c.host {
+			t.Errorf("ParseMapping(%q) = %v, %q, %v; want %v, %q, ok=%v", c.spec, a, host, err, c.addr, c.host, c.ok)
+		}
+	}
+}
+
 func TestAddrParseProperty(t *testing.T) {
 	f := func(v uint32) bool {
 		a := Addr(v)

@@ -20,7 +20,8 @@ import (
 	"netchain/internal/packet"
 )
 
-// Route mirrors controller.Route without importing it (group + chain).
+// Route is a key's virtual group and its chain, head first: the
+// controller hands it out (controller.Route) and every call is built from it.
 type Route struct {
 	Group uint16
 	Hops  []packet.Addr

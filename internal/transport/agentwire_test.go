@@ -18,6 +18,7 @@ import (
 	"netchain/internal/core"
 	"netchain/internal/kv"
 	"netchain/internal/packet"
+	"netchain/internal/query"
 	"netchain/internal/ring"
 	"netchain/internal/swsim"
 )
@@ -280,7 +281,7 @@ func TestAgentFrameRejects(t *testing.T) {
 	// key) is an error too, but not this test's kind.
 	status := func(req []byte) byte {
 		t.Helper()
-		resp := serveAgentFrame(agentTestSwitch(t, 1), req, nil)
+		resp := answer(req, nil, agentVerbs(agentTestSwitch(t, 1)))
 		if len(resp) == 0 {
 			t.Fatalf("request %x produced an empty response", req)
 		}
@@ -388,10 +389,10 @@ func TestAgentFrameRejects(t *testing.T) {
 	}
 }
 
-// FuzzAgentFrame feeds arbitrary bytes to the agent as a request stream and
-// to the controller-side decoders as a reply body: garbage must come back
-// as error frames or a closed stream, never a panic, and no frame buffer
-// may outgrow what actually arrived.
+// FuzzAgentFrame feeds arbitrary bytes to the agent as a request stream, to
+// the controller service's request decoders and to both clients' reply
+// decoders: garbage must come back as error frames or a closed stream,
+// never a panic, and no frame buffer may outgrow what actually arrived.
 func FuzzAgentFrame(f *testing.F) {
 	for _, req := range agentRequests(f) {
 		whole := append(binary.BigEndian.AppendUint32(nil, uint32(len(req))), req...)
@@ -408,6 +409,9 @@ func FuzzAgentFrame(f *testing.F) {
 	}
 	f.Add(binary.BigEndian.AppendUint32(nil, maxAgentFrame))
 	f.Add(binary.BigEndian.AppendUint32(nil, 0))
+	f.Add(appendRoute(nil, query.Route{Group: 3, Hops: []packet.Addr{packet.AddrFrom4(10, 0, 0, 1), packet.AddrFrom4(10, 0, 0, 2)}}))
+	key := kv.KeyFromUint64(9)
+	f.Add(append(key[:], 10, 0, 0, 5, 0, 3, 'a', ':', '1'))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sw, err := core.NewSwitch(packet.AddrFrom4(10, 0, 0, 1),
@@ -416,6 +420,7 @@ func FuzzAgentFrame(f *testing.F) {
 			t.Fatal(err)
 		}
 		r := bytes.NewReader(data)
+		exec := agentVerbs(sw)
 		var in, out []byte
 		// A bounded number of frames per input: the rule table is
 		// copy-on-write, so a long run of InstallRule frames is quadratic
@@ -424,7 +429,7 @@ func FuzzAgentFrame(f *testing.F) {
 			if in, err = readAgentFrame(r, in); err != nil {
 				break
 			}
-			out = serveAgentFrame(sw, in, out[:0])
+			out = answer(in, out[:0], exec)
 			if len(out) == 0 || (out[0] != agentOK && out[0] != agentErr) {
 				t.Fatalf("request %x: malformed response %x", in, out)
 			}
@@ -435,6 +440,20 @@ func FuzzAgentFrame(f *testing.F) {
 		d := agentDec{b: data}
 		d.items()
 		d.keys()
+		_ = d.end()
+		// Controller requests (key; switch | agent address) and replies
+		// (route; group count). A lying length or count allocates nothing
+		// the input does not hold.
+		d = agentDec{b: data}
+		d.key()
+		d.u32()
+		d.str()
+		_ = d.end()
+		d = agentDec{b: data}
+		if rt := d.route(); cap(rt.Hops)*4 > len(data) {
+			t.Fatalf("route of %d hops decoded from %d bytes", cap(rt.Hops), len(data))
+		}
+		d.u32()
 		_ = d.end()
 	})
 }

@@ -8,8 +8,8 @@ import (
 	"netchain/internal/query"
 )
 
-// Directory resolves a key to its current route (usually backed by the
-// controller's RPC service; static for fixed deployments).
+// Directory resolves a key to its current route (usually a
+// ControllerClient's Route; static for fixed deployments).
 type Directory func(k kv.Key) (query.Route, error)
 
 // Ops binds a Client to a Directory, providing the key-value API the

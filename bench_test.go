@@ -20,7 +20,6 @@ import (
 	"netchain/internal/mc"
 	"netchain/internal/packet"
 	"netchain/internal/swsim"
-	"netchain/internal/zkkv"
 )
 
 func quickOpts() experiments.ThroughputOpts {
@@ -531,27 +530,4 @@ func BenchmarkLocalClusterSeedWrites(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*keys), "µs/write")
-}
-
-// BenchmarkZKKVWriteLatency: one quorum write through the real TCP
-// baseline ensemble on loopback — compare with BenchmarkRealUDPWriteLatency.
-func BenchmarkZKKVWriteLatency(b *testing.B) {
-	addrs, stop, err := zkkv.StartEnsemble(3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer stop()
-	c, err := zkkv.Dial(addrs[0], addrs[1:]...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	k := kv.KeyFromString("bench")
-	v := kv.Value("0123456789abcdef")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Write(k, v); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

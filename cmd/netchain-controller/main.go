@@ -18,8 +18,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"slices"
-	"sync"
 	"syscall"
 	"time"
 
@@ -27,59 +25,25 @@ import (
 	"netchain/internal/health"
 	"netchain/internal/packet"
 	"netchain/internal/relay"
-	"netchain/internal/ring"
 	"netchain/internal/telemetry"
 	"netchain/internal/transport"
 )
 
 func main() {
-	// The agent registry is mutable at runtime: add-switch registers a
-	// switch while the controller is live (replacing, and hanging up on,
-	// any agent it already had), and remove-switch unregisters the drained
-	// one, which later failovers then no longer program. With -autopilot
-	// the health monitor watches exactly the registered switches: a
-	// drained switch powering off is retirement, not a failure.
-	var agentMu sync.RWMutex
-	agents := map[packet.Addr]*transport.WireAgent{}
-	var mon *health.Monitor
-	register := func(sw packet.Addr, agentAddr string) error {
-		ag, err := transport.DialAgent(agentAddr)
-		if err != nil {
-			return err
-		}
-		agentMu.Lock()
-		old := agents[sw]
-		agents[sw] = ag
-		agentMu.Unlock()
-		if old != nil {
-			old.Close()
-		}
-		if mon != nil {
-			mon.Watch(sw)
-		}
-		return nil
-	}
-	unregister := func(sw packet.Addr) {
-		agentMu.Lock()
-		ag := agents[sw]
-		delete(agents, sw)
-		agentMu.Unlock()
-		if ag != nil {
-			ag.Close()
-		}
-		if mon != nil {
-			mon.Forget(sw)
-		}
-	}
-	// -switch and -spare register each switch as they parse.
+	// The agent registry: -switch and -spare register switches as they
+	// parse, add-switch and remove-switch change it live, and under
+	// -autopilot the health monitor watches exactly its switches.
+	var agents controller.Agents
 	var memberAddrs, spareAddrs []packet.Addr
 	switchFlag := func(into *[]packet.Addr) func(string) error {
 		return func(spec string) error {
 			va, agentAddr, err := packet.ParseMapping(spec)
+			var ag *transport.WireAgent
 			if err == nil {
-				err = register(va, agentAddr)
+				ag, err = transport.DialAgent(agentAddr)
 			}
 			if err == nil {
+				agents.Set(va, ag)
 				*into = append(*into, va)
 			}
 			return err
@@ -102,39 +66,7 @@ func main() {
 	flag.Func("spare", "spare switch: virtual=agent host:port (repeatable); the autopilot recovers failed switches onto these", switchFlag(&spareAddrs))
 	flag.Parse()
 
-	if len(memberAddrs) < *replicas {
-		fmt.Fprintf(os.Stderr, "need at least %d -switch members\n", *replicas)
-		os.Exit(2)
-	}
-
-	r, err := ring.New(ring.Config{
-		VNodesPerSwitch: *vnodes, Replicas: *replicas, Seed: 0x6e63,
-	}, memberAddrs)
-	if err != nil {
-		log.Fatalf("netchain-controller: %v", err)
-	}
-	cfg := controller.DefaultConfig()
-	cfg.SyncPerItem = 0 // the real agent channel takes real time
-	ctl, err := controller.New(cfg, r, controller.WallClock{},
-		func(a packet.Addr) (controller.Agent, bool) {
-			agentMu.RLock()
-			defer agentMu.RUnlock()
-			ag, ok := agents[a]
-			return ag, ok
-		},
-		func(failed packet.Addr) []packet.Addr {
-			// On a flat deployment every live switch is programmed as a
-			// "neighbor" — a safe superset of the physical neighbor set.
-			agentMu.RLock()
-			defer agentMu.RUnlock()
-			var out []packet.Addr
-			for a := range agents {
-				if a != failed {
-					out = append(out, a)
-				}
-			}
-			return out
-		})
+	ctl, err := controller.NewLive(controller.DefaultConfig(), *vnodes, *replicas, memberAddrs, &agents)
 	if err != nil {
 		log.Fatalf("netchain-controller: %v", err)
 	}
@@ -146,7 +78,8 @@ func main() {
 
 	// Self-healing: health monitor (heartbeats in, probes out), φ-accrual
 	// detector, and the reconcile loop that repairs convicted switches.
-	svc := &transport.ControllerService{Ctl: ctl, Register: register, Unregister: unregister}
+	svc := &transport.ControllerService{Ctl: ctl, Agents: &agents,
+		Dial: func(addr string) (controller.Agent, error) { return transport.DialAgent(addr) }}
 	apLine := ""
 	if *autopilot {
 		mv, err := packet.ParseAddr(*monitorVaddr)
@@ -154,17 +87,12 @@ func main() {
 			log.Fatalf("netchain-controller: -monitor-vaddr: %v", err)
 		}
 		det := health.NewDetector(health.Config{HeartbeatEvery: *heartbeat})
-		mon, err = health.NewMonitor(*healthBind, mv, det)
+		mon, err := health.NewMonitor(*healthBind, mv, det)
 		if err != nil {
 			log.Fatalf("netchain-controller: %v", err)
 		}
 		defer mon.Close()
-		// Watch every known switch up front so one that dies (or was
-		// misconfigured) before its first heartbeat still accrues
-		// suspicion from silence and gets repaired.
-		for _, sw := range slices.Concat(memberAddrs, spareAddrs) {
-			mon.Watch(sw)
-		}
+		agents.Follow(mon) // so a switch silent from boot still accrues suspicion
 		mon.StartProbes()
 		mon.RegisterMetrics(reg)
 		ap = controller.NewAutopilot(ctl, det, controller.WallClock{}, mon.Now,
@@ -221,7 +149,7 @@ func main() {
 		log.Fatalf("netchain-controller: %v", err)
 	}
 	fmt.Printf("netchain-controller: rpc %v, %d members, %d groups, replicas=%d%s%s%s\n",
-		addr, len(memberAddrs), r.Groups(), *replicas, apLine, relayLine, dbgLine)
+		addr, len(memberAddrs), ctl.Ring().Groups(), *replicas, apLine, relayLine, dbgLine)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

@@ -234,6 +234,11 @@ func TestEndToEndBinaries(t *testing.T) {
 	if out, err = run("put", "e2e/elastic", "before-resize"); err != nil {
 		t.Fatalf("put elastic: %v\n%s", err, out)
 	}
+	// A member named with the spare's agent is refused, and must leave the
+	// member's own agent in place for every step below.
+	if out, err = run("add-switch", "10.0.0.2=127.0.0.1:19104"); err == nil {
+		t.Fatalf("add-switch of ring member 10.0.0.2 succeeded: %q", out)
+	}
 	if out, err = run("add-switch", "10.0.0.4=127.0.0.1:19104"); err != nil || !strings.Contains(out, "migrated") {
 		t.Fatalf("add-switch: %v %q", err, out)
 	}

@@ -1,9 +1,11 @@
 // Distributed-lock: the fast-locking use case of §1 — in-memory
 // transaction systems need to take and release locks at microsecond
-// timescales. Workers contend for exclusive locks through NetChain
-// compare-and-swap queries and through the ZooKeeper-style TCP baseline,
-// and the example reports both lock-op latency distributions: the gap is
-// the paper's core claim in miniature.
+// timescales. Workers contend for one exclusive lock through NetChain
+// compare-and-swap queries, and the example reports the lock-op latency.
+// Every holder runs a critical section that a second, simultaneous holder
+// would corrupt, so the run also checks mutual exclusion. The comparison
+// with a ZooKeeper-style server-based lock service is the Fig. 11 row
+// (go run ./cmd/benchrunner -exp fig11, backed by internal/zab).
 package main
 
 import (
@@ -11,13 +13,12 @@ import (
 	"io"
 	"log"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"netchain"
-	"netchain/internal/kv"
-	"netchain/internal/zkkv"
 )
 
 func main() {
@@ -28,46 +29,37 @@ func main() {
 
 func run(out io.Writer, workers, opsPerWorker int) error {
 	fmt.Fprintln(out, "== NetChain CAS locks (software chain over UDP) ==")
-	ncHold, ncLat, err := runNetChain(workers, opsPerWorker)
+	granted, counter, lat, err := runNetChain(workers, opsPerWorker)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "lock/unlock round trips: %d, mean latency %v, max holders seen: %d (must be 1)\n\n",
-		workers*opsPerWorker, ncLat, ncHold)
-	if ncHold > 1 {
-		return fmt.Errorf("netchain mutual exclusion violated: %d simultaneous holders", ncHold)
+	fmt.Fprintf(out, "lock/unlock round trips: %d, mean latency %v\n", workers*opsPerWorker, lat)
+	fmt.Fprintf(out, "granted acquires: %d, critical-section counter: %d (must be equal)\n", granted, counter)
+	if granted == 0 {
+		return fmt.Errorf("no acquire was granted")
 	}
-
-	fmt.Fprintln(out, "== Baseline: leader-quorum locks over TCP (ZooKeeper-style) ==")
-	zkHold, zkLat, err := runBaseline(workers, opsPerWorker)
-	if err != nil {
-		return err
+	if counter != granted {
+		return fmt.Errorf("mutual exclusion violated: %d granted acquires left the counter at %d", granted, counter)
 	}
-	fmt.Fprintf(out, "lock/unlock round trips: %d, mean latency %v, max holders seen: %d (must be 1)\n\n",
-		workers*opsPerWorker, zkLat, zkHold)
-	if zkHold > 1 {
-		return fmt.Errorf("baseline mutual exclusion violated: %d simultaneous holders", zkHold)
-	}
-
-	fmt.Fprintf(out, "latency ratio baseline/netchain: %.1fx\n", float64(zkLat)/float64(ncLat))
 	return nil
 }
 
-// runNetChain contends workers on one lock via CAS and returns the maximum
-// simultaneous holders observed (mutual exclusion check) plus mean
-// acquire latency.
-func runNetChain(workers, opsPerWorker int) (int, time.Duration, error) {
+// runNetChain contends workers on one lock via CAS. Each holder increments
+// a shared counter as a non-atomic read-yield-write, so two overlapping
+// holders lose an increment. It returns the granted acquires, the final
+// counter and the mean acquire latency.
+func runNetChain(workers, opsPerWorker int) (granted, counter int64, mean time.Duration, err error) {
 	cluster, err := netchain.StartLocalCluster(netchain.ClusterConfig{})
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	defer cluster.Close()
 	lock := netchain.KeyFromString("locks/hot")
 	if err := cluster.Insert(lock); err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 
-	var holders, maxHolders atomic.Int64
+	var grants, shared atomic.Int64
 	var total atomic.Int64 // nanoseconds across acquires
 	var wg sync.WaitGroup
 	for w := 1; w <= workers; w++ {
@@ -87,11 +79,10 @@ func runNetChain(workers, opsPerWorker int) (int, time.Duration, error) {
 				if err != nil || !ok {
 					continue // contended: try again
 				}
-				h := holders.Add(1)
-				if h > maxHolders.Load() {
-					maxHolders.Store(h)
-				}
-				holders.Add(-1)
+				grants.Add(1)
+				v := shared.Load()
+				runtime.Gosched()
+				shared.Store(v + 1)
 				if _, err := client.Release(lock, owner); err != nil {
 					log.Print(err)
 				}
@@ -99,47 +90,5 @@ func runNetChain(workers, opsPerWorker int) (int, time.Duration, error) {
 		}(uint64(w))
 	}
 	wg.Wait()
-	return int(maxHolders.Load()), time.Duration(total.Load() / int64(workers*opsPerWorker)), nil
-}
-
-func runBaseline(workers, opsPerWorker int) (int, time.Duration, error) {
-	addrs, stop, err := zkkv.StartEnsemble(3)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer stop()
-	client, err := zkkv.Dial(addrs[0], addrs[1:]...)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer client.Close()
-	lock := kv.KeyFromString("locks/hot")
-
-	var holders, maxHolders atomic.Int64
-	var total atomic.Int64
-	var wg sync.WaitGroup
-	for w := 1; w <= workers; w++ {
-		wg.Add(1)
-		go func(owner uint64) {
-			defer wg.Done()
-			for i := 0; i < opsPerWorker; i++ {
-				start := time.Now()
-				ok, err := client.Acquire(lock, owner)
-				total.Add(int64(time.Since(start)))
-				if err != nil || !ok {
-					continue
-				}
-				h := holders.Add(1)
-				if h > maxHolders.Load() {
-					maxHolders.Store(h)
-				}
-				holders.Add(-1)
-				if _, err := client.Release(lock, owner); err != nil {
-					log.Print(err)
-				}
-			}
-		}(uint64(w))
-	}
-	wg.Wait()
-	return int(maxHolders.Load()), time.Duration(total.Load() / int64(workers*opsPerWorker)), nil
+	return grants.Load(), shared.Load(), time.Duration(total.Load() / int64(workers*opsPerWorker)), nil
 }

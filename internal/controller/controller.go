@@ -195,6 +195,23 @@ func New(cfg Config, r *ring.Ring, sched Scheduler,
 	return c, nil
 }
 
+// RingSeed salts the ring of every live deployment (netchain-controller
+// and localcluster), so the same members place keys the same way in both.
+const RingSeed = 0x6e63
+
+// NewLive builds a live deployment's controller on wall-clock time over a
+// ring of members salted with RingSeed, programming switches through
+// agents. State copies take the agent channel's real time, so
+// cfg.SyncPerItem is overridden to 0.
+func NewLive(cfg Config, vnodes, replicas int, members []packet.Addr, agents *Agents) (*Controller, error) {
+	r, err := ring.New(ring.Config{VNodesPerSwitch: vnodes, Replicas: replicas, Seed: RingSeed}, members)
+	if err != nil {
+		return nil, err
+	}
+	cfg.SyncPerItem = 0
+	return New(cfg, r, WallClock{}, agents.Get, agents.Neighbors)
+}
+
 // Ring exposes the partitioning state (read-only use).
 func (c *Controller) Ring() *ring.Ring { return c.ring }
 

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"netchain/internal/controller"
 	"netchain/internal/core"
 	"netchain/internal/kv"
 	"netchain/internal/packet"
@@ -85,7 +86,7 @@ func newTraceCluster(col *trace.Collector, sampleRate float64) (*traceCluster, e
 		}
 		c.nodes = append(c.nodes, node)
 	}
-	r, err := ring.New(ring.Config{VNodesPerSwitch: 4, Replicas: 3, Seed: 0x6e63}, addrs)
+	r, err := ring.New(ring.Config{VNodesPerSwitch: 4, Replicas: 3, Seed: controller.RingSeed}, addrs)
 	if err != nil {
 		c.Close()
 		return nil, err

@@ -21,7 +21,6 @@ import (
 	"netchain/internal/packet"
 	"netchain/internal/query"
 	"netchain/internal/relay"
-	"netchain/internal/ring"
 	"netchain/internal/swsim"
 	"netchain/internal/transport"
 )
@@ -93,29 +92,22 @@ type Cluster struct {
 	cfg      Config
 	book     *transport.AddressBook
 	ctl      *controller.Controller
+	registry controller.Agents // each switch's in-process agent
 	relaySrv *relay.Server
 	nextCl   byte
 
-	// mu guards the mutable topology: AddSwitch/RemoveSwitch run while the
-	// controller resolves agents from its own goroutines.
-	mu     sync.RWMutex
-	nodes  []*transport.SwitchNode
-	agents map[packet.Addr]controller.Agent
-	stops  []func() error
+	// mu guards the mutable topology: AddSwitch, RemoveSwitch and
+	// RestartRelay change it while other verbs read it.
+	mu    sync.RWMutex
+	nodes []*transport.SwitchNode
+	stops []func() error
 }
 
 // Start boots a cluster. The first cfg.Replicas switches are ring members;
 // the rest are spares available to Recover.
 func Start(cfg Config) (*Cluster, error) {
 	cfg.defaults()
-	if cfg.Switches < cfg.Replicas {
-		return nil, fmt.Errorf("netchain: %d switches cannot host %d replicas", cfg.Switches, cfg.Replicas)
-	}
-	cl := &Cluster{
-		cfg:    cfg,
-		book:   transport.NewAddressBook(),
-		agents: make(map[packet.Addr]controller.Agent),
-	}
+	cl := &Cluster{cfg: cfg, book: transport.NewAddressBook()}
 	// The push-watch relay tier boots first so every switch node can point
 	// its event sink at it from birth.
 	rs, err := cl.startRelay("127.0.0.1:0")
@@ -142,39 +134,12 @@ func Start(cfg Config) (*Cluster, error) {
 			members = append(members, addr)
 		}
 	}
-	r, err := ring.New(ring.Config{
-		VNodesPerSwitch: cfg.VNodesPerSwitch, Replicas: cfg.Replicas, Seed: 0x6e63,
-	}, members)
+	cl.ctl, err = controller.NewLive(controller.Config{RuleDelay: time.Millisecond},
+		cfg.VNodesPerSwitch, cfg.Replicas, members, &cl.registry)
 	if err != nil {
 		cl.Close()
 		return nil, err
 	}
-	ctlCfg := controller.DefaultConfig()
-	ctlCfg.RuleDelay = time.Millisecond
-	ctlCfg.SyncPerItem = 0
-	ctl, err := controller.New(ctlCfg, r, controller.WallClock{},
-		func(a packet.Addr) (controller.Agent, bool) {
-			cl.mu.RLock()
-			defer cl.mu.RUnlock()
-			ag, ok := cl.agents[a]
-			return ag, ok
-		},
-		func(failed packet.Addr) []packet.Addr {
-			cl.mu.RLock()
-			defer cl.mu.RUnlock()
-			var out []packet.Addr
-			for a := range cl.agents {
-				if a != failed {
-					out = append(out, a)
-				}
-			}
-			return out
-		})
-	if err != nil {
-		cl.Close()
-		return nil, err
-	}
-	cl.ctl = ctl
 	return cl, nil
 }
 
@@ -224,7 +189,7 @@ func (c *Cluster) bootSwitch() (packet.Addr, error) {
 	}
 	c.nodes = append(c.nodes, node)
 	c.stops = append(c.stops, node.Close)
-	c.agents[addr] = controller.LocalAgent{Switch: sw} // no nemesis: see Config.Faults
+	c.registry.Set(addr, controller.LocalAgent{Switch: sw}) // no nemesis: see Config.Faults
 	return addr, nil
 }
 
@@ -436,9 +401,7 @@ func (c *Cluster) RemoveSwitch(i int) error {
 	if err := await(done, 60*time.Second, "scale-in"); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	delete(c.agents, addr)
-	c.mu.Unlock()
+	c.registry.Delete(addr)
 	return node.Close()
 }
 

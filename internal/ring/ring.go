@@ -28,11 +28,6 @@ type Config struct {
 	Seed uint64
 }
 
-// DefaultConfig mirrors the paper's testbed: 3-way replication.
-func DefaultConfig() Config {
-	return Config{VNodesPerSwitch: 100, Replicas: 3, Seed: 0x6e6574636861696e}
-}
-
 // vnode is one position on the ring.
 type vnode struct {
 	point uint64      // position on the ring
@@ -329,13 +324,6 @@ func (r *Ring) IsMember(sw packet.Addr) bool {
 		}
 	}
 	return false
-}
-
-// AddSwitch admits a new switch and gives it its own virtual nodes (new
-// switch onboarding is handled like failure recovery, §5 overview).
-func (r *Ring) AddSwitch(sw packet.Addr) error {
-	_, err := r.Resize([]packet.Addr{sw}, nil)
-	return err
 }
 
 // ---------------------------------------------------------------------------

@@ -191,10 +191,10 @@ func TestAddSwitch(t *testing.T) {
 	r, _ := New(Config{VNodesPerSwitch: 10, Replicas: 3, Seed: 5}, sw)
 	groupsBefore := r.Groups()
 	nw := packet.AddrFrom4(10, 0, 0, 99)
-	if err := r.AddSwitch(nw); err != nil {
+	if _, err := r.Resize([]packet.Addr{nw}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.AddSwitch(nw); err == nil {
+	if _, err := r.Resize([]packet.Addr{nw}, nil); err == nil {
 		t.Fatal("double add must error")
 	}
 	if r.Groups() != groupsBefore+10 {

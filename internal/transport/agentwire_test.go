@@ -560,7 +560,7 @@ func TestAgentRoundTripCounts(t *testing.T) {
 	recoverTrips := func(nkeys int) [4]int64 {
 		var addrs [4]packet.Addr
 		var trips [4]atomic.Int64
-		agents := map[packet.Addr]controller.Agent{}
+		var agents controller.Agents
 		sws := map[packet.Addr]*core.Switch{}
 		for i := range addrs {
 			addrs[i] = packet.AddrFrom4(10, 0, 0, byte(i+1))
@@ -569,7 +569,7 @@ func TestAgentRoundTripCounts(t *testing.T) {
 			a, _ := openTCPAgentWrapped(t, sw, func(c net.Conn) net.Conn {
 				return countingConn{Conn: c, trips: &trips[i]}
 			})
-			agents[addrs[i]] = a
+			agents.Set(addrs[i], a)
 		}
 		snapshot := func() (out [4]int64) {
 			for i := range trips {
@@ -583,17 +583,7 @@ func TestAgentRoundTripCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctl, err := controller.New(controller.Config{}, r, controller.Immediate{},
-			func(a packet.Addr) (controller.Agent, bool) { ag, ok := agents[a]; return ag, ok },
-			func(failed packet.Addr) []packet.Addr {
-				var out []packet.Addr
-				for _, a := range addrs {
-					if a != failed {
-						out = append(out, a)
-					}
-				}
-				return out
-			})
+		ctl, err := controller.New(controller.Config{}, r, controller.Immediate{}, agents.Get, agents.Neighbors)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -632,7 +622,8 @@ func TestAgentRoundTripCounts(t *testing.T) {
 			items[i] = core.Item{Key: k, Value: kv.Value("v"), Version: kv.Version{Seq: 1}}
 		}
 		for _, a := range addrs[:3] {
-			if err := agents[a].WriteItems(items); err != nil {
+			ag, _ := agents.Get(a)
+			if err := ag.WriteItems(items); err != nil {
 				t.Fatal(err)
 			}
 		}

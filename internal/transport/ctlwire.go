@@ -22,18 +22,15 @@ import (
 // view.
 type ControllerService struct {
 	Ctl *controller.Controller
-	// Register, when set, connects a new switch's agent before AddSwitch
-	// admits it into the ring (the deployment owns the agent map).
-	Register func(sw packet.Addr, agentAddr string) error
+	// Agents is the deployment's agent registry: add-switch admits the named
+	// agent into it, remove-switch deletes the drained switch's agent.
+	Agents *controller.Agents
+	// Dial connects to the switch agent an add-switch names.
+	Dial func(addr string) (controller.Agent, error)
 	// Health, when set, supplies the detector snapshot and repair
 	// history behind the ClusterHealth verb (wired by the controller
 	// binary when -autopilot is on).
 	Health func() HealthReport
-	// Unregister, when set, is called after RemoveSwitch drains a switch:
-	// the deployment drops its agent, and the health monitor forgets it so
-	// the retired box powering off is not "detected" as a failure and
-	// repaired.
-	Unregister func(sw packet.Addr)
 }
 
 // HealthReport is what the ClusterHealth verb renders: the detector's
@@ -100,16 +97,18 @@ func (s *ControllerService) exec(verb byte, d *agentDec, out []byte) ([]byte, er
 	case verbGC:
 		return out, s.Ctl.GC(k)
 	case verbAddSwitch:
-		if s.Register != nil && agentAddr != "" {
-			if err := s.Register(sw, agentAddr); err != nil {
-				return out, err
-			}
+		ag, err := s.Dial(agentAddr)
+		if err != nil {
+			return out, err
 		}
-		return migrate(out, s.Ctl.AddSwitch, sw)
+		return migrate(out, func(sw packet.Addr, done func()) (diff ring.Diff, err error) {
+			err = s.Agents.Admit(sw, ag, func() error { diff, err = s.Ctl.AddSwitch(sw, done); return err })
+			return diff, err
+		}, sw)
 	case verbRemoveSwitch:
 		out, err := migrate(out, s.Ctl.RemoveSwitch, sw)
-		if err == nil && s.Unregister != nil {
-			s.Unregister(sw)
+		if err == nil {
+			s.Agents.Delete(sw)
 		}
 		return out, err
 	}

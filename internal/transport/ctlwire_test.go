@@ -3,8 +3,10 @@ package transport
 import (
 	"encoding/binary"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -134,20 +136,52 @@ func TestControllerWireRouteInsertGC(t *testing.T) {
 	}
 }
 
+// follower records a registry's Watch and Forget calls in order; forget,
+// if set, runs on each Forget.
+type follower struct {
+	mu     sync.Mutex
+	calls  []string
+	forget func(packet.Addr)
+}
+
+func (f *follower) Watch(sw packet.Addr) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.calls = append(f.calls, "watch "+sw.String())
+}
+
+func (f *follower) Forget(sw packet.Addr) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.calls = append(f.calls, "forget "+sw.String())
+	if f.forget != nil {
+		f.forget(sw)
+	}
+}
+
+func (f *follower) log() []string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return slices.Clone(f.calls)
+}
+
+func dialAgent(addr string) (controller.Agent, error) { return DialAgent(addr) }
+
 // TestControllerWireRemoveSwitchUnregisters: RemoveSwitch over the wire
-// calls Unregister exactly once, after the drain has emptied the switch,
-// and never for a removal the controller refused.
+// deletes the switch's agent exactly once, after the drain has emptied the
+// switch, and never for a removal the controller refused.
 func TestControllerWireRemoveSwitchUnregisters(t *testing.T) {
 	d := newDeployment(t)
 	var mu sync.Mutex
 	var calls []packet.Addr
 	var leftover []int
-	svc := &ControllerService{Ctl: d.ctl, Unregister: func(sw packet.Addr) {
+	d.agents.Follow(&follower{forget: func(sw packet.Addr) {
 		mu.Lock()
 		defer mu.Unlock()
 		calls = append(calls, sw)
 		leftover = append(leftover, d.nodes[sw].Switch().ItemCount())
-	}}
+	}})
+	svc := &ControllerService{Ctl: d.ctl, Agents: d.agents, Dial: dialAgent}
 	c, _ := serveController(t, svc)
 	for i := 0; i < 32; i++ {
 		k := kv.KeyFromUint64(uint64(900 + i))
@@ -159,7 +193,7 @@ func TestControllerWireRemoveSwitchUnregisters(t *testing.T) {
 		}
 	}
 	// Grow to four members first so draining one leaves a full chain.
-	if n, err := c.AddSwitch(d.addrs[3], ""); err != nil || n == 0 {
+	if n, err := c.AddSwitch(d.addrs[3], d.agentAt[3]); err != nil || n == 0 {
 		t.Fatalf("AddSwitch: %d groups, %v", n, err)
 	}
 	if _, err := c.RemoveSwitch(packet.AddrFrom4(10, 9, 9, 9)); err == nil {
@@ -172,10 +206,101 @@ func TestControllerWireRemoveSwitchUnregisters(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if !reflect.DeepEqual(calls, []packet.Addr{drained}) {
-		t.Fatalf("Unregister calls %v, want one for %v", calls, drained)
+		t.Fatalf("Delete calls %v, want one for %v", calls, drained)
 	}
 	if leftover[0] != 0 {
-		t.Fatalf("Unregister ran with %d items still on the drained switch", leftover[0])
+		t.Fatalf("Delete ran with %d items still on the drained switch", leftover[0])
+	}
+	if _, ok := d.agents.Get(drained); ok {
+		t.Fatal("the drained switch's agent is still registered")
+	}
+}
+
+// closeSpy is a dialled agent that records being closed.
+type closeSpy struct {
+	*WireAgent
+	closed atomic.Bool
+}
+
+func (a *closeSpy) Close() error {
+	a.closed.Store(true)
+	return a.WireAgent.Close()
+}
+
+// TestControllerWireRefusedAddSwitchKeepsAgents: an add-switch the
+// controller refuses leaves the registry and its follower exactly as they
+// were and hangs up on the agent it dialled. Two refusals: a ring member
+// named with another switch's agent (which must not replace the member's),
+// and a new switch while another resize is in flight.
+func TestControllerWireRefusedAddSwitchKeepsAgents(t *testing.T) {
+	d := newDeployment(t)
+	if _, err := d.ctl.Insert(kv.KeyFromString("ctl/refused")); err != nil {
+		t.Fatal(err)
+	}
+	f := &follower{}
+	d.agents.Follow(f)
+	watched := f.log()
+
+	var mu sync.Mutex
+	var dialled []*closeSpy
+	var onDial func()
+	svc := &ControllerService{Ctl: d.ctl, Agents: d.agents, Dial: func(addr string) (controller.Agent, error) {
+		a, err := DialAgent(addr)
+		if err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		spy := &closeSpy{WireAgent: a}
+		dialled = append(dialled, spy)
+		if onDial != nil {
+			onDial()
+		}
+		return spy, nil
+	}}
+	c, _ := serveController(t, svc)
+
+	member, spare := d.addrs[1], d.addrs[3]
+	if _, err := c.AddSwitch(member, d.agentAt[3]); err == nil || !strings.Contains(err.Error(), "already a member") {
+		t.Fatalf("adding ring member %v: %v", member, err)
+	}
+	ag, _ := d.agents.Get(member)
+	if ks, err := ag.Keys(); err != nil || len(ks) != 1 {
+		t.Fatalf("member %v's agent lists %d keys, want its 1 (%v)", member, len(ks), err)
+	}
+
+	fresh := packet.AddrFrom4(10, 0, 0, 9)
+	done := make(chan struct{})
+	mu.Lock()
+	onDial = func() {
+		if _, err := d.ctl.AddSwitch(spare, func() { close(done) }); err != nil {
+			t.Error(err)
+		}
+	}
+	mu.Unlock()
+	if _, err := c.AddSwitch(fresh, d.agentAt[3]); err == nil || !strings.Contains(err.Error(), "resize already in progress") {
+		t.Fatalf("adding %v during a resize: %v", fresh, err)
+	}
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the in-flight resize never completed")
+	}
+	if _, ok := d.agents.Get(fresh); ok {
+		t.Fatalf("refused switch %v is registered", fresh)
+	}
+	if got := f.log(); !reflect.DeepEqual(got, watched) {
+		t.Fatalf("follower saw %v, want only the initial %v", got, watched)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(dialled) != 2 {
+		t.Fatalf("%d agents dialled, want 2", len(dialled))
+	}
+	for i, a := range dialled {
+		if !a.closed.Load() {
+			t.Errorf("refused add %d left its dialled agent open", i)
+		}
 	}
 }
 

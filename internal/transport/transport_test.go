@@ -19,12 +19,14 @@ import (
 // deployment spins a real-UDP NetChain on loopback: 4 switch nodes with
 // RPC agents, a controller, and a client behind the S0 gateway.
 type deployment struct {
-	book  *AddressBook
-	nodes map[packet.Addr]*SwitchNode
-	addrs [4]packet.Addr
-	ring  *ring.Ring
-	ctl   *controller.Controller
-	ops   *Ops
+	book    *AddressBook
+	nodes   map[packet.Addr]*SwitchNode
+	addrs   [4]packet.Addr
+	agentAt [4]string // each switch's agent endpoint
+	agents  *controller.Agents
+	ring    *ring.Ring
+	ctl     *controller.Controller
+	ops     *Ops
 }
 
 func pipeCfg() swsim.Config {
@@ -33,8 +35,7 @@ func pipeCfg() swsim.Config {
 
 func newDeployment(t *testing.T) *deployment {
 	t.Helper()
-	d := &deployment{book: NewAddressBook(), nodes: map[packet.Addr]*SwitchNode{}}
-	agents := map[packet.Addr]*WireAgent{}
+	d := &deployment{book: NewAddressBook(), nodes: map[packet.Addr]*SwitchNode{}, agents: &controller.Agents{}}
 	for i := 0; i < 4; i++ {
 		d.addrs[i] = packet.AddrFrom4(10, 0, 0, byte(i+1))
 		sw, err := core.NewSwitch(d.addrs[i], pipeCfg())
@@ -53,12 +54,13 @@ func newDeployment(t *testing.T) *deployment {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { stop() })
-		agent, err := DialAgent(rpcAddr.String())
+		d.agentAt[i] = rpcAddr.String()
+		agent, err := DialAgent(d.agentAt[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { agent.Close() })
-		agents[d.addrs[i]] = agent
+		d.agents.Set(d.addrs[i], agent)
 	}
 
 	r, err := ring.New(ring.Config{VNodesPerSwitch: 4, Replicas: 3, Seed: 7},
@@ -68,26 +70,10 @@ func newDeployment(t *testing.T) *deployment {
 	}
 	d.ring = r
 
-	// On a loopback "fabric" every switch neighbors every other: rules go
-	// to all live switches (a superset of the physical neighbors, which is
-	// always safe).
-	neighbors := func(failed packet.Addr) []packet.Addr {
-		var out []packet.Addr
-		for _, a := range d.addrs {
-			if a != failed {
-				out = append(out, a)
-			}
-		}
-		return out
-	}
 	cfg := controller.DefaultConfig()
 	cfg.RuleDelay = time.Millisecond
 	cfg.SyncPerItem = 0 // real RPC takes real time
-	ctl, err := controller.New(cfg, r, controller.WallClock{},
-		func(a packet.Addr) (controller.Agent, bool) {
-			ag, ok := agents[a]
-			return ag, ok
-		}, neighbors)
+	ctl, err := controller.New(cfg, r, controller.WallClock{}, d.agents.Get, d.agents.Neighbors)
 	if err != nil {
 		t.Fatal(err)
 	}

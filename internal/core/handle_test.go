@@ -9,7 +9,8 @@ import (
 
 // TestHandleVerdicts walks the per-frame driver through one frame per
 // verdict. Every row runs at switch s1 of the chain s0→s1→s2, which holds
-// key "k" at version 0.5.
+// key "k" at version 0.5. Every drop is counted exactly once, by the
+// counter its verdict names, and a forwarded frame counts no drop.
 func TestHandleVerdicts(t *testing.T) {
 	key := kv.KeyFromString("k")
 	ordered := func(seq uint64, first packet.Addr, rest ...packet.Addr) *packet.Frame {
@@ -128,8 +129,23 @@ func TestHandleVerdicts(t *testing.T) {
 			if v == VerdictForward && f.IP.Dst != tc.dst {
 				t.Errorf("forwarded toward %v, want %v", f.IP.Dst, tc.dst)
 			}
+			st := sw.Stats()
+			for dv, n := range map[Verdict]uint64{
+				VerdictStale:     st.WritesStale,
+				VerdictRuleDrop:  st.RuleDrops,
+				VerdictRouteDrop: st.RouteDrops,
+				VerdictLocalDrop: st.LocalDrops,
+			} {
+				want := uint64(0)
+				if dv == v {
+					want = 1
+				}
+				if n != want {
+					t.Errorf("verdict %d counted %d times, want %d", dv, n, want)
+				}
+			}
 			if tc.check != nil {
-				tc.check(t, f, sw.Stats())
+				tc.check(t, f, st)
 			}
 		})
 	}

@@ -106,21 +106,24 @@ type Item struct {
 	Tombstone bool
 }
 
-// Stats counts dataplane activity for the evaluation harness.
+// Stats counts dataplane activity. It is the switch's metrics ledger:
+// each tagged field is one exported series (see telemetry.Registry.Export).
 type Stats struct {
-	Reads          uint64 // read queries served (replied) here
-	WritesHead     uint64 // fresh writes stamped here as acting head
-	WritesApply    uint64 // ordered writes applied (replica/tail)
-	WritesStale    uint64 // ordered writes dropped as stale (Fig. 5 fix)
-	WritesReplayed uint64 // duplicate fresh writes replayed idempotently
-	WritesFrozen   uint64 // fresh writes bounced by a migration freeze
-	CASFails       uint64 // compare-and-swaps rejected at the head
-	Replies        uint64 // replies emitted toward clients
-	RuleHits       uint64 // frames rewritten/dropped by neighbor rules
-	RuleDrops      uint64 // frames dropped by ActDrop rules
-	NotFound       uint64 // queries for keys with no slot
-	Transits       uint64 // frames forwarded without NetChain processing
-	Processed      uint64 // NetChain queries processed locally
+	Reads          uint64 `metric:"netchain_switch_reads_total" help:"read queries served here"`
+	WritesHead     uint64 `metric:"netchain_switch_writes_head_total" help:"fresh writes stamped here as acting head"`
+	WritesApply    uint64 `metric:"netchain_switch_writes_apply_total" help:"ordered writes applied here as replica or tail"`
+	WritesStale    uint64 `metric:"netchain_switch_writes_stale_total" help:"ordered writes dropped as stale by the sequence check"`
+	WritesReplayed uint64 `metric:"netchain_switch_writes_replayed_total" help:"duplicate fresh writes replayed idempotently at the head"`
+	WritesFrozen   uint64 `metric:"netchain_switch_writes_frozen_total" help:"fresh writes bounced by a migration freeze"`
+	CASFails       uint64 `metric:"netchain_switch_cas_fails_total" help:"compare-and-swaps rejected at the head"`
+	Replies        uint64 `metric:"netchain_switch_replies_total" help:"replies emitted toward clients"`
+	RuleHits       uint64 `metric:"netchain_switch_rule_hits_total" help:"frames rewritten or dropped by neighbor rules"`
+	RuleDrops      uint64 `metric:"netchain_switch_rule_drops_total" help:"frames dropped by recovery stop rules"`
+	NotFound       uint64 `metric:"netchain_switch_not_found_total" help:"queries for keys with no slot"`
+	Transits       uint64 `metric:"netchain_switch_transits_total" help:"frames forwarded without local processing"`
+	Processed      uint64 `metric:"netchain_switch_processed_total" help:"NetChain queries processed locally"`
+	RouteDrops     uint64 `metric:"netchain_switch_route_drops_total" help:"frames dropped on TTL expiry or addressed here on a port nothing listens on"`
+	LocalDrops     uint64 `metric:"netchain_switch_local_drops_total" help:"replies addressed to this switch, dropped"`
 }
 
 // counterStripes spreads the hot counters across independent cache lines:
@@ -153,9 +156,13 @@ type counterStripe struct {
 }
 
 // counters is the live, atomically-updated striped mirror of Stats: the
-// read fast path bumps a stripe without any lock.
+// read fast path bumps a stripe without any lock. Route and local drops
+// are rare (no protocol path produces them), so they count outside the
+// stripes and each stripe stays one 128-byte line.
 type counters struct {
-	stripes [counterStripes]counterStripe
+	stripes    [counterStripes]counterStripe
+	routeDrops atomic.Uint64
+	localDrops atomic.Uint64
 }
 
 // at picks the stripe for a frame. A frame's address is stable while a
@@ -183,6 +190,8 @@ func (c *counters) snapshot() Stats {
 		s.Transits += st.transits.Load()
 		s.Processed += st.processed.Load()
 	}
+	s.RouteDrops = c.routeDrops.Load()
+	s.LocalDrops = c.localDrops.Load()
 	return s
 }
 
@@ -479,6 +488,7 @@ func (s *Switch) Handle(f *packet.Frame) (_ Verdict, commit kv.Op) {
 		return v, 0
 	}
 	if f.IP.TTL == 0 {
+		s.stats.routeDrops.Add(1)
 		return VerdictRouteDrop, 0
 	}
 	f.IP.TTL--
@@ -503,6 +513,7 @@ func (s *Switch) Handle(f *packet.Frame) (_ Verdict, commit kv.Op) {
 // the NetChain port has an application behind it.
 func (s *Switch) deliver(f *packet.Frame) Verdict {
 	if f.UDP.DstPort != packet.Port {
+		s.stats.routeDrops.Add(1)
 		return VerdictRouteDrop
 	}
 	v, _ := s.local(f)
@@ -559,6 +570,7 @@ func (s *Switch) processLocal(f *packet.Frame) (Verdict, int) {
 		return s.processWrite(f, st), passes
 	case kv.OpReply:
 		// A reply addressed to a switch is a routing anomaly; drop.
+		s.stats.localDrops.Add(1)
 		return VerdictLocalDrop, passes
 	default:
 		f.ToReply(kv.StatusBadRequest)

@@ -44,9 +44,9 @@ type probeRec struct {
 
 // CoreStats counts the monitor's traffic.
 type CoreStats struct {
-	Heartbeats    uint64 // heartbeats accepted from watched switches
-	ProbesSent    uint64 // probes issued
-	ProbeTimeouts uint64 // probes unanswered within the timeout
+	Heartbeats    uint64 `metric:"netchain_monitor_heartbeats_total" help:"heartbeat frames accepted from watched switches"`
+	ProbesSent    uint64 `metric:"netchain_monitor_probes_total" help:"active probes sent to learned endpoints"`
+	ProbeTimeouts uint64 `metric:"netchain_monitor_probe_timeouts_total" help:"probes unanswered within the timeout"`
 }
 
 // NewCore builds the engine feeding det. monitor is the monitor's virtual

@@ -150,26 +150,28 @@ func (m *Monitor) recvLoop() {
 	}
 }
 
-// RegisterMetrics publishes the monitor's counters and the detector's
-// live suspect count (non-healthy, non-unknown verdicts) through reg.
-func (m *Monitor) RegisterMetrics(reg *telemetry.Registry) {
-	reg.Help(telemetry.MonitorHeartbeats, "heartbeat frames accepted from watched switches")
-	reg.Help(telemetry.MonitorProbes, "active probes sent to learned endpoints")
-	reg.Help(telemetry.MonitorProbeTimeouts, "probes unanswered within the timeout")
-	reg.Help(telemetry.MonitorSuspects, "switches whose verdict is currently not healthy")
-	reg.Collect(func(emit func(telemetry.Sample)) {
-		suspects := 0
-		for _, sh := range m.core.det.Snapshot(m.Now()) {
-			if sh.Verdict != Healthy && sh.Verdict != Unknown {
-				suspects++
-			}
+// MonitorStats is the monitor's metrics ledger: the engine's traffic
+// counters and how many switches it currently suspects.
+type MonitorStats struct {
+	CoreStats
+	Suspects int `metric:"netchain_monitor_suspects,gauge" help:"switches whose verdict is currently not healthy"`
+}
+
+// Stats snapshots the monitor. A suspect is a switch whose verdict is
+// neither Healthy nor Unknown.
+func (m *Monitor) Stats() MonitorStats {
+	st := MonitorStats{CoreStats: m.core.Stats()}
+	for _, sh := range m.core.det.Snapshot(m.Now()) {
+		if sh.Verdict != Healthy && sh.Verdict != Unknown {
+			st.Suspects++
 		}
-		st := m.core.Stats()
-		emit(telemetry.Sample{Name: telemetry.MonitorHeartbeats, Kind: telemetry.KindCounter, Value: float64(st.Heartbeats)})
-		emit(telemetry.Sample{Name: telemetry.MonitorProbes, Kind: telemetry.KindCounter, Value: float64(st.ProbesSent)})
-		emit(telemetry.Sample{Name: telemetry.MonitorProbeTimeouts, Kind: telemetry.KindCounter, Value: float64(st.ProbeTimeouts)})
-		emit(telemetry.Sample{Name: telemetry.MonitorSuspects, Kind: telemetry.KindGauge, Value: float64(suspects)})
-	})
+	}
+	return st
+}
+
+// RegisterMetrics exports the monitor's ledger (Stats) through reg.
+func (m *Monitor) RegisterMetrics(reg *telemetry.Registry) {
+	reg.Export(func() any { return m.Stats() })
 }
 
 // StartProbes begins probing every learned switch endpoint at the Core's

@@ -42,9 +42,9 @@ type groupSeq struct {
 
 // CoreStats counts the sequencer's traffic.
 type CoreStats struct {
-	EventsIn  uint64 // event frames ingested
-	EventsDup uint64 // suppressed as duplicate (version not newer)
-	EventsOut uint64 // fresh events sequenced for fan-out
+	EventsIn  uint64 `metric:"netchain_relay_events_in_total" help:"event frames ingested from tail agents"`
+	EventsDup uint64 `metric:"netchain_relay_events_dup_total" help:"ingested events suppressed as duplicates (version not newer)"`
+	EventsOut uint64 `metric:"netchain_relay_events_out_total" help:"fresh events sequenced for fan-out"`
 }
 
 // NewCore builds an empty sequencer.

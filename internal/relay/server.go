@@ -66,12 +66,12 @@ type Config struct {
 	Faults transport.FaultPipe
 }
 
-// Stats counts the relay's traffic. Sequencer counters come from Core.
+// Stats is the relay's metrics ledger. Sequencer counters come from Core.
 type Stats struct {
 	CoreStats
-	EgressDatagrams uint64 // fan-out datagrams queued (multicast: one per event)
-	Subscribers     int    // live unicast leases (0 in multicast mode)
-	DecodeErrors    uint64
+	EgressDatagrams uint64 `metric:"netchain_relay_egress_datagrams_total" help:"fan-out datagrams queued to subscribers (multicast: one per event)"`
+	Subscribers     int    `metric:"netchain_relay_subscribers,gauge" help:"live unicast leases (0 in multicast mode)"`
+	DecodeErrors    uint64 `metric:"netchain_relay_decode_errors_total" help:"undecodable ingest or control frames"`
 }
 
 type lease struct {
@@ -170,12 +170,16 @@ func (s *Server) Addr() packet.Addr { return s.cfg.Addr }
 // Mode returns the configured fan-out mode.
 func (s *Server) Mode() Mode { return s.cfg.Mode }
 
-// Stats snapshots the relay counters.
+// Stats snapshots the relay counters. Subscribers counts live leases
+// only: expired ones are pruned here, so a subscriber that died without
+// unsubscribing leaves the gauge once its lease runs out, whether or not
+// its groups see traffic.
 func (s *Server) Stats() Stats {
-	s.mu.Lock()
+	now := time.Now()
 	n := 0
+	s.mu.Lock()
 	for _, g := range s.subs {
-		n += len(g)
+		n += len(pruneExpired(g, now))
 	}
 	s.mu.Unlock()
 	return Stats{
@@ -186,25 +190,22 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// RegisterMetrics publishes the relay's counters through reg — the same
-// Stats() snapshot the CLI health path reads, so /metrics and
-// `netchainctl cluster health` can never disagree about the relay.
+// pruneExpired deletes the leases in group that expired before now and
+// returns the group. The caller holds s.mu.
+func pruneExpired(group map[uint64]*lease, now time.Time) map[uint64]*lease {
+	for k, l := range group {
+		if now.After(l.expires) {
+			delete(group, k)
+		}
+	}
+	return group
+}
+
+// RegisterMetrics exports the relay's ledger (Stats) through reg — the
+// same snapshot the CLI health path reads, so /metrics and `netchainctl
+// cluster health` can never disagree about the relay.
 func (s *Server) RegisterMetrics(reg *telemetry.Registry) {
-	reg.Help(telemetry.RelayEventsIn, "event frames ingested from tail agents")
-	reg.Help(telemetry.RelayEventsDup, "ingested events suppressed as duplicates")
-	reg.Help(telemetry.RelayEventsOut, "fresh events accepted for fan-out")
-	reg.Help(telemetry.RelayEgressDatagrams, "fan-out datagrams queued to subscribers")
-	reg.Help(telemetry.RelaySubscribers, "live unicast leases (0 in multicast mode)")
-	reg.Help(telemetry.RelayDecodeErrors, "undecodable ingest or control frames")
-	reg.Collect(func(emit func(telemetry.Sample)) {
-		st := s.Stats()
-		emit(telemetry.Sample{Name: telemetry.RelayEventsIn, Kind: telemetry.KindCounter, Value: float64(st.EventsIn)})
-		emit(telemetry.Sample{Name: telemetry.RelayEventsDup, Kind: telemetry.KindCounter, Value: float64(st.EventsDup)})
-		emit(telemetry.Sample{Name: telemetry.RelayEventsOut, Kind: telemetry.KindCounter, Value: float64(st.EventsOut)})
-		emit(telemetry.Sample{Name: telemetry.RelayEgressDatagrams, Kind: telemetry.KindCounter, Value: float64(st.EgressDatagrams)})
-		emit(telemetry.Sample{Name: telemetry.RelaySubscribers, Kind: telemetry.KindGauge, Value: float64(st.Subscribers)})
-		emit(telemetry.Sample{Name: telemetry.RelayDecodeErrors, Kind: telemetry.KindCounter, Value: float64(st.DecodeErrors)})
-	})
+	reg.Export(func() any { return s.Stats() })
 }
 
 // Close stops the relay.
@@ -271,15 +272,10 @@ func (s *Server) handleEvent(fr *packet.Frame, scratch *packet.Frame, bio *trans
 		s.queueSerialized(scratch, GroupUDP(ev.Group), bio)
 		return
 	}
-	now := time.Now()
 	s.mu.Lock()
-	group := s.subs[ev.Group]
+	group := pruneExpired(s.subs[ev.Group], time.Now())
 	eps := make([]*net.UDPAddr, 0, len(group))
-	for k, l := range group {
-		if now.After(l.expires) {
-			delete(group, k)
-			continue
-		}
+	for _, l := range group {
 		eps = append(eps, l.ep)
 	}
 	s.mu.Unlock()

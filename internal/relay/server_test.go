@@ -132,6 +132,25 @@ func TestUnicastGroupIsolationAndUnsubscribe(t *testing.T) {
 	waitFor(t, func() bool { return srv.Stats().Subscribers == 1 }, "unsubscribe")
 }
 
+// TestExpiredLeaseLeavesSubscribers: a subscriber that dies without
+// unsubscribing stops counting as live once its lease expires, although
+// no event for its group ever arrives to prune it on fan-out.
+func TestExpiredLeaseLeavesSubscribers(t *testing.T) {
+	srv, err := Start(Config{Addr: packet.AddrFrom4(10, 0, 255, 1), Mode: ModeUnicast, LeaseTTL: 30 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	sub, err := Subscribe(ModeUnicast, srv.ControlEndpoint(), []uint16{7}, func(query.Event) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	waitFor(t, func() bool { return srv.Stats().Subscribers == 1 }, "lease registration")
+	sub.conn.Close() // dies: no unsubscribe, no renewal
+	waitFor(t, func() bool { return srv.Stats().Subscribers == 0 }, "lease expiry")
+}
+
 // Multicast round-trip, skipped where the environment cannot join groups.
 func TestMulticastFanOut(t *testing.T) {
 	srv, err := Start(Config{Addr: packet.AddrFrom4(10, 0, 255, 1), Mode: ModeMulticast})

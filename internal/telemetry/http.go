@@ -13,7 +13,7 @@ import (
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = WriteProm(w, r.Snapshot(), r.helpFor())
+		_ = WriteProm(w, r.Snapshot())
 	})
 }
 

@@ -9,13 +9,13 @@ import (
 )
 
 // WriteProm renders samples in the Prometheus text exposition format
-// (version 0.0.4): optional # HELP / # TYPE comments followed by
-// `name value` lines.
-func WriteProm(w io.Writer, samples []Sample, help map[string]string) error {
+// (version 0.0.4): a # HELP comment when the sample has help text, a
+// # TYPE comment, then the `name value` line.
+func WriteProm(w io.Writer, samples []Sample) error {
 	bw := bufio.NewWriter(w)
 	for _, s := range samples {
-		if h := help[s.Name]; h != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", s.Name, h)
+		if s.Help != "" {
+			fmt.Fprintf(bw, "# HELP %s %s\n", s.Name, s.Help)
 		}
 		fmt.Fprintf(bw, "# TYPE %s %s\n", s.Name, s.Kind)
 		fmt.Fprintf(bw, "%s %s\n", s.Name, strconv.FormatFloat(s.Value, 'g', -1, 64))

@@ -1,45 +1,27 @@
-// Package telemetry is the metrics plane: lock-free counters and gauges,
-// concurrency-safe histograms (stats.Histogram is atomic), and a registry
-// that renders everything in Prometheus text exposition format. Transport
-// nodes, clients, the relay, the health monitor and the controller all
-// register here; netchainctl top and the CI metrics smoke both consume
-// the same canonical names (names.go), so the dashboard and /metrics can
-// never disagree about what a series is called.
+// Package telemetry is the metrics plane: a registry that turns each
+// component's Stats snapshot into series and renders them in Prometheus
+// text exposition format. A series is declared once, as a tagged field of
+// the snapshot struct that counts it:
+//
+//	Reads uint64 `metric:"netchain_switch_reads_total" help:"read queries served here"`
+//
+// ",gauge" after the name marks an instantaneous value; a field without
+// it is a counter. Transport nodes, the relay, the health monitor and the
+// controller each export their snapshot through Registry.Export;
+// netchainctl top and the CI metrics smoke scrape by the few names they
+// read (names.go).
 package telemetry
 
 import (
-	"math"
+	"fmt"
+	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
-	"sync/atomic"
 
 	"netchain/internal/stats"
 )
-
-func floatBits(v float64) uint64     { return math.Float64bits(v) }
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
-
-// Counter is a monotonically increasing lock-free counter.
-type Counter struct{ v atomic.Uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a lock-free instantaneous value.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(floatBits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return floatFromBits(g.bits.Load()) }
 
 // Kind distinguishes sample semantics in the exposition format.
 type Kind uint8
@@ -61,65 +43,84 @@ type Sample struct {
 	Name  string
 	Kind  Kind
 	Value float64
+	Help  string
 }
 
-// CollectFunc lets a component export an existing stats snapshot without
-// double accounting: the registry calls it at scrape time and the
-// component emits its counters straight from its own Stats() struct.
-type CollectFunc func(emit func(Sample))
+type histogram struct {
+	h    *stats.Histogram
+	help string
+}
 
 // Registry holds a process's exported series.
 type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	hists      map[string]*stats.Histogram
-	collectors []CollectFunc
-	help       map[string]string
+	mu        sync.Mutex
+	hists     map[string]histogram
+	snapshots []func() any
 }
 
-// NewRegistry returns an empty registry with the process collector
-// (goroutines, heap) pre-installed.
+// processStats is the process-health snapshot every registry exports.
+type processStats struct {
+	Goroutines int    `metric:"netchain_go_goroutines,gauge" help:"goroutines in this process"`
+	HeapBytes  uint64 `metric:"netchain_go_heap_bytes,gauge" help:"bytes of allocated heap objects"`
+}
+
+// NewRegistry returns a registry exporting only the process snapshot
+// (goroutines, heap).
 func NewRegistry() *Registry {
-	r := &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*stats.Histogram),
-		help:     make(map[string]string),
-	}
-	r.Collect(func(emit func(Sample)) {
-		emit(Sample{Name: GoGoroutines, Kind: KindGauge, Value: float64(runtime.NumGoroutine())})
+	r := &Registry{hists: make(map[string]histogram)}
+	r.Export(func() any {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		emit(Sample{Name: GoHeapBytes, Kind: KindGauge, Value: float64(ms.HeapAlloc)})
+		return processStats{Goroutines: runtime.NumGoroutine(), HeapBytes: ms.HeapAlloc}
 	})
 	return r
 }
 
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name, help string) *Counter {
+// Export publishes the struct snapshot returns, taken afresh at every
+// scrape: each field tagged `metric:"name[,gauge]"` becomes one series,
+// with the field's `help` tag as its help text. Untagged embedded structs
+// are walked too, so a snapshot that embeds another component's Stats
+// exports both. A tagged field must be an integer or a float.
+func (r *Registry) Export(snapshot func() any) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	r.setHelp(name, help)
-	return c
+	r.snapshots = append(r.snapshots, snapshot)
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
+// appendFields appends one sample per tagged field of the struct v.
+func appendFields(out []Sample, v reflect.Value) []Sample {
+	t := v.Type()
+	for i := range t.NumField() {
+		f, fv := t.Field(i), v.Field(i)
+		tag, ok := f.Tag.Lookup("metric")
+		if !ok {
+			if f.Anonymous && fv.Kind() == reflect.Struct {
+				out = appendFields(out, fv)
+			}
+			continue
+		}
+		name, opt, _ := strings.Cut(tag, ",")
+		s := Sample{Name: name, Help: f.Tag.Get("help")}
+		switch opt {
+		case "":
+		case "gauge":
+			s.Kind = KindGauge
+		default:
+			panic(fmt.Sprintf("telemetry: %s.%s: unknown metric option %q", t, f.Name, opt))
+		}
+		switch {
+		case fv.CanUint():
+			s.Value = float64(fv.Uint())
+		case fv.CanInt():
+			s.Value = float64(fv.Int())
+		case fv.CanFloat():
+			s.Value = fv.Float()
+		default:
+			panic(fmt.Sprintf("telemetry: %s.%s: %s is not a number", t, f.Name, f.Type))
+		}
+		out = append(out, s)
 	}
-	r.setHelp(name, help)
-	return g
+	return out
 }
 
 // Histogram registers a concurrency-safe histogram under name. Snapshots
@@ -128,69 +129,32 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 func (r *Registry) Histogram(name, help string, h *stats.Histogram) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.hists[name] = h
-	r.setHelp(name, help)
+	r.hists[name] = histogram{h: h, help: help}
 }
 
-// Collect installs a pull-time collector.
-func (r *Registry) Collect(fn CollectFunc) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.collectors = append(r.collectors, fn)
-}
-
-// Help registers help text for a series emitted by a collector.
-func (r *Registry) Help(name, help string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.setHelp(name, help)
-}
-
-func (r *Registry) setHelp(name, help string) {
-	if help != "" && r.help[name] == "" {
-		r.help[name] = help
-	}
-}
-
-// Snapshot renders every registered series, sorted by name. Later emits
-// win on duplicate names, so a collector can override a static series.
+// Snapshot renders every registered series, sorted by name.
 func (r *Registry) Snapshot() []Sample {
 	r.mu.Lock()
-	collectors := append([]CollectFunc(nil), r.collectors...)
-	byName := make(map[string]Sample, len(r.counters)+len(r.gauges)+5*len(r.hists))
-	for name, c := range r.counters {
-		byName[name] = Sample{Name: name, Kind: KindCounter, Value: float64(c.Value())}
-	}
-	for name, g := range r.gauges {
-		byName[name] = Sample{Name: name, Kind: KindGauge, Value: g.Value()}
-	}
-	for name, h := range r.hists {
-		byName[name+"_count"] = Sample{Name: name + "_count", Kind: KindCounter, Value: float64(h.Count())}
-		byName[name+"_p50"] = Sample{Name: name + "_p50", Kind: KindGauge, Value: h.P50()}
-		byName[name+"_p99"] = Sample{Name: name + "_p99", Kind: KindGauge, Value: h.P99()}
-		byName[name+"_mean"] = Sample{Name: name + "_mean", Kind: KindGauge, Value: h.Mean()}
-		byName[name+"_max"] = Sample{Name: name + "_max", Kind: KindGauge, Value: h.Max()}
+	snapshots := append([]func() any(nil), r.snapshots...)
+	var out []Sample
+	for name, e := range r.hists {
+		h := e.h
+		for _, s := range []Sample{
+			{Name: name + "_count", Kind: KindCounter, Value: float64(h.Count())},
+			{Name: name + "_p50", Kind: KindGauge, Value: h.P50()},
+			{Name: name + "_p99", Kind: KindGauge, Value: h.P99()},
+			{Name: name + "_mean", Kind: KindGauge, Value: h.Mean()},
+			{Name: name + "_max", Kind: KindGauge, Value: h.Max()},
+		} {
+			s.Help = e.help
+			out = append(out, s)
+		}
 	}
 	r.mu.Unlock()
 
-	for _, fn := range collectors {
-		fn(func(s Sample) { byName[s.Name] = s })
-	}
-	out := make([]Sample, 0, len(byName))
-	for _, s := range byName {
-		out = append(out, s)
+	for _, fn := range snapshots {
+		out = appendFields(out, reflect.ValueOf(fn()))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// helpFor returns a copy of the help map for rendering.
-func (r *Registry) helpFor() map[string]string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := make(map[string]string, len(r.help))
-	for k, v := range r.help {
-		h[k] = v
-	}
-	return h
 }

@@ -7,63 +7,93 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"netchain/internal/stats"
 )
 
-func TestRegistryInstruments(t *testing.T) {
+// testLedger is a snapshot the way components declare one: tagged
+// fields, an untagged embedded struct walked for its own tags, and an
+// untagged field that is not exported.
+type testLedger struct {
+	testInner
+	Ops   uint64  `metric:"netchain_test_ops_total" help:"ops"`
+	Depth float64 `metric:"netchain_test_depth,gauge" help:"depth"`
+	Level int     `metric:"netchain_test_level,gauge"`
+	Note  string
+}
+
+type testInner struct {
+	Inner uint32 `metric:"netchain_test_inner_total"`
+}
+
+func TestExportWalksTaggedFields(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("netchain_test_ops_total", "ops")
-	g := r.Gauge("netchain_test_depth", "depth")
+	var ops atomic.Uint64
+	r.Export(func() any {
+		return testLedger{testInner{7}, ops.Load(), 7.5, -2, "not a series"}
+	})
 	h := stats.NewLatencyHistogram()
 	h.Observe(1000)
 	h.Observe(3000)
 	r.Histogram("netchain_test_lat_ns", "latency", h)
-	c.Add(5)
-	c.Inc()
-	g.Set(7.5)
+	ops.Add(6)
 
-	// Same name returns the same instrument.
-	if r.Counter("netchain_test_ops_total", "") != c {
-		t.Fatal("counter not idempotent")
-	}
-	if r.Gauge("netchain_test_depth", "") != g {
-		t.Fatal("gauge not idempotent")
-	}
-
-	m := snapshotMap(r)
-	if m["netchain_test_ops_total"] != 6 {
-		t.Fatalf("counter = %v", m["netchain_test_ops_total"])
-	}
-	if m["netchain_test_depth"] != 7.5 {
-		t.Fatalf("gauge = %v", m["netchain_test_depth"])
-	}
-	if m["netchain_test_lat_ns_count"] != 2 {
-		t.Fatalf("hist count = %v", m["netchain_test_lat_ns_count"])
-	}
-	if m["netchain_test_lat_ns_mean"] != 2000 {
-		t.Fatalf("hist mean = %v", m["netchain_test_lat_ns_mean"])
-	}
-	// Process collector rides along.
-	if m[GoGoroutines] < 1 {
-		t.Fatalf("goroutines = %v", m[GoGoroutines])
-	}
-}
-
-func snapshotMap(r *Registry) map[string]float64 {
-	m := make(map[string]float64)
+	got := map[string]Sample{}
 	for _, s := range r.Snapshot() {
-		m[s.Name] = s.Value
+		got[s.Name] = s
 	}
-	return m
+	for _, want := range []Sample{
+		{Name: "netchain_test_ops_total", Kind: KindCounter, Value: 6, Help: "ops"},
+		{Name: "netchain_test_depth", Kind: KindGauge, Value: 7.5, Help: "depth"},
+		{Name: "netchain_test_level", Kind: KindGauge, Value: -2},
+		{Name: "netchain_test_inner_total", Kind: KindCounter, Value: 7},
+		{Name: "netchain_test_lat_ns_count", Kind: KindCounter, Value: 2, Help: "latency"},
+		{Name: "netchain_test_lat_ns_mean", Kind: KindGauge, Value: 2000, Help: "latency"},
+	} {
+		if got[want.Name] != want {
+			t.Errorf("%s = %+v, want %+v", want.Name, got[want.Name], want)
+		}
+	}
+	// The process snapshot rides along; nothing else is exported.
+	if got[GoGoroutines].Value < 1 || got[GoGoroutines].Kind != KindGauge {
+		t.Fatalf("goroutines = %+v", got[GoGoroutines])
+	}
+	if len(got) != 2+4+5 {
+		t.Fatalf("%d series, want 11: %v", len(got), got)
+	}
 }
 
-func TestCollectorOverridesAndConcurrency(t *testing.T) {
+func TestExportRejectsBadFields(t *testing.T) {
+	for name, snap := range map[string]any{
+		"option": struct {
+			X uint64 `metric:"netchain_x,histogram"`
+		}{},
+		"type": struct {
+			X string `metric:"netchain_x"`
+		}{},
+	} {
+		r := NewRegistry()
+		r.Export(func() any { return snap })
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Snapshot accepted a bad field", name)
+				}
+			}()
+			r.Snapshot()
+		}()
+	}
+}
+
+func TestExportConcurrentWithScrapes(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("netchain_test_n_total", "")
-	r.Collect(func(emit func(Sample)) {
-		emit(Sample{Name: "netchain_test_pull", Kind: KindGauge, Value: 42})
+	var n atomic.Uint64
+	r.Export(func() any {
+		return struct {
+			N uint64 `metric:"netchain_test_n_total"`
+		}{n.Load()}
 	})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -71,27 +101,31 @@ func TestCollectorOverridesAndConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				c.Inc()
+				n.Add(1)
 				_ = r.Snapshot()
 			}
 		}()
 	}
+	// Registering while scrapes run must not race either.
+	r.Histogram("netchain_test_late_ns", "", stats.NewLatencyHistogram())
 	wg.Wait()
-	m := snapshotMap(r)
-	if m["netchain_test_n_total"] != 4000 {
-		t.Fatalf("counter = %v", m["netchain_test_n_total"])
-	}
-	if m["netchain_test_pull"] != 42 {
-		t.Fatalf("pull = %v", m["netchain_test_pull"])
+	for _, s := range r.Snapshot() {
+		if s.Name == "netchain_test_n_total" && s.Value != 4000 {
+			t.Fatalf("counter = %v", s.Value)
+		}
 	}
 }
 
 func TestPromRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("netchain_rt_total", "help text here").Add(3)
-	r.Gauge("netchain_rt_depth", "").Set(1.25)
+	r.Export(func() any {
+		return struct {
+			Total uint64  `metric:"netchain_rt_total" help:"help text here"`
+			Depth float64 `metric:"netchain_rt_depth,gauge"`
+		}{3, 1.25}
+	})
 	var buf bytes.Buffer
-	if err := WriteProm(&buf, r.Snapshot(), r.helpFor()); err != nil {
+	if err := WriteProm(&buf, r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
@@ -100,6 +134,9 @@ func TestPromRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(text, "# TYPE netchain_rt_total counter") {
 		t.Fatalf("missing type:\n%s", text)
+	}
+	if strings.Contains(text, "# HELP netchain_rt_depth") {
+		t.Fatalf("help line for a series without help:\n%s", text)
 	}
 	m, err := ParseProm(&buf)
 	if err != nil {
@@ -141,7 +178,11 @@ name_inf +Inf
 
 func TestServeDebugEndpoints(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("netchain_serve_total", "").Add(9)
+	r.Export(func() any {
+		return struct {
+			Served uint64 `metric:"netchain_serve_total"`
+		}{9}
+	})
 	d, err := Serve("127.0.0.1:0", r)
 	if err != nil {
 		t.Fatal(err)

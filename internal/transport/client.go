@@ -9,7 +9,6 @@ import (
 
 	"netchain/internal/packet"
 	"netchain/internal/query"
-	"netchain/internal/telemetry"
 	"netchain/internal/trace"
 )
 
@@ -212,24 +211,6 @@ func (c *Client) Stats() ClientStats {
 		DecodeErrors: c.decodeErrs.Load(),
 		Traces:       c.traces.Load(),
 	}
-}
-
-// RegisterMetrics exports the client's transport counters under the
-// canonical telemetry series names.
-func (c *Client) RegisterMetrics(reg *telemetry.Registry) {
-	reg.Collect(func(emit func(telemetry.Sample)) {
-		counter := func(name string, v uint64) {
-			emit(telemetry.Sample{Name: name, Kind: telemetry.KindCounter, Value: float64(v)})
-		}
-		s := c.Stats()
-		counter(telemetry.ClientSent, s.Sent)
-		counter(telemetry.ClientRetries, s.Retries)
-		counter(telemetry.ClientTimeouts, s.Timeouts)
-		counter(telemetry.ClientLate, s.Late)
-		counter(telemetry.ClientReadErrors, s.ReadErrors)
-		counter(telemetry.ClientDecodeErrors, s.DecodeErrors)
-		counter(telemetry.ClientTraces, s.Traces)
-	})
 }
 
 // InFlight returns the number of queries currently awaiting a reply.

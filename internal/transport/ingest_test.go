@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 
@@ -170,5 +171,37 @@ func TestNodeMetricsReportWhatTheSwitchStores(t *testing.T) {
 	items, stored := scrape()
 	if items != 10 || stored <= idle || stored != float64(node.Switch().ResidentBytes()) {
 		t.Fatalf("10 keys: items=%v register_bytes=%v (idle %v), switch says %d B", items, stored, idle, node.Switch().ResidentBytes())
+	}
+}
+
+// TestNodeCountsUnroutableReplies: a read from a source the address book
+// does not know is served, but its reply has nowhere to go; the node
+// counts the drop as NoRoute instead of dropping it without a trace.
+func TestNodeCountsUnroutableReplies(t *testing.T) {
+	node, _ := singleNode(t, 1, 1)
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	stranger := query.Endpoint{Addr: packet.AddrFrom4(10, 9, 9, 9), Port: packet.Port}
+	f, err := query.NewRead(stranger, 1, query.Route{Hops: []packet.Addr{node.sw.Addr()}}, kv.KeyFromString("k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := f.Serialize(nil)
+	packet.PutFrame(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := node.Stats(); st.NoRoute != 0 {
+		t.Fatalf("NoRoute = %d before any traffic", st.NoRoute)
+	}
+	if _, err := conn.WriteToUDP(buf, node.Endpoint()); err != nil {
+		t.Fatal(err)
+	}
+	waitForStat(t, func() uint64 { return node.Stats().NoRoute }, 1)
+	if st := node.Stats(); st.NoRoute != 1 || st.Processed != 1 || st.EncodeErrors != 0 {
+		t.Fatalf("noRoute=%d processed=%d encodeErrors=%d, want 1, 1 and 0", st.NoRoute, st.Processed, st.EncodeErrors)
 	}
 }

@@ -166,18 +166,26 @@ func configureSocket(conn *net.UDPConn) int {
 	return eff
 }
 
-// NodeStats counts transport-level events at a switch node's sockets —
-// the wire-health view that core.Switch.Stats cannot see, because bad
-// bytes never reach the dataplane.
+// NodeStats is a switch node's metrics ledger: its switch's dataplane
+// counters, plus what core.Switch.Stats cannot see — transport-level
+// events at the node's sockets (bad bytes never reach the dataplane) and
+// what the switch stores. Each tagged field is one exported series (see
+// telemetry.Registry.Export); heartbeat payloads read the same snapshot.
 type NodeStats struct {
-	ReadErrors       uint64 // transient socket read errors survived (the loop kept running)
-	DecodeErrors     uint64 // datagrams containing undecodable bytes
-	TruncatedBatches uint64 // batched datagrams cut short by a corrupt frame after good ones
-	RecvBatches      uint64 // ingest syscalls that returned datagrams
-	RecvDatagrams    uint64 // datagrams those syscalls drained (ratio = batching effectiveness)
-	RecvFrames       uint64 // frames decoded off the wire
-	EventsPublished  uint64 // push-watch events emitted to the relay sink
-	RcvBufBytes      int    // effective kernel SO_RCVBUF (0 = unknown); below 4 MB means clamped
+	core.Stats
+	ReadErrors       uint64 `metric:"netchain_node_read_errors_total" help:"transient socket read errors survived"`
+	DecodeErrors     uint64 `metric:"netchain_node_decode_errors_total" help:"datagrams containing undecodable bytes"`
+	TruncatedBatches uint64 `metric:"netchain_node_truncated_batches_total" help:"batched datagrams cut short by a corrupt frame after good ones"`
+	RecvBatches      uint64 `metric:"netchain_node_recv_batches_total" help:"ingest syscalls that returned datagrams"`
+	RecvDatagrams    uint64 `metric:"netchain_node_recv_datagrams_total" help:"datagrams drained by ingest syscalls (per batch: batching effectiveness)"`
+	RecvFrames       uint64 `metric:"netchain_node_recv_frames_total" help:"frames decoded off the wire"`
+	EventsPublished  uint64 `metric:"netchain_node_events_published_total" help:"push-watch events emitted to the relay sink"`
+	NoRoute          uint64 `metric:"netchain_node_no_route_total" help:"forwarded frames dropped: no address book entry for the destination"`
+	EncodeErrors     uint64 `metric:"netchain_node_encode_errors_total" help:"forwarded frames dropped: serialization failed"`
+	RcvBufBytes      int    `metric:"netchain_node_rcvbuf_bytes,gauge" help:"effective kernel SO_RCVBUF (0 = unknown); below 4 MB means clamped"`
+	QueueDepth       int    `metric:"netchain_node_queue_depth,gauge" help:"datagrams drained by each ingest socket's latest receive batch, summed"`
+	Items            int    `metric:"netchain_switch_items,gauge" help:"keys installed in the match table"`
+	RegisterBytes    int    `metric:"netchain_switch_register_bytes,gauge" help:"process memory held by the register file (materialised pages + directory)"`
 }
 
 // SwitchNode runs one NetChain switch dataplane behind real UDP sockets.
@@ -217,6 +225,8 @@ type SwitchNode struct {
 	recvDgrams   atomic.Uint64
 	recvFrames   atomic.Uint64
 	evtPublished atomic.Uint64
+	noRoute      atomic.Uint64
+	encodeErrs   atomic.Uint64
 	rcvBuf       int
 
 	// procHist samples handle() wall time (roughly 1/1024 frames, 1/256
@@ -357,9 +367,10 @@ func (n *SwitchNode) Closed() bool {
 	return n.closed
 }
 
-// Stats returns a snapshot of the node's transport counters.
+// Stats returns a snapshot of the node's ledger.
 func (n *SwitchNode) Stats() NodeStats {
 	return NodeStats{
+		Stats:            n.sw.Stats(),
 		ReadErrors:       n.readErrs.Load(),
 		DecodeErrors:     n.decodeErrs.Load(),
 		TruncatedBatches: n.truncBatches.Load(),
@@ -367,7 +378,12 @@ func (n *SwitchNode) Stats() NodeStats {
 		RecvDatagrams:    n.recvDgrams.Load(),
 		RecvFrames:       n.recvFrames.Load(),
 		EventsPublished:  n.evtPublished.Load(),
+		NoRoute:          n.noRoute.Load(),
+		EncodeErrors:     n.encodeErrs.Load(),
 		RcvBufBytes:      n.rcvBuf,
+		QueueDepth:       n.QueueDepth(),
+		Items:            n.sw.ItemCount(),
+		RegisterBytes:    n.sw.ResidentBytes(),
 	}
 }
 
@@ -387,60 +403,11 @@ func clampQueue(d int) uint16 {
 // directly).
 func (n *SwitchNode) ProcHist() *stats.Histogram { return n.procHist }
 
-// RegisterMetrics exports the node's socket-layer counters and its
-// switch's dataplane counters under the canonical telemetry series names.
-// netchainctl cluster health and /metrics read the same snapshots, so
-// their values can only differ by scrape timing, never by naming.
+// RegisterMetrics exports the node's ledger (Stats) and its sampled
+// processing-time histogram through reg.
 func (n *SwitchNode) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Histogram(telemetry.NodeProcNs, "sampled handle() wall time in ns", n.procHist)
-	reg.Collect(func(emit func(telemetry.Sample)) {
-		counter := func(name string, v uint64) {
-			emit(telemetry.Sample{Name: name, Kind: telemetry.KindCounter, Value: float64(v)})
-		}
-		gauge := func(name string, v float64) {
-			emit(telemetry.Sample{Name: name, Kind: telemetry.KindGauge, Value: v})
-		}
-		s := n.Stats()
-		counter(telemetry.NodeReadErrors, s.ReadErrors)
-		counter(telemetry.NodeDecodeErrors, s.DecodeErrors)
-		counter(telemetry.NodeTruncatedBatches, s.TruncatedBatches)
-		counter(telemetry.NodeRecvBatches, s.RecvBatches)
-		counter(telemetry.NodeRecvDatagrams, s.RecvDatagrams)
-		counter(telemetry.NodeRecvFrames, s.RecvFrames)
-		counter(telemetry.NodeEventsPublished, s.EventsPublished)
-		gauge(telemetry.NodeRcvBufBytes, float64(s.RcvBufBytes))
-		gauge(telemetry.NodeQueueDepth, float64(n.QueueDepth()))
-		cs := n.sw.Stats()
-		counter(telemetry.SwitchReads, cs.Reads)
-		counter(telemetry.SwitchWritesHead, cs.WritesHead)
-		counter(telemetry.SwitchWritesApply, cs.WritesApply)
-		counter(telemetry.SwitchWritesStale, cs.WritesStale)
-		counter(telemetry.SwitchWritesReplayed, cs.WritesReplayed)
-		counter(telemetry.SwitchWritesFrozen, cs.WritesFrozen)
-		counter(telemetry.SwitchCASFails, cs.CASFails)
-		counter(telemetry.SwitchReplies, cs.Replies)
-		counter(telemetry.SwitchRuleHits, cs.RuleHits)
-		counter(telemetry.SwitchRuleDrops, cs.RuleDrops)
-		counter(telemetry.SwitchNotFound, cs.NotFound)
-		counter(telemetry.SwitchTransits, cs.Transits)
-		counter(telemetry.SwitchProcessed, cs.Processed)
-		gauge(telemetry.SwitchItems, float64(n.sw.ItemCount()))
-		gauge(telemetry.SwitchRegisterBytes, float64(n.sw.ResidentBytes()))
-	})
-	for name, help := range map[string]string{
-		telemetry.NodeReadErrors:       "transient socket read errors survived",
-		telemetry.NodeDecodeErrors:     "datagrams containing undecodable bytes",
-		telemetry.NodeTruncatedBatches: "batched datagrams cut short by a corrupt frame",
-		telemetry.NodeRecvFrames:       "frames decoded off the wire",
-		telemetry.NodeQueueDepth:       "datagrams drained by each ingest socket's latest receive batch, summed",
-		telemetry.SwitchReads:          "read queries served here",
-		telemetry.SwitchProcessed:      "NetChain queries processed locally",
-		telemetry.SwitchTransits:       "frames forwarded without local processing",
-		telemetry.SwitchItems:          "keys installed in the match table",
-		telemetry.SwitchRegisterBytes:  "process memory held by the register file (materialised pages + directory)",
-	} {
-		reg.Help(name, help)
-	}
+	reg.Export(func() any { return n.Stats() })
 }
 
 // eventSink is where a node publishes push-watch events: the relay tier's
@@ -513,10 +480,10 @@ func (n *SwitchNode) StartHeartbeats(monitor packet.Addr, every time.Duration) e
 				return
 			case <-tick.C:
 			}
-			st := n.sw.Stats()
+			st := n.Stats()
 			seq++
 			health.NewHeartbeat(f, n.sw.Addr(), monitor, seq, health.Payload{
-				Queue: uint32(n.QueueDepth()),
+				Queue: uint32(st.QueueDepth),
 				// Drops stays zero on the real transport: the node has
 				// no visibility into socket-level loss, and the
 				// protocol-normal discards it CAN count (stale-dropped
@@ -533,8 +500,8 @@ func (n *SwitchNode) StartHeartbeats(monitor packet.Addr, every time.Duration) e
 				// links are tearing frames" and "this switch's socket was
 				// clamped below the batching working set" apart from
 				// protocol trouble.
-				DecodeErrs: n.decodeErrs.Load(),
-				RcvBuf:     uint32(n.rcvBuf),
+				DecodeErrs: st.DecodeErrors,
+				RcvBuf:     uint32(st.RcvBufBytes),
 			})
 			out, err := f.Serialize(buf[:0])
 			if err != nil {
@@ -668,12 +635,14 @@ func (n *SwitchNode) handle(f *packet.Frame, emit func(outFrame)) {
 	}
 	ep, ok := n.book.Get(f.IP.Dst)
 	if !ok {
+		n.noRoute.Add(1)
 		return
 	}
 	bp := packet.GetBuf()
 	out, err := f.Serialize((*bp)[:0])
 	if err != nil {
 		packet.PutBuf(bp)
+		n.encodeErrs.Add(1)
 		return
 	}
 	*bp = out

@@ -87,7 +87,7 @@ func main() {
 			log.Fatalf("netchain-controller: -monitor-vaddr: %v", err)
 		}
 		det := health.NewDetector(health.Config{HeartbeatEvery: *heartbeat})
-		mon, err := health.NewMonitor(*healthBind, mv, det)
+		mon, err := transport.NewMonitor(*healthBind, mv, det)
 		if err != nil {
 			log.Fatalf("netchain-controller: %v", err)
 		}

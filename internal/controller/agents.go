@@ -9,7 +9,7 @@ import (
 	"netchain/internal/packet"
 )
 
-// Follower mirrors a registry's membership; health.Monitor is one.
+// Follower mirrors a registry's membership; transport.Monitor is one.
 type Follower interface {
 	Watch(sw packet.Addr)
 	Forget(sw packet.Addr)

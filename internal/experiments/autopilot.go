@@ -19,7 +19,7 @@ import (
 // each switch's actual forwarding path, and the controller Autopilot — all
 // driven by the discrete-event engine, so nemesis schedules exercise
 // detection and repair deterministically. What the monitor host makes of
-// beacons and echoes is health.Core's, the engine the UDP health.Monitor
+// beacons and echoes is health.Core's, the engine the UDP transport.Monitor
 // drives too.
 
 // AutopilotOpts sizes the harness.

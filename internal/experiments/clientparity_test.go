@@ -157,7 +157,7 @@ func TestClientParitySimAndWire(t *testing.T) {
 		book.Set(far, conn.LocalAddr().(*net.UDPAddr))
 		inj := faultconn.New(1)
 		defer inj.Stop()
-		inj.RegisterEndpoint(far, conn.LocalAddr().(*net.UDPAddr))
+		inj.Pipe(far).Attach(conn.LocalAddr().(*net.UDPAddr))
 		tc, err := transport.NewClient(book, transport.ClientConfig{
 			Addr: cli, Gateway: far, Bind: "127.0.0.1:0",
 			Timeout: 10 * time.Millisecond, Retries: retries, Faults: inj.Pipe(cli),
@@ -166,7 +166,6 @@ func TestClientParitySimAndWire(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer tc.Close()
-		inj.RegisterEndpoint(cli, tc.LocalEndpoint())
 		ops := &transport.Ops{Client: tc, Dir: func(kv.Key) (query.Route, error) {
 			return query.Route{Hops: []packet.Addr{far}}, nil
 		}}

@@ -109,7 +109,7 @@ type realCluster struct {
 	sws []packet.Addr // members [0..2], spare [3]
 
 	det   *health.Detector
-	mon   *health.Monitor
+	mon   *transport.Monitor
 	pilot *controller.Autopilot
 
 	ops []*transport.Ops // one per client
@@ -156,13 +156,12 @@ func newRealCluster(o RealChaosOpts) (*realCluster, error) {
 	// never aliases it.
 	mv := packet.AddrFrom4(10, 255, 0, 1)
 	rc.det = health.NewDetector(health.Config{HeartbeatEvery: realChaosHeartbeat})
-	rc.mon, err = health.NewMonitor("127.0.0.1:0", mv, rc.det,
-		health.WithMonitorFaults(rc.inj.Pipe(mv)))
+	rc.mon, err = transport.NewMonitor("127.0.0.1:0", mv, rc.det,
+		transport.WithMonitorFaults(rc.inj.Pipe(mv)))
 	if err != nil {
 		return nil, err
 	}
 	rc.stops = append(rc.stops, rc.mon.Close)
-	rc.inj.RegisterEndpoint(mv, rc.mon.Endpoint())
 	for _, a := range rc.sws {
 		rc.mon.Watch(a)
 	}

@@ -10,13 +10,14 @@
 // FuzzScheduleWire).
 //
 // The injector hands out one Pipe per socket owner; the Pipe implements
-// transport.FaultPipe (and, structurally, health.FaultPipe), so it slots
-// into every real-path socket the transport exposes: switch ingest
-// workers, the client, the health monitor's probe socket, and the relay's
-// ingest and control sockets. Egress faults are judged per serialized
-// frame before coalescing; delayed and duplicated frames are re-injected
-// through the owner's own raw sender so source-learning receivers (the
-// monitor's endpoint table, the relay's lease table) never observe a
+// transport.FaultPipe, so it slots into every socket on the wire — each is
+// a transport.BatchConn: switch ingest sockets, the client, the health
+// monitor, the relay's ingest and control sockets and watch subscribers.
+// A BatchConn attaching a Pipe registers its endpoint, so directed faults
+// toward any of them resolve to their owner. Egress faults are judged per
+// serialized frame before coalescing; delayed and duplicated frames are
+// re-injected through the owner's own socket so source-learning receivers
+// (the monitor's endpoint table, the relay's lease table) never observe a
 // foreign source address.
 //
 // Determinism: every probabilistic decision draws from a per-directed-pair
@@ -150,21 +151,6 @@ func New(seed int64, opts ...Option) *Injector {
 		o(i)
 	}
 	return i
-}
-
-// RegisterEndpoint records that datagrams addressed to ep belong to the
-// node with virtual address owner — the injector resolves the "to" side
-// of directed link faults and fail-stop blackholes through this table.
-// Unregistered endpoints resolve to address 0 (still a deterministic
-// direction, just not a targetable one).
-func (i *Injector) RegisterEndpoint(owner packet.Addr, ep *net.UDPAddr) {
-	k, ok := epKey(ep)
-	if !ok {
-		return
-	}
-	i.mu.Lock()
-	i.eps[k] = owner
-	i.mu.Unlock()
 }
 
 // epKey packs an IPv4 UDP endpoint into an allocation-free map key.
@@ -338,7 +324,7 @@ func (l locked) RestoreSwitch(addr packet.Addr) error {
 // Pipe: the per-socket-owner fault filter.
 
 // Pipe binds the injector to one socket owner. It satisfies
-// transport.FaultPipe and health's structural copy of it.
+// transport.FaultPipe.
 type Pipe struct {
 	inj  *Injector
 	self packet.Addr
@@ -346,6 +332,21 @@ type Pipe struct {
 
 // Pipe mints the fault filter for the node with virtual address self.
 func (i *Injector) Pipe(self packet.Addr) *Pipe { return &Pipe{inj: i, self: self} }
+
+// Attach records that datagrams addressed to ep, the endpoint of a socket
+// the pipe was attached to, belong to the pipe's owner — the injector
+// resolves the "to" side of directed link faults and fail-stop blackholes
+// through this table. Unregistered endpoints resolve to address 0 (still
+// a deterministic direction, just not a targetable one).
+func (p *Pipe) Attach(ep *net.UDPAddr) {
+	k, ok := epKey(ep)
+	if !ok {
+		return
+	}
+	p.inj.mu.Lock()
+	p.inj.eps[k] = p.self
+	p.inj.mu.Unlock()
+}
 
 // Egress judges one serialized frame about to leave self toward ep.
 // Returns true to let the caller send it unmodified; false when the

@@ -29,7 +29,7 @@ func collectTrace(seed int64, flt netsim.LinkFault, n int) []netsim.FaultDecisio
 	}))
 	defer inj.Stop()
 	ep := testEndpoint()
-	inj.RegisterEndpoint(testTo, ep)
+	inj.Pipe(testTo).Attach(ep)
 	_ = inj.Inject(netsim.LinkChaos{A: testFrom, B: testTo, F: flt}) // the wire takes any link
 	pipe := inj.Pipe(testFrom)
 	buf := make([]byte, 64)
@@ -77,7 +77,7 @@ func TestInjectorStatsDeterminism(t *testing.T) {
 		inj := New(seed)
 		defer inj.Stop()
 		ep := testEndpoint()
-		inj.RegisterEndpoint(testTo, ep)
+		inj.Pipe(testTo).Attach(ep)
 		flt := netsim.LinkFault{Drop: 0.3, Dup: 0.1, Reorder: 0.2}
 		if err := inj.Inject(netsim.LinkChaos{A: testFrom, B: testTo, F: flt}); err != nil {
 			t.Fatal(err)

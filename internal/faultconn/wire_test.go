@@ -2,7 +2,7 @@ package faultconn_test
 
 import (
 	"errors"
-	"net"
+	"fmt"
 	"testing"
 	"time"
 
@@ -13,56 +13,67 @@ import (
 	"netchain/internal/netsim"
 	"netchain/internal/packet"
 	"netchain/internal/query"
+	"netchain/internal/relay"
 	"netchain/internal/swsim"
 	"netchain/internal/transport"
 )
 
-// TestPacketConnShim exercises the net.PacketConn wrapper over real UDP
-// sockets: clean pass-through, a directed link cut, fail-stop, and gray
-// ingress loss — each fault silently consuming datagrams the way a lossy
-// kernel would (writes still report full length).
-func TestPacketConnShim(t *testing.T) {
+// TestBatchConnPipe exercises a pipe attached to a BatchConn over real UDP
+// sockets: clean pass-through, a directed link cut (which resolves the
+// receiver only because attaching its pipe registered its endpoint),
+// fail-stop, and gray ingress loss — each fault silently consuming
+// datagrams the way a lossy kernel would (writes still report no error).
+func TestBatchConnPipe(t *testing.T) {
 	aAddr := packet.AddrFrom4(10, 0, 0, 1)
 	bAddr := packet.AddrFrom4(10, 0, 0, 2)
 	inj := faultconn.New(5)
 	defer inj.Stop()
 
-	listen := func() *net.UDPConn {
+	listen := func(self packet.Addr) *transport.BatchConn {
 		t.Helper()
-		c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		c, err := transport.Listen("127.0.0.1:0", 0, inj.Pipe(self))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return c
 	}
-	ac, bc := listen(), listen()
-	sender := inj.WrapPacketConn(aAddr, ac)
-	receiver := inj.WrapPacketConn(bAddr, bc)
+	sender, receiver := listen(aAddr), listen(bAddr)
 	defer sender.Close()
-	defer receiver.Close()
-	inj.RegisterEndpoint(aAddr, ac.LocalAddr().(*net.UDPAddr))
-	inj.RegisterEndpoint(bAddr, bc.LocalAddr().(*net.UDPAddr))
-	bEp := bc.LocalAddr().(*net.UDPAddr)
+	bEp := receiver.LocalAddr()
+	got := make(chan string, 8)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		buf := make([]byte, 256)
+		receiver.ReadLoop(func() error {
+			n, _, err := receiver.ReadFrom(buf)
+			if err == nil {
+				got <- string(buf[:n])
+			}
+			return err
+		}, nil)
+	}()
+	defer func() {
+		receiver.Close()
+		<-done
+	}()
 
 	recv := func(wait time.Duration) (string, bool) {
-		t.Helper()
-		buf := make([]byte, 256)
-		receiver.SetReadDeadline(time.Now().Add(wait))
-		n, _, err := receiver.ReadFromUDP(buf)
-		if err != nil {
+		select {
+		case msg := <-got:
+			return msg, true
+		case <-time.After(wait):
 			return "", false
 		}
-		return string(buf[:n]), true
 	}
 	send := func(msg string) {
 		t.Helper()
-		n, err := sender.WriteToUDP([]byte(msg), bEp)
-		if err != nil || n != len(msg) {
-			t.Fatalf("WriteToUDP(%q) = (%d, %v), want (%d, nil)", msg, n, err, len(msg))
+		if err := sender.WriteTo([]byte(msg), bEp); err != nil {
+			t.Fatalf("WriteTo(%q) = %v, want nil", msg, err)
 		}
 	}
 
-	// Clean link: the shim is a pass-through.
+	// Clean link: the pipe is a pass-through.
 	send("plain")
 	if got, ok := recv(2 * time.Second); !ok || got != "plain" {
 		t.Fatalf("clean delivery failed: got %q ok=%v", got, ok)
@@ -78,7 +89,7 @@ func TestPacketConnShim(t *testing.T) {
 		// Fail-stop of the sender: its egress dies at the socket.
 		{"left a fail-stopped node", netsim.FailStop{Addr: aAddr}},
 		// Gray ingress loss on the receiver: the wire delivers, the
-		// wrapped read loop eats every arrival.
+		// receiving BatchConn eats every arrival.
 		{"passed gray-lossy ingress", netsim.GraySwitch{Addr: bAddr, G: netsim.Gray{Loss: 1}}},
 	} {
 		if err := inj.Inject(tc.f); err != nil {
@@ -134,7 +145,6 @@ func newWireNode(t *testing.T, seed int64) *wireNode {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { w.node.Close() })
-	w.inj.RegisterEndpoint(w.addr, w.node.Endpoint())
 	k := kv.KeyFromString("wire/k")
 	if err := sw.InstallKey(k); err != nil {
 		t.Fatal(err)
@@ -152,7 +162,6 @@ func (w *wireNode) client(t *testing.T, cfg transport.ClientConfig) *transport.O
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tc.Close() })
-	w.inj.RegisterEndpoint(cfg.Addr, tc.LocalEndpoint())
 	route := func(kv.Key) (query.Route, error) {
 		return query.Route{Group: 1, Hops: []packet.Addr{w.addr}}, nil
 	}
@@ -196,7 +205,7 @@ func TestPartitionBoundsRetryVolume(t *testing.T) {
 	}
 }
 
-// TestMonitorDetectsFailStopOnWire is the health.Monitor smoke on real
+// TestMonitorDetectsFailStopOnWire is the transport.Monitor smoke on real
 // sockets: two switches beat over a clean wire until both read healthy,
 // then the nemesis fail-stops one, and the monitor must convict it within
 // seconds and leave the other alone. What the detector makes of gray and
@@ -223,19 +232,17 @@ func TestMonitorDetectsFailStopOnWire(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer n.Close()
-		inj.RegisterEndpoint(a, n.Endpoint())
 		nodes = append(nodes, n)
 	}
 
 	mv := packet.AddrFrom4(10, 255, 0, 1)
 	det := health.NewDetector(health.Config{HeartbeatEvery: hb})
-	mon, err := health.NewMonitor("127.0.0.1:0", mv, det,
-		health.WithMonitorFaults(inj.Pipe(mv)))
+	mon, err := transport.NewMonitor("127.0.0.1:0", mv, det,
+		transport.WithMonitorFaults(inj.Pipe(mv)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mon.Close()
-	inj.RegisterEndpoint(mv, mon.Endpoint())
 	book.Set(mv, mon.Endpoint())
 	for _, a := range addrs {
 		mon.Watch(a)
@@ -269,5 +276,180 @@ func TestMonitorDetectsFailStopOnWire(t *testing.T) {
 	}
 	if v := det.VerdictFor(addrs[0], mon.Now()); v == health.FailStop {
 		t.Fatalf("survivor evicted alongside the real failure (verdict %v)", v)
+	}
+}
+
+// eventually polls cond for up to 5 s.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestSubscriberLinkFault: a directed link fault from the relay toward a
+// watch subscriber drops every event on that link. The relay's egress
+// resolves the subscriber's endpoint to its virtual address only because
+// the subscriber's socket registered it when its pipe was attached.
+func TestSubscriberLinkFault(t *testing.T) {
+	inj := faultconn.New(3)
+	defer inj.Stop()
+	rv, sv := packet.AddrFrom4(10, 2, 0, 1), packet.AddrFrom4(10, 3, 0, 1)
+	rs, err := relay.Start(relay.Config{Addr: rv, Faults: inj.Pipe(rv)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	sub, err := relay.Subscribe(relay.ModeUnicast, rs.ControlEndpoint(), []uint16{1},
+		func(query.Event) {}, relay.WithSubFaults(inj.Pipe(sv)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	eventually(t, "the subscribe ack", func() bool { return sub.Acked() != 0 })
+
+	tail, err := transport.Listen("127.0.0.1:0", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Close()
+	seq := uint64(0)
+	emit := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			seq++
+			f := query.NewEvent(packet.AddrFrom4(10, 0, 0, 1), rv, packet.Port, packet.Port, query.Event{
+				Key: kv.KeyFromString("k"), Value: kv.Value("v"), Version: kv.Version{Seq: seq}, Group: 1,
+			})
+			buf, err := f.Serialize(nil)
+			packet.PutFrame(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tail.WriteTo(buf, rs.IngestEndpoint()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	cut := netsim.LinkChaos{A: rv, B: sv, F: netsim.LinkFault{Drop: 1}}
+	if err := inj.Inject(cut); err != nil {
+		t.Fatal(err)
+	}
+	const sent = 20
+	emit(sent)
+	eventually(t, "the relay to sequence every event", func() bool { return rs.Stats().EventsOut == sent })
+	time.Sleep(50 * time.Millisecond)
+	if got := sub.Received(); got != 0 {
+		t.Fatalf("%d of %d events crossed a fully cut relay→subscriber link", got, sent)
+	}
+	if err := inj.Heal(cut); err != nil {
+		t.Fatal(err)
+	}
+	emit(1)
+	eventually(t, "an event after the heal", func() bool { return sub.Received() == 1 })
+}
+
+// TestEverySocketOwnerHonoursItsPipe fail-stops each socket owner of a
+// live deployment in turn — switch node, client, relay server, watch
+// subscriber, health monitor — checks that the owner falls silent, then
+// heals it and checks that its traffic resumes.
+func TestEverySocketOwnerHonoursItsPipe(t *testing.T) {
+	const hb = 5 * time.Millisecond
+	w := newWireNode(t, 21)
+	k := kv.KeyFromString("wire/k")
+	cli := packet.AddrFrom4(10, 1, 0, 1)
+	ops := w.client(t, transport.ClientConfig{Addr: cli, Timeout: 5 * time.Millisecond, Retries: 2})
+	if _, err := ops.Write(k, kv.Value("v0")); err != nil {
+		t.Fatalf("seed write: %v", err)
+	}
+	read := func(t *testing.T) bool {
+		_, _, err := ops.Read(k)
+		if err != nil && !errors.Is(err, kv.ErrTimeout) {
+			t.Fatalf("read: %v", err)
+		}
+		return err == nil
+	}
+
+	rv, sv := packet.AddrFrom4(10, 2, 0, 1), packet.AddrFrom4(10, 3, 0, 1)
+	rs, err := relay.Start(relay.Config{Addr: rv, Faults: w.inj.Pipe(rv)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rs.Close() })
+	w.node.SetEventSink(rv, rs.IngestEndpoint())
+	sub, err := relay.Subscribe(relay.ModeUnicast, rs.ControlEndpoint(), []uint16{1}, func(query.Event) {},
+		relay.WithSubFaults(w.inj.Pipe(sv)), relay.WithRenewEvery(hb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sub.Close() })
+	eventually(t, "the subscribe ack", func() bool { return sub.Acked() != 0 })
+	writes := 0
+	event := func(t *testing.T) bool {
+		before := sub.Received()
+		writes++
+		if _, err := ops.Write(k, kv.Value(fmt.Sprint(writes))); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		time.Sleep(20 * time.Millisecond)
+		return sub.Received() > before
+	}
+
+	mv := packet.AddrFrom4(10, 255, 0, 1)
+	det := health.NewDetector(health.Config{HeartbeatEvery: hb})
+
+	for _, tc := range []struct {
+		name   string
+		addr   packet.Addr
+		before func(t *testing.T)
+		flows  func(t *testing.T) bool
+	}{
+		{name: "switch node", addr: w.addr, flows: read},
+		{name: "client", addr: cli, flows: func(t *testing.T) bool {
+			before := w.node.Stats().RecvDatagrams
+			ok := read(t)
+			return ok || w.node.Stats().RecvDatagrams != before
+		}},
+		{name: "relay server", addr: rv, flows: func(t *testing.T) bool {
+			acks := sub.Acked()
+			return event(t) || sub.Acked() != acks
+		}},
+		{name: "subscriber", addr: sv, flows: event},
+		{name: "monitor", addr: mv, before: func(t *testing.T) {
+			// Started under the fault, so the monitor has learned nothing.
+			mon, err := transport.NewMonitor("127.0.0.1:0", mv, det, transport.WithMonitorFaults(w.inj.Pipe(mv)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { mon.Close() })
+			w.book.Set(mv, mon.Endpoint())
+			if err := w.node.StartHeartbeats(mv, hb); err != nil {
+				t.Fatal(err)
+			}
+		}, flows: func(*testing.T) bool {
+			time.Sleep(10 * hb)
+			return len(det.Snapshot(0)) != 0
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fault := netsim.FailStop{Addr: tc.addr}
+			if err := w.inj.Inject(fault); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(4 * hb) // let datagrams sent before the fault land
+			if tc.before != nil {
+				tc.before(t)
+			}
+			if tc.flows(t) {
+				t.Fatalf("%v still talks while fail-stopped", tc.addr)
+			}
+			if err := w.inj.Heal(fault); err != nil {
+				t.Fatal(err)
+			}
+			eventually(t, "traffic after the heal", func() bool { return tc.flows(t) })
+		})
 	}
 }

@@ -12,7 +12,7 @@ import (
 // Core is the monitor's decision engine: heartbeat intake, probe
 // bookkeeping and switch retirement, feeding one Detector. It performs no
 // I/O and reads no clock — every verb takes the caller's timestamp — so
-// the wall-clock Monitor (UDP sockets, a ticker) and the simulated
+// the wall-clock transport.Monitor (UDP sockets, a ticker) and the simulated
 // autopilot harness (event.Sim timers) drive the same code and cannot
 // drift. Safe for concurrent use.
 //

@@ -10,7 +10,7 @@
 // detects the failure"; this package is that step. Everything is driven by
 // caller-supplied timestamps, so the same detector runs deterministically
 // under the discrete-event simulator and on wall clocks in a real
-// deployment.
+// deployment. The package does no I/O: transport.Monitor is its UDP driver.
 package health
 
 import "math"

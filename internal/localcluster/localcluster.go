@@ -143,24 +143,16 @@ func Start(cfg Config) (*Cluster, error) {
 	return cl, nil
 }
 
-// startRelay boots a relay incarnation on bind and registers its sockets
-// with the nemesis, if any. Unicast-lease fan-out: loopback has no
-// multicast routing.
+// startRelay boots a relay incarnation on bind, its sockets behind the
+// nemesis, if any. Unicast-lease fan-out: loopback has no multicast
+// routing.
 func (c *Cluster) startRelay(bind string) (*relay.Server, error) {
 	addr := packet.AddrFrom4(10, 2, 0, 1)
 	rcfg := relay.Config{Bind: bind, Addr: addr, LeaseTTL: c.cfg.RelayLeaseTTL}
 	if c.cfg.Faults != nil {
 		rcfg.Faults = c.cfg.Faults.Pipe(addr)
 	}
-	rs, err := relay.Start(rcfg)
-	if err != nil {
-		return nil, err
-	}
-	if c.cfg.Faults != nil {
-		c.cfg.Faults.RegisterEndpoint(addr, rs.IngestEndpoint())
-		c.cfg.Faults.RegisterEndpoint(addr, rs.ControlEndpoint())
-	}
-	return rs, nil
+	return relay.Start(rcfg)
 }
 
 // bootSwitch starts one switch dataplane node plus its control agent and
@@ -184,9 +176,6 @@ func (c *Cluster) bootSwitch() (packet.Addr, error) {
 		return 0, err
 	}
 	node.SetEventSink(c.relaySrv.Addr(), c.relaySrv.IngestEndpoint())
-	if c.cfg.Faults != nil {
-		c.cfg.Faults.RegisterEndpoint(addr, node.Endpoint())
-	}
 	c.nodes = append(c.nodes, node)
 	c.stops = append(c.stops, node.Close)
 	c.registry.Set(addr, controller.LocalAgent{Switch: sw}) // no nemesis: see Config.Faults
@@ -441,9 +430,6 @@ func (c *Cluster) NewClient(gateway int) (*transport.Ops, error) {
 	tc, err := transport.NewClient(c.book, ccfg)
 	if err != nil {
 		return nil, err
-	}
-	if c.cfg.Faults != nil {
-		c.cfg.Faults.RegisterEndpoint(claddr, tc.LocalEndpoint())
 	}
 	return &transport.Ops{Client: tc, Dir: func(k kv.Key) (query.Route, error) {
 		// An empty chain surfaces as kv.ErrUnavailable when the frame is built.

@@ -24,11 +24,10 @@ type Conn struct {
 	ctl    *net.UDPAddr
 	groups []uint16
 
-	conn   *net.UDPConn   // unicast: control + event intake
-	mconns []*net.UDPConn // multicast: one joined socket per group
+	conn   *transport.BatchConn   // unicast: control + event intake
+	mconns []*transport.BatchConn // multicast: one joined socket per group
 
 	renewEvery time.Duration
-	fault      transport.FaultPipe
 
 	received atomic.Uint64
 	acks     atomic.Uint64
@@ -37,15 +36,24 @@ type Conn struct {
 	wg   sync.WaitGroup
 }
 
+// subRecvBatch sizes a subscriber socket's receive ring: 16 datagrams of
+// the relay's largest coalesced fan-out, 64 KB per socket.
+const subRecvBatch = 16
+
 // SubOption tunes a subscriber Conn.
-type SubOption func(*Conn)
+type SubOption func(*subConfig)
+
+type subConfig struct {
+	renewEvery time.Duration
+	faults     transport.FaultPipe
+}
 
 // WithRenewEvery sets the unicast lease renew cadence. Default is
 // DefaultLeaseTTL/3; a relay configured with a shorter LeaseTTL needs
 // its subscribers renewing at TTL/3, or a relay restart (which loses the
 // lease table) silences them until the next slow renew.
 func WithRenewEvery(d time.Duration) SubOption {
-	return func(c *Conn) {
+	return func(c *subConfig) {
 		if d > 0 {
 			c.renewEvery = d
 		}
@@ -55,7 +63,7 @@ func WithRenewEvery(d time.Duration) SubOption {
 // WithSubFaults routes the subscriber's event intake and control frames
 // through the wire nemesis (see transport.FaultPipe).
 func WithSubFaults(p transport.FaultPipe) SubOption {
-	return func(c *Conn) { c.fault = p }
+	return func(c *subConfig) { c.faults = p }
 }
 
 // Subscribe opens the event intake for the given virtual groups and
@@ -63,18 +71,19 @@ func WithSubFaults(p transport.FaultPipe) SubOption {
 // in multicast mode, may be nil then). deliver runs on internal
 // goroutines.
 func Subscribe(mode Mode, ctl *net.UDPAddr, groups []uint16, deliver func(query.Event), opts ...SubOption) (*Conn, error) {
+	cfg := subConfig{renewEvery: DefaultLeaseTTL / 3}
+	for _, o := range opts {
+		o(&cfg)
+	}
 	c := &Conn{
 		mode: mode, ctl: ctl, groups: append([]uint16(nil), groups...),
-		renewEvery: DefaultLeaseTTL / 3,
+		renewEvery: cfg.renewEvery,
 		stop:       make(chan struct{}),
-	}
-	for _, o := range opts {
-		o(c)
 	}
 	switch mode {
 	case ModeMulticast:
 		for _, g := range groups {
-			mc, err := net.ListenMulticastUDP("udp4", nil, GroupUDP(g))
+			mc, err := transport.ListenMulticast(GroupUDP(g), subRecvBatch, cfg.faults)
 			if err != nil {
 				c.Close()
 				return nil, fmt.Errorf("relay: join group %d (%v): %w", g, GroupAddr(g), err)
@@ -87,7 +96,7 @@ func Subscribe(mode Mode, ctl *net.UDPAddr, groups []uint16, deliver func(query.
 		if ctl == nil {
 			return nil, fmt.Errorf("relay: unicast subscription needs a control endpoint")
 		}
-		conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0})
+		conn, err := transport.Listen("127.0.0.1:0", subRecvBatch, cfg.faults)
 		if err != nil {
 			return nil, fmt.Errorf("relay: listen: %w", err)
 		}
@@ -129,34 +138,25 @@ func (c *Conn) Close() error {
 	return nil
 }
 
-func (c *Conn) recvLoop(conn *net.UDPConn, deliver func(query.Event)) {
+func (c *Conn) recvLoop(conn *transport.BatchConn, deliver func(query.Event)) {
 	defer c.wg.Done()
-	buf := make([]byte, 64<<10)
 	var f packet.Frame
-	for {
-		n, _, err := conn.ReadFromUDP(buf)
-		if err != nil {
-			if isClosed(err) {
-				return
+	handle := func(fr *packet.Frame) {
+		switch fr.NC.Op {
+		case kv.OpEvent:
+			if ev, perr := query.ParseEvent(fr); perr == nil {
+				c.received.Add(1)
+				deliver(ev)
 			}
-			time.Sleep(20 * time.Microsecond)
-			continue
+		case kv.OpWatch:
+			c.acks.Add(1)
 		}
-		if c.fault != nil && !c.fault.Ingress(buf[:n]) {
-			continue
-		}
-		_, _ = packet.DecodeBatch(&f, buf[:n], func(fr *packet.Frame) {
-			switch fr.NC.Op {
-			case kv.OpEvent:
-				if ev, perr := query.ParseEvent(fr); perr == nil {
-					c.received.Add(1)
-					deliver(ev)
-				}
-			case kv.OpWatch:
-				c.acks.Add(1)
-			}
-		})
 	}
+	intake := func(dgram []byte) { _, _ = packet.DecodeBatch(&f, dgram, handle) }
+	conn.ReadLoop(func() error {
+		_, err := conn.ReadBatch(intake)
+		return err
+	}, nil)
 }
 
 // renewLoop re-subscribes at a third of the lease TTL so transient loss
@@ -177,7 +177,7 @@ func (c *Conn) renewLoop() {
 }
 
 func (c *Conn) sendControl(verb byte) error {
-	f, err := query.NewWatch(0, 0, uint16(c.conn.LocalAddr().(*net.UDPAddr).Port), verb, uint64(time.Now().UnixNano()), c.groups)
+	f, err := query.NewWatch(0, 0, uint16(c.conn.LocalAddr().Port), verb, uint64(time.Now().UnixNano()), c.groups)
 	if err != nil {
 		return err
 	}
@@ -189,11 +189,5 @@ func (c *Conn) sendControl(verb byte) error {
 		return serr
 	}
 	*bp = out
-	if c.fault != nil && !c.fault.Egress(out, c.ctl, c.rawSend) {
-		return nil // consumed by the nemesis: dropped or delayed
-	}
-	_, werr := c.conn.WriteToUDP(out, c.ctl)
-	return werr
+	return c.conn.WriteTo(out, c.ctl)
 }
-
-func (c *Conn) rawSend(b []byte, ep *net.UDPAddr) { _, _ = c.conn.WriteToUDP(b, ep) }

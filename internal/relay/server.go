@@ -1,7 +1,6 @@
 package relay
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -80,15 +79,15 @@ type lease struct {
 }
 
 // Server is the real-network relay: an ingest socket drains event frames
-// from tail agents in recvmmsg batches and fans fresh ones out (reusing
-// the transport's batch egress), while a control socket handles OpWatch
-// subscribe/renew/unsubscribe from clients (plain reads — the relay must
-// learn each subscriber's real source endpoint, which the batched ring
-// does not capture).
+// from tail agents in recvmmsg batches and fans fresh ones out on the same
+// socket's batch egress, while a control socket handles OpWatch
+// subscribe/renew/unsubscribe from clients (single-datagram reads — the
+// relay must learn each subscriber's real source endpoint, which the
+// batched ring does not capture).
 type Server struct {
 	cfg  Config
-	conn *net.UDPConn // ingest + fan-out egress
-	ctl  *net.UDPConn // subscription control
+	conn *transport.BatchConn // ingest + fan-out egress
+	ctl  *transport.BatchConn // subscription control
 
 	core *Core
 
@@ -121,11 +120,7 @@ func Start(cfg Config) (*Server, error) {
 			cfg.Epoch = 1
 		}
 	}
-	laddr, err := net.ResolveUDPAddr("udp", cfg.Bind)
-	if err != nil {
-		return nil, fmt.Errorf("relay: resolve %q: %w", cfg.Bind, err)
-	}
-	conn, err := net.ListenUDP("udp", laddr)
+	conn, err := transport.Listen(cfg.Bind, cfg.RecvBatch, cfg.Faults)
 	if err != nil {
 		return nil, fmt.Errorf("relay: listen ingest: %w", err)
 	}
@@ -133,12 +128,12 @@ func Start(cfg Config) (*Server, error) {
 	// control socket, so its port must be predictable: ingest+1 when
 	// free, ephemeral otherwise (tests bind ingest to port 0 and read
 	// both endpoints back).
-	ctlAddr := *conn.LocalAddr().(*net.UDPAddr)
+	ctlAddr := *conn.LocalAddr()
 	ctlAddr.Port++
-	ctl, err := net.ListenUDP("udp", &ctlAddr)
+	ctl, err := transport.Listen(ctlAddr.String(), 0, cfg.Faults)
 	if err != nil {
 		ctlAddr.Port = 0
-		ctl, err = net.ListenUDP("udp", &ctlAddr)
+		ctl, err = transport.Listen(ctlAddr.String(), 0, cfg.Faults)
 	}
 	if err != nil {
 		conn.Close()
@@ -159,10 +154,10 @@ func Start(cfg Config) (*Server, error) {
 
 // IngestEndpoint is where tail agents send OpEvent frames (the node
 // event-sink target).
-func (s *Server) IngestEndpoint() *net.UDPAddr { return s.conn.LocalAddr().(*net.UDPAddr) }
+func (s *Server) IngestEndpoint() *net.UDPAddr { return s.conn.LocalAddr() }
 
 // ControlEndpoint is where subscribers send OpWatch control frames.
-func (s *Server) ControlEndpoint() *net.UDPAddr { return s.ctl.LocalAddr().(*net.UDPAddr) }
+func (s *Server) ControlEndpoint() *net.UDPAddr { return s.ctl.LocalAddr() }
 
 // Addr returns the relay's virtual NetChain address.
 func (s *Server) Addr() packet.Addr { return s.cfg.Addr }
@@ -223,34 +218,26 @@ func (s *Server) Close() error {
 // burst flushes as one egress syscall.
 func (s *Server) ingestLoop() {
 	defer s.wg.Done()
-	bio := transport.NewBatchConn(s.conn, s.cfg.RecvBatch)
-	if s.cfg.Faults != nil {
-		bio.SetFaults(s.cfg.Faults)
-	}
 	var f packet.Frame
 	ef := packet.GetFrame()
 	defer packet.PutFrame(ef)
-	for {
-		_, err := bio.ReadBatch(func(dgram []byte) {
-			if _, derr := packet.DecodeBatch(&f, dgram, func(fr *packet.Frame) {
-				s.handleEvent(fr, ef, bio)
-			}); derr != nil {
-				s.decodeErr.Add(1)
-			}
-		})
-		if err != nil {
-			if isClosed(err) {
-				return
-			}
-			time.Sleep(20 * time.Microsecond)
-			continue
+	handle := func(fr *packet.Frame) { s.handleEvent(fr, ef) }
+	ingest := func(dgram []byte) {
+		if _, derr := packet.DecodeBatch(&f, dgram, handle); derr != nil {
+			s.decodeErr.Add(1)
 		}
-		bio.Flush()
 	}
+	s.conn.ReadLoop(func() error {
+		_, err := s.conn.ReadBatch(ingest)
+		if err == nil {
+			s.conn.Flush()
+		}
+		return err
+	}, nil)
 }
 
 // handleEvent sequences one ingested event and queues its fan-out.
-func (s *Server) handleEvent(fr *packet.Frame, scratch *packet.Frame, bio *transport.BatchConn) {
+func (s *Server) handleEvent(fr *packet.Frame, scratch *packet.Frame) {
 	var ingressNs int64
 	if fr.NC.Traced {
 		ingressNs = time.Now().UnixNano()
@@ -269,7 +256,7 @@ func (s *Server) handleEvent(fr *packet.Frame, scratch *packet.Frame, bio *trans
 	if s.cfg.Mode == ModeMulticast {
 		query.EventInto(scratch, s.cfg.Addr, GroupAddr(ev.Group), packet.Port, McastPort, ev)
 		s.stampRelayHop(scratch, fr, ingressNs)
-		s.queueSerialized(scratch, GroupUDP(ev.Group), bio)
+		s.queueSerialized(scratch, GroupUDP(ev.Group))
 		return
 	}
 	s.mu.Lock()
@@ -282,7 +269,7 @@ func (s *Server) handleEvent(fr *packet.Frame, scratch *packet.Frame, bio *trans
 	for _, ep := range eps {
 		query.EventInto(scratch, s.cfg.Addr, GroupAddr(ev.Group), packet.Port, uint16(ep.Port), ev)
 		s.stampRelayHop(scratch, fr, ingressNs)
-		s.queueSerialized(scratch, ep, bio)
+		s.queueSerialized(scratch, ep)
 	}
 }
 
@@ -302,7 +289,7 @@ func (s *Server) stampRelayHop(out *packet.Frame, in *packet.Frame, ingressNs in
 	})
 }
 
-func (s *Server) queueSerialized(f *packet.Frame, ep *net.UDPAddr, bio *transport.BatchConn) {
+func (s *Server) queueSerialized(f *packet.Frame, ep *net.UDPAddr) {
 	bp := packet.GetBuf()
 	out, err := f.Serialize((*bp)[:0])
 	if err != nil {
@@ -310,38 +297,30 @@ func (s *Server) queueSerialized(f *packet.Frame, ep *net.UDPAddr, bio *transpor
 		return
 	}
 	*bp = out
-	bio.Queue(bp, ep)
+	s.conn.Queue(bp, ep)
 	s.egress.Add(1)
 }
 
-// controlLoop serves OpWatch subscribe/renew/unsubscribe. Plain
-// one-datagram reads: control traffic is rare (one frame per subscriber
-// per TTL/3), and ReadFromUDP surfaces the source endpoint the lease
-// registry needs.
+// controlLoop serves OpWatch subscribe/renew/unsubscribe. One-datagram
+// reads: control traffic is rare (one frame per subscriber per TTL/3),
+// and ReadFrom surfaces the source endpoint the lease registry needs.
 func (s *Server) controlLoop() {
 	defer s.wg.Done()
 	buf := make([]byte, 64<<10)
 	var f packet.Frame
-	for {
-		n, src, err := s.ctl.ReadFromUDP(buf)
+	s.ctl.ReadLoop(func() error {
+		n, src, err := s.ctl.ReadFrom(buf)
 		if err != nil {
-			if isClosed(err) {
-				return
-			}
-			time.Sleep(20 * time.Microsecond)
-			continue
-		}
-		if s.cfg.Faults != nil && !s.cfg.Faults.Ingress(buf[:n]) {
-			continue
+			return err
 		}
 		if derr := f.Decode(buf[:n]); derr != nil {
 			s.decodeErr.Add(1)
-			continue
+			return nil
 		}
 		verb, nonce, groups, perr := query.ParseWatch(&f)
 		if perr != nil {
 			s.decodeErr.Add(1)
-			continue
+			return nil
 		}
 		switch verb {
 		case query.WatchSubscribe:
@@ -349,10 +328,11 @@ func (s *Server) controlLoop() {
 		case query.WatchUnsubscribe:
 			s.unsubscribe(src, groups)
 		default:
-			continue
+			return nil
 		}
 		s.ack(src, nonce, groups)
-	}
+		return nil
+	}, nil)
 }
 
 // subscribe registers (or renews) src for the listed groups. The lease's
@@ -404,14 +384,8 @@ func (s *Server) ack(dst *net.UDPAddr, nonce uint64, groups []uint16) {
 	bp := packet.GetBuf()
 	out, serr := f.Serialize((*bp)[:0])
 	if serr == nil {
-		if s.cfg.Faults == nil || s.cfg.Faults.Egress(out, dst, s.rawCtlSend) {
-			_, _ = s.ctl.WriteToUDP(out, dst)
-		}
+		_ = s.ctl.WriteTo(out, dst) // a lost ack is retried by the subscriber's renew
 	}
 	*bp = out
 	packet.PutBuf(bp)
 }
-
-func (s *Server) rawCtlSend(b []byte, ep *net.UDPAddr) { _, _ = s.ctl.WriteToUDP(b, ep) }
-
-func isClosed(err error) bool { return errors.Is(err, net.ErrClosed) }

@@ -31,7 +31,7 @@ const (
 	RelayEgressDatagrams = "netchain_relay_egress_datagrams_total"
 	RelaySubscribers     = "netchain_relay_subscribers"
 
-	// Health monitor (health.MonitorStats).
+	// Health monitor (transport.MonitorStats).
 	MonitorProbes   = "netchain_monitor_probes_total"
 	MonitorSuspects = "netchain_monitor_suspects"
 

@@ -49,8 +49,8 @@ func newPlatformBatchReader(conn *net.UDPConn, ring *recvRing) batchReader {
 	for i := range ring.bufs {
 		r.iovs[i].Base = &ring.bufs[i][0]
 		r.iovs[i].SetLen(recvSlotBytes)
-		// Source addresses are not collected (Name stays nil): the switch
-		// and client loops route by the frame's own NetChain addressing.
+		// Source addresses are not collected (Name stays nil): ReadBatch
+		// callers route by the frame's own NetChain addressing.
 		r.hdrs[i].hdr.Iov = &r.iovs[i]
 		r.hdrs[i].hdr.Iovlen = 1
 	}
@@ -151,7 +151,7 @@ func (s *mmsgSender) sockaddrFor(ep *net.UDPAddr) *sockaddrBuf {
 	return sb
 }
 
-func (s *mmsgSender) WriteBatch(msgs []outFrame) error {
+func (s *mmsgSender) WriteBatch(msgs []outFrame) (failed int) {
 	for len(msgs) > 0 {
 		n := len(msgs)
 		if n > len(s.hdrs) {
@@ -189,18 +189,20 @@ func (s *mmsgSender) WriteBatch(msgs []outFrame) error {
 			return true
 		})
 		if err != nil {
-			return err // socket closed
+			return failed + len(msgs) - sent // socket closed
 		}
 		if operr != nil {
 			// sendmmsg only errors when the FIRST unsent message fails
-			// (e.g. a cached ICMP refusal for one destination). Skip that
-			// message — UDP semantics: it's loss — and keep the batch
-			// moving rather than sinking everything behind it.
+			// (e.g. EMSGSIZE, or a cached ICMP refusal for one
+			// destination). Skip that message — UDP semantics: it's loss —
+			// and keep the batch moving rather than sinking everything
+			// behind it.
 			sent++
+			failed++
 		}
 		msgs = msgs[sent:]
 	}
-	return nil
+	return failed
 }
 
 // soReusePort is SO_REUSEPORT, absent from the stdlib syscall constants.

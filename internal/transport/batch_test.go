@@ -399,7 +399,7 @@ func TestRcvBufPlumbing(t *testing.T) {
 	}
 
 	det := health.NewDetector(health.Config{HeartbeatEvery: 5 * time.Millisecond})
-	mon, err := health.NewMonitor("127.0.0.1:0", monAddr, det)
+	mon, err := NewMonitor("127.0.0.1:0", monAddr, det)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +491,7 @@ func TestRecvSlotHoldsFullBatch(t *testing.T) {
 
 			// Exactly maxBatchBytes: the coalescer folds the four frames into
 			// one datagram, which must fit a ring slot to the byte.
-			eg := newEgressBatch(newBatchSender(conn))
+			eg := newEgressBatch(newBatchSender(conn), &BatchConn{})
 			for i, k := range full {
 				eg.add(outFrame{buf: writeFrame(t, dst, k, uint64(i+1), 'f', frameLen), ep: node.Endpoint()})
 			}
@@ -571,11 +571,11 @@ type recordedMsg struct {
 
 func (m recordedMsg) String() string { return fmt.Sprintf("%v:%q", m.ep, m.data) }
 
-func (r *recordingSender) WriteBatch(msgs []outFrame) error {
+func (r *recordingSender) WriteBatch(msgs []outFrame) int {
 	for _, m := range msgs {
 		r.msgs = append(r.msgs, recordedMsg{ep: m.ep, data: append([]byte(nil), *m.buf...)})
 	}
-	return nil
+	return 0
 }
 
 // payload returns a pooled buffer of n bytes of fill, as egressBatch.add
@@ -593,7 +593,7 @@ func payload(fill byte, n int) outFrame {
 func TestEgressCoalescesPerEndpoint(t *testing.T) {
 	a, b, c := &net.UDPAddr{Port: 1}, &net.UDPAddr{Port: 2}, &net.UDPAddr{Port: 3}
 	rec := &recordingSender{}
-	eg := newEgressBatch(rec)
+	eg := newEgressBatch(rec, &BatchConn{})
 	for i, ep := range []*net.UDPAddr{a, b, a, c, b, a} {
 		o := payload(byte('0'+i), 8)
 		o.ep = ep
@@ -622,7 +622,7 @@ func TestEgressCoalescesPerEndpoint(t *testing.T) {
 func TestEgressFullMessageKeepsEndpointOrder(t *testing.T) {
 	a, b := &net.UDPAddr{Port: 1}, &net.UDPAddr{Port: 2}
 	rec := &recordingSender{}
-	eg := newEgressBatch(rec)
+	eg := newEgressBatch(rec, &BatchConn{})
 	add := func(ep *net.UDPAddr, fill byte, n int) {
 		o := payload(fill, n)
 		o.ep = ep
@@ -665,13 +665,15 @@ func (d dropFill) Egress(buf []byte, _ *net.UDPAddr, _ func([]byte, *net.UDPAddr
 
 func (dropFill) Ingress([]byte) bool { return true }
 
+func (dropFill) Attach(*net.UDPAddr) {}
+
 // TestEgressFaultJudgesFramesBeforeCoalescing: the fault verdict runs on
 // each frame as it is added, so dropping the middle one of three
 // interleaved frames leaves the other two to be coalesced and sent.
 func TestEgressFaultJudgesFramesBeforeCoalescing(t *testing.T) {
 	a := &net.UDPAddr{Port: 1}
 	rec := &recordingSender{}
-	eg := newEgressBatch(rec).withFault(dropFill{'x'}, nil)
+	eg := newEgressBatch(rec, &BatchConn{fault: dropFill{'x'}})
 	for _, fill := range []byte{'1', 'x', '2'} {
 		o := payload(fill, 4)
 		o.ep = a
@@ -680,5 +682,59 @@ func TestEgressFaultJudgesFramesBeforeCoalescing(t *testing.T) {
 	eg.flush()
 	if len(rec.msgs) != 1 || rec.msgs[0].ep != a || string(rec.msgs[0].data) != "11112222" {
 		t.Fatalf("sent %v, want one datagram \"11112222\" to A", rec.msgs)
+	}
+}
+
+// TestSendErrorsCounted: a datagram the kernel refuses is counted once,
+// whichever way it leaves — queued and flushed, or sent alone by WriteTo —
+// on the platform sender and on the portable one. 70 000 bytes exceeds
+// the largest UDP datagram, so every send fails with EMSGSIZE; a closed
+// destination port would not do, since an unconnected socket's sendto
+// reports no error for it.
+func TestSendErrorsCounted(t *testing.T) {
+	for name, io := range map[string]batchIO{"platform": platformIO, "portable": portableIO} {
+		t.Run(name, func(t *testing.T) {
+			bc, err := listen("127.0.0.1:0", 1, nil, io)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer bc.Close()
+			ep := bc.LocalAddr()
+			big := make([]byte, 70000)
+
+			bp := packet.GetBuf()
+			*bp = append((*bp)[:0], big...)
+			bc.Queue(bp, ep)
+			bc.Flush()
+			if got := bc.SendErrors(); got != 1 {
+				t.Fatalf("after Queue+Flush: SendErrors = %d, want 1", got)
+			}
+			if err := bc.WriteTo(big, ep); err == nil {
+				t.Fatal("WriteTo of 70000 B succeeded")
+			}
+			if got := bc.SendErrors(); got != 2 {
+				t.Fatalf("after WriteTo: SendErrors = %d, want 2", got)
+			}
+		})
+	}
+}
+
+// TestClosedNodeDropsRecvRing: a fail-stopped node stays referenced by its
+// cluster, so its ingest sockets must not keep their receive rings alive
+// once the read loop has ended.
+func TestClosedNodeDropsRecvRing(t *testing.T) {
+	node, ops := singleNode(t, 1, 1)
+	k := kv.KeyFromString("ring")
+	if err := node.Switch().InstallKey(k); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ops.Write(k, kv.Value("v")); err != nil { // the ring is built by now
+		t.Fatal(err)
+	}
+	if err := node.Close(); err != nil { // returns once the read loop has ended
+		t.Fatal(err)
+	}
+	if c := node.conns[0]; c.ring != nil || c.rd != nil {
+		t.Fatal("a closed node still holds its receive ring")
 	}
 }

@@ -56,7 +56,7 @@ type ClientStats struct {
 // backpressure when the window is full.
 type Client struct {
 	book    *AddressBook
-	conn    *net.UDPConn
+	conn    *BatchConn
 	addr    packet.Addr
 	port    uint16
 	gateway packet.Addr
@@ -64,8 +64,6 @@ type Client struct {
 	calls  *query.Pending[call]
 	window chan struct{} // in-flight slots; nil = unlimited
 	start  time.Time     // zero of the timeline the retry core is fed
-
-	fault FaultPipe // wire nemesis hook (nil = healthy)
 
 	sendCh   chan outFrame
 	sendDone chan struct{}
@@ -83,10 +81,6 @@ type Client struct {
 
 	closed atomic.Bool
 	done   chan struct{}
-
-	// newReader builds the receive loop's reader; tests inject transient
-	// read errors through it. nil means newBatchReader.
-	newReader func(*net.UDPConn, *recvRing) batchReader
 }
 
 // ClientConfig tunes the client.
@@ -139,28 +133,25 @@ func NewClient(book *AddressBook, cfg ClientConfig) (*Client, error) {
 	if cfg.Retries == 0 {
 		cfg.Retries = 5
 	}
-	laddr, err := net.ResolveUDPAddr("udp", cfg.Bind)
-	if err != nil {
-		return nil, err
+	io := platformIO
+	if cfg.testReader != nil {
+		io.reader = cfg.testReader
 	}
-	conn, err := net.ListenUDP("udp", laddr)
+	conn, err := listen(cfg.Bind, defaultRecvBatch, cfg.Faults, io)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("transport: client listen: %w", err)
 	}
 	c := &Client{
 		book:     book,
 		conn:     conn,
 		addr:     cfg.Addr,
-		port:     uint16(conn.LocalAddr().(*net.UDPAddr).Port),
+		port:     uint16(conn.LocalAddr().Port),
 		gateway:  cfg.Gateway,
 		calls:    query.NewPending[call](cfg.Timeout, cfg.Retries, time.Now().UnixNano()^int64(cfg.Addr)),
 		start:    time.Now(),
 		sendCh:   make(chan outFrame, switchQueueDepth),
 		sendDone: make(chan struct{}),
 		done:     make(chan struct{}),
-		fault:    cfg.Faults,
-
-		newReader: cfg.testReader,
 	}
 	if cfg.Tracer != nil && cfg.TraceSampleRate >= 0 {
 		rate := cfg.TraceSampleRate
@@ -176,13 +167,10 @@ func NewClient(book *AddressBook, cfg ClientConfig) (*Client, error) {
 		}
 		c.tracer = cfg.Tracer
 	}
-	if c.newReader == nil {
-		c.newReader = newBatchReader
-	}
 	if cfg.Window > 0 {
 		c.window = make(chan struct{}, cfg.Window)
 	}
-	book.Set(cfg.Addr, conn.LocalAddr().(*net.UDPAddr))
+	book.Set(cfg.Addr, conn.LocalAddr())
 	go c.serve()
 	go c.sendLoop()
 	go c.timeoutLoop()
@@ -224,30 +212,18 @@ func (c *Client) InFlight() int { return c.calls.InFlight() }
 // in-flight and future query until its timer fired.
 func (c *Client) serve() {
 	defer close(c.done)
-	ring := newRecvRing(defaultRecvBatch)
-	rd := c.newReader(c.conn, ring)
 	var f packet.Frame
-	for {
-		k, err := rd.ReadBatch(ring)
-		if err != nil {
-			if isClosedErr(err) {
-				return
-			}
-			c.readErrs.Add(1)
-			time.Sleep(20 * time.Microsecond) // don't spin on an error storm
-			continue
-		}
-		for i := 0; i < k; i++ {
-			if c.fault != nil && !c.fault.Ingress(ring.bufs[i][:ring.sizes[i]]) {
-				continue
-			}
-			if _, derr := packet.DecodeBatch(&f, ring.bufs[i][:ring.sizes[i]], c.deliver); derr != nil {
-				// Frames before the corruption were already delivered;
-				// whatever the torn tail carried will retry on its timer.
-				c.decodeErrs.Add(1)
-			}
+	deliver := func(dgram []byte) {
+		if _, derr := packet.DecodeBatch(&f, dgram, c.deliver); derr != nil {
+			// Frames before the corruption were already delivered;
+			// whatever the torn tail carried will retry on its timer.
+			c.decodeErrs.Add(1)
 		}
 	}
+	c.conn.ReadLoop(func() error {
+		_, err := c.conn.ReadBatch(deliver)
+		return err
+	}, func() { c.readErrs.Add(1) })
 }
 
 // deliver routes one decoded reply to its pending call. f aliases the
@@ -265,24 +241,20 @@ func (c *Client) deliver(f *packet.Frame) {
 // single datagrams along the way).
 func (c *Client) sendLoop() {
 	defer close(c.sendDone)
-	eg := newEgressBatch(newBatchSender(c.conn))
-	if c.fault != nil {
-		eg.withFault(c.fault, rawSender(c.conn))
-	}
 	for {
 		select {
 		case o := <-c.sendCh:
-			eg.add(o)
+			c.conn.Queue(o.buf, o.ep)
 		drain:
 			for {
 				select {
 				case o2 := <-c.sendCh:
-					eg.add(o2)
+					c.conn.Queue(o2.buf, o2.ep)
 				default:
 					break drain
 				}
 			}
-			eg.flush()
+			c.conn.Flush()
 		case <-c.done:
 			return
 		}
@@ -416,7 +388,5 @@ func (c *Client) timeoutLoop() {
 // Endpoint returns the client identity used in frames.
 func (c *Client) Endpoint() (packet.Addr, uint16) { return c.addr, c.port }
 
-// LocalEndpoint returns the client's UDP socket address — the wire
-// nemesis registers it so directed link faults can target switch→client
-// traffic.
-func (c *Client) LocalEndpoint() *net.UDPAddr { return c.conn.LocalAddr().(*net.UDPAddr) }
+// LocalEndpoint returns the client's UDP socket address.
+func (c *Client) LocalEndpoint() *net.UDPAddr { return c.conn.LocalAddr() }

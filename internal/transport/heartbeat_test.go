@@ -11,7 +11,7 @@ import (
 )
 
 // TestHeartbeatsFeedMonitor runs a real SwitchNode emitting heartbeats
-// over its dataplane socket into a health.Monitor, with probes flowing
+// over its dataplane socket into a Monitor, with probes flowing
 // back through the switch's actual forwarding path; then kills the node
 // and checks suspicion accrues. This is the wall-clock half of the
 // self-healing loop — the simulated half is covered deterministically in
@@ -33,7 +33,7 @@ func TestHeartbeatsFeedMonitor(t *testing.T) {
 
 	const hb = 5 * time.Millisecond
 	det := health.NewDetector(health.Config{HeartbeatEvery: hb})
-	mon, err := health.NewMonitor("127.0.0.1:0", monAddr, det)
+	mon, err := NewMonitor("127.0.0.1:0", monAddr, det)
 	if err != nil {
 		t.Fatal(err)
 	}

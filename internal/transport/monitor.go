@@ -1,7 +1,6 @@
-package health
+package transport
 
 import (
-	"errors"
 	"fmt"
 	"maps"
 	"net"
@@ -9,31 +8,27 @@ import (
 	"sync"
 	"time"
 
+	"netchain/internal/health"
 	"netchain/internal/packet"
 	"netchain/internal/telemetry"
 )
 
-// FaultPipe is the wire-nemesis hook the monitor's sockets honor. It
-// mirrors transport.FaultPipe structurally — health sits below transport
-// in the import graph, so the interface is restated here and the
-// faultconn injector's Pipe satisfies both.
-type FaultPipe interface {
-	Egress(buf []byte, ep *net.UDPAddr, send func(buf []byte, ep *net.UDPAddr)) bool
-	Ingress(buf []byte) bool
-}
-
 // MonitorOption tunes a Monitor.
-type MonitorOption func(*Monitor)
+type MonitorOption func(*monitorConfig)
+
+type monitorConfig struct {
+	fault FaultPipe
+}
 
 // WithMonitorFaults routes every heartbeat the monitor receives and
 // every probe it sends through the wire nemesis — the path that proves
 // φ-accrual verdicts hold under gray loss and burst windows on real
 // sockets.
 func WithMonitorFaults(p FaultPipe) MonitorOption {
-	return func(m *Monitor) { m.fault = p }
+	return func(c *monitorConfig) { c.fault = p }
 }
 
-// Monitor is the wall-clock driver of a Core: a UDP endpoint that
+// Monitor is the wall-clock driver of a health.Core: a UDP endpoint that
 // receives switch heartbeats, learns each switch's dataplane endpoint from
 // the datagram source address (zero extra controller configuration), and
 // optionally probes every learned switch's forwarding path on a ticker.
@@ -41,10 +36,10 @@ func WithMonitorFaults(p FaultPipe) MonitorOption {
 // what a heartbeat or echo means, which probes are lost, who is retired —
 // is the Core's, which the simulated autopilot harness drives too.
 type Monitor struct {
-	core  *Core
-	conn  *net.UDPConn
+	core  *health.Core
+	det   *health.Detector
+	conn  *BatchConn
 	start time.Time
-	fault FaultPipe
 
 	mu  sync.Mutex
 	eps map[packet.Addr]*net.UDPAddr
@@ -57,25 +52,23 @@ type Monitor struct {
 // NewMonitor binds the health endpoint and starts receiving. virt is the
 // monitor's virtual NetChain address (what switches address heartbeats
 // and probe replies to).
-func NewMonitor(bind string, virt packet.Addr, det *Detector, opts ...MonitorOption) (*Monitor, error) {
-	laddr, err := net.ResolveUDPAddr("udp", bind)
-	if err != nil {
-		return nil, fmt.Errorf("health: resolve %q: %w", bind, err)
+func NewMonitor(bind string, virt packet.Addr, det *health.Detector, opts ...MonitorOption) (*Monitor, error) {
+	var cfg monitorConfig
+	for _, o := range opts {
+		o(&cfg)
 	}
-	conn, err := net.ListenUDP("udp", laddr)
+	conn, err := Listen(bind, 0, cfg.fault)
 	if err != nil {
-		return nil, fmt.Errorf("health: listen: %w", err)
+		return nil, fmt.Errorf("transport: monitor listen: %w", err)
 	}
 	m := &Monitor{
-		core:     NewCore(det, virt),
+		core:     health.NewCore(det, virt),
+		det:      det,
 		conn:     conn,
 		start:    time.Now(),
 		eps:      make(map[packet.Addr]*net.UDPAddr),
 		closed:   make(chan struct{}),
 		recvDone: make(chan struct{}),
-	}
-	for _, o := range opts {
-		o(m)
 	}
 	go m.recvLoop()
 	return m, nil
@@ -83,7 +76,7 @@ func NewMonitor(bind string, virt packet.Addr, det *Detector, opts ...MonitorOpt
 
 // Endpoint returns the monitor's bound UDP address (what netchaind's
 // -monitor flag points at).
-func (m *Monitor) Endpoint() *net.UDPAddr { return m.conn.LocalAddr().(*net.UDPAddr) }
+func (m *Monitor) Endpoint() *net.UDPAddr { return m.conn.LocalAddr() }
 
 // Now returns the monitor's monotonic timestamp — the timeline its
 // Detector observations use.
@@ -117,24 +110,19 @@ func (m *Monitor) Close() error {
 	return err
 }
 
+// recvLoop reads one datagram at a time: the source endpoint of each
+// heartbeat is what the monitor learns, and the batched ring does not
+// capture it. Only a closed socket ends monitoring — a transient error,
+// such as an ICMP refusal after a probed switch died, which is exactly
+// when the monitor matters most, must not blind it.
 func (m *Monitor) recvLoop() {
 	defer close(m.recvDone)
 	buf := make([]byte, 64*1024)
 	var f packet.Frame
-	for {
-		sz, src, err := m.conn.ReadFromUDP(buf)
+	m.conn.ReadLoop(func() error {
+		sz, src, err := m.conn.ReadFrom(buf)
 		if err != nil {
-			// Only a closed socket ends monitoring. A transient error — an
-			// ICMP refusal bubbling up after a probed switch died, which is
-			// exactly when the monitor matters most — must not blind it.
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			time.Sleep(20 * time.Microsecond)
-			continue
-		}
-		if m.fault != nil && !m.fault.Ingress(buf[:sz]) {
-			continue
+			return err
 		}
 		// A torn frame only loses the undecodable tail; heartbeats decoded
 		// before the corruption still land.
@@ -147,13 +135,14 @@ func (m *Monitor) recvLoop() {
 			}
 			m.mu.Unlock()
 		})
-	}
+		return nil
+	}, nil)
 }
 
 // MonitorStats is the monitor's metrics ledger: the engine's traffic
 // counters and how many switches it currently suspects.
 type MonitorStats struct {
-	CoreStats
+	health.CoreStats
 	Suspects int `metric:"netchain_monitor_suspects,gauge" help:"switches whose verdict is currently not healthy"`
 }
 
@@ -161,8 +150,8 @@ type MonitorStats struct {
 // neither Healthy nor Unknown.
 func (m *Monitor) Stats() MonitorStats {
 	st := MonitorStats{CoreStats: m.core.Stats()}
-	for _, sh := range m.core.det.Snapshot(m.Now()) {
-		if sh.Verdict != Healthy && sh.Verdict != Unknown {
+	for _, sh := range m.det.Snapshot(m.Now()) {
+		if sh.Verdict != health.Healthy && sh.Verdict != health.Unknown {
 			st.Suspects++
 		}
 	}
@@ -200,20 +189,11 @@ func (m *Monitor) probeOnce() {
 	var buf []byte
 	m.core.ProbeRound(m.Now(), slices.Sorted(maps.Keys(eps)), func(f *packet.Frame) {
 		defer packet.PutFrame(f)
-		ep := eps[f.IP.Dst]
 		out, err := f.Serialize(buf[:0])
 		if err != nil {
 			return
 		}
 		buf = out
-		if m.fault != nil && !m.fault.Egress(out, ep, m.rawSend) {
-			return
-		}
-		_, _ = m.conn.WriteToUDP(out, ep)
+		_ = m.conn.WriteTo(out, eps[f.IP.Dst]) // a lost probe is the Core's to judge
 	})
 }
-
-// rawSend is the monitor's single-datagram sender, used by the fault
-// pipe for delayed probe delivery (probes must leave the monitor's own
-// socket so replies come back to it).
-func (m *Monitor) rawSend(b []byte, ep *net.UDPAddr) { _, _ = m.conn.WriteToUDP(b, ep) }

@@ -1,10 +1,12 @@
-package health
+package transport
 
 import (
 	"net"
 	"testing"
 	"time"
 
+	"netchain/internal/health"
+	"netchain/internal/kv"
 	"netchain/internal/packet"
 )
 
@@ -16,8 +18,9 @@ import (
 func TestMonitorForgetStaysRetired(t *testing.T) {
 	const hb = 5 * time.Millisecond
 	sw := packet.AddrFrom4(10, 0, 0, 9)
-	det := NewDetector(Config{HeartbeatEvery: hb})
-	mon, err := NewMonitor("127.0.0.1:0", coreMon, det)
+	monAddr := packet.AddrFrom4(10, 255, 0, 1)
+	det := health.NewDetector(health.Config{HeartbeatEvery: hb})
+	mon, err := NewMonitor("127.0.0.1:0", monAddr, det)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +43,10 @@ func TestMonitorForgetStaysRetired(t *testing.T) {
 		}
 	}
 
-	send(beat(f, sw))
+	beat := func() *packet.Frame {
+		return health.NewHeartbeat(f, sw, monAddr, 1, health.Payload{Processed: 1})
+	}
+	send(beat())
 	mon.StartProbes()
 	// The monitor only probes learned endpoints, so a probe arriving proves
 	// the heartbeat landed.
@@ -58,8 +64,9 @@ func TestMonitorForgetStaysRetired(t *testing.T) {
 	}
 
 	mon.Forget(sw)
-	send(echo(f, sw, probe.NC.QueryID))
-	send(beat(f, sw))
+	f.NC = packet.NetChain{Op: kv.OpReply, QueryID: probe.NC.QueryID, Key: health.ProbeKey}
+	send(packet.NewQueryInto(f, sw, monAddr, packet.Port, &f.NC)) // the probe's late echo
+	send(beat())
 	time.Sleep(20 * hb)
 	if snap := det.Snapshot(mon.Now()); len(snap) != 0 {
 		t.Fatalf("retired switch tracked again: %+v", snap)

@@ -96,3 +96,36 @@ func TestTracedDeploymentUntracedClientUnaffected(t *testing.T) {
 		t.Fatalf("untraced client recorded %d traces", got)
 	}
 }
+
+// TestTraceQueueIsArrivalBatch: a traced frame's hop record carries the
+// depth of the receive batch it arrived in, stored before the batch is
+// handled — so a fresh node's first datagram reads 1, not the 0 left
+// before any batch.
+func TestTraceQueueIsArrivalBatch(t *testing.T) {
+	node, ops := singleNode(t, 1, 1)
+	k := kv.KeyFromString("trace/queue")
+	if err := node.Switch().InstallKey(k); err != nil {
+		t.Fatal(err)
+	}
+	hops := make(chan []packet.TraceHop, 1)
+	ops.Client.Submit(func(qid uint64) (*packet.Frame, error) {
+		a, p := ops.Client.Endpoint()
+		rt, _ := ops.Dir(k)
+		f, err := query.NewRead(query.Endpoint{Addr: a, Port: p}, qid, rt, k)
+		if err == nil {
+			f.EnableTrace()
+		}
+		return f, err
+	}, func(f *packet.Frame, err error) {
+		if err != nil {
+			t.Error(err)
+			hops <- nil
+			return
+		}
+		hops <- f.NC.TraceHops(nil)
+	})
+	got := <-hops
+	if len(got) != 1 || got[0].Queue != 1 {
+		t.Fatalf("hop records %+v, want one with Queue 1", got)
+	}
+}

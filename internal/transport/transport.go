@@ -85,6 +85,13 @@ type nodeConfig struct {
 	fault     FaultPipe                                 // wire nemesis hook (nil = healthy)
 }
 
+// WithFaultPipe routes every datagram the node sends or receives through
+// p — ingest drops before decode, egress verdicts per serialized frame
+// (before coalescing, so per-frame faults see frame boundaries).
+func WithFaultPipe(p FaultPipe) NodeOption {
+	return func(c *nodeConfig) { c.fault = p }
+}
+
 // WithIngestSockets sets how many SO_REUSEPORT sockets share the node's
 // port, each owned by its own batch-reading ingest goroutine (the kernel
 // shards flows across them by 4-tuple hash, so one client's datagrams
@@ -182,6 +189,7 @@ type NodeStats struct {
 	EventsPublished  uint64 `metric:"netchain_node_events_published_total" help:"push-watch events emitted to the relay sink"`
 	NoRoute          uint64 `metric:"netchain_node_no_route_total" help:"forwarded frames dropped: no address book entry for the destination"`
 	EncodeErrors     uint64 `metric:"netchain_node_encode_errors_total" help:"forwarded frames dropped: serialization failed"`
+	SendErrors       uint64 `metric:"netchain_node_send_errors_total" help:"datagrams that did not leave: refused by the kernel (too large, unroutable) or the socket was closed"`
 	RcvBufBytes      int    `metric:"netchain_node_rcvbuf_bytes,gauge" help:"effective kernel SO_RCVBUF (0 = unknown); below 4 MB means clamped"`
 	QueueDepth       int    `metric:"netchain_node_queue_depth,gauge" help:"datagrams drained by each ingest socket's latest receive batch, summed"`
 	Items            int    `metric:"netchain_switch_items,gauge" help:"keys installed in the match table"`
@@ -206,17 +214,12 @@ type NodeStats struct {
 type SwitchNode struct {
 	sw    *core.Switch
 	book  *AddressBook
-	conn  *net.UDPConn   // primary socket (mutation egress, heartbeats)
-	conns []*net.UDPConn // every ingest socket, conns[0] == conn
+	conns []*BatchConn // every ingest socket; conns[0] also carries mutations and heartbeats
 
 	// mutMu is held across the handling of each mutation and across the
 	// flush of mutEg, the egress every mutation's output is queued on.
 	mutMu sync.Mutex
 	mutEg *egressBatch
-
-	// recvDepth[i] is how many datagrams socket i's latest receive batch
-	// drained: the backlog an ingest goroutine works through per wakeup.
-	recvDepth []atomic.Int32
 
 	readErrs     atomic.Uint64
 	decodeErrs   atomic.Uint64
@@ -236,7 +239,6 @@ type SwitchNode struct {
 	procHist *stats.Histogram
 
 	evtSink atomic.Pointer[eventSink] // push-watch egress target (nil = off)
-	fault   FaultPipe                 // wire nemesis hook (nil = healthy)
 
 	mu     sync.Mutex
 	closed bool
@@ -264,67 +266,47 @@ func NewSwitchNode(sw *core.Switch, book *AddressBook, bind string, opts ...Node
 		// write ordering — so the fallback is one socket, one reader.
 		cfg.sockets = 1
 	}
-	if cfg.newReader == nil {
-		cfg.newReader = newBatchReader
-		if cfg.portable {
-			cfg.newReader = func(conn *net.UDPConn, _ *recvRing) batchReader {
-				return &portableReader{conn: conn}
-			}
-		}
+	io := platformIO
+	if cfg.portable {
+		io = portableIO
+	}
+	if cfg.newReader != nil {
+		io.reader = cfg.newReader
 	}
 
-	var conns []*net.UDPConn
+	var conns []*BatchConn
 	if cfg.sockets > 1 {
-		first, err := listenReusePort(bind)
-		if err != nil {
-			return nil, fmt.Errorf("transport: listen: %w", err)
-		}
-		conns = append(conns, first)
-		actual := first.LocalAddr().String()
-		for i := 1; i < cfg.sockets; i++ {
-			c, err := listenReusePort(actual)
+		for i := 0; i < cfg.sockets; i++ {
+			c, err := listenReusePort(bind)
 			if err != nil {
-				for _, pc := range conns {
-					pc.Close()
+				for _, bc := range conns {
+					bc.Close()
 				}
 				return nil, fmt.Errorf("transport: listen shard %d: %w", i, err)
 			}
-			conns = append(conns, c)
+			conns = append(conns, newBatchConn(c, cfg.batch, cfg.fault, io))
+			bind = c.LocalAddr().String()
 		}
 	} else {
-		laddr, err := net.ResolveUDPAddr("udp", bind)
-		if err != nil {
-			return nil, fmt.Errorf("transport: resolve %q: %w", bind, err)
-		}
-		conn, err := net.ListenUDP("udp", laddr)
+		c, err := listen(bind, cfg.batch, cfg.fault, io)
 		if err != nil {
 			return nil, fmt.Errorf("transport: listen: %w", err)
 		}
-		conns = append(conns, conn)
+		conns = append(conns, c)
 	}
 
-	newSender := newBatchSender
-	if cfg.portable {
-		newSender = func(c *net.UDPConn) batchSender { return &portableSender{conn: c} }
-	}
 	n := &SwitchNode{
-		sw: sw, book: book, conn: conns[0], conns: conns,
-		mutEg:     newEgressBatch(newSender(conns[0])),
-		recvDepth: make([]atomic.Int32, len(conns)),
-		fault:     cfg.fault,
-		procHist:  stats.NewLatencyHistogram(),
-	}
-	if n.fault != nil {
-		n.mutEg.withFault(n.fault, rawSender(n.conn))
+		sw: sw, book: book, conns: conns,
+		mutEg:    conns[0].newEgress(),
+		procHist: stats.NewLatencyHistogram(),
 	}
 	for _, c := range conns {
-		n.rcvBuf = configureSocket(c)
+		n.rcvBuf = configureSocket(c.conn)
 	}
-	book.Set(sw.Addr(), n.conn.LocalAddr().(*net.UDPAddr))
+	book.Set(sw.Addr(), n.Endpoint())
 	n.recvWG.Add(len(conns))
 	for i, c := range conns {
-		ring := newRecvRing(cfg.batch)
-		go n.ingestLoop(i, cfg.newReader(c, ring), ring, newSender(c))
+		go n.ingestLoop(i, c)
 	}
 	return n, nil
 }
@@ -333,7 +315,7 @@ func NewSwitchNode(sw *core.Switch, book *AddressBook, bind string, opts ...Node
 func (n *SwitchNode) Switch() *core.Switch { return n.sw }
 
 // Endpoint returns the real UDP address of the node.
-func (n *SwitchNode) Endpoint() *net.UDPAddr { return n.conn.LocalAddr().(*net.UDPAddr) }
+func (n *SwitchNode) Endpoint() *net.UDPAddr { return n.conns[0].LocalAddr() }
 
 // Close stops the node (fail-stop: packets to it are lost, like a dead
 // switch) and returns once every ingest goroutine has exited.
@@ -369,7 +351,7 @@ func (n *SwitchNode) Closed() bool {
 
 // Stats returns a snapshot of the node's ledger.
 func (n *SwitchNode) Stats() NodeStats {
-	return NodeStats{
+	st := NodeStats{
 		Stats:            n.sw.Stats(),
 		ReadErrors:       n.readErrs.Load(),
 		DecodeErrors:     n.decodeErrs.Load(),
@@ -385,6 +367,10 @@ func (n *SwitchNode) Stats() NodeStats {
 		Items:            n.sw.ItemCount(),
 		RegisterBytes:    n.sw.ResidentBytes(),
 	}
+	for _, c := range n.conns {
+		st.SendErrors += c.SendErrors()
+	}
+	return st
 }
 
 // clampQueue saturates a queue depth into the hop record's uint16 field.
@@ -436,8 +422,8 @@ func (n *SwitchNode) SetEventSink(addr packet.Addr, ep *net.UDPAddr) {
 // node works through per wakeup, and the signal heartbeat payloads carry.
 func (n *SwitchNode) QueueDepth() int {
 	depth := 0
-	for i := range n.recvDepth {
-		depth += int(n.recvDepth[i].Load())
+	for _, c := range n.conns {
+		depth += int(c.depth.Load())
 	}
 	return depth
 }
@@ -508,13 +494,7 @@ func (n *SwitchNode) StartHeartbeats(monitor packet.Addr, every time.Duration) e
 				continue
 			}
 			buf = out
-			// Heartbeats bypass the batched egress, so the fault verdict
-			// runs here: a blackholed (fail-stopped) node falls silent to
-			// the monitor exactly like a dead socket would.
-			if n.fault != nil && !n.fault.Egress(out, ep, rawSender(n.conn)) {
-				continue
-			}
-			_, _ = n.conn.WriteToUDP(out, ep)
+			_ = n.conns[0].WriteTo(out, ep) // a failure is counted in SendErrors
 		}
 	}()
 	return nil
@@ -541,18 +521,12 @@ func (n *SwitchNode) StartHeartbeats(monitor packet.Addr, every time.Duration) e
 //
 // Only a closed socket ends the loop; any other read error — an ICMP
 // refusal surfacing from a dead client, a transient ENOBUFS — is counted
-// and survived. Exiting on those killed the switch's whole data plane.
-func (n *SwitchNode) ingestLoop(idx int, rd batchReader, ring *recvRing, snd batchSender) {
+// and survived (BatchConn.ReadLoop). Exiting on those killed the switch's
+// whole data plane.
+func (n *SwitchNode) ingestLoop(idx int, bc *BatchConn) {
 	defer n.recvWG.Done()
 	var f packet.Frame
-	eg := newEgressBatch(snd)
-	if n.fault != nil {
-		// Delayed re-injection uses the primary socket: every ingest
-		// socket shares the node's port (SO_REUSEPORT), so the source
-		// endpoint receivers see is unchanged.
-		eg.withFault(n.fault, rawSender(n.conn))
-	}
-	emit, mutEmit := eg.add, n.mutEg.add
+	emit, mutEmit := bc.eg.add, n.mutEg.add
 	var procTick uint32 // loop-local sampling tick, no hot-path atomics
 	mutated := false    // this batch queued output on n.mutEg
 	handleFrame := func(f *packet.Frame) {
@@ -580,43 +554,35 @@ func (n *SwitchNode) ingestLoop(idx int, rd batchReader, ring *recvRing, snd bat
 		}
 		n.handle(f, out)
 	}
-	for {
-		k, err := rd.ReadBatch(ring)
-		if err != nil {
-			if isClosedErr(err) {
-				return
+	handleDatagram := func(dgram []byte) {
+		frames, derr := packet.DecodeBatch(&f, dgram, handleFrame)
+		n.recvFrames.Add(uint64(frames))
+		if derr != nil {
+			// A torn or corrupt frame: everything before it was
+			// delivered above; the undecodable tail is dropped with
+			// accounting so the monitor can see wire corruption.
+			n.decodeErrs.Add(1)
+			if frames > 0 {
+				n.truncBatches.Add(1)
 			}
-			n.readErrs.Add(1)
-			time.Sleep(20 * time.Microsecond) // don't spin on an error storm
-			continue
 		}
-		n.recvDepth[idx].Store(int32(k))
+	}
+	bc.ReadLoop(func() error {
+		k, err := bc.ReadBatch(handleDatagram)
+		if err != nil {
+			return err
+		}
 		n.recvBatches.Add(1)
 		n.recvDgrams.Add(uint64(k))
-		for i := 0; i < k; i++ {
-			if n.fault != nil && !n.fault.Ingress(ring.bufs[i][:ring.sizes[i]]) {
-				continue
-			}
-			frames, derr := packet.DecodeBatch(&f, ring.bufs[i][:ring.sizes[i]], handleFrame)
-			n.recvFrames.Add(uint64(frames))
-			if derr != nil {
-				// A torn or corrupt frame: everything before it was
-				// delivered above; the undecodable tail is dropped with
-				// accounting so the monitor can see wire corruption.
-				n.decodeErrs.Add(1)
-				if frames > 0 {
-					n.truncBatches.Add(1)
-				}
-			}
-		}
-		eg.flush()
+		bc.Flush()
 		if mutated {
 			mutated = false
 			n.mutMu.Lock()
 			n.mutEg.flush()
 			n.mutMu.Unlock()
 		}
-	}
+		return nil
+	}, func() { n.readErrs.Add(1) })
 }
 
 // handle runs the dataplane's per-frame driver (core.Switch.Handle) on a

@@ -43,6 +43,7 @@ netchain_node_read_errors_total counter
 netchain_node_recv_batches_total counter
 netchain_node_recv_datagrams_total counter
 netchain_node_recv_frames_total counter
+netchain_node_send_errors_total counter
 netchain_node_truncated_batches_total counter
 netchain_switch_cas_fails_total counter
 netchain_switch_items gauge
@@ -110,7 +111,7 @@ func daemonRegistries(t *testing.T) map[string]*telemetry.Registry {
 	}
 	t.Cleanup(func() { rs.Close() })
 	det := health.NewDetector(health.Config{})
-	mon, err := health.NewMonitor("127.0.0.1:0", packet.AddrFrom4(10, 255, 0, 1), det)
+	mon, err := transport.NewMonitor("127.0.0.1:0", packet.AddrFrom4(10, 255, 0, 1), det)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,7 +95,7 @@ func main() {
 		agents.Follow(mon) // so a switch silent from boot still accrues suspicion
 		mon.StartProbes()
 		mon.RegisterMetrics(reg)
-		ap = controller.NewAutopilot(ctl, det, controller.WallClock{}, mon.Now,
+		ap = controller.NewAutopilot(ctl, det, mon.Clock(),
 			controller.AutopilotConfig{
 				Spares:       spareAddrs,
 				RepairBudget: *repairBudget,
@@ -103,7 +103,7 @@ func main() {
 		ap.Start()
 		svc.Health = func() transport.HealthReport {
 			return transport.HealthReport{
-				Switches: det.Snapshot(mon.Now()), Repairs: ap.History(), Demoted: ap.Demoted(),
+				Switches: det.Snapshot(mon.Clock().Now()), Repairs: ap.History(), Demoted: ap.Demoted(),
 			}
 		}
 		apLine = fmt.Sprintf(", autopilot on (health %v, %d spares)",

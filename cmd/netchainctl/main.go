@@ -41,6 +41,7 @@ import (
 	"syscall"
 	"time"
 
+	"netchain/internal/event"
 	"netchain/internal/kv"
 	"netchain/internal/packet"
 	"netchain/internal/relay"
@@ -245,7 +246,7 @@ func watchKeys(ops *transport.Ops, relayCtl string, mcast bool, keys []kv.Key) e
 		}
 		return rt.Group
 	}, 256)
-	f := watch.NewFollower(sub, ops.Read)
+	f := watch.NewFollower(sub, event.NewWall(1), watch.Serial(ops.Read))
 	mode := relay.ModeUnicast
 	if mcast {
 		mode = relay.ModeMulticast
@@ -259,7 +260,8 @@ func watchKeys(ops *transport.Ops, relayCtl string, mcast bool, keys []kv.Key) e
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	go f.Run(ctx, 200*time.Millisecond, 10*time.Second)
+	f.Start(context.Background(), 200*time.Millisecond, 10*time.Second, nil)
+	context.AfterFunc(ctx, f.Close)
 	for ev := range sub.Events() { // closes once the follower stops
 		switch ev.Type {
 		case watch.Deleted:

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"netchain/internal/event"
 	"netchain/internal/health"
 	"netchain/internal/packet"
 	"netchain/internal/ring"
@@ -101,11 +102,10 @@ func (c *AutopilotConfig) sanitize(heartbeat time.Duration) {
 
 // Autopilot is the reconcile loop. One per controller.
 type Autopilot struct {
-	ctl   *Controller
-	det   *health.Detector
-	sched Scheduler
-	now   func() time.Duration
-	cfg   AutopilotConfig
+	ctl *Controller
+	det *health.Detector
+	clk event.Clock
+	cfg AutopilotConfig
 
 	mu              sync.Mutex
 	running         bool
@@ -127,16 +127,14 @@ type Autopilot struct {
 }
 
 // NewAutopilot wires the loop; Start begins reconciling, one tick per
-// det's heartbeat. now supplies the detector's timeline (simulated or
-// wall-clock since start).
-func NewAutopilot(ctl *Controller, det *health.Detector, sched Scheduler,
-	now func() time.Duration, cfg AutopilotConfig) *Autopilot {
+// det's heartbeat. clk is the detector's timeline (the simulator's, or the
+// wire monitor's wall clock): the ticks run on it and read it.
+func NewAutopilot(ctl *Controller, det *health.Detector, clk event.Clock, cfg AutopilotConfig) *Autopilot {
 	cfg.sanitize(det.HeartbeatEvery())
 	return &Autopilot{
 		ctl:             ctl,
 		det:             det,
-		sched:           sched,
-		now:             now,
+		clk:             clk,
 		cfg:             cfg,
 		failovered:      make(map[packet.Addr]bool),
 		recoveryPending: make(map[packet.Addr]bool),
@@ -161,7 +159,7 @@ func (a *Autopilot) Start() {
 	a.gen++ // orphan any tick still queued from an earlier Start/Stop cycle
 	gen := a.gen
 	a.mu.Unlock()
-	a.sched.After(a.det.HeartbeatEvery(), func() { a.tick(gen) })
+	a.clk.After(a.det.HeartbeatEvery(), func() { a.tick(gen) })
 }
 
 // Stop halts future ticks; a repair already in flight runs to completion.
@@ -183,7 +181,7 @@ func (a *Autopilot) tick(gen uint64) {
 		return
 	}
 	a.reconcile()
-	a.sched.After(a.det.HeartbeatEvery(), func() { a.tick(gen) })
+	a.clk.After(a.det.HeartbeatEvery(), func() { a.tick(gen) })
 }
 
 // History returns a copy of the repair log.
@@ -313,7 +311,7 @@ func (a *Autopilot) poolForLocked(sw packet.Addr, snap []health.SwitchHealth) []
 // reconcile is one pass: read verdicts, decide under the lock, act
 // outside it (controller calls schedule their own callbacks).
 func (a *Autopilot) reconcile() {
-	now := a.now()
+	now := a.clk.Now()
 	snap := a.det.Snapshot(now)
 
 	type action struct {
@@ -474,21 +472,21 @@ func (a *Autopilot) execute(kind RepairAction, sw packet.Addr, pool []packet.Add
 			a.mu.Lock()
 			a.busy = false
 			a.mu.Unlock()
-			a.record(a.now(), sw, ActionRecoverDone, "")
+			a.record(a.clk.Now(), sw, ActionRecoverDone, "")
 		})
 		if err != nil {
 			a.mu.Lock()
 			a.busy = false
 			a.recoveryPending[sw] = true // retry after the backoff
-			a.recoveryAfter[sw] = a.now() + recoverRetry*a.det.HeartbeatEvery()
+			a.recoveryAfter[sw] = a.clk.Now() + recoverRetry*a.det.HeartbeatEvery()
 			a.refundLocked(now, sw)
 			a.mu.Unlock()
-			a.record(a.now(), sw, ActionRecover, "error: "+err.Error())
+			a.record(a.clk.Now(), sw, ActionRecover, "error: "+err.Error())
 		}
 	case ActionDemote:
 		n, err := a.ctl.Demote(sw, func() {
 			unbusy()
-			a.record(a.now(), sw, ActionDemoteDone, "")
+			a.record(a.clk.Now(), sw, ActionDemoteDone, "")
 		})
 		if err != nil {
 			a.mu.Lock()
@@ -516,7 +514,7 @@ func (a *Autopilot) execute(kind RepairAction, sw packet.Addr, pool []packet.Add
 		}
 		err := a.ctl.Rehome(plans, func() {
 			unbusy()
-			a.record(a.now(), sw, ActionRehomeDone, "")
+			a.record(a.clk.Now(), sw, ActionRehomeDone, "")
 		})
 		if err != nil {
 			a.mu.Lock()
@@ -531,7 +529,7 @@ func (a *Autopilot) execute(kind RepairAction, sw packet.Addr, pool []packet.Add
 	case ActionRestore:
 		n, err := a.ctl.Restore(sw, func() {
 			unbusy()
-			a.record(a.now(), sw, ActionRestoreDone, "")
+			a.record(a.clk.Now(), sw, ActionRestoreDone, "")
 		})
 		if err != nil {
 			a.mu.Lock()

@@ -132,12 +132,11 @@ func pilotFixture(t *testing.T, mut func(*AutopilotConfig)) (*fixture, *health.D
 	cfg.RuleDelay = time.Millisecond
 	f := newFixture(t, cfg, 2)
 	det := health.NewDetector(health.Config{HeartbeatEvery: time.Millisecond})
-	now := func() time.Duration { return time.Duration(f.sim.Now()) }
 	pcfg := AutopilotConfig{Spares: []packet.Addr{f.tb.Switches[3]}}
 	if mut != nil {
 		mut(&pcfg)
 	}
-	ap := NewAutopilot(f.ctl, det, SimScheduler{Sim: f.sim}, now, pcfg)
+	ap := NewAutopilot(f.ctl, det, f.sim.Clock(), pcfg)
 	for _, sw := range f.tb.Switches {
 		det.Track(sw, 0)
 	}

@@ -9,8 +9,7 @@
 // Agent interface (the simulator binds it to core.Switch directly; the
 // real deployment binds it to transport.WireAgent, a framed binary channel
 // standing in for the paper's Python controller speaking xmlrpc to switch
-// agents), and time goes through the Scheduler interface (simulated or
-// wall-clock).
+// agents), and time goes through an event.Clock (simulated or wall-clock).
 package controller
 
 import (
@@ -23,6 +22,7 @@ import (
 	"time"
 
 	"netchain/internal/core"
+	"netchain/internal/event"
 	"netchain/internal/kv"
 	"netchain/internal/packet"
 	"netchain/internal/query"
@@ -80,18 +80,6 @@ func (a LocalAgent) ReadItems(keys []kv.Key) ([]core.Item, []kv.Key, error) {
 func (a LocalAgent) WriteItems(items []core.Item) error { return a.Switch.WriteItems(items) }
 func (a LocalAgent) Keys() ([]kv.Key, error)            { return a.Switch.Keys(), nil }
 
-// Scheduler abstracts time so the controller's multi-step procedures can
-// run under simulated or wall-clock time.
-type Scheduler interface {
-	After(d time.Duration, fn func())
-}
-
-// WallClock schedules on real time.
-type WallClock struct{}
-
-// After implements Scheduler using time.AfterFunc.
-func (WallClock) After(d time.Duration, fn func()) { time.AfterFunc(d, fn) }
-
 // Config carries the control-plane timing model.
 type Config struct {
 	// RuleDelay is the latency of programming one batch of rules into the
@@ -135,7 +123,7 @@ type Controller struct {
 	mu        sync.Mutex
 	cfg       Config
 	ring      *ring.Ring
-	sched     Scheduler
+	clk       event.Clock
 	agent     func(packet.Addr) (Agent, bool)
 	neighbors func(packet.Addr) []packet.Addr
 
@@ -163,7 +151,7 @@ type Controller struct {
 	// deleted key (reinstalled slots, re-tracked in c.keys).
 	droppedKeys map[kv.Key]bool
 
-	// OnGroupRecovered, if set, is called (under the scheduler goroutine)
+	// OnGroupRecovered, if set, is called (from a clock callback)
 	// after each virtual group's two-phase switch completes — during
 	// failure recovery and during planned resize migrations alike.
 	OnGroupRecovered func(g ring.GroupID)
@@ -172,7 +160,7 @@ type Controller struct {
 // New builds a controller over an existing ring. agent resolves a switch
 // address to its control connection; neighbors lists a switch's physical
 // neighbors (where Algorithm 2 rules go).
-func New(cfg Config, r *ring.Ring, sched Scheduler,
+func New(cfg Config, r *ring.Ring, clk event.Clock,
 	agent func(packet.Addr) (Agent, bool),
 	neighbors func(packet.Addr) []packet.Addr) (*Controller, error) {
 	if r.Groups() > 1<<16 {
@@ -181,7 +169,7 @@ func New(cfg Config, r *ring.Ring, sched Scheduler,
 	c := &Controller{
 		cfg:             cfg,
 		ring:            r,
-		sched:           sched,
+		clk:             clk,
 		agent:           agent,
 		neighbors:       neighbors,
 		chains:          r.Chains(),
@@ -199,7 +187,7 @@ func New(cfg Config, r *ring.Ring, sched Scheduler,
 // and localcluster), so the same members place keys the same way in both.
 const RingSeed = 0x6e63
 
-// NewLive builds a live deployment's controller on wall-clock time over a
+// NewLive builds a live deployment's controller on the wall clock over a
 // ring of members salted with RingSeed, programming switches through
 // agents. State copies take the agent channel's real time, so
 // cfg.SyncPerItem is overridden to 0.
@@ -209,7 +197,7 @@ func NewLive(cfg Config, vnodes, replicas int, members []packet.Addr, agents *Ag
 		return nil, err
 	}
 	cfg.SyncPerItem = 0
-	return New(cfg, r, WallClock{}, agents.Get, agents.Neighbors)
+	return New(cfg, r, event.NewWall(1), agents.Get, agents.Neighbors)
 }
 
 // Ring exposes the partitioning state (read-only use).
@@ -401,7 +389,7 @@ func (c *Controller) HandleFailure(failedSw packet.Addr, done func()) error {
 	neighbors := c.neighbors(failedSw)
 	c.mu.Unlock()
 
-	c.sched.After(c.cfg.RuleDelay, func() {
+	c.clk.After(c.cfg.RuleDelay, func() {
 		for _, nb := range neighbors {
 			if a, ok := c.agent(nb); ok {
 				c.bestEffort(a.InstallRule(failedSw, core.WildcardGroup, core.Rule{Action: core.ActNextHop}))
@@ -570,7 +558,7 @@ func (c *Controller) migrateNext(n int, build func(i int) *migration, i int, don
 		// turn an existing key into a spurious NotFound), and only once
 		// they are gone does anything thaw: from then on a stale-routed
 		// write fails with NotFound instead of silently committing.
-		c.sched.After(c.cfg.RuleDelay, func() {
+		c.clk.After(c.cfg.RuleDelay, func() {
 			for _, d := range m.donors {
 				c.removeKeys(additions(m.next, d.chain), d.keys)
 			}
@@ -592,7 +580,7 @@ func (c *Controller) migrateNext(n int, build func(i int) *migration, i int, don
 	var awaitDrain func(polls int)
 	awaitDrain = func(polls int) {
 		if polls < maxDrainPolls && !c.drained(m) {
-			c.sched.After(c.cfg.RuleDelay, func() { awaitDrain(polls + 1) })
+			c.clk.After(c.cfg.RuleDelay, func() { awaitDrain(polls + 1) })
 			return
 		}
 		copyAndFlip()
@@ -600,12 +588,12 @@ func (c *Controller) migrateNext(n int, build func(i int) *migration, i int, don
 	stop := func(window time.Duration) {
 		c.neighborRules(m, core.Rule{Action: core.ActDrop})
 		c.setFreeze(m, true)
-		c.sched.After(c.cfg.RuleDelay+window, func() { awaitDrain(0) })
+		c.clk.After(c.cfg.RuleDelay+window, func() { awaitDrain(0) })
 	}
 	if m.preSync {
 		// Bulk copy while the old chain keeps serving; only the delta is
 		// copied inside the stop window.
-		c.sched.After(syncDur, func() {
+		c.clk.After(syncDur, func() {
 			copyState()
 			stop(preSyncDelta)
 		})

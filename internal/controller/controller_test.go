@@ -53,7 +53,7 @@ func newFixture(t *testing.T, cfg Config, vnodes int) *fixture {
 		}
 		return LocalAgent{Switch: sw}, true
 	}
-	f.ctl, err = New(cfg, r, SimScheduler{Sim: sim}, agent, tb.Net.SwitchNeighbors)
+	f.ctl, err = New(cfg, r, sim.Clock(), agent, tb.Net.SwitchNeighbors)
 	if err != nil {
 		t.Fatal(err)
 	}

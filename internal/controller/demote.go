@@ -93,7 +93,7 @@ func (c *Controller) reorderChains(sw packet.Addr,
 	if len(affected) == 0 {
 		c.mu.Unlock()
 		if done != nil {
-			c.sched.After(0, done)
+			c.clk.After(0, done)
 		}
 		return 0, nil
 	}

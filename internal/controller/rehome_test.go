@@ -149,7 +149,6 @@ func TestAutopilotCongestionRehome(t *testing.T) {
 		HeartbeatEvery:   time.Millisecond,
 		CongestRTTFactor: 2, // gray bar stays at 4x
 	})
-	now := func() time.Duration { return time.Duration(f.sim.Now()) }
 	placerCalls := 0
 	pcfg := AutopilotConfig{
 		Spares: []packet.Addr{s3},
@@ -167,7 +166,7 @@ func TestAutopilotCongestionRehome(t *testing.T) {
 			return plans
 		},
 	}
-	ap := NewAutopilot(f.ctl, det, SimScheduler{Sim: f.sim}, now, pcfg)
+	ap := NewAutopilot(f.ctl, det, f.sim.Clock(), pcfg)
 	for _, sw := range f.tb.Switches {
 		det.Track(sw, 0)
 	}

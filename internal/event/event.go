@@ -2,13 +2,25 @@
 // nanosecond resolution. Events scheduled for the same instant fire in
 // scheduling order, so runs are exactly reproducible — a property the
 // failure-handling and model-checking experiments rely on.
+//
+// Code that runs on both substrates — the controller's timed procedures,
+// the nemesis schedule, the watch follower, the chaos clients — keeps time
+// through a Clock: the simulator's (Sim.Clock) or the wall's (Wall).
 package event
 
 import (
 	"container/heap"
 	"fmt"
+	"sync"
 	"time"
 )
+
+// Clock is one timeline: Now is the time since it started, and After runs
+// fn d later.
+type Clock interface {
+	Now() time.Duration
+	After(d time.Duration, fn func())
+}
 
 // Time is simulated time in nanoseconds since simulation start.
 type Time int64
@@ -53,6 +65,14 @@ func New() *Sim { return &Sim{} }
 
 // Now returns the current simulated time.
 func (s *Sim) Now() Time { return s.now }
+
+// Clock returns s as a Clock; its callbacks run during stepping.
+func (s *Sim) Clock() Clock { return simClock{s} }
+
+type simClock struct{ s *Sim }
+
+func (c simClock) Now() time.Duration               { return time.Duration(c.s.now) }
+func (c simClock) After(d time.Duration, fn func()) { c.s.After(Duration(d), fn) }
 
 // Fired returns how many events have executed (a cost metric for tests).
 func (s *Sim) Fired() uint64 { return s.fired }
@@ -122,4 +142,62 @@ func (s *Sim) Ticker(period Time, fn func() bool) {
 		}
 	}
 	s.After(period, tick)
+}
+
+// Wall is the Clock on real time, optionally slowed down: Now is the real
+// time since the clock started (or was last Reset) divided by its scale,
+// and After(d) runs fn on its own goroutine Real(d) later, unless Stop
+// came first.
+type Wall struct {
+	scale float64 // real seconds per clock second
+
+	mu    sync.Mutex
+	start time.Time
+
+	gate    sync.RWMutex // running callbacks hold it shared; Stop takes it whole
+	stopped bool
+}
+
+// NewWall starts a wall clock running scale times slower than real time;
+// 1 is real time.
+func NewWall(scale float64) *Wall { return &Wall{scale: scale, start: time.Now()} }
+
+// Now returns the clock time since the start.
+func (w *Wall) Now() time.Duration {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return time.Duration(float64(time.Since(w.start)) / w.scale)
+}
+
+// Real converts a span of clock time into the real time it lasts.
+func (w *Wall) Real(d time.Duration) time.Duration {
+	if d <= 0 {
+		return 0
+	}
+	return time.Duration(float64(d) * w.scale)
+}
+
+// After runs fn Real(d) from now, unless the clock is stopped by then.
+func (w *Wall) After(d time.Duration, fn func()) {
+	time.AfterFunc(w.Real(d), func() {
+		w.gate.RLock()
+		defer w.gate.RUnlock()
+		if !w.stopped {
+			fn()
+		}
+	})
+}
+
+// Reset restarts the clock at zero.
+func (w *Wall) Reset() {
+	w.mu.Lock()
+	w.start = time.Now()
+	w.mu.Unlock()
+}
+
+// Stop waits for the callbacks already running; no other ever runs.
+func (w *Wall) Stop() {
+	w.gate.Lock()
+	w.stopped = true
+	w.gate.Unlock()
 }

@@ -3,6 +3,7 @@ package event
 import (
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -175,5 +176,56 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.After(Time(i%64), func() {})
 		s.Step()
+	}
+}
+
+// TestWallStop: Stop waits for a callback already running, and a callback
+// due later never runs.
+func TestWallStop(t *testing.T) {
+	w := NewWall(1)
+	started, release := make(chan struct{}), make(chan struct{})
+	var ran atomic.Int32
+	w.After(0, func() {
+		close(started)
+		<-release
+		ran.Add(1)
+	})
+	<-started
+	w.After(time.Millisecond, func() { ran.Add(10) })
+	stopped := make(chan struct{})
+	go func() {
+		w.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+		t.Fatal("Stop returned while a callback was running")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-stopped
+	time.Sleep(5 * time.Millisecond)
+	if got := ran.Load(); got != 1 {
+		t.Fatalf("callbacks ran %d, want only the one running at Stop (1)", got)
+	}
+}
+
+// TestWallScale: a scaled wall clock stretches its spans onto real time
+// and reads real time back shrunk.
+func TestWallScale(t *testing.T) {
+	w := NewWall(20)
+	if got := w.Real(time.Millisecond); got != 20*time.Millisecond {
+		t.Fatalf("Real(1ms) = %v, want 20ms", got)
+	}
+	if got := w.Real(-time.Millisecond); got != 0 {
+		t.Fatalf("Real(-1ms) = %v, want 0", got)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if now := w.Now(); now < time.Millisecond || now > 10*time.Millisecond {
+		t.Fatalf("Now after 20ms of real time at scale 20 = %v, want about 1ms", now)
+	}
+	w.Reset()
+	if now := w.Now(); now >= time.Millisecond {
+		t.Fatalf("Now right after Reset = %v", now)
 	}
 }

@@ -92,10 +92,10 @@ func StartAutopilot(d *Deployment, o AutopilotOpts) (*AutopilotHarness, error) {
 		hb:      event.Duration(det.HeartbeatEvery()),
 		beating: make(map[packet.Addr]bool),
 	}
-	now := func() time.Duration { return time.Duration(d.Sim.Now()) }
-	h.Pilot = controller.NewAutopilot(d.Ctl, det, controller.SimScheduler{Sim: d.Sim}, now, pcfg)
+	clk := d.Sim.Clock()
+	h.Pilot = controller.NewAutopilot(d.Ctl, det, clk, pcfg)
 
-	if err := d.Net.HostRecv(mon, func(f *packet.Frame) { h.core.Receive(f, now()) }); err != nil {
+	if err := d.Net.HostRecv(mon, func(f *packet.Frame) { h.core.Receive(f, clk.Now()) }); err != nil {
 		return nil, err
 	}
 	switches := d.SwitchAddrs()
@@ -114,7 +114,7 @@ func StartAutopilot(d *Deployment, o AutopilotOpts) (*AutopilotHarness, error) {
 		if h.stopped {
 			return
 		}
-		h.core.ProbeRound(now(), d.SwitchAddrs(), func(f *packet.Frame) { d.Net.Inject(mon, f) })
+		h.core.ProbeRound(clk.Now(), d.SwitchAddrs(), func(f *packet.Frame) { d.Net.Inject(mon, f) })
 		d.Sim.After(probeEvery, probeLoop)
 	}
 	d.Sim.After(probeEvery, probeLoop)

@@ -217,7 +217,7 @@ func TestAutopilotFlappingLinkBudget(t *testing.T) {
 			},
 		})
 	}
-	nm := netsim.RunSchedule(d.Net, sch)
+	nm := netsim.RunSchedule(d.Sim.Clock(), d.Net, sch)
 	d.Sim.At(msec(320), h.Stop)
 	d.Sim.Run()
 	if err := nm.Err(); err != nil {

@@ -342,8 +342,7 @@ func runChaos(o ChaosOpts, script func(d *Deployment, fail func(error))) (*Chaos
 
 	cfg := simclient.DefaultConfig()
 	cfg.MaxRetries = 400 // ride through fault windows instead of timing out
-	now := func() int64 { return int64(d.Sim.Now()) }
-	think := func(fn func()) { d.Sim.After(event.Duration(400*time.Microsecond), fn) }
+	clk := d.Sim.Clock()
 	var clients []*simclient.Client
 	for c := 0; c < 3; c++ { // host 3 stays quiet
 		client, err := d.Muxes[c].NewClient(cfg, d.Directory())
@@ -360,12 +359,12 @@ func runChaos(o ChaosOpts, script func(d *Deployment, fail func(error))) (*Chaos
 				done(out, err)
 			})
 		}
-		d.Sim.After(event.Time(c)*1000, func() { cc.drive(issue, now, think) })
+		d.Sim.After(event.Time(c)*1000, func() { cc.drive(issue, clk, 400*time.Microsecond) }) // 400 µs think time
 	}
 
 	// The nemesis — in autopilot mode the fail-stop itself becomes a
 	// schedule step, with nobody left to call the controller by hand.
-	nm := netsim.RunSchedule(d.Net, sc.schedule(tg, o.Autopilot))
+	nm := netsim.RunSchedule(clk, d.Net, sc.schedule(tg, o.Autopilot))
 
 	var harness *AutopilotHarness
 	if o.Autopilot {

@@ -154,7 +154,7 @@ func TestFabricCongestionRehome(t *testing.T) {
 	// 30 ms of clean baseline, then sustained queueing on the tail leaf:
 	// +100 µs per frame, zero loss — exactly the signature that must read
 	// as Congested, not Gray and never FailStop.
-	nm := netsim.RunSchedule(d.Net, netsim.Schedule{{
+	nm := netsim.RunSchedule(d.Sim.Clock(), d.Net, netsim.Schedule{{
 		Name: "queueing", At: msec(30), For: msec(120),
 		Fault: netsim.GraySwitch{
 			Addr: congested,

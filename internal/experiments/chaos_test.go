@@ -153,7 +153,7 @@ func TestChaosMixedTail(t *testing.T) {
 		store: func(d *Deployment) (func(int) []kv.Key, error) {
 			keys, err := d.LoadStore(2000, 64)
 			w := event.Duration(window)
-			nm = netsim.RunSchedule(d.Net, netsim.Schedule{
+			nm = netsim.RunSchedule(d.Sim.Clock(), d.Net, netsim.Schedule{
 				{Name: "mangle", At: 0, Fault: clusterMangle()},
 				{Name: "gray-tail", At: w / 4, For: w / 2, Fault: netsim.GraySwitch{
 					Addr: d.Fab.Switches[2],

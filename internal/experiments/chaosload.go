@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"netchain/internal/controller"
+	"netchain/internal/event"
 	"netchain/internal/health"
 	"netchain/internal/kv"
 	"netchain/internal/lincheck"
@@ -23,10 +24,10 @@ import (
 // chaosLoad is the one workload both chaos harnesses run: register keys plus
 // two contended locks, per-client seeded mixes of reads, writes and CAS lock
 // handoffs, and the lincheck history they leave. It knows no substrate:
-// RunChaos steps its clients by callback on the simulator's clock
-// (chaosClient.drive), RunRealChaos loops over them with blocking wire calls
-// (chaosClient.loop), and both feed every completion as (query.Call,
-// query.Outcome, error) into the same recorder.
+// both harnesses step its clients by callback (chaosClient.drive), RunChaos
+// on the simulator's clock and RunRealChaos on the wall, and both feed
+// every completion as (query.Call, query.Outcome, error) into the same
+// recorder.
 type chaosLoad struct {
 	names        []string // registers first, then locks
 	registers    int
@@ -223,35 +224,18 @@ func (c *chaosClient) done(name string, call query.Call, out query.Outcome, err 
 	c.load.mu.Unlock()
 }
 
-// drive runs the client by callback, the simulator's entry: issue submits
-// a call and reports its outcome later, after schedules the next step one
-// think time on.
-func (c *chaosClient) drive(issue func(query.Call, func(query.Outcome, error)),
-	now func() int64, after func(func())) {
+// drive runs the client on clk: issue submits a call and reports its
+// outcome later, and the next call goes out think after each outcome.
+func (c *chaosClient) drive(issue func(query.Call, func(query.Outcome, error)), clk event.Clock, think time.Duration) {
 	name, call, ok := c.next()
 	if !ok {
 		return
 	}
-	invoke := now()
+	invoke := int64(clk.Now())
 	issue(call, func(out query.Outcome, err error) {
-		c.done(name, call, out, err, invoke, now())
-		after(func() { c.drive(issue, now, after) })
+		c.done(name, call, out, err, invoke, int64(clk.Now()))
+		clk.After(think, func() { c.drive(issue, clk, think) })
 	})
-}
-
-// loop runs the client with blocking calls, the wire's entry: do resolves
-// one call, pause is the think time.
-func (c *chaosClient) loop(do func(query.Call) (query.Outcome, error), now func() int64, pause func()) {
-	for {
-		name, call, ok := c.next()
-		if !ok {
-			return
-		}
-		invoke := now()
-		out, err := do(call)
-		c.done(name, call, out, err, invoke, now())
-		pause()
-	}
 }
 
 // ChaosReport is the part of a chaos result both substrates report alike:

@@ -3,17 +3,22 @@ package experiments
 import (
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
+	"netchain/internal/event"
 	"netchain/internal/kv"
 	"netchain/internal/lincheck"
 	"netchain/internal/query"
 )
 
 // TestChaosRecorderSameOnBothEntries feeds one scripted sequence of
-// outcomes through the workload's callback entry (the simulator's) and its
-// blocking entry (the wire's): the ops drawn, the lock bookkeeping and the
-// recorded history must be identical apart from timestamps.
+// outcomes through the workload's one entry on both of its clocks: the
+// simulator's, answering each call as an event, and the wall's, answering
+// each on its own goroutine as the wire does. The ops drawn, the lock
+// bookkeeping and the recorded history must be identical apart from
+// timestamps.
 func TestChaosRecorderSameOnBothEntries(t *testing.T) {
 	const ops = 60
 	// What the substrate answers to the n-th call, covering every branch of
@@ -77,21 +82,23 @@ func TestChaosRecorderSameOnBothEntries(t *testing.T) {
 		return rep.History, c.holding
 	}
 
-	clock := int64(0)
-	now := func() int64 { clock++; return clock }
 	simHist, simHolding := run(func(c *chaosClient, answer func(query.Call) (query.Outcome, error)) {
-		var queue []func() // the simulator's event queue
+		sim := event.New()
 		c.drive(func(call query.Call, done func(query.Outcome, error)) {
-			queue = append(queue, func() { done(answer(call)) })
-		}, now, func(fn func()) { queue = append(queue, fn) })
-		for len(queue) > 0 {
-			fn := queue[0]
-			queue = queue[1:]
-			fn()
-		}
+			sim.After(1, func() { done(answer(call)) })
+		}, sim.Clock(), time.Microsecond)
+		sim.Run()
 	})
 	wireHist, wireHolding := run(func(c *chaosClient, answer func(query.Call) (query.Outcome, error)) {
-		c.loop(answer, now, func() {})
+		var wg sync.WaitGroup
+		wg.Add(ops)
+		c.drive(func(call query.Call, done func(query.Outcome, error)) {
+			go func() {
+				done(answer(call))
+				wg.Done()
+			}()
+		}, event.NewWall(1), 0)
+		wg.Wait()
 	})
 
 	if len(simHist) == 0 || len(simHist) >= ops {
@@ -127,9 +134,9 @@ func TestChaosRecorderSameOnBothEntries(t *testing.T) {
 	// An error the protocol does not explain is a harness failure on either
 	// entry, not a history entry.
 	load := newChaosLoad(2, 1)
-	load.client(1, 0).loop(func(query.Call) (query.Outcome, error) {
-		return query.Outcome{}, errors.New("socket on fire")
-	}, now, func() {})
+	load.client(1, 0).drive(func(_ query.Call, done func(query.Outcome, error)) {
+		done(query.Outcome{}, errors.New("socket on fire"))
+	}, event.New().Clock(), 0)
 	if err := load.check(&ChaosReport{}); err == nil {
 		t.Error("unexplained error was not reported as a harness failure")
 	}

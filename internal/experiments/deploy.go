@@ -193,7 +193,7 @@ func (d *Deployment) Topology() string { return d.Fab.Spec.String() }
 // it with the default config; experiments that need other timing call it
 // again before they load the store.
 func (d *Deployment) NewController(ccfg controller.Config) error {
-	ctl, err := controller.New(ccfg, d.Ring, controller.SimScheduler{Sim: d.Sim},
+	ctl, err := controller.New(ccfg, d.Ring, d.Sim.Clock(),
 		func(a packet.Addr) (controller.Agent, bool) {
 			sw, ok := d.Net.Switch(a)
 			if !ok {

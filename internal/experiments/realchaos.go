@@ -12,6 +12,7 @@ import (
 	"netchain/internal/health"
 	"netchain/internal/kv"
 	"netchain/internal/localcluster"
+	"netchain/internal/netsim"
 	"netchain/internal/packet"
 	"netchain/internal/query"
 	"netchain/internal/transport"
@@ -169,7 +170,7 @@ func newRealCluster(o RealChaosOpts) (*realCluster, error) {
 	if err := cl.StartHeartbeats(mv, rc.mon.Endpoint(), realChaosHeartbeat); err != nil {
 		return nil, err
 	}
-	rc.pilot = controller.NewAutopilot(rc.ctl, rc.det, controller.WallClock{}, rc.mon.Now,
+	rc.pilot = controller.NewAutopilot(rc.ctl, rc.det, rc.mon.Clock(),
 		controller.AutopilotConfig{Spares: []packet.Addr{rc.sws[3]}})
 
 	// Clients (10.1.0.1, .2, ...) gateway through the survivors (S0 and the
@@ -253,35 +254,32 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 	res.Schedule, res.FailStopInjected = o.Schedule, sc.failover
 
 	// Push-watch subscriber through the fault-injected relay: the first
-	// few registers, resynced on stream gaps by linearizable re-reads.
+	// few registers, resynced on stream gaps by linearizable re-reads. It
+	// and the clients keep time on the monitor's clock, the autopilot's.
+	clk := rc.mon.Clock()
 	watchKeys := make([]kv.Key, 0, 4)
 	for i := 0; i < o.Registers && i < 4; i++ {
 		watchKeys = append(watchKeys, kv.KeyFromString(load.names[i]))
 	}
 	sub := watch.NewSub(watchKeys, func(k kv.Key) uint16 { return rc.ctl.Route(k).Group }, 256)
-	follower := watch.NewFollower(sub, func(k kv.Key) (kv.Value, kv.Version, error) {
+	follower := watch.NewFollower(sub, clk, watch.Serial(func(k kv.Key) (kv.Value, kv.Version, error) {
 		out, err := do0(query.Call{Op: kv.OpRead, Key: k})
 		return out.Value, out.Version, err
-	})
+	}))
 	wconn, err := rc.cl.Subscribe(packet.AddrFrom4(10, 3, 0, 1), sub.Groups(), follower.Deliver)
 	if err != nil {
 		return nil, fmt.Errorf("watch subscribe: %w", err)
 	}
 	defer wconn.Close()
-	watchCtx, stopWatch := context.WithCancel(context.Background())
-	defer stopWatch()
-	var watchWG sync.WaitGroup
+	follower.Start(context.Background(), 25*time.Millisecond, 0, nil)
+	defer follower.Close()
 	var watchEvents uint64
-	watchWG.Add(2)
+	drained := make(chan struct{})
 	go func() { // drain the event channel; overflow self-heals via dirty marks
-		defer watchWG.Done()
+		defer close(drained)
 		for range sub.Events() {
 			watchEvents++
 		}
-	}()
-	go func() {
-		defer watchWG.Done()
-		follower.Run(watchCtx, 25*time.Millisecond, 0)
 	}()
 
 	// The nemesis: same schedule builders as the sim, plus the fail-stop
@@ -296,18 +294,20 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 
 	// Workload start is the schedule's t=0.
 	rc.inj.ResetClock()
-	schedStart := rc.mon.Now()
-	rc.inj.RunSchedule(schedule)
+	schedStart := clk.Now()
+	nm := netsim.RunSchedule(rc.inj.Clock(), rc.inj, schedule)
 
-	start := time.Now()
-	now := func() int64 { return int64(time.Since(start)) }
 	var wg sync.WaitGroup
+	wg.Add(o.Clients * o.OpsPerClient) // one Done per call a client makes
 	for c := 0; c < o.Clients; c++ {
-		wg.Add(1)
-		go func(cid int) {
-			defer wg.Done() // each client thinks 3 ms between ops
-			load.client(o.Seed, cid).loop(load.counted(rc.ops[cid].Do), now, func() { time.Sleep(3 * time.Millisecond) })
-		}(c)
+		do := load.counted(rc.ops[c].Do)
+		issue := func(call query.Call, done func(query.Outcome, error)) {
+			go func() {
+				done(do(call))
+				wg.Done()
+			}()
+		}
+		load.client(o.Seed, c).drive(issue, clk, 3*time.Millisecond) // each client thinks 3 ms between ops
 	}
 	wg.Wait()
 	if err := load.check(&res.ChaosReport); err != nil {
@@ -322,7 +322,7 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 			lastAt = end
 		}
 	}
-	if since := rc.mon.Now() - schedStart; since < lastAt {
+	if since := clk.Now() - schedStart; since < lastAt {
 		time.Sleep(lastAt - since)
 	}
 	if sc.failover {
@@ -368,13 +368,13 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	stopWatch()
-	watchWG.Wait() // Run closed the Sub, so the drain loop ended too
+	follower.Close()
+	<-drained // Close closed the Sub, so the drain loop ended
 	res.WatchEvents = watchEvents
 	res.WatchStats = sub.Stats()
 
 	res.Repairs = rc.pilot.History()
-	res.Health = rc.det.Snapshot(rc.mon.Now())
+	res.Health = rc.det.Snapshot(rc.mon.Clock().Now())
 	res.tallyRepairs(sc, tg.fail, schedStart+time.Duration(float64(sc.faultAt)*realChaosTimeScale), rc.ctl)
 
 	var cores []query.Stats
@@ -387,7 +387,7 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 		return nil, err
 	}
 	res.Inj = rc.inj.Stats()
-	res.NemesisLog = rc.inj.Log()
+	res.NemesisLog = nm.Log // the injector stopped, so no step fires any more
 
 	h := sha256.New()
 	res.writeHistory(h)

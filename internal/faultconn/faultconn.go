@@ -5,8 +5,9 @@
 // the fault state is a netsim.Faults, changed only by the grammar's own
 // Fault.Inject/Heal (the injector is a netsim.Target), and every frame's
 // fate comes from netsim.LinkFault.Decide. So one Schedule runs through the
-// same inject/heal rules on either substrate (TestOverlapParity), and a
-// seeded run produces the same fault-decision stream on both (pinned by
+// same inject/heal rules on either substrate (TestOverlapParity), timed by
+// the one netsim.RunSchedule on the injector's Clock, and a seeded run
+// produces the same fault-decision stream on both (pinned by
 // FuzzScheduleWire).
 //
 // The injector hands out one Pipe per socket owner; the Pipe implements
@@ -29,7 +30,6 @@ package faultconn
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/rand"
 	"net"
 	"sync"
@@ -57,14 +57,22 @@ type Stats struct {
 	GrayStalls     uint64 // ingress stalls applied at gray nodes
 }
 
+const (
+	// baseLatency is the nominal per-hop latency (schedule time) behind
+	// Decide's ReorderDelay/DupDelay defaults.
+	baseLatency = event.Time(10 * time.Microsecond)
+	// grayServiceBudget is the per-frame service budget (schedule time)
+	// Gray.SlowFactor multiplies at a gray node's ingest: the simulator's
+	// per-frame service at line rate, so the schedules' large SlowFactors
+	// translate to microsecond-scale stalls, a degraded node, not a frozen
+	// one.
+	grayServiceBudget = event.Time(time.Nanosecond)
+)
+
 // Injector owns the fault state for one live cluster and mints Pipes.
 type Injector struct {
-	seed  int64
-	scale float64    // wall-clock seconds per simulated second
-	lat   event.Time // nominal per-hop latency (sim units) for Decide defaults
-	svc   event.Time // per-frame service budget (sim units) Gray.SlowFactor multiplies
-
-	start time.Time
+	seed int64
+	clk  *event.Wall // schedule time, stretched onto the wall clock
 
 	mu      sync.Mutex
 	eps     map[uint64]packet.Addr // "ip:port" key → owning virtual addr
@@ -72,8 +80,6 @@ type Injector struct {
 	dead    map[packet.Addr]bool // fail-stopped nodes, blackholed
 	dirs    map[pair]*rand.Rand
 	grayRng map[packet.Addr]*rand.Rand
-	timers  []*time.Timer
-	log     []string
 	stopped bool
 	trace   func(from, to packet.Addr, dec netsim.FaultDecision)
 
@@ -99,30 +105,7 @@ type Option func(*Injector)
 func WithTimeScale(s float64) Option {
 	return func(i *Injector) {
 		if s > 0 {
-			i.scale = s
-		}
-	}
-}
-
-// WithBaseLatency sets the nominal per-hop latency (in schedule time
-// units) used for Decide's ReorderDelay/DupDelay defaults. Default 10µs.
-func WithBaseLatency(d time.Duration) Option {
-	return func(i *Injector) {
-		if d > 0 {
-			i.lat = event.Time(d)
-		}
-	}
-}
-
-// WithGrayServiceBudget sets the per-frame service budget (in schedule
-// time units) that Gray.SlowFactor multiplies at a gray node's ingest.
-// Default 1ns — the simulator's per-frame service at line rate — so the
-// schedules' large SlowFactors translate to microsecond-scale stalls, a
-// degraded node, not a frozen one.
-func WithGrayServiceBudget(d time.Duration) Option {
-	return func(i *Injector) {
-		if d > 0 {
-			i.svc = event.Time(d)
+			i.clk = event.NewWall(s)
 		}
 	}
 }
@@ -138,10 +121,7 @@ func WithDecisionTrace(fn func(from, to packet.Addr, dec netsim.FaultDecision)) 
 func New(seed int64, opts ...Option) *Injector {
 	i := &Injector{
 		seed:    seed,
-		scale:   1,
-		lat:     event.Time(10 * time.Microsecond),
-		svc:     event.Time(time.Nanosecond),
-		start:   time.Now(),
+		clk:     event.NewWall(1),
 		eps:     make(map[uint64]packet.Addr),
 		dead:    make(map[packet.Addr]bool),
 		dirs:    make(map[pair]*rand.Rand),
@@ -194,59 +174,25 @@ func (i *Injector) grayRngLocked(a packet.Addr) *rand.Rand {
 	return rng
 }
 
-// simNow maps the wall clock back into schedule time (burst-loss windows
-// are clock-driven functions of it).
-func (i *Injector) simNow() event.Time {
-	return event.Time(float64(time.Since(i.start)) / i.scale)
-}
-
-// wall stretches a schedule-time duration onto the wall clock.
-func (i *Injector) wall(d event.Time) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	return time.Duration(float64(d) * i.scale)
-}
-
-// afterWall schedules fn on the wall clock, tracked so Stop cancels it.
-func (i *Injector) afterWall(d time.Duration, fn func()) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if i.stopped {
-		return
-	}
-	t := time.AfterFunc(d, func() {
-		i.mu.Lock()
-		stopped := i.stopped
-		i.mu.Unlock()
-		if !stopped {
-			fn()
-		}
-	})
-	i.timers = append(i.timers, t)
-}
+// Clock returns the injector's schedule clock: the wall clock stretched
+// by the time scale, restarted by ResetClock. netsim.RunSchedule runs a
+// Schedule on it against the injector.
+func (i *Injector) Clock() event.Clock { return i.clk }
 
 // ResetClock restarts the injector's schedule clock at "now". Harnesses
 // boot and seed a cluster through already-minted pipes, then reset so a
 // schedule's t=0 is the start of the measured workload, not the start of
 // cluster construction.
-func (i *Injector) ResetClock() {
-	i.mu.Lock()
-	i.start = time.Now()
-	i.mu.Unlock()
-}
+func (i *Injector) ResetClock() { i.clk.Reset() }
 
-// Stop quiesces the injector: pending delayed frames and schedule steps
-// are cancelled and every Pipe becomes a transparent pass-through.
+// Stop quiesces the injector: every Pipe becomes a transparent
+// pass-through, and once Stop returns no delayed frame is re-sent and no
+// schedule step on the injector's clock runs.
 func (i *Injector) Stop() {
 	i.mu.Lock()
 	i.stopped = true
-	timers := i.timers
-	i.timers = nil
 	i.mu.Unlock()
-	for _, t := range timers {
-		t.Stop()
-	}
+	i.clk.Stop()
 }
 
 // Stats snapshots the injection counters.
@@ -264,30 +210,19 @@ func (i *Injector) Stats() Stats {
 	}
 }
 
-// Log returns the timestamped inject/heal lines recorded so far.
-func (i *Injector) Log() []string {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return append([]string(nil), i.log...)
-}
-
-func (i *Injector) logf(format string, args ...any) {
-	i.log = append(i.log, fmt.Sprintf("t=%-12v %s", time.Since(i.start).Round(time.Microsecond), fmt.Sprintf(format, args...)))
-}
-
 // ---------------------------------------------------------------------------
 // Fault state: netsim's Faults, changed only by netsim's Fault values.
 
-// Inject installs f on the live wire now, through the same rules a
-// simulated network runs it by.
-func (i *Injector) Inject(f netsim.Fault) error {
+// InjectFault installs f on the live wire now, through the same rules a
+// simulated network runs it by (a netsim.Applier).
+func (i *Injector) InjectFault(f netsim.Fault) error {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	return f.Inject(locked{i})
 }
 
-// Heal removes what f installed, unless a later step replaced it.
-func (i *Injector) Heal(f netsim.Fault) error {
+// HealFault removes what f installed, unless a later step replaced it.
+func (i *Injector) HealFault(f netsim.Fault) error {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	return f.Heal(locked{i})
@@ -383,7 +318,7 @@ func (p *Pipe) Egress(buf []byte, ep *net.UDPAddr, send func([]byte, *net.UDPAdd
 		i.mu.Unlock()
 		return true
 	}
-	dec := flt.Decide(i.dirLocked(p.self, to), i.simNow(), i.lat)
+	dec := flt.Decide(i.dirLocked(p.self, to), event.Time(i.clk.Now()), baseLatency)
 	if i.trace != nil {
 		i.trace(p.self, to, dec)
 	}
@@ -404,12 +339,12 @@ func (p *Pipe) Egress(buf []byte, ep *net.UDPAddr, send func([]byte, *net.UDPAdd
 		// The duplicate trails the (possibly delayed) original, as in the
 		// simulator's transmit path.
 		cp := append([]byte(nil), buf...)
-		i.afterWall(i.wall(dec.Delay+dec.DupDelay), func() { send(cp, ep) })
+		i.clk.After(time.Duration(dec.Delay+dec.DupDelay), func() { send(cp, ep) })
 		i.dupCopies.Add(1)
 	}
 	if dec.Delay > 0 {
 		cp := append([]byte(nil), buf...)
-		i.afterWall(i.wall(dec.Delay), func() { send(cp, ep) })
+		i.clk.After(time.Duration(dec.Delay), func() { send(cp, ep) })
 		i.delayed.Add(1)
 		return false
 	}
@@ -442,12 +377,12 @@ func (p *Pipe) Ingress(buf []byte) bool {
 		i.grayDrops.Add(1)
 		return false
 	}
-	stall := i.wall(g.ExtraDelay)
+	stall := i.clk.Real(time.Duration(g.ExtraDelay))
 	if g.SlowFactor > 1 {
 		// The sim multiplies the node's per-frame service budget; on the
 		// wire the scaled budget stands in for it and the ingest goroutine
 		// stalls by the surcharge — real slowness, real backlog.
-		stall += time.Duration(float64(i.wall(i.svc)) * (g.SlowFactor - 1))
+		stall += time.Duration(float64(i.clk.Real(time.Duration(grayServiceBudget))) * (g.SlowFactor - 1))
 	}
 	if stall > 0 {
 		i.grayStalls.Add(1)

@@ -3,6 +3,8 @@ package faultconn
 import (
 	"math/rand"
 	"net"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,7 +32,7 @@ func collectTrace(seed int64, flt netsim.LinkFault, n int) []netsim.FaultDecisio
 	defer inj.Stop()
 	ep := testEndpoint()
 	inj.Pipe(testTo).Attach(ep)
-	_ = inj.Inject(netsim.LinkChaos{A: testFrom, B: testTo, F: flt}) // the wire takes any link
+	_ = inj.InjectFault(netsim.LinkChaos{A: testFrom, B: testTo, F: flt}) // the wire takes any link
 	pipe := inj.Pipe(testFrom)
 	buf := make([]byte, 64)
 	sink := func([]byte, *net.UDPAddr) {}
@@ -71,6 +73,52 @@ func TestInjectorDeterminism(t *testing.T) {
 	}
 }
 
+// TestDelayedFramesReleasedOnceResent: a delayed frame is the injector's
+// to hold only until it is re-sent. Once every delayed frame has gone out,
+// the injector holds none of them: the live heap after GC is back near
+// where it started, not the frames' worth above it.
+func TestDelayedFramesReleasedOnceResent(t *testing.T) {
+	const frames, size = 8000, 1024
+	inj := New(1)
+	defer inj.Stop()
+	ep := testEndpoint()
+	inj.Pipe(testTo).Attach(ep)
+	jitter := netsim.LinkFault{Jitter: event.Time(100 * time.Microsecond)}
+	if err := inj.InjectFault(netsim.LinkChaos{A: testFrom, B: testTo, F: jitter}); err != nil {
+		t.Fatal(err)
+	}
+	pipe := inj.Pipe(testFrom)
+	base := liveHeap()
+	var resent atomic.Int64
+	held := 0
+	buf := make([]byte, size)
+	for i := 0; i < frames; i++ {
+		if !pipe.Egress(buf, ep, func([]byte, *net.UDPAddr) { resent.Add(1) }) {
+			held++
+		}
+	}
+	if held < frames/2 {
+		t.Fatalf("jitter delayed only %d of %d frames", held, frames)
+	}
+	for deadline := time.Now().Add(10 * time.Second); resent.Load() < int64(held); {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d delayed frames re-sent", resent.Load(), held)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if grew := liveHeap() - base; grew > int64(held*size/4) {
+		t.Fatalf("all %d delayed frames re-sent, yet the live heap is %d KB above the start: the injector still holds them",
+			held, grew>>10)
+	}
+}
+
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
 // TestInjectorStatsDeterminism: the aggregate counters reproduce too.
 func TestInjectorStatsDeterminism(t *testing.T) {
 	run := func(seed int64) Stats {
@@ -79,7 +127,7 @@ func TestInjectorStatsDeterminism(t *testing.T) {
 		ep := testEndpoint()
 		inj.Pipe(testTo).Attach(ep)
 		flt := netsim.LinkFault{Drop: 0.3, Dup: 0.1, Reorder: 0.2}
-		if err := inj.Inject(netsim.LinkChaos{A: testFrom, B: testTo, F: flt}); err != nil {
+		if err := inj.InjectFault(netsim.LinkChaos{A: testFrom, B: testTo, F: flt}); err != nil {
 			t.Fatal(err)
 		}
 		pipe := inj.Pipe(testFrom)
@@ -200,9 +248,9 @@ func TestOverlapParity(t *testing.T) {
 	}
 	nodes := append(append([]packet.Addr(nil), fb.Hosts...), fb.Switches...)
 	for k, st := range script {
-		simApply, wireApply := netsim.Fault.Heal, inj.Heal
+		simApply, wireApply := netsim.Fault.Heal, inj.HealFault
 		if st.inject {
-			simApply, wireApply = netsim.Fault.Inject, inj.Inject
+			simApply, wireApply = netsim.Fault.Inject, inj.InjectFault
 		}
 		if err := simApply(st.f, fb.Net); err != nil {
 			t.Fatalf("step %d (%s) on the sim: %v", k, st.f, err)

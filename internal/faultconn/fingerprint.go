@@ -11,44 +11,6 @@ import (
 	"netchain/internal/netsim"
 )
 
-// RunSchedule executes a netsim fault schedule against the live wire: the
-// same Schedule value a simulator run consumes, with step times stretched
-// by the injector's time scale onto the wall clock, and each step injected
-// and healed by the same Fault.Inject/Heal the simulator calls. Steps
-// whose At has already passed (relative to the injector's start) fire
-// immediately. A step's error, which netsim's faults never return on the
-// wire, is logged.
-func (i *Injector) RunSchedule(sch netsim.Schedule) {
-	i.mu.Lock()
-	elapsed := time.Since(i.start)
-	i.mu.Unlock()
-	for _, st := range sch {
-		st := st
-		at := i.wall(st.At) - elapsed
-		if at < 0 {
-			at = 0
-		}
-		i.afterWall(at, func() {
-			i.mu.Lock()
-			defer i.mu.Unlock()
-			i.logf("inject %s: %s", st.Name, st.Fault)
-			if err := st.Fault.Inject(locked{i}); err != nil {
-				i.logf("inject %s failed: %v", st.Name, err)
-			}
-		})
-		if st.For > 0 {
-			i.afterWall(at+i.wall(st.For), func() {
-				i.mu.Lock()
-				defer i.mu.Unlock()
-				i.logf("heal   %s", st.Name)
-				if err := st.Fault.Heal(locked{i}); err != nil {
-					i.logf("heal %s failed: %v", st.Name, err)
-				}
-			})
-		}
-	}
-}
-
 // fingerprintProbes is how many synthetic traversals Fingerprint replays
 // per faulty direction — enough to pin the decision algorithm and the rng
 // seeding, small enough to be free.
@@ -65,7 +27,6 @@ const fingerprintProbes = 256
 // checkable artifact rather than a promise.
 func Fingerprint(seed int64, sch netsim.Schedule) string {
 	h := sha256.New()
-	lat := event.Time(10 * time.Microsecond)
 	for _, st := range sch {
 		fmt.Fprintf(h, "step %s at=%d for=%d %s\n", st.Name, st.At, st.For, st.Fault)
 		horizon := st.For
@@ -103,7 +64,7 @@ func Fingerprint(seed int64, sch netsim.Schedule) string {
 			rng := rand.New(rand.NewSource(dirSeed(seed, d.from, d.to)))
 			for k := 0; k < fingerprintProbes; k++ {
 				now := st.At + horizon*event.Time(k)/fingerprintProbes
-				writeDecision(h, flt.Decide(rng, now, lat))
+				writeDecision(h, flt.Decide(rng, now, baseLatency))
 			}
 		}
 	}

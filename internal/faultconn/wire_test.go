@@ -92,14 +92,14 @@ func TestBatchConnPipe(t *testing.T) {
 		// receiving BatchConn eats every arrival.
 		{"passed gray-lossy ingress", netsim.GraySwitch{Addr: bAddr, G: netsim.Gray{Loss: 1}}},
 	} {
-		if err := inj.Inject(tc.f); err != nil {
+		if err := inj.InjectFault(tc.f); err != nil {
 			t.Fatal(err)
 		}
 		send("faulted")
 		if got, ok := recv(120 * time.Millisecond); ok {
 			t.Fatalf("datagram %q %s", got, tc.what)
 		}
-		if err := inj.Heal(tc.f); err != nil {
+		if err := inj.HealFault(tc.f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,7 +188,7 @@ func TestPartitionBoundsRetryVolume(t *testing.T) {
 
 	// Cut client→switch. Replies can't even be generated: every attempt
 	// is consumed at the client's own egress.
-	if err := w.inj.Inject(&netsim.AsymPartition{From: []packet.Addr{cli}, To: []packet.Addr{w.addr}}); err != nil {
+	if err := w.inj.InjectFault(&netsim.AsymPartition{From: []packet.Addr{cli}, To: []packet.Addr{w.addr}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -255,26 +255,26 @@ func TestMonitorDetectsFailStopOnWire(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(5 * time.Second)
-	for det.VerdictFor(addrs[0], mon.Now()) != health.Healthy ||
-		det.VerdictFor(addrs[1], mon.Now()) != health.Healthy {
+	for det.VerdictFor(addrs[0], mon.Clock().Now()) != health.Healthy ||
+		det.VerdictFor(addrs[1], mon.Clock().Now()) != health.Healthy {
 		if time.Now().After(deadline) {
-			t.Fatalf("cluster never went healthy: %+v", det.Snapshot(mon.Now()))
+			t.Fatalf("cluster never went healthy: %+v", det.Snapshot(mon.Clock().Now()))
 		}
 		time.Sleep(hb)
 	}
 
 	killed := time.Now()
-	if err := inj.Inject(netsim.FailStop{Addr: addrs[1]}); err != nil {
+	if err := inj.InjectFault(netsim.FailStop{Addr: addrs[1]}); err != nil {
 		t.Fatal(err)
 	}
-	for det.VerdictFor(addrs[1], mon.Now()) != health.FailStop {
+	for det.VerdictFor(addrs[1], mon.Clock().Now()) != health.FailStop {
 		if time.Since(killed) > 5*time.Second {
 			t.Fatalf("fail-stop undetected after 5 s at hb=%v: φ=%.1f %+v",
-				hb, det.Phi(addrs[1], mon.Now()), det.Snapshot(mon.Now()))
+				hb, det.Phi(addrs[1], mon.Clock().Now()), det.Snapshot(mon.Clock().Now()))
 		}
 		time.Sleep(hb)
 	}
-	if v := det.VerdictFor(addrs[0], mon.Now()); v == health.FailStop {
+	if v := det.VerdictFor(addrs[0], mon.Clock().Now()); v == health.FailStop {
 		t.Fatalf("survivor evicted alongside the real failure (verdict %v)", v)
 	}
 }
@@ -335,7 +335,7 @@ func TestSubscriberLinkFault(t *testing.T) {
 	}
 
 	cut := netsim.LinkChaos{A: rv, B: sv, F: netsim.LinkFault{Drop: 1}}
-	if err := inj.Inject(cut); err != nil {
+	if err := inj.InjectFault(cut); err != nil {
 		t.Fatal(err)
 	}
 	const sent = 20
@@ -345,7 +345,7 @@ func TestSubscriberLinkFault(t *testing.T) {
 	if got := sub.Received(); got != 0 {
 		t.Fatalf("%d of %d events crossed a fully cut relay→subscriber link", got, sent)
 	}
-	if err := inj.Heal(cut); err != nil {
+	if err := inj.HealFault(cut); err != nil {
 		t.Fatal(err)
 	}
 	emit(1)
@@ -436,7 +436,7 @@ func TestEverySocketOwnerHonoursItsPipe(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fault := netsim.FailStop{Addr: tc.addr}
-			if err := w.inj.Inject(fault); err != nil {
+			if err := w.inj.InjectFault(fault); err != nil {
 				t.Fatal(err)
 			}
 			time.Sleep(4 * hb) // let datagrams sent before the fault land
@@ -446,7 +446,7 @@ func TestEverySocketOwnerHonoursItsPipe(t *testing.T) {
 			if tc.flows(t) {
 				t.Fatalf("%v still talks while fail-stopped", tc.addr)
 			}
-			if err := w.inj.Heal(fault); err != nil {
+			if err := w.inj.HealFault(fault); err != nil {
 				t.Fatal(err)
 			}
 			eventually(t, "traffic after the heal", func() bool { return tc.flows(t) })

@@ -42,7 +42,7 @@ func newRig(t *testing.T) *rig {
 		return controller.LocalAgent{Switch: sw}, true
 	}
 	ctl, err := controller.New(controller.DefaultConfig(), r,
-		controller.SimScheduler{Sim: sim}, agent, tb.Net.SwitchNeighbors)
+		sim.Clock(), agent, tb.Net.SwitchNeighbors)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,13 +13,14 @@
 //     slowly and lossily — the worst case for failure detection, since
 //     fail-stop detectors never fire;
 //   - Schedule: a declarative timeline of inject/heal steps executed
-//     inside the event simulator, so a scenario like "partition S1→S2
-//     for 3 ms with 2% duplication cluster-wide" is a table, not test
-//     code.
+//     on the event simulator's clock (or the wire's), so a scenario like
+//     "partition S1→S2 for 3 ms with 2% duplication cluster-wide" is a
+//     table, not test code.
 //
 // Faults is the state these steps build and Target the substrate they
 // act on; the wire injector (internal/faultconn) is a second Target, so
-// one Schedule runs through the same inject/heal rules on both.
+// one Schedule runs through the same inject/heal rules on both, timed by
+// one RunSchedule on either substrate's event.Clock.
 //
 // All randomness flows through the Network's seeded rng, so a schedule
 // replayed with the same seed produces byte-identical drop/dup/reorder
@@ -29,6 +30,8 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"sync"
+	"time"
 
 	"netchain/internal/event"
 	"netchain/internal/packet"
@@ -440,38 +443,50 @@ type Step struct {
 // stale heal never strips a replacement that is still scheduled to run.
 type Schedule []Step
 
-// Nemesis executes a Schedule inside the simulator and records what it did.
+// Applier is where a Schedule's steps land, one whole Fault at a time: the
+// simulated network, whose events run one at a time, or the wire injector,
+// which holds its lock around the same Fault.Inject/Heal.
+type Applier interface {
+	InjectFault(f Fault) error
+	HealFault(f Fault) error
+}
+
+// InjectFault installs f by the grammar's rules (an Applier).
+func (n *Network) InjectFault(f Fault) error { return f.Inject(n) }
+
+// HealFault removes what f installed (an Applier).
+func (n *Network) HealFault(f Fault) error { return f.Heal(n) }
+
+// Nemesis executes a Schedule and records what it did.
 type Nemesis struct {
-	net *Network
+	clk event.Clock
+
+	mu sync.Mutex // on the wall clock, steps fire on their own goroutines
 	// Log lists timestamped inject/heal lines, for experiment reports.
+	// Read it once the clock fires no more steps.
 	Log []string
 	err error
 }
 
-// RunSchedule registers every step of sch with the network's simulator.
-// Call before (or while) the simulation runs; steps whose At has already
-// passed fire immediately. Fault errors are sticky — check Err after the
-// simulation completes.
-func RunSchedule(net *Network, sch Schedule) *Nemesis {
-	nm := &Nemesis{net: net}
+// RunSchedule registers every step of sch with clk, each injecting its
+// fault into a at At and healing it For later: the simulator's clock and
+// network, or the wire injector and its clock. Call before (or while) the
+// clock runs; steps whose At has already passed fire immediately. Fault
+// errors are sticky — check Err once the schedule has run.
+func RunSchedule(clk event.Clock, a Applier, sch Schedule) *Nemesis {
+	nm := &Nemesis{clk: clk}
+	now := clk.Now()
 	for _, st := range sch {
 		st := st
-		at := st.At
-		if now := net.Sim.Now(); at < now {
-			at = now
-		}
-		net.Sim.At(at, func() {
-			nm.logf("inject %s: %s", st.Name, st.Fault)
-			if err := st.Fault.Inject(net); err != nil && nm.err == nil {
-				nm.err = fmt.Errorf("nemesis %s: %w", st.Name, err)
-			}
+		at := max(time.Duration(st.At)-now, 0)
+		clk.After(at, func() {
+			nm.step(fmt.Sprintf("inject %s: %s", st.Name, st.Fault), "nemesis "+st.Name,
+				func() error { return a.InjectFault(st.Fault) })
 		})
 		if st.For > 0 {
-			net.Sim.At(at+st.For, func() {
-				nm.logf("heal   %s", st.Name)
-				if err := st.Fault.Heal(net); err != nil && nm.err == nil {
-					nm.err = fmt.Errorf("nemesis heal %s: %w", st.Name, err)
-				}
+			clk.After(at+time.Duration(st.For), func() {
+				nm.step("heal   "+st.Name, "nemesis heal "+st.Name,
+					func() error { return a.HealFault(st.Fault) })
 			})
 		}
 	}
@@ -479,8 +494,18 @@ func RunSchedule(net *Network, sch Schedule) *Nemesis {
 }
 
 // Err returns the first fault injection/heal error, if any.
-func (nm *Nemesis) Err() error { return nm.err }
+func (nm *Nemesis) Err() error {
+	nm.mu.Lock()
+	defer nm.mu.Unlock()
+	return nm.err
+}
 
-func (nm *Nemesis) logf(format string, args ...any) {
-	nm.Log = append(nm.Log, fmt.Sprintf("t=%-12v %s", nm.net.Sim.Now(), fmt.Sprintf(format, args...)))
+// step logs line and applies one fault; what prefixes its error.
+func (nm *Nemesis) step(line, what string, apply func() error) {
+	nm.mu.Lock()
+	defer nm.mu.Unlock()
+	nm.Log = append(nm.Log, fmt.Sprintf("t=%-12v %s", nm.clk.Now(), line))
+	if err := apply(); err != nil && nm.err == nil {
+		nm.err = fmt.Errorf("%s: %w", what, err)
+	}
 }

@@ -47,7 +47,7 @@ func chaosRun(t *testing.T, seed int64) (string, netsim.Stats) {
 		{Name: "part", At: us(50), For: us(80), Fault: &netsim.AsymPartition{
 			From: []packet.Addr{tb.Hosts[1]}, To: []packet.Addr{tb.Hosts[3]}}},
 	}
-	nm := netsim.RunSchedule(tb.Net, sch)
+	nm := netsim.RunSchedule(tb.Net.Sim.Clock(), tb.Net, sch)
 	for i := 0; i < 400; i++ {
 		src, dst := tb.Hosts[0], tb.Hosts[2]
 		if i%3 == 0 {
@@ -288,7 +288,7 @@ func TestScheduleDrivesTwoNetworks(t *testing.T) {
 	simB, netB := boot()
 	sch := netsim.Schedule{{Name: "part", At: us(10), For: us(20), Fault: &netsim.AsymPartition{
 		From: []packet.Addr{h0}, To: []packet.Addr{h2}}}}
-	nmA, nmB := netsim.RunSchedule(netA, sch), netsim.RunSchedule(netB, sch)
+	nmA, nmB := netsim.RunSchedule(netA.Sim.Clock(), netA, sch), netsim.RunSchedule(netB.Sim.Clock(), netB, sch)
 	cut := func() [2]bool { return [2]bool{netA.Faults().Cut(h0, h2), netB.Faults().Cut(h0, h2)} }
 
 	simA.RunUntil(us(15)) // A injected

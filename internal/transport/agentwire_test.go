@@ -16,6 +16,7 @@ import (
 
 	"netchain/internal/controller"
 	"netchain/internal/core"
+	"netchain/internal/event"
 	"netchain/internal/kv"
 	"netchain/internal/packet"
 	"netchain/internal/query"
@@ -583,7 +584,10 @@ func TestAgentRoundTripCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctl, err := controller.New(controller.Config{}, r, controller.Immediate{}, agents.Get, agents.Neighbors)
+		// Zero delays on the simulator's clock: each verb's timed steps run
+		// to completion when the test steps the simulator.
+		sim := event.New()
+		ctl, err := controller.New(controller.Config{}, r, sim.Clock(), agents.Get, agents.Neighbors)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -633,12 +637,14 @@ func TestAgentRoundTripCounts(t *testing.T) {
 		if err := ctl.HandleFailure(failed, nil); err != nil {
 			t.Fatal(err)
 		}
+		sim.Run()
 		done := false
 		if err := ctl.Recover(failed, addrs[3:], func() { done = true }); err != nil {
 			t.Fatal(err)
 		}
+		sim.Run()
 		if !done {
-			t.Fatal("recovery did not run to completion under the inline scheduler")
+			t.Fatal("recovery did not run to completion")
 		}
 		if got := sws[addrs[3]].ItemCount(); got != nkeys {
 			t.Fatalf("replacement holds %d items after recovery, want %d", got, nkeys)

@@ -410,7 +410,7 @@ func TestRcvBufPlumbing(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		snap := det.Snapshot(mon.Now())
+		snap := det.Snapshot(mon.Clock().Now())
 		if len(snap) == 1 && snap[0].RcvBufBytes > 0 {
 			if int(snap[0].RcvBufBytes) != node.Stats().RcvBufBytes {
 				t.Fatalf("snapshot RcvBufBytes %d != node's %d",

@@ -50,7 +50,7 @@ func TestHeartbeatsFeedMonitor(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	var snap []health.SwitchHealth
 	for time.Now().Before(deadline) {
-		snap = det.Snapshot(mon.Now())
+		snap = det.Snapshot(mon.Clock().Now())
 		if len(snap) == 1 && snap[0].Heartbeats >= 5 && snap[0].ProbeReplies >= 3 {
 			break
 		}
@@ -62,7 +62,7 @@ func TestHeartbeatsFeedMonitor(t *testing.T) {
 	if snap[0].Heartbeats < 5 || snap[0].ProbeReplies < 3 {
 		t.Fatalf("thin observations: %+v", snap[0])
 	}
-	if v := det.VerdictFor(swAddr, mon.Now()); v != health.Healthy {
+	if v := det.VerdictFor(swAddr, mon.Clock().Now()); v != health.Healthy {
 		t.Fatalf("live node verdict %v, want healthy", v)
 	}
 
@@ -72,11 +72,11 @@ func TestHeartbeatsFeedMonitor(t *testing.T) {
 	}
 	deadline = time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if det.VerdictFor(swAddr, mon.Now()) == health.FailStop {
+		if det.VerdictFor(swAddr, mon.Clock().Now()) == health.FailStop {
 			return
 		}
 		time.Sleep(hb)
 	}
 	t.Fatalf("dead node never reached fail-stop: φ=%.1f %+v",
-		det.Phi(swAddr, mon.Now()), det.Snapshot(mon.Now()))
+		det.Phi(swAddr, mon.Clock().Now()), det.Snapshot(mon.Clock().Now()))
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"netchain/internal/event"
 	"netchain/internal/health"
 	"netchain/internal/packet"
 	"netchain/internal/telemetry"
@@ -32,14 +33,14 @@ func WithMonitorFaults(p FaultPipe) MonitorOption {
 // receives switch heartbeats, learns each switch's dataplane endpoint from
 // the datagram source address (zero extra controller configuration), and
 // optionally probes every learned switch's forwarding path on a ticker.
-// Its timestamps are a monotonic since-start timeline; every decision —
+// Its timestamps are its Clock, a wall clock started with it; every decision —
 // what a heartbeat or echo means, which probes are lost, who is retired —
 // is the Core's, which the simulated autopilot harness drives too.
 type Monitor struct {
-	core  *health.Core
-	det   *health.Detector
-	conn  *BatchConn
-	start time.Time
+	core *health.Core
+	det  *health.Detector
+	conn *BatchConn
+	clk  *event.Wall
 
 	mu  sync.Mutex
 	eps map[packet.Addr]*net.UDPAddr
@@ -65,7 +66,7 @@ func NewMonitor(bind string, virt packet.Addr, det *health.Detector, opts ...Mon
 		core:     health.NewCore(det, virt),
 		det:      det,
 		conn:     conn,
-		start:    time.Now(),
+		clk:      event.NewWall(1),
 		eps:      make(map[packet.Addr]*net.UDPAddr),
 		closed:   make(chan struct{}),
 		recvDone: make(chan struct{}),
@@ -78,9 +79,9 @@ func NewMonitor(bind string, virt packet.Addr, det *health.Detector, opts ...Mon
 // -monitor flag points at).
 func (m *Monitor) Endpoint() *net.UDPAddr { return m.conn.LocalAddr() }
 
-// Now returns the monitor's monotonic timestamp — the timeline its
-// Detector observations use.
-func (m *Monitor) Now() time.Duration { return time.Since(m.start) }
+// Clock returns the monitor's wall clock — the timeline its Detector
+// observations use, and the one an autopilot over that Detector runs on.
+func (m *Monitor) Clock() event.Clock { return m.clk }
 
 // Forget retires a switch (Core.Forget) and drops its learned endpoint.
 // The drained netchaind usually keeps beating until the operator shuts it
@@ -94,7 +95,7 @@ func (m *Monitor) Forget(sw packet.Addr) {
 
 // Watch (re-)admits a switch to monitoring (Core.Watch) — the add-switch
 // path clears a previous retirement so a readmitted box is watched again.
-func (m *Monitor) Watch(sw packet.Addr) { m.core.Watch(sw, m.Now()) }
+func (m *Monitor) Watch(sw packet.Addr) { m.core.Watch(sw, m.clk.Now()) }
 
 // Close stops the monitor.
 func (m *Monitor) Close() error {
@@ -130,7 +131,7 @@ func (m *Monitor) recvLoop() {
 			// Under m.mu, so a concurrent Forget cannot be followed by
 			// re-learning the retired switch's endpoint.
 			m.mu.Lock()
-			if m.core.Receive(f, m.Now()) {
+			if m.core.Receive(f, m.clk.Now()) {
 				m.eps[f.IP.Src] = src
 			}
 			m.mu.Unlock()
@@ -150,7 +151,7 @@ type MonitorStats struct {
 // neither Healthy nor Unknown.
 func (m *Monitor) Stats() MonitorStats {
 	st := MonitorStats{CoreStats: m.core.Stats()}
-	for _, sh := range m.det.Snapshot(m.Now()) {
+	for _, sh := range m.det.Snapshot(m.clk.Now()) {
 		if sh.Verdict != health.Healthy && sh.Verdict != health.Unknown {
 			st.Suspects++
 		}
@@ -187,7 +188,7 @@ func (m *Monitor) probeOnce() {
 	eps := maps.Clone(m.eps)
 	m.mu.Unlock()
 	var buf []byte
-	m.core.ProbeRound(m.Now(), slices.Sorted(maps.Keys(eps)), func(f *packet.Frame) {
+	m.core.ProbeRound(m.clk.Now(), slices.Sorted(maps.Keys(eps)), func(f *packet.Frame) {
 		defer packet.PutFrame(f)
 		out, err := f.Serialize(buf[:0])
 		if err != nil {

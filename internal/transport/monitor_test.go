@@ -68,7 +68,7 @@ func TestMonitorForgetStaysRetired(t *testing.T) {
 	send(packet.NewQueryInto(f, sw, monAddr, packet.Port, &f.NC)) // the probe's late echo
 	send(beat())
 	time.Sleep(20 * hb)
-	if snap := det.Snapshot(mon.Now()); len(snap) != 0 {
+	if snap := det.Snapshot(mon.Clock().Now()); len(snap) != 0 {
 		t.Fatalf("retired switch tracked again: %+v", snap)
 	}
 }

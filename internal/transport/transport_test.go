@@ -9,6 +9,7 @@ import (
 
 	"netchain/internal/controller"
 	"netchain/internal/core"
+	"netchain/internal/event"
 	"netchain/internal/kv"
 	"netchain/internal/packet"
 	"netchain/internal/query"
@@ -73,7 +74,7 @@ func newDeployment(t *testing.T) *deployment {
 	cfg := controller.DefaultConfig()
 	cfg.RuleDelay = time.Millisecond
 	cfg.SyncPerItem = 0 // real RPC takes real time
-	ctl, err := controller.New(cfg, r, controller.WallClock{}, d.agents.Get, d.agents.Neighbors)
+	ctl, err := controller.New(cfg, r, event.NewWall(1), d.agents.Get, d.agents.Neighbors)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,7 +122,7 @@ func daemonRegistries(t *testing.T) map[string]*telemetry.Registry {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ap := controller.NewAutopilot(ctl, det, controller.WallClock{}, mon.Now, controller.AutopilotConfig{})
+	ap := controller.NewAutopilot(ctl, det, mon.Clock(), controller.AutopilotConfig{})
 
 	regs := map[string]*telemetry.Registry{}
 	for name := range goldenSeries {

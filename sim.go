@@ -277,7 +277,7 @@ func (s *SimCluster) RepairHistory() []controller.RepairEvent {
 // calls. The returned handle reports injection errors and keeps a
 // timestamped log of what the nemesis did.
 func (s *SimCluster) RunNemesis(sch netsim.Schedule) *netsim.Nemesis {
-	return netsim.RunSchedule(s.d.Net, sch)
+	return netsim.RunSchedule(s.d.Sim.Clock(), s.d.Net, sch)
 }
 
 // RunNamedNemesis registers one of the named chaos schedules (see
@@ -290,7 +290,7 @@ func (s *SimCluster) RunNamedNemesis(name string) (*netsim.Nemesis, error) {
 	if err != nil {
 		return nil, err
 	}
-	return netsim.RunSchedule(s.d.Net, sch), nil
+	return netsim.RunSchedule(s.d.Sim.Clock(), s.d.Net, sch), nil
 }
 
 // NetStats snapshots the fabric counters, including the nemesis's

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"netchain/internal/event"
-	"netchain/internal/experiments"
 	"netchain/internal/kv"
 	"netchain/internal/packet"
 	"netchain/internal/query"
@@ -86,17 +85,17 @@ func (cl *Client) Watch(ctx context.Context, keys []Key, opts ...WatchOption) (<
 	}
 	ctl := cl.cluster.Controller()
 	sub := watch.NewSub(keys, func(k kv.Key) uint16 { return ctl.Route(k).Group }, o.buffer)
-	f := watch.NewFollower(sub, cl.Read)
+	f := watch.NewFollower(sub, event.NewWall(1), watch.Serial(cl.Read))
 	claddr, _ := cl.Ops.Client.Endpoint()
 	conn, err := cl.cluster.Subscribe(claddr, sub.Groups(), f.Deliver)
 	if err != nil {
 		sub.Close()
 		return nil, err
 	}
-	go func() {
-		defer conn.Close()
-		f.Run(ctx, o.resync, o.antiEntropy)
-	}()
+	// conn.Close waits for the goroutine that runs Deliver, so the
+	// follower is ended from ctx's own goroutine, never from a delivery.
+	f.Start(context.Background(), o.resync, o.antiEntropy, func() { _ = conn.Close() })
+	context.AfterFunc(ctx, f.Close)
 	return sub.Events(), nil
 }
 
@@ -117,105 +116,35 @@ func (sc *SimClient) Watch(ctx context.Context, keys []Key, opts ...WatchOption)
 	}
 	ctl := sc.s.d.Ctl
 	sub := watch.NewSub(keys, func(k kv.Key) uint16 { return ctl.Route(k).Group }, o.buffer)
-	w := &simWatch{sc: sc, sr: sr, sub: sub, ctx: ctx}
-	w.port, w.release = sc.mux.Sink(w.recv)
-	for _, g := range sub.Groups() {
-		if jerr := sr.Join(g, sc.mux.Addr(), w.port); jerr != nil {
-			w.teardown()
-			return nil, jerr
-		}
-		w.groups = append(w.groups, g)
-	}
-	w.readDirty() // initial state fetch resolves during stepping
-	if o.resync > 0 {
-		w.armTimer(event.Duration(o.resync), w.readDirty)
-	}
-	if o.antiEntropy > 0 {
-		w.armTimer(event.Duration(o.antiEntropy), func() {
-			w.sub.MarkDirty()
-			w.readDirty()
+	f := watch.NewFollower(sub, sc.s.d.Sim.Clock(), func(k kv.Key, done func(kv.Value, kv.Version, error)) {
+		sc.c.Read(k, func(res simclient.Result) {
+			_, err := res.Outcome()
+			done(res.Value, res.Version, err)
 		})
-	}
-	return sub.Events(), nil
-}
-
-// simWatch runs one push-watch stream inside the simulator. The sim is
-// single-threaded: recv, read callbacks and timers all fire during
-// stepping, so the only synchronization is the Sub's own lock.
-type simWatch struct {
-	sc      *SimClient
-	sr      *experiments.SimRelay
-	sub     *watch.Sub
-	ctx     context.Context
-	port    uint16
-	release func()
-	groups  []uint16
-	closed  bool
-}
-
-// done checks for cancellation and tears the stream down on the first
-// delivery point that observes it.
-func (w *simWatch) done() bool {
-	if w.closed {
-		return true
-	}
-	if w.ctx.Err() != nil {
-		w.teardown()
-		return true
-	}
-	return false
-}
-
-func (w *simWatch) teardown() {
-	if w.closed {
-		return
-	}
-	w.closed = true
-	for _, g := range w.groups {
-		w.sr.Leave(g, w.sc.mux.Addr(), w.port)
-	}
-	w.release()
-	w.sub.Close()
-}
-
-func (w *simWatch) recv(f *packet.Frame) {
-	if w.done() || f.NC.Op != kv.OpEvent {
-		return
-	}
-	ev, err := query.ParseEvent(f)
-	if err != nil {
-		return
-	}
-	if w.sub.ApplyEvent(ev) {
-		w.readDirty()
-	}
-}
-
-func (w *simWatch) readDirty() {
-	for _, k := range w.sub.TakeDirty() {
-		key := k
-		w.sc.c.Read(key, func(res simclient.Result) {
-			if w.done() {
-				return
-			}
-			switch {
-			case res.Err == nil && res.Status == kv.StatusOK:
-				w.sub.ApplyRead(key, true, res.Value, res.Version)
-			case res.Err == nil && res.Status == kv.StatusNotFound:
-				w.sub.ApplyRead(key, false, nil, res.Version)
-			default:
-				w.sub.MarkDirty(key) // timeout/unavailable: retry next tick
-			}
-		})
-	}
-}
-
-func (w *simWatch) armTimer(iv event.Time, fn func()) {
-	w.sc.s.d.Sim.After(iv, func() {
-		if w.done() {
+	})
+	port, release := sc.mux.Sink(func(fr *packet.Frame) {
+		if fr.NC.Op != kv.OpEvent {
 			return
 		}
-		fn()
-		w.armTimer(iv, fn)
+		if ev, err := query.ParseEvent(fr); err == nil {
+			f.Deliver(ev)
+		}
 	})
+	var joined []uint16
+	leave := func() {
+		for _, g := range joined {
+			sr.Leave(g, sc.mux.Addr(), port)
+		}
+		release()
+	}
+	for _, g := range sub.Groups() {
+		if err := sr.Join(g, sc.mux.Addr(), port); err != nil {
+			leave()
+			sub.Close()
+			return nil, err
+		}
+		joined = append(joined, g)
+	}
+	f.Start(ctx, o.resync, o.antiEntropy, leave)
+	return sub.Events(), nil
 }

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,17 +138,23 @@ type Controller struct {
 	// agentErrors counts best-effort agent calls that failed (see bestEffort).
 	agentErrors atomic.Uint64
 
-	// resizing guards against overlapping long-running reconfigurations.
+	// resizing is the latch that keeps planned reconfigurations (resize,
+	// rehome, reorder) one at a time.
 	resizing bool
-	// migratingGroups marks groups whose resize migration has not flipped
-	// yet: Insert refuses keys landing there (a slot installed on the old
-	// chain after the state copy snapshots would be lost at the flip, and
-	// would dodge the leaver GC).
+	// migratingGroups marks groups whose resize or rehome migration has not
+	// flipped yet: Insert refuses keys landing there (a slot installed on
+	// the old chain after the state copy snapshots would be lost at the
+	// flip, and would dodge the leaver GC).
 	migratingGroups map[ring.GroupID]bool
-	// droppedKeys records keys GC'd while a resize was in flight: their
-	// pending moves are cancelled so the migration cannot resurrect a
-	// deleted key (reinstalled slots, re-tracked in c.keys).
+	// runs counts the operations whose migrations are in flight.
+	runs int
+	// droppedKeys records keys GC'd while any migration was in flight:
+	// their pending moves are cancelled and the flip scrubs their slots, so
+	// a migration cannot resurrect a deleted key (reinstalled slots,
+	// re-tracked in c.keys).
 	droppedKeys map[kv.Key]bool
+	// stepped, if set (tests), observes each migration after every step.
+	stepped func(*migration)
 
 	// OnGroupRecovered, if set, is called (from a clock callback)
 	// after each virtual group's two-phase switch completes — during
@@ -280,6 +285,7 @@ func (c *Controller) Insert(k kv.Key) (Route, error) {
 		}
 	}
 	c.keys[g] = append(c.keys[g], k)
+	delete(c.droppedKeys, k) // inserted again: no flip may scrub it
 	return c.routeLocked(g), nil
 }
 
@@ -289,10 +295,11 @@ func (c *Controller) GC(k kv.Key) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	g := c.servingGroupLocked(k)
-	if c.resizing {
-		// Cancel any pending move of this key: a resize migration finding
-		// the donor unreadable would otherwise reinstall slots for (and
-		// re-track) a key the client just deleted.
+	if c.runs > 0 {
+		// Cancel any pending move of this key: a migration finding the
+		// donor unreadable, or copying from a snapshot taken before this
+		// GC, would otherwise reinstall slots for (and re-track) a key the
+		// client just deleted.
 		c.droppedKeys[k] = true
 		delete(c.moved, k)
 	}
@@ -402,57 +409,6 @@ func (c *Controller) HandleFailure(failedSw packet.Addr, done func()) error {
 	return nil
 }
 
-// ---------------------------------------------------------------------------
-// Migration engine: the per-virtual-group stop, sync and atomic switch of
-// Algorithm 3, shared by failure recovery, planned resize, rehome and
-// demote/restore. A migration processes one virtual group at a time (§5.2:
-// only 1/groups of the key space loses write availability at any instant)
-// and every kind goes through the same stop window:
-//
-//	freeze → drain → copy → flip → hold → collect → thaw
-//
-// The planners only say what changes (chains, donor moves, bookkeeping);
-// migrateNext owns when writes stop and when they may resume.
-
-// maxDrainPolls bounds how long a migration waits for in-flight writes to
-// drain before it copies anyway (the pre-barrier behaviour).
-const maxDrainPolls = 8
-
-// migration is one virtual group's reconfiguration, as plain data.
-type migration struct {
-	group ring.GroupID
-	old   ring.Chain // chain serving the group when the migration starts
-	next  ring.Chain // chain after the flip
-
-	// adoptOnly skips the window: the new chain is a subset or a same-head
-	// reorder of the serving one (no data movement, no stop needed).
-	adoptOnly bool
-
-	// donors lists the keys the group absorbs from other groups in a
-	// resize, each with the chain still serving them: frozen, drained and
-	// collected together with old.
-	donors []donorMoves
-	// sessionFloor raises the group's session before the bump so writes
-	// stamped after the flip dominate versions imported from donor groups
-	// (their sessions advanced independently).
-	sessionFloor uint32
-	// bumpSession forces a session bump even when the head is unchanged
-	// (a group that absorbs keys needs its future writes to dominate the
-	// donors' stamps).
-	bumpSession bool
-	// preSync bulk-copies state *before* the stop window so only the delta
-	// is copied inside it (Algorithm 3 Step 1).
-	preSync bool
-	// failed and neighbors are set by failure recovery: traffic still
-	// addressed to the failed switch is dropped at its neighbors for the
-	// window and redirected to the replacement from the flip on.
-	failed    packet.Addr
-	neighbors []packet.Addr
-	// flip runs under c.mu right after the serving chain is swapped —
-	// key-ownership bookkeeping for resize moves.
-	flip func()
-}
-
 // liveChainLocked filters switches marked failed out of a planned chain
 // (their groups re-heal through Recover, not by re-installing them).
 func (c *Controller) liveChainLocked(ch ring.Chain) ring.Chain {
@@ -463,189 +419,6 @@ func (c *Controller) liveChainLocked(ch ring.Chain) ring.Chain {
 		}
 	}
 	return live
-}
-
-// runMigrations executes n migrations sequentially. build is invoked
-// lazily when each group's turn arrives so it observes the chains as
-// earlier migrations (and any concurrent failovers) left them; returning
-// nil skips the group. done (optional) fires after the last group.
-func (c *Controller) runMigrations(n int, build func(i int) *migration, done func()) {
-	c.migrateNext(n, build, 0, done)
-}
-
-func (c *Controller) migrateNext(n int, build func(i int) *migration, i int, done func()) {
-	if i >= n {
-		if done != nil {
-			done()
-		}
-		return
-	}
-	m := build(i)
-	if m == nil {
-		c.migrateNext(n, build, i+1, done)
-		return
-	}
-	if m.adoptOnly {
-		c.mu.Lock()
-		c.chains[m.group] = c.liveChainLocked(m.next)
-		c.mu.Unlock()
-		c.migrateNext(n, build, i+1, done)
-		return
-	}
-	adds := additions(m.old, m.next)
-	moved := 0
-	for _, d := range m.donors {
-		moved += len(d.keys)
-	}
-	// The modelled cost of the state copy: the group's items onto every
-	// joining member, the absorbed keys onto the whole new chain.
-	syncDur := time.Duration(c.KeyCount(m.group)*len(adds)+moved*len(m.next.Hops)) * c.cfg.SyncPerItem
-	copyState := func() {
-		// Members joining the chain receive the group's current keys from
-		// a reference replica (§5.2 "Handling special cases").
-		for _, add := range adds {
-			if ref, ok := referenceSwitch(m.next, add, m.old); ok {
-				c.copyGroup(m.group, ref, add)
-			}
-		}
-		c.copyMoves(m.donors, m.next)
-	}
-	copyAndFlip := func() {
-		copyState()
-		// Switches that failed while this group's stop window ran are
-		// filtered here, at flip time — installing them would overwrite the
-		// degradation a concurrent HandleFailure applied and route clients
-		// at a dead hop.
-		c.mu.Lock()
-		next := c.liveChainLocked(m.next)
-		// Only the serving head is ever told the group's session, so any
-		// other switch taking over as head — a joining one or a replica
-		// moving up — needs a bump of its own.
-		serving := c.chains[m.group]
-		headChanged := len(next.Hops) > 0 && (len(serving.Hops) == 0 || serving.Head() != next.Head())
-		if c.sessions[m.group] < m.sessionFloor {
-			c.sessions[m.group] = m.sessionFloor
-		}
-		if headChanged || m.bumpSession {
-			c.sessions[m.group]++
-			// The head learns its session before the chain that names it
-			// is published (see HandleFailure).
-			if len(next.Hops) > 0 {
-				if a, ok := c.agent(next.Head()); ok {
-					c.bestEffort(a.SetSession(uint16(m.group), c.sessions[m.group]))
-				}
-			}
-		}
-		c.chains[m.group] = next
-		if m.flip != nil {
-			m.flip()
-		}
-		c.mu.Unlock()
-		if len(adds) > 0 {
-			// Traffic still addressed to the failed switch follows the
-			// replacement that took its chain position.
-			c.neighborRules(m, core.Rule{Action: core.ActRedirect, To: adds[0]})
-		}
-		// Every freeze outlives the flip by one rule delay: a write that
-		// resolved the old route just before the flip may still be in
-		// flight, and a member that thawed at the flip would stamp it and
-		// have it acknowledged on a chain the state copy has already left —
-		// an acknowledged write the new chain's tail would never see.
-		// Reads that resolved the old route drain off the wire in the same
-		// delay, so only then are the slots the new chain no longer needs
-		// collected (exact placement: a key lives on its chain's switches
-		// and nowhere else — removing a slot under an in-flight read would
-		// turn an existing key into a spurious NotFound), and only once
-		// they are gone does anything thaw: from then on a stale-routed
-		// write fails with NotFound instead of silently committing.
-		c.clk.After(c.cfg.RuleDelay, func() {
-			for _, d := range m.donors {
-				c.removeKeys(additions(m.next, d.chain), d.keys)
-			}
-			if leavers := additions(m.next, m.old); len(leavers) > 0 {
-				c.removeKeys(leavers, m.ownKeys(c.groupKeys(m.group)))
-			}
-			c.setFreeze(m, false)
-			if cb := c.OnGroupRecovered; cb != nil {
-				cb(m.group)
-			}
-			c.migrateNext(n, build, i+1, done)
-		})
-	}
-	// The stop window's length is a guess about the network: a write
-	// stamped before the freeze and still in flight when the copy reads
-	// its reference would be acknowledged by the old tail yet missing on
-	// the new chain. So after the window the engine polls the drain
-	// barrier, one rule delay apart, before it copies.
-	var awaitDrain func(polls int)
-	awaitDrain = func(polls int) {
-		if polls < maxDrainPolls && !c.drained(m) {
-			c.clk.After(c.cfg.RuleDelay, func() { awaitDrain(polls + 1) })
-			return
-		}
-		copyAndFlip()
-	}
-	stop := func(window time.Duration) {
-		c.neighborRules(m, core.Rule{Action: core.ActDrop})
-		c.setFreeze(m, true)
-		c.clk.After(c.cfg.RuleDelay+window, func() { awaitDrain(0) })
-	}
-	if m.preSync {
-		// Bulk copy while the old chain keeps serving; only the delta is
-		// copied inside the stop window.
-		c.clk.After(syncDur, func() {
-			copyState()
-			stop(preSyncDelta)
-		})
-	} else {
-		stop(syncDur)
-	}
-}
-
-// setFreeze installs or lifts the write freeze of the window: every member
-// of the serving chain and of every donor chain, for its group (behind
-// failover rules any member a stale route lists first can act as head).
-// Frozen members bounce fresh writes with StatusUnavailable while ordered
-// chain writes keep draining and reads — and every other group — keep
-// serving.
-func (c *Controller) setFreeze(m *migration, frozen bool) {
-	set := func(g ring.GroupID, ch ring.Chain) {
-		for _, h := range ch.Hops {
-			if a, ok := c.agent(h); ok {
-				c.bestEffort(a.FreezeWrites(uint16(g), frozen))
-			}
-		}
-	}
-	set(m.group, m.old)
-	for _, d := range m.donors {
-		set(d.from, d.chain)
-	}
-}
-
-// neighborRules programs r for the migrating group on every neighbor of
-// the switch a recovery replaces; a no-op for planned migrations, which
-// have no dead address for a rule to match.
-func (c *Controller) neighborRules(m *migration, r core.Rule) {
-	for _, nb := range m.neighbors {
-		if a, ok := c.agent(nb); ok {
-			c.bestEffort(a.InstallRule(m.failed, int(m.group), r))
-		}
-	}
-}
-
-// drained is the drain barrier: the writes stamped before the freeze took
-// hold have reached every replica of the serving chain and of every donor
-// chain.
-func (c *Controller) drained(m *migration) bool {
-	if !c.chainAgrees(m.old, c.groupKeys(m.group)) {
-		return false
-	}
-	for _, d := range m.donors {
-		if !c.chainAgrees(d.chain, d.keys) {
-			return false
-		}
-	}
-	return true
 }
 
 // ---------------------------------------------------------------------------
@@ -683,17 +456,18 @@ func (c *Controller) Recover(failedSw packet.Addr, pool []packet.Addr, done func
 	// Affected groups: those whose ring chain still references the failed
 	// switch. Deterministic order for reproducible experiments.
 	affected := c.ring.GroupsOfSwitch(failedSw)
-	sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
+	slices.Sort(affected)
 	if err := c.ring.Reassign(failedSw, func(i int) packet.Addr { return pool[i%len(pool)] }); err != nil {
 		c.mu.Unlock()
 		return err
 	}
 	neighbors := c.neighbors(failedSw)
+	c.runs++
 	c.mu.Unlock()
 
-	c.runMigrations(len(affected), func(i int) *migration {
-		return c.buildRecoverMigration(failedSw, neighbors, affected[i])
-	}, done)
+	c.drive(&run{groups: affected, done: done, build: func(g ring.GroupID) *migration {
+		return c.buildRecoverMigration(failedSw, neighbors, g)
+	}})
 	return nil
 }
 
@@ -721,15 +495,6 @@ func (c *Controller) buildRecoverMigration(failedSw packet.Addr,
 		preSync:   c.cfg.PreSync,
 		failed:    failedSw,
 		neighbors: neighbors,
-	}
-}
-
-// copyGroup copies every item of group g from ref to dst (the actual data
-// movement behind the modelled sync duration): one bulk read on the
-// reference, one bulk write on the replacement, whatever the key count.
-func (c *Controller) copyGroup(g ring.GroupID, ref, dst packet.Addr) {
-	if src, ok := c.agent(ref); ok {
-		c.copyItems(src, c.groupKeys(g), []packet.Addr{dst})
 	}
 }
 
@@ -818,16 +583,10 @@ func (c *Controller) chainAgrees(ch ring.Chain, keys []kv.Key) bool {
 // donor collection has already freed them there, so asking again would
 // count a spurious agent error.
 func (m *migration) ownKeys(keys []kv.Key) []kv.Key {
-	if len(m.donors) == 0 {
-		return keys
-	}
-	absorbed := make(map[kv.Key]bool)
-	for _, d := range m.donors {
-		for _, k := range d.keys {
-			absorbed[k] = true
-		}
-	}
-	return slices.DeleteFunc(keys, func(k kv.Key) bool { return absorbed[k] })
+	return slices.DeleteFunc(keys, func(k kv.Key) bool {
+		_, absorbed := slices.BinarySearchFunc(m.moves, k, func(mv keyMove, k kv.Key) int { return mv.key.Compare(k) })
+		return absorbed
+	})
 }
 
 // additions lists switches present in next but not in cur, chain order.
@@ -846,13 +605,7 @@ func additions(cur, next ring.Chain) []packet.Addr {
 // new node is the tail (§5.2 "Handling special cases"). Only members of
 // the degraded chain hold data, so additions are skipped.
 func referenceSwitch(next ring.Chain, newSw packet.Addr, degraded ring.Chain) (packet.Addr, bool) {
-	idx := -1
-	for i, h := range next.Hops {
-		if h == newSw {
-			idx = i
-			break
-		}
-	}
+	idx := slices.Index(next.Hops, newSw)
 	if idx < 0 {
 		return 0, false
 	}

@@ -2,7 +2,6 @@ package controller
 
 import (
 	"fmt"
-	"sort"
 
 	"netchain/internal/packet"
 	"netchain/internal/ring"
@@ -70,51 +69,42 @@ func (c *Controller) Restore(sw packet.Addr, done func()) (int, error) {
 }
 
 // reorderChains runs pure order-permutation migrations over every group
-// whose serving chain plan() rewrites. It shares the resize exclusivity
-// flag so a reorder and a planned resize can never interleave. plan is
-// always invoked with c.mu held.
+// whose serving chain plan() rewrites, behind the resize latch so a reorder
+// and a planned resize can never interleave. plan is always invoked with
+// c.mu held.
 func (c *Controller) reorderChains(sw packet.Addr,
 	plan func(old ring.Chain) (ring.Chain, bool), done func()) (int, error) {
-	c.mu.Lock()
-	if c.resizing {
-		c.mu.Unlock()
-		return 0, fmt.Errorf("controller: reconfiguration already in progress")
-	}
-	if c.failed[sw] {
-		c.mu.Unlock()
-		return 0, fmt.Errorf("controller: %v is failed; use Recover", sw)
-	}
-	var affected []ring.GroupID
-	for g, ch := range c.chains {
-		if _, ok := plan(chWithGroup(ch, g)); ok {
-			affected = append(affected, g)
+	n := 0
+	err := c.reconfigure(func() (*run, error) {
+		if c.failed[sw] {
+			return nil, fmt.Errorf("controller: %v is failed; use Recover", sw)
 		}
-	}
-	if len(affected) == 0 {
-		c.mu.Unlock()
-		if done != nil {
-			c.clk.After(0, done)
+		r := &run{done: done, build: func(g ring.GroupID) *migration {
+			// Re-plan at the group's turn: a failover that degraded the
+			// chain in the meantime may have made the reorder moot.
+			c.mu.Lock()
+			old := chWithGroup(c.chains[g], g)
+			next, ok := plan(old)
+			c.mu.Unlock()
+			if !ok {
+				return nil
+			}
+			return &migration{group: g, old: old, next: next}
+		}}
+		for g, ch := range c.chains {
+			if _, ok := plan(chWithGroup(ch, g)); ok {
+				r.groups = append(r.groups, g)
+			}
 		}
-		return 0, nil
-	}
-	sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
-	c.resizing = true
-	c.mu.Unlock()
-
-	c.runMigrations(len(affected), func(i int) *migration {
-		g := affected[i]
-		// Re-plan at the group's turn: a failover that degraded the chain
-		// in the meantime may have made the reorder moot.
-		c.mu.Lock()
-		old := chWithGroup(c.chains[g], g)
-		next, ok := plan(old)
-		c.mu.Unlock()
-		if !ok {
-			return nil
+		if n = len(r.groups); n == 0 {
+			return nil, nil
 		}
-		return &migration{group: g, old: old, next: next}
-	}, func() { c.endResize(nil, done) })
-	return len(affected), nil
+		return r, nil
+	})
+	if err == nil && n == 0 && done != nil {
+		c.clk.After(0, done)
+	}
+	return n, err
 }
 
 // chWithGroup stamps the map key's group id onto a chain value (serving

@@ -39,15 +39,15 @@ func TestRehomeMovesGroupState(t *testing.T) {
 	if err := f.ctl.Rehome(map[ring.GroupID][]packet.Addr{g: newHops}, func() { done = true }); err != nil {
 		t.Fatal(err)
 	}
-	if !f.ctl.Rehoming() {
-		t.Fatal("Rehoming() false while migration in flight")
+	if !f.ctl.Resizing() {
+		t.Fatal("Resizing() false while migration in flight")
 	}
 	f.sim.Run()
 	if !done {
 		t.Fatal("rehome done callback never fired")
 	}
-	if f.ctl.Rehoming() {
-		t.Fatal("Rehoming() true after completion")
+	if f.ctl.Resizing() {
+		t.Fatal("Resizing() true after completion")
 	}
 
 	nrt := f.ctl.Route(k)

@@ -5,6 +5,7 @@
 package kv
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -39,6 +40,9 @@ func KeyFromUint64(v uint64) Key {
 
 // Uint64 returns the big-endian integer stored in the first 8 bytes.
 func (k Key) Uint64() uint64 { return binary.BigEndian.Uint64(k[:8]) }
+
+// Compare orders keys by their bytes, as bytes.Compare does.
+func (k Key) Compare(o Key) int { return bytes.Compare(k[:], o[:]) }
 
 // HashBytes is FNV-1a over b — the dataplane's shared cheap hash
 // (duplicate-detection value fingerprints, ingest worker sharding).

@@ -227,8 +227,8 @@ func TestSerial(t *testing.T) {
 	<-began // a is in flight; what follows waits behind it
 	ask("b1", fb)
 	ask("c1", fc)
-	ask("b2", fb) // joins the waiting read of b
-	ask("a2", fa) // a is in flight, not waiting: a second read
+	ask("b2", fb)      // joins the waiting read of b
+	ask("a2", fa)      // a is in flight, not waiting: a second read
 	for i := range 4 { // release each read; the next one then begins
 		release <- struct{}{}
 		if i < 3 {

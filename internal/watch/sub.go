@@ -1,6 +1,7 @@
 package watch
 
 import (
+	"slices"
 	"sync"
 
 	"netchain/internal/kv"
@@ -263,7 +264,8 @@ func (s *Sub) State(k kv.Key) (present bool, ver kv.Version, watched bool) {
 	return st.present, st.version, true
 }
 
-// TakeDirty drains and returns the keys awaiting resync. The caller
+// TakeDirty drains and returns the keys awaiting resync, in byte order so
+// the reads a caller issues for them are the same on every run. The caller
 // issues versioned reads for them and feeds results to ApplyRead; keys
 // whose reads fail should be re-marked with MarkDirty.
 func (s *Sub) TakeDirty() []kv.Key {
@@ -277,6 +279,7 @@ func (s *Sub) TakeDirty() []kv.Key {
 		out = append(out, k)
 		delete(s.dirty, k)
 	}
+	slices.SortFunc(out, kv.Key.Compare)
 	return out
 }
 

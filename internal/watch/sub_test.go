@@ -1,6 +1,8 @@
 package watch
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"netchain/internal/kv"
@@ -290,5 +292,24 @@ func TestSubApplyReadLifecycle(t *testing.T) {
 				t.Fatalf("%s: event = %+v, want %v %q seq %d", st.name, e, st.want[i], st.val, st.seq)
 			}
 		}
+	}
+}
+
+// TestTakeDirtySorted: the keys awaiting resync come back in byte order,
+// whatever order they were marked in.
+func TestTakeDirtySorted(t *testing.T) {
+	keys := make([]kv.Key, 64)
+	for i := range keys {
+		keys[i] = kv.KeyFromUint64(uint64(i*7919) % 1024)
+	}
+	s := NewSub(keys, groupMod4, 64)
+	defer s.Close()
+	s.TakeDirty() // clear the initial-fetch marks
+	s.MarkDirty(keys...)
+	got := s.TakeDirty()
+	want := slices.Clone(keys)
+	slices.SortFunc(want, func(a, b kv.Key) int { return bytes.Compare(a[:], b[:]) })
+	if !slices.Equal(got, want) {
+		t.Fatalf("TakeDirty = %v, want byte order %v", got, want)
 	}
 }

@@ -275,9 +275,11 @@ func (c *Controller) Insert(k kv.Key) (Route, error) {
 	batch := []kv.Key{k}
 	for i := len(ch.Hops) - 1; i >= 0; i-- {
 		a, ok := c.agent(ch.Hops[i])
-		err := errors.New("no agent")
+		var err error
 		if ok {
 			err = a.InstallKeys(batch)
+		} else {
+			err = errors.New("no agent")
 		}
 		if err != nil {
 			c.removeKeys(ch.Hops[i+1:], batch)

@@ -50,18 +50,6 @@ func (c *Controller) RemoveSwitch(sw packet.Addr, done func()) (ring.Diff, error
 func (c *Controller) Resize(add, remove []packet.Addr, done func()) (ring.Diff, error) {
 	var diff ring.Diff
 	err := c.reconfigure(func() (*run, error) {
-		var readmitted []packet.Addr
-		for _, sw := range add {
-			// Explicitly adding a previously-failed switch is the operator's
-			// readmission: its old ring positions were reassigned by Recover,
-			// so it rejoins like any new switch — fresh virtual nodes, state
-			// copied over before routes flip — and failure handling applies
-			// to it again from here on.
-			if c.failed[sw] {
-				delete(c.failed, sw)
-				readmitted = append(readmitted, sw)
-			}
-		}
 		existingGroups := slices.Collect(maps.Keys(c.chains))
 		for _, sw := range remove {
 			if c.failed[sw] {
@@ -80,6 +68,19 @@ func (c *Controller) Resize(add, remove []packet.Addr, done func()) (ring.Diff, 
 		var err error
 		if diff, err = c.ring.Resize(add, remove); err != nil {
 			return nil, err
+		}
+		// Explicitly adding a previously-failed switch is the operator's
+		// readmission: its old ring positions were reassigned by Recover,
+		// so it rejoins like any new switch — fresh virtual nodes, state
+		// copied over before routes flip — and failure handling applies to
+		// it again from here on. Only an accepted resize readmits: a
+		// refused one leaves the switch failed over.
+		var readmitted []packet.Addr
+		for _, sw := range add {
+			if c.failed[sw] {
+				delete(c.failed, sw)
+				readmitted = append(readmitted, sw)
+			}
 		}
 		movedInto := make(map[ring.GroupID][]keyMove)
 		for k, og := range oldGroupOf {

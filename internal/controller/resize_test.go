@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"netchain/internal/kv"
@@ -267,6 +268,28 @@ func TestResizeValidationAndExclusion(t *testing.T) {
 	}
 	if _, err := f.ctl.AddSwitch(s2, nil); err == nil {
 		t.Fatal("adding a failed switch must be rejected")
+	}
+}
+
+// TestRefusedResizeKeepsFailedSwitchFailed: a resize that readmits one
+// failed switch but is refused (it also names another failed switch for
+// removal) leaves both failed over — the refusal changes nothing, so
+// failure handling still knows S1 is down.
+func TestRefusedResizeKeepsFailedSwitchFailed(t *testing.T) {
+	f := newFixture(t, DefaultConfig(), 4)
+	s1, s2 := f.tb.Switches[1], f.tb.Switches[2]
+	for _, sw := range []packet.Addr{s1, s2} {
+		f.tb.Net.FailSwitch(sw)
+		if err := f.ctl.HandleFailure(sw, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.sim.Run()
+	if _, err := f.ctl.Resize([]packet.Addr{s1}, []packet.Addr{s2}, nil); err == nil {
+		t.Fatal("a resize removing a failed switch must be refused")
+	}
+	if err := f.ctl.HandleFailure(s1, nil); err == nil || !strings.Contains(err.Error(), "already failed over") {
+		t.Fatalf("HandleFailure(S1) after the refused resize = %v, want already failed over", err)
 	}
 }
 

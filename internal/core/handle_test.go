@@ -10,7 +10,10 @@ import (
 // TestHandleVerdicts walks the per-frame driver through one frame per
 // verdict. Every row runs at switch s1 of the chain s0→s1→s2, which holds
 // key "k" at version 0.5. Every drop is counted exactly once, by the
-// counter its verdict names, and a forwarded frame counts no drop.
+// counter its verdict names, and a forwarded frame counts no drop. Every
+// frame is traced: Handle writes no hop record into it (its driver does),
+// and HopStage, fed the frame before and after Handle, names the stage of
+// a forwarded one.
 func TestHandleVerdicts(t *testing.T) {
 	key := kv.KeyFromString("k")
 	ordered := func(seq uint64, first packet.Addr, rest ...packet.Addr) *packet.Frame {
@@ -24,13 +27,14 @@ func TestHandleVerdicts(t *testing.T) {
 		rule   *Rule // installed for destination s0 before the frame arrives
 		want   Verdict
 		commit kv.Op
+		stage  packet.TraceStage                      // the hop stage of a forwarded frame
 		dst    packet.Addr                            // where a forwarded frame must be headed
 		check  func(*testing.T, *packet.Frame, Stats) // extra expectations
 	}{
 		{
 			name:  "plain transit",
 			frame: func() *packet.Frame { return query(kv.OpWrite, key, []byte("v"), s2) },
-			want:  VerdictForward, dst: s2,
+			want:  VerdictForward, stage: packet.StageTransit, dst: s2,
 			check: func(t *testing.T, f *packet.Frame, st Stats) {
 				if st.Transits != 1 || st.Processed != 0 || f.IP.TTL != 63 {
 					t.Errorf("transits=%d processed=%d ttl=%d", st.Transits, st.Processed, f.IP.TTL)
@@ -40,7 +44,7 @@ func TestHandleVerdicts(t *testing.T) {
 		{
 			name:  "head write forwarded",
 			frame: func() *packet.Frame { return query(kv.OpWrite, key, []byte("v"), s1, s2) },
-			want:  VerdictForward, dst: s2,
+			want:  VerdictForward, stage: packet.StageHead, dst: s2,
 			check: func(t *testing.T, f *packet.Frame, st Stats) {
 				if st.WritesHead != 1 || f.NC.Version() != (kv.Version{Seq: 6}) {
 					t.Errorf("writesHead=%d version=%v", st.WritesHead, f.NC.Version())
@@ -48,9 +52,14 @@ func TestHandleVerdicts(t *testing.T) {
 			},
 		},
 		{
+			name:  "mid write forwarded",
+			frame: func() *packet.Frame { return ordered(9, s1, s2) },
+			want:  VerdictForward, stage: packet.StageMid, dst: s2,
+		},
+		{
 			name:  "tail write becomes reply and commit",
 			frame: func() *packet.Frame { return ordered(9, s1) },
-			want:  VerdictForward, commit: kv.OpWrite, dst: client,
+			want:  VerdictForward, commit: kv.OpWrite, stage: packet.StageTail, dst: client,
 			check: func(t *testing.T, f *packet.Frame, st Stats) {
 				if f.NC.Op != kv.OpReply || f.NC.Status != kv.StatusOK || st.WritesApply != 1 {
 					t.Errorf("op=%v status=%v applied=%d", f.NC.Op, f.NC.Status, st.WritesApply)
@@ -60,7 +69,7 @@ func TestHandleVerdicts(t *testing.T) {
 		{
 			name:  "read reply is no commit",
 			frame: func() *packet.Frame { return query(kv.OpRead, key, nil, s1) },
-			want:  VerdictForward, dst: client,
+			want:  VerdictForward, stage: packet.StageRead, dst: client,
 		},
 		{
 			name:  "stale ordered write",
@@ -103,7 +112,7 @@ func TestHandleVerdicts(t *testing.T) {
 			name:  "rule retargets onto self",
 			frame: func() *packet.Frame { return query(kv.OpWrite, key, []byte("v"), s0, s1, s2) },
 			rule:  &Rule{Action: ActNextHop},
-			want:  VerdictForward, dst: s2,
+			want:  VerdictForward, stage: packet.StageTransit, dst: s2,
 			check: func(t *testing.T, f *packet.Frame, st Stats) {
 				if st.Transits != 1 || st.RuleHits != 1 || st.WritesHead != 1 || len(f.NC.Chain) != 0 {
 					t.Errorf("transits=%d ruleHits=%d writesHead=%d chain=%v",
@@ -122,12 +131,20 @@ func TestHandleVerdicts(t *testing.T) {
 				sw.InstallRule(s0, WildcardGroup, *tc.rule)
 			}
 			f := tc.frame()
+			f.EnableTrace()
+			op, fresh, here := f.NC.Op, f.NC.Version().IsZero(), f.IP.Dst == sw.Addr()
 			v, commit := sw.Handle(f)
 			if v != tc.want || commit != tc.commit {
 				t.Fatalf("Handle = (%d, %v), want (%d, %v)", v, commit, tc.want, tc.commit)
 			}
 			if v == VerdictForward && f.IP.Dst != tc.dst {
 				t.Errorf("forwarded toward %v, want %v", f.IP.Dst, tc.dst)
+			}
+			if n := f.NC.TraceHopCount(); n != 0 {
+				t.Errorf("Handle appended %d hop records, want 0", n)
+			}
+			if stage := HopStage(op, fresh, here, f.NC.Op); v == VerdictForward && stage != tc.stage {
+				t.Errorf("HopStage = %v, want %v", stage, tc.stage)
 			}
 			st := sw.Stats()
 			for dv, n := range map[Verdict]uint64{

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"netchain/internal/kv"
@@ -454,18 +453,11 @@ func (s *Switch) ItemCount() int { return s.pipe.ItemCount() }
 // frame has been rewritten in place: either retargeted at the next chain
 // hop or turned into a reply to the client.
 func (s *Switch) ProcessLocal(f *packet.Frame) (Disposition, int) {
-	v, passes := s.local(f)
+	v, passes := s.processLocal(f)
 	if v != VerdictForward {
 		return Drop, passes
 	}
 	return Forward, passes
-}
-
-func (s *Switch) local(f *packet.Frame) (Verdict, int) {
-	if f.NC.Traced {
-		return s.processLocalTraced(f)
-	}
-	return s.processLocal(f)
 }
 
 // Handle runs the per-frame driver both substrates share: a NetChain query
@@ -516,44 +508,31 @@ func (s *Switch) deliver(f *packet.Frame) Verdict {
 		s.stats.routeDrops.Add(1)
 		return VerdictRouteDrop
 	}
-	v, _ := s.local(f)
+	v, _ := s.processLocal(f)
 	return v
 }
 
-// processLocalTraced wraps the dataplane with in-band telemetry stamping:
-// it captures enough pre-state to classify the hop's chain role, runs the
-// untouched fast path, and appends the hop record in place — the INT
-// pattern of stamping metadata onto a packet the switch already forwards.
-// Ingress defaults to the transport's receive stamp when one exists, so
-// the record covers socket/dispatch queueing, not just register time.
-func (s *Switch) processLocalTraced(f *packet.Frame) (Verdict, int) {
-	origOp := f.NC.Op
-	freshWrite := f.NC.Seq == 0 && f.NC.Session == 0
-	ingress := f.TraceIngress
-	if ingress == 0 {
-		ingress = time.Now().UnixNano()
-	}
-	d, passes := s.processLocal(f)
-	var stage packet.TraceStage
+// HopStage is the trace stage rule: it names the chain role one Handle
+// call played for a frame, for the in-band hop record its driver writes
+// (the switch itself stamps no hop and reads no clock). It reads the
+// frame's op before Handle, whether it was a fresh write (zero version)
+// and whether it was addressed to this switch, and its op after: a frame
+// addressed elsewhere transited, a read was served here, a query that left
+// as a reply was answered here as tail, and a write that still travels was
+// stamped here as head (fresh) or applied as a mid-chain replica.
+func HopStage(op kv.Op, fresh, here bool, after kv.Op) packet.TraceStage {
 	switch {
-	case origOp == kv.OpRead:
-		stage = packet.StageRead
-	case f.NC.Op == kv.OpReply:
-		stage = packet.StageTail
-	case freshWrite:
-		stage = packet.StageHead
+	case !here:
+		return packet.StageTransit
+	case op == kv.OpRead:
+		return packet.StageRead
+	case after == kv.OpReply:
+		return packet.StageTail
+	case fresh:
+		return packet.StageHead
 	default:
-		stage = packet.StageMid
+		return packet.StageMid
 	}
-	f.AppendTraceHop(packet.TraceHop{
-		SwitchID:  uint32(s.addr),
-		Stage:     stage,
-		IngressNs: ingress,
-		EgressNs:  time.Now().UnixNano(),
-		Queue:     f.TraceQueue,
-		Shard:     f.TraceShard,
-	})
-	return d, passes
 }
 
 func (s *Switch) processLocal(f *packet.Frame) (Verdict, int) {
@@ -903,21 +882,6 @@ func (s *Switch) ApplyEgressRules(f *packet.Frame) Disposition {
 // concurrent forwarding workers do not convoy on one counter line.
 func (s *Switch) Transit(f *packet.Frame) {
 	s.stats.at(f).transits.Add(1)
-	if f.NC.Traced {
-		now := time.Now().UnixNano()
-		ingress := f.TraceIngress
-		if ingress == 0 {
-			ingress = now
-		}
-		f.AppendTraceHop(packet.TraceHop{
-			SwitchID:  uint32(s.addr),
-			Stage:     packet.StageTransit,
-			IngressNs: ingress,
-			EgressNs:  now,
-			Queue:     f.TraceQueue,
-			Shard:     f.TraceShard,
-		})
-	}
 }
 
 // cloneRules deep-copies the published rule table for mutation.

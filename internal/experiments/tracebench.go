@@ -7,22 +7,19 @@ import (
 	"sync/atomic"
 	"time"
 
-	"netchain/internal/controller"
-	"netchain/internal/core"
 	"netchain/internal/kv"
+	"netchain/internal/localcluster"
 	"netchain/internal/packet"
 	"netchain/internal/query"
-	"netchain/internal/ring"
 	"netchain/internal/stats"
-	"netchain/internal/swsim"
 	"netchain/internal/trace"
 	"netchain/internal/transport"
 )
 
 // The trace experiment answers "where does the sub-RTT budget go" with
-// in-band telemetry instead of guesswork: a real-UDP 3-switch chain runs
-// a mixed read/write load with a high trace sampling rate, every hop
-// stamps its ingress/egress into the sampled frames, and the client-side
+// in-band telemetry instead of guesswork: a live 3-switch localcluster runs
+// a mixed read/write load with a high trace sampling rate, each switch
+// node stamps its ingress/egress into the sampled frames, and the client-side
 // collector decomposes end-to-end latency into head/mid/tail processing,
 // tail read service, and wire transit. Two invariants gate the run:
 //
@@ -51,51 +48,34 @@ func (o *TraceBenchOpts) defaults() {
 	}
 }
 
-// traceCluster is a real-UDP 3-switch chain deployment: every key's
-// chain traverses all three switches (replicas=3 over 3 members), so
-// writes exercise head→mid→tail and reads the tail's register file.
-type traceCluster struct {
-	book  *transport.AddressBook
-	nodes []*transport.SwitchNode
-	ring  *ring.Ring
-	keys  []kv.Key
-	rts   map[kv.Key]query.Route
-	tcs   []*transport.Client
-	ops   []*transport.Ops
+// traceRig is a live 3-switch localcluster with replicas=3, so every
+// key's chain traverses all three switches: writes exercise head→mid→tail
+// and reads the tail's register file. Its two clients trace into one
+// collector.
+type traceRig struct {
+	cl   *localcluster.Cluster
+	keys []kv.Key
+	ops  []*transport.Ops
 }
 
-// newTraceCluster boots the chain with every client tracing into col at
+// newTraceRig boots the chain with every client tracing into col at
 // sampleRate (0 = the client default, 1/1024); a nil col is tracing off.
-func newTraceCluster(col *trace.Collector, sampleRate float64) (*traceCluster, error) {
-	c := &traceCluster{book: transport.NewAddressBook(), rts: map[kv.Key]query.Route{}}
-	var addrs []packet.Addr
-	for i := 0; i < 3; i++ {
-		addr := packet.AddrFrom4(10, 0, 0, byte(i+1))
-		addrs = append(addrs, addr)
-		sw, err := core.NewSwitch(addr, swsim.Config{
-			Stages: 8, SlotBytes: 16, SlotsPerStage: 2 * traceKeys, PPS: 1e9,
-		})
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		node, err := transport.NewSwitchNode(sw, c.book, "127.0.0.1:0")
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.nodes = append(c.nodes, node)
+func newTraceRig(col *trace.Collector, sampleRate float64) (*traceRig, error) {
+	cl, err := localcluster.Start(localcluster.Config{Switches: 3, Replicas: 3, Slots: 2 * traceKeys})
+	if err != nil {
+		return nil, err
 	}
-	r, err := ring.New(ring.Config{VNodesPerSwitch: 4, Replicas: 3, Seed: controller.RingSeed}, addrs)
+	c := &traceRig{cl: cl}
+	gw, err := cl.SwitchAddr(0)
 	if err != nil {
 		c.Close()
 		return nil, err
 	}
-	c.ring = r
+	route := func(k kv.Key) (query.Route, error) { return cl.Controller().Route(k), nil }
 	for i := 0; i < 2; i++ { // two client sockets
-		tc, err := transport.NewClient(c.book, transport.ClientConfig{
-			Addr:            packet.AddrFrom4(10, 1, 0, byte(i+1)),
-			Gateway:         addrs[0],
+		tc, err := transport.NewClient(cl.AddressBook(), transport.ClientConfig{
+			Addr:            packet.AddrFrom4(10, 1, 1, byte(i+1)), // clear of NewClient's 10.1.0.x
+			Gateway:         gw,
 			Bind:            "127.0.0.1:0",
 			Window:          32,
 			Timeout:         250 * time.Millisecond,
@@ -107,8 +87,7 @@ func newTraceCluster(col *trace.Collector, sampleRate float64) (*traceCluster, e
 			c.Close()
 			return nil, err
 		}
-		c.tcs = append(c.tcs, tc)
-		c.ops = append(c.ops, &transport.Ops{Client: tc, Dir: c.route})
+		c.ops = append(c.ops, &transport.Ops{Client: tc, Dir: route})
 	}
 	c.keys = make([]kv.Key, traceKeys)
 	val := make(kv.Value, 64)
@@ -117,11 +96,9 @@ func newTraceCluster(col *trace.Collector, sampleRate float64) (*traceCluster, e
 	}
 	for i := range c.keys {
 		c.keys[i] = kv.KeyFromUint64(uint64(i + 1))
-		for _, node := range c.nodes {
-			if err := node.Switch().InstallKey(c.keys[i]); err != nil {
-				c.Close()
-				return nil, err
-			}
+		if err := cl.Insert(c.keys[i]); err != nil {
+			c.Close()
+			return nil, fmt.Errorf("insert key %d: %w", i, err)
 		}
 		if _, err := c.ops[0].Write(c.keys[i], val); err != nil {
 			c.Close()
@@ -131,32 +108,18 @@ func newTraceCluster(col *trace.Collector, sampleRate float64) (*traceCluster, e
 	return c, nil
 }
 
-func (c *traceCluster) route(k kv.Key) (query.Route, error) {
-	if rt, ok := c.rts[k]; ok {
-		return rt, nil
+func (c *traceRig) Close() {
+	for _, ops := range c.ops {
+		ops.Client.Close()
 	}
-	rt := query.Route{
-		Group: uint16(c.ring.GroupForKey(k)),
-		Hops:  c.ring.ChainForKey(k).Hops,
-	}
-	c.rts[k] = rt
-	return rt, nil
-}
-
-func (c *traceCluster) Close() {
-	for _, tc := range c.tcs {
-		tc.Close()
-	}
-	for _, n := range c.nodes {
-		n.Close()
-	}
+	c.cl.Close()
 }
 
 // drive runs every client at full pipeline depth until the deadline with
 // the given write ratio over uniformly chosen keys (issued via the async
 // API so the window keeps the pipe full) and returns the delivered
 // ops/sec. It fails if more than a tenth of the ops did.
-func (c *traceCluster) drive(d time.Duration, writeRatio float64) (opsPerSec float64, err error) {
+func (c *traceRig) drive(d time.Duration, writeRatio float64) (opsPerSec float64, err error) {
 	var done, failed atomic.Uint64
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -218,7 +181,7 @@ func TraceBench(o TraceBenchOpts) ([]Row, error) {
 
 	// Phase 1: per-hop breakdown on the 3-switch chain.
 	col := trace.NewCollector()
-	c, err := newTraceCluster(col, 1.0/16)
+	c, err := newTraceRig(col, 1.0/16)
 	if err != nil {
 		return nil, err
 	}
@@ -273,12 +236,12 @@ func TraceBench(o TraceBenchOpts) ([]Row, error) {
 // Returns the relative slowdown (negative clamped to 0) and the untraced
 // arm's throughput.
 func traceOverhead(o TraceBenchOpts) (overhead, baseQPS float64, err error) {
-	baseCl, err := newTraceCluster(nil, 0)
+	baseCl, err := newTraceRig(nil, 0)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer baseCl.Close()
-	tracedCl, err := newTraceCluster(trace.NewCollector(), 0) // client default: 1/1024
+	tracedCl, err := newTraceRig(trace.NewCollector(), 0) // client default: 1/1024
 	if err != nil {
 		return 0, 0, err
 	}

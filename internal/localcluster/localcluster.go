@@ -4,8 +4,9 @@
 // agent (controller.LocalAgent; netchaind and netchain-controller speak
 // the framed TCP agent wire between processes), and clients attached
 // through a gateway switch. It exists once: the public
-// netchain.StartLocalCluster façade and the real-wire chaos harness
-// (internal/experiments, -exp realchaos) both boot through it.
+// netchain.StartLocalCluster façade, the real-wire chaos harness and the
+// trace experiment (internal/experiments, -exp realchaos and -exp trace)
+// all boot through it.
 package localcluster
 
 import (
@@ -236,6 +237,11 @@ func (c *Cluster) GC(k kv.Key) error { return c.ctl.GC(k) }
 
 // Controller exposes the control plane for advanced use.
 func (c *Cluster) Controller() *controller.Controller { return c.ctl }
+
+// AddressBook exposes the book mapping the cluster's virtual addresses to
+// its UDP endpoints, for a caller that attaches a client configured beyond
+// what NewClient sets (a traced one, say).
+func (c *Cluster) AddressBook() *transport.AddressBook { return c.book }
 
 // RelayStats snapshots the push-watch relay tier's counters: events
 // ingested/deduplicated/sequenced, fan-out datagrams, live leases.

@@ -23,14 +23,6 @@ type Frame struct {
 	// or aliases a decode buffer (copy on first append).
 	traceBuf   []byte
 	traceOwned bool
-
-	// Non-wire telemetry context a transport stamps at ingress so the hop
-	// record appended after processing can attribute queueing: receive
-	// timestamp, pending depth at arrival, and the ingest socket. Zero on
-	// untraced frames and on substrates that don't stamp them.
-	TraceIngress int64
-	TraceQueue   uint16
-	TraceShard   uint8
 }
 
 // ValueScratch exposes the frame's reusable value buffer for zero-copy
@@ -165,7 +157,6 @@ func (f *Frame) CloneTo(dst *Frame) {
 	}
 	n := copy(dst.NC.chainBuf[:], f.NC.Chain)
 	dst.NC.Chain = dst.NC.chainBuf[:n]
-	dst.TraceIngress, dst.TraceQueue, dst.TraceShard = f.TraceIngress, f.TraceQueue, f.TraceShard
 }
 
 // Reset zeroes the frame for reuse, retaining the value buffer's capacity

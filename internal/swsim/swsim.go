@@ -94,39 +94,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// RegisterArray is one stage's register file: SlotsPerStage entries of
-// SlotBytes each, stored flat. Reads return views; writes copy in. It
-// models a single stage in isolation (not safe for concurrent use); the
-// Pipeline below flattens all stages of a slot into one word array so the
-// seqlock read path touches contiguous memory.
-type RegisterArray struct {
-	slotBytes int
-	data      []byte
-}
-
-// NewRegisterArray allocates a zeroed array.
-func NewRegisterArray(slots, slotBytes int) *RegisterArray {
-	return &RegisterArray{slotBytes: slotBytes, data: make([]byte, slots*slotBytes)}
-}
-
-// Slots returns the entry count.
-func (r *RegisterArray) Slots() int { return len(r.data) / r.slotBytes }
-
-// Read returns a read-only view of slot i.
-func (r *RegisterArray) Read(i int) []byte {
-	return r.data[i*r.slotBytes : (i+1)*r.slotBytes]
-}
-
-// Write copies at most SlotBytes from v into slot i and zero-fills the
-// remainder, mirroring a register write of the full word.
-func (r *RegisterArray) Write(i int, v []byte) {
-	dst := r.data[i*r.slotBytes : (i+1)*r.slotBytes]
-	n := copy(dst, v)
-	for j := n; j < len(dst); j++ {
-		dst[j] = 0
-	}
-}
-
 // MatchTable is an exact-match table from key to register index — the
 // "Match-Action Table" of Fig. 3. Entries are installed by the control
 // plane (Insert) and removed by garbage collection (Delete). Lookup is

@@ -29,25 +29,6 @@ func TestConfigDerived(t *testing.T) {
 	}
 }
 
-func TestRegisterArray(t *testing.T) {
-	r := NewRegisterArray(4, 8)
-	if r.Slots() != 4 {
-		t.Fatalf("slots = %d", r.Slots())
-	}
-	r.Write(2, []byte("abcdefgh"))
-	if string(r.Read(2)) != "abcdefgh" {
-		t.Fatalf("read back %q", r.Read(2))
-	}
-	r.Write(2, []byte("xy"))
-	want := append([]byte("xy"), make([]byte, 6)...)
-	if !bytes.Equal(r.Read(2), want) {
-		t.Fatalf("partial write must zero-fill, got %q", r.Read(2))
-	}
-	if !bytes.Equal(r.Read(1), make([]byte, 8)) {
-		t.Fatal("neighbouring slot disturbed")
-	}
-}
-
 func TestMatchTable(t *testing.T) {
 	mt := NewMatchTable(2)
 	k1, k2, k3 := kv.KeyFromUint64(1), kv.KeyFromUint64(2), kv.KeyFromUint64(3)

@@ -530,13 +530,16 @@ func (n *SwitchNode) ingestLoop(idx int, bc *BatchConn) {
 	var procTick uint32 // loop-local sampling tick, no hot-path atomics
 	mutated := false    // this batch queued output on n.mutEg
 	handleFrame := func(f *packet.Frame) {
+		var hop packet.TraceHop
 		if f.NC.Traced {
-			// In-band telemetry ingest stamp: receive time, the node's
-			// receive backlog, ingest socket. Carried as frame context
-			// until the dataplane appends the hop record.
-			f.TraceIngress = time.Now().UnixNano()
-			f.TraceQueue = clampQueue(n.QueueDepth())
-			f.TraceShard = uint8(idx)
+			// In-band telemetry ingress stamp: receive time, the node's
+			// receive backlog, ingest socket. handle completes the record.
+			hop = packet.TraceHop{
+				SwitchID:  uint32(n.sw.Addr()),
+				IngressNs: time.Now().UnixNano(),
+				Queue:     clampQueue(n.QueueDepth()),
+				Shard:     uint8(idx),
+			}
 		}
 		out, sample := emit, uint32(1023)
 		switch f.NC.Op {
@@ -548,11 +551,11 @@ func (n *SwitchNode) ingestLoop(idx int, bc *BatchConn) {
 		}
 		if procTick++; procTick&sample == 0 {
 			t0 := time.Now()
-			n.handle(f, out)
+			n.handle(f, out, hop)
 			n.procHist.ObserveDuration(time.Since(t0))
 			return
 		}
-		n.handle(f, out)
+		n.handle(f, out, hop)
 	}
 	handleDatagram := func(dgram []byte) {
 		frames, derr := packet.DecodeBatch(&f, dgram, handleFrame)
@@ -586,13 +589,21 @@ func (n *SwitchNode) ingestLoop(idx int, bc *BatchConn) {
 }
 
 // handle runs the dataplane's per-frame driver (core.Switch.Handle) on a
-// frame and puts what it forwards on the wire. Output frames are
-// serialized and passed to emit while the frame's value may still alias
-// dataplane storage or the receive ring; nothing keeps f afterwards.
-func (n *SwitchNode) handle(f *packet.Frame, emit func(outFrame)) {
+// frame and puts what it forwards on the wire. A traced frame leaves with
+// one hop record: hop as stamped at ingress, completed with the stage
+// core.HopStage names and the egress time. Output frames are serialized
+// and passed to emit while the frame's value may still alias dataplane
+// storage or the receive ring; nothing keeps f afterwards.
+func (n *SwitchNode) handle(f *packet.Frame, emit func(outFrame), hop packet.TraceHop) {
+	op, fresh, here := f.NC.Op, f.NC.Version().IsZero(), f.IP.Dst == n.sw.Addr()
 	v, commit := n.sw.Handle(f)
 	if v != core.VerdictForward {
 		return
+	}
+	if f.NC.Traced {
+		hop.Stage = core.HopStage(op, fresh, here, f.NC.Op)
+		hop.EgressNs = time.Now().UnixNano()
+		f.AppendTraceHop(hop)
 	}
 	// Commit point of the push-watch pipeline: publish one event frame
 	// toward the relay sink on the same batched egress the reply takes.

@@ -31,8 +31,9 @@ type Follower struct {
 
 // NewFollower builds a follower for sub on clk. read starts a
 // linearizable read of k without blocking and reports it to done; an error
-// wrapping kv.ErrNotFound reports the key absent, any other error leaves
-// it dirty for the next resync.
+// wrapping kv.ErrNotFound reports the key absent (unless the stream moved
+// the key's view after the read was issued: then it stays dirty), any
+// other error leaves it dirty for the next resync.
 func NewFollower(sub *Sub, clk event.Clock, read func(k kv.Key, done func(kv.Value, kv.Version, error))) *Follower {
 	return &Follower{sub: sub, clk: clk, read: read, ctx: context.Background()}
 }
@@ -161,6 +162,7 @@ func (f *Follower) every(iv time.Duration, fn func()) {
 
 func (f *Follower) readDirty() {
 	for _, k := range f.sub.TakeDirty() {
+		stamp := f.sub.stamp(k)
 		f.read(k, func(v kv.Value, ver kv.Version, err error) {
 			if f.done() {
 				return
@@ -169,7 +171,7 @@ func (f *Follower) readDirty() {
 			case err == nil:
 				f.sub.ApplyRead(k, true, v, ver)
 			case errors.Is(err, kv.ErrNotFound):
-				f.sub.ApplyRead(k, false, nil, ver)
+				f.sub.applyAbsent(k, stamp)
 			default:
 				f.sub.MarkDirty(k) // transient failure: retry next tick
 			}

@@ -185,6 +185,30 @@ func TestFollower(t *testing.T) {
 	}
 }
 
+// TestAbsentReadOlderThanEventDeletesNothing: the initial read of a key
+// is issued, an event then creates the key at 0.1, and only then does the
+// read answer not-found. The read carries no version and may predate the
+// create, so it must not delete the key: the view stays at 0.1, no Deleted
+// is published, and the key waits dirty for a read that decides.
+func TestAbsentReadOlderThanEventDeletesNothing(t *testing.T) {
+	r := newFollowRig(false, nil, fa)
+	created := kv.Version{Seq: 1}
+	r.f.Deliver(query.Event{Key: fa, Value: kv.Value("new"), Version: created, Group: 1, StreamSeq: 1})
+	r.expect(t, "initial fetch", fa, fb, fc)
+	for _, ev := range drain(r.sub.Events()) {
+		if ev.Key == fa && ev.Type != Created {
+			t.Errorf("published %+v for a key the stream created", ev)
+		}
+	}
+	if present, ver, _ := r.sub.State(fa); !present || ver != created {
+		t.Fatalf("view of the created key: present=%v version=%v, want present at %v", present, ver, created)
+	}
+	if dirty := r.sub.TakeDirty(); len(dirty) != 1 || dirty[0] != fa {
+		t.Fatalf("dirty after the stale absent read = %v, want [a]", dirty)
+	}
+	r.stop(t)
+}
+
 // TestSerial pins the wire read adapter: one read in flight at a time, in
 // the order asked, and a read of a key already waiting joins it — so a
 // sweep piled up behind a slow read adds no second read of a key.

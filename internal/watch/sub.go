@@ -55,6 +55,7 @@ const reorderSlack = 64
 type keyView struct {
 	present bool
 	version kv.Version
+	changes uint64 // transitions published so far (see applyAbsent)
 }
 
 // SubStats counts a subscription's event-plane activity.
@@ -197,6 +198,10 @@ func (s *Sub) ApplyEvent(ev query.Event) (gap bool) {
 func (s *Sub) ApplyRead(k kv.Key, present bool, val kv.Value, ver kv.Version) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.applyReadLocked(k, present, val, ver)
+}
+
+func (s *Sub) applyReadLocked(k kv.Key, present bool, val kv.Value, ver kv.Version) {
 	if s.closed {
 		return
 	}
@@ -207,6 +212,33 @@ func (s *Sub) ApplyRead(k kv.Key, present bool, val kv.Value, ver kv.Version) {
 	s.stats.Resyncs++
 	delete(s.dirty, k)
 	s.publishLocked(st, k, present, val, ver)
+}
+
+// stamp returns how many transitions k's view has published — taken as a
+// resync read of k is issued, and handed back with its answer if the key
+// turns out absent.
+func (s *Sub) stamp(k kv.Key) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if st, ok := s.keys[k]; ok {
+		return st.changes
+	}
+	return 0
+}
+
+// applyAbsent feeds a not-found read of k, issued when its view stood at
+// stamp. Such a read has no version to order it against events: if the
+// view moved after the read was issued, the read may predate the event
+// that moved it, and a Deleted would report a delete that never happened.
+// The key is marked dirty instead, and the next read decides.
+func (s *Sub) applyAbsent(k kv.Key, stamp uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if st, ok := s.keys[k]; ok && !s.closed && st.changes != stamp {
+		s.dirty[k] = struct{}{}
+		return
+	}
+	s.applyReadLocked(k, false, nil, kv.Version{})
 }
 
 // publishLocked applies the version-ordered state transition and emits at
@@ -240,6 +272,7 @@ func (s *Sub) publishLocked(st *keyView, k kv.Key, present bool, val kv.Value, v
 	if !ver.IsZero() {
 		st.version = ver
 	}
+	st.changes++
 	select {
 	case s.ch <- ev:
 		s.stats.Events++

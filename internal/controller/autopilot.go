@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -107,23 +108,31 @@ type Autopilot struct {
 	clk event.Clock
 	cfg AutopilotConfig
 
-	mu              sync.Mutex
-	running         bool
-	gen             uint64 // tick-chain generation; bumped by Start/Stop
-	busy            bool   // a data-moving repair migration is in flight
-	failovered      map[packet.Addr]bool
-	recoveryPending map[packet.Addr]bool
-	recoveryAfter   map[packet.Addr]time.Duration // error-backoff floor for the next attempt
-	demoted         map[packet.Addr]bool
-	rehomed         map[packet.Addr]bool // congestion already answered with a rehome
-	lastRepair      map[packet.Addr]time.Duration
-	repairTimes     []time.Duration
-	deferred        uint64
-	history         []RepairEvent
+	mu          sync.Mutex
+	running     bool
+	gen         uint64 // tick-chain generation; bumped by Start/Stop
+	busy        bool   // a data-moving repair migration is in flight
+	switches    map[packet.Addr]*switchRepair
+	repairTimes []time.Duration
+	deferred    uint64
+	history     []RepairEvent
 
 	// OnEvent, if set, observes every recorded repair event (called
 	// outside the autopilot lock; must not call back into Autopilot).
 	OnEvent func(RepairEvent)
+}
+
+// switchRepair is everything the autopilot remembers about one switch.
+type switchRepair struct {
+	// failedOver latches a fail-stop: the chains were reprogrammed around
+	// the switch, so its verdict no longer matters until it is recovered
+	// and heartbeats healthy again.
+	failedOver   bool
+	recoveryDue  bool          // a Recover is owed
+	recoverAfter time.Duration // error-backoff floor for the next attempt
+	demoted      bool
+	rehomed      bool          // congestion already answered with a rehome
+	cooldownEnd  time.Duration // no data-moving repair of it before this
 }
 
 // NewAutopilot wires the loop; Start begins reconciling, one tick per
@@ -131,18 +140,7 @@ type Autopilot struct {
 // wire monitor's wall clock): the ticks run on it and read it.
 func NewAutopilot(ctl *Controller, det *health.Detector, clk event.Clock, cfg AutopilotConfig) *Autopilot {
 	cfg.sanitize(det.HeartbeatEvery())
-	return &Autopilot{
-		ctl:             ctl,
-		det:             det,
-		clk:             clk,
-		cfg:             cfg,
-		failovered:      make(map[packet.Addr]bool),
-		recoveryPending: make(map[packet.Addr]bool),
-		recoveryAfter:   make(map[packet.Addr]time.Duration),
-		demoted:         make(map[packet.Addr]bool),
-		rehomed:         make(map[packet.Addr]bool),
-		lastRepair:      make(map[packet.Addr]time.Duration),
-	}
+	return &Autopilot{ctl: ctl, det: det, clk: clk, cfg: cfg, switches: make(map[packet.Addr]*switchRepair)}
 }
 
 // Config returns the sanitized configuration in effect.
@@ -205,8 +203,8 @@ func (a *Autopilot) Demoted() []packet.Addr {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var out []packet.Addr
-	for sw, d := range a.demoted {
-		if d {
+	for sw, r := range a.switches {
+		if r.demoted {
 			out = append(out, sw)
 		}
 	}
@@ -233,9 +231,29 @@ func (a *Autopilot) record(at time.Duration, sw packet.Addr, act RepairAction, d
 	}
 }
 
-// budgetOKLocked prunes the budget window and reports whether another
-// data-moving repair fits in it.
-func (a *Autopilot) budgetOKLocked(now time.Duration) bool {
+// switchLocked returns sw's repair record, creating it on first use.
+func (a *Autopilot) switchLocked(sw packet.Addr) *switchRepair {
+	r, ok := a.switches[sw]
+	if !ok {
+		r = &switchRepair{}
+		a.switches[sw] = r
+	}
+	return r
+}
+
+// repair is one admitted repair on its way to the controller.
+type repair struct {
+	kind RepairAction
+	sw   packet.Addr
+	pool []packet.Addr // ActionRecover's replacement pool
+	at   time.Duration // the reconcile pass that admitted and charged it
+}
+
+// admitLocked admits one data-moving repair of r: nothing else in
+// flight, room in the budget window and, if cooled, r past its cooldown.
+// Admission marks the autopilot busy and charges the window and r's
+// cooldown; a repair not admitted is deferred.
+func (a *Autopilot) admitLocked(now time.Duration, r *switchRepair, cooled bool) bool {
 	kept := a.repairTimes[:0]
 	for _, t := range a.repairTimes {
 		if now-t <= a.cfg.BudgetWindow {
@@ -243,32 +261,65 @@ func (a *Autopilot) budgetOKLocked(now time.Duration) bool {
 		}
 	}
 	a.repairTimes = kept
-	return len(a.repairTimes) < a.cfg.RepairBudget
-}
-
-func (a *Autopilot) cooldownOKLocked(now time.Duration, sw packet.Addr) bool {
-	last, ok := a.lastRepair[sw]
-	return !ok || now-last >= a.cfg.Cooldown
-}
-
-func (a *Autopilot) chargeLocked(now time.Duration, sw packet.Addr) {
+	if a.busy || len(a.repairTimes) >= a.cfg.RepairBudget || (cooled && now < r.cooldownEnd) {
+		a.deferred++
+		return false
+	}
+	a.busy = true
 	a.repairTimes = append(a.repairTimes, now)
-	a.lastRepair[sw] = now
+	r.cooldownEnd = now + a.cfg.Cooldown
+	return true
 }
 
-// refundLocked returns a charge whose repair never moved data (the
-// controller refused it) so failed attempts cannot starve real repairs
-// out of the budget window.
-func (a *Autopilot) refundLocked(now time.Duration, sw packet.Addr) {
-	for i := len(a.repairTimes) - 1; i >= 0; i-- {
-		if a.repairTimes[i] == now {
-			a.repairTimes = append(a.repairTimes[:i], a.repairTimes[i+1:]...)
-			break
+// done is an admitted repair's completion callback: un-busy, then record
+// its done event.
+func (a *Autopilot) done(sw packet.Addr, act RepairAction) func() {
+	return func() {
+		a.mu.Lock()
+		a.busy = false
+		a.mu.Unlock()
+		a.record(a.clk.Now(), sw, act, "")
+	}
+}
+
+// errNoPlan is the Placer's answer that nothing needs to move.
+var errNoPlan = errors.New("no plan")
+
+// refuse backs out an admitted repair the controller would not start:
+// un-busy, undo its state change, and return its budget charge and
+// cooldown — a repair that never moved data must not starve real ones
+// out of the window — then record why.
+func (a *Autopilot) refuse(rp repair, err error) {
+	at, detail := rp.at, "error: "+err.Error()
+	a.mu.Lock()
+	a.busy = false
+	r := a.switchLocked(rp.sw)
+	switch rp.kind {
+	case ActionRecover:
+		// Retry after the backoff, counted from the refusal.
+		at = a.clk.Now()
+		r.recoveryDue = true
+		r.recoverAfter = at + recoverRetry*a.det.HeartbeatEvery()
+	case ActionDemote:
+		r.demoted = false
+	case ActionRestore:
+		r.demoted = true
+	case ActionRehome:
+		if err == errNoPlan {
+			// Keep the latch: the verdict persists, and re-asking the
+			// placer every tick would spam the history with identical
+			// refusals. It re-arms when the verdict clears.
+			detail = err.Error()
+		} else {
+			r.rehomed = false
 		}
 	}
-	if a.lastRepair[sw] == now {
-		delete(a.lastRepair, sw)
+	if i := slices.Index(a.repairTimes, rp.at); i >= 0 {
+		a.repairTimes = slices.Delete(a.repairTimes, i, i+1)
 	}
+	r.cooldownEnd = 0
+	a.mu.Unlock()
+	a.record(at, rp.sw, rp.kind, detail)
 }
 
 // poolForLocked selects the recovery pool for sw: configured spares that
@@ -280,7 +331,7 @@ func (a *Autopilot) poolForLocked(sw packet.Addr, snap []health.SwitchHealth) []
 	}
 	var pool, fallback []packet.Addr
 	for _, sp := range a.cfg.Spares {
-		if sp == sw || a.failovered[sp] {
+		if sp == sw || a.switchLocked(sp).failedOver {
 			continue
 		}
 		if v, ok := verdict[sp]; ok && v == health.FailStop {
@@ -291,7 +342,7 @@ func (a *Autopilot) poolForLocked(sw packet.Addr, snap []health.SwitchHealth) []
 			continue
 		}
 		fallback = append(fallback, sp)
-		if a.demoted[sp] {
+		if a.switchLocked(sp).demoted {
 			continue
 		}
 		if v, ok := verdict[sp]; ok && v != health.Healthy {
@@ -314,31 +365,6 @@ func (a *Autopilot) reconcile() {
 	now := a.clk.Now()
 	snap := a.det.Snapshot(now)
 
-	type action struct {
-		kind RepairAction
-		sw   packet.Addr
-		pool []packet.Addr
-	}
-	var acts []action
-
-	// Blindness guard: when a majority of the not-yet-failed switches
-	// look fail-stopped at once, the overwhelmingly likely cause is the
-	// monitor's own view (its uplink, its host) going dark — evicting
-	// the whole cluster on that evidence would be self-inflicted total
-	// unavailability. Sit on our hands until the view disagrees with
-	// itself again; individual failures keep being repaired.
-	tracked, suspects := 0, 0
-	for _, h := range snap {
-		if a.failovered[h.Addr] {
-			continue
-		}
-		tracked++
-		if h.Verdict == health.FailStop {
-			suspects++
-		}
-	}
-	blind := tracked > 0 && suspects*2 > tracked
-
 	// Chain repair verbs act on ring members. A fabric's transit tier
 	// (cores, aggregation) and held-out spares are tracked too — their
 	// congestion verdicts feed the Placer and their health gates pool
@@ -351,195 +377,133 @@ func (a *Autopilot) reconcile() {
 	}
 
 	a.mu.Lock()
+	// Blindness guard: when a majority of the not-yet-failed switches
+	// look fail-stopped at once, the overwhelmingly likely cause is the
+	// monitor's own view (its uplink, its host) going dark — evicting
+	// the whole cluster on that evidence would be self-inflicted total
+	// unavailability. Sit on our hands until the view disagrees with
+	// itself again; individual failures keep being repaired.
+	tracked, suspects := 0, 0
+	for _, h := range snap {
+		if a.switchLocked(h.Addr).failedOver {
+			continue
+		}
+		tracked++
+		if h.Verdict == health.FailStop {
+			suspects++
+		}
+	}
+	blind := tracked > 0 && suspects*2 > tracked
+
+	var admitted []repair
 	for _, h := range snap {
 		sw := h.Addr
-		if a.failovered[sw] {
+		r := a.switchLocked(sw)
+		if h.Verdict == health.Healthy {
+			// Verdict cleared: the rehome worked (or congestion passed);
+			// arm the latch again so a later episode gets its own repair.
+			r.rehomed = false
+		}
+		var kind RepairAction
+		var pool []packet.Addr
+		switch {
+		case r.failedOver:
 			// Failover is a latched decision: once the chains were
 			// reprogrammed around sw, its verdict no longer matters —
 			// the neighbor rules now answer (and later the replacement
 			// answers) traffic addressed to it, so probes of a dead
 			// switch come back alive-looking. Recovery proceeds
-			// regardless; a switch that truly returns rejoins through
-			// the elastic AddSwitch path (which re-admits it), not by
-			// un-failing. Once recovery is done AND the switch is
-			// demonstrably back (heartbeats resumed → Healthy), the
-			// latch clears so a SECOND fail-stop after readmission is
-			// repaired like the first.
-			if !a.recoveryPending[sw] && !a.busy && h.Verdict == health.Healthy {
-				delete(a.failovered, sw)
-				continue
+			// regardless, with no cooldown; a switch that truly returns
+			// rejoins through the elastic AddSwitch path (which
+			// re-admits it), not by un-failing. Once recovery is done
+			// AND the switch is demonstrably back (heartbeats resumed →
+			// Healthy), the latch clears so a SECOND fail-stop after
+			// readmission is repaired like the first.
+			if a.busy {
+				break
 			}
-			if a.recoveryPending[sw] && !a.busy && now >= a.recoveryAfter[sw] {
-				pool := a.poolForLocked(sw, snap)
-				if len(pool) > 0 && a.budgetOKLocked(now) {
-					a.recoveryPending[sw] = false
-					a.busy = true
-					a.chargeLocked(now, sw)
-					acts = append(acts, action{kind: ActionRecover, sw: sw, pool: pool})
-				} else {
+			if !r.recoveryDue && h.Verdict == health.Healthy {
+				r.failedOver = false
+			} else if r.recoveryDue && now >= r.recoverAfter {
+				if pool = a.poolForLocked(sw, snap); len(pool) == 0 {
 					a.deferred++
+				} else if a.admitLocked(now, r, false) {
+					r.recoveryDue, kind = false, ActionRecover
 				}
 			}
-			continue
-		}
-		if h.Verdict == health.Healthy {
-			// Verdict cleared: the rehome worked (or congestion passed);
-			// arm the latch again so a later episode gets its own repair.
-			delete(a.rehomed, sw)
-		}
-		switch {
-		case h.Verdict == health.FailStop:
-			if !member[sw] {
-				continue
-			}
+		case h.Verdict == health.FailStop && member[sw]:
 			if blind {
 				a.deferred++
-				continue
+				break
 			}
 			// Fast failover is urgent and cheap: reprogram the
 			// neighbors now, never wait for budget.
-			a.failovered[sw] = true
-			a.recoveryPending[sw] = true
-			delete(a.demoted, sw)
-			delete(a.rehomed, sw)
-			acts = append(acts, action{kind: ActionFailover, sw: sw})
-		case h.Verdict == health.Gray:
-			if !member[sw] {
-				continue
+			r.failedOver, r.recoveryDue, r.demoted, r.rehomed = true, true, false, false
+			kind = ActionFailover
+		case h.Verdict == health.Gray && member[sw] && !r.demoted:
+			if a.admitLocked(now, r, true) {
+				r.demoted, kind = true, ActionDemote
 			}
-			if !a.demoted[sw] {
-				if !a.busy && a.budgetOKLocked(now) && a.cooldownOKLocked(now, sw) {
-					a.demoted[sw] = true
-					a.busy = true
-					a.chargeLocked(now, sw)
-					acts = append(acts, action{kind: ActionDemote, sw: sw})
-				} else {
-					a.deferred++
-				}
-			}
-		case h.Verdict == health.Congested:
+		case h.Verdict == health.Congested && a.cfg.Placer != nil && !r.rehomed:
 			// Congestion names a placement problem, not a sick switch:
 			// answer it by moving chains, never by failover or demotion.
 			// Latched per switch so one sustained verdict triggers one
 			// rehome; the latch releases when the verdict clears.
-			if a.cfg.Placer == nil || a.rehomed[sw] {
-				continue
+			if a.admitLocked(now, r, true) {
+				r.rehomed, kind = true, ActionRehome
 			}
-			if !a.busy && a.budgetOKLocked(now) && a.cooldownOKLocked(now, sw) {
-				a.rehomed[sw] = true
-				a.busy = true
-				a.chargeLocked(now, sw)
-				acts = append(acts, action{kind: ActionRehome, sw: sw})
-			} else {
-				a.deferred++
+		case h.Verdict == health.Healthy && r.demoted:
+			if a.admitLocked(now, r, true) {
+				r.demoted, kind = false, ActionRestore
 			}
-		case h.Verdict == health.Healthy && a.demoted[sw]:
-			if !a.busy && a.budgetOKLocked(now) && a.cooldownOKLocked(now, sw) {
-				a.demoted[sw] = false
-				a.busy = true
-				a.chargeLocked(now, sw)
-				acts = append(acts, action{kind: ActionRestore, sw: sw})
-			} else {
-				a.deferred++
-			}
+		}
+		if kind != "" {
+			admitted = append(admitted, repair{kind: kind, sw: sw, pool: pool, at: now})
 		}
 	}
 	a.mu.Unlock()
 
-	for _, act := range acts {
-		a.execute(act.kind, act.sw, act.pool, now)
+	for _, rp := range admitted {
+		a.execute(rp)
 	}
 }
 
-func (a *Autopilot) execute(kind RepairAction, sw packet.Addr, pool []packet.Addr, now time.Duration) {
-	unbusy := func() {
-		a.mu.Lock()
-		a.busy = false
-		a.mu.Unlock()
-	}
-	switch kind {
+// execute hands one admitted repair to the controller. Fast failover is
+// unbudgeted and cannot be refused; every other repair either finishes
+// through done or is backed out through refuse.
+func (a *Autopilot) execute(rp repair) {
+	var n int
+	var err error
+	switch rp.kind {
 	case ActionFailover:
 		detail := ""
-		if err := a.ctl.HandleFailure(sw, nil); err != nil {
+		if err := a.ctl.HandleFailure(rp.sw, nil); err != nil {
 			// "Already failed over" (e.g. a manual operator action beat
 			// us) is success for reconciliation purposes.
 			detail = err.Error()
 		}
-		a.record(now, sw, ActionFailover, detail)
+		a.record(rp.at, rp.sw, ActionFailover, detail)
+		return
 	case ActionRecover:
-		a.record(now, sw, ActionRecover, fmt.Sprintf("pool %v", pool))
-		err := a.ctl.Recover(sw, pool, func() {
-			a.mu.Lock()
-			a.busy = false
-			a.mu.Unlock()
-			a.record(a.clk.Now(), sw, ActionRecoverDone, "")
-		})
-		if err != nil {
-			a.mu.Lock()
-			a.busy = false
-			a.recoveryPending[sw] = true // retry after the backoff
-			a.recoveryAfter[sw] = a.clk.Now() + recoverRetry*a.det.HeartbeatEvery()
-			a.refundLocked(now, sw)
-			a.mu.Unlock()
-			a.record(a.clk.Now(), sw, ActionRecover, "error: "+err.Error())
+		a.record(rp.at, rp.sw, ActionRecover, fmt.Sprintf("pool %v", rp.pool))
+		if err := a.ctl.Recover(rp.sw, rp.pool, a.done(rp.sw, ActionRecoverDone)); err != nil {
+			a.refuse(rp, err)
 		}
+		return
 	case ActionDemote:
-		n, err := a.ctl.Demote(sw, func() {
-			unbusy()
-			a.record(a.clk.Now(), sw, ActionDemoteDone, "")
-		})
-		if err != nil {
-			a.mu.Lock()
-			a.busy = false
-			a.demoted[sw] = false
-			a.refundLocked(now, sw)
-			a.mu.Unlock()
-			a.record(now, sw, ActionDemote, "error: "+err.Error())
-			return
-		}
-		a.record(now, sw, ActionDemote, fmt.Sprintf("%d groups", n))
-	case ActionRehome:
-		plans := a.cfg.Placer(sw)
-		if len(plans) == 0 {
-			// Nothing to move: refund the budget but keep the latch —
-			// the verdict persists, and re-asking the placer every tick
-			// would spam the history with identical refusals. The latch
-			// re-arms when the verdict clears.
-			a.mu.Lock()
-			a.busy = false
-			a.refundLocked(now, sw)
-			a.mu.Unlock()
-			a.record(now, sw, ActionRehome, "no plan")
-			return
-		}
-		err := a.ctl.Rehome(plans, func() {
-			unbusy()
-			a.record(a.clk.Now(), sw, ActionRehomeDone, "")
-		})
-		if err != nil {
-			a.mu.Lock()
-			a.busy = false
-			delete(a.rehomed, sw)
-			a.refundLocked(now, sw)
-			a.mu.Unlock()
-			a.record(now, sw, ActionRehome, "error: "+err.Error())
-			return
-		}
-		a.record(now, sw, ActionRehome, fmt.Sprintf("%d groups", len(plans)))
+		n, err = a.ctl.Demote(rp.sw, a.done(rp.sw, ActionDemoteDone))
 	case ActionRestore:
-		n, err := a.ctl.Restore(sw, func() {
-			unbusy()
-			a.record(a.clk.Now(), sw, ActionRestoreDone, "")
-		})
-		if err != nil {
-			a.mu.Lock()
-			a.busy = false
-			a.demoted[sw] = true
-			a.refundLocked(now, sw)
-			a.mu.Unlock()
-			a.record(now, sw, ActionRestore, "error: "+err.Error())
-			return
+		n, err = a.ctl.Restore(rp.sw, a.done(rp.sw, ActionRestoreDone))
+	case ActionRehome:
+		plans := a.cfg.Placer(rp.sw)
+		n, err = len(plans), errNoPlan
+		if n > 0 {
+			err = a.ctl.Rehome(plans, a.done(rp.sw, ActionRehomeDone))
 		}
-		a.record(now, sw, ActionRestore, fmt.Sprintf("%d groups", n))
 	}
+	if err != nil {
+		a.refuse(rp, err)
+		return
+	}
+	a.record(rp.at, rp.sw, rp.kind, fmt.Sprintf("%d groups", n))
 }

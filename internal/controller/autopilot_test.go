@@ -2,6 +2,7 @@ package controller
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -452,5 +453,52 @@ func TestAutopilotNonMemberFailStopIgnored(t *testing.T) {
 	if acts := countActions(ap); acts[ActionFailover] != 1 {
 		t.Fatalf("member fail-stop not failed over with gate active: %v\n%v",
 			acts, ap.History())
+	}
+}
+
+// TestAutopilotRecoverRefusedRetries: the controller refuses a Recover
+// (the only spare was failed over behind the autopilot's back, so it
+// answers "replacement … is failed"). The refusal is recorded, its budget
+// charge is returned — with a budget of one repair per run, the retry
+// still fits — and the retry comes recoverRetry heartbeats later.
+func TestAutopilotRecoverRefusedRetries(t *testing.T) {
+	f, det, ap := pilotFixture(t, func(c *AutopilotConfig) {
+		c.RepairBudget = 1
+		c.BudgetWindow = time.Second
+	})
+	s1, s3 := f.tb.Switches[1], f.tb.Switches[3]
+	hb := time.Millisecond
+	ap.Start()
+	feed(f, det, 20, hb, nil, nil)
+	if err := f.ctl.HandleFailure(s3, nil); err != nil {
+		t.Fatal(err)
+	}
+	f.tb.Net.FailSwitch(s1)
+	feed(f, det, 60, hb, nil, map[packet.Addr]bool{s1: true})
+	ap.Stop()
+	f.sim.Run()
+
+	var refused []time.Duration
+	for _, ev := range ap.History() {
+		if ev.Action == ActionRecoverDone {
+			t.Fatalf("recovery onto a failed spare finished:\n%v", ap.History())
+		}
+		if ev.Action == ActionRecover && strings.HasPrefix(ev.Detail, "error: ") {
+			if ev.Switch != s1 || !strings.Contains(ev.Detail, "replacement "+s3.String()+" is failed") {
+				t.Fatalf("unexpected refusal %v", ev)
+			}
+			refused = append(refused, ev.At)
+		}
+	}
+	if len(refused) < 2 {
+		t.Fatalf("want a refused recover and its retry, got %d refusals:\n%v", len(refused), ap.History())
+	}
+	for i := 1; i < len(refused); i++ {
+		if gap := refused[i] - refused[i-1]; gap != recoverRetry*hb {
+			t.Fatalf("retry %d came %v after the refusal, want %v:\n%v", i, gap, recoverRetry*hb, ap.History())
+		}
+	}
+	if d := ap.Deferred(); d != 0 {
+		t.Fatalf("%d repairs deferred: a refused recover kept its budget charge:\n%v", d, ap.History())
 	}
 }

@@ -193,13 +193,27 @@ type switchState struct {
 	rttFast      float64 // ns
 	lossEWMA     float64
 
-	grayStreak    int
-	healthyStreak int
-	gray          bool
+	gray      latch // sustained quality decay
+	congested latch // sustained queueing on a clean path
+}
 
-	congStreak int
-	calmStreak int
-	congested  bool
+// latch is the confirm/clear hysteresis over one instantaneous judgement:
+// grayConfirm consecutive bad observations set it, grayClear consecutive
+// good ones release it.
+type latch struct {
+	set    bool
+	streak int // consecutive observations that disagree with set
+}
+
+func (l *latch) observe(bad bool) {
+	if bad == l.set {
+		l.streak = 0
+		return
+	}
+	l.streak++
+	if (bad && l.streak >= grayConfirm) || (!bad && l.streak >= grayClear) {
+		l.set, l.streak = bad, 0
+	}
 }
 
 // Detector accrues per-switch suspicion and quality scores from
@@ -365,37 +379,12 @@ func (d *Detector) congestedObsLocked(st *switchState) bool {
 	return st.lossEWMA <= grayLoss && st.dropEWMA <= grayDropRate
 }
 
-// scoreLocked advances the gray and congestion confirm/clear hysteresis
-// on every observation. The two latches share the confirm/clear counts
-// but judge different signals, so a switch can be congested without ever
-// nearing the gray bar.
+// scoreLocked advances the gray and congestion latches on every
+// observation. They share the confirm/clear counts but judge different
+// signals, so a switch can be congested without ever nearing the gray bar.
 func (d *Detector) scoreLocked(st *switchState) {
-	if d.degradedLocked(st) {
-		st.grayStreak++
-		st.healthyStreak = 0
-		if st.grayStreak >= grayConfirm {
-			st.gray = true
-		}
-	} else {
-		st.healthyStreak++
-		st.grayStreak = 0
-		if st.healthyStreak >= grayClear {
-			st.gray = false
-		}
-	}
-	if d.congestedObsLocked(st) {
-		st.congStreak++
-		st.calmStreak = 0
-		if st.congStreak >= grayConfirm {
-			st.congested = true
-		}
-	} else {
-		st.calmStreak++
-		st.congStreak = 0
-		if st.calmStreak >= grayClear {
-			st.congested = false
-		}
-	}
+	st.gray.observe(d.degradedLocked(st))
+	st.congested.observe(d.congestedObsLocked(st))
 }
 
 // Phi returns the current accrual suspicion level for a switch.
@@ -483,10 +472,10 @@ func (d *Detector) verdictLocked(st *switchState, now time.Duration) (Verdict, f
 			return FailStop, p
 		}
 	}
-	if st.gray && d.relativelyAnomalousLocked(st) {
+	if st.gray.set && d.relativelyAnomalousLocked(st) {
 		return Gray, p
 	}
-	if d.cfg.CongestRTTFactor > 0 && st.congested {
+	if d.cfg.CongestRTTFactor > 0 && st.congested.set {
 		return Congested, p
 	}
 	if st.hbSeen == 0 && st.probeReplies == 0 {

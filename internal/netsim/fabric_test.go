@@ -224,9 +224,6 @@ func TestFabricDeterminism(t *testing.T) {
 // recorded from that builder). Every ring chaos fingerprint rests on this.
 func TestRingIsFig8Wiring(t *testing.T) {
 	fb := newFabric(t, "ring", 2, 0)
-	if fb.Net.ECMPEnabled() {
-		t.Fatal("ECMP enabled on the ring")
-	}
 	if got, want := fb.Fingerprint(), "7309175cd8816fa3c9819f25328ddb8a0353feb6497b13e94f07d205dfc54b7f"; got != want {
 		t.Fatalf("ring fingerprint = %s, want %s", got, want)
 	}

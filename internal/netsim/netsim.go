@@ -22,6 +22,7 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"netchain/internal/core"
 	"netchain/internal/event"
@@ -126,17 +127,18 @@ type Network struct {
 	rng   *rand.Rand
 	nodes map[packet.Addr]*node
 	// linkLatency[{a,b}] with a<b
-	latency  map[routeKey]event.Time
-	routes   map[routeKey]packet.Addr // computed next hops
+	latency map[routeKey]event.Time
+	// hops[{at, dst}] is every neighbor of at one hop closer to dst, in
+	// address order (ComputeRoutes).
+	hops     map[routeKey][]packet.Addr
 	override map[routeKey]packet.Addr
 	stats    Stats
 
-	// ECMP state: when enabled (multi-tier fabrics), ComputeRoutes keeps
-	// every equal-cost next hop and forwarding picks one by a deterministic
-	// flow hash on (src, dst). Disabled by default so the testbed's exact
-	// single-path routing (and every fingerprint built on it) is unchanged.
-	ecmp  bool
-	multi map[routeKey][]packet.Addr
+	// ecmp (multi-tier fabrics) makes forwarding pick among the equal-cost
+	// hops by a deterministic flow hash on (src, dst). Off, every flow
+	// takes the first hop, so the testbed's single-path routing (and every
+	// fingerprint built on it) is unchanged.
+	ecmp bool
 
 	// links holds per-direction capacity meters, keyed by directed
 	// {from, to}; absent means unmetered.
@@ -172,9 +174,8 @@ func New(sim *event.Sim, seed int64) *Network {
 		rng:      rand.New(rand.NewSource(seed)),
 		nodes:    make(map[packet.Addr]*node),
 		latency:  make(map[routeKey]event.Time),
-		routes:   make(map[routeKey]packet.Addr),
+		hops:     make(map[routeKey][]packet.Addr),
 		override: make(map[routeKey]packet.Addr),
-		multi:    make(map[routeKey][]packet.Addr),
 		links:    make(map[routeKey]*linkState),
 		mcast:    make(map[packet.Addr][]mcastMember),
 	}
@@ -225,14 +226,11 @@ func (n *Network) LeaveGroup(g packet.Addr, member packet.Addr, port uint16) {
 	n.mcast[g] = kept
 }
 
-// EnableECMP switches routing to equal-cost multi-path: ComputeRoutes
-// records every shortest-path next hop and forwarding selects among them
-// with a deterministic flow hash on (src, dst) — one fixed path per flow,
-// as a real fabric's 5-tuple hash gives. Call before ComputeRoutes.
+// EnableECMP switches forwarding to equal-cost multi-path: each flow
+// picks among the shortest-path next hops with a deterministic hash on
+// (src, dst) — one fixed path per flow, as a real fabric's 5-tuple hash
+// gives.
 func (n *Network) EnableECMP() { n.ecmp = true }
-
-// ECMPEnabled reports whether equal-cost multi-path selection is active.
-func (n *Network) ECMPEnabled() bool { return n.ecmp }
 
 // Stats returns a snapshot of the counters.
 func (n *Network) Stats() Stats { return n.stats }
@@ -288,20 +286,13 @@ func linkKey(a, b packet.Addr) routeKey {
 	return routeKey{a, b}
 }
 
-// ComputeRoutes builds all-pairs next-hop tables by BFS (hop-count
-// shortest path, deterministic neighbor order by address). Call after the
-// topology is final; overrides survive recomputation.
+// ComputeRoutes builds the all-pairs next-hop table by one BFS per
+// destination (hop-count shortest path): every neighbor one hop closer to
+// the destination is an equal-cost next hop, kept in address order. Call
+// after the topology is final; overrides survive recomputation.
 func (n *Network) ComputeRoutes() {
-	n.routes = make(map[routeKey]packet.Addr, len(n.nodes)*len(n.nodes))
-	if n.ecmp {
-		n.computeRoutesECMP()
-		return
-	}
-	// Deterministic node iteration.
-	addrs := n.sortedAddrs()
-	for _, dst := range addrs {
-		// BFS from dst over reversed edges (undirected here) recording the
-		// next hop toward dst for every node.
+	n.hops = make(map[routeKey][]packet.Addr, len(n.nodes)*len(n.nodes))
+	for _, dst := range n.sortedAddrs() {
 		dist := map[packet.Addr]int{dst: 0}
 		queue := []packet.Addr{dst}
 		for len(queue) > 0 {
@@ -314,70 +305,19 @@ func (n *Network) ComputeRoutes() {
 			if n.nodes[cur].failed && cur != dst {
 				continue
 			}
-			neighbors := append([]packet.Addr(nil), n.nodes[cur].links...)
-			sortAddrs(neighbors)
-			for _, nb := range neighbors {
-				if _, seen := dist[nb]; seen {
-					continue
+			for _, nb := range n.nodes[cur].links {
+				d, seen := dist[nb]
+				if !seen {
+					d = dist[cur] + 1
+					dist[nb] = d
+					queue = append(queue, nb)
 				}
-				dist[nb] = dist[cur] + 1
-				n.routes[routeKey{nb, dst}] = cur
-				queue = append(queue, nb)
-			}
-		}
-	}
-}
-
-// computeRoutesECMP is the multi-path variant: a BFS per destination
-// yields hop-count distances, then every neighbor one hop closer to the
-// destination is recorded as an equal-cost next hop (sorted by address).
-// routes keeps the lowest-address choice so NextHop/PathLen stay usable
-// as single-path diagnostics.
-func (n *Network) computeRoutesECMP() {
-	n.multi = make(map[routeKey][]packet.Addr, len(n.nodes)*len(n.nodes))
-	addrs := n.sortedAddrs()
-	for _, dst := range addrs {
-		dist := map[packet.Addr]int{dst: 0}
-		queue := []packet.Addr{dst}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			// Failed switches attract traffic but carry no transit (§4.2),
-			// exactly as in the single-path BFS.
-			if n.nodes[cur].failed && cur != dst {
-				continue
-			}
-			neighbors := append([]packet.Addr(nil), n.nodes[cur].links...)
-			sortAddrs(neighbors)
-			for _, nb := range neighbors {
-				if _, seen := dist[nb]; seen {
-					continue
-				}
-				dist[nb] = dist[cur] + 1
-				queue = append(queue, nb)
-			}
-		}
-		for _, v := range addrs {
-			dv, ok := dist[v]
-			if !ok || v == dst {
-				continue
-			}
-			var hops []packet.Addr
-			neighbors := append([]packet.Addr(nil), n.nodes[v].links...)
-			sortAddrs(neighbors)
-			for _, w := range neighbors {
-				if n.nodes[w].failed && w != dst {
-					continue
-				}
-				if dw, ok := dist[w]; ok && dw == dv-1 {
-					hops = append(hops, w)
+				if d == dist[cur]+1 {
+					k := routeKey{nb, dst}
+					i, _ := slices.BinarySearch(n.hops[k], cur)
+					n.hops[k] = slices.Insert(n.hops[k], i, cur)
 				}
 			}
-			if len(hops) == 0 {
-				continue
-			}
-			n.multi[routeKey{v, dst}] = hops
-			n.routes[routeKey{v, dst}] = hops[0]
 		}
 	}
 }
@@ -406,18 +346,16 @@ func (n *Network) SetRoute(at, dst, via packet.Addr) {
 	n.override[routeKey{at, dst}] = via
 }
 
-// ClearRoute removes an override.
-func (n *Network) ClearRoute(at, dst packet.Addr) {
-	delete(n.override, routeKey{at, dst})
-}
-
-// NextHop resolves the forwarding decision at node `at` for dst.
+// NextHop resolves the single-path forwarding decision at node `at` for
+// dst: an override, else the lowest-address equal-cost hop.
 func (n *Network) NextHop(at, dst packet.Addr) (packet.Addr, bool) {
 	if via, ok := n.override[routeKey{at, dst}]; ok {
 		return via, true
 	}
-	via, ok := n.routes[routeKey{at, dst}]
-	return via, ok
+	if set := n.hops[routeKey{at, dst}]; len(set) > 0 {
+		return set[0], true
+	}
+	return 0, false
 }
 
 // flowHash mixes (at, src, dst) into the deterministic ECMP selector —
@@ -440,38 +378,32 @@ func flowHash(at, src, dst packet.Addr) uint64 {
 }
 
 // nextHopFlow resolves the forwarding decision for a concrete flow:
-// overrides first, then the ECMP set hashed on (src, dst), then the
-// single-path table.
+// overrides first, then under ECMP the equal-cost set hashed on (src,
+// dst), else the single-path hop.
 func (n *Network) nextHopFlow(at, src, dst packet.Addr) (packet.Addr, bool) {
-	if via, ok := n.override[routeKey{at, dst}]; ok {
+	k := routeKey{at, dst}
+	if via, ok := n.override[k]; ok {
 		return via, true
 	}
-	if n.ecmp {
-		set := n.multi[routeKey{at, dst}]
-		switch len(set) {
-		case 0:
-			return 0, false
-		case 1:
-			return set[0], true
-		default:
-			return set[flowHash(at, src, dst)%uint64(len(set))], true
-		}
+	switch set := n.hops[k]; {
+	case len(set) == 0:
+		return 0, false
+	case n.ecmp && len(set) > 1:
+		return set[flowHash(at, src, dst)%uint64(len(set))], true
+	default:
+		return set[0], true
 	}
-	via, ok := n.routes[routeKey{at, dst}]
-	return via, ok
 }
 
 // EqualCostHops returns every next hop `at` may use toward dst: the full
-// ECMP set under EnableECMP, else the single computed hop. Overrides are
+// equal-cost set under EnableECMP, else the single-path hop. Overrides are
 // not consulted (this is a topology property, not a flow decision).
 func (n *Network) EqualCostHops(at, dst packet.Addr) []packet.Addr {
-	if n.ecmp {
-		return append([]packet.Addr(nil), n.multi[routeKey{at, dst}]...)
+	set := n.hops[routeKey{at, dst}]
+	if !n.ecmp && len(set) > 1 {
+		set = set[:1]
 	}
-	if via, ok := n.routes[routeKey{at, dst}]; ok {
-		return []packet.Addr{via}
-	}
-	return nil
+	return slices.Clone(set)
 }
 
 // FlowPath returns the node sequence a flow from src to dst traverses

@@ -26,9 +26,6 @@ type Profile struct {
 	// HostRate is a client server's query budget (packets it can source or
 	// sink per second) before scaling.
 	HostRate float64
-	// HostDelay is the host-side per-packet stack latency (applied once on
-	// send and once on receive by the client model).
-	HostDelay event.Time
 	// Pipeline is the switch resource geometry.
 	Pipeline swsim.Config
 }
@@ -46,7 +43,6 @@ func PaperProfile(scale float64) Profile {
 		SwitchDelay: event.Duration(500), // 0.5 µs/traversal
 		LinkLatency: event.Duration(450), // 0.45 µs/link
 		HostRate:    20.5e6,
-		HostDelay:   event.Duration(2000), // 2 µs per side
 		Pipeline:    swsim.Tofino(),
 	}
 }
@@ -61,8 +57,8 @@ func (p Profile) SwitchNodeConfig() NodeConfig {
 }
 
 // HostNodeConfig builds the netsim config for a host under p. The host
-// rate gate models the NIC/DPDK receive budget; the client adds HostDelay
-// per side itself.
+// rate gate models the NIC/DPDK receive budget; the client charges its
+// own stack latency per side (simclient.Config.HostDelay).
 func (p Profile) HostNodeConfig() NodeConfig {
 	return NodeConfig{Rate: p.hostRate(), ProcDelay: 0}
 }

@@ -26,8 +26,8 @@ const TraceFlag = 0x80
 const TraceRecLen = 24
 
 // MaxTraceHops bounds the number of hop records a frame may accumulate
-// (a chain traversal can log transit + local processing per switch, plus
-// ingest and relay records; 32 leaves slack for the longest chains).
+// (a chain traversal logs one record per switch that handles it, transit
+// or local processing; 32 leaves slack for the longest fabric paths).
 const MaxTraceHops = 32
 
 // TraceStage identifies which processing step a hop record describes.
@@ -44,11 +44,6 @@ const (
 	StageTail
 	// StageRead: the tail served a read from its register file.
 	StageRead
-	// StageIngest: a transport node's socket/dispatch layer handled the
-	// frame (queueing between ingress and processing).
-	StageIngest
-	// StageRelay: the relay tier fanned the committed event out.
-	StageRelay
 )
 
 func (s TraceStage) String() string {
@@ -63,10 +58,6 @@ func (s TraceStage) String() string {
 		return "tail"
 	case StageRead:
 		return "read"
-	case StageIngest:
-		return "ingest"
-	case StageRelay:
-		return "relay"
 	default:
 		return fmt.Sprintf("stage(%d)", uint8(s))
 	}
@@ -119,24 +110,6 @@ func (h *NetChain) TraceHops(into []TraceHop) []TraceHop {
 func (f *Frame) EnableTrace() {
 	f.NC.Traced = true
 	f.traceBuf = f.traceBuf[:0]
-	f.NC.Trace = f.traceBuf
-	f.traceOwned = true
-}
-
-// CopyTraceFrom marks f traced and copies src's hop records into f's own
-// storage — how a derived frame (a push-watch event bred from a traced
-// reply) inherits the query's telemetry. No-op when src is untraced.
-func (f *Frame) CopyTraceFrom(src *Frame) {
-	if !src.NC.Traced {
-		return
-	}
-	f.NC.Traced = true
-	n := len(src.NC.Trace)
-	if cap(f.traceBuf) < n {
-		f.traceBuf = make([]byte, n, MaxTraceHops*TraceRecLen)
-	}
-	f.traceBuf = f.traceBuf[:n]
-	copy(f.traceBuf, src.NC.Trace)
 	f.NC.Trace = f.traceBuf
 	f.traceOwned = true
 }

@@ -250,7 +250,7 @@ func FuzzDecodeTraceExt(f *testing.F) {
 			}
 			// Appending to an accepted traced frame must always work below
 			// the bound and keep the frame serializable.
-			fr.AppendTraceHop(TraceHop{SwitchID: 1, Stage: StageIngest})
+			fr.AppendTraceHop(TraceHop{SwitchID: 1, Stage: StageTransit})
 		}
 		out, err := fr.Serialize(nil)
 		if err != nil {

@@ -238,10 +238,6 @@ func (s *Server) ingestLoop() {
 
 // handleEvent sequences one ingested event and queues its fan-out.
 func (s *Server) handleEvent(fr *packet.Frame, scratch *packet.Frame) {
-	var ingressNs int64
-	if fr.NC.Traced {
-		ingressNs = time.Now().UnixNano()
-	}
 	ev, err := query.ParseEvent(fr)
 	if err != nil {
 		s.decodeErr.Add(1)
@@ -255,7 +251,6 @@ func (s *Server) handleEvent(fr *packet.Frame, scratch *packet.Frame) {
 	ev.Epoch = s.cfg.Epoch
 	if s.cfg.Mode == ModeMulticast {
 		query.EventInto(scratch, s.cfg.Addr, GroupAddr(ev.Group), packet.Port, McastPort, ev)
-		s.stampRelayHop(scratch, fr, ingressNs)
 		s.queueSerialized(scratch, GroupUDP(ev.Group))
 		return
 	}
@@ -268,25 +263,8 @@ func (s *Server) handleEvent(fr *packet.Frame, scratch *packet.Frame) {
 	s.mu.Unlock()
 	for _, ep := range eps {
 		query.EventInto(scratch, s.cfg.Addr, GroupAddr(ev.Group), packet.Port, uint16(ep.Port), ev)
-		s.stampRelayHop(scratch, fr, ingressNs)
 		s.queueSerialized(scratch, ep)
 	}
-}
-
-// stampRelayHop propagates a traced event's telemetry onto the fanned-out
-// frame and appends the relay's own hop record, so watch subscribers see
-// the full head→tail→relay path of the mutation that reached them.
-func (s *Server) stampRelayHop(out *packet.Frame, in *packet.Frame, ingressNs int64) {
-	if !in.NC.Traced {
-		return
-	}
-	out.CopyTraceFrom(in)
-	out.AppendTraceHop(packet.TraceHop{
-		SwitchID:  uint32(s.cfg.Addr),
-		Stage:     packet.StageRelay,
-		IngressNs: ingressNs,
-		EgressNs:  time.Now().UnixNano(),
-	})
 }
 
 func (s *Server) queueSerialized(f *packet.Frame, ep *net.UDPAddr) {

@@ -114,10 +114,3 @@ func (o *Ops) WriteAsync(k kv.Key, v kv.Value, done func(kv.Version, error)) {
 		done(out.Version, err)
 	})
 }
-
-// CASAsync issues a pipelined compare-and-swap; see CAS for the contract.
-func (o *Ops) CASAsync(k kv.Key, expect uint64, newValue kv.Value,
-	done func(swapped bool, stored kv.Value, err error)) {
-	o.DoAsync(query.Call{Op: kv.OpCAS, Key: k, Expect: expect, Value: newValue},
-		func(out query.Outcome, err error) { done(out.Swapped, out.Value, err) })
-}

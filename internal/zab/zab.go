@@ -253,6 +253,3 @@ func (c *Cluster) LockOwner(lock kv.Key) (uint64, bool) {
 	o, ok := c.locks[lock]
 	return o, ok
 }
-
-// SetLossRate updates the loss model mid-run (Fig. 9(d) sweeps).
-func (c *Cluster) SetLossRate(p float64) { c.cfg.LossRate = p }

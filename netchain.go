@@ -79,8 +79,8 @@ func StartLocalCluster(cfg ClusterConfig) (*Cluster, error) {
 // calls to in-network queries with retries. Its key-value calls come from
 // the embedded transport.Ops: Read, Write, Delete, CAS (swap iff the
 // stored owner field equals expect, §8.5), Acquire and Release block until
-// the call resolves; ReadAsync, WriteAsync and CASAsync return once the
-// query is on the wire (blocking only while the ClusterConfig.ClientWindow
+// the call resolves; ReadAsync and WriteAsync return once the query is
+// on the wire (blocking only while the ClusterConfig.ClientWindow
 // pipe is full) and run done on the receive goroutine, which must not
 // block.
 type Client struct {

@@ -37,9 +37,9 @@ func realMain() (code int) {
 	windows := flag.String("windows", "1,4,16,64", "outstanding-window sweep for -exp pipeline (comma-separated)")
 	window := flag.Int("window", 0, "client outstanding-query window for the fig9 experiments (0 = unbounded open loop)")
 	seed := flag.Int64("seed", 1, "deterministic seed for -exp chaos, realchaos and placement")
-	schedule := flag.String("schedule", "full-nemesis", "nemesis schedule for -exp chaos ('all' runs every schedule)")
+	schedule := flag.String("schedule", "full-nemesis", "nemesis schedule for -exp chaos and realchaos ('all' runs every schedule)")
 	autopilot := flag.Bool("autopilot", false, "run -exp chaos hands-free: faults are injected by the nemesis and repaired by the φ-accrual autopilot, never by manual controller calls")
-	topology := flag.String("topology", "ring", "substrate for -exp chaos: ring (the Fig. 8 testbed), spine-leaf:SxL, or fattree:k")
+	topology := flag.String("topology", "ring", "substrate for -exp chaos: ring (the Fig. 8 testbed), spine-leaf:SxL, or fattree:k; realchaos runs the ring only")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
 	flag.Parse()
@@ -84,7 +84,6 @@ func realMain() (code int) {
 			Duration: 60 * time.Second, FailAt: 10 * time.Second, RecoverAt: 20 * time.Second}
 	}
 	chaos := experiments.ChaosOpts{Schedule: *schedule, Seed: *seed, Autopilot: *autopilot, Topology: *topology}
-	realChaos := experiments.RealChaosOpts{Schedule: *schedule, Seed: *seed}
 	placement := experiments.PlacementOpts{Seed: *seed}
 
 	// One row per experiment, in -exp all order: name, quick parameters,
@@ -122,8 +121,8 @@ func realMain() (code int) {
 		entry("trace", experiments.TraceBenchOpts{},
 			experiments.TraceBenchOpts{Duration: 2 * time.Second, ABWindows: 5},
 			show(experiments.TraceBench, experiments.FormatTraceBench)),
-		entry("chaos", chaos, chaos, runChaos),
-		entry("realchaos", realChaos, realChaos, runRealChaos),
+		entry("chaos", chaos, chaos, runChaos("chaos", experiments.RunChaos)),
+		entry("realchaos", chaos, chaos, runChaos("realchaos", experiments.RunRealChaos)),
 		entry("placement", placement, placement, show(experiments.RunPlacementScaling,
 			func(r *experiments.PlacementResult) string {
 				return "placement scaling (client-affine workload, metered fabric links):\n" +
@@ -214,80 +213,36 @@ func runTLA(base mc.Bounds) error {
 	return nil
 }
 
-// runChaos executes nemesis schedules and fails on a non-linearizable
-// history, dumping it to a file so CI can upload the repro. With
-// autopilot, every repair must come from the detector — the run also
-// fails if the fail-stop schedule ends with an unrepaired chain or a
-// repair-free schedule suffers a false eviction.
-func runChaos(o experiments.ChaosOpts) error {
-	names := []string{o.Schedule}
-	if o.Schedule == "all" {
-		names = experiments.ChaosScheduleNames()
-	}
-	for _, name := range names {
-		o.Schedule = name
-		res, err := experiments.RunChaos(o)
-		if err != nil {
-			return err
+// runChaos returns the runner of one chaos row — name is the row, run its
+// substrate's entry. It runs one or every named schedule, prints each
+// result and fails on the first whose Verdict fails, dumping a
+// non-linearizable history to name-failure-<schedule>-seed<N>.txt so CI
+// can upload the repro.
+func runChaos(name string, run func(experiments.ChaosOpts) (*experiments.ChaosResult, error)) func(experiments.ChaosOpts) error {
+	return func(o experiments.ChaosOpts) error {
+		names := []string{o.Schedule}
+		if o.Schedule == "all" {
+			names = experiments.ChaosScheduleNames()
 		}
-		fmt.Println(res.Format())
-		if !res.Lin.OK {
-			dump := fmt.Sprintf("chaos-failure-%s-seed%d.txt", name, o.Seed)
-			if werr := os.WriteFile(dump, []byte(res.DumpHistory()), 0o644); werr != nil {
-				fmt.Fprintf(os.Stderr, "could not dump history: %v\n", werr)
-			} else {
-				fmt.Fprintf(os.Stderr, "history dumped to %s\n", dump)
+		for _, sched := range names {
+			o.Schedule = sched
+			res, err := run(o)
+			if err != nil {
+				return err
 			}
-			return fmt.Errorf("chaos %s seed %d: history not linearizable (key %s): %s",
-				name, o.Seed, res.Lin.Key, res.Lin.Reason)
-		}
-		if o.Autopilot {
-			if res.FailStopInjected && !res.ChainsRepaired {
-				return fmt.Errorf("chaos %s seed %d: autopilot left the chain unrepaired", name, o.Seed)
+			fmt.Println(res.Format())
+			if !res.Lin.OK {
+				dump := fmt.Sprintf("%s-failure-%s-seed%d.txt", name, sched, o.Seed)
+				if werr := os.WriteFile(dump, []byte(res.DumpHistory()), 0o644); werr != nil {
+					fmt.Fprintf(os.Stderr, "could not dump history: %v\n", werr)
+				} else {
+					fmt.Fprintf(os.Stderr, "history dumped to %s\n", dump)
+				}
 			}
-			if !res.FailStopInjected && res.Failovers > 0 {
-				return fmt.Errorf("chaos %s seed %d: %d false fail-stop evictions", name, o.Seed, res.Failovers)
+			if err := res.Verdict(); err != nil {
+				return fmt.Errorf("%s %s seed %d: %w", name, sched, o.Seed, err)
 			}
 		}
+		return nil
 	}
-	return nil
-}
-
-// runRealChaos executes nemesis schedules against the live-UDP cluster
-// (see experiments.RunRealChaos). The run fails on a non-linearizable
-// history (dumped for CI upload), an unrepaired chain after a schedule
-// fail-stop, a false eviction, or a diverged push-watch stream.
-func runRealChaos(o experiments.RealChaosOpts) error {
-	names := []string{o.Schedule}
-	if o.Schedule == "all" {
-		names = experiments.ChaosScheduleNames()
-	}
-	for _, name := range names {
-		o.Schedule = name
-		res, err := experiments.RunRealChaos(o)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res.Format())
-		if !res.Lin.OK {
-			dump := fmt.Sprintf("realchaos-failure-%s-seed%d.txt", name, o.Seed)
-			if werr := os.WriteFile(dump, []byte(res.DumpHistory()), 0o644); werr != nil {
-				fmt.Fprintf(os.Stderr, "could not dump history: %v\n", werr)
-			} else {
-				fmt.Fprintf(os.Stderr, "history dumped to %s\n", dump)
-			}
-			return fmt.Errorf("realchaos %s seed %d: history not linearizable (key %s): %s",
-				name, o.Seed, res.Lin.Key, res.Lin.Reason)
-		}
-		if res.FailStopInjected && !res.ChainsRepaired {
-			return fmt.Errorf("realchaos %s seed %d: autopilot left the chain unrepaired", name, o.Seed)
-		}
-		if res.FalseEvictions > 0 {
-			return fmt.Errorf("realchaos %s seed %d: %d false fail-stop evictions", name, o.Seed, res.FalseEvictions)
-		}
-		if !res.WatchConverged {
-			return fmt.Errorf("realchaos %s seed %d: push-watch stream did not converge", name, o.Seed)
-		}
-	}
-	return nil
 }

@@ -323,15 +323,16 @@ func (a *Autopilot) refuse(rp repair, err error) {
 }
 
 // poolForLocked selects the recovery pool for sw: configured spares that
-// are themselves healthy enough to absorb state.
-func (a *Autopilot) poolForLocked(sw packet.Addr, snap []health.SwitchHealth) []packet.Addr {
+// are themselves healthy enough to absorb state. held are the spares the
+// controller holds failed; Recover refuses them.
+func (a *Autopilot) poolForLocked(sw packet.Addr, snap []health.SwitchHealth, held map[packet.Addr]bool) []packet.Addr {
 	verdict := make(map[packet.Addr]health.Verdict, len(snap))
 	for _, h := range snap {
 		verdict[h.Addr] = h.Verdict
 	}
 	var pool, fallback []packet.Addr
 	for _, sp := range a.cfg.Spares {
-		if sp == sw || a.switchLocked(sp).failedOver {
+		if sp == sw || held[sp] || a.switchLocked(sp).failedOver {
 			continue
 		}
 		if v, ok := verdict[sp]; ok && v == health.FailStop {
@@ -374,6 +375,12 @@ func (a *Autopilot) reconcile() {
 	member := make(map[packet.Addr]bool)
 	for _, m := range a.ctl.Ring().Switches() {
 		member[m] = true
+	}
+	// A spare failed behind the autopilot's back (an operator's
+	// HandleFailure) is no replacement either.
+	held := make(map[packet.Addr]bool)
+	for _, sp := range a.cfg.Spares {
+		held[sp] = a.ctl.Failed(sp)
 	}
 
 	a.mu.Lock()
@@ -425,7 +432,7 @@ func (a *Autopilot) reconcile() {
 			if !r.recoveryDue && h.Verdict == health.Healthy {
 				r.failedOver = false
 			} else if r.recoveryDue && now >= r.recoverAfter {
-				if pool = a.poolForLocked(sw, snap); len(pool) == 0 {
+				if pool = a.poolForLocked(sw, snap, held); len(pool) == 0 {
 					a.deferred++
 				} else if a.admitLocked(now, r, false) {
 					r.recoveryDue, kind = false, ActionRecover

@@ -126,7 +126,7 @@ func TestDemoteFailedSwitchRefused(t *testing.T) {
 // pilotFixture wires a detector + autopilot over the standard fixture,
 // with the spare S3 as the recovery pool. mut may adjust the autopilot
 // config before construction.
-func pilotFixture(t *testing.T, mut func(*AutopilotConfig)) (*fixture, *health.Detector, *Autopilot) {
+func pilotFixture(t *testing.T, mut func(*fixture, *AutopilotConfig)) (*fixture, *health.Detector, *Autopilot) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.SyncPerItem = 0
@@ -135,7 +135,7 @@ func pilotFixture(t *testing.T, mut func(*AutopilotConfig)) (*fixture, *health.D
 	det := health.NewDetector(health.Config{HeartbeatEvery: time.Millisecond})
 	pcfg := AutopilotConfig{Spares: []packet.Addr{f.tb.Switches[3]}}
 	if mut != nil {
-		mut(&pcfg)
+		mut(f, &pcfg)
 	}
 	ap := NewAutopilot(f.ctl, det, f.sim.Clock(), pcfg)
 	for _, sw := range f.tb.Switches {
@@ -244,7 +244,7 @@ func TestAutopilotGrayDemotesNotEvicts(t *testing.T) {
 // intervals must not thrash migrations — the budget window and per-switch
 // cooldown cap the repair count.
 func TestAutopilotBudgetHoldsUnderFlapping(t *testing.T) {
-	f, det, ap := pilotFixture(t, func(c *AutopilotConfig) {
+	f, det, ap := pilotFixture(t, func(_ *fixture, c *AutopilotConfig) {
 		c.RepairBudget = 2
 		// One window spanning the whole run: the cap is absolute here.
 		c.BudgetWindow = 500 * time.Millisecond
@@ -457,22 +457,21 @@ func TestAutopilotNonMemberFailStopIgnored(t *testing.T) {
 }
 
 // TestAutopilotRecoverRefusedRetries: the controller refuses a Recover
-// (the only spare was failed over behind the autopilot's back, so it
-// answers "replacement … is failed"). The refusal is recorded, its budget
-// charge is returned — with a budget of one repair per run, the retry
-// still fits — and the retry comes recoverRetry heartbeats later.
+// (the only spare is a member of the 3-member ring, so reassigning the dead
+// switch's vnodes would leave 2 switches for 3-replica chains). The refusal
+// is recorded, its budget charge is returned — with a budget of one repair
+// per run, the retry still fits — and the retry comes recoverRetry
+// heartbeats later.
 func TestAutopilotRecoverRefusedRetries(t *testing.T) {
-	f, det, ap := pilotFixture(t, func(c *AutopilotConfig) {
+	f, det, ap := pilotFixture(t, func(f *fixture, c *AutopilotConfig) {
 		c.RepairBudget = 1
 		c.BudgetWindow = time.Second
+		c.Spares = []packet.Addr{f.tb.Switches[2]}
 	})
-	s1, s3 := f.tb.Switches[1], f.tb.Switches[3]
+	s1 := f.tb.Switches[1]
 	hb := time.Millisecond
 	ap.Start()
 	feed(f, det, 20, hb, nil, nil)
-	if err := f.ctl.HandleFailure(s3, nil); err != nil {
-		t.Fatal(err)
-	}
 	f.tb.Net.FailSwitch(s1)
 	feed(f, det, 60, hb, nil, map[packet.Addr]bool{s1: true})
 	ap.Stop()
@@ -481,10 +480,10 @@ func TestAutopilotRecoverRefusedRetries(t *testing.T) {
 	var refused []time.Duration
 	for _, ev := range ap.History() {
 		if ev.Action == ActionRecoverDone {
-			t.Fatalf("recovery onto a failed spare finished:\n%v", ap.History())
+			t.Fatalf("recovery onto a ring member finished:\n%v", ap.History())
 		}
 		if ev.Action == ActionRecover && strings.HasPrefix(ev.Detail, "error: ") {
-			if ev.Switch != s1 || !strings.Contains(ev.Detail, "replacement "+s3.String()+" is failed") {
+			if ev.Switch != s1 || !strings.Contains(ev.Detail, "leaves 2 switches for 3-replica chains") {
 				t.Fatalf("unexpected refusal %v", ev)
 			}
 			refused = append(refused, ev.At)
@@ -500,5 +499,51 @@ func TestAutopilotRecoverRefusedRetries(t *testing.T) {
 	}
 	if d := ap.Deferred(); d != 0 {
 		t.Fatalf("%d repairs deferred: a refused recover kept its budget charge:\n%v", d, ap.History())
+	}
+}
+
+// TestAutopilotPoolSkipsFailedSpare: of two spares, the first was failed
+// over by an operator (HandleFailure) behind the autopilot's back, and its
+// heartbeats still look healthy. The controller refuses any Recover whose
+// pool holds it, so the autopilot must leave it out and recover onto the
+// second spare.
+func TestAutopilotPoolSkipsFailedSpare(t *testing.T) {
+	f, det, ap := pilotFixture(t, func(f *fixture, c *AutopilotConfig) {
+		s4, err := f.tb.AddSwitch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Spares = append(c.Spares, s4)
+	})
+	s1, s3, s4 := f.tb.Switches[1], f.tb.Switches[3], f.tb.Switches[4]
+	det.Track(s4, 0)
+	hb := time.Millisecond
+	ap.Start()
+	feed(f, det, 20, hb, nil, nil)
+	if err := f.ctl.HandleFailure(s3, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !f.ctl.Failed(s3) || f.ctl.Failed(s4) {
+		t.Fatalf("Failed(s3)=%v Failed(s4)=%v, want true, false", f.ctl.Failed(s3), f.ctl.Failed(s4))
+	}
+	f.tb.Net.FailSwitch(s1)
+	feed(f, det, 60, hb, nil, map[packet.Addr]bool{s1: true})
+	ap.Stop()
+	f.sim.Run()
+
+	recovered := false
+	for _, ev := range ap.History() {
+		if ev.Action == ActionRecover && strings.HasPrefix(ev.Detail, "error: ") {
+			t.Fatalf("recover refused: %v\n%v", ev, ap.History())
+		}
+		recovered = recovered || (ev.Action == ActionRecoverDone && ev.Switch == s1)
+	}
+	if !recovered {
+		t.Fatalf("no recovery of %v:\n%v", s1, ap.History())
+	}
+	for _, rt := range f.ctl.Routes() {
+		if len(rt.Hops) != 3 || slices.Contains(rt.Hops, s1) || slices.Contains(rt.Hops, s3) {
+			t.Fatalf("group %d chain %v after recovery onto %v", rt.Group, rt.Hops, s4)
+		}
 	}
 }

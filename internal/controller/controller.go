@@ -208,6 +208,14 @@ func NewLive(cfg Config, vnodes, replicas int, members []packet.Addr, agents *Ag
 // Ring exposes the partitioning state (read-only use).
 func (c *Controller) Ring() *ring.Ring { return c.ring }
 
+// Failed reports whether sw has been failed over (HandleFailure): Recover
+// refuses it as a replacement.
+func (c *Controller) Failed(sw packet.Addr) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.failed[sw]
+}
+
 // Route returns the current route for key k. During a live resize, a key
 // whose ring placement already changed keeps routing to its donor group
 // until the receiving group's migration flips, so clients never observe a

@@ -3,31 +3,24 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"netchain/internal/controller"
 	"netchain/internal/event"
-	"netchain/internal/health"
 	"netchain/internal/kv"
 	"netchain/internal/lincheck"
-	"netchain/internal/packet"
 	"netchain/internal/query"
 	"netchain/internal/transport"
 )
 
-// chaosLoad is the one workload both chaos harnesses run: register keys plus
-// two contended locks, per-client seeded mixes of reads, writes and CAS lock
+// chaosLoad is the one workload a chaos run drives: register keys plus two
+// contended locks, per-client seeded mixes of reads, writes and CAS lock
 // handoffs, and the lincheck history they leave. It knows no substrate:
-// both harnesses step its clients by callback (chaosClient.drive), RunChaos
-// on the simulator's clock and RunRealChaos on the wall, and both feed
-// every completion as (query.Call, query.Outcome, error) into the same
-// recorder.
+// runChaosOn steps its clients by callback (chaosClient.drive) on the
+// substrate's clock, the simulator's or the wall's, and every completion
+// comes back as (query.Call, query.Outcome, error) into the same recorder.
 type chaosLoad struct {
 	names        []string // registers first, then locks
 	registers    int
@@ -105,7 +98,7 @@ func (l *chaosLoad) counted(do func(query.Call) (query.Outcome, error)) func(que
 // failed by Close or is still in flight, and every attempt the clients sent
 // is a first send or a counted retry. clients are the retry cores' counters,
 // summed into r.Client.
-func (l *chaosLoad) reconcile(r *ChaosReport, inFlight int, clients []query.Stats) error {
+func (l *chaosLoad) reconcile(r *ChaosResult, inFlight int, clients []query.Stats) error {
 	for _, st := range clients {
 		r.Client.Sent += st.Sent
 		r.Client.Retries += st.Retries
@@ -238,37 +231,8 @@ func (c *chaosClient) drive(issue func(query.Call, func(query.Outcome, error)), 
 	})
 }
 
-// ChaosReport is the part of a chaos result both substrates report alike:
-// the recorded history with its tally and linearizability verdict, and what
-// the autopilot did (zero-valued when none ran) read against the schedule.
-type ChaosReport struct {
-	Schedule string
-	Lin      lincheck.Result
-	// History is the recorded operation log — dumped as a CI artifact when
-	// the check fails, so a failing (schedule, seed) reproduces locally.
-	History    []lincheck.Op
-	Ops        int           // operations in the recorded history
-	Unknowns   int           // ops whose outcome the client never learned
-	HistoryEnd time.Duration // the last response in the history
-	Client     query.Stats   // the clients' retry cores, summed: sent, retries, timeouts, late replies
-
-	// FailStopInjected reports whether the schedule kills a switch (so
-	// callers can tell a legitimate eviction from a false one).
-	FailStopInjected bool
-	Repairs          []controller.RepairEvent
-	Health           []health.SwitchHealth
-	Failovers        int           // fail-stop evictions the autopilot executed
-	Demotions        int           // gray demotions the autopilot executed
-	FalseEvictions   int           // failovers of switches the schedule never killed
-	DetectLatency    time.Duration // fault injection → first repair verdict acted on
-	RepairLatency    time.Duration // verdict → repair complete
-	ChainsRepaired   bool          // failover schedules: every chain back at full length, dead switch gone
-
-	NemesisLog []string
-}
-
 // check closes the workload into r, or returns the first harness failure.
-func (l *chaosLoad) check(r *ChaosReport) error {
+func (l *chaosLoad) check(r *ChaosResult) error {
 	if l.err != nil {
 		return l.err
 	}
@@ -283,94 +247,4 @@ func (l *chaosLoad) check(r *ChaosReport) error {
 	}
 	r.Lin = lincheck.Check(l.history, l.initial)
 	return nil
-}
-
-// writeHistory renders the history one operation per line — shared by the
-// fingerprints and the failure dumps so an uploaded artifact always matches
-// the hash that flagged the run.
-func (r *ChaosReport) writeHistory(w io.Writer) {
-	for _, op := range r.History {
-		fmt.Fprintf(w, "c%d %v %s in=%q out=%q ok=%v found=%v unk=%v @%d..%d\n",
-			op.Client, op.Kind, op.Key, op.Input, op.Output, op.OK, op.Found,
-			op.Unknown, op.Invoke, op.Return)
-	}
-}
-
-// clientLine renders the clients' retry-core counters.
-func (r *ChaosReport) clientLine() string {
-	return fmt.Sprintf("clients: %d attempts sent, %d retries, %d timeouts, %d late replies\n",
-		r.Client.Sent, r.Client.Retries, r.Client.Timeouts, r.Client.Late)
-}
-
-// dump is the failure artifact: header, tally, then the history.
-func (r *ChaosReport) dump(header string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s ops=%d lin=%v\n", header, r.Ops, r.Lin.OK)
-	r.writeHistory(&b)
-	return b.String()
-}
-
-// tallyRepairs reads the autopilot's repair log: counts, false evictions,
-// and the MTTR milestones relative to the schedule's repairable fault (the
-// victim's fail-stop, or the gray onset), injected at faultAt on the log's clock.
-func (r *ChaosReport) tallyRepairs(sc chaosScenario, victim packet.Addr, faultAt time.Duration, ctl *controller.Controller) {
-	firstAt := map[controller.RepairAction]time.Duration{}
-	for _, ev := range r.Repairs {
-		switch ev.Action {
-		case controller.ActionFailover:
-			r.Failovers++
-			if !sc.failover || ev.Switch != victim {
-				r.FalseEvictions++
-				continue
-			}
-		case controller.ActionDemote:
-			r.Demotions++
-		}
-		if _, seen := firstAt[ev.Action]; !seen {
-			firstAt[ev.Action] = ev.At
-		}
-	}
-	verdict, done := firstAt[controller.ActionDemote], firstAt[controller.ActionDemoteDone]
-	if sc.failover {
-		verdict, done = firstAt[controller.ActionFailover], firstAt[controller.ActionRecoverDone]
-	}
-	if sc.faultAt > 0 && verdict > 0 {
-		r.DetectLatency = verdict - faultAt
-		if done > 0 {
-			r.RepairLatency = done - verdict
-		}
-	}
-	r.ChainsRepaired = sc.failover && chainsRepaired(ctl, victim)
-}
-
-// format renders the report: the schedule and what the nemesis did, the
-// substrate's own body, the autopilot's repairs (if one ran), the verdict.
-func (r *ChaosReport) format(title, body string, autopilot bool) string {
-	s := fmt.Sprintf("%s\n%s\n", title, ChaosScheduleDoc(r.Schedule))
-	for _, l := range r.NemesisLog {
-		s += "  " + l + "\n"
-	}
-	s += body
-	if autopilot {
-		s += fmt.Sprintf("autopilot: %d failovers (%d false), %d demotions; detection %v, repair %v; chains repaired: %v\n",
-			r.Failovers, r.FalseEvictions, r.Demotions, r.DetectLatency, r.RepairLatency, r.ChainsRepaired)
-		for _, ev := range r.Repairs {
-			s += "  " + ev.String() + "\n"
-		}
-	}
-	if r.Lin.OK {
-		return s + fmt.Sprintf("linearizable: YES (%d ops checked)\n", r.Lin.OpsChecked)
-	}
-	return s + fmt.Sprintf("linearizable: NO — key %s: %s\n", r.Lin.Key, r.Lin.Reason)
-}
-
-// chainsRepaired reports whether, after a fail-stop, every chain is back
-// at full length with the dead switch gone.
-func chainsRepaired(ctl *controller.Controller, dead packet.Addr) bool {
-	for _, rt := range ctl.Routes() {
-		if len(rt.Hops) != 3 || slices.Contains(rt.Hops, dead) {
-			return false
-		}
-	}
-	return true
 }

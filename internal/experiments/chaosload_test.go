@@ -68,7 +68,7 @@ func TestChaosRecorderSameOnBothEntries(t *testing.T) {
 			n++
 			return script(n, call)
 		})
-		var rep ChaosReport
+		var rep ChaosResult
 		if err := load.check(&rep); err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestChaosRecorderSameOnBothEntries(t *testing.T) {
 	load.client(1, 0).drive(func(_ query.Call, done func(query.Outcome, error)) {
 		done(query.Outcome{}, errors.New("socket on fire"))
 	}, event.New().Clock(), 0)
-	if err := load.check(&ChaosReport{}); err == nil {
+	if err := load.check(&ChaosResult{}); err == nil {
 		t.Error("unexplained error was not reported as a harness failure")
 	}
 }

@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"context"
-	"crypto/sha256"
 	"fmt"
+	"hash"
+	"slices"
 	"sync"
 	"time"
 
 	"netchain/internal/controller"
+	"netchain/internal/event"
 	"netchain/internal/faultconn"
 	"netchain/internal/health"
 	"netchain/internal/kv"
@@ -19,91 +21,38 @@ import (
 	"netchain/internal/watch"
 )
 
-// RunRealChaos is the wire-side twin of RunChaos: the same named nemesis
-// schedules, run against a live-UDP loopback cluster instead of the
-// simulator. Real sockets, real goroutine scheduling, real wall-clock
-// timeouts — and the faults are injected at the syscall boundary by
-// internal/faultconn, driven by the identical netsim.Schedule values the
-// sim consumes. Concurrent clients run the very same workload (chaosLoad,
-// chaosload.go: one op mix, one lock bookkeeping, one lincheck recorder
-// for both substrates), a push-watch subscriber converges through the
-// fault-injected relay, and (because there is no scripted operator on a
-// real wire) the φ-accrual monitor plus autopilot do every repair
-// hands-free.
-//
-// What the sim run cannot give us — and this one does — is evidence that
-// the protocol's invariants survive the parts the simulator idealizes:
-// kernel buffering, OS timer slop, a switch's ingest goroutines racing
-// across its sockets, and a relay whose lease state lives behind a real
-// port. The controller programs the switches through in-process agents,
-// as in the simulator; the TCP agent protocol is tested on its own in
-// internal/transport.
-
-// RealChaosOpts parameterizes a wire chaos run.
-type RealChaosOpts struct {
-	Schedule     string // named nemesis schedule (see ChaosScheduleNames); default "full-nemesis"
-	Seed         int64  // drives fault randomness and client mixes; default 1
-	Clients      int    // concurrent client sockets; default 3
-	OpsPerClient int    // operations each client issues; default 150
-	Registers    int    // independent register keys; default 12
+// RunRealChaos runs the chaos scenario (see runChaosOn) on a live-UDP
+// loopback cluster: real sockets, goroutine scheduling and wall-clock
+// timeouts, with the faults injected at the syscall boundary by
+// internal/faultconn. A push-watch subscriber converges through the
+// fault-injected relay, and with no scripted operator on a real wire the
+// φ-accrual monitor plus autopilot do every repair, so o.Autopilot is
+// always on; o.Topology must be the ring. It is the evidence that the
+// protocol's invariants survive what the simulator idealizes: kernel
+// buffering, OS timer slop, a switch's ingest goroutines racing across its
+// sockets, and a relay whose lease state lives behind a real port.
+func RunRealChaos(o ChaosOpts) (*ChaosResult, error) {
+	if o.OpsPerClient == 0 {
+		o.OpsPerClient = realChaosOps
+	}
+	o.Autopilot = true
+	return runChaosOn(o, bootWire)
 }
 
 const (
+	realChaosOps       = 150                   // default operations per client
+	realChaosRegisters = 12                    // under lincheck's per-key density ceiling at the default op count
 	realChaosTimeScale = 20                    // wall-clock stretch of schedule time
 	realChaosHeartbeat = 10 * time.Millisecond // heartbeat and monitor cadence
 )
 
-func (o *RealChaosOpts) defaults() {
-	if o.Schedule == "" {
-		o.Schedule = "full-nemesis"
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Clients <= 0 || o.Clients > 3 {
-		o.Clients = 3
-	}
-	if o.OpsPerClient == 0 {
-		o.OpsPerClient = 150
-	}
-	if o.Registers == 0 {
-		// Enough spread to stay under lincheck's per-key density ceiling
-		// at the default op count.
-		o.Registers = 12
-	}
-}
-
-// RealChaosResult reports a wire chaos run.
-type RealChaosResult struct {
-	// Wire runs are always hands-free: the report's repairs are all the
-	// autopilot's.
-	ChaosReport
-	Seed int64
-
-	Inj faultconn.Stats // what the wire nemesis did
-
-	// FaultFingerprint digests (seed, schedule) → the deterministic fault
-	// decision stream (see faultconn.Fingerprint). Equal seeds and
-	// schedules must produce equal fingerprints — the "same seed ⇒ same
-	// chaos" acceptance check on a substrate where histories themselves
-	// are scheduler-dependent.
-	FaultFingerprint string
-	// HistoryDigest identifies this run's recorded history (artifact
-	// correlation, not a determinism pin — the wire is not a simulator).
-	HistoryDigest string
-
-	// Push-watch convergence through the fault-injected relay.
-	WatchEvents    uint64
-	WatchStats     watch.SubStats
-	WatchConverged bool
-}
-
-// realCluster is the façade's live-UDP deployment (localcluster: relay,
-// three chain members plus one spare, wall-clock controller, every
-// datagram socket threaded through one faultconn.Injector) with a health
-// plane on top — φ-accrual monitor, detector and autopilot — and the
-// workload's client sockets.
-type realCluster struct {
+// wireChaos is the wire's side of a chaos run: the façade's live-UDP
+// deployment (localcluster: relay, three chain members plus one spare,
+// wall-clock controller, every datagram socket threaded through one
+// faultconn.Injector) with a health plane on top — φ-accrual monitor,
+// detector and autopilot — the workload's client sockets and a push-watch
+// subscriber.
+type wireChaos struct {
 	cl  *localcluster.Cluster
 	ctl *controller.Controller
 	inj *faultconn.Injector
@@ -113,41 +62,46 @@ type realCluster struct {
 	mon   *transport.Monitor
 	pilot *controller.Autopilot
 
-	ops []*transport.Ops // one per client
-
+	ops   []*transport.Ops // one per client
 	stops []func() error
+
+	load      *chaosLoad
+	do0       func(query.Call) (query.Outcome, error) // client 0 through the workload's ledger
+	calls     sync.WaitGroup                          // one Done per call a client makes
+	start     time.Duration                           // schedule t=0 on the clients' clock
+	sub       *watch.Sub
+	follower  *watch.Follower
+	watchKeys []kv.Key
+	events    uint64
+	drained   chan struct{}
 }
 
-func (rc *realCluster) Close() {
-	for i := len(rc.stops) - 1; i >= 0; i-- {
-		_ = rc.stops[i]()
+func bootWire(o ChaosOpts) (chaosSubstrate, error) {
+	if o.Topology != "ring" {
+		return nil, fmt.Errorf("experiments: the wire runs chaos on the ring only, not %q", o.Topology)
 	}
-	rc.stops = nil
-}
-
-func newRealCluster(o RealChaosOpts) (*realCluster, error) {
-	rc := &realCluster{inj: faultconn.New(o.Seed, faultconn.WithTimeScale(realChaosTimeScale))}
+	w := &wireChaos{inj: faultconn.New(o.Seed, faultconn.WithTimeScale(realChaosTimeScale))}
 	ok := false
 	defer func() {
 		if !ok {
-			rc.Close()
+			w.close()
 		}
 	}()
 
 	cl, err := localcluster.Start(localcluster.Config{
-		Slots: 256, ClientTimeout: 25 * time.Millisecond, ClientRetries: 8, Faults: rc.inj,
+		Slots: 256, ClientTimeout: 25 * time.Millisecond, ClientRetries: 8, Faults: w.inj,
 	})
 	if err != nil {
 		return nil, err
 	}
-	rc.cl, rc.ctl = cl, cl.Controller()
-	rc.stops = append(rc.stops, cl.Close)
+	w.cl, w.ctl = cl, cl.Controller()
+	w.stops = append(w.stops, cl.Close)
 	for i := 0; i < cl.Switches(); i++ {
 		a, err := cl.SwitchAddr(i)
 		if err != nil {
 			return nil, err
 		}
-		rc.sws = append(rc.sws, a)
+		w.sws = append(w.sws, a)
 	}
 
 	// Health plane: the monitor's socket runs through the nemesis too
@@ -156,54 +110,50 @@ func newRealCluster(o RealChaosOpts) (*realCluster, error) {
 	// address sits outside the switch and host ranges so fault targeting
 	// never aliases it.
 	mv := packet.AddrFrom4(10, 255, 0, 1)
-	rc.det = health.NewDetector(health.Config{HeartbeatEvery: realChaosHeartbeat})
-	rc.mon, err = transport.NewMonitor("127.0.0.1:0", mv, rc.det,
-		transport.WithMonitorFaults(rc.inj.Pipe(mv)))
+	w.det = health.NewDetector(health.Config{HeartbeatEvery: realChaosHeartbeat})
+	w.mon, err = transport.NewMonitor("127.0.0.1:0", mv, w.det,
+		transport.WithMonitorFaults(w.inj.Pipe(mv)))
 	if err != nil {
 		return nil, err
 	}
-	rc.stops = append(rc.stops, rc.mon.Close)
-	for _, a := range rc.sws {
-		rc.mon.Watch(a)
+	w.stops = append(w.stops, w.mon.Close)
+	for _, a := range w.sws {
+		w.mon.Watch(a)
 	}
-	rc.mon.StartProbes()
-	if err := cl.StartHeartbeats(mv, rc.mon.Endpoint(), realChaosHeartbeat); err != nil {
+	w.mon.StartProbes()
+	if err := cl.StartHeartbeats(mv, w.mon.Endpoint(), realChaosHeartbeat); err != nil {
 		return nil, err
 	}
-	rc.pilot = controller.NewAutopilot(rc.ctl, rc.det, rc.mon.Clock(),
-		controller.AutopilotConfig{Spares: []packet.Addr{rc.sws[3]}})
+	w.pilot = controller.NewAutopilot(w.ctl, w.det, w.mon.Clock(),
+		controller.AutopilotConfig{Spares: []packet.Addr{w.sws[3]}})
 
 	// Clients (10.1.0.1, .2, ...) gateway through the survivors (S0 and the
 	// gray S2, never the fail-stop victim S1): a client whose ToR powers off
 	// is a host outage, not a protocol property this scenario measures.
-	for i := 0; i < o.Clients; i++ {
+	for i := 0; i < chaosClients; i++ {
 		ops, err := cl.NewClient(2 * (i % 2))
 		if err != nil {
 			return nil, err
 		}
-		rc.ops = append(rc.ops, ops)
-		rc.stops = append(rc.stops, ops.Client.Close)
+		w.ops = append(w.ops, ops)
+		w.stops = append(w.stops, ops.Client.Close)
 	}
 	ok = true
-	return rc, nil
+	return w, nil
 }
 
 // realChaosTargets maps the schedule's fault roles onto the wire topology
 // with the sim testbed's assignment (testbedTargets); the host-cut isolates
 // client 1. The switch addressing is fixed (10.0.0.1–4), so the mapping is
 // a pure function of the options — RealChaosFingerprint relies on that.
-func realChaosTargets(sws []packet.Addr, clients int) chaosTargets {
-	cut := packet.AddrFrom4(10, 1, 0, 1)
-	if clients > 1 {
-		cut = packet.AddrFrom4(10, 1, 0, 2)
-	}
-	return testbedTargets(sws, cut)
+func realChaosTargets(sws []packet.Addr) chaosTargets {
+	return testbedTargets(sws, packet.AddrFrom4(10, 1, 0, 2))
 }
 
 // RealChaosFingerprint digests the fault decision stream a wire run with
 // these options would inject, without booting a cluster — callers use it
 // to verify the "same seed ⇒ same chaos" reproducibility contract.
-func RealChaosFingerprint(o RealChaosOpts) (string, error) {
+func RealChaosFingerprint(o ChaosOpts) (string, error) {
 	o.defaults()
 	sc, err := chaosScenarioNamed(o.Schedule)
 	if err != nil {
@@ -213,202 +163,161 @@ func RealChaosFingerprint(o RealChaosOpts) (string, error) {
 	for i := range sws {
 		sws[i] = packet.AddrFrom4(10, 0, 0, byte(i+1))
 	}
-	tg := realChaosTargets(sws, o.Clients)
-	return faultconn.Fingerprint(o.Seed, sc.schedule(tg, true)), nil
+	return faultconn.Fingerprint(o.Seed, sc.schedule(realChaosTargets(sws), true)), nil
 }
 
-// RunRealChaos executes one wire chaos run. Harness failures (the cluster
-// broke in a way no schedule explains) return an error; a
-// non-linearizable history is reported in Result.Lin so callers can dump
-// the history artifact.
-func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
-	o.defaults()
-	sc, err := chaosScenarioNamed(o.Schedule)
-	if err != nil {
-		return nil, err
-	}
-	rc, err := newRealCluster(o)
-	if err != nil {
-		return nil, err
-	}
-	defer rc.Close()
+func (w *wireChaos) targets() chaosTargets              { return realChaosTargets(w.sws) }
+func (w *wireChaos) controller() *controller.Controller { return w.ctl }
 
-	// Preload: slots through the controller (they land on every chain
-	// member via the wire agents), values through a real client.
-	load := newChaosLoad(o.Registers, o.OpsPerClient)
+// clock is the monitor's, the autopilot's: the clients and the watch
+// follower keep time on it too.
+func (w *wireChaos) clock() event.Clock { return w.mon.Clock() }
+
+func (w *wireChaos) at(t event.Time) time.Duration {
+	return w.start + time.Duration(float64(t)*realChaosTimeScale)
+}
+
+func (w *wireChaos) close() {
+	for i := len(w.stops) - 1; i >= 0; i-- {
+		_ = w.stops[i]()
+	}
+	w.stops = nil
+}
+
+// prepare inserts the keys through the controller (they land on every
+// chain member via the agents) and writes their values through client 0,
+// then subscribes a push-watch to the first registers through the
+// fault-injected relay, resynced on stream gaps by linearizable re-reads.
+func (w *wireChaos) prepare(opsPerClient int) (*chaosLoad, error) {
+	w.load = newChaosLoad(realChaosRegisters, opsPerClient)
 	// Client 0 also carries the preload and the watcher's resync reads; they
 	// pass through the workload's ledger like every other call.
-	do0 := load.counted(rc.ops[0].Do)
-	err = load.preload(func(k kv.Key, val kv.Value) error {
-		if _, err := rc.ctl.Insert(k); err != nil {
+	w.do0 = w.load.counted(w.ops[0].Do)
+	err := w.load.preload(func(k kv.Key, val kv.Value) error {
+		if _, err := w.ctl.Insert(k); err != nil {
 			return err
 		}
-		_, err := do0(query.Call{Op: kv.OpWrite, Key: k, Value: val})
+		_, err := w.do0(query.Call{Op: kv.OpWrite, Key: k, Value: val})
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	res := &RealChaosResult{Seed: o.Seed}
-	res.Schedule, res.FailStopInjected = o.Schedule, sc.failover
-
-	// Push-watch subscriber through the fault-injected relay: the first
-	// few registers, resynced on stream gaps by linearizable re-reads. It
-	// and the clients keep time on the monitor's clock, the autopilot's.
-	clk := rc.mon.Clock()
-	watchKeys := make([]kv.Key, 0, 4)
-	for i := 0; i < o.Registers && i < 4; i++ {
-		watchKeys = append(watchKeys, kv.KeyFromString(load.names[i]))
+	for i := 0; i < 4; i++ {
+		w.watchKeys = append(w.watchKeys, kv.KeyFromString(w.load.names[i]))
 	}
-	sub := watch.NewSub(watchKeys, func(k kv.Key) uint16 { return rc.ctl.Route(k).Group }, 256)
-	follower := watch.NewFollower(sub, clk, watch.Serial(func(k kv.Key) (kv.Value, kv.Version, error) {
-		out, err := do0(query.Call{Op: kv.OpRead, Key: k})
+	w.sub = watch.NewSub(w.watchKeys, func(k kv.Key) uint16 { return w.ctl.Route(k).Group }, 256)
+	w.follower = watch.NewFollower(w.sub, w.clock(), watch.Serial(func(k kv.Key) (kv.Value, kv.Version, error) {
+		out, err := w.do0(query.Call{Op: kv.OpRead, Key: k})
 		return out.Value, out.Version, err
 	}))
-	wconn, err := rc.cl.Subscribe(packet.AddrFrom4(10, 3, 0, 1), sub.Groups(), follower.Deliver)
+	wconn, err := w.cl.Subscribe(packet.AddrFrom4(10, 3, 0, 1), w.sub.Groups(), w.follower.Deliver)
 	if err != nil {
 		return nil, fmt.Errorf("watch subscribe: %w", err)
 	}
-	defer wconn.Close()
-	follower.Start(context.Background(), 25*time.Millisecond, 0, nil)
-	defer follower.Close()
-	var watchEvents uint64
-	drained := make(chan struct{})
+	w.stops = append(w.stops, wconn.Close)
+	w.follower.Start(context.Background(), 25*time.Millisecond, 0, nil)
+	w.stops = append(w.stops, func() error { w.follower.Close(); return nil })
+	w.drained = make(chan struct{})
 	go func() { // drain the event channel; overflow self-heals via dirty marks
-		defer close(drained)
-		for range sub.Events() {
-			watchEvents++
+		defer close(w.drained)
+		for range w.sub.Events() {
+			w.events++
 		}
 	}()
+	return w.load, nil
+}
 
-	// The nemesis: same schedule builders as the sim, plus the fail-stop
-	// step for failover schedules — on the wire there is no scripted
-	// operator, so the autopilot must notice and repair it.
-	tg := realChaosTargets(rc.sws, o.Clients)
-	schedule := sc.schedule(tg, true)
-	res.FaultFingerprint = faultconn.Fingerprint(o.Seed, schedule)
-
-	rc.pilot.Start()
-	defer rc.pilot.Stop()
-
-	// Workload start is the schedule's t=0.
-	rc.inj.ResetClock()
-	schedStart := clk.Now()
-	nm := netsim.RunSchedule(rc.inj.Clock(), rc.inj, schedule)
-
-	var wg sync.WaitGroup
-	wg.Add(o.Clients * o.OpsPerClient) // one Done per call a client makes
-	for c := 0; c < o.Clients; c++ {
-		do := load.counted(rc.ops[c].Do)
-		issue := func(call query.Call, done func(query.Outcome, error)) {
-			go func() {
-				done(do(call))
-				wg.Done()
-			}()
-		}
-		load.client(o.Seed, c).drive(issue, clk, 3*time.Millisecond) // each client thinks 3 ms between ops
+// client c issues each call on its own goroutine and thinks 3 ms between
+// ops.
+func (w *wireChaos) client(c int) (func(query.Call, func(query.Outcome, error)), time.Duration, error) {
+	do := w.load.counted(w.ops[c].Do)
+	w.calls.Add(w.load.opsPerClient)
+	issue := func(call query.Call, done func(query.Outcome, error)) {
+		go func() {
+			done(do(call))
+			w.calls.Done()
+		}()
 	}
-	wg.Wait()
-	if err := load.check(&res.ChaosReport); err != nil {
-		return nil, err
-	}
+	return issue, 3 * time.Millisecond, nil
+}
 
-	// Let the schedule's last window elapse, then wait for the autopilot
-	// to finish repairing what the nemesis broke.
-	lastAt := time.Duration(0)
+// nemesis restarts the injector's clock: schedule time is stretched wall
+// time from the workload's start.
+func (w *wireChaos) nemesis() (event.Clock, netsim.Applier) {
+	w.inj.ResetClock()
+	w.start = w.clock().Now()
+	return w.inj.Clock(), w.inj
+}
+
+// run starts the autopilot and waits for the clients, lets the schedule's
+// last window elapse, then waits for the autopilot to finish repairing
+// what the nemesis broke. It then stops injecting (pipes become
+// pass-through), gives the watch subscriber one clean resync pass and
+// checks its convergence against direct linearizable reads.
+func (w *wireChaos) run(sc chaosScenario, schedule netsim.Schedule, res *ChaosResult) (*controller.Autopilot, *health.Detector, error) {
+	w.pilot.Start()
+	w.stops = append(w.stops, func() error { w.pilot.Stop(); return nil })
+	w.calls.Wait()
+	var last event.Time
 	for _, st := range schedule {
-		if end := time.Duration(float64(st.At+st.For) * realChaosTimeScale); end > lastAt {
-			lastAt = end
-		}
+		last = max(last, st.At+st.For)
 	}
-	if since := clk.Now() - schedStart; since < lastAt {
-		time.Sleep(lastAt - since)
+	if wait := w.at(last) - w.clock().Now(); wait > 0 {
+		time.Sleep(wait)
 	}
 	if sc.failover {
 		deadline := time.Now().Add(20 * time.Second) // repair ceiling
-		for time.Now().Before(deadline) {
-			done := false
-			for _, ev := range rc.pilot.History() {
-				if ev.Action == controller.ActionRecoverDone {
-					done = true
-				}
-			}
-			if done {
-				break
-			}
+		recovered := func(ev controller.RepairEvent) bool { return ev.Action == controller.ActionRecoverDone }
+		for !slices.ContainsFunc(w.pilot.History(), recovered) && time.Now().Before(deadline) {
 			time.Sleep(20 * time.Millisecond)
 		}
 	}
 
-	// Quiesce: stop injecting (pipes become pass-through), then give the
-	// watch subscriber one clean resync pass and check convergence
-	// against direct linearizable reads.
-	rc.inj.Stop()
-	sub.MarkDirty()
+	w.inj.Stop()
+	w.sub.MarkDirty()
 	time.Sleep(50 * time.Millisecond)
-	res.WatchConverged = true
-	for _, k := range watchKeys {
-		out, rerr := do0(query.Call{Op: kv.OpRead, Key: k})
-		ver := out.Version
-		if rerr != nil {
-			res.WatchConverged = false
-			continue
-		}
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			present, sver, watched := sub.State(k)
-			if watched && present && !sver.Less(ver) {
-				break
+	converged := func(k kv.Key) bool {
+		out, err := w.do0(query.Call{Op: kv.OpRead, Key: k})
+		for deadline := time.Now().Add(2 * time.Second); err == nil && time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+			if present, ver, watched := w.sub.State(k); watched && present && !ver.Less(out.Version) {
+				return true
 			}
-			if time.Now().After(deadline) {
-				res.WatchConverged = false
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
 		}
+		return false
 	}
-	follower.Close()
-	<-drained // Close closed the Sub, so the drain loop ended
-	res.WatchEvents = watchEvents
-	res.WatchStats = sub.Stats()
+	res.watched, res.WatchConverged = true, true
+	for _, k := range w.watchKeys {
+		res.WatchConverged = converged(k) && res.WatchConverged
+	}
+	w.follower.Close()
+	<-w.drained // Close closed the Sub, so the drain loop ended
+	res.WatchEvents, res.WatchStats = w.events, w.sub.Stats()
+	res.FaultFingerprint = faultconn.Fingerprint(res.Seed, schedule)
+	return w.pilot, w.det, nil
+}
 
-	res.Repairs = rc.pilot.History()
-	res.Health = rc.det.Snapshot(rc.mon.Clock().Now())
-	res.tallyRepairs(sc, tg.fail, schedStart+time.Duration(float64(sc.faultAt)*realChaosTimeScale), rc.ctl)
-
-	var cores []query.Stats
-	inFlight := 0
-	for _, ops := range rc.ops {
-		cores = append(cores, ops.Client.Stats().Stats)
+func (w *wireChaos) books() (clients []query.Stats, inFlight int) {
+	for _, ops := range w.ops {
+		clients = append(clients, ops.Client.Stats().Stats)
 		inFlight += ops.Client.InFlight()
 	}
-	if err := load.reconcile(&res.ChaosReport, inFlight, cores); err != nil {
-		return nil, err
-	}
-	res.Inj = rc.inj.Stats()
-	res.NemesisLog = nm.Log // the injector stopped, so no step fires any more
-
-	h := sha256.New()
-	res.writeHistory(h)
-	res.HistoryDigest = fmt.Sprintf("%x", h.Sum(nil))[:16]
-	return res, nil
+	return clients, inFlight
 }
 
-// Format renders the result for benchrunner output.
-func (r *RealChaosResult) Format() string {
-	body := fmt.Sprintf("history: %d ops (%d unknown)\n%s", r.Ops, r.Unknowns, r.clientLine())
-	body += fmt.Sprintf("nemesis: %d chaos drops, %d burst drops, %d partition drops, %d gray drops, "+
+// finish adds the injector's counters; the history digest identifies the
+// run, it pins nothing.
+func (w *wireChaos) finish(r *ChaosResult, h hash.Hash) {
+	r.Topology = "ring"
+	r.Inj = w.inj.Stats()
+	r.HistoryDigest = fmt.Sprintf("%x", h.Sum(nil))[:16]
+
+	r.title = fmt.Sprintf("realchaos [%s] seed=%d on live UDP", r.Schedule, r.Seed)
+	r.counters = fmt.Sprintf("nemesis: %d chaos drops, %d burst drops, %d partition drops, %d gray drops, "+
 		"%d fail drops, %d delayed, %d dups, %d reordered, %d gray stalls\n",
 		r.Inj.ChaosDrops, r.Inj.BurstDrops, r.Inj.PartitionDrops, r.Inj.GrayDrops,
-		r.Inj.FailDrops, r.Inj.Delayed, r.Inj.DupCopies, r.Inj.Reordered, r.Inj.GrayStalls)
-	body += fmt.Sprintf("watch: %d events, converged: %v (stats %+v)\n", r.WatchEvents, r.WatchConverged, r.WatchStats)
-	return r.format(fmt.Sprintf("realchaos [%s] seed=%d on live UDP", r.Schedule, r.Seed), body, true) +
-		fmt.Sprintf("fault fingerprint: %s  history digest: %s\n", r.FaultFingerprint, r.HistoryDigest)
-}
-
-// DumpHistory renders the recorded history one operation per line — the
-// artifact a failing run uploads so (schedule, seed) reproduces locally.
-func (r *RealChaosResult) DumpHistory() string {
-	return r.dump(fmt.Sprintf("# realchaos schedule=%s seed=%d", r.Schedule, r.Seed))
+		r.Inj.FailDrops, r.Inj.Delayed, r.Inj.DupCopies, r.Inj.Reordered, r.Inj.GrayStalls) +
+		fmt.Sprintf("watch: %d events, converged: %v (stats %+v)\n", r.WatchEvents, r.WatchConverged, r.WatchStats)
+	r.stamp = fmt.Sprintf("fault fingerprint: %s  history digest: %s\n", r.FaultFingerprint, r.HistoryDigest)
 }

@@ -14,12 +14,10 @@ func TestRealChaosSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live-UDP cluster run")
 	}
-	opts := RealChaosOpts{
+	opts := ChaosOpts{
 		Schedule:     "reorder-dup",
 		Seed:         1,
-		Clients:      2,
 		OpsPerClient: 60,
-		Registers:    8,
 	}
 	res, err := RunRealChaos(opts)
 	if err != nil {
@@ -28,7 +26,7 @@ func TestRealChaosSmoke(t *testing.T) {
 	if !res.Lin.OK {
 		t.Fatalf("history not linearizable:\n%s", res.DumpHistory())
 	}
-	if res.Ops < opts.Clients*opts.OpsPerClient/2 {
+	if res.Ops < chaosClients*opts.OpsPerClient/2 {
 		t.Fatalf("workload barely ran: %d ops recorded", res.Ops)
 	}
 	if !res.WatchConverged {
@@ -55,7 +53,7 @@ func TestRealChaosSmoke(t *testing.T) {
 // mustFingerprint recomputes the run's fault fingerprint from the same
 // named schedule and seed, through the same target mapping, without
 // running a workload.
-func mustFingerprint(t *testing.T, o RealChaosOpts) string {
+func mustFingerprint(t *testing.T, o ChaosOpts) string {
 	t.Helper()
 	o.defaults()
 	res, err := RealChaosFingerprint(o)

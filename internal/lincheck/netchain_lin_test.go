@@ -13,6 +13,7 @@ import (
 	"netchain/internal/kv"
 	"netchain/internal/lincheck"
 	"netchain/internal/packet"
+	"netchain/internal/query"
 	"netchain/internal/simclient"
 )
 
@@ -131,14 +132,14 @@ func TestLinearizableThroughResizeAndFailover(t *testing.T) {
 				next = func(res simclient.Result) {
 					record(lincheck.Op{Kind: lincheck.Read, Key: name}, res, invoke)
 				}
-				client.Read(kv.KeyFromString(name), schedule)
+				client.Do(query.Call{Op: kv.OpRead, Key: kv.KeyFromString(name)}, schedule)
 			case r < 0.88: // write a random register
 				name := names[rng.Intn(8)]
 				val := fmt.Sprintf("c%d-n%d", cid, n)
 				next = func(res simclient.Result) {
 					record(lincheck.Op{Kind: lincheck.Write, Key: name, Input: val}, res, invoke)
 				}
-				client.Write(kv.KeyFromString(name), kv.Value(val), schedule)
+				client.Do(query.Call{Op: kv.OpWrite, Key: kv.KeyFromString(name), Value: kv.Value(val)}, schedule)
 			default: // fight over the lock with CAS
 				owner := uint64(cid + 1)
 				expect, newOwner := uint64(0), owner
@@ -154,7 +155,7 @@ func TestLinearizableThroughResizeAndFailover(t *testing.T) {
 						holding = !holding
 					}
 				}
-				client.CAS(kv.KeyFromString("lock"), expect, kv.Value(input), schedule)
+				client.Do(query.Call{Op: kv.OpCAS, Key: kv.KeyFromString("lock"), Expect: expect, Value: kv.Value(input)}, schedule)
 			}
 		}
 		d.Sim.After(event.Time(c)*1000, func() { step(0) })

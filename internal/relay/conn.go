@@ -31,6 +31,7 @@ type Conn struct {
 
 	received atomic.Uint64
 	acks     atomic.Uint64
+	acked    chan struct{} // a control ack arrived (capacity 1)
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -39,6 +40,13 @@ type Conn struct {
 // subRecvBatch sizes a subscriber socket's receive ring: 16 datagrams of
 // the relay's largest coalesced fan-out, 64 KB per socket.
 const subRecvBatch = 16
+
+// A unicast Subscribe re-sends its lease request every subscribeResend
+// until the relay acknowledges it, and gives up after subscribeWait.
+const (
+	subscribeResend = 25 * time.Millisecond
+	subscribeWait   = 2 * time.Second
+)
 
 // SubOption tunes a subscriber Conn.
 type SubOption func(*subConfig)
@@ -69,7 +77,9 @@ func WithSubFaults(p transport.FaultPipe) SubOption {
 // Subscribe opens the event intake for the given virtual groups and
 // starts delivering events. ctl is the relay's control endpoint (unused
 // in multicast mode, may be nil then). deliver runs on internal
-// goroutines.
+// goroutines. A unicast subscription returns once the relay has
+// acknowledged its lease, so no event the relay sequences afterwards can
+// overtake it; a relay that never acknowledges is an error.
 func Subscribe(mode Mode, ctl *net.UDPAddr, groups []uint16, deliver func(query.Event), opts ...SubOption) (*Conn, error) {
 	cfg := subConfig{renewEvery: DefaultLeaseTTL / 3}
 	for _, o := range opts {
@@ -78,6 +88,7 @@ func Subscribe(mode Mode, ctl *net.UDPAddr, groups []uint16, deliver func(query.
 	c := &Conn{
 		mode: mode, ctl: ctl, groups: append([]uint16(nil), groups...),
 		renewEvery: cfg.renewEvery,
+		acked:      make(chan struct{}, 1),
 		stop:       make(chan struct{}),
 	}
 	switch mode {
@@ -101,17 +112,38 @@ func Subscribe(mode Mode, ctl *net.UDPAddr, groups []uint16, deliver func(query.
 			return nil, fmt.Errorf("relay: listen: %w", err)
 		}
 		c.conn = conn
-		if err := c.sendControl(query.WatchSubscribe); err != nil {
+		c.wg.Add(1)
+		go c.recvLoop(conn, deliver)
+		if err := c.lease(); err != nil {
 			c.Close()
 			return nil, err
 		}
-		c.wg.Add(2)
-		go c.recvLoop(conn, deliver)
+		c.wg.Add(1)
 		go c.renewLoop()
 	default:
 		return nil, fmt.Errorf("relay: unknown mode %d", mode)
 	}
 	return c, nil
+}
+
+// lease sends the lease request until the relay acknowledges it.
+func (c *Conn) lease() error {
+	resend := time.NewTicker(subscribeResend)
+	defer resend.Stop()
+	giveUp := time.NewTimer(subscribeWait)
+	defer giveUp.Stop()
+	for {
+		if err := c.sendControl(query.WatchSubscribe); err != nil {
+			return err
+		}
+		select {
+		case <-c.acked:
+			return nil
+		case <-resend.C:
+		case <-giveUp.C:
+			return fmt.Errorf("relay: %v did not acknowledge the lease within %v", c.ctl, subscribeWait)
+		}
+	}
 }
 
 // Received returns the count of event frames delivered so far.
@@ -150,6 +182,10 @@ func (c *Conn) recvLoop(conn *transport.BatchConn, deliver func(query.Event)) {
 			}
 		case kv.OpWatch:
 			c.acks.Add(1)
+			select {
+			case c.acked <- struct{}{}:
+			default:
+			}
 		}
 	}
 	intake := func(dgram []byte) { _, _ = packet.DecodeBatch(&f, dgram, handle) }

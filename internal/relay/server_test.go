@@ -151,6 +151,55 @@ func TestExpiredLeaseLeavesSubscribers(t *testing.T) {
 	waitFor(t, func() bool { return srv.Stats().Subscribers == 0 }, "lease expiry")
 }
 
+// TestSubscribeWaitsForLeaseAck: a unicast Subscribe against a control
+// socket that reads every lease request and never acknowledges one must
+// fail, having re-sent the request meanwhile; against a live relay it
+// returns with the lease already acknowledged.
+func TestSubscribeWaitsForLeaseAck(t *testing.T) {
+	mute, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()
+	var requests sync.WaitGroup
+	requests.Add(1)
+	go func() {
+		defer requests.Done()
+		buf := make([]byte, 2048)
+		n := 0
+		for {
+			if _, _, err := mute.ReadFromUDP(buf); err != nil {
+				if n < 2 {
+					t.Errorf("the lease request was sent %d times, want it re-sent", n)
+				}
+				return
+			}
+			n++
+		}
+	}()
+	sub, err := Subscribe(ModeUnicast, mute.LocalAddr().(*net.UDPAddr), []uint16{7}, func(query.Event) {})
+	if err == nil {
+		sub.Close()
+		t.Fatal("Subscribe returned without a lease ack")
+	}
+	mute.Close()
+	requests.Wait()
+
+	srv, err := Start(Config{Addr: packet.AddrFrom4(10, 0, 255, 1), Mode: ModeUnicast})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	sub, err = Subscribe(ModeUnicast, srv.ControlEndpoint(), []uint16{7}, func(query.Event) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if sub.Acked() == 0 || srv.Stats().Subscribers != 1 {
+		t.Fatalf("Subscribe returned with %d acks and %d leases", sub.Acked(), srv.Stats().Subscribers)
+	}
+}
+
 // Multicast round-trip, skipped where the environment cannot join groups.
 func TestMulticastFanOut(t *testing.T) {
 	srv, err := Start(Config{Addr: packet.AddrFrom4(10, 0, 255, 1), Mode: ModeMulticast})

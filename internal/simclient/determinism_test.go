@@ -7,6 +7,7 @@ import (
 	"netchain/internal/event"
 	"netchain/internal/experiments"
 	"netchain/internal/kv"
+	"netchain/internal/query"
 	"netchain/internal/simclient"
 	"netchain/internal/workload"
 )
@@ -106,7 +107,7 @@ func TestTrackedClientDeterministic(t *testing.T) {
 			k := k
 			i := i
 			d.Sim.After(event.Time(i)*50_000, func() {
-				c.Read(k, func(res simclient.Result) {
+				c.Do(query.Call{Op: kv.OpRead, Key: k}, func(res simclient.Result) {
 					out = append(out, res.Status.String()+string(res.Value))
 				})
 			})

@@ -167,27 +167,6 @@ func (c *Client) Do(call query.Call, done func(Result)) {
 	c.armScan()
 }
 
-// Read issues a tracked read.
-func (c *Client) Read(k kv.Key, done func(Result)) {
-	c.Do(query.Call{Op: kv.OpRead, Key: k}, done)
-}
-
-// Write issues a tracked write.
-func (c *Client) Write(k kv.Key, v kv.Value, done func(Result)) {
-	c.Do(query.Call{Op: kv.OpWrite, Key: k, Value: v}, done)
-}
-
-// Delete issues a tracked tombstone write.
-func (c *Client) Delete(k kv.Key, done func(Result)) {
-	c.Do(query.Call{Op: kv.OpDelete, Key: k}, done)
-}
-
-// CAS issues a tracked compare-and-swap (§8.5 locks): newValue replaces
-// the stored value iff its owner field equals expect.
-func (c *Client) CAS(k kv.Key, expect uint64, newValue kv.Value, done func(Result)) {
-	c.Do(query.Call{Op: kv.OpCAS, Key: k, Expect: expect, Value: newValue}, done)
-}
-
 // send transmits one attempt of a registered call along the route of the
 // moment, so retries pick up new chains.
 func (c *Client) send(qid uint64, call query.Call) {

@@ -72,13 +72,13 @@ func TestClientReadWriteDelete(t *testing.T) {
 	}
 
 	var results []Result
-	c.Write(k, kv.Value("v1"), func(res Result) {
+	c.Do(query.Call{Op: kv.OpWrite, Key: k, Value: kv.Value("v1")}, func(res Result) {
 		results = append(results, res)
-		c.Read(k, func(res Result) {
+		c.Do(query.Call{Op: kv.OpRead, Key: k}, func(res Result) {
 			results = append(results, res)
-			c.Delete(k, func(res Result) {
+			c.Do(query.Call{Op: kv.OpDelete, Key: k}, func(res Result) {
 				results = append(results, res)
-				c.Read(k, func(res Result) { results = append(results, res) })
+				c.Do(query.Call{Op: kv.OpRead, Key: k}, func(res Result) { results = append(results, res) })
 			})
 		})
 	})
@@ -110,7 +110,7 @@ func TestClientLatencyNearPaper(t *testing.T) {
 	k := kv.KeyFromString("lat")
 	r.ctl.Insert(k)
 	var lat event.Time
-	c.Write(k, kv.Value("x"), func(res Result) { lat = res.Latency })
+	c.Do(query.Call{Op: kv.OpWrite, Key: k, Value: kv.Value("x")}, func(res Result) { lat = res.Latency })
 	r.sim.Run()
 	us := float64(lat) / 1000
 	// Paper: 9.7 µs including both host stacks.
@@ -126,13 +126,13 @@ func TestClientCASLockCycle(t *testing.T) {
 	r.ctl.Insert(lock)
 
 	var trace []kv.Status
-	c.CAS(lock, 0, query.OwnerValue(7, nil), func(res Result) {
+	c.Do(query.Call{Op: kv.OpCAS, Key: lock, Expect: 0, Value: query.OwnerValue(7, nil)}, func(res Result) {
 		trace = append(trace, res.Status)
-		c.CAS(lock, 0, query.OwnerValue(8, nil), func(res Result) {
+		c.Do(query.Call{Op: kv.OpCAS, Key: lock, Expect: 0, Value: query.OwnerValue(8, nil)}, func(res Result) {
 			trace = append(trace, res.Status) // held: fail
-			c.CAS(lock, 7, query.OwnerValue(0, nil), func(res Result) {
+			c.Do(query.Call{Op: kv.OpCAS, Key: lock, Expect: 7, Value: query.OwnerValue(0, nil)}, func(res Result) {
 				trace = append(trace, res.Status) // release by owner
-				c.CAS(lock, 0, query.OwnerValue(8, nil), func(res Result) {
+				c.Do(query.Call{Op: kv.OpCAS, Key: lock, Expect: 0, Value: query.OwnerValue(8, nil)}, func(res Result) {
 					trace = append(trace, res.Status) // now free
 				})
 			})
@@ -162,7 +162,7 @@ func TestClientRetriesThroughFailover(t *testing.T) {
 	s1 := rt.Hops[1]
 	var res Result
 	gotReply := false
-	c.Write(k, kv.Value("v1"), func(Result) {
+	c.Do(query.Call{Op: kv.OpWrite, Key: k, Value: kv.Value("v1")}, func(Result) {
 		// Fail the middle switch, then write again: the first attempts are
 		// lost (rules not yet installed), and a retry completes after the
 		// controller reacts.
@@ -171,7 +171,7 @@ func TestClientRetriesThroughFailover(t *testing.T) {
 		r.sim.After(event.Duration(5e6), func() {
 			r.ctl.HandleFailure(s1, nil)
 		})
-		c.Write(k, kv.Value("v2"), func(rr Result) { res = rr; gotReply = true })
+		c.Do(query.Call{Op: kv.OpWrite, Key: k, Value: kv.Value("v2")}, func(rr Result) { res = rr; gotReply = true })
 	})
 	r.sim.Run()
 
@@ -186,7 +186,7 @@ func TestClientRetriesThroughFailover(t *testing.T) {
 	}
 	// Value visible to reads.
 	var v kv.Value
-	c.Read(k, func(rr Result) { v = rr.Value })
+	c.Do(query.Call{Op: kv.OpRead, Key: k}, func(rr Result) { v = rr.Value })
 	r.sim.Run()
 	if string(v) != "v2" {
 		t.Fatalf("read after failover = %q", v)
@@ -207,7 +207,7 @@ func TestClientTimeoutExhaustion(t *testing.T) {
 		r.tb.Net.FailSwitch(hop)
 	}
 	var res Result
-	c.Write(k, kv.Value("x"), func(rr Result) { res = rr })
+	c.Do(query.Call{Op: kv.OpWrite, Key: k, Value: kv.Value("x")}, func(rr Result) { res = rr })
 	r.sim.Run()
 	if !errors.Is(res.Err, kv.ErrTimeout) {
 		t.Fatalf("err = %v, want timeout", res.Err)
@@ -226,7 +226,7 @@ func TestGeneratorThroughput(t *testing.T) {
 		if _, err := r.ctl.Insert(keys[i]); err != nil {
 			t.Fatal(err)
 		}
-		c.Write(keys[i], kv.Value("init"), func(Result) {})
+		c.Do(query.Call{Op: kv.OpWrite, Key: keys[i], Value: kv.Value("init")}, func(Result) {})
 	}
 	r.sim.Run() // settle the pre-writes
 	dir := r.dir()

@@ -117,7 +117,7 @@ func (sc *SimClient) Watch(ctx context.Context, keys []Key, opts ...WatchOption)
 	ctl := sc.s.d.Ctl
 	sub := watch.NewSub(keys, func(k kv.Key) uint16 { return ctl.Route(k).Group }, o.buffer)
 	f := watch.NewFollower(sub, sc.s.d.Sim.Clock(), func(k kv.Key, done func(kv.Value, kv.Version, error)) {
-		sc.c.Read(k, func(res simclient.Result) {
+		sc.c.Do(query.Call{Op: kv.OpRead, Key: k}, func(res simclient.Result) {
 			_, err := res.Outcome()
 			done(res.Value, res.Version, err)
 		})

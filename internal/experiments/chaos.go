@@ -372,7 +372,7 @@ func runChaosOn(o ChaosOpts, boot func(ChaosOpts) (chaosSubstrate, error)) (*Cha
 		res.Repairs = pilot.History()
 		res.Health = det.Snapshot(clk.Now())
 	}
-	res.tallyRepairs(sc, tg.fail, sub.at(sc.faultAt), sub.controller())
+	res.tallyRepairs(sc, tg, sub.at(sc.faultAt), sub.controller())
 	cores, inFlight := sub.books()
 	if err := load.reconcile(res, inFlight, cores); err != nil {
 		return nil, err
@@ -397,28 +397,33 @@ func (r *ChaosResult) writeHistory(w io.Writer) {
 }
 
 // tallyRepairs reads the autopilot's repair log: counts, false evictions,
-// and the MTTR milestones relative to the schedule's repairable fault (the
-// victim's fail-stop, or the gray onset), injected at faultAt on the log's clock.
-func (r *ChaosResult) tallyRepairs(sc chaosScenario, victim packet.Addr, faultAt time.Duration, ctl *controller.Controller) {
-	firstAt := map[controller.RepairAction]time.Duration{}
+// and the MTTR milestones of the schedule's repairable fault, injected at
+// faultAt on the log's clock: the fail-stop victim's first failover and
+// recovery from then on, or the grayed switch's first demotion and its
+// completion.
+func (r *ChaosResult) tallyRepairs(sc chaosScenario, tg chaosTargets, faultAt time.Duration, ctl *controller.Controller) {
+	target, verdictAct, doneAct := tg.gray, controller.ActionDemote, controller.ActionDemoteDone
+	if sc.failover {
+		target, verdictAct, doneAct = tg.fail, controller.ActionFailover, controller.ActionRecoverDone
+	}
+	var verdict, done time.Duration
 	for _, ev := range r.Repairs {
 		switch ev.Action {
 		case controller.ActionFailover:
 			r.Failovers++
-			if !sc.failover || ev.Switch != victim {
+			if !sc.failover || ev.Switch != tg.fail {
 				r.FalseEvictions++
-				continue
 			}
 		case controller.ActionDemote:
 			r.Demotions++
 		}
-		if _, seen := firstAt[ev.Action]; !seen {
-			firstAt[ev.Action] = ev.At
+		switch {
+		case ev.Switch != target || done > 0:
+		case verdict == 0 && ev.Action == verdictAct && ev.At >= faultAt:
+			verdict = ev.At
+		case verdict > 0 && ev.Action == doneAct:
+			done = ev.At
 		}
-	}
-	verdict, done := firstAt[controller.ActionDemote], firstAt[controller.ActionDemoteDone]
-	if sc.failover {
-		verdict, done = firstAt[controller.ActionFailover], firstAt[controller.ActionRecoverDone]
 	}
 	if sc.faultAt > 0 && verdict > 0 {
 		r.DetectLatency = verdict - faultAt
@@ -426,7 +431,7 @@ func (r *ChaosResult) tallyRepairs(sc chaosScenario, victim packet.Addr, faultAt
 			r.RepairLatency = done - verdict
 		}
 	}
-	r.ChainsRepaired = sc.failover && chainsRepaired(ctl, victim)
+	r.ChainsRepaired = sc.failover && chainsRepaired(ctl, tg.fail)
 }
 
 // chainsRepaired reports whether, after a fail-stop, every chain is back

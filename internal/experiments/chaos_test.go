@@ -6,9 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"netchain/internal/controller"
 	"netchain/internal/event"
 	"netchain/internal/kv"
 	"netchain/internal/netsim"
+	"netchain/internal/packet"
 	"netchain/internal/stats"
 )
 
@@ -184,4 +186,34 @@ func TestChaosMixedTail(t *testing.T) {
 		t.Errorf("p99 %.0f µs, want ≤ %.0f", p99, max)
 	}
 	t.Logf("chaos-mixed: %.2f MQPS, p50 %.0f µs, p99 %.0f µs", qps/1e6, lat.P50()/1e3, lat.P99()/1e3)
+}
+
+// TestGrayMTTRReadsTheGrayedSwitch: the gray-tail detection and repair
+// latencies are the grayed switch's, measured from the gray onset — not
+// those of a demotion that came before the onset or hit another switch.
+func TestGrayMTTRReadsTheGrayedSwitch(t *testing.T) {
+	sws := []packet.Addr{packet.AddrFrom4(10, 0, 0, 1), packet.AddrFrom4(10, 0, 0, 2),
+		packet.AddrFrom4(10, 0, 0, 3), packet.AddrFrom4(10, 0, 0, 4)}
+	tg := testbedTargets(sws, packet.AddrFrom4(10, 1, 0, 1))
+	other := sws[0]
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	res := &ChaosResult{Repairs: []controller.RepairEvent{
+		{At: ms(4), Switch: other, Action: controller.ActionDemote},
+		{At: ms(6), Switch: other, Action: controller.ActionDemoteDone},
+		{At: ms(8), Switch: tg.gray, Action: controller.ActionDemote}, // before the onset
+		{At: ms(9), Switch: tg.gray, Action: controller.ActionDemoteDone},
+		{At: ms(13), Switch: other, Action: controller.ActionDemote},
+		{At: ms(14), Switch: tg.gray, Action: controller.ActionDemote},
+		{At: ms(15), Switch: other, Action: controller.ActionDemoteDone},
+		{At: ms(20), Switch: tg.gray, Action: controller.ActionDemoteDone},
+	}}
+	sc := chaosScenarios()["gray-tail"]
+	res.tallyRepairs(sc, tg, ms(10), nil)
+	if res.DetectLatency != ms(4) || res.RepairLatency != ms(6) {
+		t.Fatalf("detection %v, repair %v; want the grayed switch's 4ms and 6ms",
+			res.DetectLatency, res.RepairLatency)
+	}
+	if res.Demotions != 4 || res.Failovers != 0 || res.FalseEvictions != 0 {
+		t.Fatalf("counts: %d demotions, %d failovers (%d false)", res.Demotions, res.Failovers, res.FalseEvictions)
+	}
 }

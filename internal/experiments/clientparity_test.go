@@ -160,7 +160,10 @@ func TestClientParitySimAndWire(t *testing.T) {
 		inj.Pipe(far).Attach(conn.LocalAddr().(*net.UDPAddr))
 		tc, err := transport.NewClient(book, transport.ClientConfig{
 			Addr: cli, Gateway: far, Bind: "127.0.0.1:0",
-			Timeout: 10 * time.Millisecond, Retries: retries, Faults: inj.Pipe(cli),
+			// Long enough that a loaded host's scheduling never expires an
+			// attempt the peer answers: that adds a retry the simulator
+			// never makes.
+			Timeout: 100 * time.Millisecond, Retries: retries, Faults: inj.Pipe(cli),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -10,9 +10,9 @@
 //
 // The harness reproduces exactly that division of labour in-process:
 //
-//   - The relay side runs the real sequencing/dedup engine (relay.Core)
-//     and assembles the real OpEvent egress frame per event — the full
-//     per-mutation cost the relay pays, measured as watch-relay-<N>.
+//   - The relay side runs the relay's engine (relay.Core.Publish) and
+//     builds the real egress frame per event (relay.FanOutFrame) — the
+//     full per-mutation cost the relay pays, measured as watch-relay-<N>.
 //     These rows must NOT grow with N; that flatness is the scaling claim.
 //   - The subscriber side is a population of real watch.Sub engines (one
 //     per subscriber, each a real lease over one key's group). Every
@@ -103,15 +103,14 @@ func buildWatchPop(n, nkeys, ngroups int) *watchPop {
 	return p
 }
 
-// relayCost measures the relay tier's full per-mutation work — Core
-// ingest (sequence + dedup) plus egress frame assembly — with fan-out
-// elided, exactly what the relay pays regardless of population size.
-func relayCost(p *watchPop, events int) (evPerSec, p50us, p99us float64) {
-	core := relay.NewCore()
-	lat := stats.NewLatencyHistogram()
-	var f packet.Frame
+// publish runs the harness's mutations through a fresh relay.Core — keys
+// in turn, each key's version one higher every pass over the key set —
+// and hands each fresh event's egress frame to sent, with the time its
+// Publish began. The frame is reused once sent returns.
+func (p *watchPop) publish(events int, sent func(f *packet.Frame, t0 time.Time)) {
+	core := relay.NewCore(0, 0)
 	src := packet.AddrFrom4(10, 255, 0, 2)
-	start := time.Now()
+	var f packet.Frame
 	for e := 0; e < events; e++ {
 		k := p.keys[e%len(p.keys)]
 		ev := query.Event{
@@ -120,14 +119,19 @@ func relayCost(p *watchPop, events int) (evPerSec, p50us, p99us float64) {
 			Group:   p.groupOf[k],
 		}
 		t0 := time.Now()
-		seq, ok := core.Ingest(ev)
-		if !ok {
-			continue
+		if _, fresh := core.Publish(&ev, 0, nil); fresh {
+			sent(relay.FanOutFrame(&f, src, ev, relay.McastPort), t0)
 		}
-		ev.StreamSeq = seq
-		query.EventInto(&f, src, relay.GroupAddr(ev.Group), packet.Port, relay.McastPort, ev)
-		lat.ObserveDuration(time.Since(t0))
 	}
+}
+
+// relayCost measures the relay tier's full per-mutation work — Publish
+// (dedup + sequence) plus egress frame assembly — with fan-out elided,
+// exactly what the relay pays regardless of population size.
+func relayCost(p *watchPop, events int) (evPerSec, p50us, p99us float64) {
+	lat := stats.NewLatencyHistogram()
+	start := time.Now()
+	p.publish(events, func(_ *packet.Frame, t0 time.Time) { lat.ObserveDuration(time.Since(t0)) })
 	elapsed := time.Since(start)
 	return float64(events) / elapsed.Seconds(), lat.P50() / 1e3, lat.P99() / 1e3
 }
@@ -137,8 +141,6 @@ func relayCost(p *watchPop, events int) (evPerSec, p50us, p99us float64) {
 // delivery. Returns aggregate deliveries/s, latency percentiles, total
 // deliveries, egress datagrams, and version regressions observed.
 func fanOut(p *watchPop, events, workers int) (delPerSec, p50us, p99us float64, deliveries, egress uint64, err error) {
-	core := relay.NewCore()
-	src := packet.AddrFrom4(10, 255, 0, 2)
 	hists := make([]*stats.Histogram, workers)
 	for i := range hists {
 		hists[i] = stats.NewLatencyHistogram()
@@ -146,24 +148,11 @@ func fanOut(p *watchPop, events, workers int) (delPerSec, p50us, p99us float64, 
 	var delivered uint64
 	var wg sync.WaitGroup
 	start := time.Now()
-	for e := 0; e < events; e++ {
-		k := p.keys[e%len(p.keys)]
-		ev := query.Event{
-			Key: k, Value: kv.Value(fmt.Sprintf("v%08d", e)),
-			Version: kv.Version{Session: 1, Seq: uint64(e/len(p.keys) + 1)},
-			Group:   p.groupOf[k],
-		}
-		t0 := time.Now()
-		seq, ok := core.Ingest(ev)
-		if !ok {
-			continue
-		}
-		ev.StreamSeq = seq
-		frame := query.EventInto(&packet.Frame{}, src, relay.GroupAddr(ev.Group), packet.Port, relay.McastPort, ev)
+	p.publish(events, func(frame *packet.Frame, t0 time.Time) {
 		egress++ // one multicast datagram serves the whole group
-		members := p.members[ev.Group]
+		members := p.members[frame.NC.Group]
 		if len(members) == 0 {
-			continue
+			return
 		}
 		// Deliver this datagram to every member, sharded across workers —
 		// each worker is a stand-in for an independent subscriber machine
@@ -197,7 +186,7 @@ func fanOut(p *watchPop, events, workers int) (delPerSec, p50us, p99us float64, 
 		}
 		wg.Wait()
 		delivered += uint64(len(members))
-	}
+	})
 	elapsed := time.Since(start)
 	lat := stats.NewLatencyHistogram()
 	for _, h := range hists {

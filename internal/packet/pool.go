@@ -40,6 +40,19 @@ var bufPool = sync.Pool{
 // retained.
 func GetBuf() *[]byte { return bufPool.Get().(*[]byte) }
 
+// SerializeBuf serializes f into a buffer from GetBuf, which the caller
+// then owns: PutBuf it once sent, or hand it to a queue that does.
+func SerializeBuf(f *Frame) (*[]byte, error) {
+	b := GetBuf()
+	out, err := f.Serialize((*b)[:0])
+	if err != nil {
+		PutBuf(b)
+		return nil, err
+	}
+	*b = out
+	return b, nil
+}
+
 // PutBuf recycles a buffer obtained from GetBuf.
 func PutBuf(b *[]byte) {
 	if cap(*b) > maxPooledBufCap {

@@ -45,6 +45,19 @@ func UnpackStreamSeq(qid uint64) (epoch uint16, seq uint64) {
 	return uint16(qid >> streamSeqBits), qid & streamSeqMask
 }
 
+// CommitEvent is the event a chain tail publishes for the mutation of op
+// origOp whose committed reply is in f. Its value aliases f's: clone it
+// to keep it past f.
+func CommitEvent(f *packet.Frame, origOp kv.Op) Event {
+	return Event{
+		Key:     f.NC.Key,
+		Value:   f.NC.Value,
+		Version: f.NC.Version(),
+		Group:   f.NC.Group,
+		Deleted: origOp == kv.OpDelete,
+	}
+}
+
 // EventInto assembles an OpEvent frame into f. The value is copied via the
 // frame's chain-free NC assignment, so ev.Value must stay valid until the
 // frame is serialized or cloned. Deleted mutations carry StatusNotFound

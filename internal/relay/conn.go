@@ -218,12 +218,10 @@ func (c *Conn) sendControl(verb byte) error {
 		return err
 	}
 	defer packet.PutFrame(f)
-	bp := packet.GetBuf()
-	defer packet.PutBuf(bp)
-	out, serr := f.Serialize((*bp)[:0])
-	if serr != nil {
-		return serr
+	bp, err := packet.SerializeBuf(f)
+	if err != nil {
+		return err
 	}
-	*bp = out
-	return c.conn.WriteTo(out, c.ctl)
+	defer packet.PutBuf(bp)
+	return c.conn.WriteTo(*bp, c.ctl)
 }

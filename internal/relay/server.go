@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"netchain/internal/event"
 	"netchain/internal/packet"
 	"netchain/internal/query"
 	"netchain/internal/telemetry"
@@ -34,10 +35,6 @@ func (m Mode) String() string {
 	}
 	return "unicast"
 }
-
-// DefaultLeaseTTL is how long a unicast subscription lives without
-// renewal; subscriber connections renew at a third of it.
-const DefaultLeaseTTL = 30 * time.Second
 
 // Config tunes a relay Server.
 type Config struct {
@@ -73,26 +70,21 @@ type Stats struct {
 	DecodeErrors    uint64 `metric:"netchain_relay_decode_errors_total" help:"undecodable ingest or control frames"`
 }
 
-type lease struct {
-	ep      *net.UDPAddr // stable pointer: egress coalescing keys on it
-	expires time.Time
-}
-
-// Server is the real-network relay: an ingest socket drains event frames
-// from tail agents in recvmmsg batches and fans fresh ones out on the same
-// socket's batch egress, while a control socket handles OpWatch
-// subscribe/renew/unsubscribe from clients (single-datagram reads — the
-// relay must learn each subscriber's real source endpoint, which the
-// batched ring does not capture).
+// Server is the real-network driver of a Core: an ingest socket drains
+// event frames from tail agents in recvmmsg batches and fans fresh ones
+// out on the same socket's batch egress, while a control socket handles
+// OpWatch subscribe/renew/unsubscribe from clients (single-datagram reads
+// — the relay must learn each subscriber's real source endpoint, which
+// the batched ring does not capture). Every decision — freshness,
+// sequence, epoch, which leases are live — is the Core's, on the Server's
+// wall clock.
 type Server struct {
 	cfg  Config
 	conn *transport.BatchConn // ingest + fan-out egress
 	ctl  *transport.BatchConn // subscription control
-
 	core *Core
-
-	mu   sync.Mutex
-	subs map[uint16]map[uint64]*lease // group → endpoint key → lease
+	clk  *event.Wall
+	to   []*net.UDPAddr // fan-out targets, the ingest goroutine's buffer
 
 	egress    atomic.Uint64
 	decodeErr atomic.Uint64
@@ -104,9 +96,6 @@ type Server struct {
 func Start(cfg Config) (*Server, error) {
 	if cfg.Bind == "" {
 		cfg.Bind = "127.0.0.1:0"
-	}
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = DefaultLeaseTTL
 	}
 	if cfg.Epoch == 0 {
 		// Nanosecond wall clock folded to 16 bits: effectively random per
@@ -143,8 +132,8 @@ func Start(cfg Config) (*Server, error) {
 		cfg:  cfg,
 		conn: conn,
 		ctl:  ctl,
-		core: NewCore(),
-		subs: make(map[uint16]map[uint64]*lease),
+		core: NewCore(cfg.Epoch, cfg.LeaseTTL),
+		clk:  event.NewWall(1),
 	}
 	s.wg.Add(2)
 	go s.ingestLoop()
@@ -165,35 +154,15 @@ func (s *Server) Addr() packet.Addr { return s.cfg.Addr }
 // Mode returns the configured fan-out mode.
 func (s *Server) Mode() Mode { return s.cfg.Mode }
 
-// Stats snapshots the relay counters. Subscribers counts live leases
-// only: expired ones are pruned here, so a subscriber that died without
-// unsubscribing leaves the gauge once its lease runs out, whether or not
-// its groups see traffic.
+// Stats snapshots the relay counters; Subscribers counts live leases
+// only (Core.Subscribers).
 func (s *Server) Stats() Stats {
-	now := time.Now()
-	n := 0
-	s.mu.Lock()
-	for _, g := range s.subs {
-		n += len(pruneExpired(g, now))
-	}
-	s.mu.Unlock()
 	return Stats{
 		CoreStats:       s.core.Stats(),
 		EgressDatagrams: s.egress.Load(),
-		Subscribers:     n,
+		Subscribers:     s.core.Subscribers(s.clk.Now()),
 		DecodeErrors:    s.decodeErr.Load(),
 	}
-}
-
-// pruneExpired deletes the leases in group that expired before now and
-// returns the group. The caller holds s.mu.
-func pruneExpired(group map[uint64]*lease, now time.Time) map[uint64]*lease {
-	for k, l := range group {
-		if now.After(l.expires) {
-			delete(group, k)
-		}
-	}
-	return group
 }
 
 // RegisterMetrics exports the relay's ledger (Stats) through reg — the
@@ -236,47 +205,32 @@ func (s *Server) ingestLoop() {
 	}, nil)
 }
 
-// handleEvent sequences one ingested event and queues its fan-out.
+// handleEvent publishes one ingested event through the Core and queues
+// its fan-out.
 func (s *Server) handleEvent(fr *packet.Frame, scratch *packet.Frame) {
 	ev, err := query.ParseEvent(fr)
 	if err != nil {
 		s.decodeErr.Add(1)
 		return
 	}
-	seq, fresh := s.core.Ingest(ev)
-	if !fresh {
+	var fresh bool
+	if s.to, fresh = s.core.Publish(&ev, s.clk.Now(), s.to[:0]); !fresh {
 		return
 	}
-	ev.StreamSeq = seq
-	ev.Epoch = s.cfg.Epoch
 	if s.cfg.Mode == ModeMulticast {
-		query.EventInto(scratch, s.cfg.Addr, GroupAddr(ev.Group), packet.Port, McastPort, ev)
-		s.queueSerialized(scratch, GroupUDP(ev.Group))
+		s.queueSerialized(FanOutFrame(scratch, s.cfg.Addr, ev, McastPort), GroupUDP(ev.Group))
 		return
 	}
-	s.mu.Lock()
-	group := pruneExpired(s.subs[ev.Group], time.Now())
-	eps := make([]*net.UDPAddr, 0, len(group))
-	for _, l := range group {
-		eps = append(eps, l.ep)
-	}
-	s.mu.Unlock()
-	for _, ep := range eps {
-		query.EventInto(scratch, s.cfg.Addr, GroupAddr(ev.Group), packet.Port, uint16(ep.Port), ev)
-		s.queueSerialized(scratch, ep)
+	for _, ep := range s.to {
+		s.queueSerialized(FanOutFrame(scratch, s.cfg.Addr, ev, uint16(ep.Port)), ep)
 	}
 }
 
 func (s *Server) queueSerialized(f *packet.Frame, ep *net.UDPAddr) {
-	bp := packet.GetBuf()
-	out, err := f.Serialize((*bp)[:0])
-	if err != nil {
-		packet.PutBuf(bp)
-		return
+	if bp, err := packet.SerializeBuf(f); err == nil {
+		s.conn.Queue(bp, ep)
+		s.egress.Add(1)
 	}
-	*bp = out
-	s.conn.Queue(bp, ep)
-	s.egress.Add(1)
 }
 
 // controlLoop serves OpWatch subscribe/renew/unsubscribe. One-datagram
@@ -302,52 +256,15 @@ func (s *Server) controlLoop() {
 		}
 		switch verb {
 		case query.WatchSubscribe:
-			s.subscribe(src, groups)
+			s.core.Subscribe(src, groups, s.clk.Now())
 		case query.WatchUnsubscribe:
-			s.unsubscribe(src, groups)
+			s.core.Unsubscribe(src, groups)
 		default:
 			return nil
 		}
 		s.ack(src, nonce, groups)
 		return nil
 	}, nil)
-}
-
-// subscribe registers (or renews) src for the listed groups. The lease's
-// endpoint records src's host with the *event* delivery port: the
-// subscriber receives events on the same socket it controls from.
-func (s *Server) subscribe(src *net.UDPAddr, groups []uint16) {
-	exp := time.Now().Add(s.cfg.LeaseTTL)
-	key := epKey(src)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, g := range groups {
-		m := s.subs[g]
-		if m == nil {
-			m = make(map[uint64]*lease)
-			s.subs[g] = m
-		}
-		if l, ok := m[key]; ok {
-			l.expires = exp
-			continue
-		}
-		ep := &net.UDPAddr{IP: append(net.IP(nil), src.IP...), Port: src.Port}
-		m[key] = &lease{ep: ep, expires: exp}
-	}
-}
-
-func (s *Server) unsubscribe(src *net.UDPAddr, groups []uint16) {
-	key := epKey(src)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, g := range groups {
-		if m := s.subs[g]; m != nil {
-			delete(m, key)
-			if len(m) == 0 {
-				delete(s.subs, g)
-			}
-		}
-	}
 }
 
 // ack confirms a control frame: OpWatch back to the subscriber with the
@@ -359,11 +276,8 @@ func (s *Server) ack(dst *net.UDPAddr, nonce uint64, groups []uint16) {
 	}
 	defer packet.PutFrame(f)
 	f.UDP.DstPort = uint16(dst.Port)
-	bp := packet.GetBuf()
-	out, serr := f.Serialize((*bp)[:0])
-	if serr == nil {
-		_ = s.ctl.WriteTo(out, dst) // a lost ack is retried by the subscriber's renew
+	if bp, err := packet.SerializeBuf(f); err == nil {
+		_ = s.ctl.WriteTo(*bp, dst) // a lost ack is retried by the subscriber's renew
+		packet.PutBuf(bp)
 	}
-	*bp = out
-	packet.PutBuf(bp)
 }

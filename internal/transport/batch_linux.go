@@ -27,12 +27,16 @@ type mmsghdr struct {
 
 // mmsgReader drives recvmmsg for one socket. The iovecs are armed once,
 // pointing at the ring's fixed slots; every ReadBatch is then a single
-// syscall with no per-datagram setup.
+// syscall with no per-datagram setup and, as RawConn.Read gets the method
+// value recv built once, no allocation.
 type mmsgReader struct {
 	conn *net.UDPConn
 	rc   syscall.RawConn
 	hdrs []mmsghdr
 	iovs []syscall.Iovec
+	recv func(fd uintptr) bool // r.recvmmsg, which fills n or err
+	n    int
+	err  error
 }
 
 func newPlatformBatchReader(conn *net.UDPConn, ring *recvRing) batchReader {
@@ -46,6 +50,7 @@ func newPlatformBatchReader(conn *net.UDPConn, ring *recvRing) batchReader {
 		hdrs: make([]mmsghdr, len(ring.bufs)),
 		iovs: make([]syscall.Iovec, len(ring.bufs)),
 	}
+	r.recv = r.recvmmsg
 	for i := range ring.bufs {
 		r.iovs[i].Base = &ring.bufs[i][0]
 		r.iovs[i].SetLen(recvSlotBytes)
@@ -58,37 +63,38 @@ func newPlatformBatchReader(conn *net.UDPConn, ring *recvRing) batchReader {
 }
 
 func (r *mmsgReader) ReadBatch(ring *recvRing) (int, error) {
-	var n int
-	var operr error
-	err := r.rc.Read(func(fd uintptr) bool {
-		for {
-			rn, _, e := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
-				uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(len(r.hdrs)),
-				syscall.MSG_DONTWAIT, 0, 0)
-			switch e {
-			case 0:
-				n = int(rn)
-				return true
-			case syscall.EAGAIN:
-				return false // netpoller waits for readability
-			case syscall.EINTR:
-				continue
-			default:
-				operr = e
-				return true
-			}
-		}
-	})
-	if err != nil {
+	r.n, r.err = 0, nil
+	if err := r.rc.Read(r.recv); err != nil {
 		return 0, err
 	}
-	if operr != nil {
-		return 0, operr
+	if r.err != nil {
+		return 0, r.err
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < r.n; i++ {
 		ring.sizes[i] = int(r.hdrs[i].n)
 	}
-	return n, nil
+	return r.n, nil
+}
+
+// recvmmsg is one RawConn.Read attempt; false waits for readability.
+func (r *mmsgReader) recvmmsg(fd uintptr) bool {
+	for {
+		rn, _, e := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
+			uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(len(r.hdrs)),
+			syscall.MSG_DONTWAIT, 0, 0)
+		switch e {
+		case 0:
+			r.n = int(rn)
+			return true
+		case syscall.EAGAIN:
+			return false
+		case syscall.EINTR:
+			continue
+		default:
+			r.err = e
+			return true
+		}
+	}
 }
 
 // sockaddrBuf is a pre-converted destination: a raw sockaddr sized for
@@ -99,7 +105,8 @@ type sockaddrBuf struct {
 	len uint32
 }
 
-// mmsgSender drives sendmmsg for one socket.
+// mmsgSender drives sendmmsg for one socket; as in mmsgReader, a
+// WriteBatch allocates nothing.
 type mmsgSender struct {
 	conn *net.UDPConn
 	rc   syscall.RawConn
@@ -107,6 +114,10 @@ type mmsgSender struct {
 	hdrs []mmsghdr
 	iovs []syscall.Iovec
 	sas  map[*net.UDPAddr]*sockaddrBuf
+	send func(fd uintptr) bool // s.sendmmsg: sends hdrs[sent:n] or sets err
+	n    int
+	sent int
+	err  error
 }
 
 func newPlatformBatchSender(conn *net.UDPConn) batchSender {
@@ -118,7 +129,7 @@ func newPlatformBatchSender(conn *net.UDPConn) batchSender {
 		return nil
 	}
 	la, _ := conn.LocalAddr().(*net.UDPAddr)
-	return &mmsgSender{
+	s := &mmsgSender{
 		conn: conn,
 		rc:   rc,
 		v6:   la != nil && la.IP.To4() == nil,
@@ -126,6 +137,8 @@ func newPlatformBatchSender(conn *net.UDPConn) batchSender {
 		iovs: make([]syscall.Iovec, sendBatchMsgs),
 		sas:  make(map[*net.UDPAddr]*sockaddrBuf),
 	}
+	s.send = s.sendmmsg
+	return s
 }
 
 func (s *mmsgSender) sockaddrFor(ep *net.UDPAddr) *sockaddrBuf {
@@ -168,30 +181,13 @@ func (s *mmsgSender) WriteBatch(msgs []outFrame) (failed int) {
 			h.hdr.Iov = &s.iovs[i]
 			h.hdr.Iovlen = 1
 		}
-		sent := 0
-		var operr error
-		err := s.rc.Write(func(fd uintptr) bool {
-			for sent < n {
-				rn, _, e := syscall.Syscall6(sysSendmmsg, fd,
-					uintptr(unsafe.Pointer(&s.hdrs[sent])), uintptr(n-sent),
-					syscall.MSG_DONTWAIT, 0, 0)
-				switch e {
-				case 0:
-					sent += int(rn)
-				case syscall.EAGAIN:
-					return false // wait for writability
-				case syscall.EINTR:
-				default:
-					operr = e
-					return true
-				}
-			}
-			return true
-		})
+		s.n, s.sent, s.err = n, 0, nil
+		err := s.rc.Write(s.send)
+		sent := s.sent
 		if err != nil {
 			return failed + len(msgs) - sent // socket closed
 		}
-		if operr != nil {
+		if s.err != nil {
 			// sendmmsg only errors when the FIRST unsent message fails
 			// (e.g. EMSGSIZE, or a cached ICMP refusal for one
 			// destination). Skip that message — UDP semantics: it's loss —
@@ -203,6 +199,26 @@ func (s *mmsgSender) WriteBatch(msgs []outFrame) (failed int) {
 		msgs = msgs[sent:]
 	}
 	return failed
+}
+
+// sendmmsg is one RawConn.Write attempt; false waits for writability.
+func (s *mmsgSender) sendmmsg(fd uintptr) bool {
+	for s.sent < s.n {
+		rn, _, e := syscall.Syscall6(sysSendmmsg, fd,
+			uintptr(unsafe.Pointer(&s.hdrs[s.sent])), uintptr(s.n-s.sent),
+			syscall.MSG_DONTWAIT, 0, 0)
+		switch e {
+		case 0:
+			s.sent += int(rn)
+		case syscall.EAGAIN:
+			return false
+		case syscall.EINTR:
+		default:
+			s.err = e
+			return true
+		}
+	}
+	return true
 }
 
 // soReusePort is SO_REUSEPORT, absent from the stdlib syscall constants.

@@ -344,14 +344,11 @@ func (c *Client) send(qid uint64, cl call) error {
 		packet.PutFrame(f)
 		return fmt.Errorf("transport: no endpoint for gateway %v", c.gateway)
 	}
-	bp := packet.GetBuf()
-	out, err := f.Serialize((*bp)[:0])
+	bp, err := packet.SerializeBuf(f)
 	packet.PutFrame(f)
 	if err != nil {
-		packet.PutBuf(bp)
 		return err
 	}
-	*bp = out
 
 	// Hand the datagram to the send stage; past this point a lost write
 	// surfaces as a timeout, exactly like a drop on the wire.

@@ -615,14 +615,11 @@ func (n *SwitchNode) handle(f *packet.Frame, emit func(outFrame), hop packet.Tra
 		n.noRoute.Add(1)
 		return
 	}
-	bp := packet.GetBuf()
-	out, err := f.Serialize((*bp)[:0])
+	bp, err := packet.SerializeBuf(f)
 	if err != nil {
-		packet.PutBuf(bp)
 		n.encodeErrs.Add(1)
 		return
 	}
-	*bp = out
 	emit(outFrame{buf: bp, ep: ep})
 }
 
@@ -632,20 +629,9 @@ func (n *SwitchNode) handle(f *packet.Frame, emit func(outFrame), hop packet.Tra
 func (n *SwitchNode) emitEvent(f *packet.Frame, origOp kv.Op, sink *eventSink, emit func(outFrame)) {
 	ef := packet.GetFrame()
 	defer packet.PutFrame(ef)
-	query.EventInto(ef, n.sw.Addr(), sink.addr, packet.Port, packet.Port, query.Event{
-		Key:     f.NC.Key,
-		Value:   f.NC.Value,
-		Version: f.NC.Version(),
-		Group:   f.NC.Group,
-		Deleted: origOp == kv.OpDelete,
-	})
-	bp := packet.GetBuf()
-	out, err := ef.Serialize((*bp)[:0])
-	if err != nil {
-		packet.PutBuf(bp)
-		return
+	query.EventInto(ef, n.sw.Addr(), sink.addr, packet.Port, packet.Port, query.CommitEvent(f, origOp))
+	if bp, err := packet.SerializeBuf(ef); err == nil {
+		emit(outFrame{buf: bp, ep: sink.ep})
+		n.evtPublished.Add(1)
 	}
-	*bp = out
-	emit(outFrame{buf: bp, ep: sink.ep})
-	n.evtPublished.Add(1)
 }

@@ -5,9 +5,11 @@
 //
 // The same Switch type runs inside the discrete-event simulator and behind
 // a real UDP socket: both substrates hand every arriving *packet.Frame to
-// Handle — the whole per-frame driver (local processing or transit, TTL,
-// neighbor rules, the commit point) — and act on the Verdict it returns;
-// neither substrate carries protocol logic of its own.
+// Step, the host step — Handle, the whole per-frame driver (local
+// processing or transit, TTL, neighbor rules, the commit point), then the
+// frame's exit counts, its trace hop and its watch event — and only move
+// bytes for the Verdict it returns; neither substrate carries protocol
+// logic of its own.
 //
 // Concurrency model (mirroring the paper's hardware split): reads are
 // served straight out of the register arrays with no coordination — the
@@ -29,6 +31,7 @@ import (
 
 	"netchain/internal/kv"
 	"netchain/internal/packet"
+	nq "netchain/internal/query" // the package tests' frame builder is named query
 	"netchain/internal/swsim"
 )
 
@@ -123,6 +126,10 @@ type Stats struct {
 	Processed      uint64 `metric:"netchain_switch_processed_total" help:"NetChain queries processed locally"`
 	RouteDrops     uint64 `metric:"netchain_switch_route_drops_total" help:"frames dropped on TTL expiry or addressed here on a port nothing listens on"`
 	LocalDrops     uint64 `metric:"netchain_switch_local_drops_total" help:"replies addressed to this switch, dropped"`
+	// The node law: FramesIn = Forwarded + WritesStale + RuleDrops +
+	// RouteDrops + LocalDrops (Step counts both sides).
+	FramesIn  uint64 `metric:"netchain_switch_frames_in_total" help:"frames a host stepped through this switch"`
+	Forwarded uint64 `metric:"netchain_switch_forwarded_total" help:"stepped frames that left this switch"`
 }
 
 // counterStripes spreads the hot counters across independent cache lines:
@@ -133,8 +140,8 @@ type Stats struct {
 // different lines.
 const counterStripes = 8
 
-// counterStripe is one cache-line-padded bundle of the dataplane
-// counters (15 × 8 B = 120, padded to 128).
+// counterStripe is one cache-line bundle of the dataplane counters
+// (16 × 8 B = 128).
 type counterStripe struct {
 	reads          atomic.Uint64
 	writesHead     atomic.Uint64
@@ -148,10 +155,10 @@ type counterStripe struct {
 	ruleDrops      atomic.Uint64
 	notFound       atomic.Uint64
 	transits       atomic.Uint64
-	processed      atomic.Uint64
-	pipePackets    atomic.Uint64
+	processed      atomic.Uint64 // also the pipeline's packet count
 	pipePasses     atomic.Uint64
-	_              [8]byte
+	framesIn       atomic.Uint64
+	forwarded      atomic.Uint64
 }
 
 // counters is the live, atomically-updated striped mirror of Stats: the
@@ -188,6 +195,8 @@ func (c *counters) snapshot() Stats {
 		s.NotFound += st.notFound.Load()
 		s.Transits += st.transits.Load()
 		s.Processed += st.processed.Load()
+		s.FramesIn += st.framesIn.Load()
+		s.Forwarded += st.forwarded.Load()
 	}
 	s.RouteDrops = c.routeDrops.Load()
 	s.LocalDrops = c.localDrops.Load()
@@ -198,7 +207,7 @@ func (c *counters) snapshot() Stats {
 // accounting formerly kept inside the pipeline under its counters).
 func (c *counters) pipeStats() (packets, passes uint64) {
 	for i := range c.stripes {
-		packets += c.stripes[i].pipePackets.Load()
+		packets += c.stripes[i].processed.Load()
 		passes += c.stripes[i].pipePasses.Load()
 	}
 	return
@@ -513,8 +522,8 @@ func (s *Switch) deliver(f *packet.Frame) Verdict {
 }
 
 // HopStage is the trace stage rule: it names the chain role one Handle
-// call played for a frame, for the in-band hop record its driver writes
-// (the switch itself stamps no hop and reads no clock). It reads the
+// call played for a frame, for the in-band hop record Step writes (Handle
+// stamps no hop and the switch reads no clock). It reads the
 // frame's op before Handle, whether it was a fresh write (zero version)
 // and whether it was addressed to this switch, and its op after: a frame
 // addressed elsewhere transited, a read was served here, a query that left
@@ -535,11 +544,40 @@ func HopStage(op kv.Op, fresh, here bool, after kv.Op) packet.TraceStage {
 	}
 }
 
+// Step is the host step both substrates run on every frame reaching this
+// switch: Handle, then what a host does with the verdict. It counts the
+// frame in and, if it leaves, forwarded (Handle counted any drop: the node
+// law). A traced frame leaves with hop, as stamped at ingress, completed
+// with HopStage and egress(). When this hop committed a mutation as tail
+// and sink is non-zero, the commit event toward sink is filled into ev
+// (aliasing f's value) and published is true. Step draws no random
+// number, schedules nothing and reads no clock but egress.
+func (s *Switch) Step(f *packet.Frame, hop packet.TraceHop, egress func() int64,
+	sink packet.Addr, ev *packet.Frame) (v Verdict, published bool) {
+	st := s.stats.at(f)
+	st.framesIn.Add(1)
+	op, fresh, here := f.NC.Op, f.NC.Version().IsZero(), f.IP.Dst == s.addr
+	v, commit := s.Handle(f)
+	if v != VerdictForward {
+		return v, false
+	}
+	st.forwarded.Add(1)
+	if f.NC.Traced {
+		hop.Stage = HopStage(op, fresh, here, f.NC.Op)
+		hop.EgressNs = egress()
+		f.AppendTraceHop(hop)
+	}
+	if !commit.IsMutation() || sink.IsZero() {
+		return v, false
+	}
+	nq.EventInto(ev, s.addr, sink, packet.Port, packet.Port, nq.CommitEvent(f, commit))
+	return v, true
+}
+
 func (s *Switch) processLocal(f *packet.Frame) (Verdict, int) {
 	st := s.stats.at(f)
 	st.processed.Add(1)
 	passes := s.cfg.PassesFor(len(f.NC.Value))
-	st.pipePackets.Add(1)
 	st.pipePasses.Add(uint64(passes))
 
 	switch f.NC.Op {

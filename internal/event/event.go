@@ -9,7 +9,6 @@
 package event
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"time"
@@ -39,18 +38,52 @@ type item struct {
 	fn  func()
 }
 
+// before orders events by (at, seq); seq is unique, so it is a total order
+// and every run pops in one order.
+func (a *item) before(b *item) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap of items, typed so that push and pop box
+// nothing.
 type eventHeap []item
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(it item) {
+	*h = append(*h, it)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].before(&q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
 	}
-	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(item)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+
+func (h *eventHeap) pop() item {
+	q := *h
+	top, n := q[0], len(q)-1
+	q[0] = q[n]
+	q[n] = item{} // drop the fired closure
+	q = q[:n]
+	for i := 0; ; {
+		m, l, r := i, 2*i+1, 2*i+2
+		if l < n && q[l].before(&q[m]) {
+			m = l
+		}
+		if r < n && q[r].before(&q[m]) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
+	return top
+}
 
 // Sim is the event loop. The zero value is not usable; call New.
 type Sim struct {
@@ -85,7 +118,7 @@ func (s *Sim) At(t Time, fn func()) {
 	if t < s.now {
 		panic(fmt.Sprintf("event: schedule at %v before now %v", t, s.now))
 	}
-	heap.Push(&s.events, item{at: t, seq: s.next, fn: fn})
+	s.events.push(item{at: t, seq: s.next, fn: fn})
 	s.next++
 }
 
@@ -102,7 +135,7 @@ func (s *Sim) Step() bool {
 	if len(s.events) == 0 {
 		return false
 	}
-	it := heap.Pop(&s.events).(item)
+	it := s.events.pop()
 	s.now = it.at
 	s.fired++
 	it.fn()

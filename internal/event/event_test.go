@@ -1,7 +1,9 @@
 package event
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -176,6 +178,45 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.After(Time(i%64), func() {})
 		s.Step()
+	}
+}
+
+// TestScheduleAndFireAllocatesNothing: once the heap has grown, scheduling
+// an event and firing it allocate nothing (the closure is static).
+func TestScheduleAndFireAllocatesNothing(t *testing.T) {
+	s := New()
+	for i := 0; i < 64; i++ {
+		s.After(Time(i), func() {})
+	}
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		i++
+		s.After(Time(i%64), func() {})
+		s.Step()
+	}); n != 0 {
+		t.Errorf("schedule+fire allocates %v times, want 0", n)
+	}
+}
+
+// TestPopOrderIsTotal: events pop by time, and events due at one instant
+// in scheduling order, however they were pushed.
+func TestPopOrderIsTotal(t *testing.T) {
+	s := New()
+	rng := rand.New(rand.NewSource(1))
+	type key struct {
+		at  Time
+		seq int
+	}
+	var got []key
+	for i := 0; i < 2000; i++ {
+		k := key{Time(rng.Intn(50)), i}
+		s.At(k.at, func() { got = append(got, k) })
+	}
+	s.Run()
+	if !slices.IsSortedFunc(got, func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
+	}) || len(got) != 2000 {
+		t.Fatalf("events popped out of (time, seq) order")
 	}
 }
 

@@ -314,7 +314,7 @@ type chaosSubstrate interface {
 	// finish writes the substrate's counters into res, seals the history
 	// digest h into its fingerprint and renders both for Format.
 	finish(res *ChaosResult, h hash.Hash)
-	close()
+	close() error // and audit what can only be read once the substrate stopped
 }
 
 // runChaosOn is the one chaos run: it resolves the schedule, boots the
@@ -323,7 +323,7 @@ type chaosSubstrate interface {
 // error for harness failures (the cluster broke in a way no schedule
 // explains); a non-linearizable history is reported in Result.Lin, not as
 // an error, so callers can dump the history.
-func runChaosOn(o ChaosOpts, boot func(ChaosOpts) (chaosSubstrate, error)) (*ChaosResult, error) {
+func runChaosOn(o ChaosOpts, boot func(ChaosOpts) (chaosSubstrate, error)) (_ *ChaosResult, err error) {
 	o.defaults()
 	sc, err := chaosScenarioNamed(o.Schedule)
 	if err != nil {
@@ -333,7 +333,7 @@ func runChaosOn(o ChaosOpts, boot func(ChaosOpts) (chaosSubstrate, error)) (*Cha
 	if err != nil {
 		return nil, err
 	}
-	defer sub.close()
+	defer func() { err = errors.Join(err, sub.close()) }()
 	tg, clk := sub.targets(), sub.clock()
 
 	load, err := sub.prepare(o.OpsPerClient)
@@ -618,7 +618,7 @@ func (s *simChaos) targets() chaosTargets              { return s.tg }
 func (s *simChaos) controller() *controller.Controller { return s.d.Ctl }
 func (s *simChaos) clock() event.Clock                 { return s.d.Sim.Clock() }
 func (s *simChaos) at(t event.Time) time.Duration      { return time.Duration(t) }
-func (s *simChaos) close()                             {}
+func (s *simChaos) close() error                       { return nil }
 
 func (s *simChaos) nemesis() (event.Clock, netsim.Applier) { return s.d.Sim.Clock(), s.d.Net }
 

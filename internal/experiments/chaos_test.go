@@ -141,6 +141,35 @@ func TestChaosSchedulesLinearizable(t *testing.T) {
 	}
 }
 
+// TestNodeLawAfterChaos runs every named schedule on the ring (seed 1)
+// and then holds each switch to the node law: every frame its host step
+// took in was forwarded or counted as exactly one drop.
+func TestNodeLawAfterChaos(t *testing.T) {
+	for _, name := range ChaosScheduleNames() {
+		t.Run(name, func(t *testing.T) {
+			var d *Deployment
+			if _, err := runChaos(ChaosOpts{Schedule: name, Seed: 1},
+				func(dep *Deployment, _ func(error)) { d = dep }); err != nil {
+				t.Fatal(err)
+			}
+			var in, drops uint64
+			for _, a := range d.Net.Switches() {
+				sw, _ := d.Net.Switch(a)
+				st := sw.Stats()
+				out := st.Forwarded + st.WritesStale + st.RuleDrops + st.RouteDrops + st.LocalDrops
+				if out != st.FramesIn {
+					t.Errorf("%v: %d frames in, %d forwarded or dropped (%+v)", a, st.FramesIn, out, st)
+				}
+				in, drops = in+st.FramesIn, drops+out-st.Forwarded
+			}
+			t.Logf("%d frames in, %d dropped", in, drops)
+			if in == 0 {
+				t.Error("no switch took in a frame")
+			}
+		})
+	}
+}
+
 // TestChaosMixedTail pins the cost of adversity handling on the data
 // path: four open-loop generators at 10 % writes for 20 ms under the
 // standing mangle (duplication + reordering + jitter), with the tail

@@ -177,11 +177,17 @@ func (w *wireChaos) at(t event.Time) time.Duration {
 	return w.start + time.Duration(float64(t)*realChaosTimeScale)
 }
 
-func (w *wireChaos) close() {
+// close stops everything in reverse boot order, then audits the stopped
+// switches' ledgers (localcluster.Cluster.Ledgers).
+func (w *wireChaos) close() error {
 	for i := len(w.stops) - 1; i >= 0; i-- {
 		_ = w.stops[i]()
 	}
 	w.stops = nil
+	if w.cl == nil {
+		return nil
+	}
+	return w.cl.Ledgers()
 }
 
 // prepare inserts the keys through the controller (they land on every

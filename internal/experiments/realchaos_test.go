@@ -6,9 +6,10 @@ import (
 
 // TestRealChaosSmoke boots the live-UDP cluster, runs one seeded nemesis
 // schedule end to end, and checks the run's invariants: a linearizable
-// history, a converged push-watch, no false evictions, and a
-// deterministic fault fingerprint. The heavier schedule × seed matrix
-// runs via `benchrunner -exp realchaos` in nightly CI; this is the
+// history, a converged push-watch, no false evictions, a deterministic
+// fault fingerprint and, audited as the cluster closes, every switch's
+// node law (frames in = forwarded + drops). The heavier schedule × seed
+// matrix runs via `benchrunner -exp realchaos` in nightly CI; this is the
 // tier-1 guard that the wire harness itself stays sound.
 func TestRealChaosSmoke(t *testing.T) {
 	if testing.Short() {

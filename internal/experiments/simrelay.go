@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"netchain/internal/kv"
 	"netchain/internal/packet"
 	"netchain/internal/query"
 	"netchain/internal/relay"
@@ -11,11 +10,12 @@ import (
 
 // SimRelay is the push-watch relay tier on the simulated substrate: an
 // unmetered dual-homed host (like the monitor) driving the relay.Core the
-// real Server drives, with no epoch and no leases. The network's commit
-// hook makes every chain-tail commit emit one OpEvent frame from the
-// committing switch toward this host; fresh events leave it addressed to
-// their virtual group's multicast address, and netsim replicates them to
-// every joined subscriber endpoint over independent, faultable paths.
+// real Server drives, with no epoch and no leases. Once attached it is the
+// network's event sink: every chain-tail commit leaves the committing
+// switch's host step as one OpEvent frame toward this host; fresh events
+// leave it addressed to their virtual group's multicast address, and
+// netsim replicates them to every joined subscriber endpoint over
+// independent, faultable paths.
 type SimRelay struct {
 	d    *Deployment
 	Addr packet.Addr
@@ -25,8 +25,8 @@ type SimRelay struct {
 // relayHostAddr sits next to the monitor host (10.1.0.9).
 var relayHostAddr = packet.AddrFrom4(10, 1, 0, 10)
 
-// AttachRelay adds the relay host (netsim.Fabric.AttachHost) and arms the
-// commit hook. Idempotent.
+// AttachRelay adds the relay host (netsim.Fabric.AttachHost) and makes it
+// the network's event sink: from then on every tail publishes. Idempotent.
 func (d *Deployment) AttachRelay() (*SimRelay, error) {
 	if d.relay != nil {
 		return d.relay, nil
@@ -35,20 +35,9 @@ func (d *Deployment) AttachRelay() (*SimRelay, error) {
 	if err := d.Fab.AttachHost(sr.Addr, sr.recv); err != nil {
 		return nil, fmt.Errorf("attach relay: %w", err)
 	}
-	d.Net.SetCommitHook(sr.onCommit)
+	d.Net.SetEventSink(sr.Addr)
 	d.relay = sr
 	return sr, nil
-}
-
-// onCommit publishes one event frame from the committing switch toward
-// the relay host — the sim analogue of SwitchNode's event-sink egress.
-// The frame shares the switch's packet budget and link paths, so loss,
-// partitions and congestion eat events exactly as they would replies.
-func (sr *SimRelay) onCommit(at packet.Addr, f *packet.Frame, origOp kv.Op) {
-	ev := query.CommitEvent(f, origOp)
-	ev.Value = ev.Value.Clone()
-	ef := query.EventInto(&packet.Frame{}, at, sr.Addr, packet.Port, packet.Port, ev)
-	sr.d.Net.EmitFrom(at, ef)
 }
 
 // recv sequences one delivered event and multicasts fresh ones to the

@@ -102,6 +102,10 @@ type Cluster struct {
 	mu    sync.RWMutex
 	nodes []*transport.SwitchNode
 	stops []func() error
+	// watched is set by the first Subscribe: from then on every node,
+	// booted before or after, publishes its commits to the relay; until
+	// then no tail sends an event.
+	watched bool
 }
 
 // Start boots a cluster. The first cfg.Replicas switches are ring members;
@@ -109,8 +113,8 @@ type Cluster struct {
 func Start(cfg Config) (*Cluster, error) {
 	cfg.defaults()
 	cl := &Cluster{cfg: cfg, book: transport.NewAddressBook()}
-	// The push-watch relay tier boots first so every switch node can point
-	// its event sink at it from birth.
+	// The push-watch relay tier boots first: it serves the first Subscribe,
+	// whichever switches exist by then.
 	rs, err := cl.startRelay("127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -176,8 +180,8 @@ func (c *Cluster) bootSwitch() (packet.Addr, error) {
 	if err != nil {
 		return 0, err
 	}
-	node.SetEventSink(c.relaySrv.Addr(), c.relaySrv.IngestEndpoint())
 	c.nodes = append(c.nodes, node)
+	c.publishLocked()
 	c.stops = append(c.stops, node.Close)
 	c.registry.Set(addr, controller.LocalAgent{Switch: sw}) // no nemesis: see Config.Faults
 	return addr, nil
@@ -198,8 +202,22 @@ func (c *Cluster) Close() error {
 	return first
 }
 
-// node returns switch i's dataplane node, or the error every verb that
-// takes a switch index returns for one the cluster never booted.
+// Ledgers audits every switch's node law on core.Stats: each frame a
+// node's host step took in left it or is one drop. It holds once Close
+// has stopped every ingest goroutine; a harness calls it after Close.
+func (c *Cluster) Ledgers() error {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, n := range c.nodes {
+		st := n.Switch().Stats()
+		if out := st.Forwarded + st.WritesStale + st.RuleDrops + st.RouteDrops + st.LocalDrops; out != st.FramesIn {
+			return fmt.Errorf("netchain: switch %v took in %d frames but forwarded or dropped %d",
+				n.Switch().Addr(), st.FramesIn, out)
+		}
+	}
+	return nil
+}
+
 func (c *Cluster) node(i int) (*transport.SwitchNode, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -271,23 +289,40 @@ func (c *Cluster) RestartRelay() error {
 		return fmt.Errorf("netchain: relay restart: %w", err)
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.relaySrv = rs
-	nodes := append([]*transport.SwitchNode(nil), c.nodes...)
-	c.mu.Unlock()
-	for _, n := range nodes {
-		n.SetEventSink(rs.Addr(), rs.IngestEndpoint())
-	}
+	c.publishLocked()
 	return nil
+}
+
+// publishLocked points every node's event sink at the current relay once
+// the cluster has a watch plane (a Subscribe ran); before that, tails
+// publish nothing. Caller holds c.mu.
+func (c *Cluster) publishLocked() {
+	if !c.watched {
+		return
+	}
+	for _, n := range c.nodes {
+		n.SetEventSink(c.relaySrv.Addr(), c.relaySrv.IngestEndpoint())
+	}
 }
 
 // Subscribe opens a push-watch subscription for groups at the current
 // relay incarnation on behalf of the host at addr, whose fault pipe it
-// runs through when the cluster has a nemesis. The lease renews at a
-// third of RelayLeaseTTL when one is set.
+// runs through when the cluster has a nemesis. The first one gives the
+// cluster its watch plane: every tail starts publishing before the
+// subscription opens. A write already inside a tail's host step when the
+// sink is set may commit unpublished; if the subscription's initial state
+// read ran before that commit, anti-entropy delivers it. The lease renews at a third of RelayLeaseTTL when
+// one is set.
 func (c *Cluster) Subscribe(addr packet.Addr, groups []uint16, deliver func(query.Event)) (*relay.Conn, error) {
-	c.mu.RLock()
+	c.mu.Lock()
+	if !c.watched {
+		c.watched = true
+		c.publishLocked()
+	}
 	rs := c.relaySrv
-	c.mu.RUnlock()
+	c.mu.Unlock()
 	var opts []relay.SubOption
 	if ttl := c.cfg.RelayLeaseTTL; ttl > 0 {
 		opts = append(opts, relay.WithRenewEvery(ttl/3))

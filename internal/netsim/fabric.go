@@ -379,9 +379,7 @@ func (fb *Fabric) Fingerprint() string {
 		nd := fb.Net.nodes[a]
 		w32(uint32(a))
 		w32(uint32(nd.kind))
-		peers := append([]packet.Addr(nil), nd.links...)
-		sortAddrs(peers)
-		for _, p := range peers {
+		for _, p := range slices.Sorted(slices.Values(nd.links)) {
 			w32(uint32(p))
 			w64(uint64(fb.Net.latency[linkKey(a, p)]))
 			if ls := fb.Net.links[routeKey{a, p}]; ls != nil {

@@ -21,12 +21,12 @@ package netsim
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 
 	"netchain/internal/core"
 	"netchain/internal/event"
-	"netchain/internal/kv"
 	"netchain/internal/packet"
 )
 
@@ -61,9 +61,9 @@ type Stats struct {
 	LossDrops  uint64 // random loss
 	QueueDrops uint64 // tail drops at saturated nodes
 	FailDrops  uint64 // frames arriving at failed switches
-	RouteDrops uint64 // no route / TTL expiry
-	RuleDrops  uint64 // dropped by recovery stop rules
-	StaleDrops uint64 // stale chain writes dropped by the dataplane
+	RouteDrops uint64 // no route / TTL expiry (+ every switch's core.Stats count)
+	RuleDrops  uint64 // dropped by recovery stop rules (Σ core.Stats)
+	StaleDrops uint64 // stale chain writes dropped by the dataplane (Σ WritesStale)
 
 	// Nemesis counters (see nemesis.go). The determinism regression test
 	// pins these byte-for-byte across runs of the same seed.
@@ -154,10 +154,9 @@ type Network struct {
 	// path exactly as a real IGMP tree's last hops would.
 	mcast map[packet.Addr][]mcastMember
 
-	// commitHook, when set, observes every chain-tail commit: a switch
-	// converting a write-family query into an OK reply. The relay tier's
-	// sim deployment publishes event frames from it.
-	commitHook func(at packet.Addr, committed *packet.Frame, origOp kv.Op)
+	switches []*core.Switch // every switch ever added: Stats sums their drops
+	sink     packet.Addr    // where tails publish commit events (zero: nowhere)
+	ev       packet.Frame   // the commit event Step fills
 }
 
 // mcastMember is one (host, UDP port) multicast group member.
@@ -181,14 +180,10 @@ func New(sim *event.Sim, seed int64) *Network {
 	}
 }
 
-// SetCommitHook registers fn to run whenever a switch converts a
-// write-family query into an OK reply — the chain-tail commit point of
-// the push-watch pipeline. fn sees the reply frame (key, value, version
-// and group intact) plus the original opcode; it must not retain or
-// mutate the frame. Pass nil to disable.
-func (n *Network) SetCommitHook(fn func(at packet.Addr, committed *packet.Frame, origOp kv.Op)) {
-	n.commitHook = fn
-}
+// SetEventSink makes every switch publish its chain-tail commits as
+// OpEvent frames toward relay, a host: each leaves the committing switch
+// (through its own ingest, budget and links) just before the reply does.
+func (n *Network) SetEventSink(relay packet.Addr) { n.sink = relay }
 
 // JoinGroup subscribes a host endpoint (member address + UDP destination
 // port) to a multicast group address. Frames forwarded to g replicate to
@@ -233,11 +228,24 @@ func (n *Network) LeaveGroup(g packet.Addr, member packet.Addr, port uint16) {
 func (n *Network) EnableECMP() { n.ecmp = true }
 
 // Stats returns a snapshot of the counters.
-func (n *Network) Stats() Stats { return n.stats }
+func (n *Network) Stats() Stats {
+	st := n.stats
+	for _, sw := range n.switches {
+		c := sw.Stats()
+		st.StaleDrops += c.WritesStale
+		st.RuleDrops += c.RuleDrops
+		st.RouteDrops += c.RouteDrops
+	}
+	return st
+}
 
 // AddSwitch registers a switch node running the given dataplane.
 func (n *Network) AddSwitch(sw *core.Switch, cfg NodeConfig) error {
-	return n.add(&node{addr: sw.Addr(), kind: KindSwitch, cfg: cfg, sw: sw})
+	err := n.add(&node{addr: sw.Addr(), kind: KindSwitch, cfg: cfg, sw: sw})
+	if err == nil {
+		n.switches = append(n.switches, sw)
+	}
+	return err
 }
 
 // AddHost registers a host; recv is invoked for every frame delivered to
@@ -322,22 +330,7 @@ func (n *Network) ComputeRoutes() {
 	}
 }
 
-func (n *Network) sortedAddrs() []packet.Addr {
-	addrs := make([]packet.Addr, 0, len(n.nodes))
-	for a := range n.nodes {
-		addrs = append(addrs, a)
-	}
-	sortAddrs(addrs)
-	return addrs
-}
-
-func sortAddrs(a []packet.Addr) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
+func (n *Network) sortedAddrs() []packet.Addr { return slices.Sorted(maps.Keys(n.nodes)) }
 
 // SetRoute pins the next hop used at node `at` for destination dst —
 // mirroring §8.4's deliberate read/write path split (S0-S1-S2 for writes,
@@ -768,7 +761,7 @@ func (n *Network) arrive(nd *node, f *packet.Frame) {
 	if grayed {
 		done += g.ExtraDelay
 	}
-	n.Sim.At(done, func() { n.process(nd, f) })
+	n.Sim.At(done, func() { n.process(nd, f, now) })
 }
 
 // serviceTime charges the node's packet budget: one slot per traversal,
@@ -784,8 +777,9 @@ func (n *Network) serviceTime(nd *node, f *packet.Frame) event.Time {
 	return event.Time(float64(passes) * 1e9 / nd.cfg.Rate)
 }
 
-// process runs a frame through a node after its service completes.
-func (n *Network) process(nd *node, f *packet.Frame) {
+// process runs a frame through a node after its service completes; it
+// arrived at the node at time in.
+func (n *Network) process(nd *node, f *packet.Frame, in event.Time) {
 	if nd.failed {
 		n.stats.FailDrops++
 		return
@@ -803,27 +797,22 @@ func (n *Network) process(nd *node, f *packet.Frame) {
 		return
 	}
 
-	// Switch node: the dataplane runs the whole per-frame protocol; the
-	// simulator only accounts for why a frame stopped here.
-	v, commit := nd.sw.Handle(f)
-	switch v {
-	case core.VerdictStale:
-		n.stats.StaleDrops++
-	case core.VerdictRuleDrop:
-		n.stats.RuleDrops++
-	case core.VerdictRouteDrop:
-		n.stats.RouteDrops++
+	// Switch node: the host step runs the whole per-frame protocol and
+	// counts the frame's exit; the simulator only moves what it forwards.
+	// A commit event shares the switch's packet budget and link paths, so
+	// loss, partitions and congestion eat events exactly as replies.
+	hop := packet.TraceHop{SwitchID: uint32(nd.addr), IngressNs: int64(in)}
+	v, published := nd.sw.Step(f, hop, n.nowNs, n.sink, &n.ev)
+	if published {
+		n.EmitFrom(nd.addr, n.ev.Clone())
 	}
-	if v != core.VerdictForward {
-		return
+	if v == core.VerdictForward {
+		n.forward(nd, f)
 	}
-	// Chain-tail commit point (push watches): the hook publishes an event
-	// frame toward the relay before the reply leaves.
-	if n.commitHook != nil && commit.IsMutation() {
-		n.commitHook(nd.addr, f, commit)
-	}
-	n.forward(nd, f)
 }
+
+// nowNs is the simulator's trace clock: a hop's egress time.
+func (n *Network) nowNs() int64 { return int64(n.Sim.Now()) }
 
 // LossRateSet updates a switch's injected loss rate (Fig. 9(d) sweeps).
 func (n *Network) LossRateSet(addr packet.Addr, rate float64) error {
@@ -842,9 +831,7 @@ func (n *Network) Neighbors(addr packet.Addr) []packet.Addr {
 	if !ok {
 		return nil
 	}
-	out := append([]packet.Addr(nil), nd.links...)
-	sortAddrs(out)
-	return out
+	return slices.Sorted(slices.Values(nd.links))
 }
 
 // SwitchNeighbors returns only the switch neighbors of addr.

@@ -65,7 +65,7 @@ type Due[E any] struct {
 // harmless, since any adjudicated reply to this identity is valid.
 //
 // Whoever removes a call from the table completes it, exactly once: OnReply
-// for a reply, OnTick for exhaustion, Cancel for an attempt that could not
+// for a reply (unless the driver Reopens it), OnTick for exhaustion, Cancel for an attempt that could not
 // be built, Drain for shutdown. Safe for concurrent use; entries are held by
 // value, so a driver retransmitting a Due never touches state a racing
 // completion has already released.
@@ -171,6 +171,25 @@ func (p *Pending[E]) OnTick(now time.Duration) []Due[E] {
 		due = append(due, Due[E]{Entry: c})
 	}
 	return due
+}
+
+// Reopen puts back a call OnReply just claimed, for the driver to send
+// again under the same QID at once: the reply was an ack the driver cannot
+// accept (MissedJoiner). It counts as a retry, with the next backed-off
+// deadline, but spends none of the call's retries: the path answered. It
+// is false after Drain, and the driver completes the call itself.
+func (p *Pending[E]) Reopen(e Entry[E], now time.Duration) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed != nil {
+		return false
+	}
+	e.LastSent = now
+	e.deadline = now + p.backoff(e.Retries+1)
+	p.calls[e.QID] = e
+	p.stats.Retries++
+	p.stats.Sent++
+	return true
 }
 
 // backoff is how long the retry-th retransmission waits for its reply.

@@ -231,3 +231,25 @@ func TestPendingCompletesExactlyOnce(t *testing.T) {
 		t.Fatal("no Submit was refused after Drain")
 	}
 }
+
+// TestReopenKeepsTheQID: a reopened call is pending again under its QID,
+// counted as a retry that spends none of its retries; after Drain it is
+// not reopened.
+func TestReopenKeepsTheQID(t *testing.T) {
+	p := NewPending[int](10*time.Millisecond, 0, 1)
+	qid, _ := p.Submit(7, 0)
+	e, ok := p.OnReply(qid)
+	if !ok || !p.Reopen(e, time.Millisecond) {
+		t.Fatal("claim and reopen failed")
+	}
+	if e, ok := p.OnReply(qid); !ok || e.Call != 7 || e.QID != qid {
+		t.Fatalf("reopened call: %+v, %v", e, ok)
+	}
+	if st := p.Stats(); st.Retries != 1 || st.Sent != 2 {
+		t.Errorf("stats %+v, want 1 retry and 2 sent", st)
+	}
+	p.Drain(errors.New("closed"))
+	if p.Reopen(e, 2*time.Millisecond) {
+		t.Error("reopened after Drain")
+	}
+}

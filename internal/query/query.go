@@ -15,6 +15,7 @@ package query
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"netchain/internal/kv"
 	"netchain/internal/packet"
@@ -144,6 +145,31 @@ func (c Call) Frame(ep Endpoint, qid uint64, rt Route) (*packet.Frame, error) {
 		return NewCAS(ep, qid, rt, c.Key, c.Expect, c.Value)
 	}
 	return nil, fmt.Errorf("query: %v is not a client operation", c.Op)
+}
+
+// MissedJoiner reports whether a write acknowledged along the chain sent
+// may be missing from now, the chain serving its group when the ack
+// arrives: the head is the same and now lists a switch sent does not. A
+// recovery or resize flip adds such a switch (Algorithm 3) with a copy of
+// the group's state; an attempt built on the route of before the flip,
+// stamped by the head once its freeze thawed, is acknowledged by the old
+// chain's tail and never reaches the joiner, which may already be the tail
+// reads go to, or become it at the next failure. The client then sends the
+// call again under its one query id along now: the head, holding the
+// call's tag, replays the write (or the state that superseded it) down the
+// whole chain. A changed head holds no tag and would stamp the write anew,
+// so a head change is not reported; its stamps dominate the old head's,
+// and a new head is no member reads reach.
+func MissedJoiner(sent, now Route) bool {
+	if sent.Group != now.Group || len(sent.Hops) == 0 || len(now.Hops) == 0 || sent.Hops[0] != now.Hops[0] {
+		return false
+	}
+	for _, h := range now.Hops[1:] {
+		if !slices.Contains(sent.Hops, h) {
+			return true
+		}
+	}
+	return false
 }
 
 // Outcome is a reply read through the call that produced it.

@@ -275,3 +275,29 @@ func TestCallOutcome(t *testing.T) {
 		}
 	}
 }
+
+// TestMissedJoiner: an ack along sent is taken unless the chain now has
+// the same head and a switch sent does not list.
+func TestMissedJoiner(t *testing.T) {
+	a, b, c, d := packet.AddrFrom4(10, 0, 0, 1), packet.AddrFrom4(10, 0, 0, 2),
+		packet.AddrFrom4(10, 0, 0, 3), packet.AddrFrom4(10, 0, 0, 4)
+	rt := func(g uint16, hops ...packet.Addr) Route { return Route{Group: g, Hops: hops} }
+	for _, tc := range []struct {
+		name      string
+		sent, now Route
+		want      bool
+	}{
+		{"same chain", rt(1, a, b, c), rt(1, a, b, c), false},
+		{"tail joined", rt(1, a, b), rt(1, a, b, d), true},
+		{"mid joined", rt(1, a, b), rt(1, a, d, b), true},
+		{"head joined", rt(1, a, b), rt(1, d, a, b), false},
+		{"tail failed", rt(1, a, b, c), rt(1, a, b), false},
+		{"head failed", rt(1, a, b, c), rt(1, b, c), false},
+		{"other group", rt(1, a, b), rt(2, a, b, d), false},
+		{"no route", rt(1), rt(1, a, b), false},
+	} {
+		if got := MissedJoiner(tc.sent, tc.now); got != tc.want {
+			t.Errorf("%s: MissedJoiner = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

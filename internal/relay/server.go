@@ -85,6 +85,10 @@ type Server struct {
 	core *Core
 	clk  *event.Wall
 	to   []*net.UDPAddr // fan-out targets, the ingest goroutine's buffer
+	// groupEps holds one multicast endpoint per group, made on first use
+	// by the ingest goroutine: egress coalesces frames by endpoint
+	// pointer, so one group's events share datagrams.
+	groupEps map[uint16]*net.UDPAddr
 
 	egress    atomic.Uint64
 	decodeErr atomic.Uint64
@@ -129,11 +133,12 @@ func Start(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("relay: listen control: %w", err)
 	}
 	s := &Server{
-		cfg:  cfg,
-		conn: conn,
-		ctl:  ctl,
-		core: NewCore(cfg.Epoch, cfg.LeaseTTL),
-		clk:  event.NewWall(1),
+		cfg:      cfg,
+		conn:     conn,
+		ctl:      ctl,
+		core:     NewCore(cfg.Epoch, cfg.LeaseTTL),
+		clk:      event.NewWall(1),
+		groupEps: map[uint16]*net.UDPAddr{},
 	}
 	s.wg.Add(2)
 	go s.ingestLoop()
@@ -218,13 +223,22 @@ func (s *Server) handleEvent(fr *packet.Frame, scratch *packet.Frame) {
 		return
 	}
 	if s.cfg.Mode == ModeMulticast {
-		s.queueSerialized(FanOutFrame(scratch, s.cfg.Addr, ev, McastPort), GroupUDP(ev.Group))
+		ep := s.groupEps[ev.Group]
+		if ep == nil {
+			ep = groupEndpoint(ev.Group)
+			s.groupEps[ev.Group] = ep
+		}
+		s.queueSerialized(FanOutFrame(scratch, s.cfg.Addr, ev, McastPort), ep)
 		return
 	}
 	for _, ep := range s.to {
 		s.queueSerialized(FanOutFrame(scratch, s.cfg.Addr, ev, uint16(ep.Port)), ep)
 	}
 }
+
+// groupEndpoint makes a group's multicast endpoint; a variable so a test
+// can aim the fan-out at a loopback socket.
+var groupEndpoint = GroupUDP
 
 func (s *Server) queueSerialized(f *packet.Frame, ep *net.UDPAddr) {
 	if bp, err := packet.SerializeBuf(f); err == nil {

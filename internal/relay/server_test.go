@@ -2,6 +2,7 @@ package relay
 
 import (
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -253,3 +254,94 @@ type atomic64 struct {
 
 func (a *atomic64) add()        { a.mu.Lock(); a.n++; a.mu.Unlock() }
 func (a *atomic64) get() uint64 { a.mu.Lock(); defer a.mu.Unlock(); return a.n }
+
+// TestMulticastGroupEndpointIsStable: a multicast relay makes one endpoint
+// per group, on first use, and queues every event of the group to it.
+// Egress coalesces frames by endpoint, so two same-group events of one
+// ingest datagram leave in one datagram, and 20 000 events over four
+// groups leave the relay's heap flat (64 keys, each rewritten at newer
+// versions, so the relay's per-key state is bounded). The group endpoint
+// is aimed at a loopback socket, a fresh *net.UDPAddr per call as
+// GroupUDP makes, so nothing leaves the host.
+func TestMulticastGroupEndpointIsStable(t *testing.T) {
+	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	var made atomic64
+	to := sink.LocalAddr().(*net.UDPAddr)
+	groupEndpoint = func(uint16) *net.UDPAddr {
+		made.add()
+		return &net.UDPAddr{IP: to.IP, Port: to.Port}
+	}
+	defer func() { groupEndpoint = GroupUDP }()
+	var dgrams, frames atomic64
+	go func() {
+		buf := make([]byte, 64<<10)
+		var f packet.Frame
+		for {
+			n, err := sink.Read(buf)
+			if err != nil {
+				return
+			}
+			k, _ := packet.DecodeBatch(&f, buf[:n], func(*packet.Frame) {})
+			dgrams.add()
+			for ; k > 0; k-- {
+				frames.add()
+			}
+		}
+	}()
+
+	srv, err := Start(Config{Addr: packet.AddrFrom4(10, 0, 255, 1), Mode: ModeMulticast})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	tail := newFakeTail(t, srv.IngestEndpoint())
+	const groups, pairs = 4, 10_000
+	var buf []byte
+	sent := 0
+	// send puts two events of one group into each ingest datagram, in
+	// bursts the sink receives whole before the next.
+	send := func(upTo int) {
+		for ; sent < upTo; sent++ {
+			buf = buf[:0]
+			for i := 0; i < 2; i++ {
+				seq := uint64(2*sent + i + 1)
+				f := query.NewEvent(packet.AddrFrom4(10, 0, 0, 1), srv.Addr(), packet.Port, packet.Port,
+					query.Event{Key: kv.KeyFromUint64(seq % 64), Value: kv.Value("v"), Version: kv.Version{Seq: seq}, Group: uint16(sent % groups)})
+				if buf, err = f.Serialize(buf); err != nil {
+					t.Fatal(err)
+				}
+				packet.PutFrame(f)
+			}
+			if _, err := tail.conn.WriteToUDP(buf, tail.dst); err != nil {
+				t.Fatal(err)
+			}
+			if sent%50 == 49 {
+				want := uint64(2 * (sent + 1))
+				waitFor(t, func() bool { return frames.get() == want }, "the sink to receive a burst")
+			}
+		}
+	}
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	send(pairs / 10)
+	before := liveHeap()
+	send(pairs)
+	after := liveHeap()
+	if n := made.get(); n != groups {
+		t.Errorf("%d events over %d groups made %d endpoints, want %d", 2*pairs, groups, n, groups)
+	}
+	if d := dgrams.get(); d > pairs {
+		t.Errorf("%d events, two of one group per ingest datagram, left in %d datagrams, want at most %d", 2*pairs, d, pairs)
+	}
+	if after > before+256<<10 {
+		t.Errorf("live heap grew %d B over %d events", after-before, 2*pairs*9/10)
+	}
+}

@@ -29,6 +29,10 @@ const switchQueueDepth = 512
 type call struct {
 	build func(qid uint64) (*packet.Frame, error)
 	done  func(*packet.Frame, error)
+	// missed, when set, rejects a reply the call cannot take as its answer
+	// (an ack that may have skipped a chain joiner, query.MissedJoiner):
+	// the call is sent again at once under its QueryID.
+	missed func(*packet.Frame) bool
 
 	// Sampled calls (zero when untraced): queued is when Submit was entered,
 	// before any window wait. queued→Entry.Submitted is client queueing,
@@ -231,9 +235,15 @@ func (c *Client) serve() {
 // callback copies what it keeps (ParseReply clones the value), so the
 // reply crosses the hot path without an intermediate frame copy.
 func (c *Client) deliver(f *packet.Frame) {
-	if e, ok := c.calls.OnReply(f.NC.QueryID); ok {
-		c.finish(e, f, nil)
+	e, ok := c.calls.OnReply(f.NC.QueryID)
+	if !ok {
+		return
 	}
+	if e.Call.missed != nil && e.Call.missed(f) && c.calls.Reopen(e, time.Since(c.start)) {
+		c.transmit(e.QID, e.Call)
+		return
+	}
+	c.finish(e, f, nil)
 }
 
 // sendLoop drains the client's outbound queue, folding each queued burst
@@ -270,9 +280,12 @@ func (c *Client) sendLoop() {
 // and must not block; Submit itself blocks only while the in-flight window
 // is full.
 func (c *Client) Submit(build func(qid uint64) (*packet.Frame, error), done func(*packet.Frame, error)) {
+	c.submit(call{build: build, done: done})
+}
+
+func (c *Client) submit(cl call) {
 	// Telemetry sampling decides before the window wait so a traced call's
 	// queueing span covers admission backpressure too.
-	cl := call{build: build, done: done}
 	if c.traceEvery > 0 && c.traceTick.Add(1)%c.traceEvery == 0 {
 		cl.traced, cl.queued = true, time.Since(c.start)
 	}
@@ -285,7 +298,7 @@ func (c *Client) Submit(build func(qid uint64) (*packet.Frame, error), done func
 			select {
 			case c.window <- struct{}{}:
 			case <-c.done:
-				done(nil, ErrClosed)
+				cl.done(nil, ErrClosed)
 				return
 			}
 		}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"sync"
 
 	"netchain/internal/kv"
 	"netchain/internal/packet"
@@ -23,20 +24,30 @@ type Ops struct {
 
 // DoAsync issues one pipelined call. done runs on the client's receive or
 // timer goroutine and must not block; use the client's Window for
-// backpressure.
+// backpressure. A write-family call takes an OK reply as its answer only
+// when no switch joined its chain behind the route its latest attempt was
+// built on (query.MissedJoiner); otherwise it goes again along the chain
+// of the moment.
 func (o *Ops) DoAsync(c query.Call, done func(query.Outcome, error)) {
 	if o.Dir == nil {
 		done(query.Outcome{}, fmt.Errorf("transport: no directory configured"))
 		return
 	}
-	o.Client.Submit(func(qid uint64) (*packet.Frame, error) {
+	var sent struct {
+		mu sync.Mutex
+		rt query.Route
+	}
+	cl := call{build: func(qid uint64) (*packet.Frame, error) {
 		rt, err := o.Dir(c.Key) // fresh per attempt: retries pick up new chains
 		if err != nil {
 			return nil, err
 		}
+		sent.mu.Lock()
+		sent.rt = rt
+		sent.mu.Unlock()
 		a, p := o.Client.Endpoint()
 		return c.Frame(query.Endpoint{Addr: a, Port: p}, qid, rt)
-	}, func(f *packet.Frame, err error) {
+	}, done: func(f *packet.Frame, err error) {
 		if err != nil {
 			done(query.Outcome{}, err)
 			return
@@ -48,7 +59,19 @@ func (o *Ops) DoAsync(c query.Call, done func(query.Outcome, error)) {
 			return
 		}
 		done(c.Outcome(rep))
-	})
+	}}
+	if c.Op.IsMutation() {
+		cl.missed = func(f *packet.Frame) bool {
+			if f.NC.Status != kv.StatusOK {
+				return false
+			}
+			now, err := o.Dir(c.Key)
+			sent.mu.Lock()
+			defer sent.mu.Unlock()
+			return err == nil && query.MissedJoiner(sent.rt, now)
+		}
+	}
+	o.Client.submit(cl)
 }
 
 // Do issues one call and blocks until it resolves.

@@ -31,7 +31,6 @@ import (
 	"netchain/internal/health"
 	"netchain/internal/kv"
 	"netchain/internal/packet"
-	"netchain/internal/query"
 	"netchain/internal/stats"
 	"netchain/internal/telemetry"
 )
@@ -238,7 +237,7 @@ type SwitchNode struct {
 	// node's per-hop processing percentiles.
 	procHist *stats.Histogram
 
-	evtSink atomic.Pointer[eventSink] // push-watch egress target (nil = off)
+	evtSink atomic.Pointer[eventSink] // push-watch egress target (zero addr = off)
 
 	mu     sync.Mutex
 	closed bool
@@ -300,6 +299,7 @@ func NewSwitchNode(sw *core.Switch, book *AddressBook, bind string, opts ...Node
 		mutEg:    conns[0].newEgress(),
 		procHist: stats.NewLatencyHistogram(),
 	}
+	n.evtSink.Store(&eventSink{})
 	for _, c := range conns {
 		n.rcvBuf = configureSocket(c.conn)
 	}
@@ -411,8 +411,7 @@ type eventSink struct {
 // node is serving.
 func (n *SwitchNode) SetEventSink(addr packet.Addr, ep *net.UDPAddr) {
 	if ep == nil {
-		n.evtSink.Store(nil)
-		return
+		addr = 0
 	}
 	n.evtSink.Store(&eventSink{addr: addr, ep: ep})
 }
@@ -525,7 +524,7 @@ func (n *SwitchNode) StartHeartbeats(monitor packet.Addr, every time.Duration) e
 // whole data plane.
 func (n *SwitchNode) ingestLoop(idx int, bc *BatchConn) {
 	defer n.recvWG.Done()
-	var f packet.Frame
+	var f, ev packet.Frame // ev: the commit event Step fills
 	emit, mutEmit := bc.eg.add, n.mutEg.add
 	var procTick uint32 // loop-local sampling tick, no hot-path atomics
 	mutated := false    // this batch queued output on n.mutEg
@@ -533,7 +532,7 @@ func (n *SwitchNode) ingestLoop(idx int, bc *BatchConn) {
 		var hop packet.TraceHop
 		if f.NC.Traced {
 			// In-band telemetry ingress stamp: receive time, the node's
-			// receive backlog, ingest socket. handle completes the record.
+			// receive backlog, ingest socket. Step completes the record.
 			hop = packet.TraceHop{
 				SwitchID:  uint32(n.sw.Addr()),
 				IngressNs: time.Now().UnixNano(),
@@ -551,11 +550,11 @@ func (n *SwitchNode) ingestLoop(idx int, bc *BatchConn) {
 		}
 		if procTick++; procTick&sample == 0 {
 			t0 := time.Now()
-			n.handle(f, out, hop)
+			n.handle(f, &ev, out, hop)
 			n.procHist.ObserveDuration(time.Since(t0))
 			return
 		}
-		n.handle(f, out, hop)
+		n.handle(f, &ev, out, hop)
 	}
 	handleDatagram := func(dgram []byte) {
 		frames, derr := packet.DecodeBatch(&f, dgram, handleFrame)
@@ -588,27 +587,23 @@ func (n *SwitchNode) ingestLoop(idx int, bc *BatchConn) {
 	}, func() { n.readErrs.Add(1) })
 }
 
-// handle runs the dataplane's per-frame driver (core.Switch.Handle) on a
-// frame and puts what it forwards on the wire. A traced frame leaves with
-// one hop record: hop as stamped at ingress, completed with the stage
-// core.HopStage names and the egress time. Output frames are serialized
-// and passed to emit while the frame's value may still alias dataplane
-// storage or the receive ring; nothing keeps f afterwards.
-func (n *SwitchNode) handle(f *packet.Frame, emit func(outFrame), hop packet.TraceHop) {
-	op, fresh, here := f.NC.Op, f.NC.Version().IsZero(), f.IP.Dst == n.sw.Addr()
-	v, commit := n.sw.Handle(f)
+// handle runs the host step (core.Switch.Step) on a frame and puts what it
+// forwards on the wire: the commit event Step filled into ev toward the
+// relay sink, on the same batched egress the reply takes, then the frame
+// itself. Output frames are serialized and passed to emit while the
+// frame's value may still alias dataplane storage or the receive ring;
+// nothing keeps f or ev afterwards.
+func (n *SwitchNode) handle(f, ev *packet.Frame, emit func(outFrame), hop packet.TraceHop) {
+	sink := n.evtSink.Load()
+	v, published := n.sw.Step(f, hop, wallNs, sink.addr, ev)
 	if v != core.VerdictForward {
 		return
 	}
-	if f.NC.Traced {
-		hop.Stage = core.HopStage(op, fresh, here, f.NC.Op)
-		hop.EgressNs = time.Now().UnixNano()
-		f.AppendTraceHop(hop)
-	}
-	// Commit point of the push-watch pipeline: publish one event frame
-	// toward the relay sink on the same batched egress the reply takes.
-	if sink := n.evtSink.Load(); sink != nil && commit.IsMutation() {
-		n.emitEvent(f, commit, sink, emit)
+	if published {
+		if bp, err := packet.SerializeBuf(ev); err == nil {
+			emit(outFrame{buf: bp, ep: sink.ep})
+			n.evtPublished.Add(1)
+		}
 	}
 	ep, ok := n.book.Get(f.IP.Dst)
 	if !ok {
@@ -623,15 +618,5 @@ func (n *SwitchNode) handle(f *packet.Frame, emit func(outFrame), hop packet.Tra
 	emit(outFrame{buf: bp, ep: ep})
 }
 
-// emitEvent serializes one OpEvent frame for the mutation whose OK reply
-// is in f and queues it for the relay sink. The event aliases f's value
-// only until Serialize copies it out, so it is safe against frame reuse.
-func (n *SwitchNode) emitEvent(f *packet.Frame, origOp kv.Op, sink *eventSink, emit func(outFrame)) {
-	ef := packet.GetFrame()
-	defer packet.PutFrame(ef)
-	query.EventInto(ef, n.sw.Addr(), sink.addr, packet.Port, packet.Port, query.CommitEvent(f, origOp))
-	if bp, err := packet.SerializeBuf(ef); err == nil {
-		emit(outFrame{buf: bp, ep: sink.ep})
-		n.evtPublished.Add(1)
-	}
-}
+// wallNs is the wire's trace clock: a hop's egress time.
+func wallNs() int64 { return time.Now().UnixNano() }

@@ -46,6 +46,8 @@ netchain_node_recv_frames_total counter
 netchain_node_send_errors_total counter
 netchain_node_truncated_batches_total counter
 netchain_switch_cas_fails_total counter
+netchain_switch_forwarded_total counter
+netchain_switch_frames_in_total counter
 netchain_switch_items gauge
 netchain_switch_local_drops_total counter
 netchain_switch_not_found_total counter
